@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from matalloc import Item, SantaInstance
-from matalloc.instances import gen_random, makespan_loads
+from matalloc.instances import entity_totals, gen_random
 from matalloc.oracle import brute_opt_makespan, enumerate_bases
 from matalloc.rounding import (FractionalAssignment, lst_baseline, round_santa,
                                solve_assignment_lp)
@@ -49,7 +49,7 @@ print("\n=== makespan: guessing loop + rounding = additive schedule ===")
 mk = gen_random("restricted-makespan", 11, m=3, n=5)
 opt = brute_opt_makespan(mk)
 alloc, t_star = lst_baseline(mk)
-loads = makespan_loads(mk, alloc)
+loads = entity_totals(mk, alloc)
 pmax = max(v for it in mk.jobs for v in it.values if v is not None)
 print(f"exhaustive optimum {opt.value}; smallest feasible guess {t_star}")
 print(f"rounded loads {[str(v) for v in loads]}: max <= {t_star} + {pmax}"

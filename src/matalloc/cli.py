@@ -19,8 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bitsets import bits
-from .instances import (CoreCoverInstance, MakespanInstance, SantaInstance, gen_gap_instance,
-                        gen_random, parse_instance, serialize_instance)
+from .instances import (CoreCoverInstance, MakespanInstance, SantaInstance, _rat_from_json,
+                        _rat_to_json, gen_gap_instance, gen_random, parse_instance,
+                        serialize_instance)
 from .limits import (Caps, ContractViolation, GuessRejected, SchemaError, SizeCapError,
                      caps_from_env)
 from .localsearch import recursion_node_bound, solve_cover, verify_certificate
@@ -32,10 +33,6 @@ from .rounding import FractionalAssignment, round_makespan, round_santa
 
 def _rat(value: str) -> Fraction:
     return Fraction(value)
-
-
-def _rat_json(v: Fraction) -> dict:
-    return {"num": v.numerator, "den": v.denominator}
 
 
 def _emit(obj, path: str | None, fmt: str = "json") -> None:
@@ -86,7 +83,7 @@ def cmd_solve_cover(args) -> int:
     out = {
         "outcome": "cover" if res.feasible else "infeasible",
         "b": inst.b,
-        "eps": _rat_json(Fraction(args.eps)),
+        "eps": _rat_to_json(Fraction(args.eps)),
         "I_M": sorted(bits(res.I_M)),
         "y": list(res.y),
         "restarts": res.restarts,
@@ -126,13 +123,13 @@ def cmd_reduce(args) -> int:
     elif args.kind == "twovalue-makespan-to-santa":
         bundle = twovalue_makespan_to_santa(inst)
         out = {"instance": json.loads(serialize_instance(bundle.santa)),
-               "k": bundle.k, "t": _rat_json(bundle.t),
+               "k": bundle.k, "t": _rat_to_json(bundle.t),
                "resources": [list(map(str, d)) for d in bundle.resource_desc],
                "players": [list(map(str, d)) for d in bundle.player_desc]}
     elif args.kind == "matroid-makespan-to-santa":
         bundle = matroid_makespan_to_santa(inst)
         out = {"instance": json.loads(serialize_instance(bundle.built)),
-               "caps": list(bundle.caps_per_item), "t": _rat_json(bundle.t)}
+               "caps": list(bundle.caps_per_item), "t": _rat_to_json(bundle.t)}
     elif args.kind == "matroid-santa-to-makespan":
         bundle = matroid_santa_to_makespan(inst)
         out = {"instance": json.loads(serialize_instance(bundle.built)),
@@ -145,20 +142,34 @@ def cmd_reduce(args) -> int:
 
 def cmd_round(args) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
-    raw = json.loads(Path(args.frac).read_text())
-    T = Fraction(raw["T"]["num"], raw["T"]["den"]) if isinstance(raw["T"], dict) \
-        else Fraction(raw["T"])
-    x = [tuple(Fraction(c["num"], c["den"]) if isinstance(c, dict) else Fraction(c)
-               for c in row) for row in raw["x"]]
-    frac = FractionalAssignment(T, x)
-    if isinstance(inst, SantaInstance):
-        alloc = round_santa(inst, frac, _caps(args))
-    elif isinstance(inst, MakespanInstance):
-        alloc = round_makespan(inst, frac, _caps(args))
-    else:
+    if not isinstance(inst, (SantaInstance, MakespanInstance)):
         raise SchemaError("round expects a santa or makespan instance")
-    _emit({"assign": [list(v) for v in alloc]}, args.out, "json")
+    frac = _frac_from_json(json.loads(Path(args.frac).read_text()), inst)
+    rounder = round_santa if isinstance(inst, SantaInstance) else round_makespan
+    _emit({"assign": [list(v) for v in rounder(inst, frac, _caps(args))]}, args.out, "json")
     return 0
+
+
+def _frac_from_json(raw, inst) -> FractionalAssignment:
+    """A fractional assignment {"T": rational, "x": [[rational per entity] per item]}."""
+
+    def rat(obj, path: str) -> Fraction:
+        v = _rat_from_json(obj, path)
+        if v is None:
+            raise SchemaError(f"{path}: expected a rational")
+        return v
+
+    if not isinstance(raw, dict) or "T" not in raw:
+        raise SchemaError("frac.T: missing")
+    rows = raw.get("x")
+    if not isinstance(rows, list) or len(rows) != len(inst.items):
+        raise SchemaError("frac.x: expected one row per item")
+    x = []
+    for j, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != inst.num_entities:
+            raise SchemaError(f"frac.x[{j}]: expected one entry per entity")
+        x.append(tuple(rat(c, f"frac.x[{j}][{i}]") for i, c in enumerate(row)))
+    return FractionalAssignment(rat(raw["T"], "frac.T"), x)
 
 
 def cmd_verify(args) -> int:

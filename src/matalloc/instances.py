@@ -97,25 +97,6 @@ class MakespanInstance:
     def is_matroid_flavor(self) -> bool:
         return any(it.polymatroid is not None for it in self.jobs)
 
-    def distinct_sizes(self) -> list[Fraction]:
-        vals = set()
-        for it in self.jobs:
-            if it.values is not None:
-                vals.update(v for v in it.values if v is not None)
-            elif it.value is not None:
-                vals.add(it.value)
-        return sorted(vals)
-
-    def two_values(self) -> tuple[Fraction, Fraction]:
-        vals = sorted(v for v in self.distinct_sizes())
-        if not vals:
-            return Fraction(0), Fraction(0)
-        if len(vals) == 1:
-            return vals[0], vals[0]
-        if len(vals) > 2:
-            raise ValueError("not a two-value instance")
-        return vals[0], vals[1]
-
 
 @dataclass
 class CoreCoverInstance:
@@ -141,26 +122,18 @@ def assignment_to_alloc(choices: Sequence[int | None], m: int) -> Allocation:
     return [unit_vector(c, m) if c is not None else tuple([0] * m) for c in choices]
 
 
-def santa_player_values(inst: SantaInstance, alloc: Allocation) -> list[Fraction]:
-    vals = [Fraction(0)] * inst.num_players
-    for it, vec in zip(inst.resources, alloc):
-        for i in range(inst.num_players):
-            if vec[i]:
-                v = it.value_for(i)
-                vals[i] += v * vec[i]
-    return vals
-
-
-def makespan_loads(inst: MakespanInstance, alloc: Allocation) -> list[Fraction]:
-    loads = [Fraction(0)] * inst.num_machines
-    for it, vec in zip(inst.jobs, alloc):
-        for i in range(inst.num_machines):
-            if vec[i]:
+def entity_totals(inst, alloc: Allocation) -> list[Fraction]:
+    """Per-entity sum of value times multiplicity: player values for max-min,
+    machine loads for makespan."""
+    totals = [Fraction(0)] * inst.num_entities
+    for it, vec in zip(inst.items, alloc):
+        for i, k in enumerate(vec):
+            if k:
                 v = it.value_for(i)
                 if v is None:
                     raise ValueError("job placed on a machine with infinite size")
-                loads[i] += v * vec[i]
-    return loads
+                totals[i] += v * k
+    return totals
 
 
 def validate_allocation(inst, alloc: Allocation, require_basis: bool | None = None) -> None:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bitsets import bits, full_mask, size, submasks, vec_sum
+from .bitsets import bits, full_mask, size, vec_support
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, SizeCapError
 from .matroids import MatroidOracle
 from .polymatroids import PolymatroidOracle, is_basis, member
@@ -119,26 +119,11 @@ class ExpandedMatroid(MatroidOracle):
         super().__init__(ground.n)
         self.poly = poly
         self.ground = ground
-        self._count_rank: dict[tuple[int, ...], int] = {}
         self._count_indep: dict[tuple[int, ...], bool] = {}
 
     def _rank(self, mask: int) -> int:
         counts = self.ground.counts(mask)
-        hit = self._count_rank.get(counts)
-        if hit is not None:
-            return hit
-        supp = 0
-        for e, c in enumerate(counts):
-            if c:
-                supp |= 1 << e
-        total = sum(counts)
-        best = total
-        for t in submasks(supp):
-            val = self.poly.value(t) + total - vec_sum(counts, t)
-            if val < best:
-                best = val
-        self._count_rank[counts] = best
-        return best
+        return self.poly.capped(counts).value(vec_support(counts))
 
     def is_independent(self, mask: int) -> bool:
         counts = self.ground.counts(mask)
@@ -160,15 +145,9 @@ def unit_expand(p: PolymatroidOracle, caps_vec: Sequence[int],
     return ground, ExpandedMatroid(p, ground)
 
 
-@dataclass(frozen=True)
-class CommonVector:
-    x: tuple[int, ...]
-    certified_maximal: bool
-
-
 def polymatroid_intersection_max(p1: PolymatroidOracle, p2: PolymatroidOracle,
                                  caps_vec: Sequence[int],
-                                 caps: Caps = DEFAULT_CAPS) -> CommonVector:
+                                 caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """max x(E) over x in P1 ∩ P2 with x <= caps_vec, via unit expansion."""
     if p1.n != p2.n:
         raise ValueError("polymatroid intersection requires a shared ground set")
@@ -176,7 +155,7 @@ def polymatroid_intersection_max(p1: PolymatroidOracle, p2: PolymatroidOracle,
     ground, m1 = unit_expand(p1, eff, caps)
     m2 = ExpandedMatroid(p2, ground)
     best = max_common_independent(ground.n, m1.is_independent, m2.is_independent)
-    return CommonVector(ground.counts(best), True)
+    return ground.counts(best)
 
 
 def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],

@@ -32,6 +32,10 @@ class GuessRejected(Exception):
     """A guessed objective bound was refuted; the guessing loop should move on."""
 
 
+class BaselineRegime(ValueError):
+    """The instance lies in the regime the additive LP baseline already solves."""
+
+
 @dataclass(frozen=True)
 class Caps:
     sfm_ground: int = 24          # brute-force SFM / membership ground size
@@ -55,9 +59,14 @@ def caps_from_env(base: "Caps | None" = None) -> Caps:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"MATROID_ALLOC_CAPS is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError("MATROID_ALLOC_CAPS must be a JSON object")
     unknown = set(data) - set(Caps.__dataclass_fields__)
     if unknown:
         raise SchemaError(f"MATROID_ALLOC_CAPS has unknown fields: {sorted(unknown)}")
+    for key, val in data.items():
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise SchemaError(f"MATROID_ALLOC_CAPS.{key}: must be an integer")
     return caps.override(**data)
 
 

@@ -111,10 +111,6 @@ class AddableSets:
         self.layers = layers
 
 
-def _bvec(mask: int, n: int, b: int):
-    return indicator(mask, n, b)
-
-
 def _assert_state(state: SearchState, caps: Caps) -> None:
     if state.I_M & state.I_P or state.I_M & state.B0 or state.I_P & state.B0:
         raise InternalInvariantError("I_M, I_P, B0 must be disjoint")
@@ -122,7 +118,7 @@ def _assert_state(state: SearchState, caps: Caps) -> None:
         raise InternalInvariantError("ground must equal I_M ∪ I_P ∪ B0")
     if not state.matroid.is_independent(state.I_M):
         raise InternalInvariantError("I_M must be independent")
-    if not member(state.poly, _bvec(state.I_P, state.poly.n, state.b), caps):
+    if not member(state.poly, indicator(state.I_P, state.poly.n, state.b), caps):
         raise InternalInvariantError("b·I_P must belong to the polymatroid")
 
 
@@ -272,7 +268,7 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS,
         if check:
             if not m.is_independent(i_m):
                 raise InternalInvariantError("I_M dependent after recursion return")
-            if not member(p, _bvec(i_p | a_i, n, b), caps):
+            if not member(p, indicator(i_p | a_i, n, b), caps):
                 raise InternalInvariantError("b·(I_P ∪ A_I) outside P after recursion return")
         if Fraction(size(b0 & result.I_M)) >= eps2_thresh:
             return succeed(i_m, i_p)
@@ -340,7 +336,7 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
         for i in range(n):
             if m.rank(1 << i) == 0:
                 i_p |= 1 << i
-        if not member(poly, _bvec(i_p, n, b), caps):
+        if not member(poly, indicator(i_p, n, b), caps):
             result.diagnostics = ("the rank-zero elements alone exceed the polymatroid "
                                   "at multiplicity b; the optimum is below b")
             break
@@ -373,7 +369,7 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
         if failed is None:
             result.feasible = True
             result.I_M = i_m
-            result.y = _bvec(i_p, n, b)
+            result.y = indicator(i_p, n, b)
             break
         zeroed |= failed
         result.restarts += 1

@@ -42,16 +42,6 @@ class MatroidOracle:
         """r(Y | X) = r(Y ∪ X) − r(X), defined for any Y (overlap allowed)."""
         return self.rank(add | base) - self.rank(base)
 
-    def contract(self, cmask: int) -> "MatroidOracle":
-        if cmask == 0:
-            return self
-        return ContractedMatroid(self, cmask)
-
-    def zero_out(self, removed: int) -> "MatroidOracle":
-        if removed == 0:
-            return self
-        return ZeroedMatroid(self, removed)
-
 
 class UniformMatroid(MatroidOracle):
     """r(X) = min(|X|, k). Rank n-1 over n elements is the gap-instance matroid."""

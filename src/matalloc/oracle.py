@@ -56,7 +56,7 @@ def brute_opt_santa(instance, caps: Caps = DEFAULT_CAPS) -> OptReport:
     """Exact max-min value by exhaustive enumeration (classical or matroid flavor)."""
     start = time.monotonic()
     if instance.is_matroid_flavor:
-        value, witness, space = _brute_matroid(instance, maximize_min=True)
+        value, witness, space = _brute_matroid(instance, caps, maximize_min=True)
     else:
         value, witness, space = _brute_classical_santa(instance, caps)
     return OptReport(value, witness, space, time.monotonic() - start)
@@ -66,7 +66,7 @@ def brute_opt_makespan(instance, caps: Caps = DEFAULT_CAPS) -> OptReport:
     """Exact min-max load by exhaustive enumeration (classical or matroid flavor)."""
     start = time.monotonic()
     if instance.is_matroid_flavor:
-        value, witness, space = _brute_matroid(instance, maximize_min=False)
+        value, witness, space = _brute_matroid(instance, caps, maximize_min=False)
     else:
         value, witness, space = _brute_classical_makespan(instance, caps)
     return OptReport(value, witness, space, time.monotonic() - start)
@@ -168,16 +168,16 @@ def _brute_classical_makespan(instance, caps: Caps):
     return best[0], list(choice), space
 
 
-def _brute_matroid(instance, maximize_min: bool):
+def _brute_matroid(instance, caps: Caps, maximize_min: bool):
     m = instance.num_entities
     items = instance.items
     bases_per_item = []
     space = 1
     for it in items:
-        bases = enumerate_bases(it.polymatroid)
+        bases = enumerate_bases(it.polymatroid, caps)
         bases_per_item.append(bases)
         space *= max(len(bases), 1)
-        if space > DEFAULT_CAPS.basis_enum:
+        if space > caps.basis_enum:
             raise SizeCapError("matroid brute force: basis product exceeds cap")
         if not bases:
             return (Fraction(0) if maximize_min else math.inf), None, space
@@ -229,11 +229,6 @@ def brute_max_cover_b(matroid: MatroidOracle, poly: PolymatroidOracle,
         if b > best:
             best = b
     return best
-
-
-def cover_exists(matroid: MatroidOracle, poly: PolymatroidOracle, b: int,
-                 caps: Caps = DEFAULT_CAPS) -> bool:
-    return brute_max_cover_b(matroid, poly, caps) >= b
 
 
 def exists_strong_cover(matroid: MatroidOracle, poly: PolymatroidOracle, ground: int,

@@ -10,7 +10,8 @@ configuration gadget to makespan, the two-value equivalences in both
 directions, the duality-based reductions between the two-job matroid
 makespan problem and the two-resource matroid max-min problem, the
 reduction of a restricted matroid max-min instance to core cover
-problems, and the objective-guessing loop all of them plug into.
+problems, and the max-min guess grid. The guessing loop all of them plug
+into lives in rounding and is re-exported here.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from typing import Callable, Sequence
 
 from .bitsets import full_mask
 from .instances import (Allocation, CoreCoverInstance, Item, MakespanInstance, SantaInstance,
-                        unit_vector)
+                        entity_totals, unit_vector)
 from .intersection import decompose_in_sum, decompose_merged_basis
-from .limits import Caps, DEFAULT_CAPS, ContractViolation, GuessRejected, SizeCapError
+from .limits import (BaselineRegime, Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
+                     SizeCapError)
 from .matching import perfect_matching
 from .matroids import InducedMatroid
 from .polymatroids import (DualPoly, ModularPoly, PolymatroidOracle, SumPoly, greedy_basis_above,
                            is_basis, member)
-from .rounding import (FractionalAssignment, additive_round_santa, round_santa,
-                       solve_assignment_lp)
+from .rounding import (FractionalAssignment, additive_round_santa, column_sums, guess_loop,
+                       lst_baseline, round_santa, solve_assignment_lp)
 
 Configuration = dict  # value type -> count; nonzero counts only
 
@@ -138,8 +140,6 @@ class SantaToMakespanBundle:
     makespan: MakespanInstance
     machines: list[tuple]  # ("config", player, cfg index) | ("resource", resource)
     jobs: list[tuple]      # ("player", i) | ("configjob", i, cfg index, value, copy)
-
-    INF = None
 
 
 def santa_to_makespan(inst: SantaInstance, configs: Sequence[Sequence[Configuration]]
@@ -287,7 +287,7 @@ def twovalue_makespan_to_santa(inst: MakespanInstance) -> TwoValueBundle:
     if w <= Fraction(1, 2):
         # two big jobs could share a machine, breaking the one-big-resource
         # encoding; this regime belongs to the additive baseline
-        raise ValueError("w <= 1/2: route to the additive baseline instead")
+        raise BaselineRegime("w <= 1/2: route to the additive baseline instead")
     k = n if u == 0 else min(math.floor(1 / u), n)
 
     player_desc = [("machine", i) for i in range(msize)] + [("job", j) for j in range(n)]
@@ -393,7 +393,7 @@ def twovalue_santa_to_makespan(inst: SantaInstance, alpha: Fraction,
             raise GuessRejected("assignment LP infeasible at the guessed optimum")
         owner = additive_round_santa(inst, frac, caps)
         alloc = [unit_vector(o, m) if o is not None else tuple([0] * m) for o in owner]
-        _assert_min_value(inst, alloc, 1 / alpha)
+        _require_min_value(inst, alloc, 1 / alpha)
         return alloc, "additive"
 
     adj = [sum(1 << j for j, it in enumerate(inst.resources) if it.values[i] == w)
@@ -403,7 +403,7 @@ def twovalue_santa_to_makespan(inst: SantaInstance, alpha: Fraction,
         alloc = [tuple([0] * m) for _ in inst.resources]
         for i, j in enumerate(matching):
             alloc[j] = unit_vector(i, m)
-        _assert_min_value(inst, alloc, 1 / alpha)
+        _require_min_value(inst, alloc, 1 / alpha)
         return alloc, "matching"
 
     if u == 0:
@@ -427,20 +427,15 @@ def twovalue_santa_to_makespan(inst: SantaInstance, alpha: Fraction,
     bundle = santa_to_makespan(scaled, configs)
     schedule = makespan_solver(bundle.makespan)
     scaled_alloc, _ = santa_solution_from_schedule(bundle, schedule)
-    _assert_min_value(scaled, scaled_alloc, 1 / alpha)
-    _assert_min_value(inst, scaled_alloc, 1 / alpha)
+    _require_min_value(scaled, scaled_alloc, 1 / alpha)
+    _require_min_value(inst, scaled_alloc, 1 / alpha)
     return scaled_alloc, "configuration"
 
 
-def _assert_min_value(inst: SantaInstance, alloc: Allocation, bound: Fraction) -> None:
-    m = inst.num_players
-    vals = [Fraction(0)] * m
-    for j, vec in enumerate(alloc):
-        for i in range(m):
-            if vec[i]:
-                vals[i] += inst.resources[j].values[i] * vec[i]
-    if min(vals) < bound:
-        raise ContractViolation(f"translated value {min(vals)} below the bound {bound}")
+def _require_min_value(inst: SantaInstance, alloc: Allocation, bound: Fraction) -> None:
+    low = min(entity_totals(inst, alloc))
+    if low < bound:
+        raise ContractViolation(f"translated value {low} below the bound {bound}")
 
 
 def solve_twovalue_makespan_via_santa(inst: MakespanInstance, alpha: Fraction,
@@ -454,16 +449,12 @@ def solve_twovalue_makespan_via_santa(inst: MakespanInstance, alpha: Fraction,
     reaches 3/2 <= 2 - 1/alpha; otherwise the gadget converts the
     alpha-approximate allocation back into a schedule.
     """
-    from .rounding import lst_baseline
-
     alpha = Fraction(alpha)
     if alpha < 2:
         raise ValueError("alpha must be at least 2")
     try:
         bundle = twovalue_makespan_to_santa(inst)
-    except ValueError as exc:
-        if "baseline" not in str(exc):
-            raise
+    except BaselineRegime:
         alloc, t_star = lst_baseline(inst, caps)
         return alloc, t_star, "baseline"
     santa_alloc = santa_solver(bundle.santa)
@@ -689,7 +680,7 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         if u_idx:
             for j, piece in zip(u_idx, _alloc_from_cover(inst, u_idx, list(y), caps)):
                 alloc[j] = piece
-        _assert_matroid_min_value(inst, alloc, guess / alpha)
+        _require_min_value(inst, alloc, guess / alpha)
         return CoreReduction(alloc, "core-cover", guess / alpha)
 
     # every value is small: saturate the unit-split polymatroid and round
@@ -701,14 +692,9 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
             copies.append(it.polymatroid)
             copy_owner.append(j)
     split = SumPoly(copies)
-    lo, hi = 0, split.value(everyone) // max(m, 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if member(split, [mid] * m, caps):
-            lo = mid
-        else:
-            hi = mid - 1
-    if lo < scale:
+    hi = split.value(everyone) // max(m, 1)
+    lo, _ = guess_loop(lambda k: member(split, [k] * m, caps) or None, range(1, hi + 1))
+    if lo is None or lo < scale:
         raise GuessRejected("the unit-split polymatroid cannot reach the guessed level")
     roomy = caps.override(expand=4 * caps.expand)
     pieces = decompose_in_sum(copies, tuple([lo] * m), roomy)
@@ -718,7 +704,7 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         frac_x.append(tuple(sum(Fraction(p[e]) for p in mine) / ints[j] for e in range(m)))
     frac = FractionalAssignment(Fraction(lo, scale), frac_x)
     alloc = round_santa(scaled, frac, caps)
-    _assert_matroid_min_value(inst, alloc, guess / alpha)
+    _require_min_value(inst, alloc, guess / alpha)
     return CoreReduction(alloc, "round", guess / alpha)
 
 
@@ -768,18 +754,8 @@ def _reduce_general(inst: SantaInstance, scaled: SantaInstance, alpha: Fraction,
                                   caps)
             for j, piece in zip(light, rounded):
                 alloc[j] = piece
-    _assert_matroid_min_value(inst, alloc, guess / (2 * alpha))
+    _require_min_value(inst, alloc, guess / (2 * alpha))
     return CoreReduction(alloc, "heavy-light", guess / (2 * alpha))
-
-
-def _assert_matroid_min_value(inst: SantaInstance, alloc: Allocation, bound: Fraction) -> None:
-    m = inst.num_players
-    vals = [Fraction(0)] * m
-    for j, vec in enumerate(alloc):
-        for e in range(m):
-            vals[e] += inst.resources[j].value * vec[e]
-    if min(vals) < bound:
-        raise ContractViolation(f"assembled value {min(vals)} below the bound {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -788,40 +764,6 @@ def _assert_matroid_min_value(inst: SantaInstance, alloc: Allocation, bound: Fra
 
 def santa_guess_grid(inst: SantaInstance, caps: Caps = DEFAULT_CAPS) -> list[Fraction]:
     """Achievable per-player values: subset sums of any player's value column."""
-    sums: set[Fraction] = set()
-    m = inst.num_players
-    for i in range(m):
-        mine = {Fraction(0)}
-        for it in inst.resources:
-            v = it.value * it.polymatroid.value(1 << i) if it.polymatroid is not None \
-                else it.values[i]
-            if v:
-                mine |= {s + v for s in mine}
-                if len(mine) > caps.guess_grid:
-                    raise SizeCapError("guess grid exceeds cap")
-        sums |= mine
-    return sorted(s for s in sums if s > 0)
-
-
-def guess_loop(solver: Callable[[Fraction], object], grid: Sequence[Fraction]
-               ) -> tuple[Fraction | None, object | None]:
-    """Binary search for the largest guess the solver accepts.
-
-    solver(T) returns a solution or None/raises GuessRejected; the solver
-    contract is monotone (success at T implies success below T). Returns
-    (best guess, its solution), or (None, None) if everything fails.
-    """
-    lo, hi = 0, len(grid) - 1
-    best: tuple[Fraction | None, object | None] = (None, None)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        try:
-            sol = solver(grid[mid])
-        except GuessRejected:
-            sol = None
-        if sol is None:
-            hi = mid - 1
-        else:
-            best = (grid[mid], sol)
-            lo = mid + 1
-    return best
+    columns = ((it.value * it.polymatroid.value(1 << i) if it.polymatroid is not None
+                else it.values[i] for it in inst.resources) for i in range(inst.num_players))
+    return sorted(s for s in column_sums(columns, caps) if s > 0)

@@ -9,7 +9,9 @@ come from a floor/ceiling remainder recursion, and extract the integral
 solution as a maximum common vector of two polymatroids on the edges.
 
 The LP itself is solved exactly (rational simplex), so every additive
-guarantee is checked with exact comparisons.
+guarantee is checked with exact comparisons. The objective-guessing
+primitives live here too: column_sums builds the guess grids and
+guess_loop is the one bisection over them.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from typing import Callable, Iterable, Sequence
 
 from .bitsets import bits, full_mask, size
-from .instances import Item, MakespanInstance, SantaInstance
+from .instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
+                        entity_totals)
 from .intersection import max_common_independent
-from .limits import Caps, DEFAULT_CAPS, ContractViolation, SizeCapError
+from .limits import Caps, DEFAULT_CAPS, ContractViolation, GuessRejected, SizeCapError
 from .matching import perfect_matching
 from .polymatroids import (CoveragePoly, ModularPoly, PolymatroidOracle, greedy_basis_above,
                            member)
@@ -258,7 +262,7 @@ def round_santa(inst: SantaInstance, frac: FractionalAssignment,
     alloc = _gadget_round(pad, pfrac, "floor", caps)[:-1]
     vmax = max((item_value_poly(inst, j)[0] for j in range(len(inst.resources))),
                default=Fraction(0))
-    vals = _player_values(inst, alloc)
+    vals = entity_totals(inst, alloc)
     # per-player guarantee: lose at most v_max against one's own fractional
     # value (at least T - v_max when the input satisfies the LP at T)
     fvals = [sum(item_value_poly(inst, j)[0] * frac.x[j][i] for j in range(len(inst.resources)))
@@ -282,7 +286,7 @@ def round_makespan(inst: MakespanInstance, frac: FractionalAssignment,
     pfrac = FractionalAssignment(frac.T, list(frac.x) + [tuple([Fraction(0)] * inst.num_machines)])
     alloc = _gadget_round(pad, pfrac, "ceil", caps)[:-1]
     pmax = max((item_value_poly(inst, j)[0] for j in range(len(inst.jobs))), default=Fraction(0))
-    loads = _loads(inst, alloc)
+    loads = entity_totals(inst, alloc)
     floads = [sum(item_value_poly(inst, j)[0] * frac.x[j][i] for j in range(len(inst.jobs)))
               for i in range(inst.num_machines)]
     over = [i for i in range(inst.num_machines)
@@ -290,24 +294,6 @@ def round_makespan(inst: MakespanInstance, frac: FractionalAssignment,
     if over:
         raise ContractViolation(f"rounding guarantee violated for machines {over}")
     return alloc
-
-
-def _player_values(inst: SantaInstance, alloc) -> list[Fraction]:
-    vals = [Fraction(0)] * inst.num_players
-    for j, vec in enumerate(alloc):
-        v = item_value_poly(inst, j)[0]
-        for i in range(inst.num_players):
-            vals[i] += v * vec[i]
-    return vals
-
-
-def _loads(inst: MakespanInstance, alloc) -> list[Fraction]:
-    loads = [Fraction(0)] * inst.num_machines
-    for j, vec in enumerate(alloc):
-        v = item_value_poly(inst, j)[0]
-        for i in range(inst.num_machines):
-            loads[i] += v * vec[i]
-    return loads
 
 
 # ---------------------------------------------------------------------------
@@ -387,53 +373,74 @@ def lst_round_unrelated(inst: MakespanInstance, frac: FractionalAssignment
     return owner  # type: ignore[return-value]
 
 
+# ---------------------------------------------------------------------------
+# Objective guessing
+
+
+def column_sums(columns: Iterable[Iterable[Fraction | None]], caps: Caps = DEFAULT_CAPS
+                ) -> set[Fraction]:
+    """Union over the columns of all subset sums of each column's entries
+    (None and zero entries contribute nothing)."""
+    sums: set[Fraction] = set()
+    for column in columns:
+        mine = {Fraction(0)}
+        for v in column:
+            if v:
+                mine |= {s + v for s in mine}
+                if len(mine) > caps.guess_grid:
+                    raise SizeCapError("guess grid exceeds cap")
+        sums |= mine
+    return sums
+
+
+def guess_loop(solver: Callable[[Fraction], object], grid: Sequence[Fraction]
+               ) -> tuple[Fraction | None, object | None]:
+    """Binary search for the last grid entry the solver accepts.
+
+    solver(T) returns a solution or None/raises GuessRejected; the solver
+    contract is monotone (success at grid[k] implies success at grid[k'] for
+    k' < k). Returns (best guess, its solution), or (None, None) if
+    everything fails.
+    """
+    lo, hi = 0, len(grid) - 1
+    best: tuple[Fraction | None, object | None] = (None, None)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        try:
+            sol = solver(grid[mid])
+        except GuessRejected:
+            sol = None
+        if sol is None:
+            hi = mid - 1
+        else:
+            best = (grid[mid], sol)
+            lo = mid + 1
+    return best
+
+
 def makespan_guess_grid(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS) -> list[Fraction]:
     """Achievable-load grid: per machine, all subset sums of its finite sizes."""
-    sums: set[Fraction] = set()
-    m = inst.num_machines
-    for i in range(m):
-        machine_sums = {Fraction(0)}
-        for it in inst.jobs:
-            v = it.value if it.polymatroid is not None else it.values[i]
-            if v is None:
-                continue
-            machine_sums |= {s + v for s in machine_sums}
-            if len(machine_sums) > caps.guess_grid:
-                raise SizeCapError("guess grid exceeds cap")
-        sums |= machine_sums
-    return sorted(sums)
+    columns = ((it.value if it.polymatroid is not None else it.values[i] for it in inst.jobs)
+               for i in range(inst.num_machines))
+    return sorted(column_sums(columns, caps))
 
 
 def lst_baseline(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS
                  ) -> tuple[list[tuple[int, ...]], Fraction]:
     """Assignment-LP guessing plus additive rounding: makespan <= T* + p_max
     where T* is the smallest LP-feasible guess on the achievable-load grid."""
-    grid = makespan_guess_grid(inst, caps)
-    lo, hi = 0, len(grid) - 1
-    best: tuple[Fraction, FractionalAssignment] | None = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        frac = solve_assignment_lp(inst, grid[mid], caps)
-        if frac is None:
-            lo = mid + 1
-        else:
-            best = (grid[mid], frac)
-            hi = mid - 1
-    if best is None:
+    grid = makespan_guess_grid(inst, caps)[::-1]
+    t_star, frac = guess_loop(lambda T: solve_assignment_lp(inst, T, caps), grid)
+    if t_star is None:
         raise ContractViolation("no feasible guess: some job fits on no machine")
-    t_star, frac = best
     restricted = inst.is_matroid_flavor or all(
         len({v for v in it.values if v is not None}) <= 1 for it in inst.jobs)
     if restricted:
         alloc = round_makespan(inst, frac, caps)
     else:
-        owner = lst_round_unrelated(inst, frac)
-        alloc = [tuple(1 if i == o else 0 for i in range(inst.num_machines)) for o in owner]
-        loads = [Fraction(0)] * inst.num_machines
-        pmax = Fraction(0)
-        for j, o in enumerate(owner):
-            loads[o] += inst.jobs[j].values[o]
-            pmax = max(pmax, max(v for v in inst.jobs[j].values if v is not None))
-        if max(loads) > t_star + pmax:
+        alloc = assignment_to_alloc(lst_round_unrelated(inst, frac), inst.num_machines)
+        pmax = max((v for it in inst.jobs for v in it.values if v is not None),
+                   default=Fraction(0))
+        if max(entity_totals(inst, alloc)) > t_star + pmax:
             raise ContractViolation("unrelated rounding guarantee violated")
     return alloc, t_star

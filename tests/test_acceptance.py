@@ -9,8 +9,8 @@ from fractions import Fraction
 from conftest import brute_opt_config_matched, gadget_santa_opt, random_poly
 from matalloc.bitsets import full_mask, size
 from matalloc.instances import (CoreCoverInstance, Item, MakespanInstance, SantaInstance,
-                                gen_gap_instance, gen_random, makespan_loads,
-                                merge_equal_value, santa_player_values, split_merged_solution)
+                                entity_totals, gen_gap_instance, gen_random,
+                                merge_equal_value, split_merged_solution)
 from matalloc.limits import GuessRejected
 from matalloc.localsearch import (Certificate, recursion_node_bound, solve_cover,
                                   verify_certificate)
@@ -318,7 +318,7 @@ def test_criterion_4_reduction_guarantees():
         norm = SantaInstance(3, [Item(values=tuple(v / opt.value for v in it.values))
                                  for it in inst.resources])
         alloc, case = twovalue_santa_to_makespan(norm, F(2), exact_makespan)
-        assert min(santa_player_values(norm, alloc)) >= F(1, 2)
+        assert min(entity_totals(norm, alloc)) >= F(1, 2)
         counts["twovalue-sm"] += 1
 
     # matroid duals, both directions, with the exact per-element identity
@@ -455,7 +455,7 @@ def test_criterion_6_rounding_guarantees():
         if opt.value is math.inf:
             continue
         alloc, t_star = lst_baseline(inst)
-        loads = makespan_loads(inst, alloc)
+        loads = entity_totals(inst, alloc)
         pmax = max(v for it in inst.jobs for v in it.values if v is not None)
         assert t_star <= opt.value
         assert max(loads) <= t_star + pmax

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from matalloc.cli import main
 
 
@@ -74,6 +76,42 @@ def test_round_subcommand(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert sorted(map(sum, doc["assign"])) == [1, 1]
+
+
+def _round_with_frac(tmp_path, frac_doc) -> int:
+    inst = tmp_path / "santa.json"
+    main(["gen", "--flavor", "unrelated-santa", "--m", "2", "--n", "2", "--out", str(inst)])
+    frac = tmp_path / "frac.json"
+    frac.write_text(json.dumps(frac_doc))
+    return main(["round", "--in", str(inst), "--frac", str(frac)])
+
+
+def test_round_frac_without_threshold_exit_one(tmp_path, capsys):
+    assert _round_with_frac(tmp_path, {"x": [[1, 0], [0, 1]]}) == 1
+    assert "frac.T" in capsys.readouterr().err
+
+
+def test_round_rational_without_den_exit_one(tmp_path, capsys):
+    doc = {"T": 1, "x": [[{"num": 1}, 0], [0, 1]]}
+    assert _round_with_frac(tmp_path, doc) == 1
+    assert "frac.x[0][0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ['{"sfm_ground": "x"}', "5"])
+def test_malformed_caps_env_exit_one(tmp_path, capsys, monkeypatch, raw):
+    g = tmp_path / "g.json"
+    main(["gen", "--flavor", "gap", "--m", "2", "--out", str(g)])
+    monkeypatch.setenv("MATROID_ALLOC_CAPS", raw)
+    assert main(["verify", "--in", str(g)]) == 1
+    assert "MATROID_ALLOC_CAPS" in capsys.readouterr().err
+
+
+def test_bench_cap_enum_reaches_matroid_brute_force(tmp_path, capsys):
+    main(["gen", "--flavor", "santa-matroid", "--m", "3", "--n", "3", "--seed", "1",
+          "--out", str(tmp_path / "sm.json")])
+    code, out = run(capsys, "bench", "--dir", str(tmp_path), "--cap-enum", "1")
+    assert code == 0
+    assert "skipped" in json.loads(out)[0]
 
 
 def test_bench_directory(tmp_path, capsys):

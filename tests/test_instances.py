@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from matalloc.bitsets import full_mask
 from matalloc.instances import (Item, MakespanInstance, SantaInstance,
-                                assignment_to_alloc, gen_gap_instance, gen_random,
-                                makespan_loads, merge_equal_value, parse_instance,
-                                santa_player_values, serialize_instance, split_merged_solution,
-                                validate_allocation)
+                                assignment_to_alloc, entity_totals, gen_gap_instance,
+                                gen_random, merge_equal_value, parse_instance,
+                                serialize_instance, split_merged_solution, validate_allocation)
 from matalloc.limits import SchemaError
 from matalloc.oracle import brute_max_cover_b, check_axioms, enumerate_bases
 from matalloc.polymatroids import is_basis
@@ -96,9 +95,9 @@ class TestAllocations:
         inst = SantaInstance(2, [Item(values=(Fraction(2), Fraction(1))),
                                  Item(values=(Fraction(0), Fraction(3)))])
         alloc = assignment_to_alloc([0, 1], 2)
-        assert santa_player_values(inst, alloc) == [Fraction(2), Fraction(3)]
+        assert entity_totals(inst, alloc) == [Fraction(2), Fraction(3)]
         mk = MakespanInstance(2, [Item(values=(Fraction(2), Fraction(1)))])
-        assert makespan_loads(mk, assignment_to_alloc([1], 2)) == [Fraction(0), Fraction(1)]
+        assert entity_totals(mk, assignment_to_alloc([1], 2)) == [Fraction(0), Fraction(1)]
 
     def test_validate_rejects_double_assignment(self):
         inst = SantaInstance(2, [Item(values=(Fraction(1), Fraction(1)))])
@@ -150,8 +149,8 @@ class TestMerge:
             merged_alloc.append(rng.choice(bases))
         split = split_merged_solution(inst, rec, merged_alloc)
         # per-machine load is preserved exactly and each part is a basis
-        merged_loads = makespan_loads(rec.merged, merged_alloc)
-        split_loads = makespan_loads(inst, split)
+        merged_loads = entity_totals(rec.merged, merged_alloc)
+        split_loads = entity_totals(inst, split)
         assert merged_loads == split_loads
         for j, piece in enumerate(split):
             assert is_basis(inst.jobs[j].polymatroid, piece)

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from matalloc.bitsets import full_mask
 from matalloc.instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
-                                gen_gap_instance, gen_random, makespan_loads,
-                                santa_player_values, validate_allocation)
+                                entity_totals, gen_gap_instance, gen_random,
+                                validate_allocation)
 from matalloc.limits import Caps, SizeCapError
 from matalloc.matroids import FreeMatroid, UniformMatroid
 from matalloc.oracle import (brute_max_cover_b, brute_opt_makespan, brute_opt_santa,
@@ -31,7 +31,7 @@ class TestBruteSanta:
         rep = brute_opt_santa(inst)
         alloc = assignment_to_alloc(rep.witness, 3)
         validate_allocation(inst, alloc)
-        assert min(santa_player_values(inst, alloc)) == rep.value
+        assert min(entity_totals(inst, alloc)) == rep.value
 
     def test_matroid_flavor(self):
         inst = SantaInstance(2, [Item(value=F(2), polymatroid=ModularPoly([1, 1]))])
@@ -55,7 +55,7 @@ class TestBruteMakespan:
         rep = brute_opt_makespan(inst)
         alloc = assignment_to_alloc(rep.witness, 3)
         validate_allocation(inst, alloc)
-        assert max(makespan_loads(inst, alloc)) == rep.value
+        assert max(entity_totals(inst, alloc)) == rep.value
 
     def test_unschedulable_is_infinite(self):
         inst = MakespanInstance(1, [Item(values=(None,))])

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from matalloc.bitsets import full_mask, size, submasks
 from matalloc.instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
-                                gen_random, makespan_loads, santa_player_values)
-from matalloc.limits import ContractViolation, GuessRejected
+                                entity_totals, gen_random, validate_allocation)
+from matalloc.limits import BaselineRegime, ContractViolation, GuessRejected
 from matalloc.localsearch import solve_cover
 from matalloc.matroids import UniformMatroid
 from matalloc.oracle import brute_opt_makespan, brute_opt_santa
@@ -184,6 +184,11 @@ class TestTwoValueDirections:
         bundle = twovalue_makespan_to_santa(mk)
         assert bundle.k == 3  # min(floor(1/u) = 5, n = 3)
 
+    def test_small_w_routes_to_baseline(self):
+        mk = MakespanInstance(2, [Item(values=(F(1, 4), F(1, 2))), Item(values=(F(1, 2), None))])
+        with pytest.raises(BaselineRegime):
+            twovalue_makespan_to_santa(mk)
+
     def test_t_at_most_one_and_w_at_least_t(self):
         for seed in range(30):
             inst = gen_random("two-value-makespan", seed, m=2, n=3, u=F(1, 3), w=F(4, 5))
@@ -247,7 +252,7 @@ class TestTwoValueDirections:
         norm = SantaInstance(3, [Item(values=tuple(v / opt.value for v in it.values))
                                  for it in inst.resources])
         alloc, case = twovalue_santa_to_makespan(norm, F(2), brute_makespan_solver)
-        assert min(santa_player_values(norm, alloc)) >= F(1, 2)
+        assert min(entity_totals(norm, alloc)) >= F(1, 2)
 
     def test_matching_case_zero_one_values(self):
         inst = SantaInstance(2, [Item(values=(F(1), F(0))), Item(values=(F(0), F(1)))])
@@ -266,7 +271,7 @@ class TestTwoValueDirections:
                                  for it in inst.resources])
         alloc, case = twovalue_santa_to_makespan(norm, F(2), brute_makespan_solver)
         assert case == "additive"
-        assert min(santa_player_values(norm, alloc)) >= F(1, 2)
+        assert min(entity_totals(norm, alloc)) >= F(1, 2)
 
     @given(st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
@@ -283,13 +288,13 @@ class TestTwoValueDirections:
             sched, mu, route = solve_twovalue_makespan_via_santa(
                 norm, F(2), brute_santa_solver)
             assert route == "baseline"
-            assert max(makespan_loads(norm, sched)) <= F(3, 2)
+            assert max(entity_totals(norm, sched)) <= F(3, 2)
             return
         from conftest import gadget_santa_opt
 
         sval, salloc = gadget_santa_opt(bundle)
         sched, mu = schedule_from_santa_solution(bundle, salloc)
-        assert max(makespan_loads(norm, sched)) <= F(3, 2)
+        assert max(entity_totals(norm, sched)) <= F(3, 2)
 
 
 class TestMatroidDuals:
@@ -373,6 +378,14 @@ class TestReduceToCore:
         inst = SantaInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 1]))])
         red = reduce_to_core(inst, F(4), F(1), exact_cover_solver)
         assert red.case == "one-each"
+
+    def test_round_case(self):
+        # guess 5, alpha 2: both scaled values (1/5, 2/5) fall below 1/alpha
+        inst = gen_random("santa-matroid", 3, m=3, n=3, u=1, w=2)
+        red = reduce_to_core(inst, F(2), F(5), exact_cover_solver)
+        assert red.case == "round"
+        validate_allocation(inst, red.alloc, require_basis=True)
+        assert min(entity_totals(inst, red.alloc)) >= F(5, 2)
 
     @given(st.integers(0, 300))
     @settings(max_examples=25, deadline=None)

@@ -190,6 +190,14 @@ class TestLstBaseline:
             assert max(sum(inst.jobs[j].values[i] * vec[i] for j, vec in enumerate(alloc)
                            if vec[i]) for i in range(2)) <= t_star + pmax
 
+    def test_t_star_is_smallest_feasible_grid_point(self):
+        for flavor in ("restricted-makespan", "two-value-makespan"):
+            for seed in range(3):
+                inst = gen_random(flavor, seed, m=2, n=4)
+                first = next(T for T in makespan_guess_grid(inst)
+                             if solve_assignment_lp(inst, T) is not None)
+                assert lst_baseline(inst)[1] == first
+
     def test_grid_contains_opt(self):
         mk = MakespanInstance(2, [Item(values=(F(1), F(2))), Item(values=(F(3), None))])
         grid = makespan_guess_grid(mk)
