@@ -6,7 +6,8 @@ verify (axiom checks), bench (corpus table against brute force).
 
 Exit codes: 0 success, 2 for mathematically meaningful negative outcomes
 (infeasibility with a certificate, axiom violations), 1 for usage or
-contract errors. Identical inputs and seed give byte-identical output.
+contract errors, 3 for a broken internal invariant (a bug). Identical
+inputs and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .bitsets import bits
 from .instances import (CoreCoverInstance, MakespanInstance, SantaInstance, _rat_from_json,
                         _rat_to_json, gen_gap_instance, gen_random, parse_instance,
                         serialize_instance)
-from .limits import (Caps, ContractViolation, GuessRejected, SchemaError, SizeCapError,
-                     caps_from_env)
+from .limits import (Caps, ContractViolation, GuessRejected, InternalInvariantError,
+                     SchemaError, SizeCapError, caps_from_env)
 from .localsearch import recursion_node_bound, solve_cover, verify_certificate
 from .oracle import brute_max_cover_b, brute_opt_makespan, brute_opt_santa, check_axioms
 from .reductions import (config_round, matroid_makespan_to_santa, matroid_santa_to_makespan,
@@ -304,6 +305,9 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

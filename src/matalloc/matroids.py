@@ -48,6 +48,8 @@ class UniformMatroid(MatroidOracle):
 
     def __init__(self, n: int, k: int):
         super().__init__(n)
+        if not 0 <= k <= n:
+            raise ValueError(f"uniform rank {k} outside 0..{n}")
         self.k = k
 
     def _rank(self, mask: int) -> int:
@@ -197,14 +199,19 @@ class InducedMatroid(MatroidOracle):
     """Matroid induced by an integer polymatroid f.
 
     X is independent iff min_{S ⊆ X} f(S) − |S| >= 0; equivalently the rank
-    is the unit-capped evaluation r(X) = min_{T ⊆ X} f(X \\ T) + |T|.
+    is the unit-capped evaluation r(X) = min_{T ⊆ X} f(X \\ T) + |T|, one
+    max-flow when f has a cut network.
     """
 
     def __init__(self, poly):
         super().__init__(poly.n)
         self.poly = poly
+        net = poly.network
+        self._unit = None if net is None else net.capped([1] * poly.n)
 
     def _rank(self, mask: int) -> int:
+        if self._unit is not None:
+            return self._unit.value(mask)
         # min(f(X), min_i r(X - i) + 1) unrolls the capped-evaluation minimum
         best = self.poly.value(mask)
         for e in bits(mask):

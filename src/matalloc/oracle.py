@@ -236,8 +236,9 @@ def exists_strong_cover(matroid: MatroidOracle, poly: PolymatroidOracle, ground:
                         caps: Caps = DEFAULT_CAPS) -> bool:
     """Exhaustive check used against certificates: is there I*_M ∪ I*_P ⊇ E \\ B0
     with I*_M independent, level·1_{I*_P} in P, and |B0 ∩ I*_M| >= min_b0_hits?"""
-    if size(ground) > 16:
-        raise SizeCapError("exhaustive soundness check capped at 16 elements")
+    if size(ground) > caps.sfm_ground:
+        raise SizeCapError(f"exhaustive soundness check over {size(ground)} elements "
+                           f"exceeds cap {caps.sfm_ground}")
     others = ground & ~b0
     for ip in submasks(ground):
         vec = [level if (ip >> e) & 1 else Fraction(0) for e in range(poly.n)]

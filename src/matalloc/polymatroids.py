@@ -6,16 +6,68 @@ weighted coverage, scaled matroid rank, explicit table. Derived forms:
 sums, box caps, marginals above a set or vector, and duals. On top of
 the oracles: brute-force submodular minimization, membership, greedy
 basis extension, and the box-capped marginal f(Y | b*X).
+
+Capped values of coverage-shaped polymatroids (modular and coverage parts,
+their sums, caps and set contractions) are bipartite min cuts, evaluated by
+one exact max-flow (CutNetwork); every other form falls back to the subset
+recursion of CappedPoly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import stats
 from .bitsets import bits, check_subset, elements, full_mask, size, submasks, vec_sum, vec_support
 from .limits import Caps, DEFAULT_CAPS, SizeCapError
+from .matching import max_capacitated_flow
+
+
+class CutNetwork:
+    """f(S) = F(S ∪ base) − F(base) with F(S) = min_{T ⊆ S} c(T) + w(N(S \\ T)).
+
+    N(S) is the union of covers[e] over e in S, w the item weights and c the
+    element caps (None for uncapped). F(S) is the minimum cut of the
+    network source -> element e (capacity c(e)) -> covered items (unbounded)
+    -> sink (capacity w(item)), so it is one bipartite max-flow.
+    """
+
+    def __init__(self, covers: Sequence[int], weights: Sequence[int],
+                 caps: Sequence[int | None], base: int = 0):
+        self.covers = tuple(covers)
+        self.weights = tuple(weights)
+        self.caps = tuple(caps)
+        self.base = base
+        # an uncapped element is cut at the weight it covers, which never binds
+        self._left = tuple(reach if c is None else min(c, reach) for c, reach in
+                           zip(self.caps, (vec_sum(self.weights, cov) for cov in self.covers)))
+        self._f_base: int | None = None
+
+    @property
+    def plain(self) -> bool:
+        """No caps and no contracted set: a plain weighted coverage function."""
+        return self.base == 0 and all(c is None for c in self.caps)
+
+    def capped(self, caps: Sequence[int | None]) -> "CutNetwork":
+        """Caps min-merged on the elements outside base (base elements are loops)."""
+        merged = tuple(c if (self.base >> e) & 1 else _min_cap(c, d)
+                       for e, (c, d) in enumerate(zip(self.caps, caps)))
+        return CutNetwork(self.covers, self.weights, merged, self.base)
+
+    def contracted(self, mask: int) -> "CutNetwork":
+        return CutNetwork(self.covers, self.weights, self.caps, self.base | mask)
+
+    def value(self, mask: int) -> int:
+        if self._f_base is None:
+            self._f_base = self._cut(self.base)
+        return self._cut(mask | self.base) - self._f_base
+
+    def _cut(self, mask: int) -> int:
+        es = elements(mask)
+        return max_capacitated_flow([self.covers[e] for e in es], [self._left[e] for e in es],
+                                    self.weights)
 
 
 class PolymatroidOracle:
@@ -39,6 +91,14 @@ class PolymatroidOracle:
     def _value(self, mask: int) -> int:
         raise NotImplementedError
 
+    @cached_property
+    def network(self) -> CutNetwork | None:
+        """This polymatroid as a cut network, or None when it has no such form."""
+        return self._build_network()
+
+    def _build_network(self) -> CutNetwork | None:
+        return None
+
     def marginal(self, add: int, base: int) -> int:
         """f(Y | X) = f(Y ∪ X) − f(X)."""
         return self.value(add | base) - self.value(base)
@@ -60,15 +120,24 @@ class PolymatroidOracle:
         return cached
 
 
+def _check_weights(weights: Sequence[int], what: str) -> None:
+    if any(not isinstance(w, int) or isinstance(w, bool) for w in weights):
+        raise ValueError(f"{what} must be integers")
+    if any(w < 0 for w in weights):
+        raise ValueError(f"{what} must be nonnegative")
+
+
 class ModularPoly(PolymatroidOracle):
     def __init__(self, weights: Sequence[int]):
         super().__init__(len(weights))
-        if any(w < 0 for w in weights):
-            raise ValueError("modular weights must be nonnegative")
+        _check_weights(weights, "modular weights")
         self.weights = tuple(weights)
 
     def _value(self, mask: int) -> int:
         return sum(self.weights[e] for e in bits(mask))
+
+    def _build_network(self) -> CutNetwork:
+        return CutNetwork([1 << e for e in range(self.n)], self.weights, [None] * self.n)
 
 
 class CoveragePoly(PolymatroidOracle):
@@ -79,8 +148,9 @@ class CoveragePoly(PolymatroidOracle):
 
     def __init__(self, covers: Sequence[int], item_weights: Sequence[int]):
         super().__init__(len(covers))
-        if any(w < 0 for w in item_weights):
-            raise ValueError("item weights must be nonnegative")
+        _check_weights(item_weights, "item weights")
+        if any(c < 0 or c >> len(item_weights) for c in covers):
+            raise ValueError(f"sets may only name items 0..{len(item_weights) - 1}")
         self.covers = tuple(covers)
         self.item_weights = tuple(item_weights)
 
@@ -89,6 +159,9 @@ class CoveragePoly(PolymatroidOracle):
         for e in bits(mask):
             covered |= self.covers[e]
         return sum(self.item_weights[i] for i in bits(covered))
+
+    def _build_network(self) -> CutNetwork:
+        return CutNetwork(self.covers, self.item_weights, [None] * self.n)
 
 
 class ScaledRankPoly(PolymatroidOracle):
@@ -134,12 +207,26 @@ class SumPoly(PolymatroidOracle):
     def _value(self, mask: int) -> int:
         return sum(p.value(mask) for p in self.parts)
 
+    def _build_network(self) -> CutNetwork | None:
+        """The parts' item universes side by side, when every part is plain coverage."""
+        covers = [0] * self.n
+        weights: list[int] = []
+        for p in self.parts:
+            net = p.network
+            if net is None or not net.plain:
+                return None
+            for e, cov in enumerate(net.covers):
+                covers[e] |= cov << len(weights)
+            weights.extend(net.weights)
+        return CutNetwork(covers, weights, [None] * self.n)
+
 
 class CappedPoly(PolymatroidOracle):
     """f'(S) = min_{T ⊆ S} f(S \\ T) + c(T), the box restriction y(i) <= c(i).
 
-    Evaluated by the recursion f'(S) = min(f(S), min_{i in S, c(i) finite}
-    f'(S − i) + c(i)); nested caps merge elementwise.
+    One max-flow when f has a cut network; otherwise the recursion
+    f'(S) = min(f(S), min_{i in S, c(i) finite} f'(S − i) + c(i)). Nested
+    caps merge elementwise.
     """
 
     def __init__(self, inner: PolymatroidOracle, caps: Sequence[int | None]):
@@ -156,7 +243,14 @@ class CappedPoly(PolymatroidOracle):
         self.caps = caps
         self.capset = sum(1 << e for e, c in enumerate(caps) if c is not None)
 
+    def _build_network(self) -> CutNetwork | None:
+        net = self.inner.network
+        return None if net is None else net.capped(self.caps)
+
     def _value(self, mask: int) -> int:
+        net = self.network
+        if net is not None:
+            return net.value(mask)
         best = self.inner.value(mask)
         for e in bits(mask & self.capset):
             cand = self.value(mask ^ (1 << e)) + self.caps[e]
@@ -190,6 +284,10 @@ class MarginalPoly(PolymatroidOracle):
         if self._fx is None:
             self._fx = self.inner.value(self.base_mask)
         return self.inner.value(mask | self.base_mask) - self._fx
+
+    def _build_network(self) -> CutNetwork | None:
+        net = self.inner.network
+        return None if net is None else net.contracted(self.base_mask)
 
 
 class VectorContractedPoly(PolymatroidOracle):

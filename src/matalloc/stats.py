@@ -1,8 +1,10 @@
 """Global oracle-query counters.
 
-Counts logical queries (memo hits included) so reported figures do not
-depend on cache state. Counters are process-global; snapshot/delta around
-a solver run to attribute queries to it.
+Counts logical top-level queries (each value/rank call, memo hits
+included) so reported figures do not depend on cache state. Work inside
+one max-flow of a cut network is not a query: a capped value evaluated by
+flow counts once. Counters are process-global; snapshot/delta around a
+solver run to attribute queries to it.
 """
 
 from __future__ import annotations

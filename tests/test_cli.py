@@ -151,3 +151,41 @@ def test_schema_error_exit_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "santa", "items": []}')
     assert main(["verify", "--in", str(bad)]) == 1
+
+
+def _core_cover(tmp_path, matroid, polymatroid):
+    path = tmp_path / "core.json"
+    path.write_text(json.dumps({"type": "core-cover", "b": 1,
+                                "matroid": matroid, "polymatroid": polymatroid}))
+    return path
+
+
+@pytest.mark.parametrize("matroid, polymatroid, field", [
+    ({"kind": "uniform", "n": 3, "rank": 1},
+     {"kind": "coverage", "sets": [[0], [1], [5]], "weights": [1, 1]}, "items 0..1"),
+    ({"kind": "uniform", "n": 3, "rank": 1},
+     {"kind": "modular", "weights": [1.5, 1, 2]}, "integers"),
+    ({"kind": "uniform", "n": 3, "rank": -1},
+     {"kind": "modular", "weights": [1, 1, 2]}, "uniform rank -1"),
+], ids=["coverage-item-out-of-range", "modular-float-weight", "uniform-negative-rank"])
+def test_malformed_oracle_data_exit_one(tmp_path, capsys, matroid, polymatroid, field):
+    path = _core_cover(tmp_path, matroid, polymatroid)
+    assert main(["solve-cover", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_internal_invariant_error_exit_three(tmp_path, capsys, monkeypatch):
+    import matalloc.cli as cli
+    from matalloc.limits import InternalInvariantError
+
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("I_M must be independent")
+
+    gap = tmp_path / "gap2.json"
+    main(["gen", "--flavor", "gap", "--m", "2", "--out", str(gap)])
+    monkeypatch.setattr(cli, "solve_cover", broken)
+    assert main(["solve-cover", "--in", str(gap), "--b", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: I_M must be independent\n"
+    assert captured.out == ""

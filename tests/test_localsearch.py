@@ -199,3 +199,51 @@ class TestRecursionPath:
         assert rec.certificate.z2 == 0b1110  # folded: A ∪ B = {a, p1, p2}
         rep = verify_certificate(rec.certificate, rec.matroid, rec.poly, exhaustive=True)
         assert rep["ok"] and rep["exhaustive_sound"]
+
+
+# ---------------------------------------------------------------------------
+# check=False drops only the invariant checks: same result, field by field
+
+
+def _coverage_core(seed):
+    from matalloc.polymatroids import CoveragePoly
+
+    rng = random.Random(seed)
+    n = rng.randint(8, 10)
+    covers = [sum(1 << t for t in range(n) if rng.random() < 0.3) for _ in range(n)]
+    weights = [rng.randint(1, 3) for _ in range(n)]
+    return CoreCoverInstance(UniformMatroid(n, n // 3), CoveragePoly(covers, weights), 1)
+
+
+def _induced_core(seed):
+    from matalloc.matroids import InducedMatroid
+    from matalloc.polymatroids import SumPoly
+
+    rng = random.Random(seed)
+    santa = gen_random("santa-matroid", seed, m=rng.randint(5, 7), n=rng.randint(4, 6),
+                       u=Fraction(1), w=Fraction(3))
+    w_polys = [it.polymatroid for it in santa.resources if it.value == 3]
+    u_polys = [it.polymatroid for it in santa.resources if it.value == 1]
+    w_polys = w_polys or [ModularPoly([0] * santa.num_players)]
+    u_polys = u_polys or [ModularPoly([0] * santa.num_players)]
+    return CoreCoverInstance(InducedMatroid(SumPoly(w_polys)), SumPoly(u_polys),
+                             rng.choice([3, 5, 8]))
+
+
+def _comparable(res):
+    """Every CoverResult field but oracle_queries; certificate records by value
+    (their oracles are rebuilt on every run)."""
+    fields = {k: v for k, v in vars(res).items() if k not in ("oracle_queries", "certificates")}
+    fields["certificates"] = [(rec.certificate, rec.failed_element) for rec in res.certificates]
+    return fields
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda m=m, b=b: gen_gap_instance(m, b) for m in range(2, 6) for b in (1, 2)),
+    *(lambda s=s: _coverage_core(s) for s in range(10)),
+    *(lambda s=s: _induced_core(s) for s in range(10)),
+])
+def test_unchecked_run_gives_the_same_result(make):
+    checked = solve_cover(make(), EPS, check=True)
+    unchecked = solve_cover(make(), EPS, check=False)
+    assert _comparable(unchecked) == _comparable(checked)

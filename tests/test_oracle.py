@@ -92,6 +92,12 @@ class TestStrongCover:
         assert exists_strong_cover(FreeMatroid(2), ModularPoly([0, 0]), 0b11, 0b01,
                                    F(1), F(3, 10))
 
+    def test_obeys_ground_cap(self):
+        caps = Caps().override(sfm_ground=4)
+        with pytest.raises(SizeCapError, match="soundness check over 5 elements"):
+            exists_strong_cover(FreeMatroid(5), ModularPoly([1] * 5), full_mask(5), 0b1,
+                                F(1), F(3, 10), caps)
+
 
 class TestEnumerateBases:
     def test_modular_unique(self):

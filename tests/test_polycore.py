@@ -1,6 +1,9 @@
 """Matroid/polymatroid oracle tests: operation examples, axioms, and the
 capped-marginal laws, each checked against independent brute force."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +13,7 @@ from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, 
                                UniformMatroid, UnionMatroid, ZeroedMatroid, matroid_add_greedy)
 from matalloc.oracle import check_axioms, enumerate_bases
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly,
-                                   MarginalPoly, ModularPoly, ScaledRankPoly,
+                                   MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, dual_polymatroid,
                                    greedy_basis_above, is_basis, member, sfm_min)
 
@@ -308,3 +311,97 @@ def test_induced_matroid_rank():
     assert ind.rank(0b11) == 2
     capped = InducedMatroid(ExplicitPoly(2, [0, 1, 1, 1]))
     assert capped.rank(0b11) == 1
+
+
+# ---------------------------------------------------------------------------
+# Cut-network path: capped values and induced ranks by max-flow vs brute force
+
+
+def reference_value(p, mask, memo):
+    """f(mask) from the definitions: caps by brute_capped, contractions by
+    differences, concrete parts by their own (subset-free) evaluation."""
+    key = (id(p), mask)
+    if key not in memo:
+        if isinstance(p, CappedPoly):
+            inner = SimpleNamespace(value=lambda s: reference_value(p.inner, s, memo))
+            memo[key] = brute_capped(inner, p.caps, mask)
+        elif isinstance(p, MarginalPoly):
+            memo[key] = (reference_value(p.inner, mask | p.base_mask, memo)
+                         - reference_value(p.inner, p.base_mask, memo))
+        else:
+            memo[key] = p.value(mask)
+    return memo[key]
+
+
+def network_part(rng, n, depth=0):
+    kind = rng.choice(["modular", "coverage", "sum"] if depth < 2 else ["modular", "coverage"])
+    if kind == "modular":
+        return ModularPoly([rng.randint(0, 3) for _ in range(n)])
+    if kind == "coverage":
+        u = rng.randint(1, n + 2)
+        return CoveragePoly([rng.getrandbits(u) for _ in range(n)],
+                            [rng.randint(1, 3) for _ in range(u)])
+    return SumPoly([network_part(rng, n, depth + 1) for _ in range(rng.randint(2, 3))])
+
+
+def network_chain(seed):
+    """Caps and set contractions stacked over modular/coverage/sum parts."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    p = network_part(rng, n)
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            p = CappedPoly(p, [rng.choice([None, 0, 1, 2, 3]) for _ in range(n)])
+        else:
+            p = MarginalPoly(p, rng.getrandbits(n))
+    return rng, p
+
+
+def assert_matches_brute_force(rng, p):
+    n, memo = p.n, {}
+    ref = SimpleNamespace(value=lambda s: reference_value(p, s, memo))
+    ind = InducedMatroid(p)
+    for mask in range(1 << n):
+        assert p.value(mask) == ref.value(mask)
+        assert ind.rank(mask) == brute_capped(ref, [1] * n, mask)
+    for base in range(1 << n):
+        h = rng.randint(0, 3)
+        caps = [h if (base >> e) & 1 else None for e in range(n)]
+        capped_ref = lambda s: brute_capped(ref, caps, s)  # noqa: E731
+        add = full_mask(n) & ~base
+        for y in (add, add & -add):
+            assert capped_marginal(p, y, h, base) == capped_ref(y | base) - capped_ref(base)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cut_network_matches_brute_force(seed):
+    rng, p = network_chain(seed)
+    assert p.network is not None
+    assert_matches_brute_force(rng, p)
+
+
+def non_network_polys(rng, n):
+    cov = CoveragePoly([rng.getrandbits(3) for _ in range(n)],
+                       [rng.randint(1, 3) for _ in range(3)])
+    scaled = ScaledRankPoly(UniformMatroid(n, rng.randint(0, n)), rng.randint(1, 3))
+    explicit = ExplicitPoly(n, [cov.value(x) for x in range(1 << n)])
+    dual = DualPoly(cov, [cov.value(1 << e) for e in range(n)])
+    contracted = VectorContractedPoly(cov, [min(1, cov.value(1 << e)) if e == 0 else 0
+                                            for e in range(n)])
+    mixed = SumPoly([ModularPoly([rng.randint(0, 2) for _ in range(n)]), scaled])
+    # parts with caps or a contracted set do not share one network
+    capped_part = SumPoly([cov, CappedPoly(cov, [rng.randint(0, 2) for _ in range(n)])])
+    contracted_part = SumPoly([cov, MarginalPoly(cov, 1)])
+    return [scaled, explicit, dual, contracted, mixed, capped_part, contracted_part]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forms_without_a_network_keep_the_recursion(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    for p in non_network_polys(rng, n):
+        capped = CappedPoly(p, [rng.choice([None, 0, 1, 2]) for _ in range(n)])
+        chained = MarginalPoly(capped, rng.getrandbits(n))
+        for q in (p, capped, chained):
+            assert q.network is None
+            assert_matches_brute_force(rng, q)
