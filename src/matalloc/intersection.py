@@ -1,20 +1,20 @@
 """Matroid intersection and integer polymatroid intersection.
 
 Matroid intersection is the classical augmenting-path algorithm with BFS
-(shortest exchange paths, ties by smallest index). Integer polymatroid
-intersection goes through the standard parallel-copy expansion, which
-realizes a polymatroid as a matroid on copies; membership of a copy set
-is membership of its multiplicity vector. The same machinery decomposes
-a basis of a sum polymatroid into bases of the parts.
+(shortest exchange paths, ties by smallest index). `max_common_vector` is
+the one parallel-copy intersection: it expands integer slots into unit
+copies, realizes each count-vector predicate as a matroid on the copies,
+and intersects them. Polymatroid intersection, the split of a member or
+basis of a sum polymatroid into the parts, and the rounding gadget all go
+through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bitsets import bits, full_mask, size, vec_support
+from .bitsets import bits, full_mask, size
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, SizeCapError
 from .matroids import MatroidOracle
 from .polymatroids import PolymatroidOracle, is_basis, member
@@ -78,84 +78,68 @@ def matroid_intersection_max(m1: MatroidOracle, m2: MatroidOracle) -> int:
     return max_common_independent(m1.n, m1.is_independent, m2.is_independent)
 
 
-@dataclass(frozen=True)
-class ExpandedGround:
-    """Parallel-copy ground set: copy index -> original element."""
+class ExpandedMatroid(MatroidOracle):
+    """The matroid on parallel copies of slots: copy c is a unit of slot
+    owner[c], and a copy set is independent iff its count vector (units per
+    slot) satisfies indep. indep is asked once per distinct count vector.
+    """
 
-    original_n: int
-    owner: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.owner)
+    def __init__(self, owner: Sequence[int], num_slots: int,
+                 indep: Callable[[tuple[int, ...]], bool]):
+        super().__init__(len(owner))
+        self.owner = tuple(owner)
+        self.num_slots = num_slots
+        self.indep = indep
+        self._count_indep: dict[tuple[int, ...], bool] = {}
 
     def counts(self, mask: int) -> tuple[int, ...]:
-        c = [0] * self.original_n
+        c = [0] * self.num_slots
         for idx in bits(mask):
             c[self.owner[idx]] += 1
         return tuple(c)
 
-    def mask_for(self, vec: Sequence[int]) -> int:
-        remaining = list(vec)
-        mask = 0
-        for idx, e in enumerate(self.owner):
-            if remaining[e] > 0:
-                mask |= 1 << idx
-                remaining[e] -= 1
-        if any(remaining):
-            raise ValueError("vector exceeds copy multiplicities")
-        return mask
-
-
-class ExpandedMatroid(MatroidOracle):
-    """The matroid on parallel copies induced by an integer polymatroid.
-
-    A copy set is independent iff its multiplicity vector belongs to the
-    polymatroid; the rank of a copy set with counts c is
-    min_{T ⊆ E} f(T) + c(E \\ T).
-    """
-
-    def __init__(self, poly: PolymatroidOracle, ground: ExpandedGround):
-        super().__init__(ground.n)
-        self.poly = poly
-        self.ground = ground
-        self._count_indep: dict[tuple[int, ...], bool] = {}
-
     def _rank(self, mask: int) -> int:
-        counts = self.ground.counts(mask)
-        return self.poly.capped(counts).value(vec_support(counts))
+        # greedy: every maximal independent subset of a matroid set is a basis of it
+        kept = 0
+        for idx in bits(mask):
+            if self.is_independent(kept | (1 << idx)):
+                kept |= 1 << idx
+        return size(kept)
 
     def is_independent(self, mask: int) -> bool:
-        counts = self.ground.counts(mask)
+        counts = self.counts(mask)
         hit = self._count_indep.get(counts)
         if hit is None:
-            hit = self._count_indep[counts] = member(self.poly, counts)
+            hit = self._count_indep[counts] = self.indep(counts)
         return hit
 
 
-def unit_expand(p: PolymatroidOracle, caps_vec: Sequence[int],
-                caps: Caps = DEFAULT_CAPS) -> tuple[ExpandedGround, ExpandedMatroid]:
-    """Expand a polymatroid into a matroid on caps_vec[e] parallel copies of each e."""
-    if len(caps_vec) != p.n:
-        raise ValueError("one copy count per element required")
-    owner = tuple(e for e in range(p.n) for _ in range(caps_vec[e]))
-    if len(owner) > caps.expand:
-        raise SizeCapError(f"expansion size {len(owner)} exceeds cap {caps.expand}")
-    ground = ExpandedGround(p.n, owner)
-    return ground, ExpandedMatroid(p, ground)
+def max_common_vector(slot_caps: Sequence[int], indep1: Callable[[tuple[int, ...]], bool],
+                      indep2: Callable[[tuple[int, ...]], bool], limit: int) -> tuple[int, ...]:
+    """A maximum-size count vector x <= slot_caps independent for both
+    count-vector predicates (each must make its copy sets a matroid).
+
+    Slot s becomes slot_caps[s] parallel copies, in slot order, and the two
+    copy-ground matroids are intersected; more than limit copies raise
+    SizeCapError.
+    """
+    owner = [s for s, c in enumerate(slot_caps) for _ in range(c)]
+    if len(owner) > limit:
+        raise SizeCapError(f"parallel-copy expansion of {len(owner)} copies exceeds cap {limit}")
+    m1 = ExpandedMatroid(owner, len(slot_caps), indep1)
+    m2 = ExpandedMatroid(owner, len(slot_caps), indep2)
+    return m1.counts(max_common_independent(m1.n, m1.is_independent, m2.is_independent))
 
 
 def polymatroid_intersection_max(p1: PolymatroidOracle, p2: PolymatroidOracle,
                                  caps_vec: Sequence[int],
                                  caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """max x(E) over x in P1 ∩ P2 with x <= caps_vec, via unit expansion."""
+    """max x(E) over x in P1 ∩ P2 with x <= caps_vec."""
     if p1.n != p2.n:
         raise ValueError("polymatroid intersection requires a shared ground set")
     eff = [min(caps_vec[e], p1.value(1 << e), p2.value(1 << e)) for e in range(p1.n)]
-    ground, m1 = unit_expand(p1, eff, caps)
-    m2 = ExpandedMatroid(p2, ground)
-    best = max_common_independent(ground.n, m1.is_independent, m2.is_independent)
-    return ground.counts(best)
+    return max_common_vector(eff, lambda x: member(p1, x, caps), lambda x: member(p2, x, caps),
+                             caps.expand)
 
 
 def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
@@ -163,11 +147,10 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
     """Split y, a member of the sum polymatroid, into members of the parts
     summing to y exactly.
 
-    Copies of element e are shared out among the parts by intersecting the
-    disjoint-copy sum polymatroid with the per-element degree polymatroid
-    whose bases put exactly y(e) units on the copies of e. With more than
-    two parts, one part is peeled off at a time to keep the copy ground
-    small.
+    Units of element e are shared out among the parts by intersecting the
+    disjoint sum of the parts (slot (j, e) at index j*n + e) with the
+    per-element degree bound y(e). With more than two parts, one part is
+    peeled off at a time to keep the copy ground small.
     """
     from .polymatroids import SumPoly
 
@@ -185,46 +168,15 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
         first, remainder = decompose_in_sum([head, rest], y, caps)
         return [first] + decompose_in_sum(parts[1:], remainder, caps)
 
-    # copy ground: one copy per unit of min(f_j({e}), y(e)) for each (part, element)
-    slots: list[tuple[int, int]] = []
-    for j, p in enumerate(parts):
-        for e in range(n):
-            for _ in range(min(p.value(1 << e), y[e])):
-                slots.append((j, e))
-    if len(slots) > caps.expand:
-        raise SizeCapError(f"decomposition expansion size {len(slots)} exceeds cap {caps.expand}")
-
-    def counts_by_part(mask: int) -> list[list[int]]:
-        per = [[0] * n for _ in parts]
-        for idx in bits(mask):
-            j, e = slots[idx]
-            per[j][e] += 1
-        return per
-
-    memo1: dict[int, bool] = {}
-    memo2: dict[int, bool] = {}
-
-    def indep_sum(mask: int) -> bool:
-        hit = memo1.get(mask)
-        if hit is None:
-            per = counts_by_part(mask)
-            hit = memo1[mask] = all(member(parts[j], per[j], caps) for j in range(len(parts)))
-        return hit
-
-    def indep_degree(mask: int) -> bool:
-        hit = memo2.get(mask)
-        if hit is None:
-            deg = [0] * n
-            for idx in bits(mask):
-                deg[slots[idx][1]] += 1
-            hit = memo2[mask] = all(deg[e] <= y[e] for e in range(n))
-        return hit
-
-    best = max_common_independent(len(slots), indep_sum, indep_degree)
-    if size(best) != sum(y):
+    got = max_common_vector(
+        [min(p.value(1 << e), y[e]) for p in parts for e in range(n)],
+        lambda x: all(member(p, x[j * n:(j + 1) * n], caps) for j, p in enumerate(parts)),
+        lambda x: all(x[e] + x[n + e] <= y[e] for e in range(n)),
+        caps.expand)
+    if sum(got) != sum(y):
         raise ContractViolation(
             "decomposition fell short: y does not belong to the sum polymatroid")
-    return [tuple(v) for v in counts_by_part(best)]
+    return [got[:n], got[n:]]
 
 
 def decompose_merged_basis(parts: Sequence[PolymatroidOracle], y: Sequence[int],

@@ -201,12 +201,10 @@ def _fold_certificate(child_cert: Certificate, state: SearchState,
         b=state.b, eps=state.eps, ground=state.ground, b0=state.B0)
 
 
-def augment(state: SearchState, caps: Caps = DEFAULT_CAPS,
-            check: bool = True) -> AugmentResult:
+def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
     """One augmentation: cover an eps^2 fraction of B0 with the matroid while
     keeping the rest of the cover intact, or fail with a certificate."""
-    if check:
-        _assert_state(state, caps)
+    _assert_state(state, caps)
     m, p, b, eps = state.matroid, state.poly, state.b, state.eps
     n = p.n
     b0 = state.B0
@@ -242,14 +240,11 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS,
         if grew:
             continue
         # the remaining operations see a stable state: (1) is exhausted
-        if check:
-            _check_blocking_invariants(state, addable, a_i, blocked)
+        _check_blocking_invariants(state, addable, a_i, blocked)
         # (2) commit A_I, freeing matroid capacity for B0
         if a and Fraction(size(a_i)) >= eps * size(a):
-            if check:
-                freed = m.rank_marginal(b0, i_m & ~a_i)
-                if Fraction(freed) < eps2_thresh - size(b0 & i_m):
-                    raise InternalInvariantError("commit freed less rank than guaranteed")
+            if Fraction(m.rank_marginal(b0, i_m & ~a_i)) < eps2_thresh - size(b0 & i_m):
+                raise InternalInvariantError("commit freed less rank than guaranteed")
             return succeed(i_m & ~a_i, i_p | a_i)
         # (3) too few blocking elements: infeasibility certificate
         if Fraction(size(blocked)) < eps * n_b0:
@@ -258,28 +253,26 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS,
             return AugmentResult(False, certificate=cert, nodes=nodes)
         # (4) recurse on the blocking elements
         child = recurse_input(state, addable, blocked, i_m, i_p)
-        result = augment(child, caps, check)
+        result = augment(child, caps)
         nodes += result.nodes
         if not result.success:
             cert = _fold_certificate(result.certificate, state, addable, blocked)
             return AugmentResult(False, certificate=cert, nodes=nodes)
         i_m = addable.c_rest | result.I_M
         i_p = (blocked & ~result.I_M) | result.I_P
-        if check:
-            if not m.is_independent(i_m):
-                raise InternalInvariantError("I_M dependent after recursion return")
-            if not member(p, indicator(i_p | a_i, n, b), caps):
-                raise InternalInvariantError("b·(I_P ∪ A_I) outside P after recursion return")
+        if not m.is_independent(i_m):
+            raise InternalInvariantError("I_M dependent after recursion return")
+        if not member(p, indicator(i_p | a_i, n, b), caps):
+            raise InternalInvariantError("b·(I_P ∪ A_I) outside P after recursion return")
         if Fraction(size(b0 & result.I_M)) >= eps2_thresh:
             return succeed(i_m, i_p)
-        if check and Fraction(size(blocked & result.I_M)) < eps * eps * size(blocked):
+        if Fraction(size(blocked & result.I_M)) < eps * eps * size(blocked):
             raise InternalInvariantError("recursion made progress on neither B0 nor B")
         new_blocked = compute_blocking(state, a, i_p)
-        if check:
-            if new_blocked & ~blocked:
-                raise InternalInvariantError("blocking set gained elements")
-            if Fraction(size(new_blocked)) > (1 - eps * eps) * size(blocked):
-                raise InternalInvariantError("blocking set did not shrink enough")
+        if new_blocked & ~blocked:
+            raise InternalInvariantError("blocking set gained elements")
+        if Fraction(size(new_blocked)) > (1 - eps * eps) * size(blocked):
+            raise InternalInvariantError("blocking set did not shrink enough")
         blocked = new_blocked
 
 
@@ -310,7 +303,7 @@ def recursion_node_bound(n: int, eps: Fraction) -> int:
 
 
 def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10),
-                caps: Caps = DEFAULT_CAPS, check: bool = True) -> CoverResult:
+                caps: Caps = DEFAULT_CAPS) -> CoverResult:
     """Cover every element by the matroid or by polymatroid multiplicity b.
 
     Elements are targeted in ascending index order; when one cannot be
@@ -353,7 +346,7 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
             state = SearchState(ground=i_m | i_p | target, matroid=m, poly=poly,
                                 b=b, eps=eps, I_M=i_m, I_P=i_p, B0=target,
                                 order=elements(target))
-            res = augment(state, caps, check)
+            res = augment(state, caps)
             result.augment_calls += 1
             result.total_recursion_nodes += res.nodes
             result.max_recursion_nodes = max(result.max_recursion_nodes, res.nodes)

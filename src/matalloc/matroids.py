@@ -13,6 +13,7 @@ from typing import Sequence
 from . import stats
 from .bitsets import bits, check_subset, full_mask, size, submasks
 from .matching import max_bipartite_matching
+from .polymatroids import _check_weights
 
 
 class MatroidOracle:
@@ -68,6 +69,7 @@ class PartitionMatroid(MatroidOracle):
         super().__init__(n)
         if len(blocks) != len(caps):
             raise ValueError("one capacity per block required")
+        _check_weights(caps, "partition caps")
         union = 0
         for b in blocks:
             if b & union:

@@ -169,8 +169,7 @@ class ScaledRankPoly(PolymatroidOracle):
 
     def __init__(self, matroid, scale: int):
         super().__init__(matroid.n)
-        if scale < 0:
-            raise ValueError("scale must be nonnegative")
+        _check_weights([scale], "scale")
         self.matroid = matroid
         self.scale = scale
 
@@ -234,8 +233,7 @@ class CappedPoly(PolymatroidOracle):
         caps = tuple(caps)
         if len(caps) != inner.n:
             raise ValueError("one cap per element required (None for unbounded)")
-        if any(c is not None and c < 0 for c in caps):
-            raise ValueError("caps must be nonnegative")
+        _check_weights([c for c in caps if c is not None], "caps")
         if isinstance(inner, CappedPoly):
             caps = tuple(_min_cap(a, b) for a, b in zip(caps, inner.caps))
             inner = inner.inner
@@ -321,6 +319,7 @@ class DualPoly(PolymatroidOracle):
         super().__init__(inner.n)
         if len(z) != inner.n:
             raise ValueError("dominating vector length mismatch")
+        _check_weights(z, "dominating vector entries")
         self.inner = inner
         self.z = tuple(z)
         self._fe = None

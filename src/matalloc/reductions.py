@@ -606,6 +606,25 @@ def _scaled_int_values(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denom, [int(v * denom) for v in values]
 
 
+def _unit_copies(polys: Sequence[PolymatroidOracle], ints: Sequence[int]
+                 ) -> list[PolymatroidOracle]:
+    """The unit split: ints[k] copies of polys[k], in order."""
+    return [p for p, k in zip(polys, ints) for _ in range(k)]
+
+
+def _unit_rows(copies: Sequence[PolymatroidOracle], ints: Sequence[int], y: Sequence[int],
+               caps: Caps) -> list[tuple[Fraction, ...]]:
+    """Split y over the unit copies and average the ints[k] pieces of each
+    resource k back into its fractional assignment row."""
+    pieces = decompose_in_sum(copies, y, caps.override(expand=4 * caps.expand))
+    rows, start = [], 0
+    for k in ints:
+        mine = pieces[start:start + k]
+        start += k
+        rows.append(tuple(sum(Fraction(p[e]) for p in mine) / k for e in range(len(y))))
+    return rows
+
+
 def _alloc_from_cover(inst: SantaInstance, idxs: Sequence[int], need: Sequence[int],
                       caps: Caps) -> list[tuple[int, ...]]:
     """Distribute the resources idxs so that player e receives at least need[e]
@@ -685,24 +704,14 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
 
     # every value is small: saturate the unit-split polymatroid and round
     scale, ints = _scaled_int_values([it.value for it in scaled.resources])
-    copies: list[PolymatroidOracle] = []
-    copy_owner: list[int] = []
-    for j, it in enumerate(scaled.resources):
-        for _ in range(ints[j]):
-            copies.append(it.polymatroid)
-            copy_owner.append(j)
+    copies = _unit_copies([it.polymatroid for it in scaled.resources], ints)
     split = SumPoly(copies)
     hi = split.value(everyone) // max(m, 1)
     lo, _ = guess_loop(lambda k: member(split, [k] * m, caps) or None, range(1, hi + 1))
     if lo is None or lo < scale:
         raise GuessRejected("the unit-split polymatroid cannot reach the guessed level")
-    roomy = caps.override(expand=4 * caps.expand)
-    pieces = decompose_in_sum(copies, tuple([lo] * m), roomy)
-    frac_x: list[tuple[Fraction, ...]] = []
-    for j, it in enumerate(scaled.resources):
-        mine = [pieces[c] for c in range(len(copies)) if copy_owner[c] == j]
-        frac_x.append(tuple(sum(Fraction(p[e]) for p in mine) / ints[j] for e in range(m)))
-    frac = FractionalAssignment(Fraction(lo, scale), frac_x)
+    frac = FractionalAssignment(Fraction(lo, scale),
+                                _unit_rows(copies, ints, tuple([lo] * m), caps))
     alloc = round_santa(scaled, frac, caps)
     _require_min_value(inst, alloc, guess / alpha)
     return CoreReduction(alloc, "round", guess / alpha)
@@ -721,11 +730,7 @@ def _reduce_general(inst: SantaInstance, scaled: SantaInstance, alpha: Fraction,
         raise GuessRejected("no heavy resources at the guessed level")
     heavy_sum = SumPoly([scaled.resources[j].polymatroid for j in heavy])
     scale, ints = _scaled_int_values([scaled.resources[j].value for j in light] or [Fraction(1)])
-    copies, copy_owner = [], []
-    for pos, j in enumerate(light):
-        for _ in range(ints[pos]):
-            copies.append(scaled.resources[j].polymatroid)
-            copy_owner.append(j)
+    copies = _unit_copies([scaled.resources[j].polymatroid for j in light], ints)
     light_sum = SumPoly(copies) if copies else ModularPoly([0] * m)
     b = math.ceil(scale / alpha)
     core = CoreCoverInstance(InducedMatroid(heavy_sum), light_sum, b)
@@ -739,15 +744,10 @@ def _reduce_general(inst: SantaInstance, scaled: SantaInstance, alpha: Fraction,
         for j, piece in zip(heavy, _alloc_from_cover(inst, heavy, need, caps)):
             alloc[j] = piece
     if copies and any(y):
-        pieces = decompose_in_sum(copies, tuple(y), caps.override(expand=4 * caps.expand))
+        frac_x = _unit_rows(copies, ints, tuple(y), caps)
         light_scaled = SantaInstance(m, [Item(value=scaled.resources[j].value,
                                               polymatroid=scaled.resources[j].polymatroid)
                                          for j in light])
-        frac_x = []
-        for pos, j in enumerate(light):
-            mine = [pieces[c] for c in range(len(copies)) if copy_owner[c] == j]
-            frac_x.append(tuple(sum(Fraction(p[e]) for p in mine) / ints[pos]
-                                for e in range(m)))
         light_cover = sum(1 for e in range(m) if y[e] >= b)
         if light_cover:
             rounded = round_santa(light_scaled, FractionalAssignment(Fraction(b, scale), frac_x),

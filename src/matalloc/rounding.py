@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Callable, Iterable, Sequence
 
-from .bitsets import bits, full_mask, size
+from .bitsets import bits, full_mask
 from .instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
                         entity_totals)
-from .intersection import max_common_independent
+from .intersection import max_common_vector
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, GuessRejected, SizeCapError
 from .matching import perfect_matching
 from .polymatroids import (CoveragePoly, ModularPoly, PolymatroidOracle, greedy_basis_above,
@@ -195,54 +195,36 @@ def _gadget_round(inst, frac: FractionalAssignment, mode: str,
                     slots.append((k, i, adj))
                     slot_caps.append(carry_cap)
 
-    copies: list[int] = []  # copy index -> slot index
-    for s, c in enumerate(slot_caps):
-        copies.extend([s] * c)
-    if len(copies) > 4 * caps.expand:
-        raise SizeCapError(f"rounding gadget needs {len(copies)} copies, cap {4 * caps.expand}")
+    def per_item(x: tuple[int, ...]) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for (k, i, _), c in zip(slots, x):
+            if c:
+                out.setdefault(k, [0] * m)[i] += c
+        return out
 
-    def aggregate(mask: int):
-        per_item: dict[int, list[int]] = {}
+    def within_degrees(x: tuple[int, ...]) -> bool:
         per_vertex: dict[tuple[int, int], int] = {}
-        for idx in bits(mask):
-            k, i, t = slots[copies[idx]]
-            per_item.setdefault(k, [0] * m)[i] += 1
-            per_vertex[(i, t)] = per_vertex.get((i, t), 0) + 1
-        return per_item, per_vertex
+        for (_, i, t), c in zip(slots, x):
+            per_vertex[(i, t)] = per_vertex.get((i, t), 0) + c
+        return all(c <= degree[v] for v, c in per_vertex.items())
 
-    memo_l: dict[int, bool] = {}
-    memo_r: dict[int, bool] = {}
-
-    def indep_left(mask: int) -> bool:
-        hit = memo_l.get(mask)
-        if hit is None:
-            per_item, _ = aggregate(mask)
-            hit = memo_l[mask] = all(member(vp[order[k]][1], vec, caps)
-                                     for k, vec in per_item.items())
-        return hit
-
-    def indep_right(mask: int) -> bool:
-        hit = memo_r.get(mask)
-        if hit is None:
-            _, per_vertex = aggregate(mask)
-            hit = memo_r[mask] = all(c <= degree[(i, t)] for (i, t), c in per_vertex.items())
-        return hit
-
-    best = max_common_independent(len(copies), indep_left, indep_right)
+    best = max_common_vector(
+        slot_caps,
+        lambda x: all(member(vp[order[k]][1], vec, caps) for k, vec in per_item(x).items()),
+        within_degrees, 4 * caps.expand)
     if mode == "floor":
         target = sum(degree.values())
         what = "degree constraints"
     else:
         target = sum(vp[j][1].value(full_mask(m)) for j in range(n))
         what = "left bases"
-    if size(best) != target:
+    if sum(best) != target:
         raise ContractViolation(
             f"gadget rounding fell short of saturating its {what} "
-            f"({size(best)} of {target}); the fractional input is not LP-feasible")
+            f"({sum(best)} of {target}); the fractional input is not LP-feasible")
 
-    per_item, _ = aggregate(best)
     alloc = [tuple([0] * m) for _ in range(n)]
-    for k, vec in per_item.items():
+    for k, vec in per_item(best).items():
         alloc[order[k]] = tuple(vec)
     return alloc
 

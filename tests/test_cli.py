@@ -167,7 +167,24 @@ def _core_cover(tmp_path, matroid, polymatroid):
      {"kind": "modular", "weights": [1.5, 1, 2]}, "integers"),
     ({"kind": "uniform", "n": 3, "rank": -1},
      {"kind": "modular", "weights": [1, 1, 2]}, "uniform rank -1"),
-], ids=["coverage-item-out-of-range", "modular-float-weight", "uniform-negative-rank"])
+    ({"kind": "uniform", "n": 3, "rank": 1},
+     {"kind": "scaled-rank", "matroid": {"kind": "uniform", "n": 3, "rank": 2}, "scale": 1.5},
+     "scale must be integers"),
+    ({"kind": "partition", "n": 3, "blocks": [[0], [1, 2]], "caps": [0.5, 1]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "partition caps must be integers"),
+    ({"kind": "partition", "n": 3, "blocks": [[0], [1, 2]], "caps": [1, -1]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "partition caps must be nonnegative"),
+    ({"kind": "partition", "n": 3, "blocks": [[0], [1, 2]], "caps": [True, 1]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "partition caps must be integers"),
+    ({"kind": "uniform", "n": 3, "rank": 1},
+     {"kind": "capped", "inner": {"kind": "modular", "weights": [1, 1, 2]},
+      "caps": [None, 1.5, 1]}, "caps must be integers"),
+    ({"kind": "uniform", "n": 3, "rank": 1},
+     {"kind": "dual", "inner": {"kind": "modular", "weights": [1, 1, 2]}, "z": [1, 2.5, 2]},
+     "dominating vector entries must be integers"),
+], ids=["coverage-item-out-of-range", "modular-float-weight", "uniform-negative-rank",
+        "scaled-rank-float-scale", "partition-float-cap", "partition-negative-cap",
+        "partition-bool-cap", "capped-float-cap", "dual-float-z"])
 def test_malformed_oracle_data_exit_one(tmp_path, capsys, matroid, polymatroid, field):
     path = _core_cover(tmp_path, matroid, polymatroid)
     assert main(["solve-cover", "--in", str(path)]) == 1

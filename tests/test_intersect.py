@@ -1,14 +1,16 @@
 """Matroid and polymatroid intersection against brute-force enumeration."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matalloc.bitsets import size
-from matalloc.intersection import (decompose_in_sum, decompose_merged_basis, matroid_intersection_max,
-                                   polymatroid_intersection_max, unit_expand)
-from matalloc.limits import ContractViolation
+from matalloc.intersection import (ExpandedMatroid, decompose_in_sum, decompose_merged_basis,
+                                   matroid_intersection_max, max_common_vector,
+                                   polymatroid_intersection_max)
+from matalloc.limits import ContractViolation, SizeCapError
 from matalloc.matroids import (FreeMatroid, GraphicMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid)
 from matalloc.oracle import enumerate_bases
@@ -60,19 +62,31 @@ class TestMatroidIntersection:
         assert size(got) == brute_max_common(mats[0], mats[1])
 
 
+def members(p):
+    return lambda x: member(p, x)
+
+
 class TestUnitExpand:
+    """Unit-copy expansion: ExpandedMatroid over count-vector predicates."""
+
     def test_modular_free(self):
-        ground, m = unit_expand(ModularPoly([2]), [2])
+        m = ExpandedMatroid((0, 0), 1, members(ModularPoly([2])))
         assert m.rank(0b11) == 2 and m.is_independent(0b11)
 
     def test_matroid_is_own_expansion(self):
-        ground, m = unit_expand(ScaledRankPoly(UniformMatroid(2, 1), 1), [1, 1])
+        m = ExpandedMatroid((0, 1), 2, members(ScaledRankPoly(UniformMatroid(2, 1), 1)))
         assert m.rank(0b11) == 1
 
     def test_gap_poly_caps_copies(self):
-        ground, m = unit_expand(ModularPoly([1, 1]), [2, 2])
-        both_copies_of_first = ground.mask_for((2, 0))
+        m = ExpandedMatroid((0, 0, 1, 1), 2, members(ModularPoly([1, 1])))
+        both_copies_of_first = 0b0011
         assert m.rank(both_copies_of_first) == 1
+
+    def test_equal_counts_ask_the_predicate_once(self):
+        seen = []
+        m = ExpandedMatroid((0, 0, 1), 2, lambda x: seen.append(x) or x[0] <= 1)
+        assert m.is_independent(0b001) and m.is_independent(0b010)
+        assert seen == [(1, 0)]
 
 
 class TestPolymatroidIntersection:
@@ -88,32 +102,28 @@ class TestPolymatroidIntersection:
         cv = polymatroid_intersection_max(ModularPoly([1, 1]), ModularPoly([2, 2]), [2, 2])
         assert sum(cv) == 2
 
+    def test_expansion_over_limit_raises(self):
+        free = members(ModularPoly([3, 2]))
+        assert max_common_vector([3, 2], free, free, 5) == (3, 2)
+        with pytest.raises(SizeCapError):
+            max_common_vector([3, 2], free, free, 4)
+
     @given(st.integers(0, 400))
     @settings(max_examples=30, deadline=None)
     def test_matches_box_enumeration(self, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 3)
-        p1 = ModularPoly([rng.randint(0, 2) for _ in range(n)])
-        p2 = ScaledRankPoly(UniformMatroid(n, rng.randint(1, n)), rng.randint(1, 2))
+        p1, p2 = (ModularPoly([rng.randint(0, 2) for _ in range(n)]) if rng.random() < 0.5
+                  else ScaledRankPoly(UniformMatroid(n, rng.randint(1, n)), rng.randint(1, 2))
+                  for _ in range(2))
         caps_vec = [rng.randint(0, 2) for _ in range(n)]
-        cv = polymatroid_intersection_max(p1, p2, caps_vec)
-        assert member(p1, cv) and member(p2, cv)
-        best = 0
-        vec = [0] * n
-
-        def rec(e):
-            nonlocal best
-            if e == n:
-                if member(p1, vec) and member(p2, vec):
-                    best = max(best, sum(vec))
-                return
-            for v in range(caps_vec[e] + 1):
-                vec[e] = v
-                rec(e + 1)
-            vec[e] = 0
-
-        rec(0)
-        assert sum(cv) == best
+        best = max(sum(v) for v in product(*(range(c + 1) for c in caps_vec))
+                   if member(p1, v) and member(p2, v))
+        for got in (polymatroid_intersection_max(p1, p2, caps_vec),
+                    max_common_vector(caps_vec, members(p1), members(p2), 64)):
+            assert all(g <= c for g, c in zip(got, caps_vec))
+            assert member(p1, got) and member(p2, got)
+            assert sum(got) == best
 
 
 class TestDecompose:
