@@ -11,17 +11,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import stats
-from .bitsets import bits, check_subset, full_mask, size, submasks
+from .bitsets import bits, check_subset, full_mask, size
 from .matching import max_bipartite_matching
-from .polymatroids import _check_weights
+from .polymatroids import ScaledRankPoly, SumPoly, _check_weights
 
 
 class MatroidOracle:
     """Rank oracle r: 2^E -> Z>=0 with the matroid axioms."""
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("ground set size must be nonnegative")
+        _check_weights([n], "ground set size")
         self.n = n
         self._memo: dict[int, int] = {}
 
@@ -51,6 +50,7 @@ class UniformMatroid(MatroidOracle):
         super().__init__(n)
         if not 0 <= k <= n:
             raise ValueError(f"uniform rank {k} outside 0..{n}")
+        _check_weights([k], "uniform rank")
         self.k = k
 
     def _rank(self, mask: int) -> int:
@@ -89,8 +89,10 @@ class GraphicMatroid(MatroidOracle):
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
         super().__init__(len(edges))
+        _check_weights([num_vertices], "graphic vertices")
         for u, v in edges:
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            _check_weights([u, v], "graphic edge endpoints")
+            if not (u < num_vertices and v < num_vertices):
                 raise ValueError(f"edge ({u},{v}) out of vertex range")
         self.num_vertices = num_vertices
         self.edges = tuple(tuple(e) for e in edges)
@@ -119,6 +121,9 @@ class TransversalMatroid(MatroidOracle):
 
     def __init__(self, adjacency: Sequence[int], num_right: int):
         super().__init__(len(adjacency))
+        _check_weights([num_right], "transversal num_right")
+        if any(a < 0 or a >> num_right for a in adjacency):
+            raise ValueError(f"adjacency may only name right vertices 0..{num_right - 1}")
         self.adjacency = tuple(adjacency)
         self.num_right = num_right
 
@@ -177,24 +182,58 @@ class ZeroedMatroid(MatroidOracle):
 
 
 class UnionMatroid(MatroidOracle):
-    """Matroid union: r(X) = min_{Y ⊆ X} |X \\ Y| + Σ_i r_i(Y), by enumeration."""
+    """Matroid union: X is independent iff it splits into independent sets of the parts.
 
-    def __init__(self, parts: Sequence[MatroidOracle]):
-        if not parts:
-            raise ValueError("union of no matroids")
-        n = parts[0].n
+    The rank r(X) = min_{Y ⊆ X} |X \\ Y| + Σ_i r_i(Y) is computed by Edmonds'
+    matroid partition: the elements of X enter one at a time along shortest
+    exchange paths over (element, part) pairs, asking only the parts'
+    is_independent. A union of no parts (n given) has rank 0.
+    """
+
+    def __init__(self, parts: Sequence[MatroidOracle], n: int | None = None):
+        parts = tuple(parts)
+        if n is None:
+            if not parts:
+                raise ValueError("a union of no matroids needs its ground set size")
+            n = parts[0].n
         if any(p.n != n for p in parts):
             raise ValueError("union parts must share the ground set")
         super().__init__(n)
-        self.parts = tuple(parts)
+        self.parts = parts
 
     def _rank(self, mask: int) -> int:
-        best = None
-        for sub in submasks(mask):
-            val = size(mask ^ sub) + sum(p.rank(sub) for p in self.parts)
-            if best is None or val < best:
-                best = val
-        return best
+        sets = [0] * len(self.parts)   # disjoint independent sets, one per part
+        owner: dict[int, int] = {}     # element -> the part holding it
+        return sum(self._insert(x, sets, owner) for x in bits(mask))
+
+    def _insert(self, x: int, sets: list[int], owner: dict[int, int]) -> bool:
+        """Add x to the partition along a shortest exchange path; False if none exists.
+
+        An edge y -> z (z in part i) means y can replace z in part i; a path
+        ends at an element some part can take as it is. Shortest paths keep
+        every part independent after the exchanges (Edmonds 1968).
+        """
+        pred = {x: None}
+        queue = [x]
+        for y in queue:
+            ybit, home = 1 << y, owner.get(y)
+            for i, part in enumerate(self.parts):
+                if i == home:
+                    continue
+                if part.is_independent(sets[i] | ybit):
+                    while y is not None:
+                        j = owner.get(y)
+                        if j is not None:
+                            sets[j] ^= 1 << y
+                        sets[i] |= 1 << y
+                        owner[y] = i
+                        y, i = pred[y], j
+                    return True
+                for z in bits(sets[i]):
+                    if z not in pred and part.is_independent(sets[i] ^ (1 << z) | ybit):
+                        pred[z] = y
+                        queue.append(z)
+        return False
 
 
 class InducedMatroid(MatroidOracle):
@@ -202,7 +241,10 @@ class InducedMatroid(MatroidOracle):
 
     X is independent iff min_{S ⊆ X} f(S) − |S| >= 0; equivalently the rank
     is the unit-capped evaluation r(X) = min_{T ⊆ X} f(X \\ T) + |T|, one
-    max-flow when f has a cut network.
+    max-flow when f has a cut network. The matroid induced by f₁ + f₂ is the
+    union of those induced by f₁ and f₂, and s·r_M induces the union of s
+    copies of M, so a sum of scaled-rank and plain coverage parts is ranked
+    by matroid partition. Every other form keeps the subset recursion.
     """
 
     def __init__(self, poly):
@@ -210,10 +252,13 @@ class InducedMatroid(MatroidOracle):
         self.poly = poly
         net = poly.network
         self._unit = None if net is None else net.capped([1] * poly.n)
+        self._union = None if net is not None else _union_of_parts(poly)
 
     def _rank(self, mask: int) -> int:
         if self._unit is not None:
             return self._unit.value(mask)
+        if self._union is not None:
+            return self._union._rank(mask)
         # min(f(X), min_i r(X - i) + 1) unrolls the capped-evaluation minimum
         best = self.poly.value(mask)
         for e in bits(mask):
@@ -221,6 +266,24 @@ class InducedMatroid(MatroidOracle):
                 break
             best = min(best, self.rank(mask ^ (1 << e)) + 1)
         return best
+
+
+def _union_of_parts(poly) -> UnionMatroid | None:
+    """The union inducing the same matroid as a scaled-rank part or a sum of
+    scaled-rank and plain cut-network parts; None for any other form."""
+    parts = poly.parts if isinstance(poly, SumPoly) else (poly,)
+    plain: list = []
+    copies: list[MatroidOracle] = []
+    for p in parts:
+        if isinstance(p, ScaledRankPoly):
+            copies.extend([p.matroid] * p.scale)
+        elif p.network is not None and p.network.plain:
+            plain.append(p)
+        else:
+            return None
+    if plain:
+        copies.append(InducedMatroid(plain[0] if len(plain) == 1 else SumPoly(plain)))
+    return UnionMatroid(copies, poly.n)
 
 
 def matroid_add_greedy(m: MatroidOracle, start: int, candidates: Sequence[int]) -> int:

@@ -74,8 +74,7 @@ class PolymatroidOracle:
     """Value oracle f: 2^E -> Z>=0, monotone submodular, f(empty) = 0."""
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("ground set size must be nonnegative")
+        _check_weights([n], "ground set size")
         self.n = n
         self._memo: dict[int, int] = {}
         self._capped_cache: dict[tuple, "CappedPoly"] = {}

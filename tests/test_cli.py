@@ -182,9 +182,26 @@ def _core_cover(tmp_path, matroid, polymatroid):
     ({"kind": "uniform", "n": 3, "rank": 1},
      {"kind": "dual", "inner": {"kind": "modular", "weights": [1, 1, 2]}, "z": [1, 2.5, 2]},
      "dominating vector entries must be integers"),
+    ({"kind": "graphic", "vertices": 3, "edges": [[0.5, 1], [1, 2], [0, 2]]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "graphic edge endpoints must be integers"),
+    ({"kind": "graphic", "vertices": 2.5, "edges": [[0, 1], [1, 2], [0, 2]]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "graphic vertices must be integers"),
+    ({"kind": "transversal", "num_right": 2, "adjacency": [[0], [1], [0, 2]]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "right vertices 0..1"),
+    ({"kind": "transversal", "num_right": -1, "adjacency": [[], [], []]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "num_right must be nonnegative"),
+    ({"kind": "transversal", "num_right": 1.5, "adjacency": [[0], [0], [0]]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "num_right must be integers"),
+    ({"kind": "uniform", "n": 3.0, "rank": 1},
+     {"kind": "modular", "weights": [1, 1, 2]}, "ground set size must be integers"),
+    ({"kind": "uniform", "n": 3, "rank": 1.5},
+     {"kind": "modular", "weights": [1, 1, 2]}, "uniform rank must be integers"),
 ], ids=["coverage-item-out-of-range", "modular-float-weight", "uniform-negative-rank",
         "scaled-rank-float-scale", "partition-float-cap", "partition-negative-cap",
-        "partition-bool-cap", "capped-float-cap", "dual-float-z"])
+        "partition-bool-cap", "capped-float-cap", "dual-float-z", "graphic-float-endpoint",
+        "graphic-float-vertices", "transversal-right-out-of-range",
+        "transversal-negative-num-right", "transversal-float-num-right", "uniform-float-n",
+        "uniform-float-rank"])
 def test_malformed_oracle_data_exit_one(tmp_path, capsys, matroid, polymatroid, field):
     path = _core_cover(tmp_path, matroid, polymatroid)
     assert main(["solve-cover", "--in", str(path)]) == 1
@@ -206,3 +223,27 @@ def test_internal_invariant_error_exit_three(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "internal error: I_M must be independent\n"
     assert captured.out == ""
+
+
+def test_union_matroid_core_solves(tmp_path, capsys):
+    """A 14-element core whose matroid is a JSON union of three parts of rank 13."""
+    from matalloc.instances import parse_instance
+    from matalloc.polymatroids import member
+
+    n = 14
+    matroid = {"kind": "union", "parts": [
+        {"kind": "graphic", "vertices": 8, "edges": [[e % 8, (3 * e + 1) % 8] for e in range(n)]},
+        {"kind": "transversal", "num_right": 4,
+         "adjacency": [[e % 4, (e + 1) % 4] for e in range(n)]},
+        {"kind": "partition", "n": n, "blocks": [list(range(7)), list(range(7, n))],
+         "caps": [1, 2]}]}
+    polymatroid = {"kind": "coverage", "sets": [[0]] * n, "weights": [1]}
+    path = _core_cover(tmp_path, matroid, polymatroid)
+    code, out = run(capsys, "solve-cover", "--in", str(path))
+    assert code == 0
+    res = json.loads(out)
+    assert len(res["I_M"]) == 13
+    inst = parse_instance(path.read_bytes())
+    assert inst.matroid.is_independent(sum(1 << e for e in res["I_M"]))
+    assert member(inst.polymatroid, res["y"])
+    assert all(e in res["I_M"] or res["y"][e] >= 1 for e in range(n))

@@ -30,6 +30,26 @@ def brute_capped(p, caps, mask):
     return best
 
 
+def random_matroid(rng, n, kinds=("uniform", "partition", "graphic", "transversal")):
+    kind = rng.choice(list(kinds))
+    if kind == "uniform":
+        return UniformMatroid(n, rng.randint(0, n))
+    if kind == "partition":
+        labels = [rng.randrange(max(1, n // 2)) for _ in range(n)]
+        blocks = [sum(1 << e for e in range(n) if labels[e] == lab) for lab in sorted(set(labels))]
+        return PartitionMatroid(n, blocks, [rng.randint(0, 2) for _ in blocks])
+    if kind == "graphic":
+        verts = rng.randint(2, max(2, n))
+        return GraphicMatroid(verts, [(rng.randrange(verts), rng.randrange(verts))
+                                      for _ in range(n)])
+    if kind == "transversal":
+        num_right = rng.randint(1, n)
+        return TransversalMatroid([rng.getrandbits(num_right) for _ in range(n)], num_right)
+    u = rng.randint(1, n + 1)
+    return InducedMatroid(CoveragePoly([rng.getrandbits(u) for _ in range(n)],
+                                       [rng.randint(1, 2) for _ in range(u)]))
+
+
 class TestRank:
     def test_uniform(self):
         assert UniformMatroid(3, 1).rank(0b011) == 1
@@ -50,11 +70,17 @@ class TestRank:
             UniformMatroid(2, 1).rank(0b100)
 
     def test_union_by_enumeration(self):
-        parts = [UniformMatroid(4, 1), PartitionMatroid(4, [0b0011, 0b1100], [1, 1])]
-        union = UnionMatroid(parts)
-        for x in range(16):
-            expect = min(size(x ^ y) + sum(p.rank(y) for p in parts) for y in submasks(x))
-            assert union.rank(x) == expect
+        mixes = [[UniformMatroid(4, 1), PartitionMatroid(4, [0b0011, 0b1100], [1, 1])]]
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(1, 7)
+            mixes.append([random_matroid(rng, n, ["graphic", "transversal", "partition", "induced"])
+                          for _ in range(rng.randint(1, 4))])
+        for parts in mixes:
+            union = UnionMatroid(parts)
+            for x in range(1 << union.n):
+                expect = min(size(x ^ y) + sum(p.rank(y) for p in parts) for y in submasks(x))
+                assert union.rank(x) == expect
 
     def test_contracted_and_zeroed(self):
         m = PartitionMatroid(4, [0b0011, 0b1100], [1, 2])
@@ -405,3 +431,52 @@ def test_forms_without_a_network_keep_the_recursion(seed):
         for q in (p, capped, chained):
             assert q.network is None
             assert_matches_brute_force(rng, q)
+
+
+# ---------------------------------------------------------------------------
+# Induced matroids of sums with scaled-rank parts: a union, ranked by partition
+
+
+def scaled_rank_sum(seed):
+    """ScaledRankPoly parts (scale 0..3) over the concrete matroid families,
+    with or without a modular and a coverage part."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    parts = [ScaledRankPoly(random_matroid(rng, n), rng.randint(0, 3))
+             for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        parts.append(ModularPoly([rng.randint(0, 2) for _ in range(n)]))
+    if rng.random() < 0.5:
+        u = rng.randint(1, n + 2)
+        parts.append(CoveragePoly([rng.getrandbits(u) for _ in range(n)],
+                                  [rng.randint(1, 3) for _ in range(u)]))
+    return parts[0] if len(parts) == 1 else SumPoly(parts)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_scaled_rank_sums_induce_the_union(seed):
+    p = scaled_rank_sum(seed)
+    ind = InducedMatroid(p)
+    ranks = [ind.rank(mask) for mask in range(1 << p.n)]
+    assert not p._memo  # no subset recursion ran
+    assert ranks == [brute_capped(p, [1] * p.n, mask) for mask in range(1 << p.n)]
+
+
+def test_coverage_plus_graphic_skips_the_recursion():
+    rng = random.Random(7)
+    n = 12
+    cov = CoveragePoly([rng.getrandbits(4) for _ in range(n)], [1, 2, 1, 1])
+    graphic = GraphicMatroid(6, [(rng.randrange(6), rng.randrange(6)) for _ in range(n)])
+    p = SumPoly([cov, ScaledRankPoly(graphic, 1)])
+    rank = InducedMatroid(p).rank(full_mask(n))
+    assert not p._memo
+    assert rank == brute_capped(p, [1] * n, full_mask(n))
+
+
+def test_scale_zero_induces_rank_zero():
+    m = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
+    for p in (ScaledRankPoly(m, 0),
+              SumPoly([ScaledRankPoly(m, 0), ScaledRankPoly(UniformMatroid(3, 2), 0)])):
+        ind = InducedMatroid(p)
+        assert [ind.rank(mask) for mask in range(8)] == [0] * 8
+    assert UnionMatroid([], 3).rank(0b111) == 0
