@@ -87,16 +87,14 @@ class ExpandedMatroid(MatroidOracle):
     def __init__(self, owner: Sequence[int], num_slots: int,
                  indep: Callable[[tuple[int, ...]], bool]):
         super().__init__(len(owner))
-        self.owner = tuple(owner)
-        self.num_slots = num_slots
+        self.slot_masks = [0] * num_slots  # slot -> mask of its copies
+        for idx, slot in enumerate(owner):
+            self.slot_masks[slot] |= 1 << idx
         self.indep = indep
         self._count_indep: dict[tuple[int, ...], bool] = {}
 
     def counts(self, mask: int) -> tuple[int, ...]:
-        c = [0] * self.num_slots
-        for idx in bits(mask):
-            c[self.owner[idx]] += 1
-        return tuple(c)
+        return tuple([(mask & sm).bit_count() for sm in self.slot_masks])
 
     def _rank(self, mask: int) -> int:
         # greedy: every maximal independent subset of a matroid set is a basis of it

@@ -8,8 +8,8 @@ entity/item pair, consecutive-item carry edges) whose degree constraints
 come from a floor/ceiling remainder recursion, and extract the integral
 solution as a maximum common vector of two polymatroids on the edges.
 
-The LP itself is solved exactly (rational simplex), so every additive
-guarantee is checked with exact comparisons. The objective-guessing
+The LP itself is solved exactly (integer-preserving simplex), so every
+additive guarantee is checked with exact comparisons. The objective-guessing
 primitives live here too: column_sums builds the guess grids and
 guess_loop is the one bisection over them.
 """
@@ -87,15 +87,35 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
             return False
         return len({v for v in it.values if v > 0}) <= 1
 
+    # first the variables (j, i) and the caps, then the 2^|supp| - 1 rows
+    views: list[tuple[Fraction | None, PolymatroidOracle | None, list[int]]] = []
     for j, it in enumerate(inst.items):
         if poly_view(j, it):
             value, p = item_value_poly(inst, j)
             if is_makespan and value > T and p.value(full_mask(m)) > 0:
                 return None
             supp = [i for i in range(m) if p.value(1 << i) > 0]
-            for i in supp:
-                var_of[(j, i)] = len(var_of)
-            smask = sum(1 << i for i in supp)
+            if len(supp) > caps.sfm_ground:
+                raise SizeCapError(f"assignment LP: item {j} has support {len(supp)}, "
+                                   f"cap {caps.sfm_ground}")
+            views.append((value, p, supp))
+        else:
+            if is_makespan:
+                eligible = [i for i in range(m) if it.values[i] is not None and it.values[i] <= T]
+                if not eligible:
+                    return None
+            else:
+                eligible = list(range(m))
+            views.append((None, None, eligible))
+    num_vars = sum(len(cols) for _, _, cols in views)
+    if num_vars > caps.lp_vars:
+        raise SizeCapError(f"assignment LP has {num_vars} variables, cap {caps.lp_vars}")
+
+    for j, (value, p, cols) in enumerate(views):
+        for i in cols:
+            var_of[(j, i)] = len(var_of)
+        if p is not None:
+            smask = sum(1 << i for i in cols)
             sub = smask
             while sub:
                 row = {var_of[(j, i)]: Fraction(1) for i in bits(sub)}
@@ -104,25 +124,15 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
                 else:
                     constraints.append((row, "<=", Fraction(p.value(sub))))
                 sub = (sub - 1) & smask
-            for i in supp:
+            for i in cols:
                 coef[i].append((var_of[(j, i)], value))
         else:
-            if is_makespan:
-                eligible = [i for i in range(m) if it.values[i] is not None and it.values[i] <= T]
-                if not eligible:
-                    return None
-            else:
-                eligible = list(range(m))
-            for i in eligible:
-                var_of[(j, i)] = len(var_of)
-            constraints.append(({var_of[(j, i)]: Fraction(1) for i in eligible}, "==", Fraction(1)))
-            for i in eligible:
-                v = it.values[i]
+            constraints.append(({var_of[(j, i)]: Fraction(1) for i in cols}, "==", Fraction(1)))
+            for i in cols:
+                v = inst.items[j].values[i]
                 if v:
                     coef[i].append((var_of[(j, i)], v))
 
-    if len(var_of) > caps.lp_vars:
-        raise SizeCapError(f"assignment LP has {len(var_of)} variables, cap {caps.lp_vars}")
     sense = "<=" if is_makespan else ">="
     for i in range(m):
         constraints.append((dict(coef[i]), sense, T))

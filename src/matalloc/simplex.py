@@ -1,18 +1,44 @@
-"""Exact-rational feasibility via the two-phase simplex method.
+"""Exact feasibility via an integer-preserving phase-1 simplex.
 
-Dense tableau over fractions.Fraction with Bland's rule (smallest-index
-entering and leaving candidates), so every run terminates and returns a
-basic feasible point of the original polytope. Only phase one is needed:
-callers want a vertex of a feasibility system, not an optimum.
+Only phase one is needed: callers want a vertex of a feasibility system,
+not an optimum. The tableau is fraction-free (Edmonds 1967; Bareiss 1968):
+every entry is a Python int, and row i holds d_i times its true entries,
+where d_i is the basis determinant at the row's last update.
+
+- *Row scaling.* Each row is normalised to a nonnegative rhs (flipping its
+  sense), then multiplied by the positive lcm s_i of its denominators.
+  Slack and artificial columns stay unit columns, so this only rescales
+  row i's slack and artificial variables by s_i; the x-part of every basic
+  solution is unchanged.
+- *Phase-1 weights.* The artificial of row i costs L/s_i, with L the lcm
+  of the artificial rows' s_i. That is the artificial sum of the unscaled
+  system times L, so every reduced cost is a positive multiple of the
+  unscaled one and every tableau column a positive multiple, row by row,
+  of the unscaled column. Bland's rule (smallest entering index, smallest
+  ratio with ties to the smallest basic index) therefore makes the same
+  pivots as a dense rational tableau of the unscaled system, and the run
+  ends at the same vertex. Ratios are compared by cross-multiplication.
+- *Pivot.* The pivot row is brought to the current determinant det, and
+  p = M[r][c] becomes the new one. A row with M[i][c] = 0 keeps its true
+  entries, so it is left alone with its old d_i; every other row becomes
+  (p·M[i][j] − M[i][c]·M[r][j]) // d_i. The division is exact: the result
+  is p times the new true entry, a minor of the scaled constraint matrix.
+  The objective row is kept the same way.
+- *Sign of det.* det is the determinant of the current basis. Phase-1
+  pivots are on positive true entries, so every d_i stays positive and the
+  phase-1 sign tests read the stored entries directly. The drive-out of
+  zero-level artificials may pivot on a negative entry and make det
+  negative, but it only tests entries for zero, and the read-out
+  Fraction(M[i][-1], d_i) normalises the sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 def feasible_point(num_vars: int,
@@ -21,102 +47,123 @@ def feasible_point(num_vars: int,
     """A basic feasible solution of {x >= 0 : constraints}, or None.
 
     Each constraint is (coeffs, sense, rhs) with coeffs a sparse dict
-    var -> coefficient and sense one of "<=", ">=", "==".
+    var -> coefficient and sense one of "<=", ">=", "==". Coefficients and
+    rhs are Fractions or ints.
     """
     rows = []
     for coeffs, sense, rhs in constraints:
-        rhs = Fraction(rhs)
-        coeffs = {j: Fraction(c) for j, c in coeffs.items() if c}
-        if rhs < 0:
-            coeffs = {j: -c for j, c in coeffs.items()}
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        rows.append((coeffs, sense, rhs))
+        coeffs = {j: c for j, c in coeffs.items() if c}
+        s = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        sign = -1 if rhs < 0 else 1
+        if sign < 0:
+            sense = FLIP[sense]
+        rows.append(({j: sign * c.numerator * (s // c.denominator) for j, c in coeffs.items()},
+                     sense, sign * rhs.numerator * (s // rhs.denominator), s))
 
-    num_slack = sum(1 for _, sense, _ in rows if sense != "==")
-    num_art = sum(1 for _, sense, _ in rows if sense != "<=")
+    num_slack = sum(1 for _, sense, _, _ in rows if sense != "==")
+    num_art = sum(1 for _, sense, _, _ in rows if sense != "<=")
     width = num_vars + num_slack + num_art + 1
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
+    art_scale: dict[int, int] = {}  # row -> s_i of the rows with an artificial
     slack_at = num_vars
-    art_at = num_vars + num_slack
-    for coeffs, sense, rhs in rows:
-        row = [ZERO] * width
+    art_at = art_start = num_vars + num_slack
+    for coeffs, sense, rhs, s in rows:
+        row = [0] * width
         for j, c in coeffs.items():
             row[j] = c
         if sense == "<=":
-            row[slack_at] = ONE
+            row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
-        elif sense == ">=":
-            row[slack_at] = -ONE
-            slack_at += 1
-            row[art_at] = ONE
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
         else:
-            row[art_at] = ONE
+            if sense == ">=":
+                row[slack_at] = -1
+                slack_at += 1
+            row[art_at] = 1
+            art_scale[len(tableau)] = s
             basis.append(art_at)
-            art_cols.append(art_at)
             art_at += 1
         row[-1] = rhs
         tableau.append(row)
 
-    art_set = set(art_cols)
-    # phase-1 objective row: minimize the artificial sum; reduced costs start
-    # as -(sum of artificial-basic rows) on non-artificial columns
-    obj = [ZERO] * width
-    for i, b in enumerate(basis):
-        if b in art_set:
-            for j in range(width):
-                obj[j] -= tableau[i][j]
-    for j in art_cols:
-        obj[j] = ZERO
+    # phase-1 objective row: minimize sum (L/s_i)·art_i; reduced costs start
+    # as -(weighted sum of artificial-basic rows) on non-artificial columns
+    big_l = lcm(*art_scale.values())
+    obj = [0] * width
+    for i, s in art_scale.items():
+        w = big_l // s
+        obj = [o - w * v for o, v in zip(obj, tableau[i])]
+    obj[art_start:-1] = [0] * num_art
+    obj_den = 1
+    dens = [1] * len(tableau)
+    det = 1
+
+    def update(row: list[int], den: int, prow: list[int], p: int,
+               nz: list[tuple[int, int]], col: int) -> list[int]:
+        f = row[col]
+        if p == den:
+            # (p·a − f·b) // p is a − f·b // p, so only the pivot row's nonzeros move
+            row = row[:]
+            for j, b in nz:
+                row[j] -= f * b // den
+            return row
+        return [(p * a - f * b) // den for a, b in zip(row, prow)]
 
     def pivot(row_i: int, col_j: int) -> None:
-        piv = tableau[row_i][col_j]
-        tableau[row_i] = [v / piv for v in tableau[row_i]]
-        for r in range(len(tableau)):
-            if r != row_i and tableau[r][col_j]:
-                f = tableau[r][col_j]
-                tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[row_i])]
+        nonlocal det, obj, obj_den
+        prow = tableau[row_i]
+        if dens[row_i] != det:
+            prow = [v * det // dens[row_i] for v in prow]
+        p = prow[col_j]
+        nz = [(j, b) for j, b in enumerate(prow) if b]
+        for r, row in enumerate(tableau):
+            if r != row_i and row[col_j]:
+                tableau[r] = update(row, dens[r], prow, p, nz, col_j)
+                dens[r] = p
         if obj[col_j]:
-            f = obj[col_j]
-            for j in range(width):
-                obj[j] -= f * tableau[row_i][j]
+            obj = update(obj, obj_den, prow, p, nz, col_j)
+            obj_den = p
+        tableau[row_i] = prow
+        dens[row_i] = p
         basis[row_i] = col_j
+        det = p
 
     while True:
         enter = next((j for j in range(width - 1) if obj[j] < 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        leave = None
         for i, row in enumerate(tableau):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / a < rhs_leave / a_leave, both denominators positive
+                lhs, rhs = row[-1] * tableau[leave][enter], tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             return None  # unbounded phase-1 objective cannot happen; defensive
         pivot(leave, enter)
 
-    if -obj[-1] > 0:
+    if obj[-1] < 0:
         return None  # artificial sum cannot reach zero: infeasible
 
     # drive zero-level artificials out of the basis (or drop redundant rows)
     for i in range(len(tableau) - 1, -1, -1):
-        if basis[i] in art_set:
-            col = next((j for j in range(num_vars + num_slack) if tableau[i][j]), None)
+        if basis[i] >= art_start:
+            col = next((j for j in range(art_start) if tableau[i][j]), None)
             if col is None:
                 del tableau[i]
                 del basis[i]
+                del dens[i]
             else:
                 pivot(i, col)
 
-    point = [ZERO] * num_vars
+    point = [Fraction(0)] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
-            point[b] = tableau[i][-1]
+            point[b] = Fraction(tableau[i][-1], dens[i])
     return point

@@ -1,9 +1,14 @@
 """CLI: exit codes, determinism, and the documented subcommand surfaces."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matalloc
 from matalloc.cli import main
 
 
@@ -247,3 +252,39 @@ def test_union_matroid_core_solves(tmp_path, capsys):
     assert inst.matroid.is_independent(sum(1 << e for e in res["I_M"]))
     assert member(inst.polymatroid, res["y"])
     assert all(e in res["I_M"] or res["y"][e] >= 1 for e in range(n))
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    """main reuses one parser per process: a run of calls with different
+    subcommands, errors included, prints and exits as fresh processes do."""
+    monkeypatch.setenv("COLUMNS", "80")
+    gap = tmp_path / "gap.json"
+    main(["gen", "--flavor", "gap", "--m", "2", "--out", str(gap)])
+    capsys.readouterr()
+    calls = [
+        ["gen", "--flavor", "core-cover", "--m", "4", "--seed", "3"],
+        ["solve-cover", "--in", str(gap), "--b", "1"],
+        ["solve-cover", "--in", str(gap), "--b", "2", "--format", "tsv"],
+        ["verify", "--in", str(gap)],
+        ["solve-cover", "--in", str(tmp_path / "missing.json")],
+        ["gen", "--flavor", "no-such-flavor"],
+        ["solve-cover", "--in", str(gap), "--eps", "1/20", "--b", "1"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+
+    src = str(Path(matalloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "matalloc.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [c for c, _, _ in in_process] == [0, 0, 2, 0, 1, 2, 0]
+    assert in_process == fresh

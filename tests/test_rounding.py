@@ -4,9 +4,11 @@ exact-guarantee checks with independently constructed fractional inputs."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from matalloc.instances import Item, MakespanInstance, SantaInstance, gen_random
+from matalloc.limits import Caps, SizeCapError
 from matalloc.oracle import brute_opt_makespan, enumerate_bases
 from matalloc.polymatroids import is_basis
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, item_value_poly,
@@ -104,6 +106,24 @@ class TestAssignmentLp:
         mk = MakespanInstance(2, [Item(values=(F(3), F(1)))])
         frac = solve_assignment_lp(mk, F(2))
         assert frac is not None and frac.x[0] == (F(0), F(1))
+
+    @pytest.mark.parametrize("caps", [Caps(lp_vars=5), Caps(sfm_ground=16)])
+    def test_caps_checked_before_the_row_enumeration(self, caps):
+        # one item has support 18: 2^18 - 1 submask rows if it got that far
+        inst = gen_random("santa-matroid", 0, m=18, n=2)
+        multi = []
+        for it in inst.items:
+            value = it.polymatroid.value
+
+            def counting(mask, value=value):
+                if mask & (mask - 1):
+                    multi.append(mask)
+                return value(mask)
+
+            it.polymatroid.value = counting
+        with pytest.raises(SizeCapError):
+            solve_assignment_lp(inst, F(1), caps)
+        assert multi == []
 
 
 class TestRoundSanta:
