@@ -4,15 +4,15 @@ Matroid intersection is the classical augmenting-path algorithm with BFS
 (shortest exchange paths, ties by smallest index). `max_common_vector` is
 the one parallel-copy intersection: it expands integer slots into unit
 copies, realizes each count-vector predicate as a matroid on the copies,
-and intersects them. Polymatroid intersection, the split of a member or
-basis of a sum polymatroid into the parts, and the rounding gadget all go
-through it.
+and intersects them, searching one copy per slot on each side. Polymatroid
+intersection, the split of a member or basis of a sum polymatroid into the
+parts, and the rounding gadget all go through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .bitsets import bits, full_mask, size
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, SizeCapError
@@ -21,19 +21,41 @@ from .polymatroids import PolymatroidOracle, is_basis, member
 
 
 def max_common_independent(n: int, indep1: Callable[[int], bool],
-                           indep2: Callable[[int], bool]) -> int:
+                           indep2: Callable[[int], bool],
+                           classes: Sequence[Hashable] | None = None) -> int:
     """Maximum-cardinality common independent set of two matroids given as
-    independence predicates on bitmasks over 0..n-1."""
+    independence predicates on bitmasks over 0..n-1.
+
+    classes[e] names e's class. Elements of one class must be clones:
+    swapping two of them keeps every independent set independent in both
+    matroids, as swapping two copies of one slot does in max_common_vector.
+    The BFS then visits only the lowest-index element of each class on each
+    side of the current set, and returns the augmenting path of a BFS over
+    all elements. Clones on one side have the same arcs and the same sink
+    status, so that BFS discovers them together, from one parent, in index
+    order. The lowest pops first; a later clone then reaches nothing new and
+    is a sink only if the lowest was one. The shortest path it returns
+    therefore never visits two clones, nor any clone but the lowest.
+    """
     cur = 0
     while True:
-        nxt = _augment(n, indep1, indep2, cur)
+        nxt = _augment(n, indep1, indep2, cur, classes)
         if nxt is None:
             return cur
         cur = nxt
 
 
-def _augment(n: int, indep1, indep2, cur: int) -> int | None:
-    outside = [y for y in range(n) if not (cur >> y) & 1]
+def _augment(n: int, indep1, indep2, cur: int, classes) -> int | None:
+    # the lowest-index element of each class on each side of cur
+    outside: list[int] = []
+    inside: list[int] = []
+    seen: set = set()
+    for e in range(n):
+        side = (cur >> e) & 1
+        key = (side, e if classes is None else classes[e])
+        if key not in seen:
+            seen.add(key)
+            (inside if side else outside).append(e)
     sources = [y for y in outside if indep1(cur | (1 << y))]
     sinks = {y for y in outside if indep2(cur | (1 << y))}
     if not sources:
@@ -46,7 +68,6 @@ def _augment(n: int, indep1, indep2, cur: int) -> int | None:
     for y in sources:
         parent[y] = None
         queue.append(y)
-    inside = list(bits(cur))
     while queue:
         v = queue.popleft()
         if not (cur >> v) & 1:
@@ -118,15 +139,15 @@ def max_common_vector(slot_caps: Sequence[int], indep1: Callable[[tuple[int, ...
     count-vector predicates (each must make its copy sets a matroid).
 
     Slot s becomes slot_caps[s] parallel copies, in slot order, and the two
-    copy-ground matroids are intersected; more than limit copies raise
-    SizeCapError.
+    copy-ground matroids are intersected with the copies of a slot as one
+    class; more than limit copies raise SizeCapError.
     """
     owner = [s for s, c in enumerate(slot_caps) for _ in range(c)]
     if len(owner) > limit:
         raise SizeCapError(f"parallel-copy expansion of {len(owner)} copies exceeds cap {limit}")
     m1 = ExpandedMatroid(owner, len(slot_caps), indep1)
     m2 = ExpandedMatroid(owner, len(slot_caps), indep2)
-    return m1.counts(max_common_independent(m1.n, m1.is_independent, m2.is_independent))
+    return m1.counts(max_common_independent(m1.n, m1.is_independent, m2.is_independent, owner))
 
 
 def polymatroid_intersection_max(p1: PolymatroidOracle, p2: PolymatroidOracle,

@@ -10,7 +10,8 @@ basis extension, and the box-capped marginal f(Y | b*X).
 Capped values of coverage-shaped polymatroids (modular and coverage parts,
 their sums, caps and set contractions) are bipartite min cuts, evaluated by
 one exact max-flow (CutNetwork); every other form falls back to the subset
-recursion of CappedPoly.
+recursion of CappedPoly. On those forms the saturation slack, and the
+membership of integer vectors with larger supports, are one flow as well.
 """
 
 from __future__ import annotations
@@ -60,14 +61,39 @@ class CutNetwork:
         return CutNetwork(self.covers, self.weights, self.caps, self.base | mask)
 
     def value(self, mask: int) -> int:
-        if self._f_base is None:
-            self._f_base = self._cut(self.base)
-        return self._cut(mask | self.base) - self._f_base
+        return self._flow((), mask) - self._f_of_base()
 
-    def _cut(self, mask: int) -> int:
-        es = elements(mask)
-        return max_capacitated_flow([self.covers[e] for e in es], [self._left[e] for e in es],
+    def _f_of_base(self) -> int:
+        if self._f_base is None:
+            self._f_base = self._flow((), 0)
+        return self._f_base
+
+    def _flow(self, x: Sequence[int], lift: int = 0) -> int:
+        """Max flow with supply _left[e] on base and lift, x(e) elsewhere."""
+        lift |= self.base
+        es = elements(vec_support(x) | lift)
+        return max_capacitated_flow([self.covers[e] for e in es],
+                                    [self._left[e] if (lift >> e) & 1 else x[e] for e in es],
                                     self.weights)
+
+    def member(self, x: Sequence[int]) -> bool:
+        """x in P(f) by one flow, for an integer x >= 0.
+
+        x(e) <= f({e}) <= _left[e] is necessary. Given it, the flow with
+        supply x off base and _left on base is the min over element sets U
+        of x(E \\ (U ∪ base)) + _left(base \\ U) + w(N(U)), at most
+        F(base) + x(E \\ base) (U inside base). It reaches F(base) + x(E)
+        iff x = 0 on base and x(S) <= F(S ∪ base) − F(base) for every S
+        off base.
+        """
+        if any(v > left for v, left in zip(x, self._left)):
+            return False
+        return self._flow(x) == self._f_of_base() + sum(x)
+
+    def slack(self, x: Sequence[int], e: int) -> int:
+        """max t with x + t·1_e in P(f), for a member x: the flow with e's
+        supply raised to _left[e], less F(base) + x(E)."""
+        return self._flow(x, 1 << e) - self._f_of_base() - sum(x)
 
 
 class PolymatroidOracle:
@@ -77,6 +103,7 @@ class PolymatroidOracle:
         _check_weights([n], "ground set size")
         self.n = n
         self._memo: dict[int, int] = {}
+        self._member_memo: dict[tuple, bool] = {}
         self._capped_cache: dict[tuple, "CappedPoly"] = {}
 
     def value(self, mask: int) -> int:
@@ -365,25 +392,55 @@ def sfm_min(fn: Callable[[int], int], n: int, caps: Caps = DEFAULT_CAPS,
     return best_mask, best_val
 
 
+# Integer vectors with at least this many nonzero entries are decided by one
+# flow when the polymatroid has a cut network. Smaller supports stay on the
+# subset enumeration: at most four subsets, whose values the polymatroid
+# memoises.
+FLOW_MEMBER_SUPPORT = 3
+
+
 def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAULT_CAPS) -> bool:
     """x in P iff min_S f(S) − x(S) >= 0.
 
     Monotonicity lets the search restrict to subsets of the support of x.
     Accepts integer or rational vectors (rational for scaled box tests).
+    An integer x with FLOW_MEMBER_SUPPORT or more nonzero entries is decided
+    by CutNetwork.member when p has a cut network. Answers are memoised per
+    polymatroid and vector (equal int and Fraction vectors share one); the
+    sign, range and cap checks run first, so a memo hit raises what a miss
+    would.
     """
     if any(v < 0 for v in x):
         raise ValueError("membership is defined for nonnegative vectors")
     supp = vec_support(x)
     check_subset(supp, p.n)
-    _, mn = sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)
-    return mn >= 0
+    k = size(supp)
+    if k > caps.sfm_ground:
+        raise SizeCapError(f"SFM ground set of size {k} exceeds cap {caps.sfm_ground}")
+    key = tuple(x)
+    hit = p._member_memo.get(key)
+    if hit is None:
+        net = p.network
+        if net is not None and k >= FLOW_MEMBER_SUPPORT and all(isinstance(v, int) for v in x):
+            stats.bump("poly_value")
+            hit = net.member(x)
+        else:
+            hit = sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1] >= 0
+        p._member_memo[key] = hit
+    return hit
 
 
 def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
                      caps: Caps = DEFAULT_CAPS) -> int:
-    """max t with x + t·1_e in P, i.e. min_{S ∋ e} f(S) − x(S)."""
+    """max t with x + t·1_e in P for a member x, i.e. min_{S ∋ e} f(S) − x(S).
+
+    One flow (CutNetwork.slack) when p has a cut network, else every S ∋ e.
+    """
     if p.n > caps.sfm_ground:
         raise SizeCapError(f"ground set of size {p.n} exceeds cap {caps.sfm_ground}")
+    net = p.network
+    if net is not None:
+        return net.slack(x, e)
     bit = 1 << e
     rest = full_mask(p.n) ^ bit
     best = None

@@ -78,7 +78,7 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
     is_makespan = isinstance(inst, MakespanInstance)
     var_of: dict[tuple[int, int], int] = {}
     coef: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]  # per entity
-    constraints: list[tuple[dict[int, Fraction], str, Fraction]] = []
+    constraints: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
 
     def poly_view(j: int, it: Item) -> bool:
         if it.polymatroid is not None:
@@ -118,16 +118,16 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
             smask = sum(1 << i for i in cols)
             sub = smask
             while sub:
-                row = {var_of[(j, i)]: Fraction(1) for i in bits(sub)}
+                row = dict.fromkeys([var_of[(j, i)] for i in bits(sub)], 1)
                 if sub == smask:
-                    constraints.append((row, "==", Fraction(p.value(full_mask(m)))))
+                    constraints.append((row, "==", p.value(full_mask(m))))
                 else:
-                    constraints.append((row, "<=", Fraction(p.value(sub))))
+                    constraints.append((row, "<=", p.value(sub)))
                 sub = (sub - 1) & smask
             for i in cols:
                 coef[i].append((var_of[(j, i)], value))
         else:
-            constraints.append(({var_of[(j, i)]: Fraction(1) for i in cols}, "==", Fraction(1)))
+            constraints.append((dict.fromkeys([var_of[(j, i)] for i in cols], 1), "==", 1))
             for i in cols:
                 v = inst.items[j].values[i]
                 if v:

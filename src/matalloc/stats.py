@@ -2,12 +2,15 @@
 
 Counts logical top-level queries (each value/rank call, memo hits
 included) so reported figures do not depend on cache state. Work inside
-one max-flow of a cut network is not a query: a capped value evaluated by
-flow counts once. An induced rank ranked as a matroid union counts the
-parts' rank queries that the matroid partition asks, so `solve-cover`
-reports far fewer queries on cores induced by sums with scaled-rank parts
-(41,121 -> 381 on one such core). Counters are process-global;
-snapshot/delta around a solver run to attribute queries to it.
+one max-flow of a cut network is not a query: a capped value or a
+membership evaluated by flow counts once. Membership is memoised per
+polymatroid and vector, so a membership already decided for the same
+vector asks no query again. An induced rank ranked as a matroid union
+counts the parts' rank queries that the matroid partition asks, so
+`solve-cover` reports far fewer queries on cores induced by sums with
+scaled-rank parts (41,121 -> 381 on one such core). Counters are
+process-global; snapshot/delta around a solver run to attribute queries
+to it.
 """
 
 from __future__ import annotations

@@ -2,17 +2,20 @@
 capped-marginal laws, each checked against independent brute force."""
 
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matalloc import stats
 from matalloc.bitsets import bits, full_mask, size, submasks, vec_sum
+from matalloc.limits import Caps, SizeCapError
 from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, GraphicMatroid,
                                InducedMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid, UnionMatroid, ZeroedMatroid, matroid_add_greedy)
 from matalloc.oracle import check_axioms, enumerate_bases
-from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly,
+from matalloc.polymatroids import (CappedPoly, CoveragePoly, CutNetwork, DualPoly, ExplicitPoly,
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, dual_polymatroid,
                                    greedy_basis_above, is_basis, member, sfm_min)
@@ -480,3 +483,93 @@ def test_scale_zero_induces_rank_zero():
         ind = InducedMatroid(p)
         assert [ind.rank(mask) for mask in range(8)] == [0] * 8
     assert UnionMatroid([], 3).rank(0b111) == 0
+
+
+# ---------------------------------------------------------------------------
+# Membership and saturation slack by one flow, and the membership memo
+
+
+def sfm_member(p, x):
+    return sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n)[1] >= 0
+
+
+def brute_slack(p, x, e):
+    return min(p.value(s) - vec_sum(x, s) for s in range(1 << p.n) if (s >> e) & 1)
+
+
+def probe_vectors(rng, p):
+    """Random vectors up to one above each singleton value, random vectors
+    lowered until they are members, and some of them again with one entry
+    above its cap or one nonzero contracted entry."""
+    net, n = p.network, p.n
+    top = [p.value(1 << e) for e in range(n)]
+    vecs = [tuple(rng.randint(0, t + rng.randint(0, 1)) for t in top) for _ in range(30)]
+    for x in map(list, vecs[:10]):
+        while not sfm_member(p, x):
+            x[rng.choice([e for e in range(n) if x[e]])] -= 1
+        vecs.append(tuple(x))
+    for e in range(n):
+        if (net.base >> e) & 1:
+            bump = 1
+        elif net.caps[e] is not None:
+            bump = net.caps[e] + 1
+        else:
+            continue
+        x = list(rng.choice(vecs))
+        x[e] = bump
+        vecs.append(tuple(x))
+    return vecs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_flow_membership_matches_sfm(seed):
+    rng, p = network_chain(seed)
+    net = p.network
+    for x in probe_vectors(rng, p):
+        expect = sfm_member(p, x)
+        assert net.member(x) == expect
+        assert member(p, x) == expect
+        if expect:
+            for e in range(p.n):
+                assert net.slack(x, e) == brute_slack(p, x, e)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fraction_vectors_take_the_subset_path(seed, monkeypatch):
+    def no_flow(self, x):
+        raise AssertionError("a rational vector reached the flow")
+
+    monkeypatch.setattr(CutNetwork, "member", no_flow)
+    rng, p = network_chain(seed)
+    for x in probe_vectors(rng, p)[:15]:
+        half = tuple(Fraction(2 * v + rng.randint(0, 1), 2) for v in x)
+        assert member(p, half) == all(vec_sum(half, s) <= p.value(s) for s in range(1 << p.n))
+
+
+class TestMemberMemo:
+    def test_a_hit_still_obeys_the_cap(self):
+        p = ModularPoly([1] * 4)
+        assert member(p, (1, 1, 1, 1))
+        with pytest.raises(SizeCapError):
+            member(p, (1, 1, 1, 1), Caps(sfm_ground=3))
+
+    def test_sign_and_range_are_checked_before_the_lookup(self):
+        p = ModularPoly([1, 1])
+        p._member_memo[(-1, 0)] = p._member_memo[(0, 0, 1)] = True
+        with pytest.raises(ValueError):
+            member(p, (-1, 0))
+        with pytest.raises(ValueError):
+            member(p, (0, 0, 1))
+
+    @pytest.mark.parametrize("first", [int, Fraction])
+    def test_int_and_fraction_vectors_share_one_answer(self, first):
+        p = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
+        second = Fraction if first is int else int
+        answers = []
+        for kind in (first, second):
+            before = stats.snapshot()
+            answers.append(member(p, tuple(kind(v) for v in (1, 2, 1))))
+            queries = stats.total(stats.delta(before))
+        assert queries == 0  # the second call was a memo hit
+        assert answers == [sfm_member(p, (1, 2, 1))] * 2
+        assert len(p._member_memo) == 1
