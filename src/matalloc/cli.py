@@ -109,8 +109,19 @@ def cmd_solve_cover(args) -> int:
     return 0 if res.feasible else 2
 
 
+# the instance type each reduction kind builds from
+_REDUCE_INPUT = {"config-round": SantaInstance, "santa-to-makespan": SantaInstance,
+                 "twovalue-makespan-to-santa": MakespanInstance,
+                 "matroid-makespan-to-santa": MakespanInstance,
+                 "matroid-santa-to-makespan": SantaInstance}
+
+
 def cmd_reduce(args) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
+    expected = _REDUCE_INPUT[args.kind]
+    if not isinstance(inst, expected):
+        noun = "santa" if expected is SantaInstance else "makespan"
+        raise SchemaError(f"reduce --kind {args.kind} expects a {noun} instance")
     if args.kind == "config-round":
         rounded, configs = config_round(inst, args.eps, _caps(args))
         out = {"instance": json.loads(serialize_instance(rounded)),
@@ -132,12 +143,10 @@ def cmd_reduce(args) -> int:
         bundle = matroid_makespan_to_santa(inst)
         out = {"instance": json.loads(serialize_instance(bundle.built)),
                "caps": list(bundle.caps_per_item), "t": _rat_to_json(bundle.t)}
-    elif args.kind == "matroid-santa-to-makespan":
+    else:
         bundle = matroid_santa_to_makespan(inst)
         out = {"instance": json.loads(serialize_instance(bundle.built)),
                "caps": list(bundle.caps_per_item)}
-    else:
-        raise SchemaError(f"unknown reduction kind {args.kind!r}")
     _emit(out, args.out, "json")
     return 0
 
@@ -243,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "reductions, LP rounding, and brute-force verification.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, infile=True):
+    def common(p, infile=True, fmt=False):
         if infile:
             p.add_argument("--in", dest="infile", required=True, help="instance JSON path")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="random seed (logged in output)")
         p.add_argument("--cap-ground", type=int, help="override enumeration ground-size cap")
         p.add_argument("--cap-enum", type=int, help="override enumeration count caps")
-        p.add_argument("--format", choices=["json", "tsv"], default="json")
+        if fmt:
+            p.add_argument("--format", choices=["json", "tsv"], default="json")
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("--flavor", required=True,
@@ -267,18 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve-cover", help="local-search cover solver")
-    common(p)
+    common(p, fmt=True)
     p.add_argument("--b", type=int, help="cover level (defaults to the instance's)")
     p.add_argument("--eps", type=_rat, default=Fraction(1, 10))
     p.set_defaults(func=cmd_solve_cover)
 
     p = sub.add_parser("reduce", help="build a reduction instance plus its gadget maps")
     common(p)
-    p.add_argument("--kind", required=True,
-                   choices=["config-round", "santa-to-makespan", "twovalue-makespan-to-santa",
-                            "matroid-makespan-to-santa", "matroid-santa-to-makespan"])
+    p.add_argument("--kind", required=True, choices=list(_REDUCE_INPUT))
     p.add_argument("--eps", type=_rat, default=Fraction(1, 4))
-    p.add_argument("--alpha", type=_rat, default=Fraction(2))
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("round", help="round a fractional assignment")
@@ -288,10 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="axiom-check the oracles of an instance")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled augmentation checks")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="brute-force comparison table over a corpus directory")
-    common(p, infile=False)
+    common(p, infile=False, fmt=True)
     p.add_argument("--dir", required=True, help="directory of instance JSON files")
     p.add_argument("--eps", type=_rat, default=Fraction(1, 10))
     p.set_defaults(func=cmd_bench)

@@ -125,21 +125,10 @@ class PolymatroidOracle:
     def _build_network(self) -> CutNetwork | None:
         return None
 
-    def marginal(self, add: int, base: int) -> int:
-        """f(Y | X) = f(Y ∪ X) − f(X)."""
-        return self.value(add | base) - self.value(base)
-
-    def capped(self, caps: Sequence[int | None] | None = None, *, uniform: int | None = None,
-               on: int | None = None) -> "CappedPoly":
-        """Box-capped polymatroid, cached per cap pattern.
-
-        Either pass a full caps vector, or uniform=h with on=mask to cap the
-        elements of mask at h.
-        """
-        if caps is None:
-            caps = tuple(uniform if (on >> e) & 1 else None for e in range(self.n))
-        else:
-            caps = tuple(caps)
+    def capped(self, *, uniform: int, on: int) -> "CappedPoly":
+        """This polymatroid with the elements of the mask on capped at
+        uniform, cached per cap pattern."""
+        caps = tuple(uniform if (on >> e) & 1 else None for e in range(self.n))
         cached = self._capped_cache.get(caps)
         if cached is None:
             cached = self._capped_cache[caps] = CappedPoly(self, caps)

@@ -10,8 +10,9 @@ configuration gadget to makespan, the two-value equivalences in both
 directions, the duality-based reductions between the two-job matroid
 makespan problem and the two-resource matroid max-min problem, the
 reduction of a restricted matroid max-min instance to core cover
-problems, and the max-min guess grid. The guessing loop all of them plug
-into lives in rounding and is re-exported here.
+problems. The guessing primitives all of them plug into (the max-min
+guess grid and the guessing loop) live in rounding and are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .matching import perfect_matching
 from .matroids import InducedMatroid
 from .polymatroids import (DualPoly, ModularPoly, PolymatroidOracle, SumPoly, greedy_basis_above,
                            is_basis, member)
-from .rounding import (FractionalAssignment, additive_round_santa, column_sums, guess_loop,
-                       lst_baseline, round_santa, solve_assignment_lp)
+from .rounding import (FractionalAssignment, additive_round_santa, guess_loop, lst_baseline,
+                       round_santa, santa_guess_grid, solve_assignment_lp)
 
 Configuration = dict  # value type -> count; nonzero counts only
 
@@ -101,28 +102,18 @@ def config_round(inst: SantaInstance, eps: Fraction | float,
             if len(configs) > caps.configs_per_player:
                 raise SizeCapError("per-player configuration count exceeds cap")
             if idx == len(relevant):
-                configs.append(dict(current))
+                configs.append(current)
                 return
             v = relevant[idx]
             cls = klass[v]
             for count in allowed:
                 if count > have[v]:
                     break
-                if count > 0 and cls in last_in_class and last_in_class[cls] >= count > 0 \
-                        and last_in_class[cls] > 0:
-                    continue  # within a class, nonzero counts must strictly increase
-                if count:
-                    current[v] = count
-                prev = last_in_class.get(cls)
-                if count:
-                    last_in_class[cls] = count
-                extend(idx + 1, current, last_in_class)
-                if count:
-                    del current[v]
-                    if prev is None:
-                        del last_in_class[cls]
-                    else:
-                        last_in_class[cls] = prev
+                if not count:
+                    extend(idx + 1, current, last_in_class)
+                elif last_in_class.get(cls, 0) < count:
+                    # within a class, nonzero counts must strictly increase
+                    extend(idx + 1, {**current, v: count}, {**last_in_class, cls: count})
 
         extend(0, {}, {})
         collection.append(configs)
@@ -343,12 +334,10 @@ def schedule_from_santa_solution(bundle: TwoValueBundle, alloc: Allocation
         if pidx is None or bundle.player_desc[pidx][0] != "job":
             continue
         jj = bundle.player_desc[pidx][1]
-        if jj not in keep:
+        cur = keep.get(jj)
+        if cur is None or (bundle.santa.resources[j].values[pidx]
+                           > bundle.santa.resources[cur].values[pidx]):
             keep[jj] = j
-        else:
-            cur = keep[jj]
-            if bundle.santa.resources[j].values[pidx] > bundle.santa.resources[cur].values[pidx]:
-                keep[jj] = j
 
     owner: list[int] = []
     loads = [Fraction(0)] * m
@@ -477,34 +466,67 @@ class MatroidDualBundle:
     t: Fraction
 
 
+def _dual_bundle(inst: SantaInstance | MakespanInstance, built_type: type,
+                 caps_per: tuple[int, int], t: Fraction) -> MatroidDualBundle:
+    """Cap item j at k_j = caps_per[j] on every entity and dualize it with
+    respect to k_j·E; the built instance keeps the items' values."""
+    n = inst.num_entities
+    capped = tuple(it.polymatroid.capped(uniform=k, on=full_mask(n))
+                   for it, k in zip(inst.items, caps_per))
+    built = built_type(n, [Item(value=it.value, polymatroid=DualPoly(cp, (k,) * n))
+                           for it, cp, k in zip(inst.items, capped, caps_per)])
+    return MatroidDualBundle(inst, built, caps_per, capped, t)
+
+
+def _undualize(bundle: MatroidDualBundle, vecs: Allocation,
+               targets: Sequence[PolymatroidOracle]) -> list[tuple[int, ...]]:
+    """y_j = k_j - vec_j for bases vec_j of the duals, each required to be a
+    basis of targets[j]; checks the exact identity sum_j v_j (y_j(e) + vec_j(e))
+    = sum_j v_j k_j at every entity e."""
+    n = bundle.source.num_entities
+    if len(vecs) != len(bundle.built.items):
+        raise ContractViolation(f"expected {len(bundle.built.items)} vectors, got {len(vecs)}")
+    out = []
+    for jidx, (vec, it, k) in enumerate(zip(vecs, bundle.built.items, bundle.caps_per_item)):
+        if not is_basis(it.polymatroid, vec):
+            raise ContractViolation(f"input vector {jidx} is not a basis of the dual")
+        y = tuple(k - vec[e] for e in range(n))
+        if not is_basis(targets[jidx], y):
+            raise ContractViolation(f"undualized vector {jidx} is not a basis of its target")
+        out.append(y)
+    values = [it.value for it in bundle.source.items]
+    expect = sum(v * k for v, k in zip(values, bundle.caps_per_item))
+    for e in range(n):
+        lhs = sum(v * (y[e] + vec[e]) for v, y, vec in zip(values, out, vecs))
+        if lhs != expect:
+            raise ContractViolation(f"dual identity fails at entity {e}: {lhs} != {expect}")
+    return out
+
+
 def matroid_makespan_to_santa(inst: MakespanInstance) -> MatroidDualBundle:
     """Two-job matroid makespan with OPT <= 1 becomes a two-resource matroid
     max-min instance via box caps at k_j = floor(1/p_j) and duals w.r.t. k_j·E.
     Guarantees OPT' >= t = k1*p1 + k2*p2 - 1."""
     if not inst.is_matroid_flavor or len(inst.jobs) != 2:
         raise ValueError("expected a matroid instance with exactly two jobs")
-    n = inst.num_machines
-    ks, capped, duals = [], [], []
+    everything = full_mask(inst.num_machines)
+    ks = []
     for it in inst.jobs:
         p = it.value
         if p <= 0:
             raise ContractViolation("job sizes must be positive")
         if p > 1:
-            if it.polymatroid.value(full_mask(n)) > 0:
+            if it.polymatroid.value(everything) > 0:
                 raise GuessRejected("a job larger than the makespan bound must be scheduled")
             k = 0
         else:
             k = math.floor(1 / p)
-        ks.append(k)
-        cp = it.polymatroid.capped(uniform=k, on=full_mask(n))
-        if cp.value(full_mask(n)) != it.polymatroid.value(full_mask(n)):
+        if it.polymatroid.capped(uniform=k, on=everything).value(everything) \
+                != it.polymatroid.value(everything):
             raise GuessRejected("no basis fits the per-machine box: optimum exceeds 1")
-        capped.append(cp)
-        duals.append(DualPoly(cp, tuple([k] * n)))
+        ks.append(k)
     t = ks[0] * inst.jobs[0].value + ks[1] * inst.jobs[1].value - 1
-    santa = SantaInstance(n, [Item(value=inst.jobs[0].value, polymatroid=duals[0]),
-                              Item(value=inst.jobs[1].value, polymatroid=duals[1])])
-    return MatroidDualBundle(inst, santa, (ks[0], ks[1]), (capped[0], capped[1]), t)
+    return _dual_bundle(inst, SantaInstance, (ks[0], ks[1]), t)
 
 
 def schedule_from_matroid_santa(bundle: MatroidDualBundle, alloc: Allocation
@@ -512,25 +534,8 @@ def schedule_from_matroid_santa(bundle: MatroidDualBundle, alloc: Allocation
     """Undualize y_j(e) = k_j - y̅_j(e); checks the exact per-machine identity
     p1·y1 + p2·y2 + p1·y̅1 + p2·y̅2 = 1 + t and returns the schedule with loads."""
     inst: MakespanInstance = bundle.source
-    n = inst.num_machines
-    out = []
-    for jidx, vec in enumerate(alloc):
-        dual = bundle.built.resources[jidx].polymatroid
-        if not is_basis(dual, vec):
-            raise ContractViolation(f"input vector {jidx} is not a basis of the dual")
-        y = tuple(bundle.caps_per_item[jidx] - vec[e] for e in range(n))
-        if not is_basis(inst.jobs[jidx].polymatroid, y):
-            raise ContractViolation(f"undualized vector {jidx} is not a basis")
-        out.append(y)
-    p1, p2 = inst.jobs[0].value, inst.jobs[1].value
-    expect = 1 + bundle.t
-    for e in range(n):
-        lhs = (p1 * out[0][e] + p2 * out[1][e]
-               + p1 * alloc[0][e] + p2 * alloc[1][e])
-        if lhs != expect:
-            raise ContractViolation(f"dual load identity fails at machine {e}: {lhs} != {expect}")
-    loads = [p1 * out[0][e] + p2 * out[1][e] for e in range(n)]
-    return out, loads
+    out = _undualize(bundle, alloc, [it.polymatroid for it in inst.jobs])
+    return out, entity_totals(inst, out)
 
 
 def matroid_santa_to_makespan(inst: SantaInstance) -> MatroidDualBundle:
@@ -543,17 +548,7 @@ def matroid_santa_to_makespan(inst: SantaInstance) -> MatroidDualBundle:
         raise ValueError("resources must be ordered with the unit value first")
     if v1 != 1 or v2 <= 0 or (1 / v2).denominator != 1:
         raise ValueError("expected normalized values v1 = 1 and v2 = 1/b for integer b")
-    bcap = int(1 / v2)
-    n = inst.num_players
-    caps_per = (1, bcap)
-    capped, duals = [], []
-    for it, cap in zip(inst.resources, caps_per):
-        cp = it.polymatroid.capped(uniform=cap, on=full_mask(n))
-        capped.append(cp)
-        duals.append(DualPoly(cp, tuple([cap] * n)))
-    built = MakespanInstance(n, [Item(value=Fraction(1), polymatroid=duals[0]),
-                                 Item(value=Fraction(1, bcap), polymatroid=duals[1])])
-    return MatroidDualBundle(inst, built, caps_per, (capped[0], capped[1]), Fraction(1))
+    return _dual_bundle(inst, MakespanInstance, (1, int(1 / v2)), Fraction(1))
 
 
 def matroid_santa_from_schedule(bundle: MatroidDualBundle, schedule: Allocation,
@@ -562,27 +557,10 @@ def matroid_santa_from_schedule(bundle: MatroidDualBundle, schedule: Allocation,
     """Undualize and dominate-extend to bases of the original polymatroids;
     returns the allocation and the per-player values."""
     inst: SantaInstance = bundle.source
-    n = inst.num_players
-    pre = []
-    for jidx, vec in enumerate(schedule):
-        dual = bundle.built.jobs[jidx].polymatroid
-        if not is_basis(dual, vec):
-            raise ContractViolation(f"input vector {jidx} is not a basis of the dual")
-        y = tuple(bundle.caps_per_item[jidx] - vec[e] for e in range(n))
-        if not is_basis(bundle.capped[jidx], y):
-            raise ContractViolation(f"undualized vector {jidx} is not a basis of the capped form")
-        pre.append(y)
-    v1, v2 = inst.resources[0].value, inst.resources[1].value
-    expect = v1 * bundle.caps_per_item[0] + v2 * bundle.caps_per_item[1]
-    for e in range(n):
-        lhs = (v1 * pre[0][e] + v2 * pre[1][e]
-               + v1 * schedule[0][e] + v2 * schedule[1][e])
-        if lhs != expect:
-            raise ContractViolation(f"dual value identity fails at player {e}")
-    out = [tuple(greedy_basis_above(inst.resources[j].polymatroid, pre[j], caps))
-           for j in range(2)]
-    values = [v1 * out[0][e] + v2 * out[1][e] for e in range(n)]
-    return out, values
+    pre = _undualize(bundle, schedule, bundle.capped)
+    out = [tuple(greedy_basis_above(it.polymatroid, y, caps))
+           for it, y in zip(inst.resources, pre)]
+    return out, entity_totals(inst, out)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +577,12 @@ class CoreReduction:
     achieved: Fraction
 
 
-def _scaled_int_values(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return denom, [int(v * denom) for v in values]
-
-
-def _unit_copies(polys: Sequence[PolymatroidOracle], ints: Sequence[int]
-                 ) -> list[PolymatroidOracle]:
-    """The unit split: ints[k] copies of polys[k], in order."""
-    return [p for p, k in zip(polys, ints) for _ in range(k)]
+def _unit_split(items: Sequence[Item]) -> tuple[int, list[int], list[PolymatroidOracle]]:
+    """The unit split: with scale the common denominator of the values, item
+    k becomes ints[k] = scale·value_k copies of its polymatroid, in order."""
+    scale = math.lcm(*(it.value.denominator for it in items))
+    ints = [int(it.value * scale) for it in items]
+    return scale, ints, [it.polymatroid for it, k in zip(items, ints) for _ in range(k)]
 
 
 def _unit_rows(copies: Sequence[PolymatroidOracle], ints: Sequence[int], y: Sequence[int],
@@ -635,6 +608,26 @@ def _alloc_from_cover(inst: SantaInstance, idxs: Sequence[int], need: Sequence[i
         raise ContractViolation("cover demand exceeds the merged polymatroid")
     y = greedy_basis_above(merged, tuple(need), caps)
     return decompose_merged_basis(polys, y, caps)
+
+
+def _cover_core(inst: SantaInstance, heavy: Sequence[int], light_sum: PolymatroidOracle, b: int,
+                cover_solver: Callable[[CoreCoverInstance], object], caps: Caps
+                ) -> tuple[list, tuple[int, ...]]:
+    """Cover the players by the matroid induced by the heavy resources' sum
+    against light_sum at level b. Returns the allocation with the heavy
+    resources placed over the cover's I_M (every other resource empty) and
+    the cover's light vector y; no cover raises GuessRejected."""
+    m = inst.num_players
+    heavy_sum = SumPoly([inst.resources[j].polymatroid for j in heavy])
+    res = cover_solver(CoreCoverInstance(InducedMatroid(heavy_sum), light_sum, b))
+    if res is None or not getattr(res, "feasible", False):
+        raise GuessRejected("core cover solver found no cover at the guessed level")
+    alloc: list = [tuple([0] * m) for _ in inst.resources]
+    if res.I_M:
+        need = [(res.I_M >> e) & 1 for e in range(m)]
+        for j, piece in zip(heavy, _alloc_from_cover(inst, heavy, need, caps)):
+            alloc[j] = piece
+    return alloc, res.y
 
 
 def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
@@ -679,23 +672,13 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
     w_idx = [j for j, it in enumerate(scaled.resources) if it.value == w]
     u_idx = [j for j, it in enumerate(scaled.resources) if it.value == u]
     if w >= 1 / alpha:
-        # matroid of w-coverable player sets vs the u polymatroid
-        w_sum = SumPoly([scaled.resources[j].polymatroid for j in w_idx])
-        # worthless resources cannot help a player reach the bound; a zero u
-        # forces every player onto the matroid side
+        # matroid of w-coverable player sets vs the u polymatroid; worthless
+        # resources cannot help a player reach the bound, and a zero u forces
+        # every player onto the matroid side
         u_sum = (SumPoly([scaled.resources[j].polymatroid for j in u_idx])
                  if u_idx and u > 0 else ModularPoly([0] * m))
         b = 1 if u == 0 else math.ceil(1 / (alpha * u))
-        core = CoreCoverInstance(InducedMatroid(w_sum), u_sum, b)
-        res = cover_solver(core)
-        if res is None or not getattr(res, "feasible", False):
-            raise GuessRejected("core cover solver found no cover at the guessed level")
-        i_m, y = res.I_M, res.y
-        alloc: list = [tuple([0] * m) for _ in inst.resources]
-        if i_m:
-            need = [1 if (i_m >> e) & 1 else 0 for e in range(m)]
-            for j, piece in zip(w_idx, _alloc_from_cover(inst, w_idx, need, caps)):
-                alloc[j] = piece
+        alloc, y = _cover_core(inst, w_idx, u_sum, b, cover_solver, caps)
         if u_idx:
             for j, piece in zip(u_idx, _alloc_from_cover(inst, u_idx, list(y), caps)):
                 alloc[j] = piece
@@ -703,8 +686,7 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         return CoreReduction(alloc, "core-cover", guess / alpha)
 
     # every value is small: saturate the unit-split polymatroid and round
-    scale, ints = _scaled_int_values([it.value for it in scaled.resources])
-    copies = _unit_copies([it.polymatroid for it in scaled.resources], ints)
+    scale, ints, copies = _unit_split(scaled.resources)
     split = SumPoly(copies)
     hi = split.value(everyone) // max(m, 1)
     lo, _ = guess_loop(lambda k: member(split, [k] * m, caps) or None, range(1, hi + 1))
@@ -728,42 +710,15 @@ def _reduce_general(inst: SantaInstance, scaled: SantaInstance, alpha: Fraction,
     light = [j for j, it in enumerate(scaled.resources) if it.value < threshold]
     if not heavy:
         raise GuessRejected("no heavy resources at the guessed level")
-    heavy_sum = SumPoly([scaled.resources[j].polymatroid for j in heavy])
-    scale, ints = _scaled_int_values([scaled.resources[j].value for j in light] or [Fraction(1)])
-    copies = _unit_copies([scaled.resources[j].polymatroid for j in light], ints)
+    light_items = [scaled.resources[j] for j in light]
+    scale, ints, copies = _unit_split(light_items)
     light_sum = SumPoly(copies) if copies else ModularPoly([0] * m)
     b = math.ceil(scale / alpha)
-    core = CoreCoverInstance(InducedMatroid(heavy_sum), light_sum, b)
-    res = cover_solver(core)
-    if res is None or not getattr(res, "feasible", False):
-        raise GuessRejected("core cover solver found no cover at the guessed level")
-    i_m, y = res.I_M, res.y
-    alloc: list = [tuple([0] * m) for _ in inst.resources]
-    if i_m:
-        need = [1 if (i_m >> e) & 1 else 0 for e in range(m)]
-        for j, piece in zip(heavy, _alloc_from_cover(inst, heavy, need, caps)):
-            alloc[j] = piece
+    alloc, y = _cover_core(inst, heavy, light_sum, b, cover_solver, caps)
     if copies and any(y):
-        frac_x = _unit_rows(copies, ints, tuple(y), caps)
-        light_scaled = SantaInstance(m, [Item(value=scaled.resources[j].value,
-                                              polymatroid=scaled.resources[j].polymatroid)
-                                         for j in light])
-        light_cover = sum(1 for e in range(m) if y[e] >= b)
-        if light_cover:
-            rounded = round_santa(light_scaled, FractionalAssignment(Fraction(b, scale), frac_x),
-                                  caps)
-            for j, piece in zip(light, rounded):
+        frac = FractionalAssignment(Fraction(b, scale), _unit_rows(copies, ints, tuple(y), caps))
+        if any(v >= b for v in y):
+            for j, piece in zip(light, round_santa(SantaInstance(m, light_items), frac, caps)):
                 alloc[j] = piece
     _require_min_value(inst, alloc, guess / (2 * alpha))
     return CoreReduction(alloc, "heavy-light", guess / (2 * alpha))
-
-
-# ---------------------------------------------------------------------------
-# Objective guessing
-
-
-def santa_guess_grid(inst: SantaInstance, caps: Caps = DEFAULT_CAPS) -> list[Fraction]:
-    """Achievable per-player values: subset sums of any player's value column."""
-    columns = ((it.value * it.polymatroid.value(1 << i) if it.polymatroid is not None
-                else it.values[i] for it in inst.resources) for i in range(inst.num_players))
-    return sorted(s for s in column_sums(columns, caps) if s > 0)

@@ -10,14 +10,16 @@ solution as a maximum common vector of two polymatroids on the edges.
 
 The LP itself is solved exactly (integer-preserving simplex), so every
 additive guarantee is checked with exact comparisons. The objective-guessing
-primitives live here too: column_sums builds the guess grids and
-guess_loop is the one bisection over them.
+primitives live here too: column_sums builds the guess grids
+(santa_guess_grid, makespan_guess_grid) and guess_loop is the one
+bisection over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import ceil, floor
 from typing import Callable, Iterable, Sequence
 
@@ -52,12 +54,9 @@ def item_value_poly(inst, j: int) -> tuple[Fraction, PolymatroidOracle]:
     if it.polymatroid is not None:
         return it.value, it.polymatroid
     is_makespan = isinstance(inst, MakespanInstance)
-    if is_makespan:
-        eligible = [i for i in range(m) if it.values[i] is not None]
-        vals = {it.values[i] for i in eligible}
-    else:
-        eligible = [i for i in range(m) if it.values[i] > 0]
-        vals = {it.values[i] for i in eligible}
+    eligible = [i for i in range(m)
+                if (it.values[i] is not None if is_makespan else it.values[i] > 0)]
+    vals = {it.values[i] for i in eligible}
     if len(vals) > 1:
         raise ContractViolation(f"item {j} is not restricted: distinct values {sorted(vals)}")
     v = vals.pop() if vals else Fraction(0)
@@ -172,11 +171,13 @@ def _degree_chain(xs: list[Fraction], mode: str) -> tuple[list[int], list[Fracti
     return degrees, remainders
 
 
-def _gadget_round(inst, frac: FractionalAssignment, mode: str,
-                  caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
-    m = inst.num_entities
-    n = len(inst.items)
-    vp = [item_value_poly(inst, j) for j in range(n)]
+def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
+                  frac_x: Sequence[Sequence[Fraction]], m: int, mode: str, caps: Caps
+                  ) -> list[tuple[int, ...]]:
+    """Round the fractional assignment frac_x of the items with (value,
+    polymatroid) views vp to m entities, in decreasing value order: floor
+    mode saturates the degree chains, ceil mode the items' bases."""
+    n = len(vp)
     order = sorted(range(n), key=lambda j: (-vp[j][0], j))
 
     # per entity: positive columns of the sorted sequence and their degrees
@@ -184,8 +185,8 @@ def _gadget_round(inst, frac: FractionalAssignment, mode: str,
     slot_caps: list[int] = []
     degree: dict[tuple[int, int], int] = {}
     for i in range(m):
-        pos = [k for k, j in enumerate(order) if frac.x[j][i] > 0]
-        xs = [frac.x[order[k]][i] for k in pos]
+        pos = [k for k, j in enumerate(order) if frac_x[j][i] > 0]
+        xs = [frac_x[order[k]][i] for k in pos]
         degs, _ = _degree_chain(xs, mode)
         for t in range(len(pos)):
             degree[(i, t)] = degs[t]
@@ -239,48 +240,44 @@ def _gadget_round(inst, frac: FractionalAssignment, mode: str,
     return alloc
 
 
+def _pad_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
+                   ) -> tuple[list[tuple[int, ...]], list, list[Fraction], list, Fraction]:
+    """Gadget-round frac with a zero-value item appended (and stripped from
+    the output). Returns the allocation, the items' (value, polymatroid)
+    views, the integral and the fractional per-entity totals, and the
+    largest item value."""
+    m, n = inst.num_entities, len(inst.items)
+    vp = [item_value_poly(inst, j) for j in range(n)]
+    pad = (Fraction(0), ModularPoly([0] * m))
+    alloc = _gadget_round(vp + [pad], list(frac.x) + [tuple([Fraction(0)] * m)],
+                          m, mode, caps)[:-1]
+    ftotals = [sum(v * frac.x[j][i] for j, (v, _) in enumerate(vp)) for i in range(m)]
+    vmax = max((v for v, _ in vp), default=Fraction(0))
+    return alloc, vp, entity_totals(inst, alloc), ftotals, vmax
+
+
 def round_santa(inst: SantaInstance, frac: FractionalAssignment,
-                caps: Caps = DEFAULT_CAPS, extend: bool = True) -> list[tuple[int, ...]]:
+                caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
     """Integral allocation with every player value at least T - max_j v_j.
 
     The fractional input must satisfy the assignment LP at frac.T. Values
-    are processed in decreasing order with a zero-value item appended
-    internally (and stripped from the output).
+    are processed in decreasing order; each resource ends on a basis of
+    its polymatroid.
     """
-    pad = SantaInstance(inst.num_players,
-                        inst.resources + [Item(value=Fraction(0),
-                                               polymatroid=ModularPoly([0] * inst.num_players))])
-    pfrac = FractionalAssignment(frac.T, list(frac.x) + [tuple([Fraction(0)] * inst.num_players)])
-    alloc = _gadget_round(pad, pfrac, "floor", caps)[:-1]
-    vmax = max((item_value_poly(inst, j)[0] for j in range(len(inst.resources))),
-               default=Fraction(0))
-    vals = entity_totals(inst, alloc)
+    alloc, vp, vals, fvals, vmax = _pad_and_round(inst, frac, "floor", caps)
     # per-player guarantee: lose at most v_max against one's own fractional
     # value (at least T - v_max when the input satisfies the LP at T)
-    fvals = [sum(item_value_poly(inst, j)[0] * frac.x[j][i] for j in range(len(inst.resources)))
-             for i in range(inst.num_players)]
     shortfall = [i for i in range(inst.num_players)
                  if vals[i] < min(frac.T, fvals[i]) - vmax]
     if shortfall:
         raise ContractViolation(f"rounding guarantee violated for players {shortfall}")
-    if extend:
-        alloc = [tuple(greedy_basis_above(item_value_poly(inst, j)[1], vec, caps))
-                 for j, vec in enumerate(alloc)]
-    return alloc
+    return [tuple(greedy_basis_above(p, vec, caps)) for (_, p), vec in zip(vp, alloc)]
 
 
 def round_makespan(inst: MakespanInstance, frac: FractionalAssignment,
                    caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
     """Integral schedule (a basis per job) with every load at most T + max_j p_j."""
-    pad = MakespanInstance(inst.num_machines,
-                           inst.jobs + [Item(value=Fraction(0),
-                                             polymatroid=ModularPoly([0] * inst.num_machines))])
-    pfrac = FractionalAssignment(frac.T, list(frac.x) + [tuple([Fraction(0)] * inst.num_machines)])
-    alloc = _gadget_round(pad, pfrac, "ceil", caps)[:-1]
-    pmax = max((item_value_poly(inst, j)[0] for j in range(len(inst.jobs))), default=Fraction(0))
-    loads = entity_totals(inst, alloc)
-    floads = [sum(item_value_poly(inst, j)[0] * frac.x[j][i] for j in range(len(inst.jobs)))
-              for i in range(inst.num_machines)]
+    alloc, _, loads, floads, pmax = _pad_and_round(inst, frac, "ceil", caps)
     over = [i for i in range(inst.num_machines)
             if loads[i] > max(frac.T, floads[i]) + pmax]
     if over:
@@ -313,31 +310,18 @@ def additive_round_santa(inst: SantaInstance, frac: FractionalAssignment,
         if i is not None:
             base[i] += inst.resources[j].values[i]
 
-    best: list = [None, None]
+    def worst(pick: tuple[int, ...]) -> Fraction:
+        vals = list(base)
+        for j, i in zip(frac_res, pick):
+            vals[i] += inst.resources[j].values[i]
+        return min(vals)
 
-    def rec(k: int, vals) -> None:
-        if k == len(frac_res):
-            worst = min(vals)
-            if best[0] is None or worst > best[0]:
-                best[0] = worst
-                best[1] = [owner_frac[j] for j in frac_res]
-            return
-        j = frac_res[k]
-        for i in range(m):
-            if frac.x[j][i] > 0:
-                owner_frac[j] = i
-                nv = list(vals)
-                nv[i] += inst.resources[j].values[i]
-                rec(k + 1, nv)
-
-    owner_frac: dict[int, int] = {}
-    rec(0, base)
-    if best[0] is None:
-        best[0] = min(base)
-        best[1] = []
-    if best[0] < frac.T - vmax:
+    # max keeps the first best placement in index order
+    best = max(product(*([i for i in range(m) if frac.x[j][i] > 0] for j in frac_res)),
+               key=worst)
+    if worst(best) < frac.T - vmax:
         raise ContractViolation("additive rounding guarantee violated")
-    for j, i in zip(frac_res, best[1]):
+    for j, i in zip(frac_res, best):
         owner[j] = i
     return owner
 
@@ -408,6 +392,13 @@ def guess_loop(solver: Callable[[Fraction], object], grid: Sequence[Fraction]
             best = (grid[mid], sol)
             lo = mid + 1
     return best
+
+
+def santa_guess_grid(inst: SantaInstance, caps: Caps = DEFAULT_CAPS) -> list[Fraction]:
+    """Achievable per-player values: subset sums of any player's value column."""
+    columns = ((it.value * it.polymatroid.value(1 << i) if it.polymatroid is not None
+                else it.values[i] for it in inst.resources) for i in range(inst.num_players))
+    return sorted(s for s in column_sums(columns, caps) if s > 0)
 
 
 def makespan_guess_grid(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS) -> list[Fraction]:

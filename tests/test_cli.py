@@ -66,6 +66,25 @@ def test_reduce_subcommand(tmp_path, capsys):
     assert doc["instance"]["type"] == "santa" and "t" in doc
 
 
+_REDUCE_EXPECTS = {"config-round": "santa", "santa-to-makespan": "santa",
+                   "twovalue-makespan-to-santa": "makespan",
+                   "matroid-makespan-to-santa": "makespan", "matroid-santa-to-makespan": "santa"}
+_FLAVOR_OF = {"santa": "two-value-santa", "makespan": "two-value-makespan",
+              "core-cover": "core-cover"}
+
+
+@pytest.mark.parametrize("kind, given", [
+    (kind, given) for kind, want in _REDUCE_EXPECTS.items()
+    for given in ("santa", "makespan", "core-cover") if given != want])
+def test_reduce_wrong_instance_type_exit_one(tmp_path, capsys, kind, given):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--flavor", _FLAVOR_OF[given], "--m", "2", "--n", "3", "--out", str(inst)])
+    code = main(["reduce", "--in", str(inst), "--kind", kind])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: reduce --kind {kind} expects a {_REDUCE_EXPECTS[kind]} instance\n")
+
+
 def test_round_subcommand(tmp_path, capsys):
     inst = tmp_path / "santa.json"
     body = {"type": "santa", "players": 2,

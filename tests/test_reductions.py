@@ -311,6 +311,23 @@ class TestMatroidDuals:
         bundle = matroid_makespan_to_santa(mk)
         assert bundle.caps_per_item == (1, 1) and bundle.t == 1
 
+    @pytest.mark.parametrize("build, back", [
+        (lambda: matroid_makespan_to_santa(MakespanInstance(2, [
+            Item(value=F(3, 5), polymatroid=ModularPoly([1, 1])),
+            Item(value=F(1, 4), polymatroid=ScaledRankPoly(UniformMatroid(2, 1), 2))])),
+         schedule_from_matroid_santa),
+        (lambda: matroid_santa_to_makespan(SantaInstance(2, [
+            Item(value=F(1), polymatroid=ModularPoly([1, 1])),
+            Item(value=F(1, 2), polymatroid=ModularPoly([2, 1]))])),
+         matroid_santa_from_schedule),
+    ], ids=["makespan-to-santa", "santa-to-makespan"])
+    def test_back_translation_rejects_non_basis_of_dual(self, build, back):
+        # the first item's dual has rank 0, so (0, 0) is its basis; (9, 9)
+        # leaves the second dual's box
+        bundle = build()
+        with pytest.raises(ContractViolation, match="input vector 1 is not a basis of the dual"):
+            back(bundle, [(0, 0), (9, 9)])
+
     def test_dual_of_dual_round_trip(self):
         from matalloc.polymatroids import DualPoly
 
