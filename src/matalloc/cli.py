@@ -79,7 +79,7 @@ def cmd_solve_cover(args) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
     if not isinstance(inst, CoreCoverInstance):
         raise SchemaError("solve-cover expects a core-cover instance")
-    if args.b:
+    if args.b is not None:
         inst.b = args.b
     res = solve_cover(inst, args.eps, _caps(args))
     out = {

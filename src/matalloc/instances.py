@@ -171,6 +171,11 @@ def _rat_to_json(v: Fraction | None):
     return {"num": f.numerator, "den": f.denominator}
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: bools are ints to Python, not to the schema."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _rat_from_json(obj, path: str) -> Fraction | None:
     if obj is None:
         return None
@@ -183,7 +188,7 @@ def _rat_from_json(obj, path: str) -> Fraction | None:
             num, den = obj["num"], obj["den"]
         except KeyError as exc:
             raise SchemaError(f"{path}: rational needs num and den") from exc
-        if not isinstance(num, int) or not isinstance(den, int) or den == 0:
+        if not _is_int(num) or not _is_int(den) or den == 0:
             raise SchemaError(f"{path}: rational num/den must be integers, den nonzero")
         return Fraction(num, den)
     raise SchemaError(f"{path}: expected a rational")
@@ -228,7 +233,10 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
             return TransversalMatroid([mask_of(a) for a in obj["adjacency"]], obj["num_right"])
         if kind == "explicit":
             n = obj["n"]
-            return ExplicitMatroid(n, [obj["table"][str(x)] for x in range(1 << n)])
+            table = [obj["table"][str(x)] for x in range(1 << n)]
+            if not all(map(_is_int, table)):
+                raise SchemaError(f"{path}.table: matroid ranks must be integers")
+            return ExplicitMatroid(n, table)
         if kind == "contracted":
             return ContractedMatroid(matroid_from_json(obj["inner"], path + ".inner"),
                                      mask_of(obj["set"]))
@@ -283,7 +291,7 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
         if kind == "explicit":
             n = obj["n"]
             table = [obj["table"][str(x)] for x in range(1 << n)]
-            if any(not isinstance(v, int) for v in table):
+            if not all(map(_is_int, table)):
                 raise SchemaError(f"{path}.table: polymatroid values must be integers")
             return ExplicitPoly(n, table)
         if kind == "sum":
@@ -297,8 +305,6 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
             return MarginalPoly(poly_from_json(obj["inner"], path + ".inner"), mask_of(obj["set"]))
         if kind == "dual":
             return DualPoly(poly_from_json(obj["inner"], path + ".inner"), obj["z"])
-    except SchemaError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad {kind} polymatroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown polymatroid kind {kind!r}")
@@ -341,22 +347,18 @@ def parse_instance(data: bytes | str):
         raise SchemaError("top level: expected an object")
     kind = obj.get("type")
     if kind in ("santa", "santa-matroid"):
-        if "players" not in obj:
-            raise SchemaError("missing field: players")
-        m = obj["players"]
+        m = _count(obj, "players")
         items = _parse_items(obj, m, kind == "santa-matroid", allow_none=False)
         inst = SantaInstance(m, items)
     elif kind in ("makespan", "makespan-matroid"):
-        if "machines" not in obj:
-            raise SchemaError("missing field: machines")
-        m = obj["machines"]
+        m = _count(obj, "machines")
         items = _parse_items(obj, m, kind == "makespan-matroid", allow_none=True)
         inst = MakespanInstance(m, items)
     elif kind == "core-cover":
         for fld in ("matroid", "polymatroid", "b"):
             if fld not in obj:
                 raise SchemaError(f"missing field: {fld}")
-        if not isinstance(obj["b"], int) or obj["b"] < 1:
+        if not _is_int(obj["b"]) or obj["b"] < 1:
             raise SchemaError("b: must be a positive integer")
         inst = CoreCoverInstance(matroid_from_json(obj["matroid"]),
                                  poly_from_json(obj["polymatroid"]), obj["b"])
@@ -367,9 +369,16 @@ def parse_instance(data: bytes | str):
     return inst
 
 
+def _count(obj: dict, field: str) -> int:
+    if field not in obj:
+        raise SchemaError(f"missing field: {field}")
+    m = obj[field]
+    if not _is_int(m) or m < 0:
+        raise SchemaError(f"{field}: must be a nonnegative integer")
+    return m
+
+
 def _parse_items(obj, m: int, matroid_flavor: bool, allow_none: bool) -> list[Item]:
-    if not isinstance(m, int) or m < 0:
-        raise SchemaError("players/machines: must be a nonnegative integer")
     raw = obj.get("items")
     if not isinstance(raw, list):
         raise SchemaError("items: expected a list")

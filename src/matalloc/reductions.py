@@ -599,13 +599,15 @@ def _unit_rows(copies: Sequence[PolymatroidOracle], ints: Sequence[int], y: Sequ
 
 
 def _alloc_from_cover(inst: SantaInstance, idxs: Sequence[int], need: Sequence[int],
-                      caps: Caps) -> list[tuple[int, ...]]:
+                      caps: Caps, short: type[Exception] = ContractViolation
+                      ) -> list[tuple[int, ...]]:
     """Distribute the resources idxs so that player e receives at least need[e]
-    units in total; each resource ends on a basis of its polymatroid."""
+    units in total; each resource ends on a basis of its polymatroid. A need
+    outside the resources' merged polymatroid raises short."""
     polys = [inst.resources[j].polymatroid for j in idxs]
     merged = polys[0] if len(polys) == 1 else SumPoly(polys)
     if not member(merged, need, caps):
-        raise ContractViolation("cover demand exceeds the merged polymatroid")
+        raise short("cover demand exceeds the merged polymatroid")
     y = greedy_basis_above(merged, tuple(need), caps)
     return decompose_merged_basis(polys, y, caps)
 
@@ -661,12 +663,9 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
     w = values[-1]
 
     if u >= 1 / alpha:
-        # one resource each suffices
-        polys = [it.polymatroid for it in scaled.resources]
-        merged = polys[0] if len(polys) == 1 else SumPoly(polys)
-        if not member(merged, [1] * m, caps):
-            raise GuessRejected("not every player can receive a resource")
-        alloc = _alloc_from_cover(inst, range(len(polys)), [1] * m, caps)
+        # one resource each suffices, unless some player can receive none
+        alloc = _alloc_from_cover(inst, range(len(inst.resources)), [1] * m, caps,
+                                  GuessRejected)
         return CoreReduction(alloc, "one-each", guess * u)
 
     w_idx = [j for j, it in enumerate(scaled.resources) if it.value == w]

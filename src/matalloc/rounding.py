@@ -24,8 +24,7 @@ from math import ceil, floor
 from typing import Callable, Iterable, Sequence
 
 from .bitsets import bits, full_mask
-from .instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
-                        entity_totals)
+from .instances import MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals
 from .intersection import max_common_vector
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, GuessRejected, SizeCapError
 from .matching import perfect_matching
@@ -68,51 +67,48 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
                         ) -> FractionalAssignment | None:
     """Feasible rational point of the assignment LP at threshold T, or None.
 
-    Santa: per-player value >= T, each x_j fractionally a basis of its
-    polymatroid (classical items: assigned exactly once). Makespan: loads
-    <= T, eligibility requires p_ij <= T.
+    Santa: per-player value >= T. Makespan: loads <= T. A classical item
+    has a variable on each eligible entity (a player valuing it positively,
+    a machine where its size is at most T) and one row assigning it exactly
+    once. A polymatroid item has a variable on each element of its support
+    and one row x_j(S) <= f(S) per nonempty submask S, with equality on the
+    whole support (2^|supp| - 1 rows). Every coefficient is value_for(i).
     """
     T = Fraction(T)
     m = inst.num_entities
     is_makespan = isinstance(inst, MakespanInstance)
-    var_of: dict[tuple[int, int], int] = {}
-    coef: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]  # per entity
-    constraints: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
 
-    def poly_view(j: int, it: Item) -> bool:
-        if it.polymatroid is not None:
-            return True
-        if is_makespan:
-            return False
-        return len({v for v in it.values if v > 0}) <= 1
-
-    # first the variables (j, i) and the caps, then the 2^|supp| - 1 rows
-    views: list[tuple[Fraction | None, PolymatroidOracle | None, list[int]]] = []
+    # first the columns and the caps, then the rows
+    columns: list[list[int]] = []
     for j, it in enumerate(inst.items):
-        if poly_view(j, it):
-            value, p = item_value_poly(inst, j)
-            if is_makespan and value > T and p.value(full_mask(m)) > 0:
+        p = it.polymatroid
+        if p is not None:
+            if is_makespan and it.value > T and p.value(full_mask(m)) > 0:
                 return None
             supp = [i for i in range(m) if p.value(1 << i) > 0]
             if len(supp) > caps.sfm_ground:
                 raise SizeCapError(f"assignment LP: item {j} has support {len(supp)}, "
                                    f"cap {caps.sfm_ground}")
-            views.append((value, p, supp))
+            columns.append(supp)
+        elif is_makespan:
+            eligible = [i for i in range(m) if it.values[i] is not None and it.values[i] <= T]
+            if not eligible:
+                return None
+            columns.append(eligible)
         else:
-            if is_makespan:
-                eligible = [i for i in range(m) if it.values[i] is not None and it.values[i] <= T]
-                if not eligible:
-                    return None
-            else:
-                eligible = list(range(m))
-            views.append((None, None, eligible))
-    num_vars = sum(len(cols) for _, _, cols in views)
+            columns.append([i for i in range(m) if it.values[i] > 0])
+    num_vars = sum(map(len, columns))
     if num_vars > caps.lp_vars:
         raise SizeCapError(f"assignment LP has {num_vars} variables, cap {caps.lp_vars}")
 
-    for j, (value, p, cols) in enumerate(views):
+    var_of: dict[tuple[int, int], int] = {}
+    coef: list[dict[int, Fraction]] = [{} for _ in range(m)]  # per entity
+    constraints: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
+    for j, (it, cols) in enumerate(zip(inst.items, columns)):
         for i in cols:
             var_of[(j, i)] = len(var_of)
+            coef[i][var_of[(j, i)]] = it.value_for(i)
+        p = it.polymatroid
         if p is not None:
             smask = sum(1 << i for i in cols)
             sub = smask
@@ -123,18 +119,11 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
                 else:
                     constraints.append((row, "<=", p.value(sub)))
                 sub = (sub - 1) & smask
-            for i in cols:
-                coef[i].append((var_of[(j, i)], value))
-        else:
+        elif cols:
             constraints.append((dict.fromkeys([var_of[(j, i)] for i in cols], 1), "==", 1))
-            for i in cols:
-                v = inst.items[j].values[i]
-                if v:
-                    coef[i].append((var_of[(j, i)], v))
 
     sense = "<=" if is_makespan else ">="
-    for i in range(m):
-        constraints.append((dict(coef[i]), sense, T))
+    constraints.extend((coef[i], sense, T) for i in range(m))
 
     point = feasible_point(len(var_of), constraints)
     if point is None:

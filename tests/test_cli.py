@@ -233,6 +233,50 @@ def test_malformed_oracle_data_exit_one(tmp_path, capsys, matroid, polymatroid, 
     assert field in err and "Traceback" not in err
 
 
+_UNIFORM_1 = {"kind": "uniform", "n": 1, "rank": 1}
+_MODULAR_1 = {"kind": "modular", "weights": [1]}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    (["solve-cover"],
+     {"type": "core-cover", "b": True, "matroid": _UNIFORM_1, "polymatroid": _MODULAR_1},
+     "b: must be a positive integer"),
+    (["reduce", "--kind", "config-round"],
+     {"type": "santa", "players": True, "items": [{"values": [1]}]},
+     "players: must be a nonnegative integer"),
+    (["reduce", "--kind", "config-round"],
+     {"type": "santa", "players": 1, "items": [{"values": [{"num": True, "den": 1}]}]},
+     "items[0].values[0]: rational num/den must be integers"),
+    (["solve-cover"],
+     {"type": "core-cover", "b": 1, "polymatroid": _MODULAR_1,
+      "matroid": {"kind": "explicit", "n": 1, "table": {"0": 0, "1": "x"}}},
+     "matroid.table: matroid ranks must be integers"),
+    (["solve-cover"],
+     {"type": "core-cover", "b": 1, "matroid": _UNIFORM_1,
+      "polymatroid": {"kind": "explicit", "n": 1, "table": {"0": 0, "1": True}}},
+     "polymatroid.table: polymatroid values must be integers"),
+], ids=["core-cover-bool-b", "bool-players", "bool-rational-num", "explicit-matroid-str-rank",
+        "explicit-poly-bool-value"])
+def test_non_integer_schema_field_exit_one(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"error: {field}" in captured.err
+
+
+@pytest.mark.parametrize("b", ["0", "-1"])
+def test_solve_cover_nonpositive_b_exit_one(tmp_path, capsys, b):
+    gap = tmp_path / "gap2.json"
+    main(["gen", "--flavor", "gap", "--m", "2", "--out", str(gap)])
+    capsys.readouterr()
+    assert main(["solve-cover", "--in", str(gap), "--b", b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cover level b must be a positive integer\n"
+
+
 def test_internal_invariant_error_exit_three(tmp_path, capsys, monkeypatch):
     import matalloc.cli as cli
     from matalloc.limits import InternalInvariantError

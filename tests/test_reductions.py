@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matalloc import polymatroids, reductions
 from matalloc.bitsets import full_mask, size, submasks
 from matalloc.instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
                                 entity_totals, gen_random, validate_allocation)
@@ -14,7 +15,7 @@ from matalloc.limits import BaselineRegime, ContractViolation, GuessRejected
 from matalloc.localsearch import solve_cover
 from matalloc.matroids import UniformMatroid
 from matalloc.oracle import brute_opt_makespan, brute_opt_santa
-from matalloc.polymatroids import ModularPoly, ScaledRankPoly
+from matalloc.polymatroids import ModularPoly, ScaledRankPoly, member
 from matalloc.reductions import (config_round, config_total, guess_loop,
                                  matroid_makespan_to_santa, matroid_santa_from_schedule,
                                  matroid_santa_to_makespan, reduce_to_core, santa_guess_grid,
@@ -395,6 +396,23 @@ class TestReduceToCore:
         inst = SantaInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 1]))])
         red = reduce_to_core(inst, F(4), F(1), exact_cover_solver)
         assert red.case == "one-each"
+
+    def test_one_each_decides_all_ones_on_one_polymatroid(self, monkeypatch):
+        # acceptance and distribution decide the all-ones vector on one sum
+        asked = []
+
+        def recording(p, x, caps=None):
+            if list(x) == [1] * p.n:
+                asked.append(p)
+            return member(p, x) if caps is None else member(p, x, caps)
+
+        monkeypatch.setattr(reductions, "member", recording)
+        monkeypatch.setattr(polymatroids, "member", recording)
+        inst = gen_random("santa-matroid", 0, m=4, n=4, u=F(1), w=F(3))
+        red = reduce_to_core(inst, F(8), F(2), exact_cover_solver)
+        assert red.case == "one-each"
+        validate_allocation(inst, red.alloc, require_basis=True)
+        assert asked and len({id(p) for p in asked}) == 1
 
     def test_round_case(self):
         # guess 5, alpha 2: both scaled values (1/5, 2/5) fall below 1/alpha

@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matalloc import rounding
+from matalloc.bitsets import bits, submasks
 from matalloc.instances import Item, MakespanInstance, SantaInstance, gen_random
 from matalloc.limits import Caps, SizeCapError
 from matalloc.oracle import brute_opt_makespan, enumerate_bases
 from matalloc.polymatroids import is_basis
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, item_value_poly,
                                lst_baseline, makespan_guess_grid, round_makespan, round_santa,
-                               solve_assignment_lp)
+                               santa_guess_grid, solve_assignment_lp)
 from matalloc.simplex import feasible_point
 
 F = Fraction
@@ -124,6 +126,73 @@ class TestAssignmentLp:
         with pytest.raises(SizeCapError):
             solve_assignment_lp(inst, F(1), caps)
         assert multi == []
+
+    def test_restricted_rows_match_the_coverage_twin(self):
+        # the twin carries each item as its rank-one coverage view, so its LP
+        # keeps all 2^|supp| - 1 submask rows; the single exactly-once row
+        # must cut out the same feasible guesses and points satisfying them
+        outcomes = {True: 0, False: 0}
+        for seed in range(8):
+            inst = gen_random("restricted-santa", seed, m=3, n=5)
+            twin = SantaInstance(3, [Item(value=v, polymatroid=poly) for v, poly in
+                                     (item_value_poly(inst, j) for j in range(5))])
+            for t in santa_guess_grid(inst):
+                frac = solve_assignment_lp(inst, t)
+                assert (frac is None) == (solve_assignment_lp(twin, t) is None)
+                outcomes[frac is not None] += 1
+                if frac is None:
+                    continue
+                for row, it in zip(frac.x, twin.items):
+                    supp = sum(1 << i for i in range(3) if it.polymatroid.value(1 << i))
+                    assert all(row[i] == 0 for i in range(3) if not (supp >> i) & 1)
+                    for sub in submasks(supp):
+                        total = sum(row[i] for i in bits(sub))
+                        bound = it.polymatroid.value(sub)
+                        assert total == bound if sub == supp else total <= bound
+        assert outcomes[True] >= 20 and outcomes[False] >= 20, outcomes
+
+    @pytest.mark.parametrize("flavor", ["restricted-santa", "unrelated-santa",
+                                        "restricted-makespan"])
+    def test_one_row_per_classical_item(self, monkeypatch, flavor):
+        systems = []
+
+        def recording(num_vars, constraints):
+            systems.append((num_vars, constraints))
+            return feasible_point(num_vars, constraints)
+
+        monkeypatch.setattr(rounding, "feasible_point", recording)
+        for seed in range(4):
+            inst = gen_random(flavor, seed, m=3, n=5)
+            makespan = isinstance(inst, MakespanInstance)
+            for t in (F(1), F(2), F(7, 2)):
+                systems.clear()
+                rounding.solve_assignment_lp(inst, t)
+                eligible = [[i for i, v in enumerate(it.values)
+                             if (v is not None and v <= t if makespan else v > 0)]
+                            for it in inst.items]
+                if makespan and not all(eligible):
+                    assert systems == []
+                    continue
+                (num_vars, constraints), = systems
+                assert num_vars == sum(map(len, eligible))
+                assert len(constraints) == sum(1 for cols in eligible if cols) + 3
+
+    def test_zero_value_gets_no_variable(self, monkeypatch):
+        seen = []
+
+        def recording(num_vars, constraints):
+            seen.append(num_vars)
+            return feasible_point(num_vars, constraints)
+
+        monkeypatch.setattr(rounding, "feasible_point", recording)
+        inst = SantaInstance(3, [Item(values=(F(0), F(2), F(1))),
+                                 Item(values=(F(1), F(3), F(0))),
+                                 Item(values=(F(0), F(0), F(0)))])
+        frac = solve_assignment_lp(inst, F(1, 2))
+        assert seen == [4]
+        assert all(x == 0 for it, row in zip(inst.items, frac.x)
+                   for v, x in zip(it.values, row) if v == 0)
+        assert [sum(row) for row in frac.x] == [1, 1, 0]
 
 
 class TestRoundSanta:

@@ -174,8 +174,11 @@ def test_assignment_lps_match(monkeypatch):
         return got
 
     monkeypatch.setattr(rounding, "feasible_point", recording)
-    for seed in range(4):
-        inst = gen_random("restricted-santa", seed, m=3, n=5)
-        for t in (F(1), F(2), F(5, 2)):
-            rounding.solve_assignment_lp(inst, t)
-    assert len(calls) == 12 and all(calls)
+    # exactly-once rows with >= and <= entity rows, and submask rows
+    for flavor in ("restricted-santa", "unrelated-santa", "restricted-makespan",
+                   "santa-matroid"):
+        for seed in range(4):
+            inst = gen_random(flavor, seed, m=3, n=5)
+            for t in (F(1), F(2), F(5, 2), F(4)):
+                rounding.solve_assignment_lp(inst, t)
+    assert len(calls) == 58 and all(calls)
