@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,6 +46,9 @@ class Item:
 class SantaInstance:
     num_players: int
     resources: list[Item]
+    # resource-index tuple -> SumPoly of those resources' polymatroids
+    _sums: dict[tuple[int, ...], SumPoly] = field(default_factory=dict, init=False,
+                                                  repr=False, compare=False)
 
     @property
     def num_entities(self) -> int:
@@ -58,6 +61,16 @@ class SantaInstance:
     @property
     def is_matroid_flavor(self) -> bool:
         return any(it.polymatroid is not None for it in self.resources)
+
+    def resource_sum(self, idxs: Sequence[int]) -> SumPoly:
+        """The polymatroid sum of the resources idxs, built once per index
+        tuple and kept with the instance, so that its memos carry over from
+        one guess of a guess loop to the next."""
+        key = tuple(idxs)
+        hit = self._sums.get(key)
+        if hit is None:
+            hit = self._sums[key] = SumPoly([self.resources[j].polymatroid for j in key])
+        return hit
 
     def distinct_values(self) -> list[Fraction]:
         vals = set()

@@ -2,15 +2,17 @@
 
 Left vertices are list indices, right vertices are bit positions of the
 adjacency masks. Matching uses Kuhn's augmenting paths; the flow uses
-breadth-first augmenting paths in exact integers. Deterministic: left
-vertices processed in index order, right candidates in ascending bit order.
+breadth-first augmenting paths in exact integers and is kept in residual
+form (ResidualFlow), so changing one left vertex's supply costs searches
+from that vertex instead of a new flow. Deterministic: left vertices
+processed in index order, right candidates in ascending bit order.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .bitsets import bits
+from .bitsets import bits, full_mask
 
 
 def max_bipartite_matching(adj: Sequence[int], num_right: int) -> tuple[int, list[int | None]]:
@@ -44,47 +46,142 @@ def perfect_matching(adj: Sequence[int], num_right: int) -> list[int] | None:
     return [v for v in match_left]  # type: ignore[misc]
 
 
-def max_capacitated_flow(adj: Sequence[int], left_caps: Sequence[int],
-                         right_caps: Sequence[int]) -> int:
-    """Value of a maximum flow through a capacitated bipartite network.
+class ResidualFlow:
+    """A maximum flow through a capacitated bipartite network, kept in residual form.
 
-    The source feeds left vertex u up to left_caps[u], u passes any amount to
+    The source feeds left vertex u up to its supply, u passes any amount to
     each right vertex in adj[u], and right vertex v drains into the sink up to
     right_caps[v]. By max-flow/min-cut the value is
-    min over left subsets T of left_caps(T) + right_caps(N(rest)).
-    Greedy direct paths first, then shortest augmenting paths by BFS.
+    min over left subsets T of supply(T) + right_caps(N(rest)).
+    The constructor saturates greedy direct paths first, then shortest
+    augmenting paths by BFS. raise_supply and lower_supply change one left
+    vertex's supply and restore a maximum flow by searching from that vertex
+    only; copy() keeps the original for the next question.
     """
-    left_res = list(left_caps)
-    right_res = list(right_caps)
-    flow: dict[tuple[int, int], int] = {}   # positive flow on arc u -> v
-    holders = [0] * len(right_res)          # holders[v]: left vertices sending into v
-    total = 0
 
-    def push(u: int, v: int, d: int) -> None:
-        f = flow.get((u, v), 0) + d
-        flow[(u, v)] = f
-        if f:
-            holders[v] |= 1 << u
-        else:
-            holders[v] &= ~(1 << u)
+    __slots__ = ("adj", "left_res", "right_res", "flow", "holders", "total")
 
-    # direct source -> u -> v -> sink paths first; BFS finishes the rest
-    for u, nbrs in enumerate(adj):
-        for v in bits(nbrs):
-            d = min(left_res[u], right_res[v])
-            if d:
-                push(u, v, d)
-                left_res[u] -= d
-                right_res[v] -= d
-                total += d
-            if not left_res[u]:
+    def __init__(self, adj: Sequence[int], left_caps: Sequence[int], right_caps: Sequence[int]):
+        self.adj = adj
+        self.left_res = list(left_caps)
+        self.right_res = list(right_caps)
+        self.flow: dict[tuple[int, int], int] = {}   # positive flow on arc u -> v
+        self.holders = [0] * len(right_caps)         # holders[v]: left vertices sending into v
+        self.total = 0
+        self._augment(full_mask(len(adj)))
+
+    def copy(self) -> "ResidualFlow":
+        twin = ResidualFlow.__new__(ResidualFlow)
+        twin.adj = self.adj
+        twin.left_res = self.left_res[:]
+        twin.right_res = self.right_res[:]
+        twin.flow = self.flow.copy()
+        twin.holders = self.holders[:]
+        twin.total = self.total
+        return twin
+
+    def raise_supply(self, u: int, d: int) -> int:
+        """Add d to u's supply and restore a maximum flow; returns the gain.
+
+        Only u needs to be searched from. The vertices the other roots reach
+        cannot reach the sink, since the flow was maximum, so a path from u
+        through them would have been theirs; augmenting along a path that
+        avoids them leaves that set closed, so this holds after each path.
+        """
+        self.left_res[u] += d
+        before = self.total
+        self._augment(1 << u)
+        return self.total - before
+
+    def lower_supply(self, u: int, d: int) -> int:
+        """Take d (at most u's supply) off u's supply and restore a maximum
+        flow; returns the loss.
+
+        Unused supply goes first. Flow u can no longer cover is moved onto
+        other roots along residual paths that end by cancelling one of u's
+        arcs; what no root can take over is cancelled on u's arcs, straight
+        back from the sink. Once no root reaches u, none reaches the right
+        vertices u sends into, so freeing their sink capacity opens no path.
+        """
+        left_res, flow, holders = self.left_res, self.flow, self.holders
+        spare = min(d, left_res[u])
+        left_res[u] -= spare
+        excess = d - spare
+        while excess:
+            found = self._search(self._roots(full_mask(len(left_res))), u)
+            if found is None:
                 break
+            path, root, step = found
+            step = min(step, excess)
+            self._apply(path, step)
+            left_res[root] -= step
+            excess -= step
+        before = self.total
+        for v, hold in enumerate(holders):
+            if not excess:
+                break
+            if not (hold >> u) & 1:
+                continue
+            step = min(excess, flow[(u, v)])
+            self._push(u, v, -step)
+            self.right_res[v] += step
+            self.total -= step
+            excess -= step
+        return before - self.total
 
-    while True:
-        roots = 0
-        for u, r in enumerate(left_res):
-            if r:
+    def _push(self, u: int, v: int, d: int) -> None:
+        f = self.flow.get((u, v), 0) + d
+        self.flow[(u, v)] = f
+        if f:
+            self.holders[v] |= 1 << u
+        else:
+            self.holders[v] &= ~(1 << u)
+
+    def _apply(self, path: list[tuple[int, int, int]], d: int) -> None:
+        for u, v, sign in path:
+            self._push(u, v, sign * d)
+
+    def _roots(self, candidates: int) -> int:
+        left_res, roots = self.left_res, 0
+        for u in bits(candidates):
+            if left_res[u]:
                 roots |= 1 << u
+        return roots
+
+    def _augment(self, candidates: int) -> None:
+        """Saturate the direct source -> u -> v -> sink paths of the
+        candidates, then augment along shortest paths from those with supply
+        left until none reaches the sink."""
+        left_res, right_res = self.left_res, self.right_res
+        for u in bits(candidates):
+            for v in bits(self.adj[u]):
+                if not left_res[u]:
+                    break
+                d = min(left_res[u], right_res[v])
+                if d:
+                    self._push(u, v, d)
+                    left_res[u] -= d
+                    right_res[v] -= d
+                    self.total += d
+        while True:
+            found = self._search(self._roots(candidates), -1)
+            if found is None:
+                return
+            path, root, d = found
+            self._apply(path, d)
+            left_res[root] -= d
+            right_res[path[0][1]] -= d
+            self.total += d
+
+    def _search(self, roots: int, target: int
+                ) -> tuple[list[tuple[int, int, int]], int, int] | None:
+        """Shortest residual path from a root to the sink (target < 0) or to
+        the left vertex target, entered against one of its arcs.
+
+        Returns (arcs, root, bottleneck) with arcs (u, v, +1 forward / -1
+        cancelled) listed from the far end back to the root, or None.
+        """
+        adj, right_res, holders, flow = self.adj, self.right_res, self.holders, self.flow
         # BFS in the residual graph: u -> v on any arc, v -> u' against flow u' -> v
         reached_from: dict[int, int] = {}   # right v -> left u that reached it
         cancels: dict[int, int] = {}        # non-root left u -> right v whose flow it cancels
@@ -96,7 +193,7 @@ def max_capacitated_flow(adj: Sequence[int], left_caps: Sequence[int],
                 seen_right |= new
                 for v in bits(new):
                     reached_from[v] = u
-                    if right_res[v]:
+                    if target < 0 and right_res[v]:
                         end = v
                         break
                     back = holders[v] & ~seen_left
@@ -104,28 +201,32 @@ def max_capacitated_flow(adj: Sequence[int], left_caps: Sequence[int],
                     nxt |= back
                     for w in bits(back):
                         cancels[w] = v
+                    if target >= 0 and (back >> target) & 1:
+                        end = v
+                        break
                 if end >= 0:
                     break
             frontier = nxt
         if end < 0:
-            return total
-        # walk back from the sink to a root, then augment by the bottleneck
-        path: list[tuple[int, int, int]] = []   # (u, v, +1 forward / -1 cancelled)
-        d = right_res[end]
+            return None
+        # walk back from the far end to a root, keeping the bottleneck
+        if target < 0:
+            path, d = [], right_res[end]
+        else:
+            path, d = [(target, end, -1)], flow[(target, end)]
         v = end
         while True:
             u = reached_from[v]
             path.append((u, v, 1))
             prev = cancels.get(u)
             if prev is None:
-                root = u
-                d = min(d, left_res[root])
-                break
+                return path, u, min(d, self.left_res[u])
             path.append((u, prev, -1))
             d = min(d, flow[(u, prev)])
             v = prev
-        for u, v, sign in path:
-            push(u, v, sign * d)
-        left_res[root] -= d
-        right_res[end] -= d
-        total += d
+
+
+def max_capacitated_flow(adj: Sequence[int], left_caps: Sequence[int],
+                         right_caps: Sequence[int]) -> int:
+    """Value of a maximum flow through a capacitated bipartite network (ResidualFlow)."""
+    return ResidualFlow(adj, left_caps, right_caps).total

@@ -12,6 +12,9 @@ their sums, caps and set contractions) are bipartite min cuts, evaluated by
 one exact max-flow (CutNetwork); every other form falls back to the subset
 recursion of CappedPoly. On those forms the saturation slack, and the
 membership of integer vectors with larger supports, are one flow as well.
+A one-element capped marginal f(i | h·X) there is one augmenting search
+from i on a copy of the max flow of X, which the network keeps in residual
+form per (h, X) (CutNetwork.marginal).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 from . import stats
 from .bitsets import bits, check_subset, elements, full_mask, size, submasks, vec_sum, vec_support
 from .limits import Caps, DEFAULT_CAPS, SizeCapError
-from .matching import max_capacitated_flow
+from .matching import ResidualFlow, max_capacitated_flow
 
 
 class CutNetwork:
@@ -36,15 +39,19 @@ class CutNetwork:
     """
 
     def __init__(self, covers: Sequence[int], weights: Sequence[int],
-                 caps: Sequence[int | None], base: int = 0):
+                 caps: Sequence[int | None], base: int = 0,
+                 reach: Sequence[int] | None = None):
         self.covers = tuple(covers)
         self.weights = tuple(weights)
         self.caps = tuple(caps)
         self.base = base
+        # reach[e] = w(covers[e]), shared by every network over the same covers
+        self._reach = (tuple(vec_sum(self.weights, cov) for cov in self.covers)
+                       if reach is None else reach)
         # an uncapped element is cut at the weight it covers, which never binds
-        self._left = tuple(reach if c is None else min(c, reach) for c, reach in
-                           zip(self.caps, (vec_sum(self.weights, cov) for cov in self.covers)))
+        self._left = tuple(r if c is None else min(c, r) for c, r in zip(self.caps, self._reach))
         self._f_base: int | None = None
+        self._residuals: dict[tuple[int, int], ResidualFlow] = {}
 
     @property
     def plain(self) -> bool:
@@ -55,10 +62,10 @@ class CutNetwork:
         """Caps min-merged on the elements outside base (base elements are loops)."""
         merged = tuple(c if (self.base >> e) & 1 else _min_cap(c, d)
                        for e, (c, d) in enumerate(zip(self.caps, caps)))
-        return CutNetwork(self.covers, self.weights, merged, self.base)
+        return CutNetwork(self.covers, self.weights, merged, self.base, self._reach)
 
     def contracted(self, mask: int) -> "CutNetwork":
-        return CutNetwork(self.covers, self.weights, self.caps, self.base | mask)
+        return CutNetwork(self.covers, self.weights, self.caps, self.base | mask, self._reach)
 
     def value(self, mask: int) -> int:
         return self._flow((), mask) - self._f_of_base()
@@ -94,6 +101,52 @@ class CutNetwork:
         """max t with x + t·1_e in P(f), for a member x: the flow with e's
         supply raised to _left[e], less F(base) + x(E)."""
         return self._flow(x, 1 << e) - self._f_of_base() - sum(x)
+
+    def marginal(self, i: int, h: int, mask: int) -> int:
+        """f(i | h·mask): the capped marginal of element i above mask with the
+        elements of mask capped at h, by one augmenting search.
+
+        With those caps, F(mask ∪ base) is the max flow with supply
+        min(h, _left[e]) on mask \\ base and _left[e] on base (_residual).
+        i's answer is how much raising its supply from 0 to _left[i] adds,
+        on a copy. 0 for i in mask ∪ base.
+        """
+        off = mask & ~self.base
+        if ((off | self.base) >> i) & 1:
+            return 0
+        return self._residual(h, off, i).copy().raise_supply(i, self._left[i])
+
+    def _residual(self, h: int, off: int, i: int) -> ResidualFlow:
+        """The max flow of the h-capped off ∪ base, kept per (h, off)."""
+        key = (h, off)
+        res = self._residuals.get(key)
+        if res is None:
+            res = self._residuals[key] = self._derive(h, off, i)
+        return res
+
+    def _derive(self, h: int, off: int, i: int) -> ResidualFlow:
+        """A missing residual, from a kept neighbour: off ∪ {i} by lowering
+        i's supply to 0, or off − j by raising j's. With neither, off ∪ {i}
+        is solved, kept and lowered, so that the leave-one-out questions
+        that usually follow (off ∪ {i} − i') find it."""
+        up = self._residuals.get((h, off | 1 << i))
+        if up is None:
+            for j in bits(off):
+                down = self._residuals.get((h, off ^ 1 << j))
+                if down is not None:
+                    res = down.copy()
+                    res.raise_supply(j, min(h, self._left[j]))
+                    return res
+            up = self._residuals[(h, off | 1 << i)] = self._solve(h, off | 1 << i)
+        res = up.copy()
+        res.lower_supply(i, min(h, self._left[i]))
+        return res
+
+    def _solve(self, h: int, off: int) -> ResidualFlow:
+        supply = [0] * len(self.covers)
+        for e in bits(off | self.base):
+            supply[e] = min(h, self._left[e]) if (off >> e) & 1 else self._left[e]
+        return ResidualFlow(self.covers, supply, self.weights)
 
 
 class PolymatroidOracle:
@@ -356,10 +409,22 @@ def capped_marginal(p: PolymatroidOracle, add: int, h: int, base: int) -> int:
     """f(Y | h·X): marginal of Y above X in the polymatroid with entries of X capped at h.
 
     Extended to overlapping arguments by f(Y | h·X) = f(Y \\ X | h·X).
+    A one-element Y on a polymatroid with a cut network is one augmenting
+    search on the kept residual flow of X (CutNetwork.marginal); every
+    other form is the difference of two values of p.capped(uniform=h, on=X).
+    Either way it counts as two value queries.
     """
     add &= ~base
-    cp = p.capped(uniform=h, on=base)
-    return cp.value(add | base) - cp.value(base)
+    net = p.network
+    if net is None or add <= 0 or add & (add - 1):
+        cp = p.capped(uniform=h, on=base)
+        return cp.value(add | base) - cp.value(base)
+    if base:
+        _check_weights([h], "caps")
+    check_subset(add | base, p.n)
+    stats.bump("poly_value")
+    stats.bump("poly_value")
+    return net.marginal(add.bit_length() - 1, h, base)
 
 
 def sfm_min(fn: Callable[[int], int], n: int, caps: Caps = DEFAULT_CAPS,

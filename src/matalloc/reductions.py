@@ -605,7 +605,7 @@ def _alloc_from_cover(inst: SantaInstance, idxs: Sequence[int], need: Sequence[i
     units in total; each resource ends on a basis of its polymatroid. A need
     outside the resources' merged polymatroid raises short."""
     polys = [inst.resources[j].polymatroid for j in idxs]
-    merged = polys[0] if len(polys) == 1 else SumPoly(polys)
+    merged = polys[0] if len(polys) == 1 else inst.resource_sum(idxs)
     if not member(merged, need, caps):
         raise short("cover demand exceeds the merged polymatroid")
     y = greedy_basis_above(merged, tuple(need), caps)
@@ -620,8 +620,7 @@ def _cover_core(inst: SantaInstance, heavy: Sequence[int], light_sum: Polymatroi
     resources placed over the cover's I_M (every other resource empty) and
     the cover's light vector y; no cover raises GuessRejected."""
     m = inst.num_players
-    heavy_sum = SumPoly([inst.resources[j].polymatroid for j in heavy])
-    res = cover_solver(CoreCoverInstance(InducedMatroid(heavy_sum), light_sum, b))
+    res = cover_solver(CoreCoverInstance(InducedMatroid(inst.resource_sum(heavy)), light_sum, b))
     if res is None or not getattr(res, "feasible", False):
         raise GuessRejected("core cover solver found no cover at the guessed level")
     alloc: list = [tuple([0] * m) for _ in inst.resources]
@@ -674,8 +673,7 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         # matroid of w-coverable player sets vs the u polymatroid; worthless
         # resources cannot help a player reach the bound, and a zero u forces
         # every player onto the matroid side
-        u_sum = (SumPoly([scaled.resources[j].polymatroid for j in u_idx])
-                 if u_idx and u > 0 else ModularPoly([0] * m))
+        u_sum = inst.resource_sum(u_idx) if u_idx and u > 0 else ModularPoly([0] * m)
         b = 1 if u == 0 else math.ceil(1 / (alpha * u))
         alloc, y = _cover_core(inst, w_idx, u_sum, b, cover_solver, caps)
         if u_idx:

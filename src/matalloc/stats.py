@@ -3,7 +3,10 @@
 Counts logical top-level queries (each value/rank call, memo hits
 included) so reported figures do not depend on cache state. Work inside
 one max-flow of a cut network is not a query: a capped value or a
-membership evaluated by flow counts once. Membership is memoised per
+membership evaluated by flow counts once. A capped marginal f(Y | h·X)
+counts two queries, the two capped values it is the difference of,
+however it is answered: by those two values or, on a cut network, by one
+augmenting search on a kept residual flow. Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
 vector asks no query again. An induced rank ranked as a matroid union
 counts the parts' rank queries that the matroid partition asks, so

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from matalloc import stats
 from matalloc.bitsets import bits, full_mask, size, submasks, vec_sum
 from matalloc.limits import Caps, SizeCapError
+from matalloc.matching import ResidualFlow, max_capacitated_flow
 from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, GraphicMatroid,
                                InducedMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid, UnionMatroid, ZeroedMatroid, matroid_add_greedy)
@@ -573,3 +574,126 @@ class TestMemberMemo:
         assert queries == 0  # the second call was a memo hit
         assert answers == [sfm_member(p, (1, 2, 1))] * 2
         assert len(p._member_memo) == 1
+
+
+# ---------------------------------------------------------------------------
+# Residual flows and capped marginals by one augmenting search
+
+
+def min_cut(adj, left, right):
+    """min over left subsets T of left(T) + right(N(rest)), by enumeration."""
+    everyone = full_mask(len(adj))
+    best = None
+    for t in submasks(everyone):
+        reach = 0
+        for u in bits(everyone & ~t):
+            reach |= adj[u]
+        v = vec_sum(left, t) + vec_sum(right, reach)
+        if best is None or v < best:
+            best = v
+    return best
+
+
+def assert_is_flow(res, adj, left, right):
+    """Arc flows within the arcs, conservation at every vertex, holders in step."""
+    out = [0] * len(adj)
+    into = [0] * len(right)
+    for (u, v), f in res.flow.items():
+        assert f >= 0 and (adj[u] >> v) & 1
+        assert bool((res.holders[v] >> u) & 1) == (f > 0)
+        out[u] += f
+        into[v] += f
+    assert all(0 <= r for r in res.left_res + res.right_res)
+    assert [c - r for c, r in zip(left, res.left_res)] == out
+    assert [c - r for c, r in zip(right, res.right_res)] == into
+    assert res.total == sum(out)
+
+
+def random_network(rng):
+    nl, nr = rng.randint(1, 6), rng.randint(1, 6)
+    adj = [rng.getrandbits(nr) for _ in range(nl)]
+    return adj, [rng.randint(0, 4) for _ in range(nl)], [rng.randint(0, 4) for _ in range(nr)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_residual_flow_is_a_max_flow_through_raises_and_lowers(seed):
+    rng = random.Random(seed)
+    adj, left, right = random_network(rng)
+    res = ResidualFlow(adj, left, right)
+    assert res.total == max_capacitated_flow(adj, left, right) == min_cut(adj, left, right)
+    assert_is_flow(res, adj, left, right)
+    for _ in range(8):
+        u = rng.randrange(len(adj))
+        before, kept, old = res.total, res.copy(), list(left)
+        if rng.random() < 0.5:
+            d = rng.randint(0, 4)
+            left[u] += d
+            assert res.raise_supply(u, d) == res.total - before
+        else:
+            d = rng.randint(0, left[u])
+            left[u] -= d
+            assert res.lower_supply(u, d) == before - res.total
+        assert res.total == min_cut(adj, left, right)
+        assert_is_flow(res, adj, left, right)
+        # the copy still holds the flow it was taken from
+        assert kept.total == before
+        assert_is_flow(kept, adj, old, right)
+
+
+def marginal_queries(seed):
+    """network_chain's polymatroid with h in 1..3 and random sets X."""
+    rng, p = network_chain(seed)
+    return rng, p, [(h, rng.getrandbits(p.n)) for h in (1, 2, 3) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_capped_marginal_matches_capped_values_and_brute_force(seed):
+    rng, p, queries = marginal_queries(seed)
+    memo = {}
+    ref = SimpleNamespace(value=lambda s: reference_value(p, s, memo))
+    for h, x in queries:
+        caps = [h if (x >> e) & 1 else None for e in range(p.n)]
+        cp = p.capped(uniform=h, on=x)
+        for i in range(p.n):
+            y = (1 << i) & ~x
+            got = capped_marginal(p, 1 << i, h, x)
+            assert got == cp.value(y | x) - cp.value(x)
+            assert got == brute_capped(ref, caps, y | x) - brute_capped(ref, caps, x)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_contracted_elements_have_no_marginal(seed):
+    _, p, queries = marginal_queries(seed)
+    base = p.network.base
+    for h, x in queries:
+        for i in bits(base):
+            assert p.network.marginal(i, h, x) == 0
+            assert capped_marginal(p, 1 << i, h, x) == 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kept_residuals_answer_alike_in_any_order(seed):
+    _, p, queries = marginal_queries(seed)
+    fresh = network_chain(seed)[1]
+    for h, x in queries:
+        forward = [capped_marginal(p, 1 << i, h, x) for i in range(p.n)]
+        backward = [capped_marginal(fresh, 1 << i, h, x) for i in reversed(range(p.n))]
+        again = [capped_marginal(p, 1 << i, h, x) for i in range(p.n)]
+        assert forward == backward[::-1] == again
+
+
+@pytest.mark.parametrize("add", [0b001, 0b011])
+def test_a_capped_marginal_counts_two_value_queries(add):
+    def counted(p):
+        before = stats.snapshot()
+        capped_marginal(p, add, 2, 0b100)
+        return stats.delta(before)
+
+    # by flow: two queries, whether the residual is solved or kept
+    net = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
+    assert counted(net) == counted(net) == {"matroid_rank": 0, "poly_value": 2}
+    # by the recursion: the two values, plus the recursion's own queries
+    # until the capped values are memoised
+    rec = ScaledRankPoly(UniformMatroid(3, 2), 2)
+    assert counted(rec)["poly_value"] > 2
+    assert counted(rec) == {"matroid_rank": 0, "poly_value": 2}

@@ -414,6 +414,26 @@ class TestReduceToCore:
         validate_allocation(inst, red.alloc, require_basis=True)
         assert asked and len({id(p) for p in asked}) == 1
 
+    def test_guesses_share_the_resource_sums(self):
+        # the heavy and the u-part sums of two guesses are the same objects,
+        # so their membership and value memos carry over
+        inst = gen_random("santa-matroid", 0, m=4, n=4, u=F(1), w=F(3))
+        cores = []
+
+        def spy(core):
+            cores.append(core)
+            return exact_cover_solver(core)
+
+        for guess in (F(12), F(16)):   # both in the core-cover band 8 < guess <= 24
+            try:
+                reduce_to_core(inst, F(8), guess, spy)
+            except GuessRejected:
+                pass
+        assert len(cores) == 2
+        assert cores[0].matroid.poly is cores[1].matroid.poly
+        assert cores[0].polymatroid is cores[1].polymatroid
+        assert set(inst._sums.values()) >= {cores[0].matroid.poly, cores[0].polymatroid}
+
     def test_round_case(self):
         # guess 5, alpha 2: both scaled values (1/5, 2/5) fall below 1/alpha
         inst = gen_random("santa-matroid", 3, m=3, n=3, u=1, w=2)
