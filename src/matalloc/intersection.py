@@ -1,108 +1,101 @@
 """Matroid intersection and integer polymatroid intersection.
 
-Matroid intersection is the classical augmenting-path algorithm with BFS
-(shortest exchange paths, ties by smallest index). `max_common_vector` is
-the one parallel-copy intersection: it expands integer slots into unit
-copies, realizes each count-vector predicate as a matroid on the copies,
-and intersects them, searching one copy per slot on each side. Polymatroid
-intersection, the split of a member or basis of a sum polymatroid into the
-parts, and the rounding gadget all go through it.
+`max_common_independent` is the one exchange search: the augmenting-path
+algorithm with BFS (shortest exchange paths, ties by smallest slot), run
+directly on count vectors x <= caps, which is Edmonds' polymatroid
+intersection on integer points. Plain matroid intersection is its 0/1 case.
+`max_common_vector` memoises both predicates per count vector and bounds the
+total size of the box; polymatroid intersection, the split of a member or
+basis of a sum polymatroid into the parts, and the rounding gadget all go
+through it. `ExpandedMatroid`, the matroid on unit copies of the slots, is
+the copy-level reference the tests compare the search against.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Sequence
+from functools import cache
+from typing import Callable, Sequence
 
-from .bitsets import bits, full_mask, size
+from .bitsets import bits, full_mask, size, vec_support
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, SizeCapError
 from .matroids import MatroidOracle
-from .polymatroids import PolymatroidOracle, is_basis, member
+from .polymatroids import PolymatroidOracle, SumPoly, is_basis, member
 
 
-def max_common_independent(n: int, indep1: Callable[[int], bool],
-                           indep2: Callable[[int], bool],
-                           classes: Sequence[Hashable] | None = None) -> int:
-    """Maximum-cardinality common independent set of two matroids given as
-    independence predicates on bitmasks over 0..n-1.
+def max_common_independent(caps: Sequence[int], indep1: Callable[[tuple[int, ...]], bool],
+                           indep2: Callable[[tuple[int, ...]], bool]) -> tuple[int, ...]:
+    """A maximum-size count vector x <= caps independent for both predicates,
+    each of which must make the multisets of its units a matroid (the unit
+    copies of an integer polymatroid are one).
 
-    classes[e] names e's class. Elements of one class must be clones:
-    swapping two of them keeps every independent set independent in both
-    matroids, as swapping two copies of one slot does in max_common_vector.
-    The BFS then visits only the lowest-index element of each class on each
-    side of the current set, and returns the augmenting path of a BFS over
-    all elements. Clones on one side have the same arcs and the same sink
-    status, so that BFS discovers them together, from one parent, in index
-    order. The lowest pops first; a later clone then reaches nothing new and
-    is a sink only if the lowest was one. The shortest path it returns
-    therefore never visits two clones, nor any clone but the lowest.
+    A node of the exchange digraph is a slot on one side of x: an outside
+    slot (x[s] < caps[s]) gains a unit, an inside slot (x[s] > 0) loses one.
+    The augmenting paths are those of the copy-level search over unit copies
+    in slot order: the copies of a slot on one side of x are interchangeable,
+    so that search only ever needs the lowest of them.
     """
-    cur = 0
-    while True:
-        nxt = _augment(n, indep1, indep2, cur, classes)
-        if nxt is None:
-            return cur
-        cur = nxt
+    x = [0] * len(caps)
+    while _augment(caps, indep1, indep2, x):
+        pass
+    return tuple(x)
 
 
-def _augment(n: int, indep1, indep2, cur: int, classes) -> int | None:
-    # the lowest-index element of each class on each side of cur
-    outside: list[int] = []
-    inside: list[int] = []
-    seen: set = set()
-    for e in range(n):
-        side = (cur >> e) & 1
-        key = (side, e if classes is None else classes[e])
-        if key not in seen:
-            seen.add(key)
-            (inside if side else outside).append(e)
-    sources = [y for y in outside if indep1(cur | (1 << y))]
-    sinks = {y for y in outside if indep2(cur | (1 << y))}
-    if not sources:
-        return None
-    # BFS over the exchange digraph: for y outside, x inside,
-    # y -> x when cur - x + y is independent in M2,
-    # x -> y when cur - x + y is independent in M1.
-    parent: dict[int, int | None] = {}
-    queue: deque[int] = deque()
-    for y in sources:
-        parent[y] = None
-        queue.append(y)
+def _augment(caps: Sequence[int], indep1, indep2, x: list[int]) -> bool:
+    """Apply one shortest augmenting path to x in place; False if none."""
+    n = len(caps)
+    outside = [s for s in range(n) if x[s] < caps[s]]   # node s
+    inside = [n + s for s in range(n) if x[s]]          # node n + s
+    sources, sinks = [], set()
+    for y in outside:
+        x[y] += 1
+        if indep1(tuple(x)):
+            sources.append(y)
+        if indep2(tuple(x)):
+            sinks.add(y)
+        x[y] -= 1
+    # BFS over the exchange digraph: y -> n + s when x + e_y - e_s is
+    # independent for indep2, n + s -> y when it is independent for indep1
+    parent: dict[int, int | None] = dict.fromkeys(sources)
+    queue = deque(sources)
     while queue:
         v = queue.popleft()
-        if not (cur >> v) & 1:
-            if v in sinks:
-                path = 0
-                node: int | None = v
-                while node is not None:
-                    path |= 1 << node
-                    node = parent[node]
-                return cur ^ path
-            swap_base = cur | (1 << v)
-            for x in inside:
-                if x not in parent and indep2(swap_base ^ (1 << x)):
-                    parent[x] = v
-                    queue.append(x)
-        else:
-            swap_base = cur ^ (1 << v)
-            for y in outside:
-                if y not in parent and indep1(swap_base | (1 << y)):
-                    parent[y] = v
-                    queue.append(y)
-    return None
+        if v in sinks:
+            node: int | None = v
+            while node is not None:
+                x[node % n] += 1 if node < n else -1
+                node = parent[node]
+            return True
+        swap = list(x)
+        swap[v % n] += 1 if v < n else -1
+        targets, indep, step = (inside, indep2, -1) if v < n else (outside, indep1, 1)
+        for w in targets:
+            if w not in parent:
+                swap[w % n] += step
+                if indep(tuple(swap)):
+                    parent[w] = v
+                    queue.append(w)
+                swap[w % n] -= step
+    return False
 
 
 def matroid_intersection_max(m1: MatroidOracle, m2: MatroidOracle) -> int:
     """A maximum-cardinality common independent set (as a bitmask)."""
     if m1.n != m2.n:
         raise ValueError("matroid intersection requires a shared ground set")
-    return max_common_independent(m1.n, m1.is_independent, m2.is_independent)
+    return vec_support(max_common_independent(
+        [1] * m1.n, lambda x: m1.is_independent(vec_support(x)),
+        lambda x: m2.is_independent(vec_support(x))))
 
 
 class ExpandedMatroid(MatroidOracle):
     """The matroid on parallel copies of slots: copy c is a unit of slot
     owner[c], and a copy set is independent iff its count vector (units per
     slot) satisfies indep. indep is asked once per distinct count vector.
+
+    The copy-level reference for the slot-level search: with unit caps over
+    these copies, max_common_independent runs the textbook matroid
+    intersection, and counts reads its result back as a count vector.
     """
 
     def __init__(self, owner: Sequence[int], num_slots: int,
@@ -135,19 +128,13 @@ class ExpandedMatroid(MatroidOracle):
 
 def max_common_vector(slot_caps: Sequence[int], indep1: Callable[[tuple[int, ...]], bool],
                       indep2: Callable[[tuple[int, ...]], bool], limit: int) -> tuple[int, ...]:
-    """A maximum-size count vector x <= slot_caps independent for both
-    count-vector predicates (each must make its copy sets a matroid).
-
-    Slot s becomes slot_caps[s] parallel copies, in slot order, and the two
-    copy-ground matroids are intersected with the copies of a slot as one
-    class; more than limit copies raise SizeCapError.
-    """
-    owner = [s for s, c in enumerate(slot_caps) for _ in range(c)]
-    if len(owner) > limit:
-        raise SizeCapError(f"parallel-copy expansion of {len(owner)} copies exceeds cap {limit}")
-    m1 = ExpandedMatroid(owner, len(slot_caps), indep1)
-    m2 = ExpandedMatroid(owner, len(slot_caps), indep2)
-    return m1.counts(max_common_independent(m1.n, m1.is_independent, m2.is_independent, owner))
+    """max_common_independent over slot_caps with each predicate asked once
+    per distinct count vector; more than limit units in all (the size of the
+    parallel-copy expansion the search stands for) raise SizeCapError."""
+    copies = sum(slot_caps)
+    if copies > limit:
+        raise SizeCapError(f"parallel-copy expansion of {copies} copies exceeds cap {limit}")
+    return max_common_independent(slot_caps, cache(indep1), cache(indep2))
 
 
 def polymatroid_intersection_max(p1: PolymatroidOracle, p2: PolymatroidOracle,
@@ -169,10 +156,8 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
     Units of element e are shared out among the parts by intersecting the
     disjoint sum of the parts (slot (j, e) at index j*n + e) with the
     per-element degree bound y(e). With more than two parts, one part is
-    peeled off at a time to keep the copy ground small.
+    peeled off at a time to keep the search to 2n slots.
     """
-    from .polymatroids import SumPoly
-
     n = parts[0].n
     if any(p.n != n for p in parts):
         raise ValueError("parts must share the ground set")

@@ -588,13 +588,14 @@ def _unit_split(items: Sequence[Item]) -> tuple[int, list[int], list[Polymatroid
 def _unit_rows(copies: Sequence[PolymatroidOracle], ints: Sequence[int], y: Sequence[int],
                caps: Caps) -> list[tuple[Fraction, ...]]:
     """Split y over the unit copies and average the ints[k] pieces of each
-    resource k back into its fractional assignment row."""
+    resource k back into its fractional assignment row; a worthless resource
+    (no copies) gets a zero row."""
     pieces = decompose_in_sum(copies, y, caps.override(expand=4 * caps.expand))
     rows, start = [], 0
     for k in ints:
         mine = pieces[start:start + k]
         start += k
-        rows.append(tuple(sum(Fraction(p[e]) for p in mine) / k for e in range(len(y))))
+        rows.append(tuple(Fraction(sum(p[e] for p in mine), max(k, 1)) for e in range(len(y))))
     return rows
 
 
@@ -684,6 +685,8 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
 
     # every value is small: saturate the unit-split polymatroid and round
     scale, ints, copies = _unit_split(scaled.resources)
+    if not copies:
+        raise GuessRejected("every resource is worthless: no player can reach the guessed level")
     split = SumPoly(copies)
     hi = split.value(everyone) // max(m, 1)
     lo, _ = guess_loop(lambda k: member(split, [k] * m, caps) or None, range(1, hi + 1))

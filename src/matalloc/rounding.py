@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, prod
 from typing import Callable, Iterable, Sequence
 
 from .bitsets import bits, full_mask
@@ -281,10 +281,14 @@ def round_makespan(inst: MakespanInstance, frac: FractionalAssignment,
 def additive_round_santa(inst: SantaInstance, frac: FractionalAssignment,
                          caps: Caps = DEFAULT_CAPS) -> list[int | None]:
     """Unrelated classical max-min rounding: every player loses at most one
-    fractionally assigned resource, so the value stays above T - v_max."""
+    fractionally assigned resource, so the value stays above T - v_max.
+
+    The placements of the fractional resources are enumerated; more than
+    caps.assignments of them raise SizeCapError before any is evaluated."""
     m, n = inst.num_players, len(inst.resources)
     owner: list[int | None] = [None] * n
-    frac_res: list[list[int]] = []
+    frac_res: list[int] = []
+    supports: list[list[int]] = []
     for j in range(n):
         support = [i for i in range(m) if frac.x[j][i] > 0]
         whole = [i for i in support if frac.x[j][i] == 1]
@@ -292,6 +296,10 @@ def additive_round_santa(inst: SantaInstance, frac: FractionalAssignment,
             owner[j] = whole[0]
         elif support:
             frac_res.append(j)
+            supports.append(support)
+    space = prod(map(len, supports))
+    if space > caps.assignments:
+        raise SizeCapError(f"placement space {space} exceeds cap {caps.assignments}")
     vmax = max((v for it in inst.resources for v in it.values), default=Fraction(0))
 
     base = [Fraction(0)] * m
@@ -306,8 +314,7 @@ def additive_round_santa(inst: SantaInstance, frac: FractionalAssignment,
         return min(vals)
 
     # max keeps the first best placement in index order
-    best = max(product(*([i for i in range(m) if frac.x[j][i] > 0] for j in frac_res)),
-               key=worst)
+    best = max(product(*supports), key=worst)
     if worst(best) < frac.T - vmax:
         raise ContractViolation("additive rounding guarantee violated")
     for j, i in zip(frac_res, best):

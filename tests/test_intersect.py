@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matalloc import polymatroids
-from matalloc.bitsets import size
+from matalloc import intersection, polymatroids
+from matalloc.bitsets import size, vec_support
 from matalloc.instances import gen_random
 from matalloc.intersection import (ExpandedMatroid, decompose_in_sum, decompose_merged_basis,
                                    matroid_intersection_max, max_common_independent,
@@ -177,7 +177,7 @@ class TestDecompose:
 
 
 # ---------------------------------------------------------------------------
-# Slot-level exchange search: copies of one slot are clones
+# Slot-level exchange search against the copy-level reference
 
 
 def random_part(rng, n):
@@ -193,6 +193,16 @@ def random_part(rng, n):
                         [rng.randint(1, 3) for _ in range(u)])
 
 
+def copy_level(slot_caps, indep1, indep2):
+    """The textbook matroid intersection of the two ExpandedMatroids on unit
+    copies of the slots (in slot order), read back as a count vector."""
+    owner = [s for s, c in enumerate(slot_caps) for _ in range(c)]
+    m1, m2 = (ExpandedMatroid(owner, len(slot_caps), indep) for indep in (indep1, indep2))
+    got = max_common_independent([1] * len(owner), lambda x: m1.is_independent(vec_support(x)),
+                                 lambda x: m2.is_independent(vec_support(x)))
+    return m1.counts(vec_support(got))
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_slot_level_search_matches_copy_level(seed):
     """The split of decompose_in_sum: members of two parts on slots j*n + e
@@ -202,38 +212,56 @@ def test_slot_level_search_matches_copy_level(seed):
     parts = [random_part(rng, n) for _ in range(2)]
     y = [rng.randint(0, 4) for _ in range(n)]
     slot_caps = [rng.randint(0, 4) for _ in range(2 * n)]
-    owner = [s for s, c in enumerate(slot_caps) for _ in range(c)]
-    m1 = ExpandedMatroid(owner, 2 * n, lambda x: all(member(p, x[j * n:(j + 1) * n])
-                                                     for j, p in enumerate(parts)))
-    m2 = ExpandedMatroid(owner, 2 * n, lambda x: all(x[e] + x[n + e] <= y[e] for e in range(n)))
-    copy_level = max_common_independent(m1.n, m1.is_independent, m2.is_independent)
-    assert max_common_independent(m1.n, m1.is_independent, m2.is_independent,
-                                  classes=owner) == copy_level
+
+    def indep1(x):
+        return all(member(p, x[j * n:(j + 1) * n]) for j, p in enumerate(parts))
+
+    def indep2(x):
+        return all(x[e] + x[n + e] <= y[e] for e in range(n))
+
+    assert max_common_vector(slot_caps, indep1, indep2, sum(slot_caps)) == \
+        copy_level(slot_caps, indep1, indep2)
+
+
+def test_each_count_vector_is_asked_once():
+    asked = {1: [], 2: []}
+    p1, p2 = ModularPoly([2, 1, 2]), ScaledRankPoly(UniformMatroid(3, 2), 1)
+    got = max_common_vector([2, 2, 2], lambda x: asked[1].append(x) or member(p1, x),
+                            lambda x: asked[2].append(x) or member(p2, x), 6)
+    assert sum(got) == 2
+    for seen in asked.values():
+        assert seen and len(seen) == len(set(seen))
 
 
 def test_santa_basis_split_work_is_bounded(monkeypatch):
     """A count of the work, not of time, in splitting one fixed basis of a
-    santa-matroid sum. The copy-level search without the membership memo
-    made 4,484 ExpandedMatroid.is_independent and 824 sfm_min calls here;
-    the copy-level search alone reads 4,484 again, and no memo 611."""
+    santa-matroid sum, counting the search's predicate evaluations (memo
+    hits included). The copy-level search without the membership memo made
+    4,484 of them and 824 sfm_min calls here; the copy-level search alone
+    reads 4,484 again, and the slot-level search 836 with 250 sfm_min."""
     inst = gen_random("santa-matroid", 2, m=5, n=4, u=1, w=3)
     parts = [it.polymatroid for it in inst.resources]
     y = (7, 17, 4, 9, 2)
     assert is_basis(SumPoly(parts), y)
     calls = {"indep": 0, "sfm": 0}
-    is_independent, sfm_min = ExpandedMatroid.is_independent, polymatroids.sfm_min
+    search, sfm_min = intersection.max_common_independent, polymatroids.sfm_min
 
-    def counted_indep(self, mask):
-        calls["indep"] += 1
-        return is_independent(self, mask)
+    def counted(indep):
+        def wrapped(x):
+            calls["indep"] += 1
+            return indep(x)
+        return wrapped
+
+    def counted_search(caps, indep1, indep2):
+        return search(caps, counted(indep1), counted(indep2))
 
     def counted_sfm(*args, **kwargs):
         calls["sfm"] += 1
         return sfm_min(*args, **kwargs)
 
-    monkeypatch.setattr(ExpandedMatroid, "is_independent", counted_indep)
+    monkeypatch.setattr(intersection, "max_common_independent", counted_search)
     monkeypatch.setattr(polymatroids, "sfm_min", counted_sfm)
     pieces = decompose_merged_basis(parts, y)
     assert pieces == [(0, 2, 1, 2, 2), (3, 3, 3, 3, 0), (4, 9, 0, 0, 0), (0, 3, 0, 4, 0)]
-    assert calls["indep"] <= 1000
+    assert 0 < calls["indep"] <= 1000
     assert calls["sfm"] <= 300

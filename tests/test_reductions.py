@@ -442,6 +442,22 @@ class TestReduceToCore:
         validate_allocation(inst, red.alloc, require_basis=True)
         assert min(entity_totals(inst, red.alloc)) >= F(5, 2)
 
+    def test_round_case_with_a_worthless_resource(self):
+        # guess 16, alpha 8: scaled values 0 and 1/16; the worthless resource
+        # has no unit copies and gets a zero fractional row
+        inst = SantaInstance(2, [Item(value=F(v), polymatroid=ModularPoly(c))
+                                 for v, c in ((0, [1, 1]), (1, [20, 20]), (1, [20, 20]))])
+        red = reduce_to_core(inst, F(8), F(16), solve_cover)
+        assert red.case == "round"
+        validate_allocation(inst, red.alloc, require_basis=True)
+        assert min(entity_totals(inst, red.alloc)) >= F(2)
+
+    def test_round_case_with_only_worthless_resources_is_rejected(self):
+        inst = SantaInstance(2, [Item(value=F(0), polymatroid=ModularPoly(c))
+                                 for c in ([1, 1], [20, 20], [20, 20])])
+        with pytest.raises(GuessRejected):
+            reduce_to_core(inst, F(8), F(16), solve_cover)
+
     @given(st.integers(0, 300))
     @settings(max_examples=25, deadline=None)
     def test_two_value_guarantee(self, seed):

@@ -313,3 +313,22 @@ class TestAdditiveSanta:
                     vals[o] += inst.resources[j].values[o]
             vmax = max(v for it in inst.resources for v in it.values)
             assert min(vals) >= best - vmax
+
+    def test_placements_obey_the_assignment_cap(self, monkeypatch):
+        # three resources split over two players each: 8 placements
+        inst = SantaInstance(2, [Item(values=(F(1), F(1))) for _ in range(3)])
+        frac = FractionalAssignment(F(1), [(F(1, 2), F(1, 2))] * 3)
+        evaluated = []
+        enumerate_placements = rounding.product
+
+        def spy(*supports):
+            for pick in enumerate_placements(*supports):
+                evaluated.append(pick)
+                yield pick
+
+        monkeypatch.setattr(rounding, "product", spy)
+        with pytest.raises(SizeCapError, match="placement space 8 exceeds cap 7"):
+            additive_round_santa(inst, frac, Caps(assignments=7))
+        assert evaluated == []
+        assert additive_round_santa(inst, frac, Caps(assignments=8)) == [0, 0, 1]
+        assert len(evaluated) == 8
