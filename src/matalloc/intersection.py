@@ -93,9 +93,9 @@ class ExpandedMatroid(MatroidOracle):
     owner[c], and a copy set is independent iff its count vector (units per
     slot) satisfies indep. indep is asked once per distinct count vector.
 
-    The copy-level reference for the slot-level search: with unit caps over
-    these copies, max_common_independent runs the textbook matroid
-    intersection, and counts reads its result back as a count vector.
+    The copy-level reference for the slot-level search: the tests run a
+    textbook matroid intersection of their own over these copies, and
+    counts reads its result back as a count vector.
     """
 
     def __init__(self, owner: Sequence[int], num_slots: int,

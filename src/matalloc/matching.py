@@ -129,6 +129,35 @@ class ResidualFlow:
             excess -= step
         return before - self.total
 
+    def exchanges(self, u: int) -> int | None:
+        """For a flow that uses all of its supply: None when one more unit of
+        supply at u reaches the sink, else the mask of the other left
+        vertices whose flow that unit can take over.
+
+        Those are the left vertices L the residual search from u reaches,
+        against one of their arcs: moving one unit along the path from u to
+        such a w frees one unit of w's supply. The right vertices the search
+        reaches are full and fed only from L, which sends nowhere else, so
+        they carry exactly L's supply; lowering the supply of a vertex
+        outside L instead leaves the cut at L one unit short. One search;
+        the flow is not changed.
+        """
+        adj, right_res, holders = self.adj, self.right_res, self.holders
+        seen_left, seen_right, frontier = 1 << u, 0, 1 << u
+        while frontier:
+            nxt = 0
+            for w in bits(frontier):
+                new = adj[w] & ~seen_right
+                seen_right |= new
+                for v in bits(new):
+                    if right_res[v]:
+                        return None
+                    nxt |= holders[v]
+            nxt &= ~seen_left
+            seen_left |= nxt
+            frontier = nxt
+        return seen_left & ~(1 << u)
+
     def _push(self, u: int, v: int, d: int) -> None:
         f = self.flow.get((u, v), 0) + d
         self.flow[(u, v)] = f

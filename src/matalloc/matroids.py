@@ -13,7 +13,7 @@ from typing import Sequence
 from . import stats
 from .bitsets import bits, check_subset, full_mask, size
 from .matching import max_bipartite_matching
-from .polymatroids import ScaledRankPoly, SumPoly, _check_weights
+from .polymatroids import _check_weights
 
 
 class MatroidOracle:
@@ -212,6 +212,11 @@ class UnionMatroid(MatroidOracle):
         An edge y -> z (z in part i) means y can replace z in part i; a path
         ends at an element some part can take as it is. Shortest paths keep
         every part independent after the exchanges (Edmonds 1968).
+
+        polymatroids.partition_member runs the same search on count vectors;
+        this 0/1 version stays for union ranks, which are asked often and on
+        small sets: routing them through the count-level routine made
+        core-induced p50 5–13% slower in a prototype.
         """
         pred = {x: None}
         queue = [x]
@@ -269,21 +274,14 @@ class InducedMatroid(MatroidOracle):
 
 
 def _union_of_parts(poly) -> UnionMatroid | None:
-    """The union inducing the same matroid as a scaled-rank part or a sum of
-    scaled-rank and plain cut-network parts; None for any other form."""
-    parts = poly.parts if isinstance(poly, SumPoly) else (poly,)
-    plain: list = []
-    copies: list[MatroidOracle] = []
-    for p in parts:
-        if isinstance(p, ScaledRankPoly):
-            copies.extend([p.matroid] * p.scale)
-        elif p.network is not None and p.network.plain:
-            plain.append(p)
-        else:
-            return None
-    if plain:
-        copies.append(InducedMatroid(plain[0] if len(plain) == 1 else SumPoly(plain)))
-    return UnionMatroid(copies, poly.n)
+    """The union inducing the same matroid as poly, from its partition form
+    (its matroid copies and the matroid its plain part induces); None when
+    poly has no partition form."""
+    form = poly.partition_form
+    if form is None:
+        return None
+    copies, plain = form
+    return UnionMatroid(copies if plain is None else copies + (InducedMatroid(plain),), poly.n)
 
 
 def matroid_add_greedy(m: MatroidOracle, start: int, candidates: Sequence[int]) -> int:

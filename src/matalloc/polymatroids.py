@@ -15,6 +15,11 @@ membership of integer vectors with larger supports, are one flow as well.
 A one-element capped marginal f(i | h·X) there is one augmenting search
 from i on a copy of the max flow of X, which the network keeps in residual
 form per (h, X) (CutNetwork.marginal).
+
+A scaled-rank part, or a sum of scaled-rank and plain cut-network parts,
+has a partition form instead: matroid copies plus one plain part
+(partition_form). Membership of integer vectors with larger supports there
+is matroid partition of the vector's units (partition_member).
 """
 
 from __future__ import annotations
@@ -177,6 +182,30 @@ class PolymatroidOracle:
 
     def _build_network(self) -> CutNetwork | None:
         return None
+
+    @cached_property
+    def partition_form(self) -> tuple[tuple, "PolymatroidOracle | None"] | None:
+        """(matroid copies, plain part) when this polymatroid is a scaled-rank
+        part or a sum of scaled-rank and plain cut-network parts, else None.
+
+        Each s·r_M gives s copies of M; the plain parts together are one
+        polymatroid with a plain cut network (None when there are none).
+        Then f = Σ r_copy + plain: integer members of P(f) are sums of one
+        independent set per copy and one member of the plain part (matroid
+        union and the polymatroid sum theorem, Edmonds 1968 and 1970).
+        """
+        copies: list = []
+        plain: list[PolymatroidOracle] = []
+        for p in self.parts if isinstance(self, SumPoly) else (self,):
+            if isinstance(p, ScaledRankPoly):
+                copies.extend([p.matroid] * p.scale)
+            elif p.network is not None and p.network.plain:
+                plain.append(p)
+            else:
+                return None
+        if not plain:
+            return tuple(copies), None
+        return tuple(copies), plain[0] if len(plain) == 1 else SumPoly(plain)
 
     def capped(self, *, uniform: int, on: int) -> "CappedPoly":
         """This polymatroid with the elements of the mask on capped at
@@ -451,19 +480,32 @@ def sfm_min(fn: Callable[[int], int], n: int, caps: Caps = DEFAULT_CAPS,
 # subset enumeration: at most four subsets, whose values the polymatroid
 # memoises.
 FLOW_MEMBER_SUPPORT = 3
+# Integer vectors with at least this many nonzero entries are decided by
+# matroid partition (partition_member) when the polymatroid has a partition
+# form and no cut network. Smaller supports stay on the subset enumeration,
+# at most 64 memoised subsets; a threshold of 4 measured alike on the
+# benchmark's santa-pipeline and core-induced workloads (CHANGES.md).
+PARTITION_MEMBER_SUPPORT = 7
+
+
+def _check_length(p: PolymatroidOracle, x: Sequence) -> None:
+    if len(x) != p.n:
+        raise ValueError(f"vector of length {len(x)} for a ground set of size {p.n}")
 
 
 def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAULT_CAPS) -> bool:
     """x in P iff min_S f(S) − x(S) >= 0.
 
     Monotonicity lets the search restrict to subsets of the support of x.
-    Accepts integer or rational vectors (rational for scaled box tests).
-    An integer x with FLOW_MEMBER_SUPPORT or more nonzero entries is decided
-    by CutNetwork.member when p has a cut network. Answers are memoised per
-    polymatroid and vector (equal int and Fraction vectors share one); the
-    sign, range and cap checks run first, so a memo hit raises what a miss
-    would.
+    Accepts integer or rational vectors (rational for scaled box tests) of
+    length p.n. An integer x with FLOW_MEMBER_SUPPORT or more nonzero
+    entries is decided by CutNetwork.member when p has a cut network, and
+    one with PARTITION_MEMBER_SUPPORT or more by partition_member when p has
+    a partition form instead. Answers are memoised per polymatroid and
+    vector (equal int and Fraction vectors share one); the length, sign,
+    range and cap checks run first, so a memo hit raises what a miss would.
     """
+    _check_length(p, x)
     if any(v < 0 for v in x):
         raise ValueError("membership is defined for nonnegative vectors")
     supp = vec_support(x)
@@ -475,13 +517,130 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
     hit = p._member_memo.get(key)
     if hit is None:
         net = p.network
-        if net is not None and k >= FLOW_MEMBER_SUPPORT and all(isinstance(v, int) for v in x):
+        structured = (k >= FLOW_MEMBER_SUPPORT if net is not None else
+                      k >= PARTITION_MEMBER_SUPPORT and p.partition_form is not None)
+        if structured and all(isinstance(v, int) for v in x):
             stats.bump("poly_value")
-            hit = net.member(x)
+            hit = net.member(x) if net is not None else partition_member(p, x)
         else:
             hit = sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1] >= 0
         p._member_memo[key] = hit
     return hit
+
+
+def partition_member(p: PolymatroidOracle, x: Sequence[int]) -> bool:
+    """x in P(f) for an integer x >= 0 of length p.n and a p with a
+    partition form f = Σ r_copy + g (matroid copies, plain part g), by
+    matroid partition of x's units (Edmonds 1968; 1970 for the sum).
+
+    x is a member iff its x(E) units split into one independent set per
+    copy (at most one unit of an element each) and a count vector in P(g).
+    After the pre-checks x(e) <= f({e}) and x(E) <= f(supp x), g takes what
+    one flow with supply min(x, g({e})) carries, then each copy takes units
+    greedily in index order, and every unit left enters along a shortest
+    exchange path (_enter). x is a member iff every unit is placed: a unit
+    with no path proves the units placed so far plus it dependent in the
+    union of the copy matroids.
+
+    The search runs on (element, part) nodes, not on units. Two units of
+    one element held in one part are clones: swapping their labels maps
+    the split to itself, so they have the same exchange edges in and out,
+    the search over units reaches them at the same distance, and a
+    shortest path uses at most one of them. One representative per
+    (element, part) thus finds a shortest path over units, and Edmonds'
+    argument for shortest paths keeps every part independent after the
+    exchanges. The plain part's checks ("add y", "swap y for z") are one
+    residual search of its kept flow (ResidualFlow.exchanges).
+    """
+    copies, plain = p.partition_form
+    supp = vec_support(x)
+    g = None if plain is None else plain.network
+    top, total = [0] * p.n, 0   # f({e}) and f(supp x), the plain part's share first
+    if g is not None:
+        covered = 0
+        for e in bits(supp):
+            covered |= g.covers[e]
+        top, total = list(g._left), vec_sum(g.weights, covered)
+    for m in dict.fromkeys(copies):
+        s = copies.count(m)
+        total += s * m.rank(supp)
+        for e in bits(supp):
+            top[e] += s * m.rank(1 << e)
+    if sum(x) > total or any(x[e] > top[e] for e in bits(supp)):
+        return False
+    left = list(x)
+    flow = None
+    if g is not None:
+        supply = [min(v, t) for v, t in zip(x, g._left)]
+        flow = ResidualFlow(g.covers, supply, g.weights)
+        for e in bits(supp):
+            left[e] -= supply[e] - flow.left_res[e]
+            flow.left_res[e] = 0   # g holds exactly what it carries
+    masks = [0] * len(copies)
+    for i, m in enumerate(copies):
+        for e in bits(supp):
+            if left[e] and m.is_independent(masks[i] | 1 << e):
+                masks[i] |= 1 << e
+                left[e] -= 1
+    return all(_enter(e, copies, masks, flow) for e in bits(supp) for _ in range(left[e]))
+
+
+def _enter(e: int, copies: tuple, masks: list[int], flow: ResidualFlow | None) -> bool:
+    """Place one more unit of e along a shortest exchange path; False if none.
+
+    A node (y, i) is a unit of y held in part i (None: the new unit, the
+    plain part is index len(copies)); an edge (y, i) -> (z, j) means y can
+    replace z in part j, and a path ends where a part takes y as it is.
+    Applying a path lowers the plain part's supplies before raising any, so
+    each step stays within the final member and its flow stays maximum.
+    """
+    plain = len(copies)
+    pred: dict[tuple, tuple | None] = {(e, None): None}
+    queue = [(e, None)]
+    swaps: dict[int, int | None] = {}   # y -> flow.exchanges(y)
+    for node in queue:
+        y, home = node
+        ybit = 1 << y
+        end = None
+        for i, m in enumerate(copies):
+            s = masks[i]
+            if s & ybit:
+                continue
+            if m.is_independent(s | ybit):
+                end = i
+                break
+            for z in bits(s):
+                if (z, i) not in pred and m.is_independent(s ^ (1 << z) | ybit):
+                    pred[(z, i)] = node
+                    queue.append((z, i))
+        if end is None and flow is not None and home != plain:
+            if y not in swaps:
+                swaps[y] = flow.exchanges(y)
+            if swaps[y] is None:
+                end = plain
+            else:
+                for z in bits(swaps[y]):
+                    if (z, plain) not in pred:
+                        pred[(z, plain)] = node
+                        queue.append((z, plain))
+        if end is not None:
+            raised: list[int] = []
+            cur: tuple | None = node
+            while cur is not None:
+                y, home = cur
+                if end == plain:
+                    raised.append(y)
+                else:
+                    masks[end] |= 1 << y
+                if home == plain:
+                    flow.lower_supply(y, 1)
+                elif home is not None:
+                    masks[home] &= ~(1 << y)
+                cur, end = pred[cur], home
+            for y in raised:
+                flow.raise_supply(y, 1)
+            return True
+    return False
 
 
 def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
@@ -490,6 +649,7 @@ def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
 
     One flow (CutNetwork.slack) when p has a cut network, else every S ∋ e.
     """
+    _check_length(p, x)
     if p.n > caps.sfm_ground:
         raise SizeCapError(f"ground set of size {p.n} exceeds cap {caps.sfm_ground}")
     net = p.network

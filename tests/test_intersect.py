@@ -1,17 +1,18 @@
 """Matroid and polymatroid intersection against brute-force enumeration."""
 
 import random
+from collections import deque
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matalloc import intersection, polymatroids
-from matalloc.bitsets import size, vec_support
+from matalloc.bitsets import size
 from matalloc.instances import gen_random
 from matalloc.intersection import (ExpandedMatroid, decompose_in_sum, decompose_merged_basis,
-                                   matroid_intersection_max, max_common_independent,
-                                   max_common_vector, polymatroid_intersection_max)
+                                   matroid_intersection_max, max_common_vector,
+                                   polymatroid_intersection_max)
 from matalloc.limits import ContractViolation, SizeCapError
 from matalloc.matroids import (FreeMatroid, GraphicMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid)
@@ -194,13 +195,45 @@ def random_part(rng, n):
 
 
 def copy_level(slot_caps, indep1, indep2):
-    """The textbook matroid intersection of the two ExpandedMatroids on unit
-    copies of the slots (in slot order), read back as a count vector."""
+    """The textbook matroid intersection on unit copies of the slots, written
+    out here rather than through max_common_independent, read back as a
+    count vector.
+
+    Copy c is a unit of slot owner[c] (copies in slot order). Each round
+    takes the current common independent set I; sources are the copies y
+    outside I with I + y independent for indep1, sinks those with I + y
+    independent for indep2. A copy y outside I leads to a copy s inside I
+    when I + y − s is independent for indep2, s leads to y when I − s + y
+    is independent for indep1. A FIFO search from the sources in copy
+    order, each node's targets in copy order, parents first come, ends at
+    the first sink it takes off the queue, and that path is applied.
+    """
     owner = [s for s, c in enumerate(slot_caps) for _ in range(c)]
     m1, m2 = (ExpandedMatroid(owner, len(slot_caps), indep) for indep in (indep1, indep2))
-    got = max_common_independent([1] * len(owner), lambda x: m1.is_independent(vec_support(x)),
-                                 lambda x: m2.is_independent(vec_support(x)))
-    return m1.counts(vec_support(got))
+    cur = 0
+    while True:
+        outside = [c for c in range(len(owner)) if not (cur >> c) & 1]
+        inside = [c for c in range(len(owner)) if (cur >> c) & 1]
+        sinks = {y for y in outside if m2.is_independent(cur | 1 << y)}
+        parent = {y: None for y in outside if m1.is_independent(cur | 1 << y)}
+        queue = deque(parent)
+        end = None
+        while queue:
+            v = queue.popleft()
+            if v in sinks:
+                end = v
+                break
+            base = cur ^ 1 << v   # I − v for an inside v, I + v for an outside one
+            targets, m = (outside, m1) if (cur >> v) & 1 else (inside, m2)
+            for w in targets:
+                if w not in parent and m.is_independent(base ^ 1 << w):
+                    parent[w] = v
+                    queue.append(w)
+        if end is None:
+            return m1.counts(cur)
+        while end is not None:
+            cur ^= 1 << end
+            end = parent[end]
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -3,13 +3,16 @@ capped-marginal laws, each checked against independent brute force."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matalloc import stats
+from matalloc import matching, polymatroids, stats
 from matalloc.bitsets import bits, full_mask, size, submasks, vec_sum
+from matalloc.instances import CoreCoverInstance, gen_random
+from matalloc.localsearch import solve_cover
 from matalloc.limits import Caps, SizeCapError
 from matalloc.matching import ResidualFlow, max_capacitated_flow
 from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, GraphicMatroid,
@@ -19,7 +22,8 @@ from matalloc.oracle import check_axioms, enumerate_bases
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, CutNetwork, DualPoly, ExplicitPoly,
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, dual_polymatroid,
-                                   greedy_basis_above, is_basis, member, sfm_min)
+                                   greedy_basis_above, is_basis, member, partition_member,
+                                   saturation_slack, sfm_min)
 
 
 def brute_capped(p, caps, mask):
@@ -562,6 +566,17 @@ class TestMemberMemo:
         with pytest.raises(ValueError):
             member(p, (0, 0, 1))
 
+    def test_a_vector_of_the_wrong_length_is_refused(self):
+        p = ModularPoly([1] * 4)
+        for x in [(1, 1, 1), (1, 1, 1, 0, 0)]:
+            with pytest.raises(ValueError, match="ground set of size 4"):
+                member(p, x)
+        assert not p._member_memo
+        with pytest.raises(ValueError, match="ground set of size 4"):
+            saturation_slack(p, (1, 0), 0)
+        with pytest.raises(ValueError, match="ground set of size 4"):
+            greedy_basis_above(p, (1, 0))
+
     @pytest.mark.parametrize("first", [int, Fraction])
     def test_int_and_fraction_vectors_share_one_answer(self, first):
         p = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
@@ -640,6 +655,26 @@ def test_residual_flow_is_a_max_flow_through_raises_and_lowers(seed):
         assert_is_flow(kept, adj, old, right)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
+    """On a flow that carries all of its supply c: None iff c + 1_u is
+    carried in full, else exactly the z != u for which c − 1_z + 1_u is."""
+    rng = random.Random(seed)
+    adj, _, right = random_network(rng)
+    res = ResidualFlow(adj, [rng.randint(0, 4) for _ in adj], right)
+    c = [sum(f for (w, _), f in res.flow.items() if w == u) for u in range(len(adj))]
+    res.left_res = [0] * len(adj)
+
+    def carried(supply):
+        return max_capacitated_flow(adj, supply, right) == sum(supply)
+
+    for u in range(len(adj)):
+        up = [v + (w == u) for w, v in enumerate(c)]
+        swaps = [z for z in range(len(adj)) if z != u and c[z]
+                 and carried([v - (w == z) for w, v in enumerate(up)])]
+        assert res.exchanges(u) == (None if carried(up) else sum(1 << z for z in swaps))
+
+
 def marginal_queries(seed):
     """network_chain's polymatroid with h in 1..3 and random sets X."""
     rng, p = network_chain(seed)
@@ -697,3 +732,149 @@ def test_a_capped_marginal_counts_two_value_queries(add):
     rec = ScaledRankPoly(UniformMatroid(3, 2), 2)
     assert counted(rec)["poly_value"] > 2
     assert counted(rec) == {"matroid_rank": 0, "poly_value": 2}
+
+
+# ---------------------------------------------------------------------------
+# Membership in sums with scaled-rank parts by matroid partition
+
+
+def partition_probes(rng, p):
+    """Entries 0..4: random vectors, some lowered until they are members,
+    some with one entry above its singleton value, and the singleton values
+    themselves (capped at 4), which often exceed f(E) together."""
+    n = p.n
+    top = [p.value(1 << e) for e in range(n)]
+    vecs = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(20)]
+    for x in map(list, vecs[:8]):
+        while not sfm_member(p, x):
+            x[rng.choice([e for e in range(n) if x[e]])] -= 1
+        vecs.append(tuple(x))
+    for e in range(n):
+        if top[e] < 4:
+            x = list(rng.choice(vecs))
+            x[e] = top[e] + 1
+            vecs.append(tuple(x))
+    vecs.append(tuple(min(t, 4) for t in top))
+    return vecs
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_partition_membership_matches_sfm(seed):
+    """Sums of scaled-rank parts (scale 0..3, all four matroid kinds), with
+    or without a modular and a coverage part, and lone scaled-rank parts."""
+    p = scaled_rank_sum(seed)
+    assert p.network is None and p.partition_form is not None
+    for x in partition_probes(random.Random(seed), p):
+        expect = sfm_member(p, x)
+        assert partition_member(p, x) == expect
+        assert member(p, x) == expect
+
+
+def test_partition_pre_checks_reject_singletons_and_the_total():
+    p = SumPoly([ScaledRankPoly(UniformMatroid(4, 1), 2), ModularPoly([1, 0, 0, 1])])
+    assert [p.value(1 << e) for e in range(4)] == [3, 2, 2, 3] and p.value(0b1111) == 4
+    for x, expect in [((0, 3, 0, 0), False),    # x(e) > f({e})
+                      ((2, 2, 0, 0), False),    # x(E) > f(E), every singleton within
+                      ((3, 0, 0, 1), True), ((1, 1, 1, 1), True)]:
+        assert partition_member(p, x) == sfm_member(p, x) == expect
+
+
+def test_a_lone_scaled_rank_part_exhaustively():
+    p = ScaledRankPoly(GraphicMatroid(3, [(0, 1), (1, 2), (2, 0), (0, 1)]), 2)
+    assert p.partition_form == ((p.matroid, p.matroid), None)
+    for x in product(range(4), repeat=4):
+        assert partition_member(p, x) == sfm_member(p, x)
+
+
+def test_scale_zero_parts_carry_nothing():
+    m = UniformMatroid(3, 2)
+    p = SumPoly([ScaledRankPoly(m, 0), ScaledRankPoly(m, 1)])
+    assert p.partition_form == ((m,), None)
+    for x in product(range(3), repeat=3):
+        assert partition_member(p, x) == sfm_member(p, x)
+    assert not partition_member(ScaledRankPoly(m, 0), (1, 0, 0))
+
+
+def test_exchange_paths_pass_through_the_plain_part_twice(monkeypatch):
+    """The flow gives the coverage part z1 and z3 (items a and b), copy A
+    takes z2, and e fits only into the coverage part, in place of z1. The
+    one path: e replaces z1 there, z1 replaces z2 in A, z2 replaces z3 in
+    the coverage part, and B takes z3."""
+    z1, z3, e, z2 = range(4)
+    lowered = []
+    lower = matching.ResidualFlow.lower_supply
+    monkeypatch.setattr(matching.ResidualFlow, "lower_supply",
+                        lambda self, u, d: lowered.append(u) or lower(self, u, d))
+    cover = CoveragePoly([0b01, 0b10, 0b01, 0b10], [1, 1])
+    a = PartitionMatroid(4, [1 << z1 | 1 << z2, 1 << e | 1 << z3], [1, 0])
+    b = PartitionMatroid(4, [1 << z3, 1 << e | 1 << z1 | 1 << z2], [1, 0])
+    p = SumPoly([cover, ScaledRankPoly(a, 1), ScaledRankPoly(b, 1)])
+    assert partition_member(p, (1, 1, 1, 1)) and sfm_member(p, (1, 1, 1, 1))
+    assert lowered == [z3, z1]
+    assert not partition_member(p, (1, 1, 2, 1)) and not sfm_member(p, (1, 1, 2, 1))
+
+
+def partition_sum(n=8):
+    """A sum with a partition form and no cut network on n elements."""
+    rng = random.Random(3)
+    edges = [(rng.randrange(5), rng.randrange(5)) for _ in range(n)]
+    return SumPoly([ScaledRankPoly(GraphicMatroid(5, edges), 2), ModularPoly([1] * n)])
+
+
+def test_member_takes_the_partition_path_from_its_support_threshold(monkeypatch):
+    called = []
+    real = polymatroids.partition_member
+    monkeypatch.setattr(polymatroids, "partition_member",
+                        lambda p, x: called.append(x) or real(p, x))
+    p = partition_sum()
+    k = polymatroids.PARTITION_MEMBER_SUPPORT
+    small = tuple([1] * (k - 1) + [0] * (p.n - k + 1))
+    large = tuple([1] * k + [0] * (p.n - k))
+    assert member(p, small) == sfm_member(p, small)
+    assert called == []
+    expect = sfm_member(p, large)
+    before = stats.snapshot()
+    assert member(p, large) == expect
+    queries = stats.delta(before)
+    assert called == [large]
+    assert queries["poly_value"] == 1 and queries["matroid_rank"] > 0
+
+
+def test_fraction_vectors_stay_on_the_subset_path(monkeypatch):
+    def refuse(p, x):
+        raise AssertionError("a rational vector reached the partition path")
+
+    monkeypatch.setattr(polymatroids, "partition_member", refuse)
+    p = partition_sum()
+    for x in [(Fraction(1, 2),) * 8, (Fraction(3, 2),) * 8, (Fraction(1),) * 8]:
+        assert member(p, x) == all(vec_sum(x, s) <= p.value(s) for s in range(1 << 8))
+
+
+def test_a_partition_memo_hit_still_obeys_the_cap():
+    p = partition_sum()
+    x = (1,) * 8
+    assert member(p, x) == sfm_member(p, x)
+    with pytest.raises(SizeCapError):
+        member(p, x, Caps(sfm_ground=7))
+
+
+def test_all_rank_zero_core_membership_work_is_bounded(monkeypatch):
+    """A count of the work, not of time: the core whose matroid has rank 0
+    against the u-resources (two scaled-rank transversal parts) of one fixed
+    12-player santa-matroid draw. solve_cover decides that b·1 lies in P;
+    subset enumeration did it by one sfm_min over all 12 elements (4,096
+    subsets), the partition path asks no sfm_min over more than 6."""
+    inst = gen_random("santa-matroid", 5, m=12, n=4, u=1, w=3)
+    u_sum = SumPoly([it.polymatroid for it in inst.resources if it.value == 1])
+    assert u_sum.network is None and u_sum.partition_form is not None
+    domains = []
+    real = polymatroids.sfm_min
+
+    def counted(fn, n, caps=Caps(), restrict=None):
+        domains.append(size(full_mask(n) if restrict is None else restrict))
+        return real(fn, n, caps, restrict)
+
+    monkeypatch.setattr(polymatroids, "sfm_min", counted)
+    res = solve_cover(CoreCoverInstance(UniformMatroid(12, 0), u_sum, 1))
+    assert res.feasible and res.y == (1,) * 12
+    assert max(domains, default=0) <= 6
