@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import stats
-from .bitsets import bits, check_subset, full_mask, size
+from .bitsets import bits, check_subset, full_mask, indicator, size
 from .matching import max_bipartite_matching
-from .polymatroids import _check_weights
+from .polymatroids import _check_weights, matroid_partition
 
 
 class MatroidOracle:
@@ -184,61 +184,24 @@ class ZeroedMatroid(MatroidOracle):
 class UnionMatroid(MatroidOracle):
     """Matroid union: X is independent iff it splits into independent sets of the parts.
 
-    The rank r(X) = min_{Y ⊆ X} |X \\ Y| + Σ_i r_i(Y) is computed by Edmonds'
-    matroid partition: the elements of X enter one at a time along shortest
-    exchange paths over (element, part) pairs, asking only the parts'
-    is_independent. A union of no parts (n given) has rank 0.
+    The rank r(X) = min_{Y ⊆ X} |X \\ Y| + Σ_i r_i(Y) is Edmonds' matroid
+    partition of X (polymatroids.matroid_partition): the elements of X enter
+    along shortest exchange paths over (element, part) pairs, asking only
+    the parts' is_independent.
     """
 
-    def __init__(self, parts: Sequence[MatroidOracle], n: int | None = None):
+    def __init__(self, parts: Sequence[MatroidOracle]):
         parts = tuple(parts)
-        if n is None:
-            if not parts:
-                raise ValueError("a union of no matroids needs its ground set size")
-            n = parts[0].n
+        if not parts:
+            raise ValueError("union of no matroids")
+        n = parts[0].n
         if any(p.n != n for p in parts):
             raise ValueError("union parts must share the ground set")
         super().__init__(n)
         self.parts = parts
 
     def _rank(self, mask: int) -> int:
-        sets = [0] * len(self.parts)   # disjoint independent sets, one per part
-        owner: dict[int, int] = {}     # element -> the part holding it
-        return sum(self._insert(x, sets, owner) for x in bits(mask))
-
-    def _insert(self, x: int, sets: list[int], owner: dict[int, int]) -> bool:
-        """Add x to the partition along a shortest exchange path; False if none exists.
-
-        An edge y -> z (z in part i) means y can replace z in part i; a path
-        ends at an element some part can take as it is. Shortest paths keep
-        every part independent after the exchanges (Edmonds 1968).
-
-        polymatroids.partition_member runs the same search on count vectors;
-        this 0/1 version stays for union ranks, which are asked often and on
-        small sets: routing them through the count-level routine made
-        core-induced p50 5–13% slower in a prototype.
-        """
-        pred = {x: None}
-        queue = [x]
-        for y in queue:
-            ybit, home = 1 << y, owner.get(y)
-            for i, part in enumerate(self.parts):
-                if i == home:
-                    continue
-                if part.is_independent(sets[i] | ybit):
-                    while y is not None:
-                        j = owner.get(y)
-                        if j is not None:
-                            sets[j] ^= 1 << y
-                        sets[i] |= 1 << y
-                        owner[y] = i
-                        y, i = pred[y], j
-                    return True
-                for z in bits(sets[i]):
-                    if z not in pred and part.is_independent(sets[i] ^ (1 << z) | ybit):
-                        pred[z] = y
-                        queue.append(z)
-        return False
+        return matroid_partition(self.parts, None, indicator(mask, self.n))
 
 
 class InducedMatroid(MatroidOracle):
@@ -246,10 +209,13 @@ class InducedMatroid(MatroidOracle):
 
     X is independent iff min_{S ⊆ X} f(S) − |S| >= 0; equivalently the rank
     is the unit-capped evaluation r(X) = min_{T ⊆ X} f(X \\ T) + |T|, one
-    max-flow when f has a cut network. The matroid induced by f₁ + f₂ is the
-    union of those induced by f₁ and f₂, and s·r_M induces the union of s
-    copies of M, so a sum of scaled-rank and plain coverage parts is ranked
-    by matroid partition. Every other form keeps the subset recursion.
+    max-flow when f has a cut network. s·r_M induces the union of s copies
+    of M, and f₁ + f₂ the union of the matroids f₁ and f₂ induce, so when f
+    has a partition form (matroid copies plus a plain cut-network part) the
+    rank of X is the matroid partition of 1_X into the copies and the plain
+    part (polymatroids.matroid_partition), whose plain-part checks are
+    residual searches of one kept flow. Every other form keeps the subset
+    recursion.
     """
 
     def __init__(self, poly):
@@ -257,13 +223,13 @@ class InducedMatroid(MatroidOracle):
         self.poly = poly
         net = poly.network
         self._unit = None if net is None else net.capped([1] * poly.n)
-        self._union = None if net is not None else _union_of_parts(poly)
+        self._form = None if net is not None else poly.partition_form
 
     def _rank(self, mask: int) -> int:
         if self._unit is not None:
             return self._unit.value(mask)
-        if self._union is not None:
-            return self._union._rank(mask)
+        if self._form is not None:
+            return matroid_partition(*self._form, indicator(mask, self.n))
         # min(f(X), min_i r(X - i) + 1) unrolls the capped-evaluation minimum
         best = self.poly.value(mask)
         for e in bits(mask):
@@ -271,17 +237,6 @@ class InducedMatroid(MatroidOracle):
                 break
             best = min(best, self.rank(mask ^ (1 << e)) + 1)
         return best
-
-
-def _union_of_parts(poly) -> UnionMatroid | None:
-    """The union inducing the same matroid as poly, from its partition form
-    (its matroid copies and the matroid its plain part induces); None when
-    poly has no partition form."""
-    form = poly.partition_form
-    if form is None:
-        return None
-    copies, plain = form
-    return UnionMatroid(copies if plain is None else copies + (InducedMatroid(plain),), poly.n)
 
 
 def matroid_add_greedy(m: MatroidOracle, start: int, candidates: Sequence[int]) -> int:

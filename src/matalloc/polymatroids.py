@@ -18,8 +18,13 @@ form per (h, X) (CutNetwork.marginal).
 
 A scaled-rank part, or a sum of scaled-rank and plain cut-network parts,
 has a partition form instead: matroid copies plus one plain part
-(partition_form). Membership of integer vectors with larger supports there
-is matroid partition of the vector's units (partition_member).
+(partition_form). matroid_partition, Edmonds' matroid partition, counts
+how many of an integer vector's units split into one independent set per
+copy and a member of the plain part. It is the package's one partition
+routine: membership of integer vectors with larger supports there is that
+count reaching x(E) (partition_member), and the ranks of matroid unions and
+of the matroids such forms induce are its count on 0/1 vectors
+(matroids.UnionMatroid, matroids.InducedMatroid).
 """
 
 from __future__ import annotations
@@ -184,15 +189,15 @@ class PolymatroidOracle:
         return None
 
     @cached_property
-    def partition_form(self) -> tuple[tuple, "PolymatroidOracle | None"] | None:
+    def partition_form(self) -> tuple[tuple, CutNetwork | None] | None:
         """(matroid copies, plain part) when this polymatroid is a scaled-rank
         part or a sum of scaled-rank and plain cut-network parts, else None.
 
         Each s·r_M gives s copies of M; the plain parts together are one
-        polymatroid with a plain cut network (None when there are none).
-        Then f = Σ r_copy + plain: integer members of P(f) are sums of one
-        independent set per copy and one member of the plain part (matroid
-        union and the polymatroid sum theorem, Edmonds 1968 and 1970).
+        plain cut network (None when there are none). Then f = Σ r_copy +
+        plain: integer members of P(f) are sums of one independent set per
+        copy and one member of the plain part (matroid union and the
+        polymatroid sum theorem, Edmonds 1968 and 1970).
         """
         copies: list = []
         plain: list[PolymatroidOracle] = []
@@ -205,7 +210,7 @@ class PolymatroidOracle:
                 return None
         if not plain:
             return tuple(copies), None
-        return tuple(copies), plain[0] if len(plain) == 1 else SumPoly(plain)
+        return tuple(copies), (plain[0] if len(plain) == 1 else SumPoly(plain)).network
 
     def capped(self, *, uniform: int, on: int) -> "CappedPoly":
         """This polymatroid with the elements of the mask on capped at
@@ -530,31 +535,13 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
 
 def partition_member(p: PolymatroidOracle, x: Sequence[int]) -> bool:
     """x in P(f) for an integer x >= 0 of length p.n and a p with a
-    partition form f = Σ r_copy + g (matroid copies, plain part g), by
-    matroid partition of x's units (Edmonds 1968; 1970 for the sum).
-
-    x is a member iff its x(E) units split into one independent set per
-    copy (at most one unit of an element each) and a count vector in P(g).
-    After the pre-checks x(e) <= f({e}) and x(E) <= f(supp x), g takes what
-    one flow with supply min(x, g({e})) carries, then each copy takes units
-    greedily in index order, and every unit left enters along a shortest
-    exchange path (_enter). x is a member iff every unit is placed: a unit
-    with no path proves the units placed so far plus it dependent in the
-    union of the copy matroids.
-
-    The search runs on (element, part) nodes, not on units. Two units of
-    one element held in one part are clones: swapping their labels maps
-    the split to itself, so they have the same exchange edges in and out,
-    the search over units reaches them at the same distance, and a
-    shortest path uses at most one of them. One representative per
-    (element, part) thus finds a shortest path over units, and Edmonds'
-    argument for shortest paths keeps every part independent after the
-    exchanges. The plain part's checks ("add y", "swap y for z") are one
-    residual search of its kept flow (ResidualFlow.exchanges).
+    partition form f = Σ r_copy + g (matroid copies, plain part g): after
+    the pre-checks x(e) <= f({e}) and x(E) <= f(supp x), x is a member iff
+    matroid_partition places all of its units (Edmonds 1968; 1970 for the
+    sum).
     """
-    copies, plain = p.partition_form
+    copies, g = p.partition_form
     supp = vec_support(x)
-    g = None if plain is None else plain.network
     top, total = [0] * p.n, 0   # f({e}) and f(supp x), the plain part's share first
     if g is not None:
         covered = 0
@@ -568,6 +555,35 @@ def partition_member(p: PolymatroidOracle, x: Sequence[int]) -> bool:
             top[e] += s * m.rank(1 << e)
     if sum(x) > total or any(x[e] > top[e] for e in bits(supp)):
         return False
+    return matroid_partition(copies, g, x) == sum(x)
+
+
+def matroid_partition(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> int:
+    """How many of x's units (x an integer vector >= 0) split into one
+    independent set per matroid copy (at most one unit of an element each)
+    and a count vector in P(g), g a plain cut network or None: Edmonds'
+    matroid partition (1968; 1970 for the polymatroid sum).
+
+    g takes what one flow with supply min(x, g({e})) carries, then each copy
+    takes units greedily in index order, and every unit left enters along a
+    shortest exchange path (_enter). A unit with no path proves the units
+    placed so far plus it dependent in the union, and so does every later
+    unit of its element, since placing more units only shrinks what fits;
+    the count is thus the largest y(E) over integer y <= x in P(Σ r_copy +
+    g). On a 0/1 x it is the rank of supp x in the union of the copies and
+    the matroid g induces.
+
+    The search runs on (element, part) nodes, not on units. Two units of
+    one element held in one part are clones: swapping their labels maps
+    the split to itself, so they have the same exchange edges in and out,
+    the search over units reaches them at the same distance, and a
+    shortest path uses at most one of them. One representative per
+    (element, part) thus finds a shortest path over units, and Edmonds'
+    argument for shortest paths keeps every part independent after the
+    exchanges. The plain part's checks ("add y", "swap y for z") are one
+    residual search of its kept flow (ResidualFlow.exchanges).
+    """
+    supp = vec_support(x)
     left = list(x)
     flow = None
     if g is not None:
@@ -582,7 +598,13 @@ def partition_member(p: PolymatroidOracle, x: Sequence[int]) -> bool:
             if left[e] and m.is_independent(masks[i] | 1 << e):
                 masks[i] |= 1 << e
                 left[e] -= 1
-    return all(_enter(e, copies, masks, flow) for e in bits(supp) for _ in range(left[e]))
+    placed = sum(x) - sum(left)
+    for e in bits(supp):
+        for _ in range(left[e]):
+            if not _enter(e, copies, masks, flow):
+                break
+            placed += 1
+    return placed
 
 
 def _enter(e: int, copies: tuple, masks: list[int], flow: ResidualFlow | None) -> bool:
@@ -650,6 +672,8 @@ def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
     One flow (CutNetwork.slack) when p has a cut network, else every S ∋ e.
     """
     _check_length(p, x)
+    if not 0 <= e < p.n:
+        raise ValueError(f"element {e} outside 0..{p.n - 1}")
     if p.n > caps.sfm_ground:
         raise SizeCapError(f"ground set of size {p.n} exceeds cap {caps.sfm_ground}")
     net = p.network

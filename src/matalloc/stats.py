@@ -8,16 +8,16 @@ counts two queries, the two capped values it is the difference of,
 however it is answered: by those two values or, on a cut network, by one
 augmenting search on a kept residual flow. Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
-vector asks no query again. An induced rank ranked as a matroid union
-counts the parts' rank queries that the matroid partition asks, so
-`solve-cover` reports far fewer queries on cores induced by sums with
-scaled-rank parts (41,121 -> 381 on one such core). Likewise a membership
-decided by matroid partition of the vector's units counts one value query
-plus the rank queries it asks of the matroid parts, where the subset
-enumeration counted every subset (20,505 -> 126 on one all-rank-zero
-core). Counters are
-process-global; snapshot/delta around a solver run to attribute queries
-to it.
+vector asks no query again. An induced rank decided by matroid partition
+counts the rank queries the partition asks of the matroid copies; its
+plain part is one kept flow and asks none. So `solve-cover` reports far
+fewer queries on cores induced by sums with scaled-rank parts than the
+subset recursion would (41,097 -> 137 on one such core). Likewise a
+membership decided by matroid partition of the vector's units counts one
+value query plus the rank queries it asks of the matroid parts, where the
+subset enumeration counted every subset (20,505 -> 126 on one
+all-rank-zero core). Counters are process-global; snapshot/delta around a
+solver run to attribute queries to it.
 """
 
 from __future__ import annotations

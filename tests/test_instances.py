@@ -1,5 +1,6 @@
 """Instance model, JSON round trips, generators, and equal-value merging."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,11 +10,15 @@ from hypothesis import given, settings, strategies as st
 from matalloc.bitsets import full_mask
 from matalloc.instances import (Item, MakespanInstance, SantaInstance,
                                 assignment_to_alloc, entity_totals, gen_gap_instance,
-                                gen_random, merge_equal_value, parse_instance,
-                                serialize_instance, split_merged_solution, validate_allocation)
+                                gen_random, matroid_from_json, matroid_to_json,
+                                merge_equal_value, parse_instance, serialize_instance,
+                                split_merged_solution, validate_allocation)
 from matalloc.limits import SchemaError
+from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, GraphicMatroid,
+                               InducedMatroid, PartitionMatroid, TransversalMatroid,
+                               UniformMatroid, UnionMatroid, ZeroedMatroid)
 from matalloc.oracle import brute_max_cover_b, check_axioms, enumerate_bases
-from matalloc.polymatroids import is_basis
+from matalloc.polymatroids import CoveragePoly, ScaledRankPoly, SumPoly, is_basis
 
 
 class TestJson:
@@ -61,6 +66,29 @@ class TestJson:
         inst = gen_random(flavor, seed, m=rng.randint(2, 4), n=rng.randint(1, 5))
         blob = serialize_instance(inst)
         assert serialize_instance(parse_instance(blob)) == blob
+
+    def test_every_matroid_kind_roundtrips_with_its_ranks(self):
+        graphic = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0), (0, 1)])
+        partition = PartitionMatroid(5, [0b00011, 0b11100], [1, 2])
+        transversal = TransversalMatroid([0b01, 0b11, 0b10, 0b00], 2)
+        coverage = CoveragePoly([0b011, 0b110, 0b100, 0b001], [1, 2, 1])
+        matroids = {
+            "uniform": UniformMatroid(4, 2),
+            "partition": partition,
+            "graphic": graphic,
+            "transversal": transversal,
+            "explicit": ExplicitMatroid(3, [0, 1, 1, 2, 1, 2, 2, 2]),
+            "contracted": ContractedMatroid(graphic, 0b0001),
+            "zeroed": ZeroedMatroid(partition, 0b00100),
+            "union": UnionMatroid([UniformMatroid(4, 1), transversal]),
+            "induced": InducedMatroid(SumPoly([coverage, ScaledRankPoly(graphic, 1)])),
+        }
+        for kind, m in matroids.items():
+            obj = json.loads(json.dumps(matroid_to_json(m)))
+            assert obj["kind"] == kind
+            again = matroid_from_json(obj)
+            assert matroid_to_json(again) == obj
+            assert [again.rank(x) for x in range(1 << m.n)] == [m.rank(x) for x in range(1 << m.n)]
 
 
 class TestGenerators:

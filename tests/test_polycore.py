@@ -22,8 +22,8 @@ from matalloc.oracle import check_axioms, enumerate_bases
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, CutNetwork, DualPoly, ExplicitPoly,
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, dual_polymatroid,
-                                   greedy_basis_above, is_basis, member, partition_member,
-                                   saturation_slack, sfm_min)
+                                   greedy_basis_above, is_basis, matroid_partition, member,
+                                   partition_member, saturation_slack, sfm_min)
 
 
 def brute_capped(p, caps, mask):
@@ -487,7 +487,8 @@ def test_scale_zero_induces_rank_zero():
               SumPoly([ScaledRankPoly(m, 0), ScaledRankPoly(UniformMatroid(3, 2), 0)])):
         ind = InducedMatroid(p)
         assert [ind.rank(mask) for mask in range(8)] == [0] * 8
-    assert UnionMatroid([], 3).rank(0b111) == 0
+    with pytest.raises(ValueError):
+        UnionMatroid([])
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +577,12 @@ class TestMemberMemo:
             saturation_slack(p, (1, 0), 0)
         with pytest.raises(ValueError, match="ground set of size 4"):
             greedy_basis_above(p, (1, 0))
+
+    def test_slack_refuses_an_element_outside_the_ground_set(self):
+        for p in (ModularPoly([1, 1]), ScaledRankPoly(UniformMatroid(2, 1), 1)):
+            for e in (-1, 2):
+                with pytest.raises(ValueError, match=r"element -?\d outside 0\.\.1"):
+                    saturation_slack(p, (0, 0), e)
 
     @pytest.mark.parametrize("first", [int, Fraction])
     def test_int_and_fraction_vectors_share_one_answer(self, first):
@@ -764,10 +771,13 @@ def test_partition_membership_matches_sfm(seed):
     or without a modular and a coverage part, and lone scaled-rank parts."""
     p = scaled_rank_sum(seed)
     assert p.network is None and p.partition_form is not None
+    copies, g = p.partition_form
     for x in partition_probes(random.Random(seed), p):
         expect = sfm_member(p, x)
         assert partition_member(p, x) == expect
         assert member(p, x) == expect
+        # the count is the largest y(E) over integer y <= x in P
+        assert matroid_partition(copies, g, x) == brute_capped(p, x, full_mask(p.n))
 
 
 def test_partition_pre_checks_reject_singletons_and_the_total():
@@ -795,23 +805,38 @@ def test_scale_zero_parts_carry_nothing():
     assert not partition_member(ScaledRankPoly(m, 0), (1, 0, 0))
 
 
-def test_exchange_paths_pass_through_the_plain_part_twice(monkeypatch):
+Z1, Z3, E, Z2 = range(4)
+
+
+def plain_part_twice(monkeypatch):
     """The flow gives the coverage part z1 and z3 (items a and b), copy A
     takes z2, and e fits only into the coverage part, in place of z1. The
-    one path: e replaces z1 there, z1 replaces z2 in A, z2 replaces z3 in
-    the coverage part, and B takes z3."""
-    z1, z3, e, z2 = range(4)
+    one path for e's unit: e replaces z1 there, z1 replaces z2 in A, z2
+    replaces z3 in the coverage part, and B takes z3. Returns the sum and
+    the list that records each lower_supply of a residual flow."""
     lowered = []
     lower = matching.ResidualFlow.lower_supply
     monkeypatch.setattr(matching.ResidualFlow, "lower_supply",
                         lambda self, u, d: lowered.append(u) or lower(self, u, d))
     cover = CoveragePoly([0b01, 0b10, 0b01, 0b10], [1, 1])
-    a = PartitionMatroid(4, [1 << z1 | 1 << z2, 1 << e | 1 << z3], [1, 0])
-    b = PartitionMatroid(4, [1 << z3, 1 << e | 1 << z1 | 1 << z2], [1, 0])
-    p = SumPoly([cover, ScaledRankPoly(a, 1), ScaledRankPoly(b, 1)])
+    a = PartitionMatroid(4, [1 << Z1 | 1 << Z2, 1 << E | 1 << Z3], [1, 0])
+    b = PartitionMatroid(4, [1 << Z3, 1 << E | 1 << Z1 | 1 << Z2], [1, 0])
+    return SumPoly([cover, ScaledRankPoly(a, 1), ScaledRankPoly(b, 1)]), lowered
+
+
+def test_exchange_paths_pass_through_the_plain_part_twice(monkeypatch):
+    p, lowered = plain_part_twice(monkeypatch)
     assert partition_member(p, (1, 1, 1, 1)) and sfm_member(p, (1, 1, 1, 1))
-    assert lowered == [z3, z1]
+    assert lowered == [Z3, Z1]
     assert not partition_member(p, (1, 1, 2, 1)) and not sfm_member(p, (1, 1, 2, 1))
+
+
+def test_induced_rank_paths_pass_through_the_plain_part(monkeypatch):
+    """The same path ranks the full ground set of the induced matroid, on
+    the one kept flow of the coverage part."""
+    p, lowered = plain_part_twice(monkeypatch)
+    assert InducedMatroid(p).rank(0b1111) == brute_capped(p, [1] * 4, 0b1111) == 4
+    assert lowered == [Z3, Z1]
 
 
 def partition_sum(n=8):
