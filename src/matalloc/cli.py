@@ -54,10 +54,14 @@ def _emit(obj, path: str | None, fmt: str = "json") -> None:
 
 def _caps(args) -> Caps:
     caps = caps_from_env()
-    if getattr(args, "cap_ground", None):
-        caps = caps.override(sfm_ground=args.cap_ground)
-    if getattr(args, "cap_enum", None):
-        caps = caps.override(basis_enum=args.cap_enum, assignments=args.cap_enum)
+    ground, enum = getattr(args, "cap_ground", None), getattr(args, "cap_enum", None)
+    for flag, cap in (("--cap-ground", ground), ("--cap-enum", enum)):
+        if cap is not None and cap < 0:
+            raise SchemaError(f"{flag}: must be nonnegative")
+    if ground is not None:
+        caps = caps.override(sfm_ground=ground)
+    if enum is not None:
+        caps = caps.override(basis_enum=enum, assignments=enum)
     return caps
 
 

@@ -65,8 +65,8 @@ def caps_from_env(base: "Caps | None" = None) -> Caps:
     if unknown:
         raise SchemaError(f"MATROID_ALLOC_CAPS has unknown fields: {sorted(unknown)}")
     for key, val in data.items():
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise SchemaError(f"MATROID_ALLOC_CAPS.{key}: must be an integer")
+        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+            raise SchemaError(f"MATROID_ALLOC_CAPS.{key}: must be a nonnegative integer")
     return caps.override(**data)
 
 

@@ -208,26 +208,22 @@ class InducedMatroid(MatroidOracle):
     """Matroid induced by an integer polymatroid f.
 
     X is independent iff min_{S ⊆ X} f(S) − |S| >= 0; equivalently the rank
-    is the unit-capped evaluation r(X) = min_{T ⊆ X} f(X \\ T) + |T|, one
-    max-flow when f has a cut network. s·r_M induces the union of s copies
-    of M, and f₁ + f₂ the union of the matroids f₁ and f₂ induce, so when f
-    has a partition form (matroid copies plus a plain cut-network part) the
-    rank of X is the matroid partition of 1_X into the copies and the plain
-    part (polymatroids.matroid_partition), whose plain-part checks are
-    residual searches of one kept flow. Every other form keeps the subset
-    recursion.
+    is the unit-capped evaluation r(X) = min_{T ⊆ X} f(X \\ T) + |T|, the
+    largest y(E) over integer y <= 1_X in P(f). s·r_M induces the union of
+    s copies of M, and f₁ + f₂ the union of the matroids f₁ and f₂ induce,
+    so when f has a partition form (matroid copies plus a cut-network part)
+    the rank of X is the matroid partition of 1_X into the copies and the
+    network part (polymatroids.matroid_partition): one max-flow when there
+    are no copies, else residual searches of one kept flow for the network
+    part. Every other form keeps the subset recursion.
     """
 
     def __init__(self, poly):
         super().__init__(poly.n)
         self.poly = poly
-        net = poly.network
-        self._unit = None if net is None else net.capped([1] * poly.n)
-        self._form = None if net is not None else poly.partition_form
+        self._form = poly.partition_form
 
     def _rank(self, mask: int) -> int:
-        if self._unit is not None:
-            return self._unit.value(mask)
         if self._form is not None:
             return matroid_partition(*self._form, indicator(mask, self.n))
         # min(f(X), min_i r(X - i) + 1) unrolls the capped-evaluation minimum

@@ -7,24 +7,24 @@ sums, box caps, marginals above a set or vector, and duals. On top of
 the oracles: brute-force submodular minimization, membership, greedy
 basis extension, and the box-capped marginal f(Y | b*X).
 
-Capped values of coverage-shaped polymatroids (modular and coverage parts,
-their sums, caps and set contractions) are bipartite min cuts, evaluated by
-one exact max-flow (CutNetwork); every other form falls back to the subset
-recursion of CappedPoly. On those forms the saturation slack, and the
-membership of integer vectors with larger supports, are one flow as well.
-A one-element capped marginal f(i | h·X) there is one augmenting search
-from i on a copy of the max flow of X, which the network keeps in residual
-form per (h, X) (CutNetwork.marginal).
+Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
+and set contractions) are cut networks (CutNetwork): the count of an
+integer x, max y(E) over integer y <= x in P, is one exact max-flow, and
+values and saturation slacks are counts. Every other form falls back to
+the subset recursion of CappedPoly. A one-element capped marginal
+f(i | h·X) there is one augmenting search from i on a copy of the max flow
+of X, which the network keeps in residual form per (h, X)
+(CutNetwork.marginal).
 
-A scaled-rank part, or a sum of scaled-rank and plain cut-network parts,
-has a partition form instead: matroid copies plus one plain part
-(partition_form). matroid_partition, Edmonds' matroid partition, counts
-how many of an integer vector's units split into one independent set per
-copy and a member of the plain part. It is the package's one partition
-routine: membership of integer vectors with larger supports there is that
-count reaching x(E) (partition_member), and the ranks of matroid unions and
-of the matroids such forms induce are its count on 0/1 vectors
-(matroids.UnionMatroid, matroids.InducedMatroid).
+A cut network, a scaled-rank part, or a sum of scaled-rank and plain
+cut-network parts has a partition form: matroid copies (none for a cut
+network) plus one network part (partition_form). matroid_partition,
+Edmonds' matroid partition, counts how many of an integer vector's units
+split into one independent set per copy and a member of the network part.
+It is the package's one partition routine: membership of integer vectors
+with larger supports is that count reaching x(E) (partition_member), and
+the ranks of matroid unions and of the matroids such forms induce are its
+count on 0/1 vectors (matroids.UnionMatroid, matroids.InducedMatroid).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class CutNetwork:
                        if reach is None else reach)
         # an uncapped element is cut at the weight it covers, which never binds
         self._left = tuple(r if c is None else min(c, r) for c, r in zip(self.caps, self._reach))
-        self._f_base: int | None = None
         self._residuals: dict[tuple[int, int], ResidualFlow] = {}
 
     @property
@@ -78,39 +77,26 @@ class CutNetwork:
         return CutNetwork(self.covers, self.weights, self.caps, self.base | mask, self._reach)
 
     def value(self, mask: int) -> int:
-        return self._flow((), mask) - self._f_of_base()
+        return self.count([t if (mask >> e) & 1 else 0 for e, t in enumerate(self._left)])
 
-    def _f_of_base(self) -> int:
-        if self._f_base is None:
-            self._f_base = self._flow((), 0)
-        return self._f_base
-
-    def _flow(self, x: Sequence[int], lift: int = 0) -> int:
-        """Max flow with supply _left[e] on base and lift, x(e) elsewhere."""
-        lift |= self.base
-        es = elements(vec_support(x) | lift)
+    @cached_property
+    def _f_base(self) -> int:
+        """F(base): the max flow with supply _left on base."""
+        es = elements(self.base)
         return max_capacitated_flow([self.covers[e] for e in es],
-                                    [self._left[e] if (lift >> e) & 1 else x[e] for e in es],
-                                    self.weights)
+                                    [self._left[e] for e in es], self.weights)
 
-    def member(self, x: Sequence[int]) -> bool:
-        """x in P(f) by one flow, for an integer x >= 0.
-
-        x(e) <= f({e}) <= _left[e] is necessary. Given it, the flow with
-        supply x off base and _left on base is the min over element sets U
-        of x(E \\ (U ∪ base)) + _left(base \\ U) + w(N(U)), at most
-        F(base) + x(E \\ base) (U inside base). It reaches F(base) + x(E)
-        iff x = 0 on base and x(S) <= F(S ∪ base) − F(base) for every S
-        off base.
+    def count(self, x: Sequence[int]) -> int:
+        """max y(E) over integer y <= x in P(f), for an integer x >= 0: the
+        max flow with supply min(x, _left) off base and _left on base, less
+        F(base). Both are min_{S ⊇ base} x(E \\ S) + F(S) − F(base) (base
+        elements are loops) once F(S) is written as its min cut over U ⊆ S.
         """
-        if any(v > left for v, left in zip(x, self._left)):
-            return False
-        return self._flow(x) == self._f_of_base() + sum(x)
-
-    def slack(self, x: Sequence[int], e: int) -> int:
-        """max t with x + t·1_e in P(f), for a member x: the flow with e's
-        supply raised to _left[e], less F(base) + x(E)."""
-        return self._flow(x, 1 << e) - self._f_of_base() - sum(x)
+        base, left = self.base, self._left
+        es = elements(vec_support(x) | base)
+        supply = [left[e] if (base >> e) & 1 else min(x[e], left[e]) for e in es]
+        return (max_capacitated_flow([self.covers[e] for e in es], supply, self.weights)
+                - self._f_base)
 
     def marginal(self, i: int, h: int, mask: int) -> int:
         """f(i | h·mask): the capped marginal of element i above mask with the
@@ -190,15 +176,21 @@ class PolymatroidOracle:
 
     @cached_property
     def partition_form(self) -> tuple[tuple, CutNetwork | None] | None:
-        """(matroid copies, plain part) when this polymatroid is a scaled-rank
-        part or a sum of scaled-rank and plain cut-network parts, else None.
+        """(matroid copies, network part) of a cut network, ((), network), of
+        a scaled-rank part or of a sum of scaled-rank and plain cut-network
+        parts; else None.
 
         Each s·r_M gives s copies of M; the plain parts together are one
         plain cut network (None when there are none). Then f = Σ r_copy +
-        plain: integer members of P(f) are sums of one independent set per
-        copy and one member of the plain part (matroid union and the
-        polymatroid sum theorem, Edmonds 1968 and 1970).
+        network: integer members of P(f) are sums of one independent set per
+        copy and one member of the network part (matroid union and the
+        polymatroid sum theorem, Edmonds 1968 and 1970). With copies, the
+        network part is plain (base 0, no caps) or None: matroid_partition
+        keeps the split of its prefill flow, which on a contracted network
+        need not leave F(base) on base.
         """
+        if self.network is not None:
+            return (), self.network
         copies: list = []
         plain: list[PolymatroidOracle] = []
         for p in self.parts if isinstance(self, SumPoly) else (self,):
@@ -480,17 +472,13 @@ def sfm_min(fn: Callable[[int], int], n: int, caps: Caps = DEFAULT_CAPS,
     return best_mask, best_val
 
 
-# Integer vectors with at least this many nonzero entries are decided by one
-# flow when the polymatroid has a cut network. Smaller supports stay on the
-# subset enumeration: at most four subsets, whose values the polymatroid
-# memoises.
-FLOW_MEMBER_SUPPORT = 3
 # Integer vectors with at least this many nonzero entries are decided by
 # matroid partition (partition_member) when the polymatroid has a partition
-# form and no cut network. Smaller supports stay on the subset enumeration,
-# at most 64 memoised subsets; a threshold of 4 measured alike on the
-# benchmark's santa-pipeline and core-induced workloads (CHANGES.md).
-PARTITION_MEMBER_SUPPORT = 7
+# form. Smaller supports stay on the subset enumeration: at most four
+# subsets, whose values the polymatroid memoises. 5 was faster on the
+# santa-pipeline benchmark, but moves the oracle queries of cut-network
+# cores (CHANGES.md).
+MEMBER_SUPPORT = 3
 
 
 def _check_length(p: PolymatroidOracle, x: Sequence) -> None:
@@ -503,10 +491,9 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
 
     Monotonicity lets the search restrict to subsets of the support of x.
     Accepts integer or rational vectors (rational for scaled box tests) of
-    length p.n. An integer x with FLOW_MEMBER_SUPPORT or more nonzero
-    entries is decided by CutNetwork.member when p has a cut network, and
-    one with PARTITION_MEMBER_SUPPORT or more by partition_member when p has
-    a partition form instead. Answers are memoised per polymatroid and
+    length p.n. An integer x with MEMBER_SUPPORT or more nonzero entries is
+    decided by partition_member when p has a partition form (on a cut
+    network, one max flow). Answers are memoised per polymatroid and
     vector (equal int and Fraction vectors share one); the length, sign,
     range and cap checks run first, so a memo hit raises what a miss would.
     """
@@ -521,12 +508,10 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
     key = tuple(x)
     hit = p._member_memo.get(key)
     if hit is None:
-        net = p.network
-        structured = (k >= FLOW_MEMBER_SUPPORT if net is not None else
-                      k >= PARTITION_MEMBER_SUPPORT and p.partition_form is not None)
-        if structured and all(isinstance(v, int) for v in x):
+        if (k >= MEMBER_SUPPORT and p.partition_form is not None
+                and all(isinstance(v, int) for v in x)):
             stats.bump("poly_value")
-            hit = net.member(x) if net is not None else partition_member(p, x)
+            hit = partition_member(p, x)
         else:
             hit = sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1] >= 0
         p._member_memo[key] = hit
@@ -535,14 +520,14 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
 
 def partition_member(p: PolymatroidOracle, x: Sequence[int]) -> bool:
     """x in P(f) for an integer x >= 0 of length p.n and a p with a
-    partition form f = Σ r_copy + g (matroid copies, plain part g): after
+    partition form f = Σ r_copy + g (matroid copies, network part g): after
     the pre-checks x(e) <= f({e}) and x(E) <= f(supp x), x is a member iff
     matroid_partition places all of its units (Edmonds 1968; 1970 for the
     sum).
     """
     copies, g = p.partition_form
     supp = vec_support(x)
-    top, total = [0] * p.n, 0   # f({e}) and f(supp x), the plain part's share first
+    top, total = [0] * p.n, 0   # f({e}) and f(supp x) bounds, the network part's first
     if g is not None:
         covered = 0
         for e in bits(supp):
@@ -561,17 +546,18 @@ def partition_member(p: PolymatroidOracle, x: Sequence[int]) -> bool:
 def matroid_partition(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> int:
     """How many of x's units (x an integer vector >= 0) split into one
     independent set per matroid copy (at most one unit of an element each)
-    and a count vector in P(g), g a plain cut network or None: Edmonds'
-    matroid partition (1968; 1970 for the polymatroid sum).
+    and a count vector in P(g), g a cut network (plain when there are
+    copies) or None: Edmonds' matroid partition (1968; 1970 for the
+    polymatroid sum). With no copies it is g.count(x).
 
-    g takes what one flow with supply min(x, g({e})) carries, then each copy
-    takes units greedily in index order, and every unit left enters along a
-    shortest exchange path (_enter). A unit with no path proves the units
-    placed so far plus it dependent in the union, and so does every later
-    unit of its element, since placing more units only shrinks what fits;
-    the count is thus the largest y(E) over integer y <= x in P(Σ r_copy +
-    g). On a 0/1 x it is the rank of supp x in the union of the copies and
-    the matroid g induces.
+    Otherwise g takes what one flow with supply min(x, g({e})) carries, then
+    each copy takes units greedily in index order, and every unit left
+    enters along a shortest exchange path (_enter). A unit with no path
+    proves the units placed so far plus it dependent in the union, and so
+    does every later unit of its element, since placing more units only
+    shrinks what fits; the count is thus the largest y(E) over integer
+    y <= x in P(Σ r_copy + g). On a 0/1 x it is the rank of supp x in the
+    union of the copies and the matroid g induces.
 
     The search runs on (element, part) nodes, not on units. Two units of
     one element held in one part are clones: swapping their labels maps
@@ -583,6 +569,8 @@ def matroid_partition(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> 
     exchanges. The plain part's checks ("add y", "swap y for z") are one
     residual search of its kept flow (ResidualFlow.exchanges).
     """
+    if g is not None and not copies:
+        return g.count(x)
     supp = vec_support(x)
     left = list(x)
     flow = None
@@ -669,7 +657,8 @@ def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
                      caps: Caps = DEFAULT_CAPS) -> int:
     """max t with x + t·1_e in P for a member x, i.e. min_{S ∋ e} f(S) − x(S).
 
-    One flow (CutNetwork.slack) when p has a cut network, else every S ∋ e.
+    g.count(x with x(e) := g._left[e]) − x(E) on a cut network g, else
+    every S ∋ e.
     """
     _check_length(p, x)
     if not 0 <= e < p.n:
@@ -678,7 +667,9 @@ def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
         raise SizeCapError(f"ground set of size {p.n} exceeds cap {caps.sfm_ground}")
     net = p.network
     if net is not None:
-        return net.slack(x, e)
+        y = list(x)
+        y[e] = net._left[e]
+        return net.count(y) - sum(x)
     bit = 1 << e
     rest = full_mask(p.n) ^ bit
     best = None

@@ -3,7 +3,7 @@
 Counts logical top-level queries (each value/rank call, memo hits
 included) so reported figures do not depend on cache state. Work inside
 one max-flow of a cut network is not a query: a capped value or a
-membership evaluated by flow counts once. A capped marginal f(Y | h·X)
+membership decided by one count counts once. A capped marginal f(Y | h·X)
 counts two queries, the two capped values it is the difference of,
 however it is answered: by those two values or, on a cut network, by one
 augmenting search on a kept residual flow. Membership is memoised per
@@ -13,11 +13,12 @@ counts the rank queries the partition asks of the matroid copies; its
 plain part is one kept flow and asks none. So `solve-cover` reports far
 fewer queries on cores induced by sums with scaled-rank parts than the
 subset recursion would (41,097 -> 137 on one such core). Likewise a
-membership decided by matroid partition of the vector's units counts one
-value query plus the rank queries it asks of the matroid parts, where the
-subset enumeration counted every subset (20,505 -> 126 on one
-all-rank-zero core). Counters are process-global; snapshot/delta around a
-solver run to attribute queries to it.
+membership decided by matroid partition of the vector's units (on a cut
+network, its count) counts one value query plus the rank queries it
+asks of the matroid parts, where the subset enumeration counted every
+subset (20,505 -> 126 on one all-rank-zero core). Counters are
+process-global; snapshot/delta around a solver run to attribute queries
+to it.
 """
 
 from __future__ import annotations

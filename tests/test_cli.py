@@ -130,6 +130,34 @@ def test_malformed_caps_env_exit_one(tmp_path, capsys, monkeypatch, raw):
     assert "MATROID_ALLOC_CAPS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, env, named", [
+    (["--cap-ground", "-1"], None, "--cap-ground"),
+    (["--cap-enum", "-1"], None, "--cap-enum"),
+    ([], '{"sfm_ground": -1}', "MATROID_ALLOC_CAPS.sfm_ground"),
+    ([], '{"basis_enum": -1}', "MATROID_ALLOC_CAPS.basis_enum")],
+    ids=["flag-ground", "flag-enum", "env-ground", "env-enum"])
+def test_negative_caps_exit_one(tmp_path, capsys, monkeypatch, argv, env, named):
+    g = tmp_path / "g.json"
+    main(["gen", "--flavor", "gap", "--m", "2", "--out", str(g)])
+    if env is not None:
+        monkeypatch.setenv("MATROID_ALLOC_CAPS", env)
+    assert main(["verify", "--in", str(g), *argv]) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, env", [("--cap-ground", '{"sfm_ground": 0}'),
+                                       ("--cap-enum", '{"basis_enum": 0, "assignments": 0}')],
+                         ids=["ground", "enum"])
+def test_zero_cap_flags_bind_like_the_environment(tmp_path, capsys, monkeypatch, flag, env):
+    main(["gen", "--flavor", "gap", "--m", "3", "--out", str(tmp_path / "g.json")])
+    main(["gen", "--flavor", "santa-matroid", "--m", "3", "--n", "3", "--seed", "1",
+          "--out", str(tmp_path / "sm.json")])
+    code, by_flag = run(capsys, "bench", "--dir", str(tmp_path), flag, "0")
+    assert code == 0 and any("skipped" in row for row in json.loads(by_flag))
+    monkeypatch.setenv("MATROID_ALLOC_CAPS", env)
+    assert run(capsys, "bench", "--dir", str(tmp_path)) == (code, by_flag)
+
+
 def test_bench_cap_enum_reaches_matroid_brute_force(tmp_path, capsys):
     main(["gen", "--flavor", "santa-matroid", "--m", "3", "--n", "3", "--seed", "1",
           "--out", str(tmp_path / "sm.json")])

@@ -19,7 +19,7 @@ from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, 
                                InducedMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid, UnionMatroid, ZeroedMatroid, matroid_add_greedy)
 from matalloc.oracle import check_axioms, enumerate_bases
-from matalloc.polymatroids import (CappedPoly, CoveragePoly, CutNetwork, DualPoly, ExplicitPoly,
+from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly,
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, dual_polymatroid,
                                    greedy_basis_above, is_basis, matroid_partition, member,
@@ -492,7 +492,7 @@ def test_scale_zero_induces_rank_zero():
 
 
 # ---------------------------------------------------------------------------
-# Membership and saturation slack by one flow, and the membership memo
+# Membership and saturation slack on cut networks, and the membership memo
 
 
 def sfm_member(p, x):
@@ -527,29 +527,42 @@ def probe_vectors(rng, p):
     return vecs
 
 
+def chain_reference(p):
+    """network_chain's polymatroid evaluated from the definitions, no flow."""
+    memo = {}
+    return SimpleNamespace(n=p.n, value=lambda s: reference_value(p, s, memo))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_flow_membership_matches_sfm(seed):
+    """A cut network is a partition form with no copies: membership, the
+    partition count and the saturation slack are its count, here against
+    the definitions on vectors with entries above caps or on contracted
+    elements."""
     rng, p = network_chain(seed)
-    net = p.network
+    ref = chain_reference(p)
+    assert p.partition_form == ((), p.network)
     for x in probe_vectors(rng, p):
-        expect = sfm_member(p, x)
-        assert net.member(x) == expect
+        expect = sfm_member(ref, x)
+        assert partition_member(p, x) == expect
         assert member(p, x) == expect
+        assert matroid_partition(*p.partition_form, x) == brute_capped(ref, x, full_mask(p.n))
         if expect:
             for e in range(p.n):
-                assert net.slack(x, e) == brute_slack(p, x, e)
+                assert saturation_slack(p, x, e) == brute_slack(ref, x, e)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fraction_vectors_take_the_subset_path(seed, monkeypatch):
-    def no_flow(self, x):
-        raise AssertionError("a rational vector reached the flow")
+    def refuse(p, x):
+        raise AssertionError("a rational vector reached the partition path")
 
-    monkeypatch.setattr(CutNetwork, "member", no_flow)
+    monkeypatch.setattr(polymatroids, "partition_member", refuse)
     rng, p = network_chain(seed)
+    ref = chain_reference(p)
     for x in probe_vectors(rng, p)[:15]:
         half = tuple(Fraction(2 * v + rng.randint(0, 1), 2) for v in x)
-        assert member(p, half) == all(vec_sum(half, s) <= p.value(s) for s in range(1 << p.n))
+        assert member(p, half) == all(vec_sum(half, s) <= ref.value(s) for s in range(1 << p.n))
 
 
 class TestMemberMemo:
@@ -805,6 +818,20 @@ def test_scale_zero_parts_carry_nothing():
     assert not partition_member(ScaledRankPoly(m, 0), (1, 0, 0))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_forms_with_copies_have_a_plain_network_part(seed):
+    """matroid_partition keeps the split of the network part's prefill flow,
+    which is right only on a plain network: a sum of scaled-rank parts and
+    a capped or contracted coverage part has no partition form."""
+    p = scaled_rank_sum(seed)
+    copies, g = p.partition_form
+    assert g is None or g.plain
+    cov = CoveragePoly([1 << e for e in range(p.n)], [2] * p.n)
+    for part in (CappedPoly(cov, [1] * p.n), MarginalPoly(cov, 1)):
+        assert not part.network.plain
+        assert SumPoly([p, part]).partition_form is None
+
+
 Z1, Z3, E, Z2 = range(4)
 
 
@@ -846,13 +873,23 @@ def partition_sum(n=8):
     return SumPoly([ScaledRankPoly(GraphicMatroid(5, edges), 2), ModularPoly([1] * n)])
 
 
-def test_member_takes_the_partition_path_from_its_support_threshold(monkeypatch):
+def cut_network(n=8):
+    """A capped, contracted coverage polymatroid on n elements: a partition
+    form with no copies."""
+    rng = random.Random(5)
+    cov = CoveragePoly([rng.getrandbits(4) for _ in range(n)], [1, 2, 1, 2])
+    return MarginalPoly(CappedPoly(cov, [rng.choice([None, 1, 2]) for _ in range(n)]),
+                        1 << n - 1)
+
+
+@pytest.mark.parametrize("make", [cut_network, partition_sum])
+def test_member_takes_the_partition_path_from_its_support_threshold(make, monkeypatch):
     called = []
     real = polymatroids.partition_member
     monkeypatch.setattr(polymatroids, "partition_member",
                         lambda p, x: called.append(x) or real(p, x))
-    p = partition_sum()
-    k = polymatroids.PARTITION_MEMBER_SUPPORT
+    p = make()
+    k = polymatroids.MEMBER_SUPPORT
     small = tuple([1] * (k - 1) + [0] * (p.n - k + 1))
     large = tuple([1] * k + [0] * (p.n - k))
     assert member(p, small) == sfm_member(p, small)
@@ -862,7 +899,8 @@ def test_member_takes_the_partition_path_from_its_support_threshold(monkeypatch)
     assert member(p, large) == expect
     queries = stats.delta(before)
     assert called == [large]
-    assert queries["poly_value"] == 1 and queries["matroid_rank"] > 0
+    assert queries["poly_value"] == 1
+    assert (queries["matroid_rank"] > 0) == bool(p.partition_form[0])
 
 
 def test_fraction_vectors_stay_on_the_subset_path(monkeypatch):
