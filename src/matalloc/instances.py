@@ -189,6 +189,17 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _mask_from_json(obj, bound: int, what: str, path: str) -> int:
+    """A list of indices of what (elements, items, ...) as a mask, each
+    checked to be an integer (not a bool) in 0..bound−1 before it is
+    shifted, so that a huge index builds no huge integer."""
+    for i, e in enumerate(obj):
+        if not _is_int(e) or not 0 <= e < bound:
+            raise SchemaError(f"{path}[{i}]: must name one of the {what} 0..{bound - 1}, "
+                              f"got {e!r}")
+    return mask_of(obj)
+
+
 def _rat_from_json(obj, path: str) -> Fraction | None:
     if obj is None:
         return None
@@ -239,11 +250,16 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
         if kind == "uniform":
             return UniformMatroid(obj["n"], obj["rank"])
         if kind == "partition":
-            return PartitionMatroid(obj["n"], [mask_of(b) for b in obj["blocks"]], obj["caps"])
+            blocks = [_mask_from_json(b, obj["n"], "elements", f"{path}.blocks[{i}]")
+                      for i, b in enumerate(obj["blocks"])]
+            return PartitionMatroid(obj["n"], blocks, obj["caps"])
         if kind == "graphic":
             return GraphicMatroid(obj["vertices"], [tuple(e) for e in obj["edges"]])
         if kind == "transversal":
-            return TransversalMatroid([mask_of(a) for a in obj["adjacency"]], obj["num_right"])
+            right = obj["num_right"]
+            return TransversalMatroid([_mask_from_json(a, right, "right vertices",
+                                                       f"{path}.adjacency[{i}]")
+                                       for i, a in enumerate(obj["adjacency"])], right)
         if kind == "explicit":
             n = obj["n"]
             table = [obj["table"][str(x)] for x in range(1 << n)]
@@ -251,11 +267,13 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
                 raise SchemaError(f"{path}.table: matroid ranks must be integers")
             return ExplicitMatroid(n, table)
         if kind == "contracted":
-            return ContractedMatroid(matroid_from_json(obj["inner"], path + ".inner"),
-                                     mask_of(obj["set"]))
+            inner = matroid_from_json(obj["inner"], path + ".inner")
+            return ContractedMatroid(inner, _mask_from_json(obj["set"], inner.n, "elements",
+                                                            path + ".set"))
         if kind == "zeroed":
-            return ZeroedMatroid(matroid_from_json(obj["inner"], path + ".inner"),
-                                 mask_of(obj["removed"]))
+            inner = matroid_from_json(obj["inner"], path + ".inner")
+            return ZeroedMatroid(inner, _mask_from_json(obj["removed"], inner.n, "elements",
+                                                        path + ".removed"))
         if kind == "union":
             return UnionMatroid([matroid_from_json(p, f"{path}.parts[{i}]")
                                  for i, p in enumerate(obj["parts"])])
@@ -298,7 +316,9 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
         if kind == "modular":
             return ModularPoly(obj["weights"])
         if kind == "coverage":
-            return CoveragePoly([mask_of(s) for s in obj["sets"]], obj["weights"])
+            items = len(obj["weights"])
+            return CoveragePoly([_mask_from_json(s, items, "items", f"{path}.sets[{i}]")
+                                 for i, s in enumerate(obj["sets"])], obj["weights"])
         if kind == "scaled-rank":
             return ScaledRankPoly(matroid_from_json(obj["matroid"], path + ".matroid"), obj["scale"])
         if kind == "explicit":
@@ -315,7 +335,9 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
         if kind == "contracted":
             return VectorContractedPoly(poly_from_json(obj["inner"], path + ".inner"), obj["base"])
         if kind == "set-contracted":
-            return MarginalPoly(poly_from_json(obj["inner"], path + ".inner"), mask_of(obj["set"]))
+            inner = poly_from_json(obj["inner"], path + ".inner")
+            return MarginalPoly(inner, _mask_from_json(obj["set"], inner.n, "elements",
+                                                       path + ".set"))
         if kind == "dual":
             return DualPoly(poly_from_json(obj["inner"], path + ".inner"), obj["z"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -4,16 +4,16 @@ A polymatroid is {x in Z>=0^E : x(S) <= f(S) for all S} for a monotone
 submodular integer f with f(empty) = 0. Concrete families: modular,
 weighted coverage, scaled matroid rank, explicit table. Derived forms:
 sums, box caps, marginals above a set or vector, and duals. On top of
-the oracles: brute-force submodular minimization, membership, greedy
+the oracles: brute-force submodular minimization, the count max y(E) over
+y <= x in P (count), which decides membership and saturation slacks, greedy
 basis extension, and the box-capped marginal f(Y | b*X).
 
 Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
 and set contractions) are cut networks (CutNetwork): the count of an
-integer x, max y(E) over integer y <= x in P, is one exact max-flow, and
-values and saturation slacks are counts. Every other form falls back to
-the subset recursion of CappedPoly. A one-element capped marginal
-f(i | h·X) there is one augmenting search from i on a copy of the max flow
-of X, which the network keeps in residual form per (h, X)
+integer x is one exact max-flow, and values are counts. Every other form
+falls back to the subset recursion of CappedPoly. A one-element capped
+marginal f(i | h·X) there is one augmenting search from i on a copy of the
+max flow of X, which the network keeps in residual form per (h, X)
 (CutNetwork.marginal).
 
 A cut network, a scaled-rank part, or a sum of scaled-rank and plain
@@ -21,10 +21,10 @@ cut-network parts has a partition form: matroid copies (none for a cut
 network) plus one network part (partition_form). matroid_partition,
 Edmonds' matroid partition, counts how many of an integer vector's units
 split into one independent set per copy and a member of the network part.
-It is the package's one partition routine: membership of integer vectors
-with larger supports is that count reaching x(E) (partition_member), and
-the ranks of matroid unions and of the matroids such forms induce are its
-count on 0/1 vectors (matroids.UnionMatroid, matroids.InducedMatroid).
+It is the package's one partition routine: the count of integer vectors
+with larger supports, and the ranks of matroid unions and of the matroids
+such forms induce (its count on 0/1 vectors; matroids.UnionMatroid,
+matroids.InducedMatroid).
 """
 
 from __future__ import annotations
@@ -472,10 +472,10 @@ def sfm_min(fn: Callable[[int], int], n: int, caps: Caps = DEFAULT_CAPS,
     return best_mask, best_val
 
 
-# Integer vectors with at least this many nonzero entries are decided by
-# matroid partition (partition_member) when the polymatroid has a partition
-# form. Smaller supports stay on the subset enumeration: at most four
-# subsets, whose values the polymatroid memoises. 5 was faster on the
+# Integer vectors with at least this many nonzero entries are counted by
+# matroid partition when the polymatroid has a partition form (count).
+# Smaller supports stay on the subset enumeration: at most four subsets,
+# whose values the polymatroid memoises. 5 was faster on the
 # santa-pipeline benchmark, but moves the oracle queries of cut-network
 # cores (CHANGES.md).
 MEMBER_SUPPORT = 3
@@ -486,16 +486,31 @@ def _check_length(p: PolymatroidOracle, x: Sequence) -> None:
         raise ValueError(f"vector of length {len(x)} for a ground set of size {p.n}")
 
 
-def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAULT_CAPS) -> bool:
-    """x in P iff min_S f(S) − x(S) >= 0.
+def count(p: PolymatroidOracle, x: Sequence[int | Fraction],
+          caps: Caps = DEFAULT_CAPS) -> int | Fraction:
+    """max y(E) over y <= x in P(f) = min_S f(S) + x(E \\ S) (Edmonds 1970),
+    for an integer or rational x >= 0 of length p.n.
 
-    Monotonicity lets the search restrict to subsets of the support of x.
+    By matroid_partition (one value query) for an integer x with
+    MEMBER_SUPPORT or more nonzero entries when p has a partition form;
+    else x(E) + min f(S) − x(S) by sfm_min over S ⊆ supp x, which is exact
+    because f is monotone and x is zero off its support.
+    """
+    supp = vec_support(x)
+    if (size(supp) >= MEMBER_SUPPORT and p.partition_form is not None
+            and all(isinstance(v, int) for v in x)):
+        stats.bump("poly_value")
+        return matroid_partition(*p.partition_form, x)
+    return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1]
+
+
+def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAULT_CAPS) -> bool:
+    """x in P iff its count reaches x(E), i.e. min_S f(S) − x(S) >= 0.
+
     Accepts integer or rational vectors (rational for scaled box tests) of
-    length p.n. An integer x with MEMBER_SUPPORT or more nonzero entries is
-    decided by partition_member when p has a partition form (on a cut
-    network, one max flow). Answers are memoised per polymatroid and
-    vector (equal int and Fraction vectors share one); the length, sign,
-    range and cap checks run first, so a memo hit raises what a miss would.
+    length p.n. Answers are memoised per polymatroid and vector (equal int
+    and Fraction vectors share one); the length, sign, range and cap checks
+    run first, so a memo hit raises what a miss would.
     """
     _check_length(p, x)
     if any(v < 0 for v in x):
@@ -508,39 +523,8 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
     key = tuple(x)
     hit = p._member_memo.get(key)
     if hit is None:
-        if (k >= MEMBER_SUPPORT and p.partition_form is not None
-                and all(isinstance(v, int) for v in x)):
-            stats.bump("poly_value")
-            hit = partition_member(p, x)
-        else:
-            hit = sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1] >= 0
-        p._member_memo[key] = hit
+        hit = p._member_memo[key] = count(p, x, caps) == sum(x)
     return hit
-
-
-def partition_member(p: PolymatroidOracle, x: Sequence[int]) -> bool:
-    """x in P(f) for an integer x >= 0 of length p.n and a p with a
-    partition form f = Σ r_copy + g (matroid copies, network part g): after
-    the pre-checks x(e) <= f({e}) and x(E) <= f(supp x), x is a member iff
-    matroid_partition places all of its units (Edmonds 1968; 1970 for the
-    sum).
-    """
-    copies, g = p.partition_form
-    supp = vec_support(x)
-    top, total = [0] * p.n, 0   # f({e}) and f(supp x) bounds, the network part's first
-    if g is not None:
-        covered = 0
-        for e in bits(supp):
-            covered |= g.covers[e]
-        top, total = list(g._left), vec_sum(g.weights, covered)
-    for m in dict.fromkeys(copies):
-        s = copies.count(m)
-        total += s * m.rank(supp)
-        for e in bits(supp):
-            top[e] += s * m.rank(1 << e)
-    if sum(x) > total or any(x[e] > top[e] for e in bits(supp)):
-        return False
-    return matroid_partition(copies, g, x) == sum(x)
 
 
 def matroid_partition(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> int:
@@ -657,28 +641,19 @@ def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
                      caps: Caps = DEFAULT_CAPS) -> int:
     """max t with x + t·1_e in P for a member x, i.e. min_{S ∋ e} f(S) − x(S).
 
-    g.count(x with x(e) := g._left[e]) − x(E) on a cut network g, else
-    every S ∋ e.
+    That is count(y) − x(E) for y = x with y(e) raised to f({e}): in
+    count(y) = min_S f(S) + y(E \\ S), a set S ∋ e gives x(E) + f(S) − x(S),
+    and a set S ∌ e gives x(E) + f(S) + f({e}) − x(S + e), which is no less
+    than S + e gives, by submodularity.
     """
     _check_length(p, x)
     if not 0 <= e < p.n:
         raise ValueError(f"element {e} outside 0..{p.n - 1}")
     if p.n > caps.sfm_ground:
         raise SizeCapError(f"ground set of size {p.n} exceeds cap {caps.sfm_ground}")
-    net = p.network
-    if net is not None:
-        y = list(x)
-        y[e] = net._left[e]
-        return net.count(y) - sum(x)
-    bit = 1 << e
-    rest = full_mask(p.n) ^ bit
-    best = None
-    for sub in submasks(rest):
-        s = sub | bit
-        v = p.value(s) - vec_sum(x, s)
-        if best is None or v < best:
-            best = v
-    return best
+    y = list(x)
+    y[e] = p.value(1 << e)
+    return count(p, y, caps) - sum(x)
 
 
 def greedy_basis_above(p: PolymatroidOracle, x: Sequence[int],

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from matalloc.bitsets import full_mask
 from matalloc.instances import (Item, MakespanInstance, SantaInstance,
                                 assignment_to_alloc, entity_totals, gen_gap_instance,
                                 gen_random, matroid_from_json, matroid_to_json,
-                                merge_equal_value, parse_instance, serialize_instance,
-                                split_merged_solution, validate_allocation)
+                                merge_equal_value, parse_instance, poly_from_json,
+                                serialize_instance, split_merged_solution, validate_allocation)
 from matalloc.limits import SchemaError
 from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, GraphicMatroid,
                                InducedMatroid, PartitionMatroid, TransversalMatroid,
@@ -89,6 +90,39 @@ class TestJson:
             again = matroid_from_json(obj)
             assert matroid_to_json(again) == obj
             assert [again.rank(x) for x in range(1 << m.n)] == [m.rank(x) for x in range(1 << m.n)]
+
+
+UNIFORM2 = {"kind": "uniform", "n": 2, "rank": 1}
+
+# (parser, the object with e as entry 1 of one element-index list, that
+# list's path); every list has the index bound 2
+INDEX_LISTS = {
+    "coverage-sets": (poly_from_json, lambda e: {"kind": "coverage", "sets": [[0], [0, e]],
+                                                 "weights": [1, 1]}, "polymatroid.sets[1]"),
+    "partition-blocks": (matroid_from_json, lambda e: {"kind": "partition", "n": 2,
+                                                       "blocks": [[0, e]], "caps": [1]},
+                         "matroid.blocks[0]"),
+    "transversal-adjacency": (matroid_from_json,
+                              lambda e: {"kind": "transversal", "n": 2, "num_right": 2,
+                                         "adjacency": [[0], [0, e]]}, "matroid.adjacency[1]"),
+    "contracted-set": (matroid_from_json, lambda e: {"kind": "contracted", "inner": UNIFORM2,
+                                                     "set": [0, e]}, "matroid.set"),
+    "zeroed-removed": (matroid_from_json, lambda e: {"kind": "zeroed", "inner": UNIFORM2,
+                                                     "removed": [0, e]}, "matroid.removed"),
+    "set-contracted-set": (poly_from_json,
+                           lambda e: {"kind": "set-contracted", "set": [0, e],
+                                      "inner": {"kind": "modular", "weights": [1, 1]}},
+                           "polymatroid.set"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 2, -1])
+@pytest.mark.parametrize("field", INDEX_LISTS)
+def test_index_lists_refuse_bools_and_out_of_range_entries(field, bad):
+    parse, make, path = INDEX_LISTS[field]
+    parse(make(1))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}[1]: must name one of the")):
+        parse(make(bad))
 
 
 class TestGenerators:

@@ -21,9 +21,9 @@ from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, 
 from matalloc.oracle import check_axioms, enumerate_bases
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly,
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
-                                   VectorContractedPoly, capped_marginal, dual_polymatroid,
-                                   greedy_basis_above, is_basis, matroid_partition, member,
-                                   partition_member, saturation_slack, sfm_min)
+                                   VectorContractedPoly, capped_marginal, count,
+                                   dual_polymatroid, greedy_basis_above, is_basis,
+                                   matroid_partition, member, saturation_slack, sfm_min)
 
 
 def brute_capped(p, caps, mask):
@@ -503,6 +503,11 @@ def brute_slack(p, x, e):
     return min(p.value(s) - vec_sum(x, s) for s in range(1 << p.n) if (s >> e) & 1)
 
 
+def partition_says(p, x):
+    """Membership by p's partition form alone: every unit of x is placed."""
+    return matroid_partition(*p.partition_form, x) == sum(x)
+
+
 def probe_vectors(rng, p):
     """Random vectors up to one above each singleton value, random vectors
     lowered until they are members, and some of them again with one entry
@@ -544,7 +549,7 @@ def test_flow_membership_matches_sfm(seed):
     assert p.partition_form == ((), p.network)
     for x in probe_vectors(rng, p):
         expect = sfm_member(ref, x)
-        assert partition_member(p, x) == expect
+        assert partition_says(p, x) == expect
         assert member(p, x) == expect
         assert matroid_partition(*p.partition_form, x) == brute_capped(ref, x, full_mask(p.n))
         if expect:
@@ -554,10 +559,10 @@ def test_flow_membership_matches_sfm(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fraction_vectors_take_the_subset_path(seed, monkeypatch):
-    def refuse(p, x):
+    def refuse(copies, g, x):
         raise AssertionError("a rational vector reached the partition path")
 
-    monkeypatch.setattr(polymatroids, "partition_member", refuse)
+    monkeypatch.setattr(polymatroids, "matroid_partition", refuse)
     rng, p = network_chain(seed)
     ref = chain_reference(p)
     for x in probe_vectors(rng, p)[:15]:
@@ -787,26 +792,26 @@ def test_partition_membership_matches_sfm(seed):
     copies, g = p.partition_form
     for x in partition_probes(random.Random(seed), p):
         expect = sfm_member(p, x)
-        assert partition_member(p, x) == expect
+        assert partition_says(p, x) == expect
         assert member(p, x) == expect
         # the count is the largest y(E) over integer y <= x in P
         assert matroid_partition(copies, g, x) == brute_capped(p, x, full_mask(p.n))
 
 
-def test_partition_pre_checks_reject_singletons_and_the_total():
+def test_partition_count_rejects_singletons_and_the_total():
     p = SumPoly([ScaledRankPoly(UniformMatroid(4, 1), 2), ModularPoly([1, 0, 0, 1])])
     assert [p.value(1 << e) for e in range(4)] == [3, 2, 2, 3] and p.value(0b1111) == 4
     for x, expect in [((0, 3, 0, 0), False),    # x(e) > f({e})
                       ((2, 2, 0, 0), False),    # x(E) > f(E), every singleton within
                       ((3, 0, 0, 1), True), ((1, 1, 1, 1), True)]:
-        assert partition_member(p, x) == sfm_member(p, x) == expect
+        assert partition_says(p, x) == sfm_member(p, x) == expect
 
 
 def test_a_lone_scaled_rank_part_exhaustively():
     p = ScaledRankPoly(GraphicMatroid(3, [(0, 1), (1, 2), (2, 0), (0, 1)]), 2)
     assert p.partition_form == ((p.matroid, p.matroid), None)
     for x in product(range(4), repeat=4):
-        assert partition_member(p, x) == sfm_member(p, x)
+        assert partition_says(p, x) == sfm_member(p, x)
 
 
 def test_scale_zero_parts_carry_nothing():
@@ -814,8 +819,8 @@ def test_scale_zero_parts_carry_nothing():
     p = SumPoly([ScaledRankPoly(m, 0), ScaledRankPoly(m, 1)])
     assert p.partition_form == ((m,), None)
     for x in product(range(3), repeat=3):
-        assert partition_member(p, x) == sfm_member(p, x)
-    assert not partition_member(ScaledRankPoly(m, 0), (1, 0, 0))
+        assert partition_says(p, x) == sfm_member(p, x)
+    assert not partition_says(ScaledRankPoly(m, 0), (1, 0, 0))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -853,9 +858,9 @@ def plain_part_twice(monkeypatch):
 
 def test_exchange_paths_pass_through_the_plain_part_twice(monkeypatch):
     p, lowered = plain_part_twice(monkeypatch)
-    assert partition_member(p, (1, 1, 1, 1)) and sfm_member(p, (1, 1, 1, 1))
+    assert partition_says(p, (1, 1, 1, 1)) and sfm_member(p, (1, 1, 1, 1))
     assert lowered == [Z3, Z1]
-    assert not partition_member(p, (1, 1, 2, 1)) and not sfm_member(p, (1, 1, 2, 1))
+    assert not partition_says(p, (1, 1, 2, 1)) and not sfm_member(p, (1, 1, 2, 1))
 
 
 def test_induced_rank_paths_pass_through_the_plain_part(monkeypatch):
@@ -885,13 +890,15 @@ def cut_network(n=8):
 @pytest.mark.parametrize("make", [cut_network, partition_sum])
 def test_member_takes_the_partition_path_from_its_support_threshold(make, monkeypatch):
     called = []
-    real = polymatroids.partition_member
-    monkeypatch.setattr(polymatroids, "partition_member",
-                        lambda p, x: called.append(x) or real(p, x))
+    real = polymatroids.matroid_partition
+    monkeypatch.setattr(polymatroids, "matroid_partition",
+                        lambda copies, g, x: called.append(x) or real(copies, g, x))
     p = make()
     k = polymatroids.MEMBER_SUPPORT
-    small = tuple([1] * (k - 1) + [0] * (p.n - k + 1))
-    large = tuple([1] * k + [0] * (p.n - k))
+    # entries of 2: partition_sum's unit-weight modular part carries one
+    # unit of each element, so the copies are asked for the second
+    small = tuple([2] * (k - 1) + [0] * (p.n - k + 1))
+    large = tuple([2] * k + [0] * (p.n - k))
     assert member(p, small) == sfm_member(p, small)
     assert called == []
     expect = sfm_member(p, large)
@@ -904,10 +911,10 @@ def test_member_takes_the_partition_path_from_its_support_threshold(make, monkey
 
 
 def test_fraction_vectors_stay_on_the_subset_path(monkeypatch):
-    def refuse(p, x):
+    def refuse(copies, g, x):
         raise AssertionError("a rational vector reached the partition path")
 
-    monkeypatch.setattr(polymatroids, "partition_member", refuse)
+    monkeypatch.setattr(polymatroids, "matroid_partition", refuse)
     p = partition_sum()
     for x in [(Fraction(1, 2),) * 8, (Fraction(3, 2),) * 8, (Fraction(1),) * 8]:
         assert member(p, x) == all(vec_sum(x, s) <= p.value(s) for s in range(1 << 8))
@@ -941,3 +948,70 @@ def test_all_rank_zero_core_membership_work_is_bounded(monkeypatch):
     res = solve_cover(CoreCoverInstance(UniformMatroid(12, 0), u_sum, 1))
     assert res.feasible and res.y == (1,) * 12
     assert max(domains, default=0) <= 6
+
+
+# ---------------------------------------------------------------------------
+# The count behind membership and saturation
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_count_is_the_capped_value_of_the_ground_set(seed):
+    """count(p, x) = max y(E) over y <= x in P = min_S f(S) + x(E \\ S), on
+    cut networks and on sums with matroid copies: one vector of each
+    support size (so on both sides of MEMBER_SUPPORT), each with an entry
+    above its singleton value, as integers and as halves."""
+    rng = random.Random(seed)
+    net = network_chain(seed)[1]
+    for p, ref in ((net, chain_reference(net)), (scaled_rank_sum(seed), None)):
+        ref = ref or p
+        top = [ref.value(1 << e) for e in range(p.n)]
+        for k in range(p.n + 1):
+            supp = rng.sample(range(p.n), k)
+            x = [0] * p.n
+            for e in supp:
+                x[e] = rng.randint(1, top[e] + 2)
+            if supp:
+                x[supp[0]] = top[supp[0]] + 1
+            half = [Fraction(2 * v - (v > 0) * rng.randint(0, 1), 2) for v in x]
+            for vec in (x, half):
+                assert count(p, vec) == brute_capped(ref, vec, full_mask(p.n))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_slack_on_sums_with_scaled_rank_parts(seed):
+    p = scaled_rank_sum(seed)
+    for x in filter(lambda x: sfm_member(p, x), partition_probes(random.Random(seed), p)):
+        for e in range(p.n):
+            assert saturation_slack(p, x, e) == brute_slack(p, x, e)
+
+
+def test_slack_is_zero_where_the_singleton_value_is():
+    """Two loops of a graphic part and a zero modular weight: f({0}) =
+    f({3}) = 0, so the raised vector drops those elements from its
+    support. Every member with entries up to 2, every element."""
+    loopy = GraphicMatroid(3, [(0, 0), (0, 1), (1, 2), (1, 1), (2, 0)])
+    p = SumPoly([ScaledRankPoly(loopy, 2), ScaledRankPoly(UniformMatroid(5, 1), 0),
+                 ModularPoly([0, 1, 0, 0, 1])])
+    assert p.network is None and p.partition_form is not None
+    assert [p.value(1 << e) for e in range(5)] == [0, 3, 2, 0, 3]
+    members = [x for x in product(range(3), repeat=5) if sfm_member(p, x)]
+    assert len(members) > 10
+    for x in members:
+        for e in range(5):
+            assert saturation_slack(p, x, e) == brute_slack(p, x, e)
+
+
+def test_greedy_basis_on_a_partition_form_is_query_bounded():
+    """A count of the work, not of time: from zero on the 12-element u-part
+    sum of one fixed santa-matroid draw, each saturation slack is one count
+    by matroid partition, where enumerating every S ∋ e asked 32,770 value
+    and 8,192 rank queries."""
+    inst = gen_random("santa-matroid", 5, m=12, n=4, u=1, w=3)
+    u_sum = SumPoly([it.polymatroid for it in inst.resources if it.value == 1])
+    assert u_sum.network is None and u_sum.partition_form is not None
+    before = stats.snapshot()
+    y = greedy_basis_above(u_sum, (0,) * 12)
+    queries = stats.delta(before)
+    assert y == (3, 3, 3, 1, 1, 1, 0, 0, 0, 0, 0, 0)
+    assert queries["poly_value"] <= 1000 and queries["matroid_rank"] <= 1000
+    assert is_basis(u_sum, y)
