@@ -6,8 +6,9 @@ verify (axiom checks), bench (corpus table against brute force).
 
 Exit codes: 0 success, 2 for mathematically meaningful negative outcomes
 (infeasibility with a certificate, axiom violations), 1 for usage or
-contract errors, 3 for a broken internal invariant (a bug). Identical
-inputs and seed give byte-identical output.
+contract errors, 3 for a broken internal invariant (a bug); malformed
+flags get argparse's usage message and exit 2. Identical inputs and seed
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ from .rounding import FractionalAssignment, round_makespan, round_santa
 
 
 def _rat(value: str) -> Fraction:
-    return Fraction(value)
+    # argparse turns only ValueError/TypeError into a usage error by itself
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {value!r}") from None
 
 
 def _emit(obj, path: str | None, fmt: str = "json") -> None:

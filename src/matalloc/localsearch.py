@@ -290,14 +290,19 @@ def _check_blocking_invariants(state: SearchState, addable: AddableSets,
 
 
 def recursion_node_bound(n: int, eps: Fraction) -> int:
-    """2^ceil(log_{1/(1-eps^2)} n): the recursion-tree size bound."""
+    """2^ceil(log_{1/(1-eps^2)} n): the recursion-tree size bound.
+
+    With 1 - eps^2 = p/q, ell is the least ell with q^ell >= n * p^ell,
+    kept as two ints.
+    """
     if n <= 1:
         return 2
-    shrink = 1 - eps * eps
-    ell = 0
-    reach = Fraction(1)
-    while reach < n:
-        reach /= shrink
+    q = eps.denominator ** 2
+    p = q - eps.numerator ** 2
+    ell, reach, need = 0, 1, n
+    while reach < need:
+        reach *= q
+        need *= p
         ell += 1
     return 2 ** ell
 
@@ -380,9 +385,10 @@ def verify_certificate(cert: Certificate, matroid: MatroidOracle,
 
     Returns a report with one boolean per property, the overall verdict,
     and the smallest integer multiple of b the certificate provably
-    excludes. With exhaustive=True (ground size <= 8) it additionally
-    confirms by enumeration that no cover at (4+40*eps)*b exists that puts
-    a 3*eps fraction of B0 on the matroid side.
+    excludes. With exhaustive=True (ground size at most caps.sfm_ground,
+    else SizeCapError) it additionally confirms by enumeration that no
+    cover at (4+40*eps)*b exists that puts a 3*eps fraction of B0 on the
+    matroid side.
     """
     z1, z2, b, eps, b0 = cert.z1, cert.z2, cert.b, cert.eps, cert.b0
     n_b0 = size(b0)

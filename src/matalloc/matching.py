@@ -1,10 +1,10 @@
 """Maximum bipartite matching and capacitated bipartite max-flow.
 
 Left vertices are list indices, right vertices are bit positions of the
-adjacency masks. Matching uses Kuhn's augmenting paths; the flow uses
-breadth-first augmenting paths in exact integers and is kept in residual
-form (ResidualFlow), so changing one left vertex's supply costs searches
-from that vertex instead of a new flow. Deterministic: left vertices
+adjacency masks. The flow uses breadth-first augmenting paths in exact
+integers and is kept in residual form (ResidualFlow), so changing one left
+vertex's supply costs searches from that vertex instead of a new flow; a
+matching is the flow with unit capacities. Deterministic: left vertices
 processed in index order, right candidates in ascending bit order.
 """
 
@@ -16,26 +16,14 @@ from .bitsets import bits, full_mask
 
 
 def max_bipartite_matching(adj: Sequence[int], num_right: int) -> tuple[int, list[int | None]]:
-    """Return (matching size, match_left) with match_left[i] the matched right vertex or None."""
-    match_right: list[int | None] = [None] * num_right
+    """Return (matching size, match_left) with match_left[i] the matched right vertex or None:
+    a unit-capacity ResidualFlow, read off its holders."""
+    net = ResidualFlow(adj, [1] * len(adj), [1] * num_right)
     match_left: list[int | None] = [None] * len(adj)
-
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for v in bits(adj[u]):
-            if v in seen:
-                continue
-            seen.add(v)
-            if match_right[v] is None or try_augment(match_right[v], seen):
-                match_right[v] = u
-                match_left[u] = v
-                return True
-        return False
-
-    total = 0
-    for u in range(len(adj)):
-        if try_augment(u, set()):
-            total += 1
-    return total, match_left
+    for v, hold in enumerate(net.holders):
+        if hold:
+            match_left[hold.bit_length() - 1] = v
+    return net.total, match_left
 
 
 def perfect_matching(adj: Sequence[int], num_right: int) -> list[int] | None:

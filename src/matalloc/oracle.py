@@ -55,152 +55,68 @@ def enumerate_bases(p: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> list[tup
 def brute_opt_santa(instance, caps: Caps = DEFAULT_CAPS) -> OptReport:
     """Exact max-min value by exhaustive enumeration (classical or matroid flavor)."""
     start = time.monotonic()
-    if instance.is_matroid_flavor:
-        value, witness, space = _brute_matroid(instance, caps, maximize_min=True)
-    else:
-        value, witness, space = _brute_classical_santa(instance, caps)
+    value, witness, space = _brute(instance, caps, maximize_min=True)
     return OptReport(value, witness, space, time.monotonic() - start)
 
 
 def brute_opt_makespan(instance, caps: Caps = DEFAULT_CAPS) -> OptReport:
     """Exact min-max load by exhaustive enumeration (classical or matroid flavor)."""
     start = time.monotonic()
-    if instance.is_matroid_flavor:
-        value, witness, space = _brute_matroid(instance, caps, maximize_min=False)
-    else:
-        value, witness, space = _brute_classical_makespan(instance, caps)
+    value, witness, space = _brute(instance, caps, maximize_min=False)
     return OptReport(value, witness, space, time.monotonic() - start)
 
 
-def _brute_classical_santa(instance, caps: Caps):
+def _brute(instance, caps: Caps, maximize_min: bool):
+    """Best combination of one option per item, as (value, witness, count).
+
+    A classical item's options are its entities of finite value (witness
+    entry: the entity); a matroid item's are the bases of its polymatroid
+    (witness entry: the basis as a list). The combination count is checked
+    against caps.assignments (classical) or caps.basis_enum (matroid)
+    before any combination is evaluated. One depth-first pass in index
+    order keeps the first strictly better combination, so the witness is
+    the lexicographically first optimum. On makespan a branch is cut once
+    its partial maximum reaches the best, which is safe because loads only
+    grow. An item with no option gives 0 (santa) or inf (makespan), no
+    witness and count 0.
+    """
     m = instance.num_entities
-    items = instance.items
-    n = len(items)
-    space = m ** n
-    if space > caps.assignments:
-        raise SizeCapError(f"assignment space {space} exceeds cap {caps.assignments}")
+    matroid = instance.is_matroid_flavor
+    cap = caps.basis_enum if matroid else caps.assignments
+    per_item, space = [], 1
+    for it in instance.items:
+        if matroid:
+            opts = [(list(b), [(i, it.value * b[i]) for i in range(m) if b[i]])
+                    for b in enumerate_bases(it.polymatroid, caps)]
+        else:
+            opts = [(i, [(i, v)]) for i, v in enumerate(it.values) if v is not None]
+        if not opts:
+            return (Fraction(0) if maximize_min else math.inf), None, 0
+        space *= len(opts)
+        if space > cap:
+            raise SizeCapError(f"brute force: more than {cap} combinations")
+        per_item.append(opts)
+    n = len(per_item)
     loads = [Fraction(0)] * m
-    best = [None, None]
-
-    def rec(j: int) -> None:
-        if j == n:
-            val = min(loads)
-            if best[0] is None or val > best[0]:
-                best[0] = val
-                best[1] = None
-            return
-        for i in range(m):
-            v = items[j].values[i]
-            loads[i] += v
-            rec(j + 1)
-            loads[i] -= v
-
-    # track witness with a second pass once the optimum is known (cheap at desk scale)
-    choice = [0] * n
-
-    def rec_w(j: int) -> bool:
-        if j == n:
-            return min(loads) == best[0]
-        for i in range(m):
-            v = items[j].values[i]
-            loads[i] += v
-            choice[j] = i
-            if rec_w(j + 1):
-                loads[i] -= v
-                return True
-            loads[i] -= v
-        return False
-
-    rec(0)
-    rec_w(0)
-    return best[0], list(choice), space
-
-
-def _brute_classical_makespan(instance, caps: Caps):
-    m = instance.num_entities
-    items = instance.items
-    n = len(items)
-    allowed = [[i for i in range(m) if it.values[i] is not None] for it in items]
-    space = 1
-    for a in allowed:
-        if not a:
-            return math.inf, None, 0
-        space *= len(a)
-        if space > caps.assignments:
-            raise SizeCapError(f"assignment space exceeds cap {caps.assignments}")
-    loads = [Fraction(0)] * m
+    chosen: list = [None] * n
     best: list = [None, None]
 
     def rec(j: int) -> None:
-        if best[0] is not None and max(loads) >= best[0] and j < n:
-            # the partial max only grows; prune
-            if max(loads) > best[0]:
-                return
         if j == n:
-            val = max(loads)
-            if best[0] is None or val < best[0]:
-                best[0] = val
-                best[1] = None
-            return
-        for i in allowed[j]:
-            v = items[j].values[i]
-            loads[i] += v
-            rec(j + 1)
-            loads[i] -= v
-
-    choice = [0] * n
-
-    def rec_w(j: int) -> bool:
-        if j == n:
-            return max(loads) == best[0]
-        for i in allowed[j]:
-            v = items[j].values[i]
-            loads[i] += v
-            choice[j] = i
-            if max(loads) <= best[0] and rec_w(j + 1):
-                loads[i] -= v
-                return True
-            loads[i] -= v
-        return False
-
-    rec(0)
-    rec_w(0)
-    return best[0], list(choice), space
-
-
-def _brute_matroid(instance, caps: Caps, maximize_min: bool):
-    m = instance.num_entities
-    items = instance.items
-    bases_per_item = []
-    space = 1
-    for it in items:
-        bases = enumerate_bases(it.polymatroid, caps)
-        bases_per_item.append(bases)
-        space *= max(len(bases), 1)
-        if space > caps.basis_enum:
-            raise SizeCapError("matroid brute force: basis product exceeds cap")
-        if not bases:
-            return (Fraction(0) if maximize_min else math.inf), None, space
-    loads = [Fraction(0)] * m
-    best: list = [None, None]
-
-    def rec(j: int) -> None:
-        if j == len(items):
             val = min(loads) if maximize_min else max(loads)
             if best[0] is None or (val > best[0] if maximize_min else val < best[0]):
                 best[0] = val
-                best[1] = [list(b) for b in chosen]
+                best[1] = list(chosen)
             return
-        for b in bases_per_item[j]:
-            for i in range(m):
-                loads[i] += items[j].value * b[i]
-            chosen.append(b)
-            rec(j + 1)
-            chosen.pop()
-            for i in range(m):
-                loads[i] -= items[j].value * b[i]
+        for entry, adds in per_item[j]:
+            for i, v in adds:
+                loads[i] += v
+            chosen[j] = entry
+            if maximize_min or best[0] is None or all(loads[i] < best[0] for i, _ in adds):
+                rec(j + 1)
+            for i, v in adds:
+                loads[i] -= v
 
-    chosen: list = []
     rec(0)
     return best[0], best[1], space
 

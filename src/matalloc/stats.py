@@ -10,15 +10,12 @@ augmenting search on a kept residual flow. Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
 vector asks no query again. An induced rank decided by matroid partition
 counts the rank queries the partition asks of the matroid copies; its
-plain part is one kept flow and asks none. So `solve-cover` reports far
-fewer queries on cores induced by sums with scaled-rank parts than the
-subset recursion would (41,097 -> 137 on one such core). Likewise a
-membership or saturation slack counted by matroid partition of the
-vector's units (on a cut network, one flow) counts one value query plus
-the rank queries the partition asks of the matroid parts, and no
-separate checks of singletons or of the support, where the subset
-enumeration counted every subset (20,505 -> 100 on one all-rank-zero
-core). A saturation slack also asks the singleton value f({e}). Counters are
+plain part is one kept flow and asks none. Likewise a membership or
+saturation slack counted by matroid partition of the vector's units (on
+a cut network, one flow) counts one value query plus the rank queries
+the partition asks of the matroid parts, and no separate checks of
+singletons or of the support, where the subset enumeration counts every
+subset. A saturation slack also asks the singleton value f({e}). Counters are
 process-global; snapshot/delta around a solver run to attribute queries
 to it.
 """

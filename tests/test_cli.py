@@ -379,3 +379,26 @@ def test_repeated_main_matches_fresh_processes(tmp_path, capsys, monkeypatch):
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert [c for c, _, _ in in_process] == [0, 0, 2, 0, 1, 2, 0]
     assert in_process == fresh
+
+
+ZERO_DENOMINATOR = [("solve-cover", "--eps"), ("reduce", "--eps"), ("bench", "--eps"),
+                    ("gen", "--u"), ("gen", "--w")]
+
+
+@pytest.mark.parametrize("command, flag", ZERO_DENOMINATOR,
+                         ids=[f"{c}{f}" for c, f in ZERO_DENOMINATOR])
+def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys, command, flag):
+    g = tmp_path / "g.json"
+    main(["gen", "--flavor", "gap", "--m", "2", "--out", str(g)])
+    capsys.readouterr()
+    rest = {"solve-cover": ["--in", str(g)], "reduce": ["--in", str(g), "--kind", "config-round"],
+            "bench": ["--dir", str(tmp_path)], "gen": ["--flavor", "two-value-santa"]}[command]
+    argv = [command, *rest, flag, "1/0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and flag in err and "zero denominator" in err
+    env = dict(os.environ, PYTHONPATH=str(Path(matalloc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "matalloc.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and flag in proc.stderr and "Traceback" not in proc.stderr

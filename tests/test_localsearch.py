@@ -158,6 +158,18 @@ def test_recursion_bound_monotone():
     assert recursion_node_bound(10, EPS) >= recursion_node_bound(5, EPS)
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 8), Fraction(1, 10), Fraction(1, 20),
+                                 Fraction(3, 31)], ids=["1/8", "1/10", "1/20", "3/31"])
+def test_recursion_bound_matches_its_fraction_definition(eps):
+    """2^ell with ell the least ell where (1/(1 - eps^2))^ell reaches n."""
+    for n in range(66):
+        ell, reach = 0, Fraction(1)
+        while n > 1 and reach < n:
+            reach /= 1 - eps * eps
+            ell += 1
+        assert recursion_node_bound(n, eps) == 2 ** max(ell, 1), n
+
+
 class TestRecursionPath:
     """The nested-coverage family forces operation (4): addable elements are
     blocked by rank-zero elements sharing their covering capacity."""

@@ -1,5 +1,6 @@
 """Brute-force oracles: examples, caps, reproducibility, witness validity."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -60,6 +61,54 @@ class TestBruteMakespan:
     def test_unschedulable_is_infinite(self):
         inst = MakespanInstance(1, [Item(values=(None,))])
         assert brute_opt_makespan(inst).value == math.inf
+
+    def test_a_job_with_no_finite_machine_has_no_witness(self):
+        inst = MakespanInstance(2, [Item(values=(F(1), F(2))), Item(values=(None, None))])
+        rep = brute_opt_makespan(inst)
+        assert rep.value == math.inf and rep.witness is None and rep.search_space == 0
+
+
+FLAVORS = [("unrelated-santa", dict(m=3, n=5)), ("restricted-santa", dict(m=3, n=5)),
+           ("restricted-makespan", dict(m=3, n=6)), ("two-value-makespan", dict(m=3, n=5)),
+           ("santa-matroid", dict(m=3, n=3)), ("makespan-matroid", dict(m=3, n=3))]
+
+
+def product_scan(inst):
+    """Value and witness of the first optimum in itertools.product order."""
+    m, santa = inst.num_entities, isinstance(inst, SantaInstance)
+    if inst.is_matroid_flavor:
+        options = [[(list(b), [it.value * c for c in b]) for b in enumerate_bases(it.polymatroid)]
+                   for it in inst.items]
+    else:
+        options = [[(i, [v if k == i else 0 for k in range(m)])
+                    for i, v in enumerate(it.values) if v is not None] for it in inst.items]
+    best = None
+    for combo in itertools.product(*options):
+        loads = [sum(add[i] for _, add in combo) for i in range(m)]
+        val = min(loads) if santa else max(loads)
+        if best is None or (val > best[0] if santa else val < best[0]):
+            best = (val, [entry for entry, _ in combo])
+    return best
+
+
+@pytest.mark.parametrize("flavor, size", FLAVORS, ids=[f for f, _ in FLAVORS])
+@pytest.mark.parametrize("seed", range(4))
+def test_one_enumeration_is_the_first_optimum_of_a_product_scan(flavor, size, seed):
+    inst = gen_random(flavor, seed, **size)
+    brute = brute_opt_santa if isinstance(inst, SantaInstance) else brute_opt_makespan
+    rep = brute(inst)
+    assert (rep.value, rep.witness) == product_scan(inst)
+
+
+@pytest.mark.parametrize("flavor, size", FLAVORS, ids=[f for f, _ in FLAVORS])
+def test_the_cap_binds_one_below_the_combination_count(flavor, size):
+    inst = gen_random(flavor, 1, **size)
+    brute = brute_opt_santa if isinstance(inst, SantaInstance) else brute_opt_makespan
+    count = brute(inst).search_space
+    field = "basis_enum" if inst.is_matroid_flavor else "assignments"
+    assert brute(inst, Caps().override(**{field: count})).search_space == count
+    with pytest.raises(SizeCapError, match=f"^brute force: more than {count - 1} combinations$"):
+        brute(inst, Caps().override(**{field: count - 1}))
 
 
 class TestCoverOracle:

@@ -680,6 +680,18 @@ def test_residual_flow_is_a_max_flow_through_raises_and_lowers(seed):
         assert_is_flow(kept, adj, old, right)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_matching_is_a_maximum_matching(seed):
+    rng = random.Random(seed)
+    adj, _, right = random_network(rng)
+    total, match_left = matching.max_bipartite_matching(adj, len(right))
+    used = [v for v in match_left if v is not None]
+    assert all(v is None or (adj[u] >> v) & 1 for u, v in enumerate(match_left))
+    assert len(set(used)) == len(used) == total
+    assert total == min_cut(adj, [1] * len(adj), [1] * len(right))
+    assert (matching.perfect_matching(adj, len(right)) is None) == (total < len(adj))
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
     """On a flow that carries all of its supply c: None iff c + 1_u is
