@@ -19,7 +19,7 @@ from .matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, GraphicM
 from .polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly, MarginalPoly,
                            ModularPoly, PolymatroidOracle, ScaledRankPoly, SumPoly,
                            capped_marginal, dual_polymatroid, greedy_basis_above, is_basis,
-                           member, sfm_min)
+                           marginal_reaches, member, sfm_min)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

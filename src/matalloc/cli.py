@@ -23,8 +23,7 @@ from pathlib import Path
 
 from .bitsets import bits
 from .instances import (CoreCoverInstance, MakespanInstance, SantaInstance, _rat_from_json,
-                        _rat_to_json, gen_gap_instance, gen_random, parse_instance,
-                        serialize_instance)
+                        _rat_to_json, gen_random, parse_instance, serialize_instance)
 from .limits import (Caps, ContractViolation, GuessRejected, InternalInvariantError,
                      SchemaError, SizeCapError, caps_from_env)
 from .localsearch import recursion_node_bound, solve_cover, verify_certificate
@@ -71,11 +70,8 @@ def _caps(args) -> Caps:
 
 
 def cmd_gen(args) -> int:
-    if args.flavor == "gap":
-        inst = gen_gap_instance(args.m, args.b)
-    else:
-        inst = gen_random(args.flavor, args.seed, m=args.m, n=args.n,
-                          u=args.u, w=args.w, b=args.b)
+    inst = gen_random(args.flavor, args.seed, m=args.m, n=args.n,
+                      u=args.u, w=args.w, b=args.b)
     data = serialize_instance(inst).decode()
     if args.out:
         Path(args.out).write_text(data + "\n")

@@ -496,19 +496,30 @@ def _random_matroid(rng: random.Random, n: int) -> MatroidOracle:
 
 def gen_random(flavor: str, seed: int, **params):
     """Deterministic random instance; size parameters by flavor:
-    m (entities), n (items), u/w (the two values), max_weight."""
+    m (entities; at least 2 for gap, else at least 1), n (items, >= 0),
+    u/w (the two values, >= 0), b (cover level of gap and core-cover,
+    >= 1), max_weight. A value out of range raises SchemaError naming its
+    `matalloc gen` flag."""
     rng = random.Random(seed)
     m = params.get("m", 4)
     n = params.get("n", 6)
     u = Fraction(params.get("u", Fraction(1)))
     w = Fraction(params.get("w", Fraction(3)))
+    b = params.get("b", 1)
     max_weight = params.get("max_weight", 3)
+    least_m = 2 if flavor == "gap" else 1
+    for flag, bad, need in (("--m", m < least_m, f"at least {least_m} for {flavor}"),
+                            ("--n", n < 0, "nonnegative"),
+                            ("--u", u < 0, "nonnegative"),
+                            ("--w", w < 0, "nonnegative"),
+                            ("--b", b < 1, "a positive integer")):
+        if bad:
+            raise SchemaError(f"{flag}: must be {need}")
 
     if flavor == "gap":
-        return gen_gap_instance(m, params.get("b", 1))
+        return gen_gap_instance(m, b)
     if flavor == "core-cover":
-        return CoreCoverInstance(_random_matroid(rng, m), _random_poly(rng, m, max_weight),
-                                 params.get("b", 1))
+        return CoreCoverInstance(_random_matroid(rng, m), _random_poly(rng, m, max_weight), b)
     if flavor == "unrelated-santa":
         den = params.get("den", 4)
         items = [Item(values=tuple(Fraction(rng.randint(0, den * 2), den) for _ in range(m)))

@@ -25,7 +25,8 @@ class InternalInvariantError(Exception):
 
 
 class SchemaError(Exception):
-    """Malformed instance JSON; message names the offending field path."""
+    """Malformed instance JSON or generator parameter; message names the
+    offending field path or flag."""
 
 
 class GuessRejected(Exception):

@@ -12,7 +12,10 @@ side: a set A of addable elements (droppable from I_M, absorbable by P at
 multiplicity 2b) is built layer by layer, the blocking elements B of I_P
 that obstruct the swap are identified, and the routine either commits
 enough immediately-addable elements, fails with a certificate, or
-recurses on B. All threshold comparisons are exact rationals.
+recurses on B. All threshold comparisons are exact rationals. The search
+asks only whether a capped marginal reaches its threshold
+(marginal_reaches); verify_certificate checks a certificate with exact
+capped marginals.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .bitsets import bits, elements, full_mask, indicator, size
 from .instances import CoreCoverInstance
 from .limits import Caps, DEFAULT_CAPS, InternalInvariantError
 from .matroids import ContractedMatroid, MatroidOracle, ZeroedMatroid, matroid_add_greedy
-from .polymatroids import MarginalPoly, PolymatroidOracle, capped_marginal, member
+from .polymatroids import (MarginalPoly, PolymatroidOracle, capped_marginal,
+                           marginal_reaches, member)
 from .oracle import exists_strong_cover
 
 
@@ -145,7 +149,7 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
                 rest = (state.B0 | (state.I_M & ~layer)) & ~bit
                 if m.rank_marginal(bit, rest) != 0:
                     continue
-                if capped_marginal(p, bit, 2 * b, a | layer) >= 2 * b:
+                if marginal_reaches(p, bit, 2 * b, a | layer):
                     layer |= bit
                     progressed = True
                     break
@@ -157,7 +161,7 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
         a |= layer
     c_rest = a
     for i in bits(state.I_M & ~a):
-        if capped_marginal(p, 1 << i, 2 * b, a) < 2 * b:
+        if not marginal_reaches(p, 1 << i, 2 * b, a):
             c_rest |= 1 << i
     return AddableSets(a, c_rest, layers)
 
@@ -167,7 +171,7 @@ def compute_blocking(state: SearchState, a: int, i_p: int) -> int:
     blocked = 0
     base = i_p | a
     for i in bits(i_p):
-        if capped_marginal(state.poly, 1 << i, state.b, base & ~(1 << i)) < state.b:
+        if not marginal_reaches(state.poly, 1 << i, state.b, base & ~(1 << i)):
             blocked |= 1 << i
     return blocked
 
@@ -233,7 +237,7 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
         # (1) grow the immediately addable set
         grew = False
         for i in bits(a & ~a_i):
-            if capped_marginal(p, 1 << i, b, i_p | a_i) >= b:
+            if marginal_reaches(p, 1 << i, b, i_p | a_i):
                 a_i |= 1 << i
                 grew = True
                 break
@@ -281,7 +285,7 @@ def _check_blocking_invariants(state: SearchState, addable: AddableSets,
     p, b, eps = state.poly, state.b, state.eps
     a = addable.a
     for i in bits((a | blocked) & ~a_i):
-        if capped_marginal(p, 1 << i, b, (a | blocked) & ~(1 << i)) >= b:
+        if marginal_reaches(p, 1 << i, b, (a | blocked) & ~(1 << i)):
             raise InternalInvariantError(
                 f"element {i} of A ∪ B (outside A_I) has marginal >= b")
     if a and Fraction(size(a_i)) < eps * size(a):

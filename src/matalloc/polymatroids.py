@@ -14,7 +14,8 @@ integer x is one exact max-flow, and values are counts. Every other form
 falls back to the subset recursion of CappedPoly. A one-element capped
 marginal f(i | h·X) there is one augmenting search from i on a copy of the
 max flow of X, which the network keeps in residual form per (h, X)
-(CutNetwork.marginal).
+(CutNetwork.marginal). The local search only asks whether such a marginal
+reaches h (marginal_reaches); that search raises i's supply by at most h.
 
 A cut network, a scaled-rank part, or a sum of scaled-rank and plain
 cut-network parts has a partition form: matroid copies (none for a cut
@@ -98,7 +99,7 @@ class CutNetwork:
         return (max_capacitated_flow([self.covers[e] for e in es], supply, self.weights)
                 - self._f_base)
 
-    def marginal(self, i: int, h: int, mask: int) -> int:
+    def marginal(self, i: int, h: int, mask: int, limit: int | None = None) -> int:
         """f(i | h·mask): the capped marginal of element i above mask with the
         elements of mask capped at h, by one augmenting search.
 
@@ -106,11 +107,19 @@ class CutNetwork:
         min(h, _left[e]) on mask \\ base and _left[e] on base (_residual).
         i's answer is how much raising its supply from 0 to _left[i] adds,
         on a copy. 0 for i in mask ∪ base.
+
+        With a limit, the supply rises by at most limit, and the answer is
+        min(limit, f(i | h·mask)): every cut either holds i's source arc or
+        not, so the max flow at supply t is min(F0 + t, F∞) (parametric
+        max-flow, Gallo, Grigoriadis and Tarjan 1989), and a raise by t
+        gains min(t, the full gain).
         """
         off = mask & ~self.base
         if ((off | self.base) >> i) & 1:
             return 0
-        return self._residual(h, off, i).copy().raise_supply(i, self._left[i])
+        left = self._left[i]
+        return self._residual(h, off, i).copy().raise_supply(
+            i, left if limit is None else min(limit, left))
 
     def _residual(self, h: int, off: int, i: int) -> ResidualFlow:
         """The max flow of the h-capped off ∪ base, kept per (h, off)."""
@@ -438,19 +447,37 @@ def capped_marginal(p: PolymatroidOracle, add: int, h: int, base: int) -> int:
     A one-element Y on a polymatroid with a cut network is one augmenting
     search on the kept residual flow of X (CutNetwork.marginal); every
     other form is the difference of two values of p.capped(uniform=h, on=X).
-    Either way it counts as two value queries.
+    Either way it counts as two value queries. The cap h must be a
+    nonnegative integer. Whether the marginal reaches h, the question the
+    local search asks, is marginal_reaches.
     """
+    return _capped_marginal(p, add, h, base, None)
+
+
+def marginal_reaches(p: PolymatroidOracle, add: int, h: int, base: int) -> bool:
+    """capped_marginal(p, add, h, base) >= h, counted as the same two queries.
+
+    On a cut network the augmenting search raises the element's supply by
+    at most h (CutNetwork.marginal with limit h), which answers exactly;
+    every other form computes the whole marginal.
+    """
+    return _capped_marginal(p, add, h, base, h) >= h
+
+
+def _capped_marginal(p: PolymatroidOracle, add: int, h: int, base: int,
+                     limit: int | None) -> int:
+    """capped_marginal; with a limit, a number that reaches limit exactly
+    when the marginal does (min(limit, marginal) on a cut network)."""
+    _check_weights([h], "caps")
     add &= ~base
     net = p.network
     if net is None or add <= 0 or add & (add - 1):
         cp = p.capped(uniform=h, on=base)
         return cp.value(add | base) - cp.value(base)
-    if base:
-        _check_weights([h], "caps")
     check_subset(add | base, p.n)
     stats.bump("poly_value")
     stats.bump("poly_value")
-    return net.marginal(add.bit_length() - 1, h, base)
+    return net.marginal(add.bit_length() - 1, h, base, limit)
 
 
 def sfm_min(fn: Callable[[int], int], n: int, caps: Caps = DEFAULT_CAPS,

@@ -6,7 +6,8 @@ one max-flow of a cut network is not a query: a capped value or a
 membership decided by one count counts once. A capped marginal f(Y | h·X)
 counts two queries, the two capped values it is the difference of,
 however it is answered: by those two values or, on a cut network, by one
-augmenting search on a kept residual flow. Membership is memoised per
+augmenting search on a kept residual flow; so does its threshold form
+"f(Y | h·X) >= h?" (marginal_reaches). Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
 vector asks no query again. An induced rank decided by matroid partition
 counts the rank queries the partition asks of the matroid copies; its

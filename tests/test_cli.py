@@ -402,3 +402,36 @@ def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys, command, flag):
     proc = subprocess.run([sys.executable, "-m", "matalloc.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2 and flag in proc.stderr and "Traceback" not in proc.stderr
+
+
+OUT_OF_RANGE = [
+    (["--flavor", "two-value-santa", "--u", "-1", "--m", "2", "--n", "2"], "--u"),
+    (["--flavor", "two-value-makespan", "--w=-1/2"], "--w"),
+    (["--flavor", "core-cover", "--m", "0"], "--m"),
+    (["--flavor", "gap", "--m", "1"], "--m"),
+    (["--flavor", "restricted-santa", "--m", "0", "--n", "1"], "--m"),
+    (["--flavor", "santa-matroid", "--n", "-1"], "--n"),
+    (["--flavor", "core-cover", "--b", "0"], "--b"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", OUT_OF_RANGE, ids=[" ".join(a) for a, _ in OUT_OF_RANGE])
+def test_gen_refuses_out_of_range_flags(tmp_path, capsys, argv, flag):
+    out = tmp_path / "inst.json"
+    assert main(["gen", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: must be") and "randrange" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flavor", ["gap", "core-cover", "unrelated-santa", "restricted-santa",
+                                    "two-value-santa", "two-value-makespan",
+                                    "restricted-makespan", "santa-matroid", "makespan-matroid"])
+def test_gen_at_the_smallest_sizes_writes_what_the_parser_reads(tmp_path, capsys, flavor):
+    least_m = "2" if flavor == "gap" else "1"
+    for seed in range(8):
+        out = tmp_path / f"{seed}.json"
+        assert main(["gen", "--flavor", flavor, "--m", least_m, "--n", str(seed % 2),
+                     "--u", "0", "--seed", str(seed), "--out", str(out)]) == 0
+        assert main(["verify", "--in", str(out)]) in (0, 2)
+    assert "error" not in capsys.readouterr().err

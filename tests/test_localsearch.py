@@ -264,3 +264,43 @@ def test_unchecked_run_gives_the_same_result(make, monkeypatch):
     monkeypatch.setattr(localsearch, "_check_blocking_invariants", lambda *args: None)
     unchecked = solve_cover(make(), EPS)
     assert _comparable(unchecked) == _comparable(checked)
+
+
+# ---------------------------------------------------------------------------
+# The search asks thresholds: "f(i | h·X) >= h?" raises i's supply by at most h
+
+
+def test_threshold_questions_raise_a_supply_by_at_most_h(monkeypatch):
+    import matalloc.localsearch as localsearch
+    from matalloc.matching import ResidualFlow
+
+    asked: list[int] = []            # h of the threshold question in progress
+    raises: list[tuple[int, int]] = []
+    beyond = 0                       # questions where a full raise would exceed h
+    reaches, raise_supply = localsearch.marginal_reaches, ResidualFlow.raise_supply
+
+    def spy_reaches(p, add, h, base):
+        nonlocal beyond
+        i = add.bit_length() - 1
+        beyond += not (base >> i) & 1 and p.network._left[i] > h
+        asked.append(h)
+        try:
+            return reaches(p, add, h, base)
+        finally:
+            asked.pop()
+
+    def spy_raise(self, u, d):
+        if asked:
+            raises.append((d, asked[-1]))
+        return raise_supply(self, u, d)
+
+    monkeypatch.setattr(localsearch, "marginal_reaches", spy_reaches)
+    monkeypatch.setattr(ResidualFlow, "raise_supply", spy_raise)
+    inst = _coverage_core(5)
+    inst.b = 3
+    res = solve_cover(inst, EPS)
+    assert res.feasible and res.restarts == 7 and res.total_recursion_nodes == 31
+    assert beyond and raises
+    assert all(d <= h for d, h in raises)
+    # the count of the whole-marginal search, whose queries the threshold keeps
+    assert res.oracle_queries == 623

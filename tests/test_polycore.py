@@ -23,7 +23,8 @@ from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitP
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, count,
                                    dual_polymatroid, greedy_basis_above, is_basis,
-                                   matroid_partition, member, saturation_slack, sfm_min)
+                                   marginal_reaches, matroid_partition, member, saturation_slack,
+                                   sfm_min)
 
 
 def brute_capped(p, caps, mask):
@@ -141,6 +142,14 @@ class TestCappedMarginal:
         p = ModularPoly([2, 3])
         # f(Y | h·X) with Y ∩ X nonempty follows f(Y \ X | h·X)
         assert capped_marginal(p, 0b11, 1, 0b01) == capped_marginal(p, 0b10, 1, 0b01)
+
+    @pytest.mark.parametrize("query", [capped_marginal, marginal_reaches])
+    @pytest.mark.parametrize("base", [0, 0b10])
+    def test_negative_cap_is_refused(self, query, base):
+        # the cut network (coverage) and the subset recursion (scaled rank)
+        for p in (CoveragePoly([0b01, 0b11], [2, 3]), ScaledRankPoly(UniformMatroid(2, 1), 2)):
+            with pytest.raises(ValueError, match="caps must be nonnegative"):
+                query(p, 0b01, -1, base)
 
 
 class TestSfmMember:
@@ -756,19 +765,20 @@ def test_kept_residuals_answer_alike_in_any_order(seed):
 
 @pytest.mark.parametrize("add", [0b001, 0b011])
 def test_a_capped_marginal_counts_two_value_queries(add):
-    def counted(p):
+    def counted(query, p):
         before = stats.snapshot()
-        capped_marginal(p, add, 2, 0b100)
+        query(p, add, 2, 0b100)
         return stats.delta(before)
 
-    # by flow: two queries, whether the residual is solved or kept
-    net = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
-    assert counted(net) == counted(net) == {"matroid_rank": 0, "poly_value": 2}
-    # by the recursion: the two values, plus the recursion's own queries
-    # until the capped values are memoised
-    rec = ScaledRankPoly(UniformMatroid(3, 2), 2)
-    assert counted(rec)["poly_value"] > 2
-    assert counted(rec) == {"matroid_rank": 0, "poly_value": 2}
+    for query in (capped_marginal, marginal_reaches):
+        # by flow: two queries, whether the residual is solved or kept
+        net = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
+        assert counted(query, net) == counted(query, net) == {"matroid_rank": 0, "poly_value": 2}
+        # by the recursion: the two values, plus the recursion's own queries
+        # until the capped values are memoised
+        rec = ScaledRankPoly(UniformMatroid(3, 2), 2)
+        assert counted(query, rec)["poly_value"] > 2
+        assert counted(query, rec) == {"matroid_rank": 0, "poly_value": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -1027,3 +1037,36 @@ def test_greedy_basis_on_a_partition_form_is_query_bounded():
     assert y == (3, 3, 3, 1, 1, 1, 0, 0, 0, 0, 0, 0)
     assert queries["poly_value"] <= 1000 and queries["matroid_rank"] <= 1000
     assert is_basis(u_sum, y)
+
+
+def threshold_forms(seed):
+    """A cut network (network_chain) and two forms without one (scaled rank,
+    explicit table), on at most 6 elements."""
+    rng, net = network_chain(seed)
+    n = rng.randint(1, 6)
+    rank = ScaledRankPoly(random_matroid(rng, n), rng.randint(1, 3))
+    table = network_chain(seed + 1000)[1]
+    if table.n > 6:
+        table = rank
+    explicit = ExplicitPoly(table.n, [table.value(s) for s in range(1 << table.n)])
+    return [p for p in (net, rank, explicit) if p.n <= 6]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_marginal_reaches_is_the_capped_marginal_threshold(seed):
+    for p in threshold_forms(seed):
+        top = max(p.value(1 << e) for e in range(p.n)) + 1
+        full = full_mask(p.n)
+        # one-element Y (inside and outside X and the contracted set) and two
+        # larger ones, which take the capped-value path
+        ys = [1 << i for i in range(p.n)] + [full, full & 0b101]
+        for x in range(1 << p.n):
+            for h in range(top + 1):
+                for y in ys:
+                    exact = capped_marginal(p, y, h, x)
+                    # with the capped values memoised, both ask alike
+                    before = stats.snapshot()
+                    capped_marginal(p, y, h, x)
+                    asked, before = stats.delta(before), stats.snapshot()
+                    assert marginal_reaches(p, y, h, x) == (exact >= h), (y, h, x)
+                    assert stats.delta(before) == asked
