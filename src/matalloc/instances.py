@@ -498,8 +498,9 @@ def gen_random(flavor: str, seed: int, **params):
     """Deterministic random instance; size parameters by flavor:
     m (entities; at least 2 for gap, else at least 1), n (items, >= 0),
     u/w (the two values, >= 0), b (cover level of gap and core-cover,
-    >= 1), max_weight. A value out of range raises SchemaError naming its
-    `matalloc gen` flag."""
+    >= 1), and the library-only max_weight (core-cover and the matroid
+    flavors) and den (unrelated-santa), both >= 1. A value out of range
+    raises SchemaError naming its `matalloc gen` flag or its parameter."""
     rng = random.Random(seed)
     m = params.get("m", 4)
     n = params.get("n", 6)
@@ -507,12 +508,15 @@ def gen_random(flavor: str, seed: int, **params):
     w = Fraction(params.get("w", Fraction(3)))
     b = params.get("b", 1)
     max_weight = params.get("max_weight", 3)
+    den = params.get("den", 4)
     least_m = 2 if flavor == "gap" else 1
     for flag, bad, need in (("--m", m < least_m, f"at least {least_m} for {flavor}"),
                             ("--n", n < 0, "nonnegative"),
                             ("--u", u < 0, "nonnegative"),
                             ("--w", w < 0, "nonnegative"),
-                            ("--b", b < 1, "a positive integer")):
+                            ("--b", b < 1, "a positive integer"),
+                            ("max_weight", max_weight < 1, "a positive integer"),
+                            ("den", den < 1, "a positive integer")):
         if bad:
             raise SchemaError(f"{flag}: must be {need}")
 
@@ -521,7 +525,6 @@ def gen_random(flavor: str, seed: int, **params):
     if flavor == "core-cover":
         return CoreCoverInstance(_random_matroid(rng, m), _random_poly(rng, m, max_weight), b)
     if flavor == "unrelated-santa":
-        den = params.get("den", 4)
         items = [Item(values=tuple(Fraction(rng.randint(0, den * 2), den) for _ in range(m)))
                  for _ in range(n)]
         return SantaInstance(m, items)

@@ -103,16 +103,15 @@ class CoverResult:
 
 
 class AddableSets:
-    """Addable elements A ⊆ I_M with their layers and the shield set C.
+    """Addable elements A ⊆ I_M and the shield set C.
 
     C per its definition contains B0; c_rest = C \\ B0 is what the recursion
     removes and rank arguments contract (B0 must stay in the child ground).
     """
 
-    def __init__(self, a: int, c_rest: int, layers: list[int]):
+    def __init__(self, a: int, c_rest: int):
         self.a = a
         self.c_rest = c_rest
-        self.layers = layers
 
 
 def _assert_state(state: SearchState, caps: Caps) -> None:
@@ -138,7 +137,6 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
     m, p, b, eps = state.matroid, state.poly, state.b, state.eps
     n_b0 = size(state.B0)
     a = 0
-    layers: list[int] = []
     while True:
         layer = 0
         while True:
@@ -157,13 +155,12 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
                 break
         if Fraction(size(layer)) < eps * n_b0:
             break
-        layers.append(layer)
         a |= layer
     c_rest = a
     for i in bits(state.I_M & ~a):
         if not marginal_reaches(p, 1 << i, 2 * b, a):
             c_rest |= 1 << i
-    return AddableSets(a, c_rest, layers)
+    return AddableSets(a, c_rest)
 
 
 def compute_blocking(state: SearchState, a: int, i_p: int) -> int:

@@ -13,7 +13,7 @@ from typing import Sequence
 from . import stats
 from .bitsets import bits, check_subset, full_mask, indicator, size
 from .matching import max_bipartite_matching
-from .polymatroids import _check_weights, matroid_partition
+from .polymatroids import _check_weights, count, matroid_partition
 
 
 class MatroidOracle:
@@ -209,30 +209,18 @@ class InducedMatroid(MatroidOracle):
 
     X is independent iff min_{S ⊆ X} f(S) − |S| >= 0; equivalently the rank
     is the unit-capped evaluation r(X) = min_{T ⊆ X} f(X \\ T) + |T|, the
-    largest y(E) over integer y <= 1_X in P(f). s·r_M induces the union of
-    s copies of M, and f₁ + f₂ the union of the matroids f₁ and f₂ induce,
-    so when f has a partition form (matroid copies plus a cut-network part)
-    the rank of X is the matroid partition of 1_X into the copies and the
-    network part (polymatroids.matroid_partition): one max-flow when there
-    are no copies, else residual searches of one kept flow for the network
-    part. Every other form keeps the subset recursion.
+    largest y(E) over integer y <= 1_X in P(f): the count of 1_X
+    (polymatroids.count). s·r_M induces the union of s copies of M, and
+    f₁ + f₂ the union of the matroids f₁ and f₂ induce, so on a partition
+    form that count is the matroid partition of 1_X.
     """
 
     def __init__(self, poly):
         super().__init__(poly.n)
         self.poly = poly
-        self._form = poly.partition_form
 
     def _rank(self, mask: int) -> int:
-        if self._form is not None:
-            return matroid_partition(*self._form, indicator(mask, self.n))
-        # min(f(X), min_i r(X - i) + 1) unrolls the capped-evaluation minimum
-        best = self.poly.value(mask)
-        for e in bits(mask):
-            if best <= 0:
-                break
-            best = min(best, self.rank(mask ^ (1 << e)) + 1)
-        return best
+        return count(self.poly, indicator(mask, self.n))
 
 
 def matroid_add_greedy(m: MatroidOracle, start: int, candidates: Sequence[int]) -> int:

@@ -8,12 +8,16 @@ the oracles: brute-force submodular minimization, the count max y(E) over
 y <= x in P (count), which decides membership and saturation slacks, greedy
 basis extension, and the box-capped marginal f(Y | b*X).
 
+A capped value and a vector-contracted value are each one count of a
+box vector of the inner polymatroid (CappedPoly, VectorContractedPoly),
+and an induced rank is the count of a 0/1 vector (matroids.InducedMatroid).
+count alone chooses between matroid partition and subset enumeration.
+
 Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
 and set contractions) are cut networks (CutNetwork): the count of an
-integer x is one exact max-flow, and values are counts. Every other form
-falls back to the subset recursion of CappedPoly. A one-element capped
-marginal f(i | h·X) there is one augmenting search from i on a copy of the
-max flow of X, which the network keeps in residual form per (h, X)
+integer x is one exact max-flow. A one-element capped marginal
+f(i | h·X) there is one augmenting search from i on a copy of the max
+flow of X, which the network keeps in residual form per (h, X)
 (CutNetwork.marginal). The local search only asks whether such a marginal
 reaches h (marginal_reaches); that search raises i's supply by at most h.
 
@@ -76,9 +80,6 @@ class CutNetwork:
 
     def contracted(self, mask: int) -> "CutNetwork":
         return CutNetwork(self.covers, self.weights, self.caps, self.base | mask, self._reach)
-
-    def value(self, mask: int) -> int:
-        return self.count([t if (mask >> e) & 1 else 0 for e, t in enumerate(self._left)])
 
     @cached_property
     def _f_base(self) -> int:
@@ -326,9 +327,9 @@ class SumPoly(PolymatroidOracle):
 class CappedPoly(PolymatroidOracle):
     """f'(S) = min_{T ⊆ S} f(S \\ T) + c(T), the box restriction y(i) <= c(i).
 
-    One max-flow when f has a cut network; otherwise the recursion
-    f'(S) = min(f(S), min_{i in S, c(i) finite} f'(S − i) + c(i)). Nested
-    caps merge elementwise.
+    f'(S) is the count of f (count) at the vector c on S, 0 elsewhere,
+    with f({e}) standing in for an unbounded cap c(e), since no y in P(f)
+    exceeds it. Nested caps merge elementwise.
     """
 
     def __init__(self, inner: PolymatroidOracle, caps: Sequence[int | None]):
@@ -342,22 +343,17 @@ class CappedPoly(PolymatroidOracle):
             inner = inner.inner
         self.inner = inner
         self.caps = caps
-        self.capset = sum(1 << e for e, c in enumerate(caps) if c is not None)
 
     def _build_network(self) -> CutNetwork | None:
         net = self.inner.network
         return None if net is None else net.capped(self.caps)
 
     def _value(self, mask: int) -> int:
-        net = self.network
-        if net is not None:
-            return net.value(mask)
-        best = self.inner.value(mask)
-        for e in bits(mask & self.capset):
-            cand = self.value(mask ^ (1 << e)) + self.caps[e]
-            if cand < best:
-                best = cand
-        return best
+        x = [0] * self.n
+        for e in bits(mask):
+            c = self.caps[e]
+            x[e] = self.inner.value(1 << e) if c is None else c
+        return count(self.inner, x)
 
 
 def _min_cap(a: int | None, b: int | None) -> int | None:
@@ -392,7 +388,14 @@ class MarginalPoly(PolymatroidOracle):
 
 
 class VectorContractedPoly(PolymatroidOracle):
-    """Marginal above a vector y in P: f'(S) = min_{U ⊇ S} f(U) − y(U)."""
+    """Marginal above a vector y in P: f'(S) = min_{U ⊇ S} f(U) − y(U).
+
+    That is count(z) − y(E) for z = y with each z(e), e in S, raised to
+    f({e}): in count(z) = min_U f(U) + z(E \\ U), a set U that misses some
+    e in S does at least as well with e added, since f(U + e) <= f(U) +
+    f({e}), and a set U ⊇ S gives y(E) + f(U) − y(U) (saturation_slack is
+    the one-element case).
+    """
 
     def __init__(self, inner: PolymatroidOracle, base: Sequence[int]):
         super().__init__(inner.n)
@@ -404,15 +407,10 @@ class VectorContractedPoly(PolymatroidOracle):
         self.base = tuple(base)
 
     def _value(self, mask: int) -> int:
-        best = self.inner.value(mask) - vec_sum(self.base, mask)
-        for e in range(self.n):
-            bit = 1 << e
-            if mask & bit:
-                continue
-            cand = self.value(mask | bit)
-            if cand < best:
-                best = cand
-        return best
+        z = list(self.base)
+        for e in bits(mask):
+            z[e] = self.inner.value(1 << e)
+        return count(self.inner, z) - sum(self.base)
 
 
 class DualPoly(PolymatroidOracle):

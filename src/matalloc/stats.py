@@ -2,23 +2,25 @@
 
 Counts logical top-level queries (each value/rank call, memo hits
 included) so reported figures do not depend on cache state. Work inside
-one max-flow of a cut network is not a query: a capped value or a
-membership decided by one count counts once. A capped marginal f(Y | h·X)
-counts two queries, the two capped values it is the difference of,
-however it is answered: by those two values or, on a cut network, by one
-augmenting search on a kept residual flow; so does its threshold form
-"f(Y | h·X) >= h?" (marginal_reaches). Membership is memoised per
+one max-flow of a cut network is not a query. A membership, a saturation
+slack, an induced rank, a capped value and a vector-contracted value are
+each one count (polymatroids.count) and count what it asks. The last
+three also count the rank or value query that asks for them, and a
+slack, a capped value (on its uncapped elements) and a
+vector-contracted value ask the singleton values f({e}) that they raise
+entries to. A count by matroid partition
+asks one value query plus the rank queries the partition asks of the
+matroid copies (its plain part is one kept flow and asks none), and no
+separate checks of singletons or of the support; every other count asks
+the value of each subset of the vector's support. A capped marginal
+f(Y | h·X) counts two queries, the two capped values it is the
+difference of (plus what their counts ask until they are memoised),
+however it is answered: by those two values or, on a cut network, by
+one augmenting search on a kept residual flow; so does its threshold
+form "f(Y | h·X) >= h?" (marginal_reaches). Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
-vector asks no query again. An induced rank decided by matroid partition
-counts the rank queries the partition asks of the matroid copies; its
-plain part is one kept flow and asks none. Likewise a membership or
-saturation slack counted by matroid partition of the vector's units (on
-a cut network, one flow) counts one value query plus the rank queries
-the partition asks of the matroid parts, and no separate checks of
-singletons or of the support, where the subset enumeration counts every
-subset. A saturation slack also asks the singleton value f({e}). Counters are
-process-global; snapshot/delta around a solver run to attribute queries
-to it.
+vector asks no query again. Counters are process-global; snapshot/delta
+around a solver run to attribute queries to it.
 """
 
 from __future__ import annotations

@@ -151,6 +151,14 @@ class TestGenerators:
         for it in inst.resources:
             assert check_axioms(it.polymatroid, seed=3, augmentation_samples=3)["ok"]
 
+    @pytest.mark.parametrize("flavor, param, bad", [
+        ("core-cover", "max_weight", 0), ("santa-matroid", "max_weight", 0),
+        ("makespan-matroid", "max_weight", 0),
+        ("unrelated-santa", "den", 0), ("unrelated-santa", "den", -1)])
+    def test_library_only_parameters_are_checked(self, flavor, param, bad):
+        with pytest.raises(SchemaError, match=f"^{param}: must be a positive integer$"):
+            gen_random(flavor, 1, m=3, n=2, **{param: bad})
+
 
 class TestAllocations:
     def test_values_and_loads(self):

@@ -362,7 +362,8 @@ def test_induced_matroid_rank():
 
 def reference_value(p, mask, memo):
     """f(mask) from the definitions: caps by brute_capped, contractions by
-    differences, concrete parts by their own (subset-free) evaluation."""
+    differences, sums part by part, concrete parts by their own
+    (subset-free) evaluation."""
     key = (id(p), mask)
     if key not in memo:
         if isinstance(p, CappedPoly):
@@ -371,6 +372,8 @@ def reference_value(p, mask, memo):
         elif isinstance(p, MarginalPoly):
             memo[key] = (reference_value(p.inner, mask | p.base_mask, memo)
                          - reference_value(p.inner, p.base_mask, memo))
+        elif isinstance(p, SumPoly):
+            memo[key] = sum(reference_value(q, mask, memo) for q in p.parts)
         else:
             memo[key] = p.value(mask)
     return memo[key]
@@ -435,19 +438,60 @@ def non_network_polys(rng, n):
     # parts with caps or a contracted set do not share one network
     capped_part = SumPoly([cov, CappedPoly(cov, [rng.randint(0, 2) for _ in range(n)])])
     contracted_part = SumPoly([cov, MarginalPoly(cov, 1)])
-    return [scaled, explicit, dual, contracted, mixed, capped_part, contracted_part]
+    # a sum with matroid copies as a table, and as recurse_input leaves it
+    # two levels down, where it has neither a network nor a partition form
+    copies = SumPoly([cov, scaled, ScaledRankPoly(random_matroid(rng, n), rng.randint(1, 2))])
+    table = ExplicitPoly(n, [sum(q.value(x) for q in copies.parts) for x in range(1 << n)])
+    recursed = recursion_chain(rng, copies, depth=2)
+    assert recursed.partition_form is None
+    return [scaled, explicit, dual, contracted, mixed, capped_part, contracted_part,
+            table, recursed]
 
 
-@pytest.mark.parametrize("seed", range(6))
+def recursion_chain(rng, p, depth):
+    """p as localsearch.recurse_input leaves it after depth levels: each
+    caps b·(A ∪ B) at b and contracts A ∪ B."""
+    b = rng.randint(1, 2)
+    for _ in range(depth):
+        ab = rng.getrandbits(p.n)
+        p = MarginalPoly(p.capped(uniform=b, on=ab), ab)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(12))
 def test_forms_without_a_network_keep_the_recursion(seed):
+    """Forms without a network, capped and then contracted: values, induced
+    ranks and capped marginals against brute force on up to 6 elements."""
     rng = random.Random(seed)
-    n = rng.randint(1, 5)
+    n = rng.randint(2, 6)
     for p in non_network_polys(rng, n):
         capped = CappedPoly(p, [rng.choice([None, 0, 1, 2]) for _ in range(n)])
         chained = MarginalPoly(capped, rng.getrandbits(n))
         for q in (p, capped, chained):
             assert q.network is None
             assert_matches_brute_force(rng, q)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_vector_contraction_is_the_least_slack_above_the_set(seed):
+    """f_y(S) = min_{U ⊇ S} f(U) − y(U) on random members y of a cut
+    network, a scaled-rank part, an explicit table and a recursed sum with
+    copies (up to 6 elements), as integers and as halves."""
+    rng = random.Random(seed)
+    forms = threshold_forms(seed)
+    forms.append(non_network_polys(rng, rng.randint(2, 6))[-1])
+    for p in forms:
+        full = full_mask(p.n)
+        for _ in range(3):
+            y = [rng.randint(0, p.value(1 << e)) for e in range(p.n)]
+            while not sfm_member(p, y):
+                y[rng.choice([e for e in range(p.n) if y[e]])] -= 1
+            for base in (y, [Fraction(v, 2) for v in y]):
+                vc = VectorContractedPoly(p, base)
+                for mask in range(1 << p.n):
+                    expect = min(p.value(u) - vec_sum(base, u)
+                                 for u in submasks(full) if u & mask == mask)
+                    assert vc.value(mask) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +519,9 @@ def test_scaled_rank_sums_induce_the_union(seed):
     p = scaled_rank_sum(seed)
     ind = InducedMatroid(p)
     ranks = [ind.rank(mask) for mask in range(1 << p.n)]
-    assert not p._memo  # no subset recursion ran
+    # each rank is one count: matroid partition from MEMBER_SUPPORT
+    # elements on, so no larger set's value is asked
+    assert all(size(s) < polymatroids.MEMBER_SUPPORT for s in p._memo)
     assert ranks == [brute_capped(p, [1] * p.n, mask) for mask in range(1 << p.n)]
 
 
@@ -566,12 +612,21 @@ def test_flow_membership_matches_sfm(seed):
                 assert saturation_slack(p, x, e) == brute_slack(ref, x, e)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_fraction_vectors_take_the_subset_path(seed, monkeypatch):
+def refuse_rationals(monkeypatch):
+    """Let only integer vectors reach matroid_partition: a capped value is
+    an integer count, which may take the partition path."""
+    real = polymatroids.matroid_partition
+
     def refuse(copies, g, x):
-        raise AssertionError("a rational vector reached the partition path")
+        assert all(isinstance(v, int) for v in x), "a rational vector reached the partition path"
+        return real(copies, g, x)
 
     monkeypatch.setattr(polymatroids, "matroid_partition", refuse)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fraction_vectors_take_the_subset_path(seed, monkeypatch):
+    refuse_rationals(monkeypatch)
     rng, p = network_chain(seed)
     ref = chain_reference(p)
     for x in probe_vectors(rng, p)[:15]:
@@ -771,11 +826,16 @@ def test_a_capped_marginal_counts_two_value_queries(add):
         return stats.delta(before)
 
     for query in (capped_marginal, marginal_reaches):
-        # by flow: two queries, whether the residual is solved or kept
         net = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
-        assert counted(query, net) == counted(query, net) == {"matroid_rank": 0, "poly_value": 2}
-        # by the recursion: the two values, plus the recursion's own queries
-        # until the capped values are memoised
+        if size(add) == 1:
+            # by flow: two queries, whether the residual is solved or kept
+            assert counted(query, net) == {"matroid_rank": 0, "poly_value": 2}
+        else:
+            # by two capped values, plus the queries of their counts until
+            # they are memoised
+            assert counted(query, net)["poly_value"] > 2
+        assert counted(query, net) == {"matroid_rank": 0, "poly_value": 2}
+        # off a network: the two capped values, likewise
         rec = ScaledRankPoly(UniformMatroid(3, 2), 2)
         assert counted(query, rec)["poly_value"] > 2
         assert counted(query, rec) == {"matroid_rank": 0, "poly_value": 2}
@@ -911,11 +971,18 @@ def cut_network(n=8):
 
 @pytest.mark.parametrize("make", [cut_network, partition_sum])
 def test_member_takes_the_partition_path_from_its_support_threshold(make, monkeypatch):
+    p = make()
     called = []
     real = polymatroids.matroid_partition
-    monkeypatch.setattr(polymatroids, "matroid_partition",
-                        lambda copies, g, x: called.append(x) or real(copies, g, x))
-    p = make()
+
+    def spy(copies, g, x):
+        # only p's own counts: cut_network's capped values count its inner
+        # coverage part
+        if (copies, g) == p.partition_form:
+            called.append(x)
+        return real(copies, g, x)
+
+    monkeypatch.setattr(polymatroids, "matroid_partition", spy)
     k = polymatroids.MEMBER_SUPPORT
     # entries of 2: partition_sum's unit-weight modular part carries one
     # unit of each element, so the copies are asked for the second
@@ -933,10 +1000,7 @@ def test_member_takes_the_partition_path_from_its_support_threshold(make, monkey
 
 
 def test_fraction_vectors_stay_on_the_subset_path(monkeypatch):
-    def refuse(copies, g, x):
-        raise AssertionError("a rational vector reached the partition path")
-
-    monkeypatch.setattr(polymatroids, "matroid_partition", refuse)
+    refuse_rationals(monkeypatch)
     p = partition_sum()
     for x in [(Fraction(1, 2),) * 8, (Fraction(3, 2),) * 8, (Fraction(1),) * 8]:
         assert member(p, x) == all(vec_sum(x, s) <= p.value(s) for s in range(1 << 8))
