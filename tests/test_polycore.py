@@ -442,17 +442,17 @@ def non_network_polys(rng, n):
     # two levels down, where it has neither a network nor a partition form
     copies = SumPoly([cov, scaled, ScaledRankPoly(random_matroid(rng, n), rng.randint(1, 2))])
     table = ExplicitPoly(n, [sum(q.value(x) for q in copies.parts) for x in range(1 << n)])
-    recursed = recursion_chain(rng, copies, depth=2)
+    recursed = recursion_chain(rng, copies)
     assert recursed.partition_form is None
     return [scaled, explicit, dual, contracted, mixed, capped_part, contracted_part,
             table, recursed]
 
 
-def recursion_chain(rng, p, depth):
-    """p as localsearch.recurse_input leaves it after depth levels: each
+def recursion_chain(rng, p):
+    """p as localsearch.recurse_input leaves it two levels down: each level
     caps b·(A ∪ B) at b and contracts A ∪ B."""
     b = rng.randint(1, 2)
-    for _ in range(depth):
+    for _ in range(2):
         ab = rng.getrandbits(p.n)
         p = MarginalPoly(p.capped(uniform=b, on=ab), ab)
     return p
