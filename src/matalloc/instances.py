@@ -137,28 +137,35 @@ def assignment_to_alloc(choices: Sequence[int | None], m: int) -> Allocation:
 
 def entity_totals(inst, alloc: Allocation) -> list[Fraction]:
     """Per-entity sum of value times multiplicity: player values for max-min,
-    machine loads for makespan."""
+    machine loads for makespan, of an allocation or of the rows of a
+    fractional assignment; a placement on an infinite size raises
+    ValueError naming the item."""
     totals = [Fraction(0)] * inst.num_entities
-    for it, vec in zip(inst.items, alloc):
+    for j, (it, vec) in enumerate(zip(inst.items, alloc)):
         for i, k in enumerate(vec):
             if k:
                 v = it.value_for(i)
                 if v is None:
-                    raise ValueError("job placed on a machine with infinite size")
+                    raise ValueError(f"item {j}: placed on a machine with infinite size")
                 totals[i] += v * k
     return totals
 
 
 def validate_allocation(inst, alloc: Allocation, require_basis: bool | None = None) -> None:
-    """Structural validity: unit vectors for classical items (makespan jobs must
-    be assigned; santa resources may stay unassigned), polymatroid membership
-    (bases where required) for matroid items."""
+    """Structural validity: one vector of num_entities nonnegative entries
+    per item; 0/1 vectors with at most one 1 for classical items (makespan
+    jobs must be placed; santa resources may stay unassigned), polymatroid
+    membership (bases where required) for matroid items. A violation raises
+    ValueError naming the item."""
     is_makespan = isinstance(inst, MakespanInstance)
     if require_basis is None:
         require_basis = is_makespan
     if len(alloc) != len(inst.items):
         raise ValueError("one vector per item required")
+    m = inst.num_entities
     for j, (it, vec) in enumerate(zip(inst.items, alloc)):
+        if len(vec) != m:
+            raise ValueError(f"item {j}: vector has {len(vec)} entries, expected {m}")
         if any(v < 0 for v in vec):
             raise ValueError(f"item {j}: negative multiplicity")
         if it.polymatroid is not None:
@@ -167,10 +174,10 @@ def validate_allocation(inst, alloc: Allocation, require_basis: bool | None = No
                     raise ValueError(f"item {j}: vector is not a basis of its polymatroid")
             elif not member(it.polymatroid, vec):
                 raise ValueError(f"item {j}: vector outside its polymatroid")
-        else:
-            total = sum(vec)
-            if total > 1 or (is_makespan and total != 1):
-                raise ValueError(f"item {j}: classical items go to at most one entity")
+        elif sum(vec) > 1 or not set(vec) <= {0, 1}:
+            raise ValueError(f"item {j}: a classical item goes whole to at most one entity")
+        elif is_makespan and 1 not in vec:
+            raise ValueError(f"item {j}: job placed on no machine")
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,11 @@ class ExpandedMatroid(MatroidOracle):
 def max_common_vector(slot_caps: Sequence[int], indep1: Callable[[tuple[int, ...]], bool],
                       indep2: Callable[[tuple[int, ...]], bool], limit: int) -> tuple[int, ...]:
     """max_common_independent over slot_caps with each predicate asked once
-    per distinct count vector; more than limit units in all (the size of the
-    parallel-copy expansion the search stands for) raise SizeCapError."""
-    copies = sum(slot_caps)
-    if copies > limit:
-        raise SizeCapError(f"parallel-copy expansion of {copies} copies exceeds cap {limit}")
+    per distinct count vector; more than limit units in all (sum(slot_caps),
+    the largest total a count vector may reach) raise SizeCapError."""
+    units = sum(slot_caps)
+    if units > limit:
+        raise SizeCapError(f"count-vector search over {units} units exceeds cap {limit}")
     return max_common_independent(slot_caps, cache(indep1), cache(indep2))
 
 

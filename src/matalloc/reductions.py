@@ -3,7 +3,10 @@
 Each reduction is a builder returning a bundle (the constructed instance
 plus the gadget wiring) and a back-translation that converts a solution of
 the constructed instance into one of the source instance, re-verifying the
-advertised bound with exact rationals (violations are hard errors).
+advertised bound with exact rationals (violations are hard errors). The
+classical back-translations first check the solver's answer with
+instances.validate_allocation and sum it with instances.entity_totals; a
+malformed answer is a ContractViolation that names it.
 
 Covered here: configuration rounding for unrelated max-min instances, the
 configuration gadget to makespan, the two-value equivalences in both
@@ -20,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Sequence
 
 from .bitsets import full_mask
 from .instances import (Allocation, CoreCoverInstance, Item, MakespanInstance, SantaInstance,
-                        entity_totals, unit_vector)
+                        assignment_to_alloc, entity_totals, validate_allocation)
 from .intersection import decompose_in_sum, decompose_merged_basis
 from .limits import (BaselineRegime, Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
                      SizeCapError)
@@ -180,6 +184,16 @@ def santa_to_makespan(inst: SantaInstance, configs: Sequence[Sequence[Configurat
     return SantaToMakespanBundle(inst, pruned, gadget, machines, jobs)
 
 
+def _checked_totals(inst, alloc: Allocation, what: str) -> list[Fraction]:
+    """entity_totals of an allocation that validate_allocation accepts; a
+    ValueError of either becomes a ContractViolation naming what."""
+    try:
+        validate_allocation(inst, alloc)
+        return entity_totals(inst, alloc)
+    except ValueError as exc:
+        raise ContractViolation(f"{what}: {exc}") from exc
+
+
 def santa_solution_from_schedule(bundle: SantaToMakespanBundle, schedule: Allocation
                                  ) -> tuple[Allocation, Fraction]:
     """Translate a gadget schedule of makespan mu < 2 back to an allocation in
@@ -187,21 +201,10 @@ def santa_solution_from_schedule(bundle: SantaToMakespanBundle, schedule: Alloca
     (2 - 1/alpha)-approximate schedule)."""
     inst = bundle.source
     m = inst.num_players
-    machine_of = []
-    for vec in schedule:
-        spots = [k for k, v in enumerate(vec) if v]
-        if len(spots) != 1:
-            raise ContractViolation("each gadget job must sit on exactly one machine")
-        machine_of.append(spots[0])
-    loads = [Fraction(0)] * len(bundle.machines)
-    for jk, place in enumerate(machine_of):
-        s = bundle.makespan.jobs[jk].values[place]
-        if s is None:
-            raise ContractViolation("gadget schedule uses an infinite-size placement")
-        loads[place] += s
-    mu = max(loads)
+    mu = max(_checked_totals(bundle.makespan, schedule, "gadget schedule"))
     if mu >= 2:
         raise ContractViolation(f"gadget makespan {mu} >= 2 carries no guarantee")
+    machine_of = [vec.index(1) for vec in schedule]
 
     selected = {}
     for jk, desc in enumerate(bundle.jobs):
@@ -211,27 +214,21 @@ def santa_solution_from_schedule(bundle: SantaToMakespanBundle, schedule: Alloca
                 raise ContractViolation("player-job placed off its configuration machines")
             selected[desc[1]] = mdesc[2]
 
+    # every job has size 1 on a resource machine, so mu < 2 leaves at most
+    # one job on each: no resource gets two owners
     owner: list[int | None] = [None] * len(inst.resources)
-    values = [Fraction(0)] * m
     for jk, desc in enumerate(bundle.jobs):
-        if desc[0] != "configjob":
-            continue
-        i, ci = desc[1], desc[2]
-        if selected[i] != ci:
-            continue
         mdesc = bundle.machines[machine_of[jk]]
-        if mdesc[0] == "config":
-            continue  # stayed home; contributes nothing
-        j = mdesc[1]
-        if owner[j] is not None:
-            raise ContractViolation("two configuration jobs share a resource machine")
-        owner[j] = i
-        values[i] += inst.resources[j].values[i]
+        # a configuration job that stayed home contributes nothing
+        if desc[0] == "configjob" and selected[desc[1]] == desc[2] and mdesc[0] == "resource":
+            owner[mdesc[1]] = desc[1]
+    alloc = assignment_to_alloc(owner, m)
+    values = entity_totals(inst, alloc)
     bound = 2 - mu
     shortfall = [i for i in range(m) if values[i] < bound]
     if shortfall:
         raise ContractViolation(f"translated value below 2 - makespan for players {shortfall}")
-    return [unit_vector(o, m) if o is not None else tuple([0] * m) for o in owner], min(values)
+    return alloc, min(values)
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +309,17 @@ def schedule_from_santa_solution(bundle: TwoValueBundle, alloc: Allocation
     """Translate a gadget allocation with min player value V > 0 into a schedule
     of makespan at most 1 + t - V (<= 2 - 1/alpha when V >= t/alpha)."""
     inst = bundle.source
-    m = inst.num_machines
-    nplayers = bundle.santa.num_players
-    values = [Fraction(0)] * nplayers
-    holder: list[int | None] = [None] * len(bundle.resource_desc)
-    for j, vec in enumerate(alloc):
-        for pidx in range(nplayers):
-            if vec[pidx]:
-                if holder[j] is not None:
-                    raise ContractViolation("a gadget resource is assigned twice")
-                holder[j] = pidx
-                values[pidx] += bundle.santa.resources[j].values[pidx]
-    vmin = min(values)
+    vmin = min(_checked_totals(bundle.santa, alloc, "gadget allocation"))
     if vmin <= 0:
         raise ContractViolation("some gadget player received nothing; value would be 0")
 
     # normalize: each job-player keeps exactly one resource (highest value,
-    # ties by index); the rest go back to their machine-player
+    # ties by index); the rest go back to their machine-player. V > 0 gives
+    # every job-player a resource of positive value, which names a machine
+    # that can host its job.
     keep: dict[int, int] = {}
-    for j, pidx in enumerate(holder):
+    for j, vec in enumerate(alloc):
+        pidx = vec.index(1) if 1 in vec else None
         if pidx is None or bundle.player_desc[pidx][0] != "job":
             continue
         jj = bundle.player_desc[pidx][1]
@@ -339,24 +328,14 @@ def schedule_from_santa_solution(bundle: TwoValueBundle, alloc: Allocation
                            > bundle.santa.resources[cur].values[pidx]):
             keep[jj] = j
 
-    owner: list[int] = []
-    loads = [Fraction(0)] * m
-    for j in range(len(inst.jobs)):
-        if j not in keep:
-            raise ContractViolation("a job-player holds no resource")
-        rdesc = bundle.resource_desc[keep[j]]
-        machine = rdesc[1]
-        s = inst.jobs[j].values[machine]
-        if s is None:
-            raise ContractViolation("translation placed a job on an infinite machine")
-        owner.append(machine)
-        loads[machine] += s
-
+    sched = assignment_to_alloc([bundle.resource_desc[keep[j]][1]
+                                 for j in range(len(inst.jobs))], inst.num_machines)
+    loads = _checked_totals(inst, sched, "translated schedule")
     bound = 1 + bundle.t - min(vmin, bundle.t)
-    over = [i for i in range(m) if loads[i] > bound]
+    over = [i for i, load in enumerate(loads) if load > bound]
     if over:
         raise ContractViolation(f"translated makespan exceeds 1 + t - V on machines {over}")
-    return [unit_vector(o, m) for o in owner], max(loads) if loads else Fraction(0)
+    return sched, max(loads) if loads else Fraction(0)
 
 
 def twovalue_santa_to_makespan(inst: SantaInstance, alpha: Fraction,
@@ -380,8 +359,7 @@ def twovalue_santa_to_makespan(inst: SantaInstance, alpha: Fraction,
         frac = solve_assignment_lp(inst, Fraction(1), caps)
         if frac is None:
             raise GuessRejected("assignment LP infeasible at the guessed optimum")
-        owner = additive_round_santa(inst, frac, caps)
-        alloc = [unit_vector(o, m) if o is not None else tuple([0] * m) for o in owner]
+        alloc = assignment_to_alloc(additive_round_santa(inst, frac, caps), m)
         _require_min_value(inst, alloc, 1 / alpha)
         return alloc, "additive"
 
@@ -389,9 +367,10 @@ def twovalue_santa_to_makespan(inst: SantaInstance, alpha: Fraction,
            for i in range(m)]
     matching = perfect_matching(adj, len(inst.resources))
     if matching is not None:
-        alloc = [tuple([0] * m) for _ in inst.resources]
+        owner: list[int | None] = [None] * len(inst.resources)
         for i, j in enumerate(matching):
-            alloc[j] = unit_vector(i, m)
+            owner[j] = i
+        alloc = assignment_to_alloc(owner, m)
         _require_min_value(inst, alloc, 1 / alpha)
         return alloc, "matching"
 
@@ -494,10 +473,9 @@ def _undualize(bundle: MatroidDualBundle, vecs: Allocation,
         if not is_basis(targets[jidx], y):
             raise ContractViolation(f"undualized vector {jidx} is not a basis of its target")
         out.append(y)
-    values = [it.value for it in bundle.source.items]
-    expect = sum(v * k for v, k in zip(values, bundle.caps_per_item))
-    for e in range(n):
-        lhs = sum(v * (y[e] + vec[e]) for v, y, vec in zip(values, out, vecs))
+    expect = sum(it.value * k for it, k in zip(bundle.source.items, bundle.caps_per_item))
+    both = [tuple(map(add, y, vec)) for y, vec in zip(out, vecs)]
+    for e, lhs in enumerate(entity_totals(bundle.source, both)):
         if lhs != expect:
             raise ContractViolation(f"dual identity fails at entity {e}: {lhs} != {expect}")
     return out

@@ -236,11 +236,14 @@ def _pad_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
     views, the integral and the fractional per-entity totals, and the
     largest item value."""
     m, n = inst.num_entities, len(inst.items)
+    try:
+        ftotals = entity_totals(inst, frac.x)
+    except ValueError as exc:
+        raise ContractViolation(f"fractional assignment: {exc}") from exc
     vp = [item_value_poly(inst, j) for j in range(n)]
     pad = (Fraction(0), ModularPoly([0] * m))
     alloc = _gadget_round(vp + [pad], list(frac.x) + [tuple([Fraction(0)] * m)],
                           m, mode, caps)[:-1]
-    ftotals = [sum(v * frac.x[j][i] for j, (v, _) in enumerate(vp)) for i in range(m)]
     vmax = max((v for v, _ in vp), default=Fraction(0))
     return alloc, vp, entity_totals(inst, alloc), ftotals, vmax
 
@@ -302,10 +305,7 @@ def additive_round_santa(inst: SantaInstance, frac: FractionalAssignment,
         raise SizeCapError(f"placement space {space} exceeds cap {caps.assignments}")
     vmax = max((v for it in inst.resources for v in it.values), default=Fraction(0))
 
-    base = [Fraction(0)] * m
-    for j, i in enumerate(owner):
-        if i is not None:
-            base[i] += inst.resources[j].values[i]
+    base = entity_totals(inst, assignment_to_alloc(owner, m))
 
     def worst(pick: tuple[int, ...]) -> Fraction:
         vals = list(base)

@@ -110,6 +110,18 @@ def _round_with_frac(tmp_path, frac_doc) -> int:
     return main(["round", "--in", str(inst), "--frac", str(frac)])
 
 
+def test_round_mass_on_an_infinite_machine_exit_one(tmp_path, capsys):
+    inst = tmp_path / "makespan.json"
+    inst.write_text(json.dumps({"type": "makespan", "machines": 2,
+                                "items": [{"values": [1, None]}]}))
+    frac = tmp_path / "frac.json"
+    half = {"num": 1, "den": 2}
+    frac.write_text(json.dumps({"T": 1, "x": [[half, half]]}))
+    assert main(["round", "--in", str(inst), "--frac", str(frac)]) == 1
+    assert capsys.readouterr().err == (
+        "error: fractional assignment: item 0: placed on a machine with infinite size\n")
+
+
 def test_round_frac_without_threshold_exit_one(tmp_path, capsys):
     assert _round_with_frac(tmp_path, {"x": [[1, 0], [0, 1]]}) == 1
     assert "frac.T" in capsys.readouterr().err

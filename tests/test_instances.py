@@ -176,8 +176,22 @@ class TestAllocations:
 
     def test_validate_makespan_requires_assignment(self):
         mk = MakespanInstance(2, [Item(values=(Fraction(1), None))])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^item 0: job placed on no machine$"):
             validate_allocation(mk, [(0, 0)])
+
+    @pytest.mark.parametrize("vec", [(1, 0, 0), (1,), ()], ids=["long", "short", "empty"])
+    def test_validate_checks_the_vector_length(self, vec):
+        inst = SantaInstance(2, [Item(values=(Fraction(1), Fraction(1)))] * 2)
+        with pytest.raises(ValueError, match=f"^item 1: vector has {len(vec)} entries, "
+                                             "expected 2$"):
+            validate_allocation(inst, [(0, 1), vec])
+
+    @pytest.mark.parametrize("vec", [(2, 0), (Fraction(1, 2), Fraction(1, 2)), (1, -1)],
+                             ids=["doubled", "split", "negative"])
+    def test_validate_wants_whole_classical_items(self, vec):
+        mk = MakespanInstance(2, [Item(values=(Fraction(1), Fraction(1)))])
+        with pytest.raises(ValueError, match="^item 0: "):
+            validate_allocation(mk, [vec])
 
 
 class TestMerge:

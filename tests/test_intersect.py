@@ -266,6 +266,14 @@ def test_each_count_vector_is_asked_once():
         assert seen and len(seen) == len(set(seen))
 
 
+def test_unit_cap_is_checked_before_the_search():
+    def never(x):
+        raise AssertionError("asked a predicate past the cap")
+
+    with pytest.raises(SizeCapError, match="^count-vector search over 5 units exceeds cap 4$"):
+        max_common_vector([3, 2], never, never, 4)
+
+
 def test_santa_basis_split_work_is_bounded(monkeypatch):
     """A count of the work, not of time, in splitting one fixed basis of a
     santa-matroid sum, counting the search's predicate evaluations (memo

@@ -1,6 +1,7 @@
 """Constructive reductions: operation examples and randomized round trips
 solved exactly by brute force, with every advertised bound re-verified."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -296,6 +297,54 @@ class TestTwoValueDirections:
         sval, salloc = gadget_santa_opt(bundle)
         sched, mu = schedule_from_santa_solution(bundle, salloc)
         assert max(entity_totals(norm, sched)) <= F(3, 2)
+
+
+class TestBackTranslationInputs:
+    """Both classical back-translations validate what the solver hands back
+    and name the input that failed."""
+
+    # one player with configurations {1} (over the one resource) and {1/2, 1/2};
+    # machines: config 0, config 1, resource 0; jobs: the player-job, the {1}
+    # job and the two 1/2 jobs
+    SANTA = SantaInstance(1, [Item(values=(F(1),))])
+    CONFIGS = [[{F(1): 1}, {F(1, 2): 2}]]
+    SCHEDULE = [(1, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 0)]
+    # one machine, one unit job: players machine 0 and job 0, resources big
+    # and small of machine 0; the job-player holds the big one
+    JOB = MakespanInstance(1, [Item(values=(F(1),))])
+    ALLOC = [(0, 1), (1, 0)]
+
+    def test_valid_inputs(self):
+        bundle = santa_to_makespan(self.SANTA, self.CONFIGS)
+        assert santa_solution_from_schedule(bundle, self.SCHEDULE) == ([(1,)], 1)
+        bundle = twovalue_makespan_to_santa(self.JOB)
+        assert schedule_from_santa_solution(bundle, self.ALLOC) == ([(1,)], 1)
+
+    @pytest.mark.parametrize("schedule", [
+        [tuple(2 * k for k in vec) for vec in SCHEDULE],
+        [(1, 0, 0), (0, 0, -1), (0, 1, 0), (0, 1, 0)],
+        SCHEDULE[:-1],
+        [vec + (0,) for vec in SCHEDULE],
+        [(0, 0, 1)] + SCHEDULE[1:],
+    ], ids=["doubled", "negative", "missing", "over-long", "infinite"])
+    def test_malformed_gadget_schedule(self, schedule):
+        bundle = santa_to_makespan(self.SANTA, self.CONFIGS)
+        with pytest.raises(ContractViolation, match="^gadget schedule: "):
+            santa_solution_from_schedule(bundle, schedule)
+
+    @pytest.mark.parametrize("alloc, sizes, what", [
+        ([(0, 2), (2, 0)], (F(1),), "gadget allocation"),
+        ([(0, 1), (-1, 0)], (F(1),), "gadget allocation"),
+        ([(0, 1)], (F(1),), "gadget allocation"),
+        ([(0, 1, 0), (1, 0, 0)], (F(1),), "gadget allocation"),
+        # a source that cannot run its job where the gadget places it
+        (ALLOC, (None,), "translated schedule"),
+    ], ids=["doubled", "negative", "missing", "over-long", "infinite"])
+    def test_malformed_gadget_allocation(self, alloc, sizes, what):
+        bundle = dataclasses.replace(twovalue_makespan_to_santa(self.JOB),
+                                     source=MakespanInstance(1, [Item(values=sizes)]))
+        with pytest.raises(ContractViolation, match=f"^{what}: "):
+            schedule_from_santa_solution(bundle, alloc)
 
 
 class TestMatroidDuals:

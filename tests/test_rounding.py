@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from matalloc import rounding
 from matalloc.bitsets import bits, submasks
 from matalloc.instances import Item, MakespanInstance, SantaInstance, gen_random
-from matalloc.limits import Caps, SizeCapError
+from matalloc.limits import Caps, ContractViolation, SizeCapError
 from matalloc.oracle import brute_opt_makespan, enumerate_bases
 from matalloc.polymatroids import is_basis
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, item_value_poly,
@@ -232,6 +232,12 @@ class TestRoundMakespan:
         mk = MakespanInstance(2, [Item(values=(F(1), F(1))), Item(values=(F(2), F(2)))])
         frac = FractionalAssignment(F(2), [(F(1), F(0)), (F(0), F(1))])
         assert round_makespan(mk, frac) == [(1, 0), (0, 1)]
+
+    def test_mass_on_an_infinite_machine_is_rejected(self):
+        mk = MakespanInstance(2, [Item(values=(F(1), None))])
+        frac = FractionalAssignment(F(1), [(F(1, 2), F(1, 2))])
+        with pytest.raises(ContractViolation, match="^fractional assignment: item 0: "):
+            round_makespan(mk, frac)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=80, deadline=None)
