@@ -4,11 +4,25 @@
 algorithm with BFS (shortest exchange paths, ties by smallest slot), run
 directly on count vectors x <= caps, which is Edmonds' polymatroid
 intersection on integer points. Plain matroid intersection is its 0/1 case.
-`max_common_vector` memoises both predicates per count vector and bounds the
-total size of the box; polymatroid intersection, the split of a member or
-basis of a sum polymatroid into the parts, and the rounding gadget all go
-through it. `ExpandedMatroid`, the matroid on unit copies of the slots, is
-the copy-level reference the tests compare the search against.
+
+Each of its two sides answers two questions about the current x: may slot y
+gain a unit (x + e_y), and may y gain one while s loses one (x + e_y − e_s).
+A side is one of three kinds:
+- a predicate on whole count vectors (`max_common_vector` memoises it per
+  vector and bounds the total size of the box);
+- `PartitionBound`: slot s counts toward group[s], and a group holds at most
+  its cap, which per-group room answers in O(1);
+- `DirectSum`: x is independent iff each block's sub-vector is, so a gain
+  asks only the gaining slot's block, and so does a swap across blocks,
+  since the losing block stays independent (every side is a matroid on
+  units, hence down-closed).
+The structured sides give the predicate's answers exactly, so the search
+takes the same paths whatever kind of side it is given.
+
+Polymatroid intersection, the split of a member or basis of a sum
+polymatroid into the parts, and the rounding gadget all go through it.
+`ExpandedMatroid`, the matroid on unit copies of the slots, is the
+copy-level reference the tests compare the search against.
 """
 
 from __future__ import annotations
@@ -22,12 +36,106 @@ from .limits import Caps, DEFAULT_CAPS, ContractViolation, SizeCapError
 from .matroids import MatroidOracle
 from .polymatroids import PolymatroidOracle, SumPoly, is_basis, member
 
+Predicate = Callable[[tuple[int, ...]], bool]
 
-def max_common_independent(caps: Sequence[int], indep1: Callable[[tuple[int, ...]], bool],
-                           indep2: Callable[[tuple[int, ...]], bool]) -> tuple[int, ...]:
-    """A maximum-size count vector x <= caps independent for both predicates,
-    each of which must make the multisets of its units a matroid (the unit
-    copies of an integer polymatroid are one).
+
+class Side:
+    """One side of the exchange search, asked about the x of its last reset;
+    x is independent for it, and x + e_y − e_s is asked only for y != s."""
+
+    def reset(self, x: Sequence[int]) -> None:
+        raise NotImplementedError
+
+    def gain(self, y: int) -> bool:
+        raise NotImplementedError
+
+    def swap(self, y: int, s: int) -> bool:
+        raise NotImplementedError
+
+
+class _Whole(Side):
+    """A predicate on whole count vectors."""
+
+    def __init__(self, indep: Predicate):
+        self.indep = indep
+
+    def reset(self, x: Sequence[int]) -> None:
+        self.x = x
+
+    def gain(self, y: int) -> bool:
+        v = list(self.x)
+        v[y] += 1
+        return self.indep(tuple(v))
+
+    def swap(self, y: int, s: int) -> bool:
+        v = list(self.x)
+        v[y] += 1
+        v[s] -= 1
+        return self.indep(tuple(v))
+
+
+class PartitionBound(Side):
+    """x is independent iff every group g holds at most cap[g] units, slot s
+    counting toward group[s] (a partition matroid on units)."""
+
+    def __init__(self, group: Sequence[int], cap: Sequence[int]):
+        self.group, self.cap = group, cap
+
+    def reset(self, x: Sequence[int]) -> None:
+        self.room = list(self.cap)
+        for g, c in zip(self.group, x):
+            self.room[g] -= c
+
+    def gain(self, y: int) -> bool:
+        return self.room[self.group[y]] > 0
+
+    def swap(self, y: int, s: int) -> bool:
+        g = self.group[y]
+        return g == self.group[s] or self.room[g] > 0
+
+
+class DirectSum(Side):
+    """x is independent iff preds[b] accepts each block b's sub-vector (the
+    entries of the slots s with block[s] == b, in slot order); each block's
+    answers are memoised per sub-vector."""
+
+    def __init__(self, block: Sequence[int], preds: Sequence[Predicate]):
+        self.block, self.preds = block, [cache(p) for p in preds]
+        self.slots: list[list[int]] = [[] for _ in preds]
+        self.pos = []   # slot -> its index in its block's sub-vector
+        for s, b in enumerate(block):
+            self.pos.append(len(self.slots[b]))
+            self.slots[b].append(s)
+
+    def reset(self, x: Sequence[int]) -> None:
+        self.sub = [[x[s] for s in slots] for slots in self.slots]
+        self.gains: dict[int, bool] = {}
+
+    def gain(self, y: int) -> bool:
+        hit = self.gains.get(y)
+        if hit is None:
+            b = self.block[y]
+            v = list(self.sub[b])
+            v[self.pos[y]] += 1
+            hit = self.gains[y] = self.preds[b](tuple(v))
+        return hit
+
+    def swap(self, y: int, s: int) -> bool:
+        b = self.block[y]
+        if self.block[s] != b:
+            return self.gain(y)
+        v = list(self.sub[b])
+        v[self.pos[y]] += 1
+        v[self.pos[s]] -= 1
+        return self.preds[b](tuple(v))
+
+
+def max_common_independent(caps: Sequence[int], side1: Side | Predicate,
+                           side2: Side | Predicate) -> tuple[int, ...]:
+    """A maximum-size count vector x <= caps independent for both sides; a
+    side is a Side or a predicate on count vectors, and each must make the
+    multisets of its units a matroid (the unit copies of an integer
+    polymatroid are one).
 
     A node of the exchange digraph is a slot on one side of x: an outside
     slot (x[s] < caps[s]) gains a unit, an inside slot (x[s] > 0) loses one.
@@ -35,27 +143,29 @@ def max_common_independent(caps: Sequence[int], indep1: Callable[[tuple[int, ...
     in slot order: the copies of a slot on one side of x are interchangeable,
     so that search only ever needs the lowest of them.
     """
+    sides = [s if isinstance(s, Side) else _Whole(s) for s in (side1, side2)]
     x = [0] * len(caps)
-    while _augment(caps, indep1, indep2, x):
+    while _augment(caps, *sides, x):
         pass
     return tuple(x)
 
 
-def _augment(caps: Sequence[int], indep1, indep2, x: list[int]) -> bool:
+def _augment(caps: Sequence[int], side1: Side, side2: Side, x: list[int]) -> bool:
     """Apply one shortest augmenting path to x in place; False if none."""
     n = len(caps)
+    side1.reset(x)
+    side2.reset(x)
     outside = [s for s in range(n) if x[s] < caps[s]]   # node s
-    inside = [n + s for s in range(n) if x[s]]          # node n + s
+    inside = [s for s in range(n) if x[s]]              # node n + s
     sources, sinks = [], set()
     for y in outside:
-        x[y] += 1
-        if indep1(tuple(x)):
+        if side1.gain(y):
             sources.append(y)
-        if indep2(tuple(x)):
+        if side2.gain(y):
             sinks.add(y)
-        x[y] -= 1
     # BFS over the exchange digraph: y -> n + s when x + e_y - e_s is
-    # independent for indep2, n + s -> y when it is independent for indep1
+    # independent for side2, n + s -> y when it is independent for side1
+    # (for y == s that is x itself)
     parent: dict[int, int | None] = dict.fromkeys(sources)
     queue = deque(sources)
     while queue:
@@ -66,16 +176,17 @@ def _augment(caps: Sequence[int], indep1, indep2, x: list[int]) -> bool:
                 x[node % n] += 1 if node < n else -1
                 node = parent[node]
             return True
-        swap = list(x)
-        swap[v % n] += 1 if v < n else -1
-        targets, indep, step = (inside, indep2, -1) if v < n else (outside, indep1, 1)
-        for w in targets:
-            if w not in parent:
-                swap[w % n] += step
-                if indep(tuple(swap)):
-                    parent[w] = v
-                    queue.append(w)
-                swap[w % n] -= step
+        if v < n:
+            for s in inside:
+                if n + s not in parent and (s == v or side2.swap(v, s)):
+                    parent[n + s] = v
+                    queue.append(n + s)
+        else:
+            s = v - n
+            for y in outside:
+                if y not in parent and (y == s or side1.swap(y, s)):
+                    parent[y] = v
+                    queue.append(y)
     return False
 
 
@@ -126,15 +237,17 @@ class ExpandedMatroid(MatroidOracle):
         return hit
 
 
-def max_common_vector(slot_caps: Sequence[int], indep1: Callable[[tuple[int, ...]], bool],
-                      indep2: Callable[[tuple[int, ...]], bool], limit: int) -> tuple[int, ...]:
-    """max_common_independent over slot_caps with each predicate asked once
-    per distinct count vector; more than limit units in all (sum(slot_caps),
-    the largest total a count vector may reach) raise SizeCapError."""
+def max_common_vector(slot_caps: Sequence[int], side1: Side | Predicate, side2: Side | Predicate,
+                      limit: int) -> tuple[int, ...]:
+    """max_common_independent over slot_caps with each predicate side asked
+    once per distinct count vector; more than limit units in all
+    (sum(slot_caps), the largest total a count vector may reach) raise
+    SizeCapError."""
     units = sum(slot_caps)
     if units > limit:
         raise SizeCapError(f"count-vector search over {units} units exceeds cap {limit}")
-    return max_common_independent(slot_caps, cache(indep1), cache(indep2))
+    return max_common_independent(slot_caps, *(s if isinstance(s, Side) else cache(s)
+                                               for s in (side1, side2)))
 
 
 def polymatroid_intersection_max(p1: PolymatroidOracle, p2: PolymatroidOracle,
@@ -154,7 +267,7 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
     summing to y exactly.
 
     Units of element e are shared out among the parts by intersecting the
-    disjoint sum of the parts (slot (j, e) at index j*n + e) with the
+    direct sum of the parts (slot (j, e) at index j*n + e) with the
     per-element degree bound y(e). With more than two parts, one part is
     peeled off at a time to keep the search to 2n slots.
     """
@@ -174,9 +287,9 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
 
     got = max_common_vector(
         [min(p.value(1 << e), y[e]) for p in parts for e in range(n)],
-        lambda x: all(member(p, x[j * n:(j + 1) * n], caps) for j, p in enumerate(parts)),
-        lambda x: all(x[e] + x[n + e] <= y[e] for e in range(n)),
-        caps.expand)
+        DirectSum([j for j in range(2) for _ in range(n)],
+                  [lambda x, p=p: member(p, x, caps) for p in parts]),
+        PartitionBound(list(range(n)) * 2, y), caps.expand)
     if sum(got) != sum(y):
         raise ContractViolation(
             "decomposition fell short: y does not belong to the sum polymatroid")

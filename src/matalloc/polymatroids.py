@@ -683,11 +683,15 @@ def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
 
 def greedy_basis_above(p: PolymatroidOracle, x: Sequence[int],
                        caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """Raise x to a basis (y >= x, y in P, y(E) = f(E)), elements in index order."""
+    """Raise x to a basis (y >= x, y in P, y(E) = f(E)), elements in index
+    order; once y(E) = f(E) every later slack is 0, so the loop stops."""
     if not member(p, x, caps):
         raise ValueError("greedy extension requires a member of the polymatroid")
     y = list(x)
+    top = p.value(full_mask(p.n))
     for e in range(p.n):
+        if sum(y) == top:
+            break
         y[e] += saturation_slack(p, y, e, caps)
     return tuple(y)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Callable, Sequence
 
 from .bitsets import full_mask
@@ -460,8 +459,7 @@ def _dual_bundle(inst: SantaInstance | MakespanInstance, built_type: type,
 def _undualize(bundle: MatroidDualBundle, vecs: Allocation,
                targets: Sequence[PolymatroidOracle]) -> list[tuple[int, ...]]:
     """y_j = k_j - vec_j for bases vec_j of the duals, each required to be a
-    basis of targets[j]; checks the exact identity sum_j v_j (y_j(e) + vec_j(e))
-    = sum_j v_j k_j at every entity e."""
+    basis of targets[j]."""
     n = bundle.source.num_entities
     if len(vecs) != len(bundle.built.items):
         raise ContractViolation(f"expected {len(bundle.built.items)} vectors, got {len(vecs)}")
@@ -473,11 +471,8 @@ def _undualize(bundle: MatroidDualBundle, vecs: Allocation,
         if not is_basis(targets[jidx], y):
             raise ContractViolation(f"undualized vector {jidx} is not a basis of its target")
         out.append(y)
-    expect = sum(it.value * k for it, k in zip(bundle.source.items, bundle.caps_per_item))
-    both = [tuple(map(add, y, vec)) for y, vec in zip(out, vecs)]
-    for e, lhs in enumerate(entity_totals(bundle.source, both)):
-        if lhs != expect:
-            raise ContractViolation(f"dual identity fails at entity {e}: {lhs} != {expect}")
+    # y_j(e) + vec_j(e) = k_j entrywise, so sum_j v_j (y_j + vec_j) = sum_j v_j k_j
+    # at every entity holds by construction and needs no check
     return out
 
 

@@ -6,7 +6,11 @@ load T into an integral schedule gaining at most the largest job size.
 Both build a bipartite gadget (left vertex per item, right vertex per
 entity/item pair, consecutive-item carry edges) whose degree constraints
 come from a floor/ceiling remainder recursion, and extract the integral
-solution as a maximum common vector of two polymatroids on the edges.
+solution as a maximum common vector of two polymatroids on the edges: the
+chain degrees by counting (intersection.PartitionBound), the items by
+counting too when every item is classical (one unit each), else as the
+direct sum of their memberships (intersection.DirectSum). Each fractional
+row is checked before rounding.
 
 The LP itself is solved exactly (integer-preserving simplex), so every
 additive guarantee is checked with exact comparisons. The objective-guessing
@@ -19,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import ceil, floor, prod
 from typing import Callable, Iterable, Sequence
 
 from .bitsets import bits, full_mask
 from .instances import MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals
-from .intersection import max_common_vector
+from .intersection import DirectSum, PartitionBound, max_common_vector
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, GuessRejected, SizeCapError
 from .matching import perfect_matching
 from .polymatroids import (CoveragePoly, ModularPoly, PolymatroidOracle, greedy_basis_above,
@@ -161,11 +166,12 @@ def _degree_chain(xs: list[Fraction], mode: str) -> tuple[list[int], list[Fracti
 
 
 def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
-                  frac_x: Sequence[Sequence[Fraction]], m: int, mode: str, caps: Caps
-                  ) -> list[tuple[int, ...]]:
+                  frac_x: Sequence[Sequence[Fraction]], m: int, mode: str, classical: bool,
+                  caps: Caps) -> list[tuple[int, ...]]:
     """Round the fractional assignment frac_x of the items with (value,
     polymatroid) views vp to m entities, in decreasing value order: floor
-    mode saturates the degree chains, ceil mode the items' bases."""
+    mode saturates the degree chains, ceil mode the items' bases. When every
+    item is classical, each takes at most one unit in all."""
     n = len(vp)
     order = sorted(range(n), key=lambda j: (-vp[j][0], j))
 
@@ -202,16 +208,23 @@ def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
                 out.setdefault(k, [0] * m)[i] += c
         return out
 
-    def within_degrees(x: tuple[int, ...]) -> bool:
-        per_vertex: dict[tuple[int, int], int] = {}
-        for (_, i, t), c in zip(slots, x):
-            per_vertex[(i, t)] = per_vertex.get((i, t), 0) + c
-        return all(c <= degree[v] for v, c in per_vertex.items())
+    item_of = [k for k, _, _ in slots]
+    if classical:
+        items = PartitionBound(item_of, [1] * n)
+    else:
+        entities: list[list[int]] = [[] for _ in range(n)]
+        for k, i, _ in slots:
+            entities[k].append(i)
 
-    best = max_common_vector(
-        slot_caps,
-        lambda x: all(member(vp[order[k]][1], vec, caps) for k, vec in per_item(x).items()),
-        within_degrees, 4 * caps.expand)
+        def in_item(k: int, sub: tuple[int, ...]) -> bool:
+            vec = [0] * m
+            for i, c in zip(entities[k], sub):
+                vec[i] += c
+            return member(vp[order[k]][1], vec, caps)
+        items = DirectSum(item_of, [partial(in_item, k) for k in range(n)])
+    vertex = {v: idx for idx, v in enumerate(degree)}
+    degrees = PartitionBound([vertex[(i, t)] for _, i, t in slots], list(degree.values()))
+    best = max_common_vector(slot_caps, items, degrees, 4 * caps.expand)
     if mode == "floor":
         target = sum(degree.values())
         what = "degree constraints"
@@ -229,21 +242,48 @@ def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
     return alloc
 
 
+def _check_rows(inst, x: Sequence[Sequence[Fraction]], vp) -> None:
+    """Each fractional row is nonnegative. A classical row puts no mass on an
+    ineligible entity and sums to exactly 1 (0 for a resource that no player
+    values). A polymatroid row sums to f(E) in makespan, and to at most f(E)
+    in max-min, where each rounded vector is raised to a basis afterwards."""
+    is_makespan = isinstance(inst, MakespanInstance)
+    for j, (it, row, (_, p)) in enumerate(zip(inst.items, x, vp)):
+        mass = {i: v for i, v in enumerate(row) if v}
+        if any(v < 0 for v in mass.values()):
+            raise ContractViolation(f"fractional assignment: item {j} has a negative entry")
+        total = sum(mass.values())
+        up_to = False
+        if it.polymatroid is None:
+            off = [i for i in mass if not p.value(1 << i)]
+            if off:
+                raise ContractViolation(
+                    f"fractional assignment: item {j} puts mass on ineligible entity {off[0]}")
+            full = 1 if is_makespan or total else p.value(full_mask(len(row)))
+        else:
+            full, up_to = p.value(full_mask(len(row))), not is_makespan
+        if total > full or (total < full and not up_to):
+            raise ContractViolation(f"fractional assignment: item {j} sums to {total}, "
+                                    f"expected {'at most ' if up_to else ''}{full}")
+
+
 def _pad_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
                    ) -> tuple[list[tuple[int, ...]], list, list[Fraction], list, Fraction]:
-    """Gadget-round frac with a zero-value item appended (and stripped from
-    the output). Returns the allocation, the items' (value, polymatroid)
-    views, the integral and the fractional per-entity totals, and the
-    largest item value."""
+    """Check frac's rows, then gadget-round frac with a zero-value item
+    appended (and stripped from the output). Returns the allocation, the
+    items' (value, polymatroid) views, the integral and the fractional
+    per-entity totals, and the largest item value."""
     m, n = inst.num_entities, len(inst.items)
     try:
         ftotals = entity_totals(inst, frac.x)
     except ValueError as exc:
         raise ContractViolation(f"fractional assignment: {exc}") from exc
     vp = [item_value_poly(inst, j) for j in range(n)]
+    _check_rows(inst, frac.x, vp)
+    classical = all(it.polymatroid is None for it in inst.items)
     pad = (Fraction(0), ModularPoly([0] * m))
     alloc = _gadget_round(vp + [pad], list(frac.x) + [tuple([Fraction(0)] * m)],
-                          m, mode, caps)[:-1]
+                          m, mode, classical, caps)[:-1]
     vmax = max((v for v, _ in vp), default=Fraction(0))
     return alloc, vp, entity_totals(inst, alloc), ftotals, vmax
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from matalloc import intersection, polymatroids
 from matalloc.bitsets import size
 from matalloc.instances import gen_random
-from matalloc.intersection import (ExpandedMatroid, decompose_in_sum, decompose_merged_basis,
-                                   matroid_intersection_max, max_common_vector,
-                                   polymatroid_intersection_max)
+from matalloc.intersection import (DirectSum, ExpandedMatroid, PartitionBound, decompose_in_sum,
+                                   decompose_merged_basis, matroid_intersection_max,
+                                   max_common_vector, polymatroid_intersection_max)
 from matalloc.limits import ContractViolation, SizeCapError
 from matalloc.matroids import (FreeMatroid, GraphicMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid)
@@ -276,33 +276,99 @@ def test_unit_cap_is_checked_before_the_search():
 
 def test_santa_basis_split_work_is_bounded(monkeypatch):
     """A count of the work, not of time, in splitting one fixed basis of a
-    santa-matroid sum, counting the search's predicate evaluations (memo
-    hits included). The copy-level search without the membership memo made
-    4,484 of them and 824 sfm_min calls here; the copy-level search alone
-    reads 4,484 again, and the slot-level search 836 with 250 sfm_min."""
+    santa-matroid sum: the questions the direct sum of the parts asks its
+    blocks (memo hits included) and the member calls behind them. The
+    whole-vector predicates made 836 evaluations and 250 sfm_min calls
+    here; the block questions are 418, with 295 member and 146 sfm_min
+    calls."""
     inst = gen_random("santa-matroid", 2, m=5, n=4, u=1, w=3)
     parts = [it.polymatroid for it in inst.resources]
     y = (7, 17, 4, 9, 2)
     assert is_basis(SumPoly(parts), y)
-    calls = {"indep": 0, "sfm": 0}
-    search, sfm_min = intersection.max_common_independent, polymatroids.sfm_min
+    calls = {"block": 0, "member": 0, "sfm": 0}
 
-    def counted(indep):
-        def wrapped(x):
-            calls["indep"] += 1
-            return indep(x)
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
         return wrapped
 
-    def counted_search(caps, indep1, indep2):
-        return search(caps, counted(indep1), counted(indep2))
+    class CountedSum(intersection.DirectSum):
+        def __init__(self, block, preds):
+            super().__init__(block, preds)
+            self.preds = [counted("block", p) for p in self.preds]
 
-    def counted_sfm(*args, **kwargs):
-        calls["sfm"] += 1
-        return sfm_min(*args, **kwargs)
-
-    monkeypatch.setattr(intersection, "max_common_independent", counted_search)
-    monkeypatch.setattr(polymatroids, "sfm_min", counted_sfm)
+    monkeypatch.setattr(intersection, "DirectSum", CountedSum)
+    monkeypatch.setattr(intersection, "member", counted("member", intersection.member))
+    monkeypatch.setattr(polymatroids, "sfm_min", counted("sfm", polymatroids.sfm_min))
     pieces = decompose_merged_basis(parts, y)
     assert pieces == [(0, 2, 1, 2, 2), (3, 3, 3, 3, 0), (4, 9, 0, 0, 0), (0, 3, 0, 4, 0)]
-    assert 0 < calls["indep"] <= 1000
+    assert 0 < calls["block"] <= 1000
+    assert 0 < calls["member"] <= 300
     assert calls["sfm"] <= 300
+
+
+# ---------------------------------------------------------------------------
+# Structured sides against the predicates they stand for
+
+
+def random_sides(rng, num_slots):
+    """A PartitionBound and a DirectSum on num_slots slots, each with the
+    whole-vector predicate it stands for, and what the draw covers."""
+    num_groups = rng.randint(1, num_slots + 2)
+    group = [rng.randrange(num_groups) for _ in range(num_slots)]
+    cap = [rng.randint(0, 3) for _ in range(num_groups)]
+
+    def within(x):
+        loads = [0] * num_groups
+        for g, c in zip(group, x):
+            loads[g] += c
+        return all(load <= c for load, c in zip(loads, cap))
+
+    num_blocks = rng.randint(1, num_slots + 1)
+    block = [rng.randrange(num_blocks) for _ in range(num_slots)]
+    slots = [[s for s in range(num_slots) if block[s] == b] for b in range(num_blocks)]
+    kinds, preds = set(), []
+    for mine in slots:
+        if mine:
+            part = random_part(rng, len(mine))
+            kinds.add(type(part).__name__)
+            pred = members(part)
+        else:
+            def pred(sub):
+                raise AssertionError("asked a block with no slots")
+        preds.append(pred)
+
+    def all_blocks(x):
+        return all(not mine or pred(tuple(x[s] for s in mine))
+                   for mine, pred in zip(slots, preds))
+
+    covers = {"empty group": len(set(group)) < num_groups,
+              "zero-cap group": any(cap[g] == 0 for g in group)} | {k: True for k in kinds}
+    return (PartitionBound(group, cap), within), (DirectSum(block, preds), all_blocks), covers
+
+
+def test_structured_sides_match_their_predicates():
+    """400 seeded draws: a PartitionBound and a DirectSum, in either order and
+    each against another of its kind, return the vector their whole-vector
+    predicates return."""
+    seen = dict.fromkeys(["empty group", "zero-cap group", "ModularPoly", "CoveragePoly",
+                          "ScaledRankPoly", "inside and outside", "cap 0", "cap 3"], 0)
+    for seed in range(400):
+        rng = random.Random(seed)
+        num_slots = rng.randint(1, 7)
+        slot_caps = [rng.randint(0, 3) for _ in range(num_slots)]
+        (pb, within), (ds, blocks), covers = random_sides(rng, num_slots)
+        (pb2, within2), (ds2, blocks2), covers2 = random_sides(rng, num_slots)
+        for key in covers.keys() | covers2.keys():
+            seen[key] += covers.get(key, False) or covers2.get(key, False)
+        seen["cap 0"] += 0 in slot_caps
+        seen["cap 3"] += 3 in slot_caps
+        limit = sum(slot_caps)
+        for (s1, p1), (s2, p2) in [((ds, blocks), (pb, within)), ((pb, within), (ds, blocks)),
+                                   ((pb, within), (pb2, within2)),
+                                   ((ds, blocks), (ds2, blocks2))]:
+            want = max_common_vector(slot_caps, p1, p2, limit)
+            assert max_common_vector(slot_caps, s1, s2, limit) == want, seed
+            seen["inside and outside"] += any(0 < v < c for v, c in zip(want, slot_caps))
+    assert min(seen.values()) >= 20, seen

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from matalloc import rounding
 from matalloc.bitsets import bits, submasks
-from matalloc.instances import Item, MakespanInstance, SantaInstance, gen_random
+from matalloc.instances import Item, MakespanInstance, SantaInstance, entity_totals, gen_random
+from matalloc.intersection import max_common_vector
 from matalloc.limits import Caps, ContractViolation, SizeCapError
 from matalloc.oracle import brute_opt_makespan, enumerate_bases
-from matalloc.polymatroids import is_basis
+from matalloc.polymatroids import is_basis, member
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, item_value_poly,
                                lst_baseline, makespan_guess_grid, round_makespan, round_santa,
                                santa_guess_grid, solve_assignment_lp)
@@ -338,3 +339,168 @@ class TestAdditiveSanta:
         assert evaluated == []
         assert additive_round_santa(inst, frac, Caps(assignments=8)) == [0, 0, 1]
         assert len(evaluated) == 8
+
+
+class TestFractionalInputChecks:
+    def test_half_assigned_jobs_are_refused(self):
+        inst = MakespanInstance(2, [Item(values=(F(1), F(1)))] * 2)
+        frac = FractionalAssignment(F(1), [(F(1, 4), F(1, 4))] * 2)
+        with pytest.raises(ContractViolation,
+                           match=r"^fractional assignment: item 0 sums to 1/2, expected 1$"):
+            round_makespan(inst, frac)
+
+    def test_mass_on_a_player_who_values_the_item_zero_is_refused(self):
+        inst = SantaInstance(2, [Item(values=(F(1), F(0)))])
+        frac = FractionalAssignment(F(1, 2), [(F(1, 2), F(1, 2))])
+        with pytest.raises(ContractViolation, match="^fractional assignment: item 0 puts mass "
+                                                    "on ineligible entity 1$"):
+            round_santa(inst, frac)
+
+    def test_negative_entries_are_refused(self):
+        inst = SantaInstance(2, [Item(values=(F(1), F(1)))])
+        frac = FractionalAssignment(F(1), [(F(3, 2), F(-1, 2))])
+        with pytest.raises(ContractViolation, match="item 0 has a negative entry"):
+            round_santa(inst, frac)
+
+    def test_polymatroid_rows_sum_to_the_whole_value(self):
+        inst = gen_random("makespan-matroid", 3, m=3, n=2, u=F(1), w=F(2))
+        top = [it.polymatroid.value(0b111) for it in inst.jobs]
+        rows = [tuple(F(t, 3) for _ in range(3)) for t in top]
+        short = [rows[0], tuple(v / 2 for v in rows[1])]
+        with pytest.raises(ContractViolation, match=f"item 1 sums to {F(top[1], 2)}, "
+                                                    f"expected {top[1]}$"):
+            round_makespan(inst, FractionalAssignment(F(10), short))
+        santa = SantaInstance(3, inst.jobs)
+        over = [rows[0], tuple(2 * v for v in rows[1])]
+        with pytest.raises(ContractViolation, match=f"expected at most {top[1]}$"):
+            round_santa(santa, FractionalAssignment(F(0), over))
+
+    def test_a_resource_nobody_values_keeps_a_zero_row(self):
+        inst = SantaInstance(2, [Item(values=(F(1), F(1))), Item(values=(F(0), F(0)))])
+        frac = FractionalAssignment(F(1, 2), [(F(1, 2), F(1, 2)), (F(0), F(0))])
+        assert round_santa(inst, frac)[1] == (0, 0)
+
+
+def reference_gadget_round(vp, frac_x, m, mode, classical, caps):
+    """The gadget rounding with whole-vector predicates: every item's vector
+    a member of its view, and every chain vertex within its degree."""
+    n = len(vp)
+    order = sorted(range(n), key=lambda j: (-vp[j][0], j))
+    slots, slot_caps, degree = [], [], {}
+    for i in range(m):
+        pos = [k for k, j in enumerate(order) if frac_x[j][i] > 0]
+        degs, _ = rounding._degree_chain([frac_x[order[k]][i] for k in pos], mode)
+        for t in range(len(pos)):
+            degree[(i, t)] = degs[t]
+        for t, k in enumerate(pos):
+            fii = vp[order[k]][1].value(1 << i)
+            adj = t + 1 if mode == "floor" else t - 1
+            for v in (t, adj) if 0 <= adj < len(pos) else (t,):
+                if min(degs[v], fii) > 0:
+                    slots.append((k, i, v))
+                    slot_caps.append(min(degs[v], fii))
+
+    def per_item(x):
+        out = {}
+        for (k, i, _), c in zip(slots, x):
+            if c:
+                out.setdefault(k, [0] * m)[i] += c
+        return out
+
+    def within_degrees(x):
+        per_vertex = {}
+        for (_, i, t), c in zip(slots, x):
+            per_vertex[(i, t)] = per_vertex.get((i, t), 0) + c
+        return all(c <= degree[v] for v, c in per_vertex.items())
+
+    best = max_common_vector(
+        slot_caps,
+        lambda x: all(member(vp[order[k]][1], vec, caps) for k, vec in per_item(x).items()),
+        within_degrees, 4 * caps.expand)
+    if mode == "floor":
+        target, what = sum(degree.values()), "degree constraints"
+    else:
+        target, what = sum(vp[j][1].value((1 << m) - 1) for j in range(n)), "left bases"
+    if sum(best) != target:
+        raise ContractViolation(
+            f"gadget rounding fell short of saturating its {what} "
+            f"({sum(best)} of {target}); the fractional input is not LP-feasible")
+    alloc = [tuple([0] * m) for _ in range(n)]
+    for k, vec in per_item(best).items():
+        alloc[order[k]] = tuple(vec)
+    return alloc
+
+
+def random_rows(rng, inst):
+    """Rows of random positive fractions over one to three eligible entities,
+    summing to 1 (a zero row for a resource nobody values)."""
+    rows = []
+    for it in inst.items:
+        eligible = [i for i, v in enumerate(it.values)
+                    if (v is not None if isinstance(inst, MakespanInstance) else v > 0)]
+        row = [F(0)] * inst.num_entities
+        if eligible:
+            support = rng.sample(eligible, rng.randint(1, min(3, len(eligible))))
+            weights = [rng.randint(1, 4) for _ in support]
+            for i, w in zip(support, weights):
+                row[i] = F(w, sum(weights))
+        rows.append(tuple(row))
+    return rows
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ContractViolation as exc:
+        return ContractViolation, str(exc)
+
+
+def rounded_both_ways(monkeypatch, rounder, inst, frac):
+    got = outcome(lambda: rounder(inst, frac))
+    with monkeypatch.context() as patched:
+        patched.setattr(rounding, "_gadget_round", reference_gadget_round)
+        want = outcome(lambda: rounder(inst, frac))
+    return got, want
+
+
+def test_classical_rounding_matches_the_whole_vector_reference(monkeypatch):
+    """600 classical draws (m 2-8, n 5-12), each rounded with the counting
+    sides and with the whole-vector predicates; the few draws the gadget
+    cannot saturate must fail alike."""
+    rounded = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        m, n = rng.randint(2, 8), rng.randint(5, 12)
+        makespan = seed % 2
+        inst = gen_random("restricted-makespan" if makespan else "restricted-santa",
+                          seed, m=m, n=n)
+        rows = random_rows(rng, inst)
+        totals = entity_totals(inst, rows)
+        frac = FractionalAssignment(max(totals) if makespan else min(totals), rows)
+        got, want = rounded_both_ways(monkeypatch, round_makespan if makespan else round_santa,
+                                      inst, frac)
+        assert got == want, seed
+        rounded += isinstance(got, list)
+    assert rounded >= 500
+
+
+@pytest.mark.parametrize("flavor, rounder", [("santa-matroid", round_santa),
+                                             ("makespan-matroid", round_makespan)])
+def test_polymatroid_rounding_matches_the_whole_vector_reference(monkeypatch, flavor, rounder):
+    """Basis mixtures, rounded through the direct sum of the items' views and
+    through the whole-vector predicates."""
+    rounded = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        inst = gen_random(flavor, seed, m=rng.randint(2, 3), n=rng.randint(2, 4),
+                          u=F(1), w=F(2))
+        xs = mixture(rng, inst)
+        if xs is None:
+            continue
+        totals = entity_totals(inst, xs)
+        frac = FractionalAssignment(max(totals) if rounder is round_makespan else min(totals),
+                                    xs)
+        got, want = rounded_both_ways(monkeypatch, rounder, inst, frac)
+        assert got == want, seed
+        rounded += isinstance(got, list)
+    assert rounded >= 30
