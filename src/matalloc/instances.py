@@ -286,7 +286,7 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
                                  for i, p in enumerate(obj["parts"])])
         if kind == "induced":
             return InducedMatroid(poly_from_json(obj["polymatroid"], path + ".polymatroid"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad {kind} matroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown matroid kind {kind!r}")
 
@@ -347,7 +347,7 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
                                                        path + ".set"))
         if kind == "dual":
             return DualPoly(poly_from_json(obj["inner"], path + ".inner"), obj["z"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad {kind} polymatroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown polymatroid kind {kind!r}")
 

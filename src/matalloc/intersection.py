@@ -1,4 +1,4 @@
-"""Matroid intersection and integer polymatroid intersection.
+"""Integer polymatroid intersection by one exchange search.
 
 `max_common_independent` is the one exchange search: the augmenting-path
 algorithm with BFS (shortest exchange paths, ties by smallest slot), run
@@ -7,22 +7,21 @@ intersection on integer points. Plain matroid intersection is its 0/1 case.
 
 Each of its two sides answers two questions about the current x: may slot y
 gain a unit (x + e_y), and may y gain one while s loses one (x + e_y − e_s).
-A side is one of three kinds:
-- a predicate on whole count vectors (`max_common_vector` memoises it per
-  vector and bounds the total size of the box);
+A side is one of two kinds:
 - `PartitionBound`: slot s counts toward group[s], and a group holds at most
   its cap, which per-group room answers in O(1);
 - `DirectSum`: x is independent iff each block's sub-vector is, so a gain
   asks only the gaining slot's block, and so does a swap across blocks,
   since the losing block stays independent (every side is a matroid on
   units, hence down-closed).
-The structured sides give the predicate's answers exactly, so the search
-takes the same paths whatever kind of side it is given.
+A one-block `DirectSum` (every slot in block 0) is a predicate on whole
+count vectors, asked once per distinct vector; the tests use it as the
+reference that the structured sides must agree with.
 
-Polymatroid intersection, the split of a member or basis of a sum
-polymatroid into the parts, and the rounding gadget all go through it.
-`ExpandedMatroid`, the matroid on unit copies of the slots, is the
-copy-level reference the tests compare the search against.
+The split of a member or basis of a sum polymatroid into the parts and the
+rounding gadget both go through it. `ExpandedMatroid`, the matroid on unit
+copies of the slots, is the copy-level reference the tests compare the
+search against.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from collections import deque
 from functools import cache
 from typing import Callable, Sequence
 
-from .bitsets import bits, full_mask, size, vec_support
+from .bitsets import bits, full_mask, size
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, SizeCapError
 from .matroids import MatroidOracle
 from .polymatroids import PolymatroidOracle, SumPoly, is_basis, member
@@ -51,27 +50,6 @@ class Side:
 
     def swap(self, y: int, s: int) -> bool:
         raise NotImplementedError
-
-
-class _Whole(Side):
-    """A predicate on whole count vectors."""
-
-    def __init__(self, indep: Predicate):
-        self.indep = indep
-
-    def reset(self, x: Sequence[int]) -> None:
-        self.x = x
-
-    def gain(self, y: int) -> bool:
-        v = list(self.x)
-        v[y] += 1
-        return self.indep(tuple(v))
-
-    def swap(self, y: int, s: int) -> bool:
-        v = list(self.x)
-        v[y] += 1
-        v[s] -= 1
-        return self.indep(tuple(v))
 
 
 class PartitionBound(Side):
@@ -130,12 +108,13 @@ class DirectSum(Side):
         return self.preds[b](tuple(v))
 
 
-def max_common_independent(caps: Sequence[int], side1: Side | Predicate,
-                           side2: Side | Predicate) -> tuple[int, ...]:
-    """A maximum-size count vector x <= caps independent for both sides; a
-    side is a Side or a predicate on count vectors, and each must make the
-    multisets of its units a matroid (the unit copies of an integer
-    polymatroid are one).
+def max_common_independent(caps: Sequence[int], side1: Side, side2: Side,
+                           limit: int) -> tuple[int, ...]:
+    """A maximum-size count vector x <= caps independent for both sides;
+    each side must make the multisets of its units a matroid (the unit
+    copies of an integer polymatroid are one). More than limit units in all
+    (sum(caps), the largest total x may reach) raise SizeCapError before
+    either side is asked anything.
 
     A node of the exchange digraph is a slot on one side of x: an outside
     slot (x[s] < caps[s]) gains a unit, an inside slot (x[s] > 0) loses one.
@@ -143,9 +122,11 @@ def max_common_independent(caps: Sequence[int], side1: Side | Predicate,
     in slot order: the copies of a slot on one side of x are interchangeable,
     so that search only ever needs the lowest of them.
     """
-    sides = [s if isinstance(s, Side) else _Whole(s) for s in (side1, side2)]
+    units = sum(caps)
+    if units > limit:
+        raise SizeCapError(f"count-vector search over {units} units exceeds cap {limit}")
     x = [0] * len(caps)
-    while _augment(caps, *sides, x):
+    while _augment(caps, side1, side2, x):
         pass
     return tuple(x)
 
@@ -190,15 +171,6 @@ def _augment(caps: Sequence[int], side1: Side, side2: Side, x: list[int]) -> boo
     return False
 
 
-def matroid_intersection_max(m1: MatroidOracle, m2: MatroidOracle) -> int:
-    """A maximum-cardinality common independent set (as a bitmask)."""
-    if m1.n != m2.n:
-        raise ValueError("matroid intersection requires a shared ground set")
-    return vec_support(max_common_independent(
-        [1] * m1.n, lambda x: m1.is_independent(vec_support(x)),
-        lambda x: m2.is_independent(vec_support(x))))
-
-
 class ExpandedMatroid(MatroidOracle):
     """The matroid on parallel copies of slots: copy c is a unit of slot
     owner[c], and a copy set is independent iff its count vector (units per
@@ -206,11 +178,12 @@ class ExpandedMatroid(MatroidOracle):
 
     The copy-level reference for the slot-level search: the tests run a
     textbook matroid intersection of their own over these copies, and
-    counts reads its result back as a count vector.
+    counts reads its result back as a count vector. The library itself
+    never builds one; it stays while the tests use it and perfbench/spans.py
+    counts is_independent under its name.
     """
 
-    def __init__(self, owner: Sequence[int], num_slots: int,
-                 indep: Callable[[tuple[int, ...]], bool]):
+    def __init__(self, owner: Sequence[int], num_slots: int, indep: Predicate):
         super().__init__(len(owner))
         self.slot_masks = [0] * num_slots  # slot -> mask of its copies
         for idx, slot in enumerate(owner):
@@ -237,30 +210,6 @@ class ExpandedMatroid(MatroidOracle):
         return hit
 
 
-def max_common_vector(slot_caps: Sequence[int], side1: Side | Predicate, side2: Side | Predicate,
-                      limit: int) -> tuple[int, ...]:
-    """max_common_independent over slot_caps with each predicate side asked
-    once per distinct count vector; more than limit units in all
-    (sum(slot_caps), the largest total a count vector may reach) raise
-    SizeCapError."""
-    units = sum(slot_caps)
-    if units > limit:
-        raise SizeCapError(f"count-vector search over {units} units exceeds cap {limit}")
-    return max_common_independent(slot_caps, *(s if isinstance(s, Side) else cache(s)
-                                               for s in (side1, side2)))
-
-
-def polymatroid_intersection_max(p1: PolymatroidOracle, p2: PolymatroidOracle,
-                                 caps_vec: Sequence[int],
-                                 caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """max x(E) over x in P1 ∩ P2 with x <= caps_vec."""
-    if p1.n != p2.n:
-        raise ValueError("polymatroid intersection requires a shared ground set")
-    eff = [min(caps_vec[e], p1.value(1 << e), p2.value(1 << e)) for e in range(p1.n)]
-    return max_common_vector(eff, lambda x: member(p1, x, caps), lambda x: member(p2, x, caps),
-                             caps.expand)
-
-
 def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
                      caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
     """Split y, a member of the sum polymatroid, into members of the parts
@@ -285,7 +234,7 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
         first, remainder = decompose_in_sum([head, rest], y, caps)
         return [first] + decompose_in_sum(parts[1:], remainder, caps)
 
-    got = max_common_vector(
+    got = max_common_independent(
         [min(p.value(1 << e), y[e]) for p in parts for e in range(n)],
         DirectSum([j for j in range(2) for _ in range(n)],
                   [lambda x, p=p: member(p, x, caps) for p in parts]),

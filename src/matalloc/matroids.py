@@ -85,7 +85,10 @@ class PartitionMatroid(MatroidOracle):
 
 
 class GraphicMatroid(MatroidOracle):
-    """Elements are edges of a multigraph; rank = |V touched| − #components."""
+    """Elements are edges of a multigraph; rank = |V touched| − #components.
+    The rank runs union-find over the endpoints the edges name, relabelled
+    0..k−1 in order of first appearance, so its size does not follow
+    num_vertices."""
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
         super().__init__(len(edges))
@@ -96,9 +99,13 @@ class GraphicMatroid(MatroidOracle):
                 raise ValueError(f"edge ({u},{v}) out of vertex range")
         self.num_vertices = num_vertices
         self.edges = tuple(tuple(e) for e in edges)
+        label: dict[int, int] = {}
+        self._ends = [(label.setdefault(u, len(label)), label.setdefault(v, len(label)))
+                      for u, v in self.edges]
+        self._num_ends = len(label)
 
     def _rank(self, mask: int) -> int:
-        parent = list(range(self.num_vertices))
+        parent = list(range(self._num_ends))
 
         def find(x):
             while parent[x] != x:
@@ -108,7 +115,7 @@ class GraphicMatroid(MatroidOracle):
 
         r = 0
         for e in bits(mask):
-            u, v = self.edges[e]
+            u, v = self._ends[e]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
@@ -117,7 +124,9 @@ class GraphicMatroid(MatroidOracle):
 
 
 class TransversalMatroid(MatroidOracle):
-    """adjacency[e] is a bitmask of right-side vertices e may be matched to."""
+    """adjacency[e] is a bitmask of right-side vertices e may be matched to.
+    Matchings run over the right vertices up to the highest one named, so
+    their size does not follow num_right."""
 
     def __init__(self, adjacency: Sequence[int], num_right: int):
         super().__init__(len(adjacency))
@@ -126,10 +135,11 @@ class TransversalMatroid(MatroidOracle):
             raise ValueError(f"adjacency may only name right vertices 0..{num_right - 1}")
         self.adjacency = tuple(adjacency)
         self.num_right = num_right
+        self._named = max(self.adjacency, default=0).bit_length()
 
     def _rank(self, mask: int) -> int:
         adj = [self.adjacency[e] for e in bits(mask)]
-        matched, _ = max_bipartite_matching(adj, self.num_right)
+        matched, _ = max_bipartite_matching(adj, self._named)
         return matched
 
 

@@ -6,11 +6,11 @@ load T into an integral schedule gaining at most the largest job size.
 Both build a bipartite gadget (left vertex per item, right vertex per
 entity/item pair, consecutive-item carry edges) whose degree constraints
 come from a floor/ceiling remainder recursion, and extract the integral
-solution as a maximum common vector of two polymatroids on the edges: the
-chain degrees by counting (intersection.PartitionBound), the items by
-counting too when every item is classical (one unit each), else as the
-direct sum of their memberships (intersection.DirectSum). Each fractional
-row is checked before rounding.
+solution as a maximum common vector of two polymatroids on the edges
+(intersection.max_common_independent): the chain degrees by counting
+(intersection.PartitionBound), the items by counting too when every item
+is classical (one unit each), else as the direct sum of their memberships
+(intersection.DirectSum). Each fractional row is checked before rounding.
 
 The LP itself is solved exactly (integer-preserving simplex), so every
 additive guarantee is checked with exact comparisons. The objective-guessing
@@ -30,11 +30,11 @@ from typing import Callable, Iterable, Sequence
 
 from .bitsets import bits, full_mask
 from .instances import MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals
-from .intersection import DirectSum, PartitionBound, max_common_vector
+from . import intersection  # the search by module attribute, which tracers rebind
+from .intersection import DirectSum, PartitionBound
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, GuessRejected, SizeCapError
 from .matching import perfect_matching
-from .polymatroids import (CoveragePoly, ModularPoly, PolymatroidOracle, greedy_basis_above,
-                           member)
+from .polymatroids import CoveragePoly, PolymatroidOracle, greedy_basis_above, member
 from .simplex import feasible_point
 
 
@@ -224,7 +224,7 @@ def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
         items = DirectSum(item_of, [partial(in_item, k) for k in range(n)])
     vertex = {v: idx for idx, v in enumerate(degree)}
     degrees = PartitionBound([vertex[(i, t)] for _, i, t in slots], list(degree.values()))
-    best = max_common_vector(slot_caps, items, degrees, 4 * caps.expand)
+    best = intersection.max_common_independent(slot_caps, items, degrees, 4 * caps.expand)
     if mode == "floor":
         target = sum(degree.values())
         what = "degree constraints"
@@ -267,11 +267,10 @@ def _check_rows(inst, x: Sequence[Sequence[Fraction]], vp) -> None:
                                     f"expected {'at most ' if up_to else ''}{full}")
 
 
-def _pad_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
-                   ) -> tuple[list[tuple[int, ...]], list, list[Fraction], list, Fraction]:
-    """Check frac's rows, then gadget-round frac with a zero-value item
-    appended (and stripped from the output). Returns the allocation, the
-    items' (value, polymatroid) views, the integral and the fractional
+def _check_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
+                     ) -> tuple[list[tuple[int, ...]], list, list[Fraction], list, Fraction]:
+    """Check frac's rows, then gadget-round frac. Returns the allocation,
+    the items' (value, polymatroid) views, the integral and the fractional
     per-entity totals, and the largest item value."""
     m, n = inst.num_entities, len(inst.items)
     try:
@@ -281,9 +280,7 @@ def _pad_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
     vp = [item_value_poly(inst, j) for j in range(n)]
     _check_rows(inst, frac.x, vp)
     classical = all(it.polymatroid is None for it in inst.items)
-    pad = (Fraction(0), ModularPoly([0] * m))
-    alloc = _gadget_round(vp + [pad], list(frac.x) + [tuple([Fraction(0)] * m)],
-                          m, mode, classical, caps)[:-1]
+    alloc = _gadget_round(vp, frac.x, m, mode, classical, caps)
     vmax = max((v for v, _ in vp), default=Fraction(0))
     return alloc, vp, entity_totals(inst, alloc), ftotals, vmax
 
@@ -296,7 +293,7 @@ def round_santa(inst: SantaInstance, frac: FractionalAssignment,
     are processed in decreasing order; each resource ends on a basis of
     its polymatroid.
     """
-    alloc, vp, vals, fvals, vmax = _pad_and_round(inst, frac, "floor", caps)
+    alloc, vp, vals, fvals, vmax = _check_and_round(inst, frac, "floor", caps)
     # per-player guarantee: lose at most v_max against one's own fractional
     # value (at least T - v_max when the input satisfies the LP at T)
     shortfall = [i for i in range(inst.num_players)
@@ -309,7 +306,7 @@ def round_santa(inst: SantaInstance, frac: FractionalAssignment,
 def round_makespan(inst: MakespanInstance, frac: FractionalAssignment,
                    caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
     """Integral schedule (a basis per job) with every load at most T + max_j p_j."""
-    alloc, _, loads, floads, pmax = _pad_and_round(inst, frac, "ceil", caps)
+    alloc, _, loads, floads, pmax = _check_and_round(inst, frac, "ceil", caps)
     over = [i for i in range(inst.num_machines)
             if loads[i] > max(frac.T, floads[i]) + pmax]
     if over:

@@ -260,17 +260,39 @@ def _core_cover(tmp_path, matroid, polymatroid):
      {"kind": "modular", "weights": [1, 1, 2]}, "ground set size must be integers"),
     ({"kind": "uniform", "n": 3, "rank": 1.5},
      {"kind": "modular", "weights": [1, 1, 2]}, "uniform rank must be integers"),
+    ({"kind": "uniform", "n": 3, "rank": 1},
+     {"kind": "scaled-rank", "scale": 1, "matroid": {"kind": "partition", "n": 10**30,
+                                                     "blocks": [[0], [1, 2]], "caps": [1, 1]}},
+     "error: polymatroid.matroid: bad partition matroid"),
 ], ids=["coverage-item-out-of-range", "modular-float-weight", "uniform-negative-rank",
         "scaled-rank-float-scale", "partition-float-cap", "partition-negative-cap",
         "partition-bool-cap", "capped-float-cap", "dual-float-z", "graphic-float-endpoint",
         "graphic-float-vertices", "transversal-right-out-of-range",
         "transversal-negative-num-right", "transversal-float-num-right", "uniform-float-n",
-        "uniform-float-rank"])
+        "uniform-float-rank", "nested-partition-huge-n"])
 def test_malformed_oracle_data_exit_one(tmp_path, capsys, matroid, polymatroid, field):
     path = _core_cover(tmp_path, matroid, polymatroid)
     assert main(["solve-cover", "--in", str(path)]) == 1
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+_MODULAR_3 = {"kind": "modular", "weights": [1, 1, 2]}
+
+
+@pytest.mark.parametrize("matroid", [
+    lambda v: {"kind": "graphic", "vertices": v, "edges": [[0, 1], [1, 2], [0, 2]]},
+    lambda v: {"kind": "transversal", "num_right": v, "adjacency": [[0], [1], [0, 2]]},
+], ids=["graphic-vertices", "transversal-num-right"])
+def test_a_huge_size_field_solves_as_a_small_one(tmp_path, capsys, matroid):
+    """Ranks size their work by the vertices the edges and adjacency name,
+    not by the declared count, which may be far larger than any list."""
+    outs = []
+    for v in (3, 10**30):
+        path = _core_cover(tmp_path, matroid(v), _MODULAR_3)
+        assert main(["solve-cover", "--in", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 _UNIFORM_1 = {"kind": "uniform", "n": 1, "rank": 1}

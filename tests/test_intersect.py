@@ -8,17 +8,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matalloc import intersection, polymatroids
-from matalloc.bitsets import size
+from matalloc.bitsets import size, vec_support
 from matalloc.instances import gen_random
 from matalloc.intersection import (DirectSum, ExpandedMatroid, PartitionBound, decompose_in_sum,
-                                   decompose_merged_basis, matroid_intersection_max,
-                                   max_common_vector, polymatroid_intersection_max)
+                                   decompose_merged_basis, max_common_independent)
 from matalloc.limits import ContractViolation, SizeCapError
 from matalloc.matroids import (FreeMatroid, GraphicMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid)
 from matalloc.oracle import enumerate_bases
 from matalloc.polymatroids import (CoveragePoly, ModularPoly, ScaledRankPoly, SumPoly, is_basis,
                                    member)
+
+
+def whole(num_slots, indep):
+    """The whole-vector predicate indep as a side: a one-block DirectSum,
+    asked once per distinct count vector."""
+    return DirectSum([0] * num_slots, [indep])
+
+
+def common_set(m1, m2):
+    """A maximum common independent set of two matroids on one ground set,
+    as a bitmask: the 0/1 case of the exchange search."""
+    n = m1.n
+    return vec_support(max_common_independent(
+        [1] * n, whole(n, lambda x: m1.is_independent(vec_support(x))),
+        whole(n, lambda x: m2.is_independent(vec_support(x))), n))
 
 
 def brute_max_common(m1, m2):
@@ -31,17 +45,17 @@ def brute_max_common(m1, m2):
 
 class TestMatroidIntersection:
     def test_identical(self):
-        got = matroid_intersection_max(UniformMatroid(3, 2), UniformMatroid(3, 2))
+        got = common_set(UniformMatroid(3, 2), UniformMatroid(3, 2))
         assert size(got) == 2
 
     def test_min_rank(self):
-        got = matroid_intersection_max(UniformMatroid(3, 1), FreeMatroid(3))
+        got = common_set(UniformMatroid(3, 1), FreeMatroid(3))
         assert size(got) == 1
 
     def test_partition_vs_transversal(self):
         m1 = PartitionMatroid(4, [0b0011, 0b1100], [1, 1])
         m2 = TransversalMatroid([0b01, 0b01, 0b10, 0b10], 2)
-        got = matroid_intersection_max(m1, m2)
+        got = common_set(m1, m2)
         assert size(got) == 2 == brute_max_common(m1, m2)
 
     @given(st.integers(0, 600))
@@ -61,7 +75,7 @@ class TestMatroidIntersection:
             else:
                 r = rng.randint(1, 3)
                 mats.append(TransversalMatroid([rng.getrandbits(r) for _ in range(n)], r))
-        got = matroid_intersection_max(mats[0], mats[1])
+        got = common_set(mats[0], mats[1])
         assert mats[0].is_independent(got) and mats[1].is_independent(got)
         assert size(got) == brute_max_common(mats[0], mats[1])
 
@@ -93,24 +107,34 @@ class TestUnitExpand:
         assert seen == [(1, 0)]
 
 
+def common_vector(p1, p2, caps_vec):
+    """A vector x of P1 ∩ P2 with x <= caps_vec and x(E) largest, searched
+    over the effective caps min(caps_vec[e], f1({e}), f2({e})), the most
+    units of e that a common member can hold."""
+    n = p1.n
+    eff = [min(caps_vec[e], p1.value(1 << e), p2.value(1 << e)) for e in range(n)]
+    return max_common_independent(eff, whole(n, members(p1)), whole(n, members(p2)), 64)
+
+
 class TestPolymatroidIntersection:
     def test_identical_modular(self):
-        cv = polymatroid_intersection_max(ModularPoly([1, 1]), ModularPoly([1, 1]), [1, 1])
+        cv = common_vector(ModularPoly([1, 1]), ModularPoly([1, 1]), [1, 1])
         assert cv == (1, 1)
 
     def test_componentwise_min(self):
-        cv = polymatroid_intersection_max(ModularPoly([2, 0]), ModularPoly([1, 1]), [2, 2])
+        cv = common_vector(ModularPoly([2, 0]), ModularPoly([1, 1]), [2, 2])
         assert cv == (1, 0)
 
     def test_total_bound(self):
-        cv = polymatroid_intersection_max(ModularPoly([1, 1]), ModularPoly([2, 2]), [2, 2])
+        cv = common_vector(ModularPoly([1, 1]), ModularPoly([2, 2]), [2, 2])
         assert sum(cv) == 2
 
     def test_expansion_over_limit_raises(self):
-        free = members(ModularPoly([3, 2]))
-        assert max_common_vector([3, 2], free, free, 5) == (3, 2)
-        with pytest.raises(SizeCapError):
-            max_common_vector([3, 2], free, free, 4)
+        free = whole(2, members(ModularPoly([3, 2])))
+        assert max_common_independent([3, 2], free, free, 5) == (3, 2)
+        with pytest.raises(SizeCapError,
+                           match="^count-vector search over 5 units exceeds cap 4$"):
+            max_common_independent([3, 2], free, free, 4)
 
     @given(st.integers(0, 400))
     @settings(max_examples=30, deadline=None)
@@ -123,8 +147,9 @@ class TestPolymatroidIntersection:
         caps_vec = [rng.randint(0, 2) for _ in range(n)]
         best = max(sum(v) for v in product(*(range(c + 1) for c in caps_vec))
                    if member(p1, v) and member(p2, v))
-        for got in (polymatroid_intersection_max(p1, p2, caps_vec),
-                    max_common_vector(caps_vec, members(p1), members(p2), 64)):
+        for got in (common_vector(p1, p2, caps_vec),
+                    max_common_independent(caps_vec, whole(n, members(p1)),
+                                           whole(n, members(p2)), 64)):
             assert all(g <= c for g, c in zip(got, caps_vec))
             assert member(p1, got) and member(p2, got)
             assert sum(got) == best
@@ -252,15 +277,16 @@ def test_slot_level_search_matches_copy_level(seed):
     def indep2(x):
         return all(x[e] + x[n + e] <= y[e] for e in range(n))
 
-    assert max_common_vector(slot_caps, indep1, indep2, sum(slot_caps)) == \
-        copy_level(slot_caps, indep1, indep2)
+    num_slots = len(slot_caps)
+    assert max_common_independent(slot_caps, whole(num_slots, indep1), whole(num_slots, indep2),
+                                  sum(slot_caps)) == copy_level(slot_caps, indep1, indep2)
 
 
 def test_each_count_vector_is_asked_once():
     asked = {1: [], 2: []}
     p1, p2 = ModularPoly([2, 1, 2]), ScaledRankPoly(UniformMatroid(3, 2), 1)
-    got = max_common_vector([2, 2, 2], lambda x: asked[1].append(x) or member(p1, x),
-                            lambda x: asked[2].append(x) or member(p2, x), 6)
+    got = max_common_independent([2, 2, 2], whole(3, lambda x: asked[1].append(x) or member(p1, x)),
+                                 whole(3, lambda x: asked[2].append(x) or member(p2, x)), 6)
     assert sum(got) == 2
     for seen in asked.values():
         assert seen and len(seen) == len(set(seen))
@@ -271,7 +297,7 @@ def test_unit_cap_is_checked_before_the_search():
         raise AssertionError("asked a predicate past the cap")
 
     with pytest.raises(SizeCapError, match="^count-vector search over 5 units exceeds cap 4$"):
-        max_common_vector([3, 2], never, never, 4)
+        max_common_independent([3, 2], whole(2, never), whole(2, never), 4)
 
 
 def test_santa_basis_split_work_is_bounded(monkeypatch):
@@ -368,7 +394,8 @@ def test_structured_sides_match_their_predicates():
         for (s1, p1), (s2, p2) in [((ds, blocks), (pb, within)), ((pb, within), (ds, blocks)),
                                    ((pb, within), (pb2, within2)),
                                    ((ds, blocks), (ds2, blocks2))]:
-            want = max_common_vector(slot_caps, p1, p2, limit)
-            assert max_common_vector(slot_caps, s1, s2, limit) == want, seed
+            want = max_common_independent(slot_caps, whole(num_slots, p1), whole(num_slots, p2),
+                                          limit)
+            assert max_common_independent(slot_caps, s1, s2, limit) == want, seed
             seen["inside and outside"] += any(0 < v < c for v, c in zip(want, slot_caps))
     assert min(seen.values()) >= 20, seen

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from matalloc import rounding
 from matalloc.bitsets import bits, submasks
 from matalloc.instances import Item, MakespanInstance, SantaInstance, entity_totals, gen_random
-from matalloc.intersection import max_common_vector
+from matalloc.intersection import DirectSum, max_common_independent
 from matalloc.limits import Caps, ContractViolation, SizeCapError
 from matalloc.oracle import brute_opt_makespan, enumerate_bases
 from matalloc.polymatroids import is_basis, member
@@ -413,10 +413,12 @@ def reference_gadget_round(vp, frac_x, m, mode, classical, caps):
             per_vertex[(i, t)] = per_vertex.get((i, t), 0) + c
         return all(c <= degree[v] for v, c in per_vertex.items())
 
-    best = max_common_vector(
-        slot_caps,
-        lambda x: all(member(vp[order[k]][1], vec, caps) for k, vec in per_item(x).items()),
-        within_degrees, 4 * caps.expand)
+    def items_members(x):
+        return all(member(vp[order[k]][1], vec, caps) for k, vec in per_item(x).items())
+
+    one_block = [0] * len(slots)
+    best = max_common_independent(slot_caps, DirectSum(one_block, [items_members]),
+                                  DirectSum(one_block, [within_degrees]), 4 * caps.expand)
     if mode == "floor":
         target, what = sum(degree.values()), "degree constraints"
     else:
