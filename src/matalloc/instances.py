@@ -327,7 +327,11 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
             return CoveragePoly([_mask_from_json(s, items, "items", f"{path}.sets[{i}]")
                                  for i, s in enumerate(obj["sets"])], obj["weights"])
         if kind == "scaled-rank":
-            return ScaledRankPoly(matroid_from_json(obj["matroid"], path + ".matroid"), obj["scale"])
+            matroid = matroid_from_json(obj["matroid"], path + ".matroid")
+            try:
+                return ScaledRankPoly(matroid, obj["scale"])
+            except ValueError as exc:
+                raise SchemaError(f"{path}.scale: {exc}") from exc
         if kind == "explicit":
             n = obj["n"]
             table = [obj["table"][str(x)] for x in range(1 << n)]

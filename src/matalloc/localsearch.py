@@ -14,8 +14,10 @@ that obstruct the swap are identified, and the routine either commits
 enough immediately-addable elements, fails with a certificate, or
 recurses on B. All threshold comparisons are exact rationals. The search
 asks only whether a capped marginal reaches its threshold
-(marginal_reaches); verify_certificate checks a certificate with exact
-capped marginals.
+(marginal_reaches), and asks the leave-one-out thresholds of the blocking
+set and its invariant check as one batch (leave_one_out_reaches);
+verify_certificate checks a certificate with exact capped marginals, one
+element at a time, as an independent check.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .instances import CoreCoverInstance
 from .limits import Caps, DEFAULT_CAPS, InternalInvariantError
 from .matroids import ContractedMatroid, MatroidOracle, ZeroedMatroid, matroid_add_greedy
 from .polymatroids import (MarginalPoly, PolymatroidOracle, capped_marginal,
-                           marginal_reaches, member)
+                           leave_one_out_reaches, marginal_reaches, member)
 from .oracle import exists_strong_cover
 
 
@@ -164,13 +166,9 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
 
 
 def compute_blocking(state: SearchState, a: int, i_p: int) -> int:
-    """Blocking elements: i in I_P whose marginal above b·((I_P ∪ A) − i) drops below b."""
-    blocked = 0
-    base = i_p | a
-    for i in bits(i_p):
-        if not marginal_reaches(state.poly, 1 << i, state.b, base & ~(1 << i)):
-            blocked |= 1 << i
-    return blocked
+    """Blocking elements: i in I_P whose marginal above b·((I_P ∪ A) − i)
+    drops below b, asked as one batch (leave_one_out_reaches)."""
+    return i_p & ~leave_one_out_reaches(state.poly, i_p, state.b, i_p | a)
 
 
 def recurse_input(state: SearchState, addable: AddableSets, blocked: int,
@@ -281,10 +279,11 @@ def _check_blocking_invariants(state: SearchState, addable: AddableSets,
                                a_i: int, blocked: int) -> None:
     p, b, eps = state.poly, state.b, state.eps
     a = addable.a
-    for i in bits((a | blocked) & ~a_i):
-        if marginal_reaches(p, 1 << i, b, (a | blocked) & ~(1 << i)):
-            raise InternalInvariantError(
-                f"element {i} of A ∪ B (outside A_I) has marginal >= b")
+    high = leave_one_out_reaches(p, (a | blocked) & ~a_i, b, a | blocked)
+    if high:
+        raise InternalInvariantError(
+            f"element {(high & -high).bit_length() - 1} of A ∪ B (outside A_I) "
+            "has marginal >= b")
     if a and Fraction(size(a_i)) < eps * size(a):
         if Fraction(size(blocked)) <= (1 - 2 * eps) * size(a):
             raise InternalInvariantError("blocking set smaller than (1-2eps)|A|")

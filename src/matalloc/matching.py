@@ -5,7 +5,9 @@ adjacency masks. The flow uses breadth-first augmenting paths in exact
 integers and is kept in residual form (ResidualFlow), so changing one left
 vertex's supply costs searches from that vertex instead of a new flow; a
 matching is the flow with unit capacities. Deterministic: left vertices
-processed in index order, right candidates in ascending bit order.
+processed in index order, right candidates in ascending bit order. One
+residual search serves both exchanges (what one more unit of a left
+vertex could take over) and source_side (the minimal minimum cut).
 """
 
 from __future__ import annotations
@@ -130,8 +132,29 @@ class ResidualFlow:
         outside L instead leaves the cut at L one unit short. One search;
         the flow is not changed.
         """
+        reached = self._reach(1 << u)
+        return None if reached is None else reached & ~(1 << u)
+
+    def source_side(self) -> int:
+        """The left vertices on the source side of the minimal minimum cut
+        of a maximum flow: those the residual search from the source reaches,
+        entering at the left vertices with supply left.
+
+        That set lies on the source side of every minimum cut, and is the
+        same for every maximum flow (Ford and Fulkerson 1956), so a left
+        vertex's source arc lies in some minimum cut exactly when the vertex
+        is outside it. One search; the flow is not changed, and being
+        maximum, it leaves no spare sink capacity for the search to reach.
+        """
+        return self._reach(self._roots(full_mask(len(self.adj))))  # type: ignore[return-value]
+
+    def _reach(self, start: int) -> int | None:
+        """The left vertices the residual search from the left vertices of
+        start reaches (start included), along any arc to a right vertex and
+        back against flow to its holders; None as soon as it reaches a right
+        vertex with sink capacity left."""
         adj, right_res, holders = self.adj, self.right_res, self.holders
-        seen_left, seen_right, frontier = 1 << u, 0, 1 << u
+        seen_left, seen_right, frontier = start, 0, start
         while frontier:
             nxt = 0
             for w in bits(frontier):
@@ -144,7 +167,7 @@ class ResidualFlow:
             nxt &= ~seen_left
             seen_left |= nxt
             frontier = nxt
-        return seen_left & ~(1 << u)
+        return seen_left
 
     def _push(self, u: int, v: int, d: int) -> None:
         f = self.flow.get((u, v), 0) + d

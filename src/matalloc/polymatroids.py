@@ -20,6 +20,13 @@ f(i | h·X) there is one augmenting search from i on a copy of the max
 flow of X, which the network keeps in residual form per (h, X)
 (CutNetwork.marginal). The local search only asks whether such a marginal
 reaches h (marginal_reaches); that search raises i's supply by at most h.
+Its leave-one-out questions, f(i | h·(X − i)) >= h for every i of a set,
+take one residual reachability search on the kept flow of X
+(leave_one_out_reaches, CutNetwork.leave_one_out): i's marginal reaches h
+exactly when i's supply is h and some minimum cut holds i's source arc,
+that is, when the search from the source does not reach i (max-flow
+min-cut, Ford and Fulkerson 1956). A missing kept flow is derived from
+one a single element away.
 
 A cut network, a scaled-rank part, or a sum of scaled-rank and plain
 cut-network parts has a partition form: matroid copies (none for a cut
@@ -119,34 +126,58 @@ class CutNetwork:
         if ((off | self.base) >> i) & 1:
             return 0
         left = self._left[i]
-        return self._residual(h, off, i).copy().raise_supply(
+        return self._residual(h, off).copy().raise_supply(
             i, left if limit is None else min(limit, left))
 
-    def _residual(self, h: int, off: int, i: int) -> ResidualFlow:
-        """The max flow of the h-capped off ∪ base, kept per (h, off)."""
+    def leave_one_out(self, among: int, h: int, mask: int) -> int:
+        """The elements i of among (within mask) with f(i | h·(mask − i)) >= h,
+        by one residual search on the kept max flow of the h-capped mask.
+
+        In that flow an element i of mask \\ base with _left[i] >= h has
+        supply h. As a function of i's supply t the max flow is
+        min(F0 + t, F∞), with F0 the least cut through i's source arc and F∞
+        the least cut around it (marginal), so f(i | h·(mask − i)) >= h
+        exactly when lowering t from h to 0 loses all of h, that is, when
+        F0 + h <= F∞: when some minimum cut holds i's source arc, which is
+        when i is outside the minimal source side
+        (ResidualFlow.source_side). An element with _left[i] < h gains less
+        than h, one in base gains 0, and at h = 0 every element reaches.
+        """
+        if h == 0:
+            return among
+        off = mask & ~self.base
+        candidates = 0
+        for i in bits(among & off):
+            if self._left[i] >= h:
+                candidates |= 1 << i
+        return candidates and candidates & ~self._residual(h, off).source_side()
+
+    def _residual(self, h: int, off: int) -> ResidualFlow:
+        """The max flow of the h-capped off ∪ base, kept per (h, off). A
+        missing one is derived from a kept flow one element j away: off − j
+        by raising j's supply, else off + j by lowering it; with neither it
+        is solved."""
         key = (h, off)
         res = self._residuals.get(key)
         if res is None:
-            res = self._residuals[key] = self._derive(h, off, i)
+            res = self._residuals[key] = self._derive(h, off)
         return res
 
-    def _derive(self, h: int, off: int, i: int) -> ResidualFlow:
-        """A missing residual, from a kept neighbour: off ∪ {i} by lowering
-        i's supply to 0, or off − j by raising j's. With neither, off ∪ {i}
-        is solved, kept and lowered, so that the leave-one-out questions
-        that usually follow (off ∪ {i} − i') find it."""
-        up = self._residuals.get((h, off | 1 << i))
-        if up is None:
-            for j in bits(off):
-                down = self._residuals.get((h, off ^ 1 << j))
-                if down is not None:
-                    res = down.copy()
-                    res.raise_supply(j, min(h, self._left[j]))
-                    return res
-            up = self._residuals[(h, off | 1 << i)] = self._solve(h, off | 1 << i)
-        res = up.copy()
-        res.lower_supply(i, min(h, self._left[i]))
-        return res
+    def _derive(self, h: int, off: int) -> ResidualFlow:
+        residuals, left = self._residuals, self._left
+        for j in bits(off):
+            near = residuals.get((h, off ^ 1 << j))
+            if near is not None:
+                res = near.copy()
+                res.raise_supply(j, min(h, left[j]))
+                return res
+        for j in bits(full_mask(len(self.covers)) & ~off & ~self.base):
+            near = residuals.get((h, off | 1 << j))
+            if near is not None:
+                res = near.copy()
+                res.lower_supply(j, min(h, left[j]))
+                return res
+        return self._solve(h, off)
 
     def _solve(self, h: int, off: int) -> ResidualFlow:
         supply = [0] * len(self.covers)
@@ -268,12 +299,21 @@ class CoveragePoly(PolymatroidOracle):
         return CutNetwork(self.covers, self.item_weights, [None] * self.n)
 
 
+# A scaled-rank part lists one copy of its matroid per unit of scale in its
+# partition form (partition_form), and a count walks the list, so a larger
+# scale is refused rather than allocated (at 10**9 the list alone needs
+# gigabytes).
+MAX_SCALE = 1 << 20
+
+
 class ScaledRankPoly(PolymatroidOracle):
-    """f(S) = scale * r(S) for a matroid rank function r."""
+    """f(S) = scale * r(S) for a matroid rank function r, scale <= MAX_SCALE."""
 
     def __init__(self, matroid, scale: int):
         super().__init__(matroid.n)
         _check_weights([scale], "scale")
+        if scale > MAX_SCALE:
+            raise ValueError(f"scale must be at most {MAX_SCALE}")
         self.matroid = matroid
         self.scale = scale
 
@@ -457,9 +497,32 @@ def marginal_reaches(p: PolymatroidOracle, add: int, h: int, base: int) -> bool:
 
     On a cut network the augmenting search raises the element's supply by
     at most h (CutNetwork.marginal with limit h), which answers exactly;
-    every other form computes the whole marginal.
+    every other form computes the whole marginal. The leave-one-out
+    questions of a whole set are one batch, leave_one_out_reaches.
     """
     return _capped_marginal(p, add, h, base, h) >= h
+
+
+def leave_one_out_reaches(p: PolymatroidOracle, among: int, h: int, base: int) -> int:
+    """The elements i of among (a subset of base) whose marginal above the
+    rest reaches h, f(i | h·(base − i)) >= h, as a mask: the answers of
+    marginal_reaches(p, 1 << i, h, base − i), counted as those questions
+    are, two value queries each.
+
+    On a cut network one residual search on the kept max flow of h·base
+    answers them all (CutNetwork.leave_one_out); every other form asks
+    marginal_reaches element by element.
+    """
+    _check_weights([h], "caps")
+    check_subset(base, p.n)
+    if among & ~base:
+        raise ValueError("the elements asked about must lie in the base")
+    net = p.network
+    if net is None:
+        return sum(1 << i for i in bits(among)
+                   if marginal_reaches(p, 1 << i, h, base & ~(1 << i)))
+    stats.bump("poly_value", 2 * size(among))
+    return net.leave_one_out(among, h, base)
 
 
 def _capped_marginal(p: PolymatroidOracle, add: int, h: int, base: int,
@@ -473,8 +536,7 @@ def _capped_marginal(p: PolymatroidOracle, add: int, h: int, base: int,
         cp = p.capped(uniform=h, on=base)
         return cp.value(add | base) - cp.value(base)
     check_subset(add | base, p.n)
-    stats.bump("poly_value")
-    stats.bump("poly_value")
+    stats.bump("poly_value", 2)
     return net.marginal(add.bit_length() - 1, h, base, limit)
 
 

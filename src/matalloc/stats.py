@@ -17,7 +17,10 @@ f(Y | h·X) counts two queries, the two capped values it is the
 difference of (plus what their counts ask until they are memoised),
 however it is answered: by those two values or, on a cut network, by
 one augmenting search on a kept residual flow; so does its threshold
-form "f(Y | h·X) >= h?" (marginal_reaches). Membership is memoised per
+form "f(Y | h·X) >= h?" (marginal_reaches). The leave-one-out questions
+f(i | h·(X − i)) >= h for every i of a set (leave_one_out_reaches) count
+two queries each, the same as asked one by one, also when one residual
+search on the kept flow of X answers them all. Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
 vector asks no query again. Counters are process-global; snapshot/delta
 around a solver run to attribute queries to it.
@@ -28,8 +31,8 @@ from __future__ import annotations
 counters: dict[str, int] = {"matroid_rank": 0, "poly_value": 0}
 
 
-def bump(name: str) -> None:
-    counters[name] = counters.get(name, 0) + 1
+def bump(name: str, k: int = 1) -> None:
+    counters[name] = counters.get(name, 0) + k
 
 
 def snapshot() -> dict[str, int]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 
 import matalloc
 from matalloc.cli import main
+from matalloc.instances import poly_from_json
+from matalloc.limits import SchemaError
+from matalloc.polymatroids import MAX_SCALE
 
 
 def run(capsys, *argv):
@@ -293,6 +297,36 @@ def test_a_huge_size_field_solves_as_a_small_one(tmp_path, capsys, matroid):
         assert main(["solve-cover", "--in", str(path)]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def _scaled_rank(scale):
+    return {"kind": "scaled-rank", "scale": scale, "matroid": {"kind": "uniform", "n": 6, "rank": 3}}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("scale", [10**9, 10**30])
+def test_a_huge_scale_is_a_schema_error(tmp_path, scale):
+    """A scaled-rank part lists one matroid copy per unit of scale, so a
+    scale beyond MAX_SCALE is refused by its field path. The run is a child
+    process with 1 GiB of address space: should the refusal go, it fails
+    with a MemoryError or an OverflowError rather than taking gigabytes.
+    (This instance's solve counts a vector by matroid partition.)"""
+    path = _core_cover(tmp_path, {"kind": "uniform", "n": 6, "rank": 2}, _scaled_rank(scale))
+    env = dict(os.environ, PYTHONPATH=str(Path(matalloc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "matalloc.cli", "solve-cover", "--in", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert f"error: polymatroid.scale: scale must be at most {MAX_SCALE}" in proc.stderr
+
+
+def test_the_largest_scale_parses():
+    assert poly_from_json(_scaled_rank(MAX_SCALE)).scale == MAX_SCALE
+    with pytest.raises(SchemaError, match=r"^polymatroid\.scale: "):
+        poly_from_json(_scaled_rank(MAX_SCALE + 1))
 
 
 _UNIFORM_1 = {"kind": "uniform", "n": 1, "rank": 1}

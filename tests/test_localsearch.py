@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matalloc.bitsets import full_mask, size
+from matalloc.bitsets import bits, full_mask, size
 from matalloc.instances import CoreCoverInstance, gen_gap_instance, gen_random
 from matalloc.localsearch import (Certificate, SearchState, augment,
                                   build_addable, compute_blocking, recursion_node_bound,
@@ -218,11 +218,13 @@ class TestRecursionPath:
 # stubbed out, a run gives the same result, field by field
 
 
-def _coverage_core(seed):
+def _coverage_core(seed, n=None):
+    """The core-certify benchmark's shape (uniform rank n//3 against
+    coverage of density 0.3, weights 1-3), at n 8-10 unless given."""
     from matalloc.polymatroids import CoveragePoly
 
     rng = random.Random(seed)
-    n = rng.randint(8, 10)
+    n = n or rng.randint(8, 10)
     covers = [sum(1 << t for t in range(n) if rng.random() < 0.3) for _ in range(n)]
     weights = [rng.randint(1, 3) for _ in range(n)]
     return CoreCoverInstance(UniformMatroid(n, n // 3), CoveragePoly(covers, weights), 1)
@@ -271,23 +273,35 @@ def test_unchecked_run_gives_the_same_result(make, monkeypatch):
 
 
 def test_threshold_questions_raise_a_supply_by_at_most_h(monkeypatch):
+    """Every threshold question, asked one at a time or as a leave-one-out
+    batch, raises a supply by at most its h."""
     import matalloc.localsearch as localsearch
     from matalloc.matching import ResidualFlow
 
     asked: list[int] = []            # h of the threshold question in progress
     raises: list[tuple[int, int]] = []
     beyond = 0                       # questions where a full raise would exceed h
-    reaches, raise_supply = localsearch.marginal_reaches, ResidualFlow.raise_supply
+    reaches, batch = localsearch.marginal_reaches, localsearch.leave_one_out_reaches
+    raise_supply = ResidualFlow.raise_supply
+
+    def asking(h, answer):
+        asked.append(h)
+        try:
+            return answer()
+        finally:
+            asked.pop()
 
     def spy_reaches(p, add, h, base):
         nonlocal beyond
         i = add.bit_length() - 1
         beyond += not (base >> i) & 1 and p.network._left[i] > h
-        asked.append(h)
-        try:
-            return reaches(p, add, h, base)
-        finally:
-            asked.pop()
+        return asking(h, lambda: reaches(p, add, h, base))
+
+    def spy_batch(p, among, h, base):
+        # each element of among is a question above base − i, which misses i
+        nonlocal beyond
+        beyond += sum(p.network._left[i] > h for i in bits(among))
+        return asking(h, lambda: batch(p, among, h, base))
 
     def spy_raise(self, u, d):
         if asked:
@@ -295,6 +309,7 @@ def test_threshold_questions_raise_a_supply_by_at_most_h(monkeypatch):
         return raise_supply(self, u, d)
 
     monkeypatch.setattr(localsearch, "marginal_reaches", spy_reaches)
+    monkeypatch.setattr(localsearch, "leave_one_out_reaches", spy_batch)
     monkeypatch.setattr(ResidualFlow, "raise_supply", spy_raise)
     inst = _coverage_core(5)
     inst.b = 3
@@ -304,3 +319,30 @@ def test_threshold_questions_raise_a_supply_by_at_most_h(monkeypatch):
     assert all(d <= h for d, h in raises)
     # the count of the whole-marginal search, whose queries the threshold keeps
     assert res.oracle_queries == 623
+
+
+@pytest.mark.parametrize("seed, n", [*((s, None) for s in range(10)), (10, 12), (11, 13)])
+def test_batched_leave_one_out_solves_as_one_question_at_a_time(seed, n, monkeypatch):
+    """With the leave-one-out questions asked one marginal_reaches at a
+    time, solve_cover returns the same CoverResult, oracle_queries included,
+    at every b up to the first infeasible one."""
+    import matalloc.localsearch as localsearch
+
+    def sweep():
+        inst, out = _coverage_core(seed, n), []
+        for b in range(1, inst.matroid.n + 2):
+            inst.b = b
+            res = solve_cover(inst, EPS)
+            out.append({**_comparable(res), "oracle_queries": res.oracle_queries})
+            if not res.feasible:
+                return out
+        raise AssertionError("no infeasible level")
+
+    def one_at_a_time(p, among, h, base):
+        return sum(1 << i for i in bits(among)
+                   if localsearch.marginal_reaches(p, 1 << i, h, base & ~(1 << i)))
+
+    batched = sweep()
+    assert batched[-1]["certificates"]
+    monkeypatch.setattr(localsearch, "leave_one_out_reaches", one_at_a_time)
+    assert sweep() == batched

@@ -23,8 +23,8 @@ from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitP
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, count,
                                    dual_polymatroid, greedy_basis_above, is_basis,
-                                   marginal_reaches, matroid_partition, member, saturation_slack,
-                                   sfm_min)
+                                   leave_one_out_reaches, marginal_reaches, matroid_partition,
+                                   member, saturation_slack, sfm_min)
 
 
 def brute_capped(p, caps, mask):
@@ -684,18 +684,21 @@ class TestMemberMemo:
 # Residual flows and capped marginals by one augmenting search
 
 
-def min_cut(adj, left, right):
-    """min over left subsets T of left(T) + right(N(rest)), by enumeration."""
+def cuts(adj, left, right):
+    """(T, left(T) + right(N(rest))) for every left subset T: the cut whose
+    sink side holds T and whose source side holds the rest and its
+    neighbours."""
     everyone = full_mask(len(adj))
-    best = None
     for t in submasks(everyone):
         reach = 0
         for u in bits(everyone & ~t):
             reach |= adj[u]
-        v = vec_sum(left, t) + vec_sum(right, reach)
-        if best is None or v < best:
-            best = v
-    return best
+        yield t, vec_sum(left, t) + vec_sum(right, reach)
+
+
+def min_cut(adj, left, right):
+    """min over left subsets T of left(T) + right(N(rest)), by enumeration."""
+    return min(v for _, v in cuts(adj, left, right))
 
 
 def assert_is_flow(res, adj, left, right):
@@ -776,6 +779,31 @@ def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
         assert res.exchanges(u) == (None if carried(up) else sum(1 << z for z in swaps))
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_source_side_is_what_every_minimum_cut_keeps(seed):
+    """The left vertices on the source side of every minimum cut, through
+    raises and lowers of the kept flow."""
+    rng = random.Random(seed)
+    adj, left, right = random_network(rng)
+    res = ResidualFlow(adj, left, right)
+    for _ in range(6):
+        least = min_cut(adj, left, right)
+        sink_side = 0
+        for t, v in cuts(adj, left, right):
+            if v == least:
+                sink_side |= t
+        assert res.source_side() == full_mask(len(adj)) & ~sink_side
+        u = rng.randrange(len(adj))
+        if rng.random() < 0.5:
+            d = rng.randint(0, 4)
+            left[u] += d
+            res.raise_supply(u, d)
+        else:
+            d = rng.randint(0, left[u])
+            left[u] -= d
+            res.lower_supply(u, d)
+
+
 def marginal_queries(seed):
     """network_chain's polymatroid with h in 1..3 and random sets X."""
     rng, p = network_chain(seed)
@@ -816,6 +844,76 @@ def test_kept_residuals_answer_alike_in_any_order(seed):
         backward = [capped_marginal(fresh, 1 << i, h, x) for i in reversed(range(p.n))]
         again = [capped_marginal(p, 1 << i, h, x) for i in range(p.n)]
         assert forward == backward[::-1] == again
+
+
+def per_element(p, among, h, base):
+    """The leave-one-out questions one marginal_reaches at a time."""
+    return sum(1 << i for i in bits(among) if marginal_reaches(p, 1 << i, h, base & ~(1 << i)))
+
+
+def leave_one_out_cases(seed):
+    """(among, h, base) on network_chain's polymatroid: h in 0..3, a random
+    base and the whole ground set (which holds the network's own base), each
+    asked about all of the base, a random part of it and nothing."""
+    rng, p = network_chain(seed)
+    for h in range(4):
+        for base in (rng.getrandbits(p.n), full_mask(p.n)):
+            for among in (base, base & rng.getrandbits(p.n), 0):
+                yield p, among, h, base
+
+
+def counted_answer(ask, *args):
+    before = stats.snapshot()
+    return ask(*args), stats.delta(before)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_leave_one_out_batch_matches_the_per_element_questions(seed):
+    """Same answers and the same two queries per question as one
+    marginal_reaches each, on a polymatroid of its own (no shared flows)."""
+    fresh = network_chain(seed)[1]
+    for p, among, h, base in leave_one_out_cases(seed):
+        got = counted_answer(leave_one_out_reaches, p, among, h, base)
+        assert got == counted_answer(per_element, fresh, among, h, base)
+        assert got[1]["poly_value"] == 2 * size(among)
+
+
+def test_leave_one_out_cases_reach_every_edge():
+    """Across the seeds the batch is asked at h = 0, about elements below
+    h, about elements of the network's own base, and about nothing."""
+    seen = set()
+    for seed in range(60):
+        for p, among, h, base in leave_one_out_cases(seed):
+            net = p.network
+            seen.add("empty" if not among else "h = 0" if h == 0 else "asked")
+            if any(net._left[i] < h for i in bits(among & ~net.base)):
+                seen.add("below h")
+            if among & net.base and h:
+                seen.add("network base")
+    assert seen == {"empty", "h = 0", "asked", "below h", "network base"}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_leave_one_out_without_a_network_asks_each_element(seed):
+    n = random.Random(seed).randint(2, 4)
+    polys = non_network_polys(random.Random(seed), n)
+    fresh = non_network_polys(random.Random(seed), n)
+    rng = random.Random(seed)
+    for p, q in zip(polys, fresh):
+        assert p.network is None
+        for h in range(3):
+            base = rng.getrandbits(n)
+            among = base & rng.getrandbits(n)
+            assert (counted_answer(leave_one_out_reaches, p, among, h, base)
+                    == counted_answer(per_element, q, among, h, base))
+
+
+def test_leave_one_out_asks_only_about_the_base():
+    p = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
+    with pytest.raises(ValueError, match="in the base"):
+        leave_one_out_reaches(p, 0b101, 1, 0b001)
+    with pytest.raises(ValueError, match="caps"):
+        leave_one_out_reaches(p, 0, -1, 0b001)
 
 
 @pytest.mark.parametrize("add", [0b001, 0b011])
