@@ -136,7 +136,8 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
     eps*|B0| (that last partial layer is discarded). Candidates are scanned
     in ascending index order and rescanned after every addition.
     """
-    m, p, b, eps = state.matroid, state.poly, state.b, state.eps
+    m, p, b = state.matroid, state.poly, state.b
+    num, den = state.eps.numerator, state.eps.denominator
     n_b0 = size(state.B0)
     a = 0
     while True:
@@ -155,7 +156,7 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
                     break
             if not progressed:
                 break
-        if Fraction(size(layer)) < eps * n_b0:
+        if size(layer) * den < num * n_b0:
             break
         a |= layer
     c_rest = a
@@ -205,22 +206,26 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
     keeping the rest of the cover intact, or fail with a certificate."""
     _assert_state(state, caps)
     m, p, b, eps = state.matroid, state.poly, state.b, state.eps
+    num, den = eps.numerator, eps.denominator
+    num2, den2 = num * num, den * den
     n = p.n
     b0 = state.B0
     n_b0 = size(b0)
-    eps2_thresh = eps * eps * n_b0
+    # eps = num/den; the thresholds are compared as cross-multiplied ints,
+    # a count reaching eps²·|B0| exactly when count·den² >= need
+    need = num2 * n_b0
     nodes = 1
     i_m, i_p = state.I_M, state.I_P
 
     def succeed(final_i_m: int, final_i_p: int) -> AugmentResult:
         grown = matroid_add_greedy(m, final_i_m, state.order)
-        if Fraction(size(grown & b0)) < eps2_thresh:
+        if size(grown & b0) * den2 < need:
             raise InternalInvariantError("success branch covered too little of B0")
         if not (grown | final_i_p) >= (state.I_M | state.I_P):
             raise InternalInvariantError("cover lost previously covered elements")
         return AugmentResult(True, grown, final_i_p, nodes=nodes)
 
-    if Fraction(m.rank_marginal(b0, i_m)) >= eps2_thresh:
+    if m.rank_marginal(b0, i_m) * den2 >= need:
         return succeed(i_m, i_p)
 
     addable = build_addable(state, caps)
@@ -241,12 +246,12 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
         # the remaining operations see a stable state: (1) is exhausted
         _check_blocking_invariants(state, addable, a_i, blocked)
         # (2) commit A_I, freeing matroid capacity for B0
-        if a and Fraction(size(a_i)) >= eps * size(a):
-            if Fraction(m.rank_marginal(b0, i_m & ~a_i)) < eps2_thresh - size(b0 & i_m):
+        if a and size(a_i) * den >= num * size(a):
+            if (m.rank_marginal(b0, i_m & ~a_i) + size(b0 & i_m)) * den2 < need:
                 raise InternalInvariantError("commit freed less rank than guaranteed")
             return succeed(i_m & ~a_i, i_p | a_i)
         # (3) too few blocking elements: infeasibility certificate
-        if Fraction(size(blocked)) < eps * n_b0:
+        if size(blocked) * den < num * n_b0:
             cert = Certificate(z1=addable.c_rest | blocked, z2=a | blocked,
                                b=b, eps=eps, ground=state.ground, b0=b0)
             return AugmentResult(False, certificate=cert, nodes=nodes)
@@ -263,29 +268,30 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
             raise InternalInvariantError("I_M dependent after recursion return")
         if not member(p, indicator(i_p | a_i, n, b), caps):
             raise InternalInvariantError("b·(I_P ∪ A_I) outside P after recursion return")
-        if Fraction(size(b0 & result.I_M)) >= eps2_thresh:
+        if size(b0 & result.I_M) * den2 >= need:
             return succeed(i_m, i_p)
-        if Fraction(size(blocked & result.I_M)) < eps * eps * size(blocked):
+        if size(blocked & result.I_M) * den2 < num2 * size(blocked):
             raise InternalInvariantError("recursion made progress on neither B0 nor B")
         new_blocked = compute_blocking(state, a, i_p)
         if new_blocked & ~blocked:
             raise InternalInvariantError("blocking set gained elements")
-        if Fraction(size(new_blocked)) > (1 - eps * eps) * size(blocked):
+        if size(new_blocked) * den2 > (den2 - num2) * size(blocked):
             raise InternalInvariantError("blocking set did not shrink enough")
         blocked = new_blocked
 
 
 def _check_blocking_invariants(state: SearchState, addable: AddableSets,
                                a_i: int, blocked: int) -> None:
-    p, b, eps = state.poly, state.b, state.eps
+    p, b = state.poly, state.b
+    num, den = state.eps.numerator, state.eps.denominator
     a = addable.a
     high = leave_one_out_reaches(p, (a | blocked) & ~a_i, b, a | blocked)
     if high:
         raise InternalInvariantError(
             f"element {(high & -high).bit_length() - 1} of A ∪ B (outside A_I) "
             "has marginal >= b")
-    if a and Fraction(size(a_i)) < eps * size(a):
-        if Fraction(size(blocked)) <= (1 - 2 * eps) * size(a):
+    if a and size(a_i) * den < num * size(a):
+        if size(blocked) * den <= (den - 2 * num) * size(a):
             raise InternalInvariantError("blocking set smaller than (1-2eps)|A|")
 
 

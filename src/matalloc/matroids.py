@@ -222,7 +222,9 @@ class InducedMatroid(MatroidOracle):
     largest y(E) over integer y <= 1_X in P(f): the count of 1_X
     (polymatroids.count). s·r_M induces the union of s copies of M, and
     f₁ + f₂ the union of the matroids f₁ and f₂ induce, so on a partition
-    form that count is the matroid partition of 1_X.
+    form that count is the matroid partition of 1_X. With copies it comes
+    from the polymatroid's kept placements: a set's placement is derived
+    from that of the set one element smaller when that one is kept.
     """
 
     def __init__(self, poly):

@@ -30,13 +30,19 @@ one a single element away.
 
 A cut network, a scaled-rank part, or a sum of scaled-rank and plain
 cut-network parts has a partition form: matroid copies (none for a cut
-network) plus one network part (partition_form). matroid_partition,
-Edmonds' matroid partition, counts how many of an integer vector's units
-split into one independent set per copy and a member of the network part.
-It is the package's one partition routine: the count of integer vectors
-with larger supports, and the ranks of matroid unions and of the matroids
-such forms induce (its count on 0/1 vectors; matroids.UnionMatroid,
-matroids.InducedMatroid).
+network) plus one network part (partition_form). Edmonds' matroid
+partition splits an integer vector's units into one independent set per
+copy and a member of the network part; on a form with copies the split is
+a Placement (copy masks, the network part's kept flow, the units placed
+nowhere), solved from scratch by place, and matroid_partition counts its
+placed units. It is the package's one partition routine: the count of
+integer vectors with larger supports, and the ranks of matroid unions and
+of the matroids such forms induce (its count on 0/1 vectors;
+matroids.UnionMatroid, matroids.InducedMatroid). A polymatroid keeps the
+placements it counts per vector (PolymatroidOracle.placement), and a
+missing one is derived from a kept placement one unit below by one more
+exchange search, since a unit enters a maximum placement exactly when it
+is independent in the union.
 """
 
 from __future__ import annotations
@@ -195,6 +201,7 @@ class PolymatroidOracle:
         self._memo: dict[int, int] = {}
         self._member_memo: dict[tuple, bool] = {}
         self._capped_cache: dict[tuple, "CappedPoly"] = {}
+        self._placements: dict[tuple, "Placement"] = {}
 
     def value(self, mask: int) -> int:
         check_subset(mask, self.n)
@@ -244,6 +251,26 @@ class PolymatroidOracle:
         if not plain:
             return tuple(copies), None
         return tuple(copies), (plain[0] if len(plain) == 1 else SumPoly(plain)).network
+
+    def placement(self, x: tuple[int, ...]) -> "Placement":
+        """The maximum placement of x's units on partition_form (one that
+        is not a bare cut network), kept per vector. A missing one is
+        derived from a kept placement of x − 1_j for some element j by
+        adding j's unit; with none it is solved (place)."""
+        kept = self._placements.get(x)
+        if kept is None:
+            kept = self._placements[x] = self._derive_placement(x)
+        return kept
+
+    def _derive_placement(self, x: tuple[int, ...]) -> "Placement":
+        placements = self._placements
+        for j in bits(vec_support(x)):
+            near = placements.get(x[:j] + (x[j] - 1,) + x[j + 1:])
+            if near is not None:
+                derived = near.copy()
+                derived.add(j)
+                return derived
+        return place(*self.partition_form, x)
 
     def capped(self, *, uniform: int, on: int) -> "CappedPoly":
         """This polymatroid with the elements of the mask on capped at
@@ -578,16 +605,19 @@ def count(p: PolymatroidOracle, x: Sequence[int | Fraction],
     """max y(E) over y <= x in P(f) = min_S f(S) + x(E \\ S) (Edmonds 1970),
     for an integer or rational x >= 0 of length p.n.
 
-    By matroid_partition (one value query) for an integer x with
-    MEMBER_SUPPORT or more nonzero entries when p has a partition form;
-    else x(E) + min f(S) − x(S) by sfm_min over S ⊆ supp x, which is exact
-    because f is monotone and x is zero off its support.
+    By matroid partition (one value query) for an integer x with
+    MEMBER_SUPPORT or more nonzero entries when p has a partition form: the
+    network's count when the form has no copies, else the placed total of
+    p's kept placement of x (PolymatroidOracle.placement). Any other x is
+    counted as x(E) + min f(S) − x(S) by sfm_min over S ⊆ supp x, which is
+    exact because f is monotone and x is zero off its support.
     """
     supp = vec_support(x)
     if (size(supp) >= MEMBER_SUPPORT and p.partition_form is not None
             and all(isinstance(v, int) for v in x)):
         stats.bump("poly_value")
-        return matroid_partition(*p.partition_form, x)
+        copies, g = p.partition_form
+        return g.count(x) if g is not None and not copies else p.placement(tuple(x)).placed
     return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1]
 
 
@@ -619,51 +649,94 @@ def matroid_partition(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> 
     independent set per matroid copy (at most one unit of an element each)
     and a count vector in P(g), g a cut network (plain when there are
     copies) or None: Edmonds' matroid partition (1968; 1970 for the
-    polymatroid sum). With no copies it is g.count(x).
-
-    Otherwise g takes what one flow with supply min(x, g({e})) carries, then
-    each copy takes units greedily in index order, and every unit left
-    enters along a shortest exchange path (_enter). A unit with no path
-    proves the units placed so far plus it dependent in the union, and so
-    does every later unit of its element, since placing more units only
-    shrinks what fits; the count is thus the largest y(E) over integer
+    polymatroid sum). With no copies it is g.count(x); else it is the
+    placed total of place(copies, g, x), the largest y(E) over integer
     y <= x in P(Σ r_copy + g). On a 0/1 x it is the rank of supp x in the
     union of the copies and the matroid g induces.
+    """
+    if g is not None and not copies:
+        return g.count(x)
+    return place(copies, g, x).placed
 
-    The search runs on (element, part) nodes, not on units. Two units of
-    one element held in one part are clones: swapping their labels maps
-    the split to itself, so they have the same exchange edges in and out,
-    the search over units reaches them at the same distance, and a
+
+class Placement:
+    """A maximum split of an integer vector x's units over a partition form
+    with copies: masks[i] the elements copy i holds, flow the network
+    part's kept ResidualFlow (None without a network part), which holds
+    exactly what it carries, left[e] the units of e placed nowhere, and
+    placed = x(E) − Σ left, the count of x.
+
+    A unit that finds no exchange path proves the units placed so far plus
+    it dependent in the union, and so does every later unit of its element:
+    the units are clones, and placing more units only shrinks what fits.
+    So a unit of e enters (add) only while no unit of e is left, and a
+    placement of x + 1_e is one of x plus at most one exchange path:
+    a maximum placement plus a unit that enters is maximum, and one plus a
+    unit that does not enter stays maximum (matroid-partition augmentation,
+    Edmonds 1968).
+    """
+
+    __slots__ = ("copies", "flow", "masks", "left", "placed")
+
+    def __init__(self, copies: tuple, flow: ResidualFlow | None, masks: list[int],
+                 left: list[int], placed: int):
+        self.copies = copies
+        self.flow = flow
+        self.masks = masks
+        self.left = left
+        self.placed = placed
+
+    def copy(self) -> "Placement":
+        flow = None if self.flow is None else self.flow.copy()
+        return Placement(self.copies, flow, self.masks[:], self.left[:], self.placed)
+
+    def add(self, e: int, units: int = 1) -> None:
+        """units more units of e: each enters along a shortest exchange path
+        (_enter) until one finds none, or finds a unit of e already left;
+        that one and the rest stay left."""
+        while units and not self.left[e] and _enter(e, self.copies, self.masks, self.flow):
+            self.placed += 1
+            units -= 1
+        self.left[e] += units
+
+
+def place(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> Placement:
+    """A maximum placement of x's units on copies and g (plain, or None),
+    solved from scratch.
+
+    g takes what one flow with supply min(x, g({e})) carries, then each copy
+    takes units greedily in index order, and the units still pending are
+    added in element order (Placement.add).
+
+    The exchange search runs on (element, part) nodes, not on units. Two
+    units of one element held in one part are clones: swapping their labels
+    maps the split to itself, so they have the same exchange edges in and
+    out, the search over units reaches them at the same distance, and a
     shortest path uses at most one of them. One representative per
     (element, part) thus finds a shortest path over units, and Edmonds'
     argument for shortest paths keeps every part independent after the
     exchanges. The plain part's checks ("add y", "swap y for z") are one
     residual search of its kept flow (ResidualFlow.exchanges).
     """
-    if g is not None and not copies:
-        return g.count(x)
     supp = vec_support(x)
-    left = list(x)
+    pending = list(x)
     flow = None
     if g is not None:
         supply = [min(v, t) for v, t in zip(x, g._left)]
         flow = ResidualFlow(g.covers, supply, g.weights)
         for e in bits(supp):
-            left[e] -= supply[e] - flow.left_res[e]
+            pending[e] -= supply[e] - flow.left_res[e]
             flow.left_res[e] = 0   # g holds exactly what it carries
     masks = [0] * len(copies)
     for i, m in enumerate(copies):
         for e in bits(supp):
-            if left[e] and m.is_independent(masks[i] | 1 << e):
+            if pending[e] and m.is_independent(masks[i] | 1 << e):
                 masks[i] |= 1 << e
-                left[e] -= 1
-    placed = sum(x) - sum(left)
+                pending[e] -= 1
+    placement = Placement(copies, flow, masks, [0] * len(x), sum(x) - sum(pending))
     for e in bits(supp):
-        for _ in range(left[e]):
-            if not _enter(e, copies, masks, flow):
-                break
-            placed += 1
-    return placed
+        placement.add(e, pending[e])
+    return placement
 
 
 def _enter(e: int, copies: tuple, masks: list[int], flow: ResidualFlow | None) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matalloc import matching, polymatroids, stats
-from matalloc.bitsets import bits, full_mask, size, submasks, vec_sum
+from matalloc.bitsets import bits, full_mask, size, submasks, vec_sum, vec_support
 from matalloc.instances import CoreCoverInstance, gen_random
 from matalloc.localsearch import solve_cover
 from matalloc.limits import Caps, SizeCapError
@@ -498,12 +498,13 @@ def test_vector_contraction_is_the_least_slack_above_the_set(seed):
 # Induced matroids of sums with scaled-rank parts: a union, ranked by partition
 
 
-def scaled_rank_sum(seed):
-    """ScaledRankPoly parts (scale 0..3) over the concrete matroid families,
-    with or without a modular and a coverage part."""
+def scaled_rank_sum(seed, min_n=1, min_scale=0):
+    """ScaledRankPoly parts (scale min_scale..3) over the concrete matroid
+    families on min_n..8 elements, with or without a modular and a
+    coverage part."""
     rng = random.Random(seed)
-    n = rng.randint(1, 8)
-    parts = [ScaledRankPoly(random_matroid(rng, n), rng.randint(0, 3))
+    n = rng.randint(min_n, 8)
+    parts = [ScaledRankPoly(random_matroid(rng, n), rng.randint(min_scale, 3))
              for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.5:
         parts.append(ModularPoly([rng.randint(0, 2) for _ in range(n)]))
@@ -612,16 +613,32 @@ def test_flow_membership_matches_sfm(seed):
                 assert saturation_slack(p, x, e) == brute_slack(ref, x, e)
 
 
+def spy_partition_solves(monkeypatch, record):
+    """Call record(form, x) on every count the partition path solves from
+    scratch, form being the (copies, network) it solves on: a placement
+    (polymatroids.place) on a form with copies, the network's count
+    (CutNetwork.count) on a bare cut network."""
+    real_place, real_count = polymatroids.place, polymatroids.CutNetwork.count
+
+    def placing(copies, g, x):
+        record((copies, g), x)
+        return real_place(copies, g, x)
+
+    def counting(g, x):
+        record(((), g), x)
+        return real_count(g, x)
+
+    monkeypatch.setattr(polymatroids, "place", placing)
+    monkeypatch.setattr(polymatroids.CutNetwork, "count", counting)
+
+
 def refuse_rationals(monkeypatch):
-    """Let only integer vectors reach matroid_partition: a capped value is
-    an integer count, which may take the partition path."""
-    real = polymatroids.matroid_partition
-
-    def refuse(copies, g, x):
+    """Let only integer vectors reach the partition path: a capped value is
+    an integer count, which may take it."""
+    def refuse(form, x):
         assert all(isinstance(v, int) for v in x), "a rational vector reached the partition path"
-        return real(copies, g, x)
 
-    monkeypatch.setattr(polymatroids, "matroid_partition", refuse)
+    spy_partition_solves(monkeypatch, refuse)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -978,6 +995,48 @@ def test_partition_membership_matches_sfm(seed):
         assert matroid_partition(copies, g, x) == brute_capped(p, x, full_mask(p.n))
 
 
+def sfm_count(p, x):
+    return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n)[1]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_counts_along_unit_walks_match_sfm(seed, monkeypatch):
+    """A walk of ±1-unit steps, each entry between 0 and one above its
+    singleton value, counted at every step: most counts extend a kept
+    placement one unit below by one exchange search."""
+    p = scaled_rank_sum(seed, min_n=4, min_scale=1)
+    assert p.partition_form[0]
+    rng = random.Random(seed)
+    solved = []
+    spy_partition_solves(monkeypatch, lambda form, x: solved.append(x))
+    top = [p.value(1 << e) for e in range(p.n)]
+    x = [min(t, 1) for t in top]
+    partition_counts = 0
+    for _ in range(120):
+        e = rng.randrange(p.n)
+        x[e] += -1 if x[e] > top[e] or (x[e] and rng.random() < 0.4) else 1
+        assert count(p, x) == sfm_count(p, x), x
+        partition_counts += size(vec_support(x)) >= polymatroids.MEMBER_SUPPORT
+    assert len(solved) < partition_counts
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_walk_of_unit_raises_solves_one_placement(seed, monkeypatch):
+    """Raising one unit at a time, only the first count is placed from
+    scratch; every later one adds its unit to the placement kept one unit
+    below it."""
+    p = scaled_rank_sum(seed, min_n=4, min_scale=1)
+    rng = random.Random(seed)
+    solved = []
+    spy_partition_solves(monkeypatch, lambda form, x: solved.append(tuple(x)))
+    x = [1] * polymatroids.MEMBER_SUPPORT + [0] * (p.n - polymatroids.MEMBER_SUPPORT)
+    first = tuple(x)
+    for _ in range(25):
+        assert count(p, x) == sfm_count(p, x), x
+        x[rng.randrange(p.n)] += 1
+    assert solved == [first]
+
+
 def test_partition_count_rejects_singletons_and_the_total():
     p = SumPoly([ScaledRankPoly(UniformMatroid(4, 1), 2), ModularPoly([1, 0, 0, 1])])
     assert [p.value(1 << e) for e in range(4)] == [3, 2, 2, 3] and p.value(0b1111) == 4
@@ -1071,16 +1130,14 @@ def cut_network(n=8):
 def test_member_takes_the_partition_path_from_its_support_threshold(make, monkeypatch):
     p = make()
     called = []
-    real = polymatroids.matroid_partition
 
-    def spy(copies, g, x):
+    def spy(form, x):
         # only p's own counts: cut_network's capped values count its inner
         # coverage part
-        if (copies, g) == p.partition_form:
+        if form == p.partition_form:
             called.append(x)
-        return real(copies, g, x)
 
-    monkeypatch.setattr(polymatroids, "matroid_partition", spy)
+    spy_partition_solves(monkeypatch, spy)
     k = polymatroids.MEMBER_SUPPORT
     # entries of 2: partition_sum's unit-weight modular part carries one
     # unit of each element, so the copies are asked for the second
