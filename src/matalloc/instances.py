@@ -225,6 +225,16 @@ def _rat_from_json(obj, path: str) -> Fraction | None:
     raise SchemaError(f"{path}: expected a rational")
 
 
+def _table_from_json(obj, path: str) -> list:
+    """The 2^n entries of an explicit table, in subset order. An n with more
+    subsets than the table has keys is refused before 1 << n is formed."""
+    n, table = obj["n"], obj["table"]
+    if _is_int(n) and n >= len(table).bit_length():
+        raise SchemaError(f"{path}.n: an explicit table over {n} elements needs 2^{n} "
+                          f"entries, it has {len(table)}")
+    return [table[str(x)] for x in range(1 << n)]
+
+
 def matroid_to_json(m: MatroidOracle) -> dict:
     if isinstance(m, UniformMatroid):
         return {"kind": "uniform", "n": m.n, "rank": m.k}
@@ -269,7 +279,7 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
                                        for i, a in enumerate(obj["adjacency"])], right)
         if kind == "explicit":
             n = obj["n"]
-            table = [obj["table"][str(x)] for x in range(1 << n)]
+            table = _table_from_json(obj, path)
             if not all(map(_is_int, table)):
                 raise SchemaError(f"{path}.table: matroid ranks must be integers")
             return ExplicitMatroid(n, table)
@@ -334,7 +344,7 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
                 raise SchemaError(f"{path}.scale: {exc}") from exc
         if kind == "explicit":
             n = obj["n"]
-            table = [obj["table"][str(x)] for x in range(1 << n)]
+            table = _table_from_json(obj, path)
             if not all(map(_is_int, table)):
                 raise SchemaError(f"{path}.table: polymatroid values must be integers")
             return ExplicitPoly(n, table)

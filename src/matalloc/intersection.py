@@ -4,6 +4,10 @@
 algorithm with BFS (shortest exchange paths, ties by smallest slot), run
 directly on count vectors x <= caps, which is Edmonds' polymatroid
 intersection on integer points. Plain matroid intersection is its 0/1 case.
+Its first augmentations are one-slot paths, taken at the smallest slot that
+gains on both sides; a slot-order fill takes all of them before the first
+search (see `max_common_independent`), and on the sum split and the rounding
+gadget it takes nearly every unit.
 
 Each of its two sides answers two questions about the current x: may slot y
 gain a unit (x + e_y), and may y gain one while s loses one (x + e_y − e_s).
@@ -39,10 +43,15 @@ Predicate = Callable[[tuple[int, ...]], bool]
 
 
 class Side:
-    """One side of the exchange search, asked about the x of its last reset;
-    x is independent for it, and x + e_y − e_s is asked only for y != s."""
+    """One side of the exchange search, asked about the x of its last reset
+    plus the units added since; x is independent for it, and x + e_y − e_s
+    is asked only for y != s."""
 
     def reset(self, x: Sequence[int]) -> None:
+        raise NotImplementedError
+
+    def add(self, y: int) -> None:
+        """Move to x + e_y, for a y that gains."""
         raise NotImplementedError
 
     def gain(self, y: int) -> bool:
@@ -63,6 +72,9 @@ class PartitionBound(Side):
         self.room = list(self.cap)
         for g, c in zip(self.group, x):
             self.room[g] -= c
+
+    def add(self, y: int) -> None:
+        self.room[self.group[y]] -= 1
 
     def gain(self, y: int) -> bool:
         return self.room[self.group[y]] > 0
@@ -88,6 +100,10 @@ class DirectSum(Side):
     def reset(self, x: Sequence[int]) -> None:
         self.sub = [[x[s] for s in slots] for slots in self.slots]
         self.gains: dict[int, bool] = {}
+
+    def add(self, y: int) -> None:
+        self.sub[self.block[y]][self.pos[y]] += 1
+        self.gains = {}
 
     def gain(self, y: int) -> bool:
         hit = self.gains.get(y)
@@ -121,11 +137,29 @@ def max_common_independent(caps: Sequence[int], side1: Side, side2: Side,
     The augmenting paths are those of the copy-level search over unit copies
     in slot order: the copies of a slot on one side of x are interchangeable,
     so that search only ever needs the lowest of them.
+
+    Before the first search, slots are filled in index order, each while it
+    is below its cap and gains on both sides. These are exactly the
+    augmentations the search would take first, so x comes out the same:
+    - while some slot gains on both sides, the search returns the one-slot
+      path at the smallest such slot, since sources are queued in slot order
+      ahead of every other node and the first one that is also a sink ends
+      the search;
+    - a slot that does not gain on a side at x gains there at no larger x
+      (each side is down-closed), and a slot at its cap stays there, so that
+      smallest slot never moves back.
     """
     units = sum(caps)
     if units > limit:
         raise SizeCapError(f"count-vector search over {units} units exceeds cap {limit}")
     x = [0] * len(caps)
+    side1.reset(x)
+    side2.reset(x)
+    for y, cap in enumerate(caps):
+        while x[y] < cap and side1.gain(y) and side2.gain(y):
+            x[y] += 1
+            side1.add(y)
+            side2.add(y)
     while _augment(caps, side1, side2, x):
         pass
     return tuple(x)

@@ -11,7 +11,7 @@ import pytest
 
 import matalloc
 from matalloc.cli import main
-from matalloc.instances import poly_from_json
+from matalloc.instances import matroid_from_json, poly_from_json
 from matalloc.limits import SchemaError
 from matalloc.polymatroids import MAX_SCALE
 
@@ -321,6 +321,35 @@ def test_a_huge_scale_is_a_schema_error(tmp_path, scale):
                           preexec_fn=_cap_address_space)
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert f"error: polymatroid.scale: scale must be at most {MAX_SCALE}" in proc.stderr
+
+
+_HUGE_TABLE = {"kind": "explicit", "n": 1 << 33, "table": {"0": 0}}
+
+
+@pytest.mark.parametrize("matroid, polymatroid, field", [
+    ({"kind": "uniform", "n": 2, "rank": 1}, _HUGE_TABLE, "polymatroid.n"),
+    (_HUGE_TABLE, {"kind": "modular", "weights": [1, 1]}, "matroid.n"),
+], ids=["explicit-poly", "explicit-matroid"])
+def test_a_huge_table_size_is_a_schema_error(tmp_path, matroid, polymatroid, field):
+    """An explicit table lists one entry per subset, so an n whose 2^n
+    subsets outnumber the table's keys is refused by its field path before
+    2^n is formed; the child process has 1 GiB of address space, as above."""
+    path = _core_cover(tmp_path, matroid, polymatroid)
+    env = dict(os.environ, PYTHONPATH=str(Path(matalloc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "matalloc.cli", "solve-cover", "--in", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert f"error: {field}: an explicit table over {1 << 33} elements" in proc.stderr
+
+
+@pytest.mark.parametrize("n, keys", [(0, 1), (2, 4), (2, 7)])
+def test_a_table_with_enough_keys_parses(n, keys):
+    """2^n up to the key count parses; one element more is refused."""
+    table = {str(x): x.bit_count() for x in range(keys)}
+    assert matroid_from_json({"kind": "explicit", "n": n, "table": table}).n == n
+    with pytest.raises(SchemaError, match=r"^matroid\.n: "):
+        matroid_from_json({"kind": "explicit", "n": n + 1, "table": table})
 
 
 def test_the_largest_scale_parses():

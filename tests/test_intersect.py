@@ -303,15 +303,17 @@ def test_unit_cap_is_checked_before_the_search():
 def test_santa_basis_split_work_is_bounded(monkeypatch):
     """A count of the work, not of time, in splitting one fixed basis of a
     santa-matroid sum: the questions the direct sum of the parts asks its
-    blocks (memo hits included) and the member calls behind them. The
-    whole-vector predicates made 836 evaluations and 250 sfm_min calls
-    here; the block questions are 418, with 295 member and 146 sfm_min
-    calls."""
+    blocks (memo hits included), the member and sfm_min calls behind them,
+    and the exchange searches run. The three splits of the peel take every
+    unit in the slot-order fill, so each search runs once, to find no
+    path: 109 block questions, 104 member, 70 sfm_min and 3 searches. An
+    exchange search per unit made 418, 295, 146 and 94 here, and
+    whole-vector predicates 836 evaluations and 250 sfm_min calls."""
     inst = gen_random("santa-matroid", 2, m=5, n=4, u=1, w=3)
     parts = [it.polymatroid for it in inst.resources]
     y = (7, 17, 4, 9, 2)
     assert is_basis(SumPoly(parts), y)
-    calls = {"block": 0, "member": 0, "sfm": 0}
+    calls = {"block": 0, "member": 0, "sfm": 0, "augment": 0}
 
     def counted(key, fn):
         def wrapped(*args, **kwargs):
@@ -327,15 +329,28 @@ def test_santa_basis_split_work_is_bounded(monkeypatch):
     monkeypatch.setattr(intersection, "DirectSum", CountedSum)
     monkeypatch.setattr(intersection, "member", counted("member", intersection.member))
     monkeypatch.setattr(polymatroids, "sfm_min", counted("sfm", polymatroids.sfm_min))
+    monkeypatch.setattr(intersection, "_augment", counted("augment", intersection._augment))
     pieces = decompose_merged_basis(parts, y)
     assert pieces == [(0, 2, 1, 2, 2), (3, 3, 3, 3, 0), (4, 9, 0, 0, 0), (0, 3, 0, 4, 0)]
-    assert 0 < calls["block"] <= 1000
-    assert 0 < calls["member"] <= 300
-    assert calls["sfm"] <= 300
+    assert 0 < calls["block"] <= 120
+    assert 0 < calls["member"] <= 115
+    assert calls["sfm"] <= 80
+    assert 0 < calls["augment"] <= 4
 
 
 # ---------------------------------------------------------------------------
 # Structured sides against the predicates they stand for
+
+
+def bound_side(group, cap):
+    """A PartitionBound with the whole-vector predicate it stands for."""
+    def within(x):
+        loads = [0] * len(cap)
+        for g, c in zip(group, x):
+            loads[g] += c
+        return all(load <= c for load, c in zip(loads, cap))
+
+    return PartitionBound(group, cap), within
 
 
 def random_sides(rng, num_slots):
@@ -344,13 +359,6 @@ def random_sides(rng, num_slots):
     num_groups = rng.randint(1, num_slots + 2)
     group = [rng.randrange(num_groups) for _ in range(num_slots)]
     cap = [rng.randint(0, 3) for _ in range(num_groups)]
-
-    def within(x):
-        loads = [0] * num_groups
-        for g, c in zip(group, x):
-            loads[g] += c
-        return all(load <= c for load, c in zip(loads, cap))
-
     num_blocks = rng.randint(1, num_slots + 1)
     block = [rng.randrange(num_blocks) for _ in range(num_slots)]
     slots = [[s for s in range(num_slots) if block[s] == b] for b in range(num_blocks)]
@@ -371,7 +379,7 @@ def random_sides(rng, num_slots):
 
     covers = {"empty group": len(set(group)) < num_groups,
               "zero-cap group": any(cap[g] == 0 for g in group)} | {k: True for k in kinds}
-    return (PartitionBound(group, cap), within), (DirectSum(block, preds), all_blocks), covers
+    return bound_side(group, cap), (DirectSum(block, preds), all_blocks), covers
 
 
 def test_structured_sides_match_their_predicates():
@@ -399,3 +407,115 @@ def test_structured_sides_match_their_predicates():
             assert max_common_independent(slot_caps, s1, s2, limit) == want, seed
             seen["inside and outside"] += any(0 < v < c for v, c in zip(want, slot_caps))
     assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# The slot-order fill against the full search
+
+
+def sum_side(block, parts):
+    """A DirectSum of part memberships with its whole-vector predicate."""
+    slots = [[s for s, b in enumerate(block) if b == j] for j in range(len(parts))]
+    return DirectSum(block, [members(p) for p in parts]), lambda x: all(
+        member(p, [x[s] for s in mine]) for p, mine in zip(parts, slots))
+
+
+def gadget_sides(rng):
+    """The rounding gadget's shape: each item (a DirectSum block) holds
+    several slots per entity, as a chain vertex and a carry slot do, and is
+    a member question on the item's entity sums; the degree side is a
+    PartitionBound over chain vertices."""
+    m, n, num_vertices = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+    parts = [random_part(rng, m) for _ in range(n)]
+    slots = [(k, i, rng.randrange(num_vertices))
+             for k in range(n) for i in range(m) for _ in range(rng.randint(0, 2))]
+    entities = [[i for k2, i, _ in slots if k2 == k] for k in range(n)]
+
+    def in_item(k, sub):
+        vec = [0] * m
+        for i, c in zip(entities[k], sub):
+            vec[i] += c
+        return member(parts[k], vec)
+
+    def all_items(x):
+        return all(in_item(k, tuple(c for (k2, _, _), c in zip(slots, x) if k2 == k))
+                   for k in range(n))
+
+    items = DirectSum([k for k, _, _ in slots], [lambda sub, k=k: in_item(k, sub) for k in range(n)])
+    degrees = bound_side([v for _, _, v in slots], [rng.randint(0, 3) for _ in range(num_vertices)])
+    return len(slots), (items, all_items), degrees
+
+
+def crossing_sides(rng):
+    """Slots as the edges of a random bipartite graph, in random order. The
+    left vertices bound their edges' units, as a PartitionBound and as a
+    DirectSum of scaled uniform matroids; the right vertices as a
+    PartitionBound. Filling the edges in slot order is a greedy matching,
+    which often leaves augmenting paths to the search."""
+    nu, nv = rng.randint(2, 4), rng.randint(2, 4)
+    edges = [(u, v) for u in range(nu) for v in range(nv) if rng.random() < 0.5] or [(0, 0)]
+    rng.shuffle(edges)
+    left = [u for u, _ in edges]
+    parts = [ScaledRankPoly(UniformMatroid(k, min(k, rng.randint(1, 2))), rng.randint(1, 2))
+             for k in map(left.count, range(nu))]
+    return (len(edges), bound_side(left, [rng.randint(1, 2) for _ in range(nu)]),
+            sum_side(left, parts),
+            bound_side([v for _, v in edges], [rng.randint(1, 2) for _ in range(nv)]))
+
+
+def test_structured_sides_match_copy_level(monkeypatch):
+    """150 seeded draws: the search on structured sides, whose first
+    augmentations the slot-order fill takes, against the copy-level search
+    on their whole-vector predicates, for random_sides pairs in either
+    order, the gadget's shape and crossing sides. The crossing draws make
+    the search take further paths after the fill."""
+    paths = []
+    real = intersection._augment
+    monkeypatch.setattr(intersection, "_augment",
+                        lambda *args: real(*args) and not paths.append(1))
+    seen = dict.fromkeys(["random", "gadget", "crossing", "path after the fill"], 0)
+
+    def check(kind, slot_caps, side1, side2):
+        (s1, p1), (s2, p2) = side1, side2
+        paths.clear()
+        assert (max_common_independent(slot_caps, s1, s2, sum(slot_caps))
+                == copy_level(slot_caps, p1, p2))
+        seen[kind] += 1
+        seen["path after the fill"] += bool(paths)
+
+    for seed in range(150):
+        rng = random.Random(seed)
+        num_slots = rng.randint(1, 6)
+        slot_caps = [rng.randint(0, 3) for _ in range(num_slots)]
+        bound, direct, _ = random_sides(rng, num_slots)
+        check("random", slot_caps, direct, bound)
+        check("random", slot_caps, bound, direct)
+        num_slots, items, degrees = gadget_sides(rng)
+        check("gadget", [rng.randint(1, 3) for _ in range(num_slots)], items, degrees)
+        num_slots, left_bound, left_sum, right = crossing_sides(rng)
+        slot_caps = [rng.randint(1, 2) for _ in range(num_slots)]
+        for side1, side2 in [(left_bound, right), (left_sum, right), (right, left_sum)]:
+            check("crossing", slot_caps, side1, side2)
+    assert seen["path after the fill"] >= 40, seen
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sides_that_accept_every_vector_augment_once(seed, monkeypatch):
+    """When both sides accept every x <= caps, the fill reaches caps and the
+    exchange search runs once, to find no augmenting path."""
+    rng = random.Random(seed)
+    num_slots = rng.randint(1, 8)
+    slot_caps = [rng.randint(0, 4) for _ in range(num_slots)]
+    num_blocks = rng.randint(1, num_slots)
+    block = [rng.randrange(num_blocks) for _ in range(num_slots)]
+    roomy = DirectSum(block, [members(ModularPoly([4] * block.count(b))) for b in range(num_blocks)])
+    group = [rng.randrange(3) for _ in range(num_slots)]
+    loose = PartitionBound(group, [sum(c for g, c in zip(group, slot_caps) if g == h)
+                                   for h in range(3)])
+    calls = []
+    real = intersection._augment
+    monkeypatch.setattr(intersection, "_augment", lambda *args: calls.append(1) or real(*args))
+    for s1, s2 in [(roomy, loose), (loose, roomy)]:
+        calls.clear()
+        assert max_common_independent(slot_caps, s1, s2, sum(slot_caps)) == tuple(slot_caps)
+        assert len(calls) == 1

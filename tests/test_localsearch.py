@@ -4,18 +4,20 @@ and cross-checks against exhaustive cover search."""
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matalloc.bitsets import bits, full_mask, size
-from matalloc.instances import CoreCoverInstance, gen_gap_instance, gen_random
+from matalloc.instances import CoreCoverInstance, gen_gap_instance, gen_random, parse_instance
+from matalloc.limits import DEFAULT_CAPS
 from matalloc.localsearch import (Certificate, SearchState, augment,
                                   build_addable, compute_blocking, recursion_node_bound,
                                   solve_cover, verify_certificate)
 from matalloc.matroids import UniformMatroid
 from matalloc.oracle import brute_max_cover_b
-from matalloc.polymatroids import ModularPoly
+from matalloc.polymatroids import ModularPoly, member
 
 EPS = Fraction(1, 10)
 
@@ -211,6 +213,53 @@ class TestRecursionPath:
         assert rec.certificate.z2 == 0b1110  # folded: A ∪ B = {a, p1, p2}
         rep = verify_certificate(rec.certificate, rec.matroid, rec.poly, exhaustive=True)
         assert rep["ok"] and rep["exhaustive_sound"]
+
+
+# ---------------------------------------------------------------------------
+# A child's success returned to its parent: draws kept in tests/corpus/, each
+# written by serialize_instance(gen_random("core-cover", seed, m=m, b=b))
+
+
+@pytest.mark.parametrize("name, opt, feasible", [
+    ("core-cover-s8643-m7-b1", 1, True),
+    ("core-cover-s8655-m12-b3", 2, False),
+    ("core-cover-s8682-m11-b3", 3, True),
+])
+@pytest.mark.parametrize("eps", [Fraction(1, 8), Fraction(1, 10)], ids=["1/8", "1/10"])
+def test_a_child_success_returns_to_its_parent(name, opt, feasible, eps, monkeypatch):
+    """A recursive augment call succeeds, so its parent merges the child's
+    I_M and I_P, re-checks independence and membership and recomputes the
+    blocking set. The outcome agrees with the brute-force optimum."""
+    import matalloc.localsearch as localsearch
+
+    inst = parse_instance((Path(__file__).parent / "corpus" / f"{name}.json").read_bytes())
+    assert brute_max_cover_b(inst.matroid, inst.polymatroid) == opt
+    real, depth, child_successes = localsearch.augment, [0], []
+
+    def spy(state, caps=DEFAULT_CAPS):
+        depth[0] += 1
+        try:
+            result = real(state, caps)
+        finally:
+            depth[0] -= 1
+        if depth[0] and result.success:
+            child_successes.append(result)
+        return result
+
+    monkeypatch.setattr(localsearch, "augment", spy)
+    res = solve_cover(inst, eps)
+    assert child_successes
+    assert res.feasible == feasible
+    n = inst.matroid.n
+    if feasible:
+        assert inst.b <= opt and inst.matroid.is_independent(res.I_M)
+        assert member(inst.polymatroid, res.y)
+        assert all((res.I_M >> e) & 1 or res.y[e] >= inst.b for e in range(n))
+    else:
+        assert inst.b > opt and res.certificates
+    for rec in res.certificates:
+        rep = verify_certificate(rec.certificate, rec.matroid, rec.poly, exhaustive=n <= 8)
+        assert rep["ok"] and rep["exhaustive_sound"] is not False
 
 
 # ---------------------------------------------------------------------------
