@@ -267,9 +267,15 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
         if kind == "uniform":
             return UniformMatroid(obj["n"], obj["rank"])
         if kind == "partition":
-            blocks = [_mask_from_json(b, obj["n"], "elements", f"{path}.blocks[{i}]")
+            n, named = obj["n"], sum(len(b) for b in obj["blocks"] if isinstance(b, list))
+            if _is_int(n) and n > named:
+                # checked before any mask is formed: 1 << n, or a block
+                # naming an element near n, would take n bits
+                raise SchemaError(f"{path}: bad partition matroid: {path}.n is {n}, but "
+                                  f"the blocks name only {named} elements")
+            blocks = [_mask_from_json(b, n, "elements", f"{path}.blocks[{i}]")
                       for i, b in enumerate(obj["blocks"])]
-            return PartitionMatroid(obj["n"], blocks, obj["caps"])
+            return PartitionMatroid(n, blocks, obj["caps"])
         if kind == "graphic":
             return GraphicMatroid(obj["vertices"], [tuple(e) for e in obj["edges"]])
         if kind == "transversal":

@@ -4,17 +4,20 @@ Left vertices are list indices, right vertices are bit positions of the
 adjacency masks. The flow uses breadth-first augmenting paths in exact
 integers and is kept in residual form (ResidualFlow), so changing one left
 vertex's supply costs searches from that vertex instead of a new flow; a
-matching is the flow with unit capacities. Deterministic: left vertices
-processed in index order, right candidates in ascending bit order. One
-residual search serves both exchanges (what one more unit of a left
-vertex could take over) and source_side (the minimal minimum cut).
+matching is the flow with unit capacities. The searches run over
+per-left-vertex neighbour tuples, built once per flow and shared by its
+copies, and the arc flows are one flat list, so a copy is a few list
+copies. Deterministic: left vertices processed in index order, right
+candidates in ascending order. One residual search serves both exchanges
+(what one more unit of a left vertex could take over) and source_side
+(the minimal minimum cut).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .bitsets import bits, full_mask
+from .bitsets import bits
 
 
 def max_bipartite_matching(adj: Sequence[int], num_right: int) -> tuple[int, list[int | None]]:
@@ -47,25 +50,35 @@ class ResidualFlow:
     augmenting paths by BFS. raise_supply and lower_supply change one left
     vertex's supply and restore a maximum flow by searching from that vertex
     only; copy() keeps the original for the next question.
+
+    nbrs[u] lists adj[u]'s right vertices in ascending order and arcs numbers
+    the arcs (u, v) in that order; flow[arcs[u, v]] is the flow on arc u -> v.
+    Both are built once per construction and shared by copies, which copy
+    only the flat lists of residuals, arc flows and holders.
     """
 
-    __slots__ = ("adj", "left_res", "right_res", "flow", "holders", "total")
+    __slots__ = ("nbrs", "arcs", "left_res", "right_res", "flow", "holders", "total")
 
     def __init__(self, adj: Sequence[int], left_caps: Sequence[int], right_caps: Sequence[int]):
-        self.adj = adj
+        self.nbrs = tuple(tuple(bits(a)) for a in adj)
+        self.arcs: dict[tuple[int, int], int] = {}
+        for u, row in enumerate(self.nbrs):
+            for v in row:
+                self.arcs[u, v] = len(self.arcs)
         self.left_res = list(left_caps)
         self.right_res = list(right_caps)
-        self.flow: dict[tuple[int, int], int] = {}   # positive flow on arc u -> v
+        self.flow = [0] * len(self.arcs)             # flow[arcs[u, v]] on arc u -> v
         self.holders = [0] * len(right_caps)         # holders[v]: left vertices sending into v
         self.total = 0
-        self._augment(full_mask(len(adj)))
+        self._augment(range(len(adj)))
 
     def copy(self) -> "ResidualFlow":
         twin = ResidualFlow.__new__(ResidualFlow)
-        twin.adj = self.adj
+        twin.nbrs = self.nbrs
+        twin.arcs = self.arcs
         twin.left_res = self.left_res[:]
         twin.right_res = self.right_res[:]
-        twin.flow = self.flow.copy()
+        twin.flow = self.flow[:]
         twin.holders = self.holders[:]
         twin.total = self.total
         return twin
@@ -80,7 +93,7 @@ class ResidualFlow:
         """
         self.left_res[u] += d
         before = self.total
-        self._augment(1 << u)
+        self._augment((u,))
         return self.total - before
 
     def lower_supply(self, u: int, d: int) -> int:
@@ -93,12 +106,12 @@ class ResidualFlow:
         back from the sink. Once no root reaches u, none reaches the right
         vertices u sends into, so freeing their sink capacity opens no path.
         """
-        left_res, flow, holders = self.left_res, self.flow, self.holders
+        left_res, flow, holders, arcs = self.left_res, self.flow, self.holders, self.arcs
         spare = min(d, left_res[u])
         left_res[u] -= spare
         excess = d - spare
         while excess:
-            found = self._search(self._roots(full_mask(len(left_res))), u)
+            found = self._search(self._roots(range(len(left_res))), u)
             if found is None:
                 break
             path, root, step = found
@@ -107,13 +120,16 @@ class ResidualFlow:
             left_res[root] -= step
             excess -= step
         before = self.total
-        for v, hold in enumerate(holders):
+        for v in self.nbrs[u]:
             if not excess:
                 break
-            if not (hold >> u) & 1:
+            if not (holders[v] >> u) & 1:
                 continue
-            step = min(excess, flow[(u, v)])
-            self._push(u, v, -step)
+            a = arcs[u, v]
+            step = min(excess, flow[a])
+            flow[a] -= step
+            if not flow[a]:
+                holders[v] &= ~(1 << u)
             self.right_res[v] += step
             self.total -= step
             excess -= step
@@ -146,21 +162,24 @@ class ResidualFlow:
         is outside it. One search; the flow is not changed, and being
         maximum, it leaves no spare sink capacity for the search to reach.
         """
-        return self._reach(self._roots(full_mask(len(self.adj))))  # type: ignore[return-value]
+        return self._reach(self._roots(range(len(self.nbrs))))  # type: ignore[return-value]
 
     def _reach(self, start: int) -> int | None:
         """The left vertices the residual search from the left vertices of
         start reaches (start included), along any arc to a right vertex and
         back against flow to its holders; None as soon as it reaches a right
         vertex with sink capacity left."""
-        adj, right_res, holders = self.adj, self.right_res, self.holders
+        nbrs, right_res, holders = self.nbrs, self.right_res, self.holders
         seen_left, seen_right, frontier = start, 0, start
         while frontier:
             nxt = 0
-            for w in bits(frontier):
-                new = adj[w] & ~seen_right
-                seen_right |= new
-                for v in bits(new):
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                for v in nbrs[low.bit_length() - 1]:
+                    if (seen_right >> v) & 1:
+                        continue
+                    seen_right |= 1 << v
                     if right_res[v]:
                         return None
                     nxt |= holders[v]
@@ -169,40 +188,48 @@ class ResidualFlow:
             frontier = nxt
         return seen_left
 
-    def _push(self, u: int, v: int, d: int) -> None:
-        f = self.flow.get((u, v), 0) + d
-        self.flow[(u, v)] = f
-        if f:
-            self.holders[v] |= 1 << u
-        else:
-            self.holders[v] &= ~(1 << u)
-
     def _apply(self, path: list[tuple[int, int, int]], d: int) -> None:
+        """Push d along each arc (u, v, +1) of path and cancel d on each
+        arc (u, v, -1), keeping holders in step."""
+        flow, holders, arcs = self.flow, self.holders, self.arcs
         for u, v, sign in path:
-            self._push(u, v, sign * d)
+            a = arcs[u, v]
+            f = flow[a] = flow[a] + sign * d
+            if f:
+                holders[v] |= 1 << u
+            else:
+                holders[v] &= ~(1 << u)
 
-    def _roots(self, candidates: int) -> int:
+    def _roots(self, candidates: Sequence[int]) -> int:
         left_res, roots = self.left_res, 0
-        for u in bits(candidates):
+        for u in candidates:
             if left_res[u]:
                 roots |= 1 << u
         return roots
 
-    def _augment(self, candidates: int) -> None:
+    def _augment(self, candidates: Sequence[int]) -> None:
         """Saturate the direct source -> u -> v -> sink paths of the
-        candidates, then augment along shortest paths from those with supply
-        left until none reaches the sink."""
-        left_res, right_res = self.left_res, self.right_res
-        for u in bits(candidates):
-            for v in bits(self.adj[u]):
-                if not left_res[u]:
-                    break
-                d = min(left_res[u], right_res[v])
+        candidates (ascending left vertices), then augment along shortest
+        paths from those with supply left until none reaches the sink."""
+        left_res, right_res, nbrs = self.left_res, self.right_res, self.nbrs
+        flow, holders, arcs = self.flow, self.holders, self.arcs
+        for u in candidates:
+            r = left_res[u]
+            if not r:
+                continue
+            for v in nbrs[u]:
+                d = right_res[v]
                 if d:
-                    self._push(u, v, d)
-                    left_res[u] -= d
+                    if d > r:
+                        d = r
+                    flow[arcs[u, v]] += d
+                    holders[v] |= 1 << u
                     right_res[v] -= d
                     self.total += d
+                    r -= d
+                    if not r:
+                        break
+            left_res[u] = r
         while True:
             found = self._search(self._roots(candidates), -1)
             if found is None:
@@ -218,42 +245,51 @@ class ResidualFlow:
         """Shortest residual path from a root to the sink (target < 0) or to
         the left vertex target, entered against one of its arcs.
 
-        Returns (arcs, root, bottleneck) with arcs (u, v, +1 forward / -1
-        cancelled) listed from the far end back to the root, or None.
+        Left vertices are searched layer by layer in ascending order, and
+        each one's right vertices in ascending order. Returns (arcs, root,
+        bottleneck) with arcs (u, v, +1 forward / -1 cancelled) listed from
+        the far end back to the root, or None.
         """
-        adj, right_res, holders, flow = self.adj, self.right_res, self.holders, self.flow
+        nbrs, right_res, holders = self.nbrs, self.right_res, self.holders
         # BFS in the residual graph: u -> v on any arc, v -> u' against flow u' -> v
         reached_from: dict[int, int] = {}   # right v -> left u that reached it
         cancels: dict[int, int] = {}        # non-root left u -> right v whose flow it cancels
         seen_left, seen_right, frontier, end = roots, 0, roots, -1
         while frontier and end < 0:
             nxt = 0
-            for u in bits(frontier):
-                new = adj[u] & ~seen_right
-                seen_right |= new
-                for v in bits(new):
+            while frontier and end < 0:
+                low = frontier & -frontier
+                frontier ^= low
+                u = low.bit_length() - 1
+                for v in nbrs[u]:
+                    if (seen_right >> v) & 1:
+                        continue
+                    seen_right |= 1 << v
                     reached_from[v] = u
                     if target < 0 and right_res[v]:
                         end = v
                         break
                     back = holders[v] & ~seen_left
+                    if not back:
+                        continue
                     seen_left |= back
                     nxt |= back
-                    for w in bits(back):
-                        cancels[w] = v
                     if target >= 0 and (back >> target) & 1:
                         end = v
                         break
-                if end >= 0:
-                    break
+                    while back:
+                        low = back & -back
+                        back ^= low
+                        cancels[low.bit_length() - 1] = v
             frontier = nxt
         if end < 0:
             return None
         # walk back from the far end to a root, keeping the bottleneck
+        flow, arcs = self.flow, self.arcs
         if target < 0:
             path, d = [], right_res[end]
         else:
-            path, d = [(target, end, -1)], flow[(target, end)]
+            path, d = [(target, end, -1)], flow[arcs[target, end]]
         v = end
         while True:
             u = reached_from[v]
@@ -262,7 +298,7 @@ class ResidualFlow:
             if prev is None:
                 return path, u, min(d, self.left_res[u])
             path.append((u, prev, -1))
-            d = min(d, flow[(u, prev)])
+            d = min(d, flow[arcs[u, prev]])
             v = prev
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import stats
-from .bitsets import bits, check_subset, full_mask, indicator, size
+from .bitsets import bits, check_subset, indicator, size
 from .matching import max_bipartite_matching
 from .polymatroids import _check_weights, count, matroid_partition
 
@@ -75,7 +75,9 @@ class PartitionMatroid(MatroidOracle):
             if b & union:
                 raise ValueError("partition blocks overlap")
             union |= b
-        if union != full_mask(n):
+        # union == full_mask(n), without forming 1 << n for an n the blocks
+        # do not reach
+        if union.bit_length() != n or union & (union + 1):
             raise ValueError("partition blocks must cover the ground set")
         self.blocks = tuple(blocks)
         self.caps = tuple(caps)

@@ -15,12 +15,16 @@ count alone chooses between matroid partition and subset enumeration.
 
 Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
 and set contractions) are cut networks (CutNetwork): the count of an
-integer x is one exact max-flow. A one-element capped marginal
-f(i | h·X) there is one augmenting search from i on a copy of the max
-flow of X, which the network keeps in residual form per (h, X)
+integer x is one exact max-flow, the kept one of the h-capped support when
+x's nonzero entries off the network's base all equal h. A one-element
+capped marginal f(i | h·X) there is one augmenting search from i on a copy
+of the max flow of X, which the network keeps in residual form per (h, X)
 (CutNetwork.marginal). The local search only asks whether such a marginal
-reaches h (marginal_reaches); that search raises i's supply by at most h.
-Its leave-one-out questions, f(i | h·(X − i)) >= h for every i of a set,
+reaches h (marginal_reaches, CutNetwork.reaches), and bounds decide most
+of those questions with no search: the marginal is at most i's own reach,
+and reaches h when the kept flow of X leaves h of free sink room on what i
+covers; otherwise the search raises i's supply by h. Its leave-one-out
+questions, f(i | h·(X − i)) >= h for every i of a set,
 take one residual reachability search on the kept flow of X
 (leave_one_out_reaches, CutNetwork.leave_one_out): i's marginal reaches h
 exactly when i's supply is h and some minimum cut holds i's source arc,
@@ -64,6 +68,11 @@ class CutNetwork:
     element caps (None for uncapped). F(S) is the minimum cut of the
     network source -> element e (capacity c(e)) -> covered items (unbounded)
     -> sink (capacity w(item)), so it is one bipartite max-flow.
+
+    The network keeps, per (h, set), the max flow of the set capped at h
+    (_residual), in residual form. The threshold questions (reaches), the
+    exact marginals (marginal), the leave-one-out batches (leave_one_out)
+    and the counts of vectors uniform off base (count) share those flows.
     """
 
     def __init__(self, covers: Sequence[int], weights: Sequence[int],
@@ -106,14 +115,25 @@ class CutNetwork:
         max flow with supply min(x, _left) off base and _left on base, less
         F(base). Both are min_{S ⊇ base} x(E \\ S) + F(S) − F(base) (base
         elements are loops) once F(S) is written as its min cut over U ⊆ S.
+
+        When x's nonzero entries off base all equal one h, that flow is the
+        kept max flow of the h-capped support (_residual), as for the
+        threshold questions; else it is solved.
         """
         base, left = self.base, self._left
-        es = elements(vec_support(x) | base)
+        supp = vec_support(x)
+        off = supp & ~base
+        if not off:
+            return 0
+        h = x[(off & -off).bit_length() - 1]
+        if all(x[e] == h for e in bits(off)):
+            return self._residual(h, off).total - self._f_base
+        es = elements(supp | base)
         supply = [left[e] if (base >> e) & 1 else min(x[e], left[e]) for e in es]
         return (max_capacitated_flow([self.covers[e] for e in es], supply, self.weights)
                 - self._f_base)
 
-    def marginal(self, i: int, h: int, mask: int, limit: int | None = None) -> int:
+    def marginal(self, i: int, h: int, mask: int) -> int:
         """f(i | h·mask): the capped marginal of element i above mask with the
         elements of mask capped at h, by one augmenting search.
 
@@ -121,19 +141,37 @@ class CutNetwork:
         min(h, _left[e]) on mask \\ base and _left[e] on base (_residual).
         i's answer is how much raising its supply from 0 to _left[i] adds,
         on a copy. 0 for i in mask ∪ base.
-
-        With a limit, the supply rises by at most limit, and the answer is
-        min(limit, f(i | h·mask)): every cut either holds i's source arc or
-        not, so the max flow at supply t is min(F0 + t, F∞) (parametric
-        max-flow, Gallo, Grigoriadis and Tarjan 1989), and a raise by t
-        gains min(t, the full gain).
         """
         off = mask & ~self.base
         if ((off | self.base) >> i) & 1:
             return 0
-        left = self._left[i]
-        return self._residual(h, off).copy().raise_supply(
-            i, left if limit is None else min(limit, left))
+        return self._residual(h, off).copy().raise_supply(i, self._left[i])
+
+    def reaches(self, i: int, h: int, mask: int) -> bool:
+        """marginal(i, h, mask) >= h, decided by bounds where they suffice.
+
+        As a function of i's supply t the max flow is min(F0 + t, F∞):
+        every cut either holds i's source arc or not (parametric max-flow,
+        Gallo, Grigoriadis and Tarjan 1989). So the marginal is at most
+        _left[i], the supply i can take, and reaches h when the kept flow
+        of the h-capped mask leaves h of sink room free on covers[i], since
+        h more units of i then flow there directly. Only otherwise does i's
+        supply rise by h on a copy, which gains min(h, the marginal). An
+        element of mask ∪ base has marginal 0, and every marginal reaches
+        h = 0.
+        """
+        off = mask & ~self.base
+        if ((off | self.base) >> i) & 1 or not h:
+            return not h
+        if self._left[i] < h:
+            return False
+        res = self._residual(h, off)
+        right_res, room = res.right_res, 0
+        for v in res.nbrs[i]:
+            room += right_res[v]
+            if room >= h:
+                return True
+        return res.copy().raise_supply(i, h) == h
 
     def leave_one_out(self, among: int, h: int, mask: int) -> int:
         """The elements i of among (within mask) with f(i | h·(mask − i)) >= h,
@@ -510,24 +548,35 @@ def capped_marginal(p: PolymatroidOracle, add: int, h: int, base: int) -> int:
 
     Extended to overlapping arguments by f(Y | h·X) = f(Y \\ X | h·X).
     A one-element Y on a polymatroid with a cut network is one augmenting
-    search on the kept residual flow of X (CutNetwork.marginal); every
-    other form is the difference of two values of p.capped(uniform=h, on=X).
-    Either way it counts as two value queries. The cap h must be a
-    nonnegative integer. Whether the marginal reaches h, the question the
-    local search asks, is marginal_reaches.
+    search that raises the element's supply in full on a copy of the kept
+    residual flow of X (CutNetwork.marginal); every other form is the
+    difference of two values of p.capped(uniform=h, on=X). Either way it
+    counts as two value queries. The cap h must be a nonnegative integer.
+    Whether the marginal reaches h, the question the local search asks, is
+    marginal_reaches; verify_certificate asks this exact value, so a
+    certificate check does not rest on marginal_reaches' bounds.
     """
-    return _capped_marginal(p, add, h, base, None)
+    i = _network_element(p, add, h, base)
+    if i < 0:
+        return _capped_difference(p, add & ~base, h, base)
+    return p.network.marginal(i, h, base)  # type: ignore[union-attr]
 
 
 def marginal_reaches(p: PolymatroidOracle, add: int, h: int, base: int) -> bool:
     """capped_marginal(p, add, h, base) >= h, counted as the same two queries.
 
-    On a cut network the augmenting search raises the element's supply by
-    at most h (CutNetwork.marginal with limit h), which answers exactly;
-    every other form computes the whole marginal. The leave-one-out
-    questions of a whole set are one batch, leave_one_out_reaches.
+    On a cut network a one-element question is decided by bounds where
+    they suffice (CutNetwork.reaches): below h when the element's own
+    reach is, at h when the kept flow of base leaves h of sink room on what
+    the element covers, and else by one augmenting search that raises its
+    supply by h. Every other form computes the whole marginal. The
+    leave-one-out questions of a whole set are one batch,
+    leave_one_out_reaches.
     """
-    return _capped_marginal(p, add, h, base, h) >= h
+    i = _network_element(p, add, h, base)
+    if i < 0:
+        return _capped_difference(p, add & ~base, h, base) >= h
+    return p.network.reaches(i, h, base)  # type: ignore[union-attr]
 
 
 def leave_one_out_reaches(p: PolymatroidOracle, among: int, h: int, base: int) -> int:
@@ -552,19 +601,22 @@ def leave_one_out_reaches(p: PolymatroidOracle, among: int, h: int, base: int) -
     return net.leave_one_out(among, h, base)
 
 
-def _capped_marginal(p: PolymatroidOracle, add: int, h: int, base: int,
-                     limit: int | None) -> int:
-    """capped_marginal; with a limit, a number that reaches limit exactly
-    when the marginal does (min(limit, marginal) on a cut network)."""
+def _network_element(p: PolymatroidOracle, add: int, h: int, base: int) -> int:
+    """The one element of add \\ base when p has a cut network, after the
+    checks and the two value queries a capped-marginal question counts
+    there; −1 when the question takes two capped values instead."""
     _check_weights([h], "caps")
     add &= ~base
-    net = p.network
-    if net is None or add <= 0 or add & (add - 1):
-        cp = p.capped(uniform=h, on=base)
-        return cp.value(add | base) - cp.value(base)
+    if p.network is None or add <= 0 or add & (add - 1):
+        return -1
     check_subset(add | base, p.n)
     stats.bump("poly_value", 2)
-    return net.marginal(add.bit_length() - 1, h, base, limit)
+    return add.bit_length() - 1
+
+
+def _capped_difference(p: PolymatroidOracle, add: int, h: int, base: int) -> int:
+    cp = p.capped(uniform=h, on=base)
+    return cp.value(add | base) - cp.value(base)
 
 
 def sfm_min(fn: Callable[[int], int], n: int, caps: Caps = DEFAULT_CAPS,

@@ -17,7 +17,8 @@ f(Y | h·X) counts two queries, the two capped values it is the
 difference of (plus what their counts ask until they are memoised),
 however it is answered: by those two values or, on a cut network, by
 one augmenting search on a kept residual flow; so does its threshold
-form "f(Y | h·X) >= h?" (marginal_reaches). The leave-one-out questions
+form "f(Y | h·X) >= h?" (marginal_reaches), also when bounds decide it
+with no search. The leave-one-out questions
 f(i | h·(X − i)) >= h for every i of a set (leave_one_out_reaches) count
 two queries each, the same as asked one by one, also when one residual
 search on the kept flow of X answers them all. Membership is memoised per

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 
 import matalloc
 from matalloc.cli import main
-from matalloc.instances import matroid_from_json, poly_from_json
+from matalloc.instances import gen_random, matroid_from_json, poly_from_json, serialize_instance
 from matalloc.limits import SchemaError
+from matalloc.matroids import PartitionMatroid
 from matalloc.polymatroids import MAX_SCALE
 
 
@@ -307,6 +309,13 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_capped(*argv, stdin=None):
+    """Run python with argv in a child process with 1 GiB of address space."""
+    env = dict(os.environ, PYTHONPATH=str(Path(matalloc.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True, text=True,
+                          env=env, timeout=120, preexec_fn=_cap_address_space)
+
+
 @pytest.mark.parametrize("scale", [10**9, 10**30])
 def test_a_huge_scale_is_a_schema_error(tmp_path, scale):
     """A scaled-rank part lists one matroid copy per unit of scale, so a
@@ -315,10 +324,7 @@ def test_a_huge_scale_is_a_schema_error(tmp_path, scale):
     with a MemoryError or an OverflowError rather than taking gigabytes.
     (This instance's solve counts a vector by matroid partition.)"""
     path = _core_cover(tmp_path, {"kind": "uniform", "n": 6, "rank": 2}, _scaled_rank(scale))
-    env = dict(os.environ, PYTHONPATH=str(Path(matalloc.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "matalloc.cli", "solve-cover", "--in", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120,
-                          preexec_fn=_cap_address_space)
+    proc = _run_capped("-m", "matalloc.cli", "solve-cover", "--in", str(path))
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert f"error: polymatroid.scale: scale must be at most {MAX_SCALE}" in proc.stderr
 
@@ -335,10 +341,7 @@ def test_a_huge_table_size_is_a_schema_error(tmp_path, matroid, polymatroid, fie
     subsets outnumber the table's keys is refused by its field path before
     2^n is formed; the child process has 1 GiB of address space, as above."""
     path = _core_cover(tmp_path, matroid, polymatroid)
-    env = dict(os.environ, PYTHONPATH=str(Path(matalloc.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "matalloc.cli", "solve-cover", "--in", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120,
-                          preexec_fn=_cap_address_space)
+    proc = _run_capped("-m", "matalloc.cli", "solve-cover", "--in", str(path))
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert f"error: {field}: an explicit table over {1 << 33} elements" in proc.stderr
 
@@ -356,6 +359,132 @@ def test_the_largest_scale_parses():
     assert poly_from_json(_scaled_rank(MAX_SCALE)).scale == MAX_SCALE
     with pytest.raises(SchemaError, match=r"^polymatroid\.scale: "):
         poly_from_json(_scaled_rank(MAX_SCALE + 1))
+
+
+_HUGE_PARTITION = {"kind": "partition", "n": 1 << 33, "blocks": [[1, 3], [2, 4, 5], [0]],
+                   "caps": [1, 2, 1]}
+
+
+@pytest.mark.parametrize("command", ["solve-cover", "verify"])
+def test_a_huge_partition_size_is_a_schema_error(tmp_path, command):
+    """A partition matroid whose n its blocks cannot cover is refused by
+    its field path before 1 << n is formed (which takes 1 GiB at n = 2^33);
+    the child process has 1 GiB of address space, as above."""
+    path = _core_cover(tmp_path, _HUGE_PARTITION,
+                       {"kind": "modular", "weights": [0, 3, 0, 3, 3, 0]})
+    proc = _run_capped("-m", "matalloc.cli", command, "--in", str(path))
+    assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert (f"error: matroid: bad partition matroid: matroid.n is {1 << 33}, but the blocks "
+            "name only 6 elements") in proc.stderr
+
+
+def test_a_partition_whose_blocks_name_n_elements_parses():
+    m = matroid_from_json({"kind": "partition", "n": 3, "blocks": [[0, 2], [1]], "caps": [1, 1]})
+    assert m.rank(0b111) == 2
+    with pytest.raises(SchemaError, match=r"^matroid: bad partition matroid: matroid\.n is 4"):
+        matroid_from_json({"kind": "partition", "n": 4, "blocks": [[0, 2], [1]], "caps": [1, 1]})
+    # the cover check itself, which forms no 1 << n either
+    for n, blocks in [(3, [0b011]), (2, [0b111]), (1 << 33, [0b111])]:
+        with pytest.raises(ValueError, match="must cover the ground set"):
+            PartitionMatroid(n, blocks, [1] * len(blocks))
+
+
+# Mutation fuzz: seed documents of every instance type, each under the
+# commands that read its type (reduce by every kind).
+_FUZZ_COMMANDS = {
+    "core-cover": [["solve-cover"], ["verify"]],
+    "gap": [["solve-cover"], ["verify"]],
+    "restricted-santa": [["verify"], ["reduce", "--kind", "config-round"],
+                         ["reduce", "--kind", "santa-to-makespan"]],
+    "unrelated-santa": [["verify"], ["reduce", "--kind", "config-round"],
+                        ["reduce", "--kind", "santa-to-makespan"]],
+    "two-value-makespan": [["verify"], ["reduce", "--kind", "twovalue-makespan-to-santa"]],
+    "santa-matroid": [["verify"], ["reduce", "--kind", "matroid-santa-to-makespan"]],
+    "makespan-matroid": [["verify"], ["reduce", "--kind", "matroid-makespan-to-santa"]],
+}
+_FUZZ_VALUES = [0, -1, 1, 2, 3, 1 << 33, 10**30, -10**30, 1.5, True, False, None, "x", [], {},
+                [0], [[0]], {"num": 1, "den": 0}]
+
+
+def _json_spots(obj, path=()):
+    """(path, value) of every entry below the root of a JSON document."""
+    if path:
+        yield path, obj
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _json_spots(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _json_spots(v, path + (i,))
+
+
+def _mutate(doc, rng):
+    """doc with one or two entries deleted, duplicated (in a list),
+    shifted (an integer, by ±1, by 2^33 or to its negative minus one) or
+    replaced by a value from _FUZZ_VALUES."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 2)):
+        path, old = rng.choice(list(_json_spots(doc)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, r = path[-1], rng.random()
+        if r < 0.2:
+            del parent[key]
+        elif r < 0.3 and isinstance(parent, list):
+            parent.append(old)
+        elif r < 0.5 and isinstance(old, int) and not isinstance(old, bool):
+            parent[key] = old + rng.choice([-1, 1, 1 << 33, -2 * old - 1])
+        else:
+            parent[key] = rng.choice(_FUZZ_VALUES)
+    return doc
+
+
+# Runs [argv, document] pairs from stdin through cli.main in-process and
+# prints the exit codes met and the runs that did not end in 0, 1 or 2
+# without a traceback.
+_FUZZ_CHILD = """
+import io, json, sys, traceback
+from contextlib import redirect_stderr, redirect_stdout
+from matalloc.cli import main
+path, codes, escaped = sys.argv[1], {}, []
+for argv, text in json.load(sys.stdin):
+    with open(path, "w") as fh:
+        fh.write(text)
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(argv + ["--in", path])
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:
+        code = None
+        err.write(traceback.format_exc())
+    if code not in (0, 1, 2) or "Traceback" in err.getvalue():
+        escaped.append([argv, text, code, err.getvalue()[-1000:]])
+    codes[str(code)] = codes.get(str(code), 0) + 1
+json.dump({"codes": codes, "escaped": escaped}, sys.stdout)
+"""
+
+
+def test_mutated_documents_exit_without_a_traceback(tmp_path):
+    """2,000 seeded mutations of small instances of every type, through
+    solve-cover, verify and every reduce --kind, in one child process with
+    1 GiB of address space: each run exits 0, 1 or 2 with no traceback."""
+    rng = random.Random(20251018)
+    seeds = [(json.loads(serialize_instance(gen_random(flavor, s, m=3, n=4))), commands)
+             for flavor, commands in _FUZZ_COMMANDS.items() for s in range(3)]
+    runs = []
+    for _ in range(2000):
+        doc, commands = rng.choice(seeds)
+        text = json.dumps(_mutate(doc, rng))
+        runs += [[argv, text] for argv in commands]
+    proc = _run_capped("-c", _FUZZ_CHILD, str(tmp_path / "doc.json"), stdin=json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    assert out["escaped"] == []
+    assert sorted(out["codes"]) == ["0", "1", "2"]
+    assert sum(out["codes"].values()) == len(runs)
 
 
 _UNIFORM_1 = {"kind": "uniform", "n": 1, "rank": 1}

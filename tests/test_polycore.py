@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matalloc import matching, polymatroids, stats
-from matalloc.bitsets import bits, full_mask, size, submasks, vec_sum, vec_support
+from matalloc.bitsets import bits, elements, full_mask, size, submasks, vec_sum, vec_support
 from matalloc.instances import CoreCoverInstance, gen_random
 from matalloc.localsearch import solve_cover
 from matalloc.limits import Caps, SizeCapError
@@ -718,11 +718,16 @@ def min_cut(adj, left, right):
     return min(v for _, v in cuts(adj, left, right))
 
 
+def arc_flows(res):
+    """(u, v) -> the flow on arc u -> v, read off the kept arc list."""
+    return {uv: res.flow[a] for uv, a in res.arcs.items()}
+
+
 def assert_is_flow(res, adj, left, right):
     """Arc flows within the arcs, conservation at every vertex, holders in step."""
     out = [0] * len(adj)
     into = [0] * len(right)
-    for (u, v), f in res.flow.items():
+    for (u, v), f in arc_flows(res).items():
         assert f >= 0 and (adj[u] >> v) & 1
         assert bool((res.holders[v] >> u) & 1) == (f > 0)
         out[u] += f
@@ -783,7 +788,7 @@ def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
     rng = random.Random(seed)
     adj, _, right = random_network(rng)
     res = ResidualFlow(adj, [rng.randint(0, 4) for _ in adj], right)
-    c = [sum(f for (w, _), f in res.flow.items() if w == u) for u in range(len(adj))]
+    c = [sum(f for (w, _), f in arc_flows(res).items() if w == u) for u in range(len(adj))]
     res.left_res = [0] * len(adj)
 
     def carried(supply):
@@ -794,6 +799,35 @@ def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
         swaps = [z for z in range(len(adj)) if z != u and c[z]
                  and carried([v - (w == z) for w, v in enumerate(up)])]
         assert res.exchanges(u) == (None if carried(up) else sum(1 << z for z in swaps))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_a_copy_shares_the_neighbour_lists_and_not_the_flow(seed):
+    """copy() shares the neighbour tuples and arc numbering built once by
+    the constructor; raising and lowering supplies on the copy leaves the
+    original's flow as it was."""
+    rng = random.Random(seed)
+    adj, left, right = random_network(rng)
+    res = ResidualFlow(adj, left, right)
+    assert res.nbrs == tuple(tuple(bits(a)) for a in adj)
+    assert sorted(res.arcs.values()) == list(range(len(res.flow)))
+    kept = (arc_flows(res), res.left_res[:], res.right_res[:], res.holders[:], res.total)
+    twin = res.copy()
+    assert twin.nbrs is res.nbrs and twin.arcs is res.arcs
+    supply = list(left)
+    for _ in range(6):
+        u = rng.randrange(len(adj))
+        if rng.random() < 0.5:
+            d = rng.randint(0, 4)
+            supply[u] += d
+            twin.raise_supply(u, d)
+        else:
+            d = rng.randint(0, supply[u])
+            supply[u] -= d
+            twin.lower_supply(u, d)
+        assert_is_flow(twin, adj, supply, right)
+    assert (arc_flows(res), res.left_res, res.right_res, res.holders, res.total) == kept
+    assert_is_flow(res, adj, left, right)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -1289,3 +1323,106 @@ def test_marginal_reaches_is_the_capped_marginal_threshold(seed):
                     asked, before = stats.delta(before), stats.snapshot()
                     assert marginal_reaches(p, y, h, x) == (exact >= h), (y, h, x)
                     assert stats.delta(before) == asked
+
+
+# ---------------------------------------------------------------------------
+# CutNetwork.reaches: bounds first, a search only where they do not decide
+
+
+class ReachesSpy:
+    """Which way each threshold question on a cut network went: "no flow"
+    (answered without looking up a kept flow), "sink room" (a kept flow
+    looked up, no copy of it searched), or "search" (a supply raised on a
+    copy of the kept flow). Copies that derive a missing kept flow are made
+    before the lookup returns, so they are not counted as the search."""
+
+    def __init__(self, monkeypatch):
+        self.kept, self.searched = None, False
+        real_residual, real_copy = polymatroids.CutNetwork._residual, ResidualFlow.copy
+        spy = self
+
+        def residual(net, h, off):
+            spy.kept = real_residual(net, h, off)
+            return spy.kept
+
+        def copy(flow):
+            spy.searched |= flow is spy.kept
+            return real_copy(flow)
+
+        monkeypatch.setattr(polymatroids.CutNetwork, "_residual", residual)
+        monkeypatch.setattr(ResidualFlow, "copy", copy)
+
+    def ask(self, p, i, h, mask):
+        self.kept, self.searched = None, False
+        answer = counted_answer(marginal_reaches, p, 1 << i, h, mask)
+        return answer, ("search" if self.searched else
+                        "no flow" if self.kept is None else "sink room")
+
+
+def test_reaches_decides_as_the_full_marginal(monkeypatch):
+    """On plain, capped, set-contracted and summed cut networks
+    (network_chain), h from 0 to 4: marginal_reaches answers as the full
+    raise of capped_marginal does, on a polymatroid of its own, with the
+    same two value queries. An element in the network's base, or at h = 0,
+    and one whose reach is below h look up no flow; free sink room
+    answers True with no search; every branch is taken."""
+    spy = ReachesSpy(monkeypatch)
+    taken = set()
+    for seed in range(40):
+        rng, p = network_chain(seed)
+        fresh, net = network_chain(seed)[1], p.network
+        for h in range(5):
+            for mask in {rng.getrandbits(p.n) for _ in range(10)}:
+                for i in range(p.n):
+                    (answer, asked), branch = spy.ask(p, i, h, mask)
+                    exact = counted_answer(capped_marginal, fresh, 1 << i, h, mask)
+                    assert answer == (exact[0] >= h) and asked == exact[1], (seed, i, h, mask)
+                    if (mask >> i) & 1:
+                        continue   # no element above the mask: two capped values
+                    assert asked["poly_value"] == 2
+                    if (net.base >> i) & 1 or h == 0:
+                        assert branch == "no flow" and answer == (h == 0)
+                        continue
+                    if net._left[i] < h:
+                        assert branch == "no flow" and not answer
+                        taken.add("below reach")
+                    else:
+                        assert branch != "no flow"
+                        assert answer or branch == "search"
+                        taken.add(branch)
+    assert taken == {"below reach", "sink room", "search"}
+
+
+def test_uniform_counts_come_off_kept_flows():
+    """A vector whose nonzero entries off the network's base all equal one
+    h is counted off the kept flow of its h-capped support, the flow the
+    threshold questions keep; others are solved. Both against a scratch
+    max-flow and against sfm_min on the definitions, with entries on the
+    base (loops) drawn at random."""
+    seen = set()
+    for seed in range(40):
+        rng, p = network_chain(seed)
+        net, ref = p.network, chain_reference(p)
+        base, left = net.base, net._left
+        f_base = max_capacitated_flow([net.covers[e] for e in bits(base)],
+                                      [left[e] for e in bits(base)], net.weights)
+        for h in range(5):
+            for _ in range(6):
+                supp = rng.getrandbits(p.n)
+                x = [h if (supp >> e) & 1 else 0 for e in range(p.n)]
+                uniform = rng.random() < 0.7
+                for e in bits(supp):
+                    if (base >> e) & 1 or not uniform:
+                        x[e] = rng.randint(0, 4)
+                es = elements(vec_support(x) | base)
+                supply = [left[e] if (base >> e) & 1 else min(x[e], left[e]) for e in es]
+                want = max_capacitated_flow([net.covers[e] for e in es], supply,
+                                            net.weights) - f_base
+                assert net.count(x) == want == sfm_count(ref, x), (seed, x)
+                off = vec_support(x) & ~base
+                if off and len({x[e] for e in bits(off)}) == 1:
+                    assert (x[(off & -off).bit_length() - 1], off) in net._residuals
+                    seen.add("kept, touching the base" if vec_support(x) & base else "kept")
+                elif off:
+                    seen.add("solved")
+    assert seen == {"kept", "kept, touching the base", "solved"}
