@@ -225,6 +225,42 @@ def _rat_from_json(obj, path: str) -> Fraction | None:
     raise SchemaError(f"{path}: expected a rational")
 
 
+# The outermost field that sizes each kind's ground set, and the field that
+# holds the object a kind is built on (union and sum: their first part).
+_SIZED_BY = {"uniform": "n", "partition": "n", "explicit": "n", "graphic": "edges",
+             "transversal": "adjacency", "modular": "weights", "coverage": "sets"}
+_BUILT_ON = {"contracted": "inner", "zeroed": "inner", "capped": "inner", "dual": "inner",
+             "set-contracted": "inner", "scaled-rank": "matroid", "induced": "polymatroid"}
+
+
+def _declared_ground(obj) -> int | None:
+    """The ground size a matroid or polymatroid document declares, read
+    without building anything along the path its parser takes first. None
+    when it declares none; such a document is malformed, and its parser
+    refuses it on that path."""
+    while isinstance(obj, dict):
+        kind = obj.get("kind")
+        if not isinstance(kind, str):
+            return None
+        if kind in _SIZED_BY:
+            size = obj.get(_SIZED_BY[kind])
+            if isinstance(size, (list, dict, str)):
+                size = len(size)
+            return size if _is_int(size) and size >= 0 else None
+        if kind in ("union", "sum"):
+            parts = obj.get("parts")
+            obj = parts[0] if isinstance(parts, list) and parts else None
+        else:
+            obj = obj.get(_BUILT_ON.get(kind))
+    return None
+
+
+# A transversal matroid's rank matches over the right vertices up to the
+# highest one named, in lists that long, so a right vertex beyond this is
+# refused before its mask is built.
+MAX_RIGHT = 1 << 20
+
+
 def _table_from_json(obj, path: str) -> list:
     """The 2^n entries of an explicit table, in subset order. An n with more
     subsets than the table has keys is refused before 1 << n is formed."""
@@ -259,13 +295,20 @@ def matroid_to_json(m: MatroidOracle) -> dict:
     raise SchemaError(f"matroid kind {type(m).__name__} has no JSON form")
 
 
-def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
+def matroid_from_json(obj, path: str = "matroid", ground: int | None = None) -> MatroidOracle:
+    """The matroid a JSON object describes. With ground, the instance's
+    ground size, a uniform matroid's n, the one size that nothing else in
+    the document bounds, may not exceed it; that is checked before a
+    contraction builds a mask over it."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{path}: matroid object needs a kind")
     kind = obj["kind"]
     try:
         if kind == "uniform":
-            return UniformMatroid(obj["n"], obj["rank"])
+            n = obj["n"]
+            if ground is not None and _is_int(n) and n > ground:
+                raise SchemaError(f"{path}.n: {n} elements, more than the instance's {ground}")
+            return UniformMatroid(n, obj["rank"])
         if kind == "partition":
             n, named = obj["n"], sum(len(b) for b in obj["blocks"] if isinstance(b, list))
             if _is_int(n) and n > named:
@@ -280,7 +323,8 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
             return GraphicMatroid(obj["vertices"], [tuple(e) for e in obj["edges"]])
         if kind == "transversal":
             right = obj["num_right"]
-            return TransversalMatroid([_mask_from_json(a, right, "right vertices",
+            named = min(right, MAX_RIGHT) if _is_int(right) else right
+            return TransversalMatroid([_mask_from_json(a, named, "right vertices",
                                                        f"{path}.adjacency[{i}]")
                                        for i, a in enumerate(obj["adjacency"])], right)
         if kind == "explicit":
@@ -290,18 +334,19 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
                 raise SchemaError(f"{path}.table: matroid ranks must be integers")
             return ExplicitMatroid(n, table)
         if kind == "contracted":
-            inner = matroid_from_json(obj["inner"], path + ".inner")
+            inner = matroid_from_json(obj["inner"], path + ".inner", ground)
             return ContractedMatroid(inner, _mask_from_json(obj["set"], inner.n, "elements",
                                                             path + ".set"))
         if kind == "zeroed":
-            inner = matroid_from_json(obj["inner"], path + ".inner")
+            inner = matroid_from_json(obj["inner"], path + ".inner", ground)
             return ZeroedMatroid(inner, _mask_from_json(obj["removed"], inner.n, "elements",
                                                         path + ".removed"))
         if kind == "union":
-            return UnionMatroid([matroid_from_json(p, f"{path}.parts[{i}]")
+            return UnionMatroid([matroid_from_json(p, f"{path}.parts[{i}]", ground)
                                  for i, p in enumerate(obj["parts"])])
         if kind == "induced":
-            return InducedMatroid(poly_from_json(obj["polymatroid"], path + ".polymatroid"))
+            return InducedMatroid(poly_from_json(obj["polymatroid"], path + ".polymatroid",
+                                                 ground))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad {kind} matroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown matroid kind {kind!r}")
@@ -331,7 +376,9 @@ def poly_to_json(p: PolymatroidOracle) -> dict:
     raise SchemaError(f"polymatroid kind {type(p).__name__} has no JSON form")
 
 
-def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
+def poly_from_json(obj, path: str = "polymatroid",
+                   ground: int | None = None) -> PolymatroidOracle:
+    """The polymatroid a JSON object describes; ground as in matroid_from_json."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{path}: polymatroid object needs a kind")
     kind = obj["kind"]
@@ -343,7 +390,7 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
             return CoveragePoly([_mask_from_json(s, items, "items", f"{path}.sets[{i}]")
                                  for i, s in enumerate(obj["sets"])], obj["weights"])
         if kind == "scaled-rank":
-            matroid = matroid_from_json(obj["matroid"], path + ".matroid")
+            matroid = matroid_from_json(obj["matroid"], path + ".matroid", ground)
             try:
                 return ScaledRankPoly(matroid, obj["scale"])
             except ValueError as exc:
@@ -355,18 +402,19 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
                 raise SchemaError(f"{path}.table: polymatroid values must be integers")
             return ExplicitPoly(n, table)
         if kind == "sum":
-            return SumPoly([poly_from_json(q, f"{path}.parts[{i}]")
+            return SumPoly([poly_from_json(q, f"{path}.parts[{i}]", ground)
                             for i, q in enumerate(obj["parts"])])
         if kind == "capped":
-            return CappedPoly(poly_from_json(obj["inner"], path + ".inner"), obj["caps"])
+            return CappedPoly(poly_from_json(obj["inner"], path + ".inner", ground), obj["caps"])
         if kind == "contracted":
-            return VectorContractedPoly(poly_from_json(obj["inner"], path + ".inner"), obj["base"])
+            return VectorContractedPoly(poly_from_json(obj["inner"], path + ".inner", ground),
+                                        obj["base"])
         if kind == "set-contracted":
-            inner = poly_from_json(obj["inner"], path + ".inner")
+            inner = poly_from_json(obj["inner"], path + ".inner", ground)
             return MarginalPoly(inner, _mask_from_json(obj["set"], inner.n, "elements",
                                                        path + ".set"))
         if kind == "dual":
-            return DualPoly(poly_from_json(obj["inner"], path + ".inner"), obj["z"])
+            return DualPoly(poly_from_json(obj["inner"], path + ".inner", ground), obj["z"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad {kind} polymatroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown polymatroid kind {kind!r}")
@@ -422,8 +470,15 @@ def parse_instance(data: bytes | str):
                 raise SchemaError(f"missing field: {fld}")
         if not _is_int(obj["b"]) or obj["b"] < 1:
             raise SchemaError("b: must be a positive integer")
-        inst = CoreCoverInstance(matroid_from_json(obj["matroid"]),
-                                 poly_from_json(obj["polymatroid"]), obj["b"])
+        # the smaller side's declared size bounds both before any mask is
+        # built (sides of unequal size are refused either way); a
+        # polymatroid that declares none is refused before the matroid
+        sides = [_declared_ground(obj[fld]) for fld in ("matroid", "polymatroid")]
+        ground = min((n for n in sides if n is not None), default=None)
+        if sides[1] is None:
+            poly_from_json(obj["polymatroid"])
+        inst = CoreCoverInstance(matroid_from_json(obj["matroid"], ground=ground),
+                                 poly_from_json(obj["polymatroid"], ground=ground), obj["b"])
         if inst.matroid.n != inst.polymatroid.n:
             raise SchemaError("matroid/polymatroid: ground sets differ")
     else:
@@ -455,7 +510,7 @@ def _parse_items(obj, m: int, matroid_flavor: bool, allow_none: bool) -> list[It
             v = _rat_from_json(it["value"], path + ".value")
             if v is None or v < 0:
                 raise SchemaError(f"{path}.value: must be a nonnegative rational")
-            poly = poly_from_json(it["polymatroid"], path + ".polymatroid")
+            poly = poly_from_json(it["polymatroid"], path + ".polymatroid", m)
             if poly.n != m:
                 raise SchemaError(f"{path}.polymatroid: ground set size != entity count")
             items.append(Item(value=v, polymatroid=poly))

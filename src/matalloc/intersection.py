@@ -245,14 +245,20 @@ class ExpandedMatroid(MatroidOracle):
 
 
 def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
-                     caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
+                     caps: Caps = DEFAULT_CAPS,
+                     suffix: Callable[[int], PolymatroidOracle] | None = None
+                     ) -> list[tuple[int, ...]]:
     """Split y, a member of the sum polymatroid, into members of the parts
     summing to y exactly.
 
     Units of element e are shared out among the parts by intersecting the
     direct sum of the parts (slot (j, e) at index j*n + e) with the
     per-element degree bound y(e). With more than two parts, one part is
-    peeled off at a time to keep the search to 2n slots.
+    peeled off at a time to keep the search to 2n slots: parts[0] against
+    the sum of parts[1:], then the rest of the parts. suffix(k) is the sum
+    of parts[k:] when the caller keeps those sums, so that their memos,
+    placements and flows carry over from one call to the next; without it
+    each peel builds a new SumPoly.
     """
     n = parts[0].n
     if any(p.n != n for p in parts):
@@ -264,9 +270,10 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
             raise ContractViolation("y is not a member of the single part")
         return [tuple(y)]
     if len(parts) > 2:
-        head, rest = parts[0], SumPoly(parts[1:])
-        first, remainder = decompose_in_sum([head, rest], y, caps)
-        return [first] + decompose_in_sum(parts[1:], remainder, caps)
+        rest = SumPoly(parts[1:]) if suffix is None else suffix(1)
+        first, remainder = decompose_in_sum([parts[0], rest], y, caps)
+        later = None if suffix is None else (lambda k: suffix(k + 1))
+        return [first] + decompose_in_sum(parts[1:], remainder, caps, later)
 
     got = max_common_independent(
         [min(p.value(1 << e), y[e]) for p in parts for e in range(n)],
@@ -280,13 +287,16 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
 
 
 def decompose_merged_basis(parts: Sequence[PolymatroidOracle], y: Sequence[int],
-                           caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
-    """Split a basis y of the sum polymatroid into bases y_j of the parts."""
+                           caps: Caps = DEFAULT_CAPS,
+                           suffix: Callable[[int], PolymatroidOracle] | None = None
+                           ) -> list[tuple[int, ...]]:
+    """Split a basis y of the sum polymatroid into bases y_j of the parts
+    (suffix as in decompose_in_sum)."""
     n = parts[0].n
     total = sum(p.value(full_mask(n)) for p in parts)
     if sum(y) != total:
         raise ContractViolation("y is not a basis of the sum polymatroid")
-    out = decompose_in_sum(parts, y, caps)
+    out = decompose_in_sum(parts, y, caps, suffix)
     for j, p in enumerate(parts):
         if not is_basis(p, out[j], caps):
             raise ContractViolation(f"decomposed part {j} is not a basis")

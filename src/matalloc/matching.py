@@ -5,7 +5,8 @@ adjacency masks. The flow uses breadth-first augmenting paths in exact
 integers and is kept in residual form (ResidualFlow), so changing one left
 vertex's supply costs searches from that vertex instead of a new flow; a
 matching is the flow with unit capacities. The searches run over
-per-left-vertex neighbour tuples, built once per flow and shared by its
+per-left-vertex neighbour tuples and an arc numbering (ArcNumbering),
+built once per adjacency and shared by every flow over it and by their
 copies, and the arc flows are one flat list, so a copy is a few list
 copies. Deterministic: left vertices processed in index order, right
 candidates in ascending order. One residual search serves both exchanges
@@ -23,7 +24,7 @@ from .bitsets import bits
 def max_bipartite_matching(adj: Sequence[int], num_right: int) -> tuple[int, list[int | None]]:
     """Return (matching size, match_left) with match_left[i] the matched right vertex or None:
     a unit-capacity ResidualFlow, read off its holders."""
-    net = ResidualFlow(adj, [1] * len(adj), [1] * num_right)
+    net = ResidualFlow(ArcNumbering(adj), [1] * len(adj), [1] * num_right)
     match_left: list[int | None] = [None] * len(adj)
     for v, hold in enumerate(net.holders):
         if hold:
@@ -39,38 +40,53 @@ def perfect_matching(adj: Sequence[int], num_right: int) -> list[int] | None:
     return [v for v in match_left]  # type: ignore[misc]
 
 
+class ArcNumbering:
+    """The arcs of a bipartite adjacency (left u -> right v for each bit v
+    of adj[u]), numbered once: nbrs[u] lists adj[u]'s right vertices in
+    ascending order, and arcs[u, v] numbers the arcs in that order. A
+    network whose adjacency never changes builds one and passes it to
+    every flow over it (polymatroids.CutNetwork)."""
+
+    __slots__ = ("nbrs", "arcs")
+
+    def __init__(self, adj: Sequence[int]):
+        self.nbrs = tuple(tuple(bits(a)) for a in adj)
+        self.arcs: dict[tuple[int, int], int] = {}
+        for u, row in enumerate(self.nbrs):
+            for v in row:
+                self.arcs[u, v] = len(self.arcs)
+
+
 class ResidualFlow:
     """A maximum flow through a capacitated bipartite network, kept in residual form.
 
     The source feeds left vertex u up to its supply, u passes any amount to
-    each right vertex in adj[u], and right vertex v drains into the sink up to
-    right_caps[v]. By max-flow/min-cut the value is
+    each right vertex it has an arc to, and right vertex v drains into the
+    sink up to right_caps[v]. By max-flow/min-cut the value is
     min over left subsets T of supply(T) + right_caps(N(rest)).
     The constructor saturates greedy direct paths first, then shortest
     augmenting paths by BFS. raise_supply and lower_supply change one left
     vertex's supply and restore a maximum flow by searching from that vertex
     only; copy() keeps the original for the next question.
 
-    nbrs[u] lists adj[u]'s right vertices in ascending order and arcs numbers
-    the arcs (u, v) in that order; flow[arcs[u, v]] is the flow on arc u -> v.
-    Both are built once per construction and shared by copies, which copy
-    only the flat lists of residuals, arc flows and holders.
+    nbrs and arcs are the numbering's (ArcNumbering), which the flow
+    shares with its copies and with every other flow built on it;
+    flow[arcs[u, v]] is the flow on arc u -> v. A copy copies only the
+    flat lists of residuals, arc flows and holders.
     """
 
     __slots__ = ("nbrs", "arcs", "left_res", "right_res", "flow", "holders", "total")
 
-    def __init__(self, adj: Sequence[int], left_caps: Sequence[int], right_caps: Sequence[int]):
-        self.nbrs = tuple(tuple(bits(a)) for a in adj)
-        self.arcs: dict[tuple[int, int], int] = {}
-        for u, row in enumerate(self.nbrs):
-            for v in row:
-                self.arcs[u, v] = len(self.arcs)
+    def __init__(self, numbering: ArcNumbering, left_caps: Sequence[int],
+                 right_caps: Sequence[int]):
+        self.nbrs = numbering.nbrs
+        self.arcs = numbering.arcs
         self.left_res = list(left_caps)
         self.right_res = list(right_caps)
         self.flow = [0] * len(self.arcs)             # flow[arcs[u, v]] on arc u -> v
         self.holders = [0] * len(right_caps)         # holders[v]: left vertices sending into v
         self.total = 0
-        self._augment(range(len(adj)))
+        self._augment(range(len(self.nbrs)))
 
     def copy(self) -> "ResidualFlow":
         twin = ResidualFlow.__new__(ResidualFlow)
@@ -301,8 +317,3 @@ class ResidualFlow:
             d = min(d, flow[arcs[u, prev]])
             v = prev
 
-
-def max_capacitated_flow(adj: Sequence[int], left_caps: Sequence[int],
-                         right_caps: Sequence[int]) -> int:
-    """Value of a maximum flow through a capacitated bipartite network (ResidualFlow)."""
-    return ResidualFlow(adj, left_caps, right_caps).total

@@ -16,7 +16,10 @@ count alone chooses between matroid partition and subset enumeration.
 Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
 and set contractions) are cut networks (CutNetwork): the count of an
 integer x is one exact max-flow, the kept one of the h-capped support when
-x's nonzero entries off the network's base all equal h. A one-element
+x's nonzero entries off the network's base all equal h, and else the one
+kept per supply vector, which a count one unit above derives by raising
+one supply. Every flow of a network, and of its capped and contracted
+forms, runs on one arc numbering of its covers. A one-element
 capped marginal f(i | h·X) there is one augmenting search from i on a copy
 of the max flow of X, which the network keeps in residual form per (h, X)
 (CutNetwork.marginal). The local search only asks whether such a marginal
@@ -58,7 +61,7 @@ from typing import Callable, Sequence
 from . import stats
 from .bitsets import bits, check_subset, elements, full_mask, size, submasks, vec_sum, vec_support
 from .limits import Caps, DEFAULT_CAPS, SizeCapError
-from .matching import ResidualFlow, max_capacitated_flow
+from .matching import ArcNumbering, ResidualFlow
 
 
 class CutNetwork:
@@ -72,22 +75,30 @@ class CutNetwork:
     The network keeps, per (h, set), the max flow of the set capped at h
     (_residual), in residual form. The threshold questions (reaches), the
     exact marginals (marginal), the leave-one-out batches (leave_one_out)
-    and the counts of vectors uniform off base (count) share those flows.
+    and the counts of vectors uniform off base (count) share those flows;
+    the other counts keep theirs per supply vector (_flow). Every flow runs
+    on one ArcNumbering of the covers, which capped and contracted copies
+    of the network share with it, as they share the reaches.
     """
 
     def __init__(self, covers: Sequence[int], weights: Sequence[int],
                  caps: Sequence[int | None], base: int = 0,
-                 reach: Sequence[int] | None = None):
+                 shared: tuple[Sequence[int], ArcNumbering] | None = None):
         self.covers = tuple(covers)
         self.weights = tuple(weights)
         self.caps = tuple(caps)
         self.base = base
-        # reach[e] = w(covers[e]), shared by every network over the same covers
-        self._reach = (tuple(vec_sum(self.weights, cov) for cov in self.covers)
-                       if reach is None else reach)
+        # reach[e] = w(covers[e]) and the flows' arc numbering, both shared by
+        # every network over the same covers (capped, contracted)
+        if shared is None:
+            shared = (tuple(vec_sum(self.weights, cov) for cov in self.covers),
+                      ArcNumbering(self.covers))
+        self._shared = shared
+        reach, self._numbering = shared
         # an uncapped element is cut at the weight it covers, which never binds
-        self._left = tuple(r if c is None else min(c, r) for c, r in zip(self.caps, self._reach))
+        self._left = tuple(r if c is None else min(c, r) for c, r in zip(self.caps, reach))
         self._residuals: dict[tuple[int, int], ResidualFlow] = {}
+        self._flows: dict[tuple[int, ...], ResidualFlow] = {}
 
     @property
     def plain(self) -> bool:
@@ -98,17 +109,17 @@ class CutNetwork:
         """Caps min-merged on the elements outside base (base elements are loops)."""
         merged = tuple(c if (self.base >> e) & 1 else _min_cap(c, d)
                        for e, (c, d) in enumerate(zip(self.caps, caps)))
-        return CutNetwork(self.covers, self.weights, merged, self.base, self._reach)
+        return CutNetwork(self.covers, self.weights, merged, self.base, self._shared)
 
     def contracted(self, mask: int) -> "CutNetwork":
-        return CutNetwork(self.covers, self.weights, self.caps, self.base | mask, self._reach)
+        return CutNetwork(self.covers, self.weights, self.caps, self.base | mask, self._shared)
 
     @cached_property
     def _f_base(self) -> int:
         """F(base): the max flow with supply _left on base."""
-        es = elements(self.base)
-        return max_capacitated_flow([self.covers[e] for e in es],
-                                    [self._left[e] for e in es], self.weights)
+        base, left = self.base, self._left
+        supply = [left[e] if (base >> e) & 1 else 0 for e in range(len(left))]
+        return ResidualFlow(self._numbering, supply, self.weights).total
 
     def count(self, x: Sequence[int]) -> int:
         """max y(E) over integer y <= x in P(f), for an integer x >= 0: the
@@ -118,7 +129,10 @@ class CutNetwork:
 
         When x's nonzero entries off base all equal one h, that flow is the
         kept max flow of the h-capped support (_residual), as for the
-        threshold questions; else it is solved.
+        threshold questions. Else it is the flow kept per supply vector
+        (_flow), derived from the kept flow of the supply one unit below at
+        some element j by raising j's supply by 1: the supply of x − 1_j,
+        when x[j] <= _left[j]. Only with no such flow kept is it solved.
         """
         base, left = self.base, self._left
         supp = vec_support(x)
@@ -128,10 +142,27 @@ class CutNetwork:
         h = x[(off & -off).bit_length() - 1]
         if all(x[e] == h for e in bits(off)):
             return self._residual(h, off).total - self._f_base
-        es = elements(supp | base)
-        supply = [left[e] if (base >> e) & 1 else min(x[e], left[e]) for e in es]
-        return (max_capacitated_flow([self.covers[e] for e in es], supply, self.weights)
-                - self._f_base)
+        supply = tuple([t if (base >> e) & 1 else min(v, t)
+                        for e, (v, t) in enumerate(zip(x, left))])
+        return self._flow(supply, off).total - self._f_base
+
+    def _flow(self, supply: tuple[int, ...], off: int) -> ResidualFlow:
+        """The max flow with this supply, kept per supply vector. A missing
+        one is a copy of the kept flow of supply − 1_j, for some j of off,
+        with j's supply raised by 1; with none it is solved."""
+        flows = self._flows
+        kept = flows.get(supply)
+        if kept is None:
+            for j in bits(off):
+                near = flows.get(supply[:j] + (supply[j] - 1,) + supply[j + 1:])
+                if near is not None:
+                    kept = near.copy()
+                    kept.raise_supply(j, 1)
+                    break
+            else:
+                kept = ResidualFlow(self._numbering, supply, self.weights)
+            flows[supply] = kept
+        return kept
 
     def marginal(self, i: int, h: int, mask: int) -> int:
         """f(i | h·mask): the capped marginal of element i above mask with the
@@ -227,7 +258,7 @@ class CutNetwork:
         supply = [0] * len(self.covers)
         for e in bits(off | self.base):
             supply[e] = min(h, self._left[e]) if (off >> e) & 1 else self._left[e]
-        return ResidualFlow(self.covers, supply, self.weights)
+        return ResidualFlow(self._numbering, supply, self.weights)
 
 
 class PolymatroidOracle:
@@ -321,10 +352,14 @@ class PolymatroidOracle:
 
 
 def _check_weights(weights: Sequence[int], what: str) -> None:
-    if any(not isinstance(w, int) or isinstance(w, bool) for w in weights):
-        raise ValueError(f"{what} must be integers")
-    if any(w < 0 for w in weights):
-        raise ValueError(f"{what} must be nonnegative")
+    """Every entry an int (not a bool), then every entry nonnegative. Plain
+    loops: each threshold question checks its h here."""
+    for w in weights:
+        if not isinstance(w, int) or isinstance(w, bool):
+            raise ValueError(f"{what} must be integers")
+    for w in weights:
+        if w < 0:
+            raise ValueError(f"{what} must be nonnegative")
 
 
 class ModularPoly(PolymatroidOracle):
@@ -775,7 +810,7 @@ def place(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> Placement:
     flow = None
     if g is not None:
         supply = [min(v, t) for v, t in zip(x, g._left)]
-        flow = ResidualFlow(g.covers, supply, g.weights)
+        flow = ResidualFlow(g._numbering, supply, g.weights)
         for e in bits(supp):
             pending[e] -= supply[e] - flow.left_res[e]
             flow.left_res[e] = 0   # g holds exactly what it carries

@@ -577,13 +577,15 @@ def _alloc_from_cover(inst: SantaInstance, idxs: Sequence[int], need: Sequence[i
                       ) -> list[tuple[int, ...]]:
     """Distribute the resources idxs so that player e receives at least need[e]
     units in total; each resource ends on a basis of its polymatroid. A need
-    outside the resources' merged polymatroid raises short."""
+    outside the resources' merged polymatroid raises short. The merged
+    polymatroid and the suffix sums the basis split peels are the
+    instance's (resource_sum), so their memos carry over between guesses."""
     polys = [inst.resources[j].polymatroid for j in idxs]
     merged = polys[0] if len(polys) == 1 else inst.resource_sum(idxs)
     if not member(merged, need, caps):
         raise short("cover demand exceeds the merged polymatroid")
     y = greedy_basis_above(merged, tuple(need), caps)
-    return decompose_merged_basis(polys, y, caps)
+    return decompose_merged_basis(polys, y, caps, lambda k: inst.resource_sum(idxs[k:]))
 
 
 def _cover_core(inst: SantaInstance, heavy: Sequence[int], light_sum: PolymatroidOracle, b: int,

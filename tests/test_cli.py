@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import matalloc
+import matalloc.cli as cli
 from matalloc.cli import main
-from matalloc.instances import gen_random, matroid_from_json, poly_from_json, serialize_instance
-from matalloc.limits import SchemaError
+from matalloc.instances import (MAX_RIGHT, gen_random, matroid_from_json, parse_instance,
+                                poly_from_json, serialize_instance)
+from matalloc.limits import InternalInvariantError, SchemaError
 from matalloc.matroids import PartitionMatroid
-from matalloc.polymatroids import MAX_SCALE
+from matalloc.polymatroids import MAX_SCALE, member
 
 
 def run(capsys, *argv):
@@ -389,6 +391,57 @@ def test_a_partition_whose_blocks_name_n_elements_parses():
             PartitionMatroid(n, blocks, [1] * len(blocks))
 
 
+_BIG = 1 << 33
+
+
+def _huge_nested(kind):
+    """A matroid on 3 elements with a nested size of 2^33: a transversal
+    matroid naming right vertex 2^33 − 1 of 2^33, or a contraction of a
+    uniform matroid on 2^33 elements by its last one."""
+    if kind == "transversal":
+        return {"kind": "transversal", "num_right": _BIG, "adjacency": [[0], [_BIG - 1], [1]]}
+    return {"kind": "contracted", "inner": {"kind": "uniform", "n": _BIG, "rank": 1},
+            "set": [_BIG - 1]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"type": "core-cover", "b": 1, "matroid": _huge_nested("transversal"),
+      "polymatroid": _MODULAR_3},
+     f"matroid.adjacency[1][0]: must name one of the right vertices 0..{MAX_RIGHT - 1}"),
+    ({"type": "core-cover", "b": 1, "matroid": _huge_nested("contracted"),
+      "polymatroid": _MODULAR_3},
+     f"matroid.inner.n: {_BIG} elements, more than the instance's 3"),
+    ({"type": "core-cover", "b": 1, "matroid": {"kind": "uniform", "n": 3, "rank": 1},
+      "polymatroid": {"kind": "scaled-rank", "scale": 1, "matroid": _huge_nested("contracted")}},
+     f"polymatroid.matroid.inner.n: {_BIG} elements, more than the instance's 3"),
+    ({"type": "santa-matroid", "players": 3,
+      "items": [{"value": 1, "polymatroid": {"kind": "scaled-rank", "scale": 1,
+                                             "matroid": _huge_nested("contracted")}}]},
+     f"items[0].polymatroid.matroid.inner.n: {_BIG} elements, more than the instance's 3"),
+], ids=["transversal", "contracted", "contracted-in-polymatroid", "contracted-in-item"])
+def test_a_huge_nested_size_is_a_schema_error(tmp_path, doc, field):
+    """A size nested in a matroid is checked against the instance's ground
+    size (the other side's of a core-cover, the players of a santa-matroid
+    instance), and a transversal's right vertices against MAX_RIGHT, before
+    any mask over them is built (a mask over 2^33 elements takes 1 GiB);
+    the child process has 1 GiB of address space, as above."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    command = "solve-cover" if doc["type"] == "core-cover" else "verify"
+    proc = _run_capped("-m", "matalloc.cli", command, "--in", str(path))
+    assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert f"error: {field}" in proc.stderr
+
+
+def test_right_vertices_up_to_the_cap_parse():
+    m = matroid_from_json({"kind": "transversal", "num_right": _BIG,
+                           "adjacency": [[MAX_RIGHT - 1], [0]]})
+    assert m.num_right == _BIG and m.rank(0b11) == 2
+    with pytest.raises(SchemaError, match=r"^matroid\.adjacency\[0\]\[0\]: "):
+        matroid_from_json({"kind": "transversal", "num_right": _BIG,
+                           "adjacency": [[MAX_RIGHT], [0]]})
+
+
 # Mutation fuzz: seed documents of every instance type, each under the
 # commands that read its type (reduce by every kind).
 _FUZZ_COMMANDS = {
@@ -420,8 +473,9 @@ def _json_spots(obj, path=()):
 
 def _mutate(doc, rng):
     """doc with one or two entries deleted, duplicated (in a list),
-    shifted (an integer, by ±1, by 2^33 or to its negative minus one) or
-    replaced by a value from _FUZZ_VALUES."""
+    shifted (an integer, by ±1, by 2^33 or to its negative minus one),
+    replaced, if a matroid, by one of _huge_nested's shapes, or replaced by
+    a value from _FUZZ_VALUES."""
     doc = json.loads(json.dumps(doc))
     for _ in range(rng.randint(1, 2)):
         path, old = rng.choice(list(_json_spots(doc)))
@@ -435,6 +489,8 @@ def _mutate(doc, rng):
             parent.append(old)
         elif r < 0.5 and isinstance(old, int) and not isinstance(old, bool):
             parent[key] = old + rng.choice([-1, 1, 1 << 33, -2 * old - 1])
+        elif r < 0.6 and key == "matroid":
+            parent[key] = _huge_nested(rng.choice(["transversal", "contracted"]))
         else:
             parent[key] = rng.choice(_FUZZ_VALUES)
     return doc
@@ -532,9 +588,6 @@ def test_solve_cover_nonpositive_b_exit_one(tmp_path, capsys, b):
 
 
 def test_internal_invariant_error_exit_three(tmp_path, capsys, monkeypatch):
-    import matalloc.cli as cli
-    from matalloc.limits import InternalInvariantError
-
     def broken(*args, **kwargs):
         raise InternalInvariantError("I_M must be independent")
 
@@ -549,8 +602,6 @@ def test_internal_invariant_error_exit_three(tmp_path, capsys, monkeypatch):
 
 def test_union_matroid_core_solves(tmp_path, capsys):
     """A 14-element core whose matroid is a JSON union of three parts of rank 13."""
-    from matalloc.instances import parse_instance
-    from matalloc.polymatroids import member
 
     n = 14
     matroid = {"kind": "union", "parts": [

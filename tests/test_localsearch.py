@@ -9,15 +9,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matalloc.localsearch as localsearch
 from matalloc.bitsets import bits, full_mask, size
 from matalloc.instances import CoreCoverInstance, gen_gap_instance, gen_random, parse_instance
 from matalloc.limits import DEFAULT_CAPS
 from matalloc.localsearch import (Certificate, SearchState, augment,
                                   build_addable, compute_blocking, recursion_node_bound,
                                   solve_cover, verify_certificate)
-from matalloc.matroids import UniformMatroid
+from matalloc.matching import ResidualFlow
+from matalloc.matroids import InducedMatroid, PartitionMatroid, UniformMatroid
 from matalloc.oracle import brute_max_cover_b
-from matalloc.polymatroids import ModularPoly, member
+from matalloc.polymatroids import CoveragePoly, ModularPoly, SumPoly, member
 
 EPS = Fraction(1, 10)
 
@@ -125,8 +127,6 @@ class TestDriver:
         n = inst.matroid.n
         if res.feasible:
             assert inst.matroid.is_independent(res.I_M)
-            from matalloc.polymatroids import member
-
             assert member(inst.polymatroid, res.y)
             for e in range(n):
                 assert (res.I_M >> e) & 1 or res.y[e] >= inst.b
@@ -198,10 +198,6 @@ class TestRecursionPath:
         # of them; the matroid keeps t and a in one capacity-1 block and makes
         # the p's loops. Covering t must evict a, a is blocked by the p's, and
         # the recursion on them cannot help: the fold yields Z2 = {a, p1, p2}.
-        from matalloc.instances import CoreCoverInstance
-        from matalloc.matroids import PartitionMatroid
-        from matalloc.polymatroids import CoveragePoly
-
         poly = CoveragePoly([0b11100, 0b00011, 0b00001, 0b00010], [1] * 5)
         matroid = PartitionMatroid(4, [0b0011, 0b1100], [1, 0])
         inst = CoreCoverInstance(matroid, poly, b=1)
@@ -230,7 +226,6 @@ def test_a_child_success_returns_to_its_parent(name, opt, feasible, eps, monkeyp
     """A recursive augment call succeeds, so its parent merges the child's
     I_M and I_P, re-checks independence and membership and recomputes the
     blocking set. The outcome agrees with the brute-force optimum."""
-    import matalloc.localsearch as localsearch
 
     inst = parse_instance((Path(__file__).parent / "corpus" / f"{name}.json").read_bytes())
     assert brute_max_cover_b(inst.matroid, inst.polymatroid) == opt
@@ -270,7 +265,6 @@ def test_a_child_success_returns_to_its_parent(name, opt, feasible, eps, monkeyp
 def _coverage_core(seed, n=None):
     """The core-certify benchmark's shape (uniform rank n//3 against
     coverage of density 0.3, weights 1-3), at n 8-10 unless given."""
-    from matalloc.polymatroids import CoveragePoly
 
     rng = random.Random(seed)
     n = n or rng.randint(8, 10)
@@ -280,9 +274,6 @@ def _coverage_core(seed, n=None):
 
 
 def _induced_core(seed):
-    from matalloc.matroids import InducedMatroid
-    from matalloc.polymatroids import SumPoly
-
     rng = random.Random(seed)
     santa = gen_random("santa-matroid", seed, m=rng.randint(5, 7), n=rng.randint(4, 6),
                        u=Fraction(1), w=Fraction(3))
@@ -308,8 +299,6 @@ def _comparable(res):
     *(lambda s=s: _induced_core(s) for s in range(10)),
 ])
 def test_unchecked_run_gives_the_same_result(make, monkeypatch):
-    import matalloc.localsearch as localsearch
-
     checked = solve_cover(make(), EPS)
     monkeypatch.setattr(localsearch, "_assert_state", lambda *args: None)
     monkeypatch.setattr(localsearch, "_check_blocking_invariants", lambda *args: None)
@@ -324,8 +313,6 @@ def test_unchecked_run_gives_the_same_result(make, monkeypatch):
 def test_threshold_questions_raise_a_supply_by_at_most_h(monkeypatch):
     """Every threshold question, asked one at a time or as a leave-one-out
     batch, raises a supply by at most its h."""
-    import matalloc.localsearch as localsearch
-    from matalloc.matching import ResidualFlow
 
     asked: list[int] = []            # h of the threshold question in progress
     raises: list[tuple[int, int]] = []
@@ -375,7 +362,6 @@ def test_batched_leave_one_out_solves_as_one_question_at_a_time(seed, n, monkeyp
     """With the leave-one-out questions asked one marginal_reaches at a
     time, solve_cover returns the same CoverResult, oracle_queries included,
     at every b up to the first infeasible one."""
-    import matalloc.localsearch as localsearch
 
     def sweep():
         inst, out = _coverage_core(seed, n), []

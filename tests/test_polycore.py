@@ -14,7 +14,7 @@ from matalloc.bitsets import bits, elements, full_mask, size, submasks, vec_sum,
 from matalloc.instances import CoreCoverInstance, gen_random
 from matalloc.localsearch import solve_cover
 from matalloc.limits import Caps, SizeCapError
-from matalloc.matching import ResidualFlow, max_capacitated_flow
+from matalloc.matching import ArcNumbering, ResidualFlow
 from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, GraphicMatroid,
                                InducedMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid, UnionMatroid, ZeroedMatroid, matroid_add_greedy)
@@ -713,6 +713,12 @@ def cuts(adj, left, right):
         yield t, vec_sum(left, t) + vec_sum(right, reach)
 
 
+def max_capacitated_flow(adj, left, right):
+    """The value of a maximum flow through the network, solved from scratch
+    on a numbering of its own: the reference for kept and derived flows."""
+    return ResidualFlow(ArcNumbering(adj), left, right).total
+
+
 def min_cut(adj, left, right):
     """min over left subsets T of left(T) + right(N(rest)), by enumeration."""
     return min(v for _, v in cuts(adj, left, right))
@@ -748,7 +754,7 @@ def random_network(rng):
 def test_residual_flow_is_a_max_flow_through_raises_and_lowers(seed):
     rng = random.Random(seed)
     adj, left, right = random_network(rng)
-    res = ResidualFlow(adj, left, right)
+    res = ResidualFlow(ArcNumbering(adj), left, right)
     assert res.total == max_capacitated_flow(adj, left, right) == min_cut(adj, left, right)
     assert_is_flow(res, adj, left, right)
     for _ in range(8):
@@ -787,7 +793,7 @@ def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
     carried in full, else exactly the z != u for which c − 1_z + 1_u is."""
     rng = random.Random(seed)
     adj, _, right = random_network(rng)
-    res = ResidualFlow(adj, [rng.randint(0, 4) for _ in adj], right)
+    res = ResidualFlow(ArcNumbering(adj), [rng.randint(0, 4) for _ in adj], right)
     c = [sum(f for (w, _), f in arc_flows(res).items() if w == u) for u in range(len(adj))]
     res.left_res = [0] * len(adj)
 
@@ -808,7 +814,7 @@ def test_a_copy_shares_the_neighbour_lists_and_not_the_flow(seed):
     original's flow as it was."""
     rng = random.Random(seed)
     adj, left, right = random_network(rng)
-    res = ResidualFlow(adj, left, right)
+    res = ResidualFlow(ArcNumbering(adj), left, right)
     assert res.nbrs == tuple(tuple(bits(a)) for a in adj)
     assert sorted(res.arcs.values()) == list(range(len(res.flow)))
     kept = (arc_flows(res), res.left_res[:], res.right_res[:], res.holders[:], res.total)
@@ -836,7 +842,7 @@ def test_source_side_is_what_every_minimum_cut_keeps(seed):
     raises and lowers of the kept flow."""
     rng = random.Random(seed)
     adj, left, right = random_network(rng)
-    res = ResidualFlow(adj, left, right)
+    res = ResidualFlow(ArcNumbering(adj), left, right)
     for _ in range(6):
         least = min_cut(adj, left, right)
         sink_side = 0
@@ -1396,9 +1402,9 @@ def test_reaches_decides_as_the_full_marginal(monkeypatch):
 def test_uniform_counts_come_off_kept_flows():
     """A vector whose nonzero entries off the network's base all equal one
     h is counted off the kept flow of its h-capped support, the flow the
-    threshold questions keep; others are solved. Both against a scratch
-    max-flow and against sfm_min on the definitions, with entries on the
-    base (loops) drawn at random."""
+    threshold questions keep; others off the flow kept per supply vector.
+    Both against a scratch max-flow and against sfm_min on the
+    definitions, with entries on the base (loops) drawn at random."""
     seen = set()
     for seed in range(40):
         rng, p = network_chain(seed)
@@ -1424,5 +1430,68 @@ def test_uniform_counts_come_off_kept_flows():
                     assert (x[(off & -off).bit_length() - 1], off) in net._residuals
                     seen.add("kept, touching the base" if vec_support(x) & base else "kept")
                 elif off:
-                    seen.add("solved")
-    assert seen == {"kept", "kept, touching the base", "solved"}
+                    assert tuple(supply[es.index(e)] if e in es else 0
+                                 for e in range(p.n)) in net._flows
+                    seen.add("per supply")
+    assert seen == {"kept", "kept, touching the base", "per supply"}
+
+
+def flow_state(res):
+    return res.left_res[:], res.right_res[:], res.flow[:], res.holders[:], res.total
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_counts_one_unit_away_come_off_kept_flows(seed, monkeypatch):
+    """Walks of ±1-unit steps, elements taken in a shuffled order, on the
+    cut network of a plain polymatroid and of a capped and a contracted
+    form of it. Every count equals a max flow solved from scratch and the
+    sfm_min count on the definitions. All flows of the three networks are
+    built on one numbering, no kept flow changes after it is kept (a
+    derived flow is a copy), and a count whose vector is one unit above
+    the last one counted comes off a kept flow, not a new solve."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    plain = network_part(rng, n)
+    forms = [plain, CappedPoly(plain, [rng.choice([None, 0, 1, 2]) for _ in range(n)]),
+             MarginalPoly(plain, rng.getrandbits(n) & ~1)]
+    numbering = plain.network._numbering
+    assert all(p.network._numbering is numbering for p in forms)
+    solves = []
+
+    class Counted(ResidualFlow):
+        def __init__(self, *args):
+            solves.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(polymatroids, "ResidualFlow", Counted)
+    raises = 0
+    for p in forms:
+        net, ref = p.network, chain_reference(p)
+        base, left = net.base, net._left
+        f_base = max_capacitated_flow([net.covers[e] for e in bits(base)],
+                                      [left[e] for e in bits(base)], net.weights)
+        order = list(range(n))
+        rng.shuffle(order)
+        x, kept, last_mixed = [0] * n, {}, False
+        for step in range(60):
+            e = order[step % n] if rng.random() < 0.8 else rng.randrange(n)
+            up = x[e] <= left[e] and not (x[e] and rng.random() < 0.35)
+            x[e] += 1 if up else -1
+            es = elements(vec_support(x) | base)
+            supply = [left[e] if (base >> e) & 1 else min(x[e], left[e]) for e in es]
+            want = max_capacitated_flow([net.covers[e] for e in es], supply, net.weights) - f_base
+            del solves[:]
+            assert net.count(x) == want == sfm_count(ref, x), (seed, x)
+            mixed = len({x[e] for e in bits(vec_support(x) & ~base)}) > 1
+            if up and mixed and last_mixed:
+                # the vector one unit below at e was counted last, off a flow
+                # kept per supply, so this one is derived from it
+                assert not solves
+                raises += 1
+            last_mixed = mixed
+            for flows in (net._flows, net._residuals):
+                for key, res in flows.items():
+                    assert res.nbrs is numbering.nbrs and res.arcs is numbering.arcs
+                    kept.setdefault((id(flows), key), flow_state(res))
+                    assert flow_state(res) == kept[id(flows), key]
+    assert raises
