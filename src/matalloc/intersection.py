@@ -171,13 +171,13 @@ def _augment(caps: Sequence[int], side1: Side, side2: Side, x: list[int]) -> boo
     side1.reset(x)
     side2.reset(x)
     outside = [s for s in range(n) if x[s] < caps[s]]   # node s
+    # every path ends at a sink, so with none side 1 is asked nothing; after
+    # a fill that takes every unit, this is how the last search ends
+    sinks = {y for y in outside if side2.gain(y)}
+    if not sinks:
+        return False
     inside = [s for s in range(n) if x[s]]              # node n + s
-    sources, sinks = [], set()
-    for y in outside:
-        if side1.gain(y):
-            sources.append(y)
-        if side2.gain(y):
-            sinks.add(y)
+    sources = [y for y in outside if side1.gain(y)]
     # BFS over the exchange digraph: y -> n + s when x + e_y - e_s is
     # independent for side2, n + s -> y when it is independent for side1
     # (for y == s that is x itself)

@@ -127,8 +127,9 @@ class GraphicMatroid(MatroidOracle):
 
 class TransversalMatroid(MatroidOracle):
     """adjacency[e] is a bitmask of right-side vertices e may be matched to.
-    Matchings run over the right vertices up to the highest one named, so
-    their size does not follow num_right."""
+    Matchings run over the right vertices named, numbered densely in
+    ascending order, so their size follows neither num_right nor the
+    labels; adjacency and num_right keep the labels as given."""
 
     def __init__(self, adjacency: Sequence[int], num_right: int):
         super().__init__(len(adjacency))
@@ -137,10 +138,15 @@ class TransversalMatroid(MatroidOracle):
             raise ValueError(f"adjacency may only name right vertices 0..{num_right - 1}")
         self.adjacency = tuple(adjacency)
         self.num_right = num_right
-        self._named = max(self.adjacency, default=0).bit_length()
+        named = 0
+        for a in self.adjacency:
+            named |= a
+        dense = {v: k for k, v in enumerate(bits(named))}
+        self._dense = tuple(sum(1 << dense[v] for v in bits(a)) for a in self.adjacency)
+        self._named = len(dense)
 
     def _rank(self, mask: int) -> int:
-        adj = [self.adjacency[e] for e in bits(mask)]
+        adj = [self._dense[e] for e in bits(mask)]
         matched, _ = max_bipartite_matching(adj, self._named)
         return matched
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bitsets import full_mask, size, submasks
+from .bitsets import bits, elements, full_mask, size, submasks
 from .limits import Caps, DEFAULT_CAPS, SizeCapError
 from .matroids import MatroidOracle
 from .polymatroids import PolymatroidOracle, member, saturation_slack
@@ -119,6 +119,23 @@ def _brute(instance, caps: Caps, maximize_min: bool):
 
     rec(0)
     return best[0], best[1], space
+
+
+def brute_transversal_rank(adjacency: Sequence[int], mask: int) -> int:
+    """The most elements of mask matched to distinct right vertices, over
+    every assignment of each element to nothing or to a free neighbour in
+    adjacency[e] (right vertices by their labels, as given)."""
+    order = elements(mask)
+
+    def best(k: int, used: int) -> int:
+        if k == len(order):
+            return 0
+        out = best(k + 1, used)
+        for v in bits(adjacency[order[k]] & ~used):
+            out = max(out, 1 + best(k + 1, used | 1 << v))
+        return out
+
+    return best(0, 0)
 
 
 def brute_max_cover_b(matroid: MatroidOracle, poly: PolymatroidOracle,

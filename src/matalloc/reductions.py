@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .bitsets import full_mask
@@ -542,12 +543,20 @@ def matroid_santa_from_schedule(bundle: MatroidDualBundle, schedule: Allocation,
 
 @dataclass
 class CoreReduction:
-    """Outcome of reduce_to_core: the allocation (per-resource vectors in the
-    source instance) plus which path produced it."""
+    """Outcome of reduce_to_core for an accepted guess: which path accepted
+    it, the value it guarantees, and the allocation (per-resource vectors in
+    the source instance). The allocation and its bound check are built once,
+    on the first read of alloc, so a guess loop that keeps only its last
+    accepted guess back-translates only that one; a ContractViolation or
+    SizeCapError of the build surfaces on that read."""
 
-    alloc: Allocation
+    build: Callable[[], Allocation]
     case: str
     achieved: Fraction
+
+    @cached_property
+    def alloc(self) -> Allocation:
+        return self.build()
 
 
 def _unit_split(items: Sequence[Item]) -> tuple[int, list[int], list[PolymatroidOracle]]:
@@ -572,39 +581,59 @@ def _unit_rows(copies: Sequence[PolymatroidOracle], ints: Sequence[int], y: Sequ
     return rows
 
 
+def _merged(inst: SantaInstance, idxs: Sequence[int]) -> PolymatroidOracle:
+    """The merged polymatroid of the resources idxs: the resource itself, or
+    the instance's resource_sum, whose memos carry over between guesses."""
+    return inst.resources[idxs[0]].polymatroid if len(idxs) == 1 else inst.resource_sum(idxs)
+
+
 def _alloc_from_cover(inst: SantaInstance, idxs: Sequence[int], need: Sequence[int],
-                      caps: Caps, short: type[Exception] = ContractViolation
-                      ) -> list[tuple[int, ...]]:
+                      caps: Caps) -> list[tuple[int, ...]]:
     """Distribute the resources idxs so that player e receives at least need[e]
     units in total; each resource ends on a basis of its polymatroid. A need
-    outside the resources' merged polymatroid raises short. The merged
-    polymatroid and the suffix sums the basis split peels are the
-    instance's (resource_sum), so their memos carry over between guesses."""
-    polys = [inst.resources[j].polymatroid for j in idxs]
-    merged = polys[0] if len(polys) == 1 else inst.resource_sum(idxs)
+    outside the resources' merged polymatroid is a ContractViolation. The
+    basis split peels the instance's suffix sums (resource_sum), so their
+    memos carry over between guesses."""
+    merged = _merged(inst, idxs)
     if not member(merged, need, caps):
-        raise short("cover demand exceeds the merged polymatroid")
+        raise ContractViolation("cover demand exceeds the merged polymatroid")
     y = greedy_basis_above(merged, tuple(need), caps)
-    return decompose_merged_basis(polys, y, caps, lambda k: inst.resource_sum(idxs[k:]))
+    return decompose_merged_basis([inst.resources[j].polymatroid for j in idxs], y, caps,
+                                  lambda k: inst.resource_sum(idxs[k:]))
 
 
 def _cover_core(inst: SantaInstance, heavy: Sequence[int], light_sum: PolymatroidOracle, b: int,
                 cover_solver: Callable[[CoreCoverInstance], object], caps: Caps
-                ) -> tuple[list, tuple[int, ...]]:
+                ) -> tuple[Callable[[], list], tuple[int, ...]]:
     """Cover the players by the matroid induced by the heavy resources' sum
-    against light_sum at level b. Returns the allocation with the heavy
-    resources placed over the cover's I_M (every other resource empty) and
-    the cover's light vector y; no cover raises GuessRejected."""
+    against light_sum at level b; no cover raises GuessRejected. Returns the
+    cover's light vector y and a build of the allocation that places the
+    heavy resources over the cover's I_M (every other resource empty)."""
     m = inst.num_players
     res = cover_solver(CoreCoverInstance(InducedMatroid(inst.resource_sum(heavy)), light_sum, b))
     if res is None or not getattr(res, "feasible", False):
         raise GuessRejected("core cover solver found no cover at the guessed level")
-    alloc: list = [tuple([0] * m) for _ in inst.resources]
-    if res.I_M:
-        need = [(res.I_M >> e) & 1 for e in range(m)]
-        for j, piece in zip(heavy, _alloc_from_cover(inst, heavy, need, caps)):
-            alloc[j] = piece
-    return alloc, res.y
+
+    def build() -> list:
+        alloc: list = [tuple([0] * m) for _ in inst.resources]
+        if res.I_M:
+            need = [(res.I_M >> e) & 1 for e in range(m)]
+            for j, piece in zip(heavy, _alloc_from_cover(inst, heavy, need, caps)):
+                alloc[j] = piece
+        return alloc
+
+    return build, res.y
+
+
+def _checked(inst: SantaInstance, build: Callable[[], Allocation], case: str,
+             bound: Fraction) -> CoreReduction:
+    """The accepted outcome whose allocation is build() held to the bound."""
+    def checked() -> Allocation:
+        alloc = build()
+        _require_min_value(inst, alloc, bound)
+        return alloc
+
+    return CoreReduction(checked, case, bound)
 
 
 def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
@@ -613,8 +642,14 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
     """Solve a restricted matroid max-min instance to value >= guess/alpha
     (two-value flavor) or guess/(2*alpha) (general flavor), through core
     cover calls. cover_solver(CoreCoverInstance) returns an object with
-    .feasible, .I_M and .y, or None; infeasibility raises GuessRejected
-    so an enclosing guessing loop can lower its guess.
+    .feasible, .I_M and .y, or None.
+
+    The guess is accepted or rejected here: every check that can reject it
+    (the cover call, the one-each membership, the round case's level search)
+    runs before this returns, and a rejection raises GuessRejected so an
+    enclosing guessing loop can lower its guess. The allocation of an
+    accepted guess, and the check of its bound, are built on the first read
+    of the result's alloc (see CoreReduction).
 
     Two-value dispatch at thresholds guess/alpha: below u, one resource per
     player suffices; between u and w, cover by the matroid of w-coverable
@@ -639,9 +674,11 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
 
     if u >= 1 / alpha:
         # one resource each suffices, unless some player can receive none
-        alloc = _alloc_from_cover(inst, range(len(inst.resources)), [1] * m, caps,
-                                  GuessRejected)
-        return CoreReduction(alloc, "one-each", guess * u)
+        every = range(len(inst.resources))
+        if not member(_merged(inst, every), [1] * m, caps):
+            raise GuessRejected("cover demand exceeds the merged polymatroid")
+        return CoreReduction(lambda: _alloc_from_cover(inst, every, [1] * m, caps),
+                             "one-each", guess * u)
 
     w_idx = [j for j, it in enumerate(scaled.resources) if it.value == w]
     u_idx = [j for j, it in enumerate(scaled.resources) if it.value == u]
@@ -651,12 +688,16 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         # every player onto the matroid side
         u_sum = inst.resource_sum(u_idx) if u_idx and u > 0 else ModularPoly([0] * m)
         b = 1 if u == 0 else math.ceil(1 / (alpha * u))
-        alloc, y = _cover_core(inst, w_idx, u_sum, b, cover_solver, caps)
-        if u_idx:
-            for j, piece in zip(u_idx, _alloc_from_cover(inst, u_idx, list(y), caps)):
-                alloc[j] = piece
-        _require_min_value(inst, alloc, guess / alpha)
-        return CoreReduction(alloc, "core-cover", guess / alpha)
+        placed, y = _cover_core(inst, w_idx, u_sum, b, cover_solver, caps)
+
+        def build() -> list:
+            alloc = placed()
+            if u_idx:
+                for j, piece in zip(u_idx, _alloc_from_cover(inst, u_idx, list(y), caps)):
+                    alloc[j] = piece
+            return alloc
+
+        return _checked(inst, build, "core-cover", guess / alpha)
 
     # every value is small: saturate the unit-split polymatroid and round
     scale, ints, copies = _unit_split(scaled.resources)
@@ -667,11 +708,12 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
     lo, _ = guess_loop(lambda k: member(split, [k] * m, caps) or None, range(1, hi + 1))
     if lo is None or lo < scale:
         raise GuessRejected("the unit-split polymatroid cannot reach the guessed level")
-    frac = FractionalAssignment(Fraction(lo, scale),
-                                _unit_rows(copies, ints, tuple([lo] * m), caps))
-    alloc = round_santa(scaled, frac, caps)
-    _require_min_value(inst, alloc, guess / alpha)
-    return CoreReduction(alloc, "round", guess / alpha)
+
+    def build() -> Allocation:
+        rows = _unit_rows(copies, ints, tuple([lo] * m), caps)
+        return round_santa(scaled, FractionalAssignment(Fraction(lo, scale), rows), caps)
+
+    return _checked(inst, build, "round", guess / alpha)
 
 
 def _reduce_general(inst: SantaInstance, scaled: SantaInstance, alpha: Fraction,
@@ -689,11 +731,16 @@ def _reduce_general(inst: SantaInstance, scaled: SantaInstance, alpha: Fraction,
     scale, ints, copies = _unit_split(light_items)
     light_sum = SumPoly(copies) if copies else ModularPoly([0] * m)
     b = math.ceil(scale / alpha)
-    alloc, y = _cover_core(inst, heavy, light_sum, b, cover_solver, caps)
-    if copies and any(y):
-        frac = FractionalAssignment(Fraction(b, scale), _unit_rows(copies, ints, tuple(y), caps))
-        if any(v >= b for v in y):
-            for j, piece in zip(light, round_santa(SantaInstance(m, light_items), frac, caps)):
-                alloc[j] = piece
-    _require_min_value(inst, alloc, guess / (2 * alpha))
-    return CoreReduction(alloc, "heavy-light", guess / (2 * alpha))
+    placed, y = _cover_core(inst, heavy, light_sum, b, cover_solver, caps)
+
+    def build() -> list:
+        alloc = placed()
+        if copies and any(y):
+            frac = FractionalAssignment(Fraction(b, scale),
+                                        _unit_rows(copies, ints, tuple(y), caps))
+            if any(v >= b for v in y):
+                for j, piece in zip(light, round_santa(SantaInstance(m, light_items), frac, caps)):
+                    alloc[j] = piece
+        return alloc
+
+    return _checked(inst, build, "heavy-light", guess / (2 * alpha))

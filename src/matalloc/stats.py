@@ -1,18 +1,21 @@
 """Global oracle-query counters.
 
 Counts logical top-level queries (each value/rank call, memo hits
-included) so reported figures do not depend on cache state. Work inside
+included), so a value or rank memo does not change a figure. Work inside
 one max-flow of a cut network is not a query. A membership, a saturation
 slack, an induced rank, a capped value and a vector-contracted value are
 each one count (polymatroids.count) and count what it asks. The last
 three also count the rank or value query that asks for them, and a
 slack, a capped value (on its uncapped elements) and a
 vector-contracted value ask the singleton values f({e}) that they raise
-entries to. A count by matroid partition
-asks one value query plus the rank queries the partition asks of the
-matroid copies (its plain part is one kept flow and asks none), and no
-separate checks of singletons or of the support; every other count asks
-the value of each subset of the vector's support. A capped marginal
+entries to. A count by matroid partition asks one value query plus the
+rank queries the partition asks of the matroid copies (its plain part is
+one kept flow and asks none), and no separate checks of singletons or of
+the support. Those rank queries do depend on what is kept: the count
+asks them when its placement is derived and none when the placement is
+kept, so a count on a sum whose placement an earlier step already made
+reports fewer queries. Every other count asks the value of each subset
+of the vector's support. A capped marginal
 f(Y | h·X) counts two queries, the two capped values it is the
 difference of (plus what their counts ask until they are memoised),
 however it is answered: by those two values or, on a cut network, by

@@ -12,6 +12,7 @@ import pytest
 
 import matalloc
 import matalloc.cli as cli
+from matalloc import matroids
 from matalloc.cli import main
 from matalloc.instances import (MAX_RIGHT, gen_random, matroid_from_json, parse_instance,
                                 poly_from_json, serialize_instance)
@@ -440,6 +441,31 @@ def test_right_vertices_up_to_the_cap_parse():
     with pytest.raises(SchemaError, match=r"^matroid\.adjacency\[0\]\[0\]: "):
         matroid_from_json({"kind": "transversal", "num_right": _BIG,
                            "adjacency": [[MAX_RIGHT], [0]]})
+
+
+def test_right_vertex_labels_do_not_size_the_matchings(tmp_path, monkeypatch):
+    """A transversal matroid naming right vertices 0, 1 and MAX_RIGHT − 1
+    solves like one naming 0, 1 and 2, and each of its matchings runs over
+    the 3 vertices named, not over every label up to the highest."""
+    asked = []
+    real = matroids.max_bipartite_matching
+
+    def recording(adj, num_right):
+        asked.append(num_right)
+        return real(adj, num_right)
+
+    monkeypatch.setattr(matroids, "max_bipartite_matching", recording)
+    results = []
+    for last in (2, MAX_RIGHT - 1):
+        doc = {"type": "core-cover", "b": 1, "polymatroid": _MODULAR_3,
+               "matroid": {"kind": "transversal", "num_right": MAX_RIGHT,
+                           "adjacency": [[0], [last], [1]]}}
+        path, out = tmp_path / f"{last}.json", tmp_path / f"{last}.out.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve-cover", "--in", str(path), "--out", str(out)]) == 0
+        results.append(out.read_text())
+    assert results[0] == results[1]
+    assert asked and set(asked) == {3}
 
 
 # Mutation fuzz: seed documents of every instance type, each under the

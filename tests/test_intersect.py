@@ -306,7 +306,7 @@ def test_santa_basis_split_work_is_bounded(monkeypatch):
     blocks (memo hits included), the member and sfm_min calls behind them,
     and the exchange searches run. The three splits of the peel take every
     unit in the slot-order fill, so each search runs once, to find no
-    path: 109 block questions, 104 member, 70 sfm_min and 3 searches. An
+    sink: 100 block questions, 100 member, 70 sfm_min and 3 searches. An
     exchange search per unit made 418, 295, 146 and 94 here, and
     whole-vector predicates 836 evaluations and 250 sfm_min calls."""
     inst = gen_random("santa-matroid", 2, m=5, n=4, u=1, w=3)
@@ -336,6 +336,34 @@ def test_santa_basis_split_work_is_bounded(monkeypatch):
     assert 0 < calls["member"] <= 115
     assert calls["sfm"] <= 80
     assert 0 < calls["augment"] <= 4
+
+
+class AskedAfterFill(PartitionBound):
+    """A PartitionBound that fails if asked anything after its second reset,
+    the one the first exchange search makes after the slot-order fill."""
+
+    resets = 0
+
+    def reset(self, x):
+        self.resets += 1
+        super().reset(x)
+
+    def gain(self, y):
+        assert self.resets == 1, "side 1 was asked in the search after the fill"
+        return super().gain(y)
+
+    def swap(self, y, s):
+        assert self.resets == 1, "side 1 was asked in the search after the fill"
+        return super().swap(y, s)
+
+
+def test_a_fill_that_takes_every_unit_asks_side_1_nothing_after_it():
+    # side 2 holds 3 units in all; the fill takes them at slots 0 and 1, so
+    # the search after it finds no sink among the outside slots 1 and 2
+    side1 = AskedAfterFill([0, 1, 2], [2, 2, 2])
+    got = max_common_independent([2, 2, 2], side1, PartitionBound([0, 0, 0], [3]), 6)
+    assert got == (2, 1, 0)
+    assert side1.resets == 2
 
 
 # ---------------------------------------------------------------------------

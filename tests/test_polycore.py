@@ -18,7 +18,7 @@ from matalloc.matching import ArcNumbering, ResidualFlow
 from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, GraphicMatroid,
                                InducedMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid, UnionMatroid, ZeroedMatroid, matroid_add_greedy)
-from matalloc.oracle import check_axioms, enumerate_bases
+from matalloc.oracle import brute_transversal_rank, check_axioms, enumerate_bases
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly,
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, count,
@@ -90,6 +90,34 @@ class TestRank:
             for x in range(1 << union.n):
                 expect = min(size(x ^ y) + sum(p.rank(y) for p in parts) for y in submasks(x))
                 assert union.rank(x) == expect
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_transversal_rank_ignores_right_vertex_labels(self, seed):
+        """Relabelling the right vertices at random, up to 2^20 − 1, keeps
+        every rank the brute-force matching gives; the matroid keeps the
+        labels as given and matches over the vertices named only."""
+        rng = random.Random(seed)
+        n, r = rng.randint(1, 6), rng.randint(1, 5)
+        adjacency = [rng.getrandbits(r) for _ in range(n)]
+        label = rng.sample(range(1 << 20), r)
+        relabelled = [sum(1 << label[v] for v in bits(a)) for a in adjacency]
+        m = TransversalMatroid(relabelled, 1 << 20)
+        assert m.adjacency == tuple(relabelled) and m.num_right == 1 << 20
+        named = 0
+        for a in adjacency:
+            named |= a
+        assert m._named == size(named)
+        for x in range(1 << n):
+            assert m.rank(x) == brute_transversal_rank(relabelled, x) \
+                == brute_transversal_rank(adjacency, x)
+        assert check_axioms(m)["ok"]
+
+    def test_brute_transversal_rank(self):
+        # elements 0 and 1 share their one neighbour; element 2 has its own
+        assert brute_transversal_rank([0b1, 0b1, 0b110], 0b111) == 2
+        assert brute_transversal_rank([0b1, 0b11, 0b10], 0b111) == 2
+        assert brute_transversal_rank([0b1, 0b11, 0b110], 0b111) == 3
 
     def test_contracted_and_zeroed(self):
         m = PartitionMatroid(4, [0b0011, 0b1100], [1, 2])

@@ -485,10 +485,11 @@ class TestReduceToCore:
 
     @pytest.mark.parametrize("seed, m", [(2, 5), (7, 6), (11, 4)])
     def test_basis_splits_peel_the_instances_suffix_sums(self, seed, m, monkeypatch):
-        """Over a santa guess loop, every basis split of _alloc_from_cover
-        peels the instance's suffix sums (resource_sum of idxs[k:]) instead
-        of new SumPolys, builds each sum once per instance, and returns the
-        pieces that a split peeling new SumPolys returns."""
+        """Over a santa guess loop that reads the allocation of every
+        accepted guess, every basis split of _alloc_from_cover peels the
+        instance's suffix sums (resource_sum of idxs[k:]) instead of new
+        SumPolys, builds each sum once per instance, and returns the pieces
+        that a split peeling new SumPolys returns."""
         inst = gen_random("santa-matroid", seed, m=m, n=4, u=F(1), w=F(3))
         built: dict[tuple, int] = {}
         splits = []
@@ -510,9 +511,13 @@ class TestReduceToCore:
         monkeypatch.setattr(instances, "SumPoly", counted_sum)
         monkeypatch.setattr(intersection, "SumPoly", fresh_peel)
         monkeypatch.setattr(reductions, "decompose_merged_basis", recorded_split)
-        grid = santa_guess_grid(inst)
-        best, _ = guess_loop(
-            lambda t: reduce_to_core(inst, F(8), t, lambda c: solve_cover(c, F(1, 10))), grid)
+
+        def read_each(t):
+            red = reduce_to_core(inst, F(8), t, lambda c: solve_cover(c, F(1, 10)))
+            validate_allocation(inst, red.alloc, require_basis=True)
+            return red
+
+        best, _ = guess_loop(read_each, santa_guess_grid(inst))
         assert best is not None
         assert any(len(parts) > 2 for parts, _, _ in splits)
         assert set(built.values()) == {1}
@@ -593,6 +598,121 @@ class TestReduceToCore:
         # the middle case consults the plug-in; other cases may bypass it
         for core in calls:
             assert core.matroid.n == 3
+
+
+def _general_draw(seed):
+    """A three-valued restricted matroid max-min draw (the heavy-light case)."""
+    rng = random.Random(seed)
+    return SantaInstance(3, [Item(value=rng.choice([F(1), F(2), F(6)]),
+                                  polymatroid=ModularPoly([rng.randint(0, 2) for _ in range(3)]))
+                             for _ in range(6)])
+
+
+def _santa_loop(inst, alpha):
+    return guess_loop(lambda t: reduce_to_core(inst, alpha, t, lambda c: solve_cover(c, F(1, 10))),
+                      santa_guess_grid(inst))
+
+
+class TestLazyAllocation:
+    """reduce_to_core accepts or rejects a guess; the allocation of an
+    accepted guess is built once, on the first read of .alloc."""
+
+    def test_a_guess_loop_splits_bases_for_the_returned_guess_only(self, monkeypatch):
+        real = reductions.decompose_merged_basis
+        split = []
+        monkeypatch.setattr(reductions, "decompose_merged_basis",
+                            lambda *a, **k: split.append(a[1]) or real(*a, **k))
+        for seed in range(6):
+            inst = gen_random("santa-matroid", seed, m=4, n=4, u=F(1), w=F(3))
+            split.clear()
+            best, sol = _santa_loop(inst, F(8))
+            assert sol.case in ("one-each", "core-cover") and split == []
+            validate_allocation(inst, sol.alloc, require_basis=True)
+            assert split
+
+    def test_reading_alloc_twice_builds_once(self, monkeypatch):
+        real = reductions._alloc_from_cover
+        calls = []
+        monkeypatch.setattr(reductions, "_alloc_from_cover",
+                            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        inst = gen_random("santa-matroid", 7, m=6, n=4, u=F(1), w=F(3))
+        red = reduce_to_core(inst, F(8), F(10), lambda c: solve_cover(c, F(1, 10)))
+        assert red.case == "core-cover" and calls == []
+        first = red.alloc
+        built = len(calls)
+        assert built and red.alloc is first and len(calls) == built
+
+    @pytest.mark.parametrize("inst, alpha, guess, case", [
+        (SantaInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 1]))]), F(4), F(1),
+         "one-each"),
+        (SantaInstance(2, [Item(value=F(3), polymatroid=ModularPoly([1, 1])),
+                           Item(value=F(1), polymatroid=ModularPoly([4, 4]))]), F(4), F(8),
+         "core-cover"),
+        (SantaInstance(3, [Item(value=F(v), polymatroid=ModularPoly(c))
+                           for v, c in ((6, [1, 1, 1]), (2, [1, 1, 1]), (1, [2, 2, 2]))]),
+         F(2), F(6), "heavy-light"),
+    ], ids=["one-each", "core-cover", "heavy-light"])
+    def test_a_contract_violation_of_the_build_surfaces_on_read(self, monkeypatch, inst,
+                                                                 alpha, guess, case):
+        def broken(*args, **kwargs):
+            raise ContractViolation("cover demand exceeds the merged polymatroid")
+
+        monkeypatch.setattr(reductions, "_alloc_from_cover", broken)
+        red = reduce_to_core(inst, alpha, guess, exact_cover_solver)
+        assert red.case == case
+        for _ in range(2):   # a failed build is not cached
+            with pytest.raises(ContractViolation, match="^cover demand exceeds"):
+                red.alloc
+
+    def test_the_bound_check_runs_on_read(self, monkeypatch):
+        monkeypatch.setattr(reductions, "round_santa",
+                            lambda inst, frac, caps: [tuple([0] * inst.num_players)]
+                            * len(inst.resources))
+        inst = gen_random("santa-matroid", 3, m=3, n=3, u=1, w=2)
+        red = reduce_to_core(inst, F(2), F(5), exact_cover_solver)
+        assert red.case == "round"
+        with pytest.raises(ContractViolation, match="^translated value 0 below the bound 5/2$"):
+            red.alloc
+
+    @pytest.mark.parametrize("inst, alpha, guess, solver, why", [
+        (SantaInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 0]))]), F(4), F(1),
+         exact_cover_solver, "^cover demand exceeds the merged polymatroid$"),
+        (SantaInstance(2, [Item(value=F(3), polymatroid=ModularPoly([1, 1])),
+                           Item(value=F(1), polymatroid=ModularPoly([4, 4]))]), F(4), F(8),
+         lambda c: None, "^core cover solver found no cover"),
+        (SantaInstance(2, [Item(value=F(0), polymatroid=ModularPoly([1, 1]))] * 2), F(8), F(16),
+         exact_cover_solver, "^every resource is worthless"),
+        (SantaInstance(2, [Item(value=F(v), polymatroid=ModularPoly([1, 1])) for v in (1, 2)]),
+         F(2), F(100), exact_cover_solver, "^the unit-split polymatroid cannot reach"),
+        (SantaInstance(2, [Item(value=F(v), polymatroid=ModularPoly([1, 1])) for v in (1, 2, 3)]),
+         F(2), F(1000), exact_cover_solver, "^no heavy resources"),
+        (SantaInstance(2, [Item(value=F(v), polymatroid=ModularPoly([1, 1])) for v in (1, 2, 6)]),
+         F(4), F(6), lambda c: None, "^core cover solver found no cover"),
+    ], ids=["one-each-membership", "core-cover-no-cover", "round-worthless", "round-level",
+            "heavy-light-no-heavy", "heavy-light-no-cover"])
+    def test_every_rejection_is_raised_by_reduce_to_core(self, monkeypatch, inst, alpha, guess,
+                                                         solver, why):
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected guess built an allocation")
+
+        for name in ("_alloc_from_cover", "_unit_rows", "round_santa"):
+            monkeypatch.setattr(reductions, name, never)
+        with pytest.raises(GuessRejected, match=why):
+            reduce_to_core(inst, alpha, guess, solver)
+
+    def test_the_loops_allocation_is_the_one_a_fresh_instance_builds(self):
+        draws = ([(gen_random("santa-matroid", s, m=4, n=4, u=F(1), w=F(3)), F(a))
+                  for a, seeds in ((8, range(12)), (2, range(4))) for s in seeds]
+                 + [(_general_draw(s), F(4)) for s in range(4)])
+        cases = set()
+        for inst, alpha in draws:
+            best, sol = _santa_loop(inst, alpha)
+            fresh = instances.parse_instance(instances.serialize_instance(inst))
+            again = reduce_to_core(fresh, alpha, best, lambda c: solve_cover(c, F(1, 10)))
+            assert (again.case, again.achieved) == (sol.case, sol.achieved)
+            assert sol.alloc == again.alloc
+            cases.add(sol.case)
+        assert cases == {"one-each", "core-cover", "round", "heavy-light"}
 
 
 class TestGuessLoop:
