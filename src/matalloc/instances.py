@@ -49,6 +49,8 @@ class SantaInstance:
     # resource-index tuple -> SumPoly of those resources' polymatroids
     _sums: dict[tuple[int, ...], SumPoly] = field(default_factory=dict, init=False,
                                                   repr=False, compare=False)
+    # the assignment LP's integer view (rounding._integer_view), built on first use
+    _lp_view: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_entities(self) -> int:
@@ -97,6 +99,8 @@ class SantaInstance:
 class MakespanInstance:
     num_machines: int
     jobs: list[Item]
+    # the assignment LP's integer view (rounding._integer_view), built on first use
+    _lp_view: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_entities(self) -> int:

@@ -12,39 +12,72 @@ solution as a maximum common vector of two polymatroids on the edges
 is classical (one unit each), else as the direct sum of their memberships
 (intersection.DirectSum). Each fractional row is checked before rounding.
 
-The LP itself is solved exactly (integer-preserving simplex), so every
-additive guarantee is checked with exact comparisons. The objective-guessing
+The LP's points come from the exact integer-preserving simplex only, so
+every additive guarantee is checked with exact comparisons. When every item
+is classical and restricted (one value on all its eligible entities), the
+LP is a transportation problem: one exact max flow on a CutNetwork decides
+each guess (Lenstra, Shmoys and Tardos 1990), and the simplex runs only
+when the point of a feasible guess is read (FractionalAssignment.x), so a
+guess loop over such an instance solves one LP. The objective-guessing
 primitives live here too: column_sums builds the guess grids
-(santa_guess_grid, makespan_guess_grid) and guess_loop is the one
-bisection over them.
+(santa_guess_grid, makespan_guess_grid) in integers and guess_loop is the
+one bisection over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
-from math import ceil, floor, prod
+from math import ceil, floor, lcm, prod
 from typing import Callable, Iterable, Sequence
 
-from .bitsets import bits, full_mask
+from .bitsets import bits, full_mask, mask_of
 from .instances import MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals
 from . import intersection  # the search by module attribute, which tracers rebind
 from .intersection import DirectSum, PartitionBound
-from .limits import Caps, DEFAULT_CAPS, ContractViolation, GuessRejected, SizeCapError
+from .limits import (Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
+                     InternalInvariantError, SizeCapError)
 from .matching import perfect_matching
-from .polymatroids import CoveragePoly, PolymatroidOracle, greedy_basis_above, member
+from .polymatroids import (CoveragePoly, CutNetwork, PolymatroidOracle, greedy_basis_above,
+                           member)
 from .simplex import feasible_point
 
 
-@dataclass
 class FractionalAssignment:
     """x[j][i]: fraction of item j on entity i, feasible for the assignment LP
-    with threshold T."""
+    with threshold T.
 
-    T: Fraction
-    x: list[tuple[Fraction, ...]]
+    FractionalAssignment(T, x) holds a given point. solve_assignment_lp
+    passes build instead when a max flow has decided the guess: the simplex
+    then runs on the first read of x, whose point is kept, so a guess loop
+    solves an LP only for the guess whose point it reads."""
+
+    def __init__(self, T: Fraction, x: list[tuple[Fraction, ...]] | None = None, *,
+                 build: Callable[[], list[tuple[Fraction, ...]]] | None = None):
+        self.T = T
+        self._build = build
+        if build is None:
+            self.x = x
+
+    @cached_property
+    def x(self) -> list[tuple[Fraction, ...]]:
+        return self._build()
+
+
+def _eligible(inst, it) -> list[int]:
+    """The entities classical item it may go to: the players valuing it
+    positively (santa), the machines where its size is finite (makespan)."""
+    if isinstance(inst, MakespanInstance):
+        return [i for i, v in enumerate(it.values) if v is not None]
+    return [i for i, v in enumerate(it.values) if v > 0]
+
+
+def is_restricted(inst, it) -> bool:
+    """Classical item it takes at most one value over its eligible entities."""
+    vals = [it.values[i] for i in _eligible(inst, it)]
+    return all(v == vals[0] for v in vals[1:])
 
 
 def item_value_poly(inst, j: int) -> tuple[Fraction, PolymatroidOracle]:
@@ -54,36 +87,26 @@ def item_value_poly(inst, j: int) -> tuple[Fraction, PolymatroidOracle]:
     as a rank-one coverage polymatroid over the eligible entities.
     """
     it = inst.items[j]
-    m = inst.num_entities
     if it.polymatroid is not None:
         return it.value, it.polymatroid
-    is_makespan = isinstance(inst, MakespanInstance)
-    eligible = [i for i in range(m)
-                if (it.values[i] is not None if is_makespan else it.values[i] > 0)]
-    vals = {it.values[i] for i in eligible}
-    if len(vals) > 1:
-        raise ContractViolation(f"item {j} is not restricted: distinct values {sorted(vals)}")
-    v = vals.pop() if vals else Fraction(0)
-    covers = [1 if i in eligible else 0 for i in range(m)]
+    eligible = _eligible(inst, it)
+    if not is_restricted(inst, it):
+        vals = sorted({it.values[i] for i in eligible})
+        raise ContractViolation(f"item {j} is not restricted: distinct values {vals}")
+    v = it.values[eligible[0]] if eligible else Fraction(0)
+    covers = [1 if i in eligible else 0 for i in range(inst.num_entities)]
     return v, CoveragePoly(covers, [1])
 
 
-def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
-                        ) -> FractionalAssignment | None:
-    """Feasible rational point of the assignment LP at threshold T, or None.
-
-    Santa: per-player value >= T. Makespan: loads <= T. A classical item
-    has a variable on each eligible entity (a player valuing it positively,
-    a machine where its size is at most T) and one row assigning it exactly
-    once. A polymatroid item has a variable on each element of its support
-    and one row x_j(S) <= f(S) per nonempty submask S, with equality on the
-    whole support (2^|supp| - 1 rows). Every coefficient is value_for(i).
-    """
-    T = Fraction(T)
+def assignment_lp_columns(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
+                          ) -> list[list[int]] | None:
+    """Per item, the entities that carry its variables in the assignment LP
+    at threshold T: a classical item's eligible entities (a player valuing it
+    positively, a machine where its size is at most T), a polymatroid item's
+    support. None when some makespan item fits on no machine at T. The
+    support and variable caps raise SizeCapError here, before any row."""
     m = inst.num_entities
     is_makespan = isinstance(inst, MakespanInstance)
-
-    # first the columns and the caps, then the rows
     columns: list[list[int]] = []
     for j, it in enumerate(inst.items):
         p = it.polymatroid
@@ -101,11 +124,23 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
                 return None
             columns.append(eligible)
         else:
-            columns.append([i for i in range(m) if it.values[i] > 0])
+            columns.append(_eligible(inst, it))
     num_vars = sum(map(len, columns))
     if num_vars > caps.lp_vars:
         raise SizeCapError(f"assignment LP has {num_vars} variables, cap {caps.lp_vars}")
+    return columns
 
+
+def assignment_lp_rows(inst, T: Fraction, columns: Sequence[Sequence[int]]
+                       ) -> tuple[dict[tuple[int, int], int], list]:
+    """The assignment LP over assignment_lp_columns' columns: var_of numbers
+    the variable of each (item, entity) pair, and the constraints are the
+    rows feasible_point takes. Santa: per-player value >= T. Makespan:
+    loads <= T. A classical item has one row assigning it exactly once. A
+    polymatroid item has one row x_j(S) <= f(S) per nonempty submask S of
+    its support, with equality on the whole support (2^|supp| - 1 rows).
+    Every coefficient is value_for(i)."""
+    m = inst.num_entities
     var_of: dict[tuple[int, int], int] = {}
     coef: list[dict[int, Fraction]] = [{} for _ in range(m)]  # per entity
     constraints: list[tuple[dict[int, int | Fraction], str, int | Fraction]] = []
@@ -127,15 +162,121 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
         elif cols:
             constraints.append((dict.fromkeys([var_of[(j, i)] for i in cols], 1), "==", 1))
 
-    sense = "<=" if is_makespan else ">="
+    sense = "<=" if isinstance(inst, MakespanInstance) else ">="
     constraints.extend((coef[i], sense, T) for i in range(m))
+    return var_of, constraints
 
+
+def _lp_point(inst, T: Fraction, columns: Sequence[Sequence[int]]
+              ) -> list[tuple[Fraction, ...]] | None:
+    """The simplex's vertex of the assignment LP as per-item rows, or None."""
+    var_of, constraints = assignment_lp_rows(inst, T, columns)
     point = feasible_point(len(var_of), constraints)
     if point is None:
         return None
-    x = [tuple(point[var_of[(j, i)]] if (j, i) in var_of else Fraction(0) for i in range(m))
-         for j in range(len(inst.items))]
-    return FractionalAssignment(T, x)
+    m = inst.num_entities
+    return [tuple(point[var_of[(j, i)]] if (j, i) in var_of else Fraction(0) for i in range(m))
+            for j in range(len(inst.items))]
+
+
+def _decided_point(inst, T: Fraction, columns: Sequence[Sequence[int]]
+                   ) -> list[tuple[Fraction, ...]]:
+    """_lp_point of a guess the max flow found feasible, which must have one."""
+    x = _lp_point(inst, T, columns)
+    if x is None:
+        raise InternalInvariantError(
+            f"assignment LP at T = {T}: feasible by max flow, infeasible by the simplex")
+    return x
+
+
+@dataclass(frozen=True)
+class _IntegerView:
+    """A restricted classical instance in integers: ints[j] is item j's one
+    value times scale, the common denominator of the values, and covers are
+    the cut network's: per player the mask of the items eligible for it
+    (santa), per job the mask of the machines eligible for it (makespan)."""
+
+    covers: tuple[int, ...]
+    ints: tuple[int, ...]
+    scale: int
+
+
+def _integer_view(inst) -> _IntegerView | None:
+    """inst's integer view when every item is classical and restricted
+    (is_restricted), else None. Built once and kept with the instance, so a
+    guess loop builds it once."""
+    view = inst._lp_view
+    if view is None:
+        view = inst._lp_view = _build_integer_view(inst) or False
+    return view or None
+
+
+def _build_integer_view(inst) -> _IntegerView | None:
+    if inst.is_matroid_flavor or not all(is_restricted(inst, it) for it in inst.items):
+        return None
+    eligible = [_eligible(inst, it) for it in inst.items]
+    vals = [it.values[cols[0]] if cols else Fraction(0)
+            for it, cols in zip(inst.items, eligible)]
+    scale = lcm(*(v.denominator for v in vals))
+    ints = tuple(v.numerator * (scale // v.denominator) for v in vals)
+    if isinstance(inst, MakespanInstance):
+        return _IntegerView(tuple(map(mask_of, eligible)), ints, scale)
+    covers = [0] * inst.num_entities
+    for j, cols in enumerate(eligible):
+        for i in cols:
+            covers[i] |= 1 << j
+    return _IntegerView(tuple(covers), ints, scale)
+
+
+def _flow_feasible(inst, view: _IntegerView, T: Fraction) -> bool:
+    """Whether the assignment LP of a restricted classical instance is
+    feasible at T >= 0, by one exact max flow (a transportation problem).
+
+    With v_j the one value of item j on its eligible entities and L the
+    common denominator of T and the v_j, the variables v_j·x_ji are a flow
+    from the items' side to the entities' in integers times L:
+    - santa: each player covers the items eligible for it, item j weighted
+      v_j·L, and the count of T·L·1 must be m·T·L in full (a surplus of any
+      item can always go to one of its eligible players);
+    - makespan: job j covers its eligible machines, each weighted T·L, and
+      the count of the vector p·L must be Σ_j p_j·L in full. Every job fits
+      on each of them, or assignment_lp_columns has returned None.
+    """
+    scale = lcm(view.scale, T.denominator)
+    t = T.numerator * (scale // T.denominator)
+    ints = [v * (scale // view.scale) for v in view.ints]
+    m = inst.num_entities
+    if isinstance(inst, MakespanInstance):
+        net, x = CutNetwork(view.covers, [t] * m, [None] * len(ints)), ints
+    else:
+        net, x = CutNetwork(view.covers, ints, [None] * m), [t] * m
+    return net.count(x) == sum(x)
+
+
+def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
+                        ) -> FractionalAssignment | None:
+    """Feasible rational point of the assignment LP at threshold T, or None.
+
+    The LP's columns and caps come first (assignment_lp_columns), so a
+    SizeCapError, or None for a makespan item that fits nowhere, comes from
+    this call. When every item is classical and restricted (is_restricted)
+    and T >= 0, one max flow decides feasibility (_flow_feasible): an
+    infeasible guess builds no LP, and a feasible one returns an assignment
+    whose point, the simplex's vertex of the rows of assignment_lp_rows, is
+    solved on the first read of x. Otherwise the simplex decides and the
+    point is solved here. Either way the point is the same vertex.
+    """
+    T = Fraction(T)
+    columns = assignment_lp_columns(inst, T, caps)
+    if columns is None:
+        return None
+    view = _integer_view(inst)
+    if view is not None and T >= 0:
+        if not _flow_feasible(inst, view, T):
+            return None
+        return FractionalAssignment(T, build=partial(_decided_point, inst, T, columns))
+    x = _lp_point(inst, T, columns)
+    return None if x is None else FractionalAssignment(T, x)
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +530,21 @@ def lst_round_unrelated(inst: MakespanInstance, frac: FractionalAssignment
 def column_sums(columns: Iterable[Iterable[Fraction | None]], caps: Caps = DEFAULT_CAPS
                 ) -> set[Fraction]:
     """Union over the columns of all subset sums of each column's entries
-    (None and zero entries contribute nothing)."""
-    sums: set[Fraction] = set()
+    (None and zero entries contribute nothing). The sums run in integers,
+    the entries scaled by their common denominator; more than
+    caps.guess_grid sums of one column raise SizeCapError."""
+    columns = [[v for v in column if v] for column in columns]
+    scale = lcm(*(v.denominator for column in columns for v in column))
+    sums: set[int] = set()
     for column in columns:
-        mine = {Fraction(0)}
+        mine = {0}
         for v in column:
-            if v:
-                mine |= {s + v for s in mine}
-                if len(mine) > caps.guess_grid:
-                    raise SizeCapError("guess grid exceeds cap")
+            k = v.numerator * (scale // v.denominator)
+            mine |= {s + k for s in mine}
+            if len(mine) > caps.guess_grid:
+                raise SizeCapError("guess grid exceeds cap")
         sums |= mine
-    return sums
+    return {Fraction(s, scale) for s in sums}
 
 
 def guess_loop(solver: Callable[[Fraction], object], grid: Sequence[Fraction]
@@ -449,8 +594,7 @@ def lst_baseline(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS
     t_star, frac = guess_loop(lambda T: solve_assignment_lp(inst, T, caps), grid)
     if t_star is None:
         raise ContractViolation("no feasible guess: some job fits on no machine")
-    restricted = inst.is_matroid_flavor or all(
-        len({v for v in it.values if v is not None}) <= 1 for it in inst.jobs)
+    restricted = inst.is_matroid_flavor or all(is_restricted(inst, it) for it in inst.jobs)
     if restricted:
         alloc = round_makespan(inst, frac, caps)
     else:

@@ -11,10 +11,11 @@ from matalloc import rounding
 from matalloc.bitsets import bits, submasks
 from matalloc.instances import Item, MakespanInstance, SantaInstance, entity_totals, gen_random
 from matalloc.intersection import DirectSum, max_common_independent
-from matalloc.limits import Caps, ContractViolation, SizeCapError
+from matalloc.limits import Caps, ContractViolation, InternalInvariantError, SizeCapError
 from matalloc.oracle import brute_opt_makespan, enumerate_bases
 from matalloc.polymatroids import is_basis, member
-from matalloc.rounding import (FractionalAssignment, additive_round_santa, item_value_poly,
+from matalloc.rounding import (FractionalAssignment, additive_round_santa, assignment_lp_columns,
+                               assignment_lp_rows, column_sums, is_restricted, item_value_poly,
                                lst_baseline, makespan_guess_grid, round_makespan, round_santa,
                                santa_guess_grid, solve_assignment_lp)
 from matalloc.simplex import feasible_point
@@ -154,29 +155,24 @@ class TestAssignmentLp:
 
     @pytest.mark.parametrize("flavor", ["restricted-santa", "unrelated-santa",
                                         "restricted-makespan"])
-    def test_one_row_per_classical_item(self, monkeypatch, flavor):
-        systems = []
-
-        def recording(num_vars, constraints):
-            systems.append((num_vars, constraints))
-            return feasible_point(num_vars, constraints)
-
-        monkeypatch.setattr(rounding, "feasible_point", recording)
+    def test_one_row_per_classical_item(self, flavor):
         for seed in range(4):
             inst = gen_random(flavor, seed, m=3, n=5)
             makespan = isinstance(inst, MakespanInstance)
             for t in (F(1), F(2), F(7, 2)):
-                systems.clear()
-                rounding.solve_assignment_lp(inst, t)
+                columns = assignment_lp_columns(inst, t)
                 eligible = [[i for i, v in enumerate(it.values)
                              if (v is not None and v <= t if makespan else v > 0)]
                             for it in inst.items]
                 if makespan and not all(eligible):
-                    assert systems == []
+                    assert columns is None and solve_assignment_lp(inst, t) is None
                     continue
-                (num_vars, constraints), = systems
+                var_of, constraints = assignment_lp_rows(inst, t, columns)
+                num_vars = len(var_of)
                 assert num_vars == sum(map(len, eligible))
                 assert len(constraints) == sum(1 for cols in eligible if cols) + 3
+                point = feasible_point(num_vars, constraints)
+                assert (point is None) == (solve_assignment_lp(inst, t) is None)
 
     def test_zero_value_gets_no_variable(self, monkeypatch):
         seen = []
@@ -298,6 +294,153 @@ class TestLstBaseline:
         mk = MakespanInstance(2, [Item(values=(F(1), F(2))), Item(values=(F(3), None))])
         grid = makespan_guess_grid(mk)
         assert F(3) in grid and F(4) in grid
+
+
+def eager_point(inst, t):
+    """The simplex's point of the assignment LP at t, solved on the spot, as
+    per-item rows; None when infeasible or when no LP is built."""
+    columns = assignment_lp_columns(inst, t)
+    if columns is None:
+        return None
+    var_of, constraints = assignment_lp_rows(inst, t, columns)
+    point = feasible_point(len(var_of), constraints)
+    if point is None:
+        return None
+    return [tuple(point[var_of[j, i]] if (j, i) in var_of else F(0)
+                  for i in range(inst.num_entities)) for j in range(len(inst.items))]
+
+
+def counting_simplex(monkeypatch, answer=None):
+    """Patch rounding's feasible_point to count its calls; answer, if given,
+    replaces the simplex's result."""
+    calls = []
+
+    def counting(num_vars, constraints):
+        calls.append(num_vars)
+        return feasible_point(num_vars, constraints) if answer is None else answer(num_vars)
+
+    monkeypatch.setattr(rounding, "feasible_point", counting)
+    return calls
+
+
+def restricted_draws():
+    """Restricted santa and makespan draws at m = 2..5, each also with a
+    resource no player values, or with a job of size 0 on some machines."""
+    for m in range(2, 6):
+        for seed in range(3):
+            santa = gen_random("restricted-santa", seed, m=m, n=5)
+            yield santa
+            yield SantaInstance(m, santa.resources + [Item(values=(F(0),) * m)])
+            mk = gen_random("restricted-makespan", seed, m=m, n=5)
+            yield mk
+            zero = tuple(F(0) if i % 2 else None for i in range(m))
+            yield MakespanInstance(m, mk.jobs[:2] + [Item(values=zero)] + mk.jobs[2:])
+
+
+class TestFlowDecision:
+    def test_flow_decides_as_the_simplex_on_the_same_rows(self, monkeypatch):
+        calls = counting_simplex(monkeypatch)
+        outcomes = {True: 0, False: 0}
+        for inst in restricted_draws():
+            makespan = isinstance(inst, MakespanInstance)
+            assert all(is_restricted(inst, it) for it in inst.items)
+            grid = makespan_guess_grid(inst) if makespan else santa_guess_grid(inst)
+            for t in grid + [F(0), F(1, 3), F(7, 2)]:
+                frac = solve_assignment_lp(inst, t)
+                assert calls == []
+                want = eager_point(inst, t)
+                assert (frac is None) == (want is None), (inst, t)
+                outcomes[frac is not None] += 1
+        assert outcomes[True] >= 250 and outcomes[False] >= 250, outcomes
+
+    @pytest.mark.parametrize("flavor", ["unrelated-santa", "two-value-makespan",
+                                        "santa-matroid"])
+    def test_other_instances_call_the_simplex_when_solved(self, monkeypatch, flavor):
+        calls = counting_simplex(monkeypatch)
+        solved = 0
+        for seed in range(8):
+            inst = gen_random(flavor, seed, m=3, n=4)
+            if not inst.is_matroid_flavor and all(is_restricted(inst, it)
+                                                  for it in inst.items):
+                continue
+            for t in (F(0), F(1), F(2), F(7, 2), F(6)):
+                calls.clear()
+                built = assignment_lp_columns(inst, t) is not None
+                solve_assignment_lp(inst, t)
+                assert len(calls) == built
+                solved += built
+        assert solved >= 15
+
+
+class TestDeferredPoint:
+    def test_infeasible_guess_runs_no_simplex(self, monkeypatch):
+        calls = counting_simplex(monkeypatch)
+        inst = SantaInstance(2, [Item(values=(F(1), F(1)))])
+        assert solve_assignment_lp(inst, F(1)) is None
+        mk = MakespanInstance(2, [Item(values=(F(2), F(2)))] * 3)
+        assert solve_assignment_lp(mk, F(2)) is None
+        assert calls == []
+
+    def test_point_is_solved_once_on_the_first_read(self, monkeypatch):
+        for inst in restricted_draws():
+            makespan = isinstance(inst, MakespanInstance)
+            grid = makespan_guess_grid(inst) if makespan else santa_guess_grid(inst)
+            t = grid[len(grid) // 3]
+            want = eager_point(inst, t)
+            if want is None:
+                continue
+            calls = counting_simplex(monkeypatch)
+            frac = solve_assignment_lp(inst, t)
+            assert calls == [] and frac.T == t
+            assert frac.x == want
+            assert len(calls) == 1
+            assert frac.x == want
+            assert len(calls) == 1
+
+    def test_a_simplex_that_disagrees_raises_on_read_and_keeps_nothing(self, monkeypatch):
+        inst = SantaInstance(2, [Item(values=(F(1), F(1)))] * 2)
+        counting_simplex(monkeypatch, answer=lambda num_vars: None)
+        frac = solve_assignment_lp(inst, F(1))
+        with pytest.raises(InternalInvariantError):
+            frac.x
+        assert "x" not in vars(frac)
+        monkeypatch.setattr(rounding, "feasible_point", feasible_point)
+        assert frac.x == eager_point(inst, F(1))
+
+    def test_given_point_is_kept_as_given(self, monkeypatch):
+        calls = counting_simplex(monkeypatch)
+        rows = [(F(1, 2), F(1, 2)), (F(0), F(1))]
+        frac = FractionalAssignment(F(3, 2), rows)
+        assert frac.T == F(3, 2) and frac.x is rows
+        assert calls == []
+
+
+class TestColumnSums:
+    def test_subset_sums_of_each_column(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            columns = [[rng.choice([None, F(0), F(rng.randint(1, 6), rng.randint(1, 4))])
+                        for _ in range(rng.randint(0, 5))] for _ in range(rng.randint(0, 3))]
+            want = set()
+            for column in columns:
+                mine = {F(0)}
+                for v in column:
+                    if v:
+                        mine |= {s + v for s in mine}
+                want |= mine
+            got = column_sums(iter(columns))
+            assert got == want
+            assert all(type(v) is Fraction for v in got)
+
+    def test_guess_grid_cap(self):
+        caps = Caps(guess_grid=8)
+        at_cap = [F(1, 2), F(1), F(2)]     # 8 subset sums
+        assert column_sums([at_cap, [F(1, 3)]], caps) == {F(k, 2) for k in range(8)} | {F(1, 3)}
+        with pytest.raises(SizeCapError):
+            column_sums([[F(1, 3)], at_cap + [F(4)]], caps)
+        with pytest.raises(SizeCapError):
+            santa_guess_grid(SantaInstance(1, [Item(values=(F(2) ** k,)) for k in range(4)]),
+                             caps)
 
 
 class TestAdditiveSanta:
