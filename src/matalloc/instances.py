@@ -259,9 +259,10 @@ def _declared_ground(obj) -> int | None:
     return None
 
 
-# A transversal matroid's rank matches over the right vertices up to the
-# highest one named, in lists that long, so a right vertex beyond this is
-# refused before its mask is built.
+# The parser builds a transversal adjacency mask from an index list only
+# for right vertices below this (and below num_right), so a huge index
+# builds no huge integer. The matroid numbers the right vertices named
+# densely, so nothing else is sized by num_right or by the labels.
 MAX_RIGHT = 1 << 20
 
 

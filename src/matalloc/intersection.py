@@ -19,8 +19,8 @@ A side is one of two kinds:
   since the losing block stays independent (every side is a matroid on
   units, hence down-closed).
 A one-block `DirectSum` (every slot in block 0) is a predicate on whole
-count vectors, asked once per distinct vector; the tests use it as the
-reference that the structured sides must agree with.
+count vectors; the tests use it as the reference that the structured
+sides must agree with.
 
 The split of a member or basis of a sum polymatroid into the parts and the
 rounding gadget both go through it. `ExpandedMatroid`, the matroid on unit
@@ -31,7 +31,6 @@ search against.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache
 from typing import Callable, Sequence
 
 from .bitsets import bits, full_mask, size
@@ -86,11 +85,10 @@ class PartitionBound(Side):
 
 class DirectSum(Side):
     """x is independent iff preds[b] accepts each block b's sub-vector (the
-    entries of the slots s with block[s] == b, in slot order); each block's
-    answers are memoised per sub-vector."""
+    entries of the slots s with block[s] == b, in slot order)."""
 
     def __init__(self, block: Sequence[int], preds: Sequence[Predicate]):
-        self.block, self.preds = block, [cache(p) for p in preds]
+        self.block, self.preds = block, preds
         self.slots: list[list[int]] = [[] for _ in preds]
         self.pos = []   # slot -> its index in its block's sub-vector
         for s, b in enumerate(block):
@@ -99,20 +97,15 @@ class DirectSum(Side):
 
     def reset(self, x: Sequence[int]) -> None:
         self.sub = [[x[s] for s in slots] for slots in self.slots]
-        self.gains: dict[int, bool] = {}
 
     def add(self, y: int) -> None:
         self.sub[self.block[y]][self.pos[y]] += 1
-        self.gains = {}
 
     def gain(self, y: int) -> bool:
-        hit = self.gains.get(y)
-        if hit is None:
-            b = self.block[y]
-            v = list(self.sub[b])
-            v[self.pos[y]] += 1
-            hit = self.gains[y] = self.preds[b](tuple(v))
-        return hit
+        b = self.block[y]
+        v = list(self.sub[b])
+        v[self.pos[y]] += 1
+        return self.preds[b](tuple(v))
 
     def swap(self, y: int, s: int) -> bool:
         b = self.block[y]
@@ -245,9 +238,7 @@ class ExpandedMatroid(MatroidOracle):
 
 
 def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
-                     caps: Caps = DEFAULT_CAPS,
-                     suffix: Callable[[int], PolymatroidOracle] | None = None
-                     ) -> list[tuple[int, ...]]:
+                     caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
     """Split y, a member of the sum polymatroid, into members of the parts
     summing to y exactly.
 
@@ -255,10 +246,7 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
     direct sum of the parts (slot (j, e) at index j*n + e) with the
     per-element degree bound y(e). With more than two parts, one part is
     peeled off at a time to keep the search to 2n slots: parts[0] against
-    the sum of parts[1:], then the rest of the parts. suffix(k) is the sum
-    of parts[k:] when the caller keeps those sums, so that their memos,
-    placements and flows carry over from one call to the next; without it
-    each peel builds a new SumPoly.
+    the sum of parts[1:], then the rest of the parts.
     """
     n = parts[0].n
     if any(p.n != n for p in parts):
@@ -270,10 +258,8 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
             raise ContractViolation("y is not a member of the single part")
         return [tuple(y)]
     if len(parts) > 2:
-        rest = SumPoly(parts[1:]) if suffix is None else suffix(1)
-        first, remainder = decompose_in_sum([parts[0], rest], y, caps)
-        later = None if suffix is None else (lambda k: suffix(k + 1))
-        return [first] + decompose_in_sum(parts[1:], remainder, caps, later)
+        first, remainder = decompose_in_sum([parts[0], SumPoly(parts[1:])], y, caps)
+        return [first] + decompose_in_sum(parts[1:], remainder, caps)
 
     got = max_common_independent(
         [min(p.value(1 << e), y[e]) for p in parts for e in range(n)],
@@ -287,16 +273,13 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
 
 
 def decompose_merged_basis(parts: Sequence[PolymatroidOracle], y: Sequence[int],
-                           caps: Caps = DEFAULT_CAPS,
-                           suffix: Callable[[int], PolymatroidOracle] | None = None
-                           ) -> list[tuple[int, ...]]:
-    """Split a basis y of the sum polymatroid into bases y_j of the parts
-    (suffix as in decompose_in_sum)."""
+                           caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
+    """Split a basis y of the sum polymatroid into bases y_j of the parts."""
     n = parts[0].n
     total = sum(p.value(full_mask(n)) for p in parts)
     if sum(y) != total:
         raise ContractViolation("y is not a basis of the sum polymatroid")
-    out = decompose_in_sum(parts, y, caps, suffix)
+    out = decompose_in_sum(parts, y, caps)
     for j, p in enumerate(parts):
         if not is_basis(p, out[j], caps):
             raise ContractViolation(f"decomposed part {j} is not a basis")

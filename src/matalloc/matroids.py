@@ -13,7 +13,7 @@ from typing import Sequence
 from . import stats
 from .bitsets import bits, check_subset, indicator, size
 from .matching import max_bipartite_matching
-from .polymatroids import _check_weights, count, matroid_partition
+from .polymatroids import _check_weights, count, place
 
 
 class MatroidOracle:
@@ -203,7 +203,7 @@ class UnionMatroid(MatroidOracle):
     """Matroid union: X is independent iff it splits into independent sets of the parts.
 
     The rank r(X) = min_{Y ⊆ X} |X \\ Y| + Σ_i r_i(Y) is Edmonds' matroid
-    partition of X (polymatroids.matroid_partition): the elements of X enter
+    partition of X (polymatroids.place): the elements of X enter
     along shortest exchange paths over (element, part) pairs, asking only
     the parts' is_independent.
     """
@@ -219,7 +219,7 @@ class UnionMatroid(MatroidOracle):
         self.parts = parts
 
     def _rank(self, mask: int) -> int:
-        return matroid_partition(self.parts, None, indicator(mask, self.n))
+        return place(self.parts, None, indicator(mask, self.n)).placed
 
 
 class InducedMatroid(MatroidOracle):

@@ -16,10 +16,9 @@ count alone chooses between matroid partition and subset enumeration.
 Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
 and set contractions) are cut networks (CutNetwork): the count of an
 integer x is one exact max-flow, the kept one of the h-capped support when
-x's nonzero entries off the network's base all equal h, and else the one
-kept per supply vector, which a count one unit above derives by raising
-one supply. Every flow of a network, and of its capped and contracted
-forms, runs on one arc numbering of its covers. A one-element
+x's nonzero entries off the network's base all equal h, and else one
+solved for x's supply. Every flow of a network, and of its capped and
+contracted forms, runs on one arc numbering of its covers. A one-element
 capped marginal f(i | h·X) there is one augmenting search from i on a copy
 of the max flow of X, which the network keeps in residual form per (h, X)
 (CutNetwork.marginal). The local search only asks whether such a marginal
@@ -41,11 +40,11 @@ network) plus one network part (partition_form). Edmonds' matroid
 partition splits an integer vector's units into one independent set per
 copy and a member of the network part; on a form with copies the split is
 a Placement (copy masks, the network part's kept flow, the units placed
-nowhere), solved from scratch by place, and matroid_partition counts its
-placed units. It is the package's one partition routine: the count of
-integer vectors with larger supports, and the ranks of matroid unions and
-of the matroids such forms induce (its count on 0/1 vectors;
-matroids.UnionMatroid, matroids.InducedMatroid). A polymatroid keeps the
+nowhere), solved from scratch by place. It is the package's one partition
+routine: its placed units are the count of integer vectors with larger
+supports, and on 0/1 vectors the ranks of matroid unions and of the
+matroids such forms induce (matroids.UnionMatroid,
+matroids.InducedMatroid). A polymatroid keeps the
 placements it counts per vector (PolymatroidOracle.placement), and a
 missing one is derived from a kept placement one unit below by one more
 exchange search, since a unit enters a maximum placement exactly when it
@@ -76,9 +75,9 @@ class CutNetwork:
     (_residual), in residual form. The threshold questions (reaches), the
     exact marginals (marginal), the leave-one-out batches (leave_one_out)
     and the counts of vectors uniform off base (count) share those flows;
-    the other counts keep theirs per supply vector (_flow). Every flow runs
-    on one ArcNumbering of the covers, which capped and contracted copies
-    of the network share with it, as they share the reaches.
+    the other counts solve theirs. Every flow runs on one ArcNumbering of
+    the covers, which capped and contracted copies of the network share
+    with it, as they share the reaches.
     """
 
     def __init__(self, covers: Sequence[int], weights: Sequence[int],
@@ -98,7 +97,6 @@ class CutNetwork:
         # an uncapped element is cut at the weight it covers, which never binds
         self._left = tuple(r if c is None else min(c, r) for c, r in zip(self.caps, reach))
         self._residuals: dict[tuple[int, int], ResidualFlow] = {}
-        self._flows: dict[tuple[int, ...], ResidualFlow] = {}
 
     @property
     def plain(self) -> bool:
@@ -129,10 +127,7 @@ class CutNetwork:
 
         When x's nonzero entries off base all equal one h, that flow is the
         kept max flow of the h-capped support (_residual), as for the
-        threshold questions. Else it is the flow kept per supply vector
-        (_flow), derived from the kept flow of the supply one unit below at
-        some element j by raising j's supply by 1: the supply of x − 1_j,
-        when x[j] <= _left[j]. Only with no such flow kept is it solved.
+        threshold questions; else it is solved.
         """
         base, left = self.base, self._left
         supp = vec_support(x)
@@ -142,27 +137,8 @@ class CutNetwork:
         h = x[(off & -off).bit_length() - 1]
         if all(x[e] == h for e in bits(off)):
             return self._residual(h, off).total - self._f_base
-        supply = tuple([t if (base >> e) & 1 else min(v, t)
-                        for e, (v, t) in enumerate(zip(x, left))])
-        return self._flow(supply, off).total - self._f_base
-
-    def _flow(self, supply: tuple[int, ...], off: int) -> ResidualFlow:
-        """The max flow with this supply, kept per supply vector. A missing
-        one is a copy of the kept flow of supply − 1_j, for some j of off,
-        with j's supply raised by 1; with none it is solved."""
-        flows = self._flows
-        kept = flows.get(supply)
-        if kept is None:
-            for j in bits(off):
-                near = flows.get(supply[:j] + (supply[j] - 1,) + supply[j + 1:])
-                if near is not None:
-                    kept = near.copy()
-                    kept.raise_supply(j, 1)
-                    break
-            else:
-                kept = ResidualFlow(self._numbering, supply, self.weights)
-            flows[supply] = kept
-        return kept
+        supply = [t if (base >> e) & 1 else min(v, t) for e, (v, t) in enumerate(zip(x, left))]
+        return ResidualFlow(self._numbering, supply, self.weights).total - self._f_base
 
     def marginal(self, i: int, h: int, mask: int) -> int:
         """f(i | h·mask): the capped marginal of element i above mask with the
@@ -302,8 +278,8 @@ class PolymatroidOracle:
         network: integer members of P(f) are sums of one independent set per
         copy and one member of the network part (matroid union and the
         polymatroid sum theorem, Edmonds 1968 and 1970). With copies, the
-        network part is plain (base 0, no caps) or None: matroid_partition
-        keeps the split of its prefill flow, which on a contracted network
+        network part is plain (base 0, no caps) or None: place keeps the
+        split of its prefill flow, which on a contracted network
         need not leave F(base) on base.
         """
         if self.network is not None:
@@ -729,21 +705,6 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
     if hit is None:
         hit = p._member_memo[key] = count(p, x, caps) == sum(x)
     return hit
-
-
-def matroid_partition(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> int:
-    """How many of x's units (x an integer vector >= 0) split into one
-    independent set per matroid copy (at most one unit of an element each)
-    and a count vector in P(g), g a cut network (plain when there are
-    copies) or None: Edmonds' matroid partition (1968; 1970 for the
-    polymatroid sum). With no copies it is g.count(x); else it is the
-    placed total of place(copies, g, x), the largest y(E) over integer
-    y <= x in P(Σ r_copy + g). On a 0/1 x it is the rank of supp x in the
-    union of the copies and the matroid g induces.
-    """
-    if g is not None and not copies:
-        return g.count(x)
-    return place(copies, g, x).placed
 
 
 class Placement:

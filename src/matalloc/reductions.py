@@ -591,15 +591,12 @@ def _alloc_from_cover(inst: SantaInstance, idxs: Sequence[int], need: Sequence[i
                       caps: Caps) -> list[tuple[int, ...]]:
     """Distribute the resources idxs so that player e receives at least need[e]
     units in total; each resource ends on a basis of its polymatroid. A need
-    outside the resources' merged polymatroid is a ContractViolation. The
-    basis split peels the instance's suffix sums (resource_sum), so their
-    memos carry over between guesses."""
+    outside the resources' merged polymatroid is a ContractViolation."""
     merged = _merged(inst, idxs)
     if not member(merged, need, caps):
         raise ContractViolation("cover demand exceeds the merged polymatroid")
     y = greedy_basis_above(merged, tuple(need), caps)
-    return decompose_merged_basis([inst.resources[j].polymatroid for j in idxs], y, caps,
-                                  lambda k: inst.resource_sum(idxs[k:]))
+    return decompose_merged_basis([inst.resources[j].polymatroid for j in idxs], y, caps)
 
 
 def _cover_core(inst: SantaInstance, heavy: Sequence[int], light_sum: PolymatroidOracle, b: int,

@@ -6,9 +6,14 @@ other resource stays with its machine-player, so exact search only needs
 each job-player's (machine, big-or-small) choice.
 """
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
-from matalloc.instances import unit_vector
+from matalloc.instances import CoreCoverInstance, unit_vector
+from matalloc.matroids import PartitionMatroid, UniformMatroid
+from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ModularPoly,
+                                   ScaledRankPoly, SumPoly)
 
 
 def gadget_santa_opt(bundle):
@@ -87,10 +92,6 @@ def gadget_santa_opt(bundle):
 
 def random_poly(rng, n):
     """A random polymatroid across the concrete and derived families."""
-    from matalloc.matroids import UniformMatroid
-    from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ModularPoly,
-                                       ScaledRankPoly, SumPoly)
-
     kind = rng.choice(["modular", "coverage", "scaled", "capped", "dual", "sum"])
     if kind == "modular":
         return ModularPoly([rng.randint(0, 3) for _ in range(n)])
@@ -120,8 +121,6 @@ def brute_opt_config_matched(inst, configs):
     loses nothing). Returns the best min-player total, or None when no
     player-by-player matching exists at all.
     """
-    from fractions import Fraction
-
     m = inst.num_players
     n = len(inst.resources)
 
@@ -136,7 +135,6 @@ def brute_opt_config_matched(inst, configs):
         sig_value.append(table)
 
     positive = [[j for j in range(n) if inst.resources[j].values[i] > 0] for i in range(m)]
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def best_from(i, used):
@@ -170,10 +168,6 @@ def brute_opt_config_matched(inst, configs):
 def schedule_within(inst, theta):
     """A schedule of a classical makespan instance with makespan <= theta, or
     None; bounded DFS over jobs ordered by fewest eligible machines."""
-    from fractions import Fraction
-
-    from matalloc.instances import unit_vector
-
     m = inst.num_machines
     jobs = list(range(len(inst.jobs)))
     options = []
@@ -215,12 +209,6 @@ def nested_coverage_core(seed):
     capped at b. The child problem then fails or frees them, exercising
     certificate folding and the post-recursion bookkeeping.
     """
-    import random
-
-    from matalloc.instances import CoreCoverInstance
-    from matalloc.matroids import PartitionMatroid
-    from matalloc.polymatroids import CoveragePoly
-
     rng = random.Random(seed)
     b = rng.randint(1, 2)
     na = rng.randint(1, 2)          # addable elements

@@ -23,8 +23,8 @@ from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitP
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, count,
                                    dual_polymatroid, greedy_basis_above, is_basis,
-                                   leave_one_out_reaches, marginal_reaches, matroid_partition,
-                                   member, saturation_slack, sfm_min)
+                                   leave_one_out_reaches, marginal_reaches, member, place,
+                                   saturation_slack, sfm_min)
 
 
 def brute_capped(p, caps, mask):
@@ -588,8 +588,11 @@ def brute_slack(p, x, e):
 
 
 def partition_says(p, x):
-    """Membership by p's partition form alone: every unit of x is placed."""
-    return matroid_partition(*p.partition_form, x) == sum(x)
+    """Membership by p's partition form alone: the network's count reaches
+    x(E) on a bare network, and every unit of x is placed on one with
+    copies."""
+    copies, g = p.partition_form
+    return (g.count(x) if g is not None and not copies else place(copies, g, x).placed) == sum(x)
 
 
 def probe_vectors(rng, p):
@@ -635,7 +638,7 @@ def test_flow_membership_matches_sfm(seed):
         expect = sfm_member(ref, x)
         assert partition_says(p, x) == expect
         assert member(p, x) == expect
-        assert matroid_partition(*p.partition_form, x) == brute_capped(ref, x, full_mask(p.n))
+        assert p.network.count(x) == brute_capped(ref, x, full_mask(p.n))
         if expect:
             for e in range(p.n):
                 assert saturation_slack(p, x, e) == brute_slack(ref, x, e)
@@ -1060,7 +1063,7 @@ def test_partition_membership_matches_sfm(seed):
         assert partition_says(p, x) == expect
         assert member(p, x) == expect
         # the count is the largest y(E) over integer y <= x in P
-        assert matroid_partition(copies, g, x) == brute_capped(p, x, full_mask(p.n))
+        assert place(copies, g, x).placed == brute_capped(p, x, full_mask(p.n))
 
 
 def sfm_count(p, x):
@@ -1132,7 +1135,7 @@ def test_scale_zero_parts_carry_nothing():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_forms_with_copies_have_a_plain_network_part(seed):
-    """matroid_partition keeps the split of the network part's prefill flow,
+    """place keeps the split of the network part's prefill flow,
     which is right only on a plain network: a sum of scaled-rank parts and
     a capped or contracted coverage part has no partition form."""
     p = scaled_rank_sum(seed)
@@ -1430,7 +1433,7 @@ def test_reaches_decides_as_the_full_marginal(monkeypatch):
 def test_uniform_counts_come_off_kept_flows():
     """A vector whose nonzero entries off the network's base all equal one
     h is counted off the kept flow of its h-capped support, the flow the
-    threshold questions keep; others off the flow kept per supply vector.
+    threshold questions keep; others off a flow solved for their supply.
     Both against a scratch max-flow and against sfm_min on the
     definitions, with entries on the base (loops) drawn at random."""
     seen = set()
@@ -1458,10 +1461,8 @@ def test_uniform_counts_come_off_kept_flows():
                     assert (x[(off & -off).bit_length() - 1], off) in net._residuals
                     seen.add("kept, touching the base" if vec_support(x) & base else "kept")
                 elif off:
-                    assert tuple(supply[es.index(e)] if e in es else 0
-                                 for e in range(p.n)) in net._flows
-                    seen.add("per supply")
-    assert seen == {"kept", "kept, touching the base", "per supply"}
+                    seen.add("solved")
+    assert seen == {"kept", "kept, touching the base", "solved"}
 
 
 def flow_state(res):
@@ -1469,14 +1470,14 @@ def flow_state(res):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_counts_one_unit_away_come_off_kept_flows(seed, monkeypatch):
+def test_counts_one_unit_away_come_off_kept_flows(seed):
     """Walks of ±1-unit steps, elements taken in a shuffled order, on the
     cut network of a plain polymatroid and of a capped and a contracted
     form of it. Every count equals a max flow solved from scratch and the
-    sfm_min count on the definitions. All flows of the three networks are
-    built on one numbering, no kept flow changes after it is kept (a
-    derived flow is a copy), and a count whose vector is one unit above
-    the last one counted comes off a kept flow, not a new solve."""
+    sfm_min count on the definitions, and a vector uniform off the base
+    leaves its flow kept. All kept flows of the three networks are built on
+    one numbering, and none changes after it is kept (a derived flow is a
+    copy)."""
     rng = random.Random(seed)
     n = rng.randint(3, 6)
     plain = network_part(rng, n)
@@ -1484,15 +1485,6 @@ def test_counts_one_unit_away_come_off_kept_flows(seed, monkeypatch):
              MarginalPoly(plain, rng.getrandbits(n) & ~1)]
     numbering = plain.network._numbering
     assert all(p.network._numbering is numbering for p in forms)
-    solves = []
-
-    class Counted(ResidualFlow):
-        def __init__(self, *args):
-            solves.append(args[1])
-            super().__init__(*args)
-
-    monkeypatch.setattr(polymatroids, "ResidualFlow", Counted)
-    raises = 0
     for p in forms:
         net, ref = p.network, chain_reference(p)
         base, left = net.base, net._left
@@ -1500,7 +1492,7 @@ def test_counts_one_unit_away_come_off_kept_flows(seed, monkeypatch):
                                       [left[e] for e in bits(base)], net.weights)
         order = list(range(n))
         rng.shuffle(order)
-        x, kept, last_mixed = [0] * n, {}, False
+        x, kept = [0] * n, {}
         for step in range(60):
             e = order[step % n] if rng.random() < 0.8 else rng.randrange(n)
             up = x[e] <= left[e] and not (x[e] and rng.random() < 0.35)
@@ -1508,18 +1500,11 @@ def test_counts_one_unit_away_come_off_kept_flows(seed, monkeypatch):
             es = elements(vec_support(x) | base)
             supply = [left[e] if (base >> e) & 1 else min(x[e], left[e]) for e in es]
             want = max_capacitated_flow([net.covers[e] for e in es], supply, net.weights) - f_base
-            del solves[:]
             assert net.count(x) == want == sfm_count(ref, x), (seed, x)
-            mixed = len({x[e] for e in bits(vec_support(x) & ~base)}) > 1
-            if up and mixed and last_mixed:
-                # the vector one unit below at e was counted last, off a flow
-                # kept per supply, so this one is derived from it
-                assert not solves
-                raises += 1
-            last_mixed = mixed
-            for flows in (net._flows, net._residuals):
-                for key, res in flows.items():
-                    assert res.nbrs is numbering.nbrs and res.arcs is numbering.arcs
-                    kept.setdefault((id(flows), key), flow_state(res))
-                    assert flow_state(res) == kept[id(flows), key]
-    assert raises
+            off = vec_support(x) & ~base
+            if off and len({x[e] for e in bits(off)}) == 1:
+                assert (x[(off & -off).bit_length() - 1], off) in net._residuals
+            for key, res in net._residuals.items():
+                assert res.nbrs is numbering.nbrs and res.arcs is numbering.arcs
+                kept.setdefault(key, flow_state(res))
+                assert flow_state(res) == kept[key]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matalloc import instances, intersection, polymatroids, reductions
+from matalloc import instances, polymatroids, reductions
 from matalloc.bitsets import full_mask, size, submasks
 from matalloc.instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
                                 entity_totals, gen_random, validate_allocation)
@@ -482,48 +482,6 @@ class TestReduceToCore:
         assert cores[0].matroid.poly is cores[1].matroid.poly
         assert cores[0].polymatroid is cores[1].polymatroid
         assert set(inst._sums.values()) >= {cores[0].matroid.poly, cores[0].polymatroid}
-
-    @pytest.mark.parametrize("seed, m", [(2, 5), (7, 6), (11, 4)])
-    def test_basis_splits_peel_the_instances_suffix_sums(self, seed, m, monkeypatch):
-        """Over a santa guess loop that reads the allocation of every
-        accepted guess, every basis split of _alloc_from_cover peels the
-        instance's suffix sums (resource_sum of idxs[k:]) instead of new
-        SumPolys, builds each sum once per instance, and returns the pieces
-        that a split peeling new SumPolys returns."""
-        inst = gen_random("santa-matroid", seed, m=m, n=4, u=F(1), w=F(3))
-        built: dict[tuple, int] = {}
-        splits = []
-        real_sum, real_split = instances.SumPoly, reductions.decompose_merged_basis
-
-        def counted_sum(parts):
-            key = tuple(map(id, parts))
-            built[key] = built.get(key, 0) + 1
-            return real_sum(parts)
-
-        def fresh_peel(parts):
-            raise AssertionError("a split with the instance at hand built a new SumPoly")
-
-        def recorded_split(parts, y, caps, suffix):
-            pieces = real_split(parts, y, caps, suffix)
-            splits.append((parts, y, pieces))
-            return pieces
-
-        monkeypatch.setattr(instances, "SumPoly", counted_sum)
-        monkeypatch.setattr(intersection, "SumPoly", fresh_peel)
-        monkeypatch.setattr(reductions, "decompose_merged_basis", recorded_split)
-
-        def read_each(t):
-            red = reduce_to_core(inst, F(8), t, lambda c: solve_cover(c, F(1, 10)))
-            validate_allocation(inst, red.alloc, require_basis=True)
-            return red
-
-        best, _ = guess_loop(read_each, santa_guess_grid(inst))
-        assert best is not None
-        assert any(len(parts) > 2 for parts, _, _ in splits)
-        assert set(built.values()) == {1}
-        monkeypatch.setattr(intersection, "SumPoly", real_sum)
-        for parts, y, pieces in splits:
-            assert intersection.decompose_merged_basis(parts, y) == pieces
 
     def test_round_case(self):
         # guess 5, alpha 2: both scaled values (1/5, 2/5) fall below 1/alpha
