@@ -13,13 +13,13 @@ from .instances import (CoreCoverInstance, Item, MakespanInstance, SantaInstance
                         serialize_instance, split_merged_solution)
 from .limits import Caps, ContractViolation, SchemaError, SizeCapError
 from .localsearch import solve_cover, verify_certificate
-from .matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, GraphicMatroid,
-                       InducedMatroid, MatroidOracle, PartitionMatroid, TransversalMatroid,
-                       UniformMatroid, UnionMatroid, ZeroedMatroid, matroid_add_greedy)
+from .matroids import (ContractedMatroid, ExplicitMatroid, GraphicMatroid, InducedMatroid,
+                       MatroidOracle, PartitionMatroid, TransversalMatroid, UniformMatroid,
+                       UnionMatroid, ZeroedMatroid, matroid_add_greedy)
 from .polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly, MarginalPoly,
                            ModularPoly, PolymatroidOracle, ScaledRankPoly, SumPoly,
-                           capped_marginal, dual_polymatroid, greedy_basis_above, is_basis,
-                           marginal_reaches, member, sfm_min)
+                           capped_marginal, greedy_basis_above, is_basis, marginal_reaches,
+                           member, sfm_min)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -327,6 +327,8 @@ def matroid_from_json(obj, path: str = "matroid", ground: int | None = None) -> 
         if kind == "graphic":
             return GraphicMatroid(obj["vertices"], [tuple(e) for e in obj["edges"]])
         if kind == "transversal":
+            if "n" in obj and not (_is_int(obj["n"]) and obj["n"] == len(obj["adjacency"])):
+                raise SchemaError(f"{path}.n: must be the number of adjacency rows")
             right = obj["num_right"]
             named = min(right, MAX_RIGHT) if _is_int(right) else right
             return TransversalMatroid([_mask_from_json(a, named, "right vertices",

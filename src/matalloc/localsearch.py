@@ -203,7 +203,14 @@ def _fold_certificate(child_cert: Certificate, state: SearchState,
 
 def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
     """One augmentation: cover an eps^2 fraction of B0 with the matroid while
-    keeping the rest of the cover intact, or fail with a certificate."""
+    keeping the rest of the cover intact, or fail with a certificate.
+
+    A child's success covers eps^2·|B0| at once only if |B0| > 1/eps: else
+    build_addable ends only on an empty layer, so c_rest holds I_M's part of
+    every fundamental circuit of B0 (I_M spans B0 past the first check), and
+    B0's elements are loops below this node. The root's B0 is one target and
+    a child adds B to it, so this needs 1/eps blocking elements on one path.
+    """
     _assert_state(state, caps)
     m, p, b, eps = state.matroid, state.poly, state.b, state.eps
     num, den = eps.numerator, eps.denominator

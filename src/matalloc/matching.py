@@ -45,7 +45,7 @@ class ArcNumbering:
     of adj[u]), numbered once: nbrs[u] lists adj[u]'s right vertices in
     ascending order, and arcs[u, v] numbers the arcs in that order. A
     network whose adjacency never changes builds one and passes it to
-    every flow over it (polymatroids.CutNetwork)."""
+    every flow over it (polymatroids.CutNetwork, rounding._flow_feasible)."""
 
     __slots__ = ("nbrs", "arcs")
 

@@ -57,11 +57,6 @@ class UniformMatroid(MatroidOracle):
         return min(size(mask), self.k)
 
 
-class FreeMatroid(UniformMatroid):
-    def __init__(self, n: int):
-        super().__init__(n, n)
-
-
 class PartitionMatroid(MatroidOracle):
     """At most caps[i] elements from blocks[i]; blocks must partition E."""
 

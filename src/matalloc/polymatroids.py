@@ -17,22 +17,23 @@ Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
 and set contractions) are cut networks (CutNetwork): the count of an
 integer x is one exact max-flow, the kept one of the h-capped support when
 x's nonzero entries off the network's base all equal h, and else one
-solved for x's supply. Every flow of a network, and of its capped and
-contracted forms, runs on one arc numbering of its covers. A one-element
-capped marginal f(i | h·X) there is one augmenting search from i on a copy
-of the max flow of X, which the network keeps in residual form per (h, X)
-(CutNetwork.marginal). The local search only asks whether such a marginal
-reaches h (marginal_reaches, CutNetwork.reaches), and bounds decide most
-of those questions with no search: the marginal is at most i's own reach,
-and reaches h when the kept flow of X leaves h of free sink room on what i
-covers; otherwise the search raises i's supply by h. Its leave-one-out
-questions, f(i | h·(X − i)) >= h for every i of a set,
-take one residual reachability search on the kept flow of X
-(leave_one_out_reaches, CutNetwork.leave_one_out): i's marginal reaches h
-exactly when i's supply is h and some minimum cut holds i's source arc,
-that is, when the search from the source does not reach i (max-flow
-min-cut, Ford and Fulkerson 1956). A missing kept flow is derived from
-one a single element away.
+solved for x's supply, less F(base), which takes no flow when the base is
+empty. Every flow of a network is built from a vector by one method
+(CutNetwork._flow), on one arc numbering of its covers that its capped and
+contracted forms share. A one-element capped marginal f(i | h·X) there is
+one augmenting search from i on a copy of the max flow of X, which the
+network keeps in residual form per (h, X) (CutNetwork.marginal). The local
+search only asks whether such a marginal reaches h (marginal_reaches,
+CutNetwork.reaches), and bounds decide most of those questions with no
+search: the marginal is at most i's own reach, and reaches h when the kept
+flow of X leaves h of free sink room on what i covers; otherwise the
+search raises i's supply by h. Its leave-one-out questions,
+f(i | h·(X − i)) >= h for every i of a set, take one residual reachability
+search on the kept flow of X (leave_one_out_reaches,
+CutNetwork.leave_one_out): i's marginal reaches h exactly when i's supply
+is h and some minimum cut holds i's source arc, that is, when the search
+from the source does not reach i (max-flow min-cut, Ford and Fulkerson
+1956). A missing kept flow is derived from one a single element away.
 
 A cut network, a scaled-rank part, or a sum of scaled-rank and plain
 cut-network parts has a partition form: matroid copies (none for a cut
@@ -75,9 +76,9 @@ class CutNetwork:
     (_residual), in residual form. The threshold questions (reaches), the
     exact marginals (marginal), the leave-one-out batches (leave_one_out)
     and the counts of vectors uniform off base (count) share those flows;
-    the other counts solve theirs. Every flow runs on one ArcNumbering of
-    the covers, which capped and contracted copies of the network share
-    with it, as they share the reaches.
+    the other counts solve theirs. Every flow is built by _flow from a
+    vector, on one ArcNumbering of the covers, which capped and contracted
+    copies of the network share with it, as they share the reaches.
     """
 
     def __init__(self, covers: Sequence[int], weights: Sequence[int],
@@ -112,12 +113,19 @@ class CutNetwork:
     def contracted(self, mask: int) -> "CutNetwork":
         return CutNetwork(self.covers, self.weights, self.caps, self.base | mask, self._shared)
 
+    def _flow(self, x: Sequence[int]) -> ResidualFlow:
+        """The max flow with supply _left on base and min(x, _left) off it:
+        F(supp(x) ∪ base) with the elements off base capped at x."""
+        left = self._left
+        supply = [v if v < t else t for v, t in zip(x, left)]
+        for e in bits(self.base):
+            supply[e] = left[e]
+        return ResidualFlow(self._numbering, supply, self.weights)
+
     @cached_property
     def _f_base(self) -> int:
-        """F(base): the max flow with supply _left on base."""
-        base, left = self.base, self._left
-        supply = [left[e] if (base >> e) & 1 else 0 for e in range(len(left))]
-        return ResidualFlow(self._numbering, supply, self.weights).total
+        """F(base), 0 with no flow for an empty base."""
+        return self.base and self._flow([0] * len(self.covers)).total
 
     def count(self, x: Sequence[int]) -> int:
         """max y(E) over integer y <= x in P(f), for an integer x >= 0: the
@@ -129,16 +137,13 @@ class CutNetwork:
         kept max flow of the h-capped support (_residual), as for the
         threshold questions; else it is solved.
         """
-        base, left = self.base, self._left
-        supp = vec_support(x)
-        off = supp & ~base
+        off = vec_support(x) & ~self.base
         if not off:
             return 0
         h = x[(off & -off).bit_length() - 1]
         if all(x[e] == h for e in bits(off)):
             return self._residual(h, off).total - self._f_base
-        supply = [t if (base >> e) & 1 else min(v, t) for e, (v, t) in enumerate(zip(x, left))]
-        return ResidualFlow(self._numbering, supply, self.weights).total - self._f_base
+        return self._flow(x).total - self._f_base
 
     def marginal(self, i: int, h: int, mask: int) -> int:
         """f(i | h·mask): the capped marginal of element i above mask with the
@@ -228,13 +233,7 @@ class CutNetwork:
                 res = near.copy()
                 res.lower_supply(j, min(h, left[j]))
                 return res
-        return self._solve(h, off)
-
-    def _solve(self, h: int, off: int) -> ResidualFlow:
-        supply = [0] * len(self.covers)
-        for e in bits(off | self.base):
-            supply[e] = min(h, self._left[e]) if (off >> e) & 1 else self._left[e]
-        return ResidualFlow(self._numbering, supply, self.weights)
+        return self._flow([h if (off >> e) & 1 else 0 for e in range(len(self.covers))])
 
 
 class PolymatroidOracle:
@@ -517,6 +516,7 @@ class VectorContractedPoly(PolymatroidOracle):
         super().__init__(inner.n)
         if len(base) != inner.n:
             raise ValueError("base vector length mismatch")
+        _check_weights(base, "contracted base entries")
         if not member(inner, base):
             raise ValueError("base vector must belong to the polymatroid")
         self.inner = inner
@@ -530,7 +530,9 @@ class VectorContractedPoly(PolymatroidOracle):
 
 
 class DualPoly(PolymatroidOracle):
-    """g(S) = z(S) + f(E \\ S) − f(E) for a vector z dominating the polymatroid."""
+    """g(S) = z(S) + f(E \\ S) − f(E): the dual with respect to a vector z
+    that dominates every member of the polymatroid (checked in the axiom
+    suites, not at construction)."""
 
     def __init__(self, inner: PolymatroidOracle, z: Sequence[int]):
         super().__init__(inner.n)
@@ -546,12 +548,6 @@ class DualPoly(PolymatroidOracle):
             self._fe = self.inner.value(full_mask(self.n))
         comp = full_mask(self.n) & ~mask
         return vec_sum(self.z, mask) + self.inner.value(comp) - self._fe
-
-
-def dual_polymatroid(p: PolymatroidOracle, z: Sequence[int]) -> DualPoly:
-    """Dual of p with respect to z; z must dominate every member of p
-    (checked in the axiom suites, not at construction)."""
-    return DualPoly(p, z)
 
 
 def capped_marginal(p: PolymatroidOracle, add: int, h: int, base: int) -> int:
@@ -770,10 +766,9 @@ def place(copies: tuple, g: CutNetwork | None, x: Sequence[int]) -> Placement:
     pending = list(x)
     flow = None
     if g is not None:
-        supply = [min(v, t) for v, t in zip(x, g._left)]
-        flow = ResidualFlow(g._numbering, supply, g.weights)
+        flow = g._flow(x)
         for e in bits(supp):
-            pending[e] -= supply[e] - flow.left_res[e]
+            pending[e] -= min(x[e], g._left[e]) - flow.left_res[e]
             flow.left_res[e] = 0   # g holds exactly what it carries
     masks = [0] * len(copies)
     for i, m in enumerate(copies):

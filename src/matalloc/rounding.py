@@ -15,13 +15,13 @@ is classical (one unit each), else as the direct sum of their memberships
 The LP's points come from the exact integer-preserving simplex only, so
 every additive guarantee is checked with exact comparisons. When every item
 is classical and restricted (one value on all its eligible entities), the
-LP is a transportation problem: one exact max flow on a CutNetwork decides
-each guess (Lenstra, Shmoys and Tardos 1990), and the simplex runs only
-when the point of a feasible guess is read (FractionalAssignment.x), so a
-guess loop over such an instance solves one LP. The objective-guessing
-primitives live here too: column_sums builds the guess grids
-(santa_guess_grid, makespan_guess_grid) in integers and guess_loop is the
-one bisection over them.
+LP is a transportation problem: one exact max flow (matching.ResidualFlow,
+on an arc numbering kept with the instance) decides each guess (Lenstra,
+Shmoys and Tardos 1990), and the simplex runs only when the point of a
+feasible guess is read (FractionalAssignment.x), so a guess loop over such
+an instance solves one LP. The objective-guessing primitives live here too:
+column_sums builds the guess grids (santa_guess_grid, makespan_guess_grid)
+in integers and guess_loop is the one bisection over them.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from . import intersection  # the search by module attribute, which tracers rebi
 from .intersection import DirectSum, PartitionBound
 from .limits import (Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
                      InternalInvariantError, SizeCapError)
-from .matching import perfect_matching
-from .polymatroids import (CoveragePoly, CutNetwork, PolymatroidOracle, greedy_basis_above,
-                           member)
+from .matching import ArcNumbering, ResidualFlow, perfect_matching
+from .polymatroids import CoveragePoly, PolymatroidOracle, greedy_basis_above, member
 from .simplex import feasible_point
 
 
@@ -192,11 +191,12 @@ def _decided_point(inst, T: Fraction, columns: Sequence[Sequence[int]]
 @dataclass(frozen=True)
 class _IntegerView:
     """A restricted classical instance in integers: ints[j] is item j's one
-    value times scale, the common denominator of the values, and covers are
-    the cut network's: per player the mask of the items eligible for it
-    (santa), per job the mask of the machines eligible for it (makespan)."""
+    value times scale, the common denominator of the values, and numbering
+    the arcs of the transportation network: from each player to the items
+    eligible for it (santa), from each job to the machines eligible for it
+    (makespan)."""
 
-    covers: tuple[int, ...]
+    numbering: ArcNumbering
     ints: tuple[int, ...]
     scale: int
 
@@ -220,12 +220,12 @@ def _build_integer_view(inst) -> _IntegerView | None:
     scale = lcm(*(v.denominator for v in vals))
     ints = tuple(v.numerator * (scale // v.denominator) for v in vals)
     if isinstance(inst, MakespanInstance):
-        return _IntegerView(tuple(map(mask_of, eligible)), ints, scale)
+        return _IntegerView(ArcNumbering(map(mask_of, eligible)), ints, scale)
     covers = [0] * inst.num_entities
     for j, cols in enumerate(eligible):
         for i in cols:
             covers[i] |= 1 << j
-    return _IntegerView(tuple(covers), ints, scale)
+    return _IntegerView(ArcNumbering(covers), ints, scale)
 
 
 def _flow_feasible(inst, view: _IntegerView, T: Fraction) -> bool:
@@ -234,23 +234,23 @@ def _flow_feasible(inst, view: _IntegerView, T: Fraction) -> bool:
 
     With v_j the one value of item j on its eligible entities and L the
     common denominator of T and the v_j, the variables v_j·x_ji are a flow
-    from the items' side to the entities' in integers times L:
-    - santa: each player covers the items eligible for it, item j weighted
-      v_j·L, and the count of T·L·1 must be m·T·L in full (a surplus of any
-      item can always go to one of its eligible players);
-    - makespan: job j covers its eligible machines, each weighted T·L, and
-      the count of the vector p·L must be Σ_j p_j·L in full. Every job fits
-      on each of them, or assignment_lp_columns has returned None.
+    in integers times L, which must carry its whole supply:
+    - santa: each player supplies T·L to the items eligible for it, item j
+      drains v_j·L (a surplus of any item can always go to one of its
+      eligible players);
+    - makespan: job j supplies p_j·L to its eligible machines, each
+      draining T·L. Every job fits on each of them, or
+      assignment_lp_columns has returned None.
     """
     scale = lcm(view.scale, T.denominator)
     t = T.numerator * (scale // T.denominator)
     ints = [v * (scale // view.scale) for v in view.ints]
     m = inst.num_entities
     if isinstance(inst, MakespanInstance):
-        net, x = CutNetwork(view.covers, [t] * m, [None] * len(ints)), ints
+        supply, drain = ints, [t] * m
     else:
-        net, x = CutNetwork(view.covers, ints, [None] * m), [t] * m
-    return net.count(x) == sum(x)
+        supply, drain = [t] * m, ints
+    return ResidualFlow(view.numbering, supply, drain).total == sum(supply)
 
 
 def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS

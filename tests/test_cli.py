@@ -273,12 +273,21 @@ def _core_cover(tmp_path, matroid, polymatroid):
      {"kind": "scaled-rank", "scale": 1, "matroid": {"kind": "partition", "n": 10**30,
                                                      "blocks": [[0], [1, 2]], "caps": [1, 1]}},
      "error: polymatroid.matroid: bad partition matroid"),
+    ({"kind": "uniform", "n": 3, "rank": 1},
+     {"kind": "contracted", "inner": {"kind": "modular", "weights": [2, 2, 2]},
+      "base": [0.5, 1, 0]}, "contracted base entries must be integers"),
+    ({"kind": "uniform", "n": 3, "rank": 1},
+     {"kind": "contracted", "inner": {"kind": "modular", "weights": [2, 2, 2]},
+      "base": [True, 1, 0]}, "contracted base entries must be integers"),
+    ({"kind": "transversal", "n": 3.5, "num_right": 2, "adjacency": [[0], [1], [0, 1]]},
+     {"kind": "modular", "weights": [1, 1, 2]}, "matroid.n: must be the number of adjacency rows"),
 ], ids=["coverage-item-out-of-range", "modular-float-weight", "uniform-negative-rank",
         "scaled-rank-float-scale", "partition-float-cap", "partition-negative-cap",
         "partition-bool-cap", "capped-float-cap", "dual-float-z", "graphic-float-endpoint",
         "graphic-float-vertices", "transversal-right-out-of-range",
         "transversal-negative-num-right", "transversal-float-num-right", "uniform-float-n",
-        "uniform-float-rank", "nested-partition-huge-n"])
+        "uniform-float-rank", "nested-partition-huge-n", "contracted-float-base",
+        "contracted-bool-base", "transversal-float-n"])
 def test_malformed_oracle_data_exit_one(tmp_path, capsys, matroid, polymatroid, field):
     path = _core_cover(tmp_path, matroid, polymatroid)
     assert main(["solve-cover", "--in", str(path)]) == 1
@@ -567,6 +576,48 @@ def test_mutated_documents_exit_without_a_traceback(tmp_path):
     assert out["escaped"] == []
     assert sorted(out["codes"]) == ["0", "1", "2"]
     assert sum(out["codes"].values()) == len(runs)
+
+
+# Every integer leaf of a seeded document of each gen --flavor, and of a core
+# cover whose polymatroid is a vector contraction, made a half or a bool.
+_GEN_FLAVORS = ["gap", "core-cover", "unrelated-santa", "restricted-santa", "two-value-santa",
+                "two-value-makespan", "restricted-makespan", "santa-matroid", "makespan-matroid"]
+_REDUCE_KIND = {"core-cover": "config-round", "santa": "config-round",
+                "makespan": "twovalue-makespan-to-santa",
+                "santa-matroid": "matroid-santa-to-makespan",
+                "makespan-matroid": "matroid-makespan-to-santa"}
+_CONTRACTED_CORE = {"type": "core-cover", "b": 1, "matroid": {"kind": "uniform", "n": 3, "rank": 1},
+                    "polymatroid": {"kind": "contracted", "base": [1, 1, 0],
+                                    "inner": {"kind": "modular", "weights": [2, 2, 2]}}}
+
+
+def test_a_non_integer_leaf_exits_one(tmp_path, capsys):
+    """Each integer leaf replaced by v + 0.5, True or False: the parser
+    refuses the document, and solve-cover, verify and reduce each exit 1
+    with an error line."""
+    docs = [json.loads(serialize_instance(gen_random(flavor, seed, m=3, n=3)))
+            for flavor in _GEN_FLAVORS for seed in range(2)] + [_CONTRACTED_CORE]
+    path, mutants = tmp_path / "doc.json", 0
+    for doc in docs:
+        commands = [["solve-cover"], ["verify"], ["reduce", "--kind", _REDUCE_KIND[doc["type"]]]]
+        for spot, v in _json_spots(doc):
+            if not isinstance(v, int) or isinstance(v, bool):
+                continue
+            for new in (v + 0.5, True, False):
+                mutant = json.loads(json.dumps(doc))
+                parent = mutant
+                for key in spot[:-1]:
+                    parent = parent[key]
+                parent[spot[-1]] = new
+                text = json.dumps(mutant)
+                with pytest.raises(SchemaError):
+                    parse_instance(text.encode())
+                path.write_text(text)
+                for argv in commands:
+                    assert main([*argv, "--in", str(path)]) == 1, (argv, spot, new)
+                    assert capsys.readouterr().err.startswith("error: "), (argv, spot, new)
+                mutants += 1
+    assert mutants >= 900
 
 
 _UNIFORM_1 = {"kind": "uniform", "n": 1, "rank": 1}

@@ -13,8 +13,7 @@ from matalloc.instances import gen_random
 from matalloc.intersection import (DirectSum, ExpandedMatroid, PartitionBound, decompose_in_sum,
                                    decompose_merged_basis, max_common_independent)
 from matalloc.limits import ContractViolation, SizeCapError
-from matalloc.matroids import (FreeMatroid, GraphicMatroid, PartitionMatroid, TransversalMatroid,
-                               UniformMatroid)
+from matalloc.matroids import GraphicMatroid, PartitionMatroid, TransversalMatroid, UniformMatroid
 from matalloc.oracle import enumerate_bases
 from matalloc.polymatroids import (CoveragePoly, ModularPoly, ScaledRankPoly, SumPoly, is_basis,
                                    member)
@@ -48,7 +47,7 @@ class TestMatroidIntersection:
         assert size(got) == 2
 
     def test_min_rank(self):
-        got = common_set(UniformMatroid(3, 1), FreeMatroid(3))
+        got = common_set(UniformMatroid(3, 1), UniformMatroid(3, 3))
         assert size(got) == 1
 
     def test_partition_vs_transversal(self):

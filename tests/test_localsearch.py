@@ -211,6 +211,42 @@ class TestRecursionPath:
         assert rep["ok"] and rep["exhaustive_sound"]
 
 
+def test_a_small_target_set_is_loops_below_its_node(monkeypatch):
+    """augment's docstring: a node with |B0| <= 1/eps contracts every element
+    of I_M on B0's fundamental circuits, so each B0 element is a loop of the
+    child's matroid and no child's success meets B0; over seeded draws."""
+    from conftest import nested_coverage_core
+
+    real_recurse, real_augment = localsearch.recurse_input, localsearch.augment
+    children, successes = {}, [0]   # children keep their states alive: ids stay unique
+
+    def recurse(state, addable, blocked, i_m, i_p):
+        child = real_recurse(state, addable, blocked, i_m, i_p)
+        if size(state.B0) * state.eps <= 1:
+            assert all(child.matroid.rank(1 << e) == 0 for e in bits(state.B0))
+            children[id(child)] = (child, state.B0)
+        return child
+
+    def spy(state, caps=DEFAULT_CAPS):
+        result = real_augment(state, caps)
+        if result.success and id(state) in children:
+            assert not result.I_M & children[id(state)][1]
+            successes[0] += 1
+        return result
+
+    monkeypatch.setattr(localsearch, "recurse_input", recurse)
+    monkeypatch.setattr(localsearch, "augment", spy)
+    insts = [parse_instance(path.read_bytes())
+             for path in sorted((Path(__file__).parent / "corpus").glob("*.json"))]
+    for seed in range(40):
+        insts += [nested_coverage_core(seed)] + [gen_random("core-cover", seed, m=m, b=b)
+                                                 for m in (12, 16) for b in (1, 2)]
+    for inst in insts:
+        for eps in (Fraction(1, 8), EPS):
+            solve_cover(inst, eps)
+    assert len(children) >= 100 and successes[0] >= 5, (len(children), successes)
+
+
 # ---------------------------------------------------------------------------
 # A child's success returned to its parent: draws kept in tests/corpus/, each
 # written by serialize_instance(gen_random("core-cover", seed, m=m, b=b))

@@ -13,7 +13,7 @@ from matalloc.instances import (Item, MakespanInstance, SantaInstance, assignmen
                                 entity_totals, gen_gap_instance, gen_random,
                                 validate_allocation)
 from matalloc.limits import Caps, SizeCapError
-from matalloc.matroids import FreeMatroid, UniformMatroid
+from matalloc.matroids import UniformMatroid
 from matalloc.oracle import (brute_max_cover_b, brute_opt_makespan, brute_opt_santa,
                              check_axioms, enumerate_bases, exists_strong_cover)
 from matalloc.polymatroids import ModularPoly, is_basis
@@ -120,7 +120,7 @@ class TestCoverOracle:
         assert brute_max_cover_b(inst.matroid, inst.polymatroid) == 1
 
     def test_matroid_alone_is_infinite(self):
-        assert brute_max_cover_b(FreeMatroid(2), ModularPoly([0, 0])) == math.inf
+        assert brute_max_cover_b(UniformMatroid(2, 2), ModularPoly([0, 0])) == math.inf
 
     def test_cap_enforced(self):
         caps = Caps(sfm_ground=3)
@@ -138,13 +138,13 @@ class TestStrongCover:
                                            b0, F(3), F(3, 10))
 
     def test_positive_case(self):
-        assert exists_strong_cover(FreeMatroid(2), ModularPoly([0, 0]), 0b11, 0b01,
+        assert exists_strong_cover(UniformMatroid(2, 2), ModularPoly([0, 0]), 0b11, 0b01,
                                    F(1), F(3, 10))
 
     def test_obeys_ground_cap(self):
         caps = Caps().override(sfm_ground=4)
         with pytest.raises(SizeCapError, match="soundness check over 5 elements"):
-            exists_strong_cover(FreeMatroid(5), ModularPoly([1] * 5), full_mask(5), 0b1,
+            exists_strong_cover(UniformMatroid(5, 5), ModularPoly([1] * 5), full_mask(5), 0b1,
                                 F(1), F(3, 10), caps)
 
 

@@ -15,16 +15,15 @@ from matalloc.instances import CoreCoverInstance, gen_random
 from matalloc.localsearch import solve_cover
 from matalloc.limits import Caps, SizeCapError
 from matalloc.matching import ArcNumbering, ResidualFlow
-from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, FreeMatroid, GraphicMatroid,
-                               InducedMatroid, PartitionMatroid, TransversalMatroid,
-                               UniformMatroid, UnionMatroid, ZeroedMatroid, matroid_add_greedy)
+from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, GraphicMatroid, InducedMatroid,
+                               PartitionMatroid, TransversalMatroid, UniformMatroid,
+                               UnionMatroid, ZeroedMatroid, matroid_add_greedy)
 from matalloc.oracle import brute_transversal_rank, check_axioms, enumerate_bases
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly,
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, count,
-                                   dual_polymatroid, greedy_basis_above, is_basis,
-                                   leave_one_out_reaches, marginal_reaches, member, place,
-                                   saturation_slack, sfm_min)
+                                   greedy_basis_above, is_basis, leave_one_out_reaches,
+                                   marginal_reaches, member, place, saturation_slack, sfm_min)
 
 
 def brute_capped(p, caps, mask):
@@ -244,21 +243,21 @@ class TestAddGreedy:
 
 class TestDual:
     def test_counting(self):
-        d = dual_polymatroid(ModularPoly([1, 1]), (2, 2))
+        d = DualPoly(ModularPoly([1, 1]), (2, 2))
         assert d.value(0b01) == 1 and d.value(0b10) == 1 and d.value(0b11) == 2
 
     def test_tight_z(self):
-        assert dual_polymatroid(ModularPoly([2]), (2,)).value(1) == 0
+        assert DualPoly(ModularPoly([2]), (2,)).value(1) == 0
 
     def test_rank_one(self):
-        d = dual_polymatroid(ScaledRankPoly(UniformMatroid(2, 1), 1), (1, 1))
+        d = DualPoly(ScaledRankPoly(UniformMatroid(2, 1), 1), (1, 1))
         assert d.value(0b01) == 1 and d.value(0b10) == 1 and d.value(0b11) == 1
 
     def test_basis_duality(self):
         # x in B(P) implies z - x in B(dual(P, z))
         p = CoveragePoly([0b011, 0b110, 0b101], [1, 2, 1])
         z = tuple(p.value(1 << e) for e in range(3))
-        d = dual_polymatroid(p, z)
+        d = DualPoly(p, z)
         for b in enumerate_bases(p):
             assert is_basis(d, tuple(z[e] - b[e] for e in range(3)))
 
@@ -303,7 +302,7 @@ def test_axiom_checker_flags_planted_violation():
 
 
 def test_matroid_families_axioms():
-    for m in [UniformMatroid(4, 2), FreeMatroid(3),
+    for m in [UniformMatroid(4, 2), UniformMatroid(3, 3),
               PartitionMatroid(4, [0b0011, 0b1100], [1, 2]),
               GraphicMatroid(3, [(0, 1), (1, 2), (2, 0), (0, 2)]),
               TransversalMatroid([0b01, 0b11, 0b10], 2)]:
@@ -504,7 +503,8 @@ def test_forms_without_a_network_keep_the_recursion(seed):
 def test_vector_contraction_is_the_least_slack_above_the_set(seed):
     """f_y(S) = min_{U ⊇ S} f(U) − y(U) on random members y of a cut
     network, a scaled-rank part, an explicit table and a recursed sum with
-    copies (up to 6 elements), as integers and as halves."""
+    copies (up to 6 elements). A base of halves is refused: the contraction
+    of an integer polymatroid is by an integer vector."""
     rng = random.Random(seed)
     forms = threshold_forms(seed)
     forms.append(non_network_polys(rng, rng.randint(2, 6))[-1])
@@ -514,12 +514,13 @@ def test_vector_contraction_is_the_least_slack_above_the_set(seed):
             y = [rng.randint(0, p.value(1 << e)) for e in range(p.n)]
             while not sfm_member(p, y):
                 y[rng.choice([e for e in range(p.n) if y[e]])] -= 1
-            for base in (y, [Fraction(v, 2) for v in y]):
-                vc = VectorContractedPoly(p, base)
-                for mask in range(1 << p.n):
-                    expect = min(p.value(u) - vec_sum(base, u)
-                                 for u in submasks(full) if u & mask == mask)
-                    assert vc.value(mask) == expect
+            vc = VectorContractedPoly(p, y)
+            for mask in range(1 << p.n):
+                expect = min(p.value(u) - vec_sum(y, u)
+                             for u in submasks(full) if u & mask == mask)
+                assert vc.value(mask) == expect
+            with pytest.raises(ValueError, match="contracted base entries must be integers"):
+                VectorContractedPoly(p, [Fraction(v, 2) for v in y])
 
 
 # ---------------------------------------------------------------------------
@@ -1463,6 +1464,32 @@ def test_uniform_counts_come_off_kept_flows():
                 elif off:
                     seen.add("solved")
     assert seen == {"kept", "kept, touching the base", "solved"}
+
+
+def test_a_count_on_an_empty_base_builds_one_flow(monkeypatch):
+    """F(∅) = 0 needs no flow: on a network with an empty base, a count off
+    the kept flow of a uniform vector and a count of a vector that is not
+    uniform each build one ResidualFlow. A contracted network builds F(base)
+    once, with its first count."""
+    built = []
+    real = ResidualFlow.__init__
+
+    def counting(self, *args):
+        built.append(args[1])
+        real(self, *args)
+
+    monkeypatch.setattr(ResidualFlow, "__init__", counting)
+    p = CoveragePoly([0b0011, 0b0110, 0b1100], [1, 2, 1, 1])
+    for x, want in (([2, 2, 0], 4), ([1, 2, 0], 3)):
+        net = CoveragePoly(p.covers, p.item_weights).network
+        assert net.base == 0
+        built.clear()
+        assert net.count(x) == want
+        assert len(built) == 1
+    contracted = p.network.contracted(0b001)
+    built.clear()
+    assert contracted.count([0, 2, 0]) == 1 and contracted.count([0, 1, 2]) == 2
+    assert len(built) == 3 and built.count([3, 0, 0]) == 1
 
 
 def flow_state(res):

@@ -12,8 +12,9 @@ from matalloc.bitsets import bits, submasks
 from matalloc.instances import Item, MakespanInstance, SantaInstance, entity_totals, gen_random
 from matalloc.intersection import DirectSum, max_common_independent
 from matalloc.limits import Caps, ContractViolation, InternalInvariantError, SizeCapError
+from matalloc.matching import ResidualFlow
 from matalloc.oracle import brute_opt_makespan, enumerate_bases
-from matalloc.polymatroids import is_basis, member
+from matalloc.polymatroids import CutNetwork, is_basis, member
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, assignment_lp_columns,
                                assignment_lp_rows, column_sums, is_restricted, item_value_poly,
                                lst_baseline, makespan_guess_grid, round_makespan, round_santa,
@@ -352,6 +353,34 @@ class TestFlowDecision:
                 assert (frac is None) == (want is None), (inst, t)
                 outcomes[frac is not None] += 1
         assert outcomes[True] >= 250 and outcomes[False] >= 250, outcomes
+
+    def test_each_guess_is_one_bare_flow(self, monkeypatch):
+        """A restricted guess builds one ResidualFlow, on the arc numbering
+        kept with the instance, and no CutNetwork."""
+        built = {"flows": 0, "networks": 0}
+        real_flow, real_network = ResidualFlow.__init__, CutNetwork.__init__
+
+        def flow(self, *args):
+            built["flows"] += 1
+            real_flow(self, *args)
+
+        def network(self, *args, **kwargs):
+            built["networks"] += 1
+            real_network(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResidualFlow, "__init__", flow)
+        monkeypatch.setattr(CutNetwork, "__init__", network)
+        guesses = 0
+        for inst in restricted_draws():
+            makespan = isinstance(inst, MakespanInstance)
+            for t in makespan_guess_grid(inst) if makespan else santa_guess_grid(inst):
+                if assignment_lp_columns(inst, t) is None:
+                    continue
+                before = built["flows"]
+                solve_assignment_lp(inst, t)
+                assert built["flows"] == before + 1, (inst, t)
+                guesses += 1
+        assert built["networks"] == 0 and guesses >= 250
 
     @pytest.mark.parametrize("flavor", ["unrelated-santa", "two-value-makespan",
                                         "santa-matroid"])
