@@ -46,9 +46,12 @@ class Item:
 class SantaInstance:
     num_players: int
     resources: list[Item]
-    # resource-index tuple -> SumPoly of those resources' polymatroids
-    _sums: dict[tuple[int, ...], SumPoly] = field(default_factory=dict, init=False,
-                                                  repr=False, compare=False)
+    # resource-index tuple -> sum of those resources' polymatroids
+    _sums: dict[tuple[int, ...], PolymatroidOracle] = field(default_factory=dict, init=False,
+                                                            repr=False, compare=False)
+    # resource-index tuple -> the matroid that sum induces
+    _induced: dict[tuple[int, ...], InducedMatroid] = field(default_factory=dict, init=False,
+                                                            repr=False, compare=False)
     # the assignment LP's integer view (rounding._integer_view), built on first use
     _lp_view: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -64,14 +67,25 @@ class SantaInstance:
     def is_matroid_flavor(self) -> bool:
         return any(it.polymatroid is not None for it in self.resources)
 
-    def resource_sum(self, idxs: Sequence[int]) -> SumPoly:
-        """The polymatroid sum of the resources idxs, built once per index
-        tuple and kept with the instance, so that its memos carry over from
-        one guess of a guess loop to the next."""
+    def resource_sum(self, idxs: Sequence[int]) -> PolymatroidOracle:
+        """The polymatroid sum of the resources idxs (the zero polymatroid for
+        none), built once per index tuple and kept with the instance, so that
+        its memos carry over from one guess of a guess loop to the next."""
         key = tuple(idxs)
         hit = self._sums.get(key)
         if hit is None:
-            hit = self._sums[key] = SumPoly([self.resources[j].polymatroid for j in key])
+            hit = self._sums[key] = (SumPoly([self.resources[j].polymatroid for j in key])
+                                     if key else ModularPoly([0] * self.num_players))
+        return hit
+
+    def induced_matroid(self, idxs: Sequence[int]) -> InducedMatroid:
+        """The matroid induced by resource_sum(idxs), kept per index tuple
+        like the sum, so that its rank memo and the cover outcomes kept on it
+        carry over between guesses."""
+        key = tuple(idxs)
+        hit = self._induced.get(key)
+        if hit is None:
+            hit = self._induced[key] = InducedMatroid(self.resource_sum(key))
         return hit
 
     def distinct_values(self) -> list[Fraction]:

@@ -328,6 +328,11 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
     covered, its certificate is recorded, its rank is zeroed out, and the
     whole procedure restarts (at most |E| times). Infeasibility of the
     initial rank-zero set is immediate infeasibility.
+
+    The outcome is kept with the matroid, keyed by (polymatroid, b, eps,
+    caps): oracles are immutable and the search is deterministic, so a
+    repeated call returns the kept result and asks no query. Only a run
+    that returns is kept; one that raises is run again next time.
     """
     eps = Fraction(eps)
     if not (0 < eps <= Fraction(1, 8)):
@@ -338,6 +343,10 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
     n = matroid.n
     if matroid.n != poly.n:
         raise ValueError("matroid and polymatroid must share the ground set")
+    key = (poly, b, eps, caps)
+    kept = matroid._covers.get(key)
+    if kept is not None:
+        return kept
     before = stats.snapshot()
     result = CoverResult(feasible=False, b=b)
     zeroed = 0
@@ -388,6 +397,7 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
         result.diagnostics = "restart budget |E| exhausted"
     result.zeroed = zeroed
     result.oracle_queries = stats.total(stats.delta(before))
+    matroid._covers[key] = result
     return result
 
 

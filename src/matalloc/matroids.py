@@ -3,7 +3,8 @@
 Concrete families (uniform, partition, graphic, transversal, explicit
 table) plus derived forms (contraction, element zeroing, union, and the
 matroid induced by an integer polymatroid). All oracles are immutable
-after construction and memoize rank queries per instance.
+after construction and memoize rank queries per instance; each also keeps
+the cover outcomes solve_cover reached on it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ class MatroidOracle:
         _check_weights([n], "ground set size")
         self.n = n
         self._memo: dict[int, int] = {}
+        # localsearch.solve_cover's outcomes on this matroid, keyed by
+        # (polymatroid, b, eps, caps)
+        self._covers: dict[tuple, object] = {}
 
     def rank(self, mask: int) -> int:
         check_subset(mask, self.n)

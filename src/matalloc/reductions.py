@@ -33,9 +33,8 @@ from .intersection import decompose_in_sum, decompose_merged_basis
 from .limits import (BaselineRegime, Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
                      SizeCapError)
 from .matching import perfect_matching
-from .matroids import InducedMatroid
-from .polymatroids import (DualPoly, ModularPoly, PolymatroidOracle, SumPoly, greedy_basis_above,
-                           is_basis, member)
+from .polymatroids import (DualPoly, PolymatroidOracle, SumPoly, greedy_basis_above, is_basis,
+                           member)
 from .rounding import (FractionalAssignment, additive_round_santa, guess_loop, lst_baseline,
                        round_santa, santa_guess_grid, solve_assignment_lp)
 
@@ -545,10 +544,12 @@ def matroid_santa_from_schedule(bundle: MatroidDualBundle, schedule: Allocation,
 class CoreReduction:
     """Outcome of reduce_to_core for an accepted guess: which path accepted
     it, the value it guarantees, and the allocation (per-resource vectors in
-    the source instance). The allocation and its bound check are built once,
-    on the first read of alloc, so a guess loop that keeps only its last
-    accepted guess back-translates only that one; a ContractViolation or
-    SizeCapError of the build surfaces on that read."""
+    the source instance). Every check that rejects a guess ran in
+    reduce_to_core; the allocation is built once, on the first read of
+    alloc, with the round case's level search and, on every path, the check
+    that each player reaches achieved. So a guess loop that keeps only its
+    last accepted guess back-translates only that one; a ContractViolation
+    or SizeCapError of the build surfaces on that read."""
 
     build: Callable[[], Allocation]
     case: str
@@ -603,11 +604,13 @@ def _cover_core(inst: SantaInstance, heavy: Sequence[int], light_sum: Polymatroi
                 cover_solver: Callable[[CoreCoverInstance], object], caps: Caps
                 ) -> tuple[Callable[[], list], tuple[int, ...]]:
     """Cover the players by the matroid induced by the heavy resources' sum
-    against light_sum at level b; no cover raises GuessRejected. Returns the
-    cover's light vector y and a build of the allocation that places the
-    heavy resources over the cover's I_M (every other resource empty)."""
+    (the instance's induced_matroid, kept between guesses with its rank memo
+    and the cover outcomes solve_cover keeps on it) against light_sum at
+    level b; no cover raises GuessRejected. Returns the cover's light vector
+    y and a build of the allocation that places the heavy resources over the
+    cover's I_M (every other resource empty)."""
     m = inst.num_players
-    res = cover_solver(CoreCoverInstance(InducedMatroid(inst.resource_sum(heavy)), light_sum, b))
+    res = cover_solver(CoreCoverInstance(inst.induced_matroid(heavy), light_sum, b))
     if res is None or not getattr(res, "feasible", False):
         raise GuessRejected("core cover solver found no cover at the guessed level")
 
@@ -641,12 +644,15 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
     cover calls. cover_solver(CoreCoverInstance) returns an object with
     .feasible, .I_M and .y, or None.
 
-    The guess is accepted or rejected here: every check that can reject it
-    (the cover call, the one-each membership, the round case's level search)
-    runs before this returns, and a rejection raises GuessRejected so an
-    enclosing guessing loop can lower its guess. The allocation of an
-    accepted guess, and the check of its bound, are built on the first read
-    of the result's alloc (see CoreReduction).
+    The guess is accepted or rejected here, and a rejection raises
+    GuessRejected so an enclosing guessing loop can lower its guess. The
+    checks that can reject it all run before this returns: the one-each
+    membership of the all-ones vector, the cover call of the core-cover and
+    heavy-light cases (no cover, or no heavy resource), and, in the round
+    case, a unit split with no copies, a level scale above split(E)/m, or
+    one membership of scale·1. The allocation of an accepted guess is built
+    on the first read of the result's alloc, with the round case's search
+    for its highest level and the check of the bound (see CoreReduction).
 
     Two-value dispatch at thresholds guess/alpha: below u, one resource per
     player suffices; between u and w, cover by the matroid of w-coverable
@@ -674,16 +680,16 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         every = range(len(inst.resources))
         if not member(_merged(inst, every), [1] * m, caps):
             raise GuessRejected("cover demand exceeds the merged polymatroid")
-        return CoreReduction(lambda: _alloc_from_cover(inst, every, [1] * m, caps),
-                             "one-each", guess * u)
+        return _checked(inst, lambda: _alloc_from_cover(inst, every, [1] * m, caps),
+                        "one-each", guess * u)
 
     w_idx = [j for j, it in enumerate(scaled.resources) if it.value == w]
     u_idx = [j for j, it in enumerate(scaled.resources) if it.value == u]
     if w >= 1 / alpha:
         # matroid of w-coverable player sets vs the u polymatroid; worthless
         # resources cannot help a player reach the bound, and a zero u forces
-        # every player onto the matroid side
-        u_sum = inst.resource_sum(u_idx) if u_idx and u > 0 else ModularPoly([0] * m)
+        # every player onto the matroid side (the instance's kept zero sum)
+        u_sum = inst.resource_sum(u_idx if u > 0 else ())
         b = 1 if u == 0 else math.ceil(1 / (alpha * u))
         placed, y = _cover_core(inst, w_idx, u_sum, b, cover_solver, caps)
 
@@ -701,12 +707,14 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
     if not copies:
         raise GuessRejected("every resource is worthless: no player can reach the guessed level")
     split = SumPoly(copies)
+    # every player at the level is the vector scale·1, which lies in P(split)
+    # only if scale·m <= split(E); the highest such level is found on build
     hi = split.value(everyone) // max(m, 1)
-    lo, _ = guess_loop(lambda k: member(split, [k] * m, caps) or None, range(1, hi + 1))
-    if lo is None or lo < scale:
+    if hi < scale or not member(split, [scale] * m, caps):
         raise GuessRejected("the unit-split polymatroid cannot reach the guessed level")
 
     def build() -> Allocation:
+        lo, _ = guess_loop(lambda k: member(split, [k] * m, caps) or None, range(scale, hi + 1))
         rows = _unit_rows(copies, ints, tuple([lo] * m), caps)
         return round_santa(scaled, FractionalAssignment(Fraction(lo, scale), rows), caps)
 
@@ -726,7 +734,7 @@ def _reduce_general(inst: SantaInstance, scaled: SantaInstance, alpha: Fraction,
         raise GuessRejected("no heavy resources at the guessed level")
     light_items = [scaled.resources[j] for j in light]
     scale, ints, copies = _unit_split(light_items)
-    light_sum = SumPoly(copies) if copies else ModularPoly([0] * m)
+    light_sum = SumPoly(copies) if copies else inst.resource_sum(())
     b = math.ceil(scale / alpha)
     placed, y = _cover_core(inst, heavy, light_sum, b, cover_solver, caps)
 

@@ -26,8 +26,11 @@ f(i | h·(X − i)) >= h for every i of a set (leave_one_out_reaches) count
 two queries each, the same as asked one by one, also when one residual
 search on the kept flow of X answers them all. Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
-vector asks no query again. Counters are process-global; snapshot/delta
-around a solver run to attribute queries to it.
+vector asks no query again. Likewise a cover outcome that solve_cover kept
+on the matroid (the same polymatroid, b, eps and caps) asks no query, and
+the result it returns carries the kept run's oracle_queries. Counters are
+process-global; snapshot/delta around a solver run to attribute queries to
+it.
 """
 
 from __future__ import annotations

@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matalloc.localsearch as localsearch
+from matalloc import stats
 from matalloc.bitsets import bits, full_mask, size
 from matalloc.instances import CoreCoverInstance, gen_gap_instance, gen_random, parse_instance
-from matalloc.limits import DEFAULT_CAPS
+from matalloc.limits import DEFAULT_CAPS, SizeCapError
 from matalloc.localsearch import (Certificate, SearchState, augment,
                                   build_addable, compute_blocking, recursion_node_bound,
                                   solve_cover, verify_certificate)
 from matalloc.matching import ResidualFlow
 from matalloc.matroids import InducedMatroid, PartitionMatroid, UniformMatroid
 from matalloc.oracle import brute_max_cover_b
-from matalloc.polymatroids import CoveragePoly, ModularPoly, SumPoly, member
+from matalloc.polymatroids import CoveragePoly, ExplicitPoly, ModularPoly, SumPoly, member
 
 EPS = Fraction(1, 10)
 
@@ -340,6 +341,55 @@ def test_unchecked_run_gives_the_same_result(make, monkeypatch):
     monkeypatch.setattr(localsearch, "_check_blocking_invariants", lambda *args: None)
     unchecked = solve_cover(make(), EPS)
     assert _comparable(unchecked) == _comparable(checked)
+
+
+# ---------------------------------------------------------------------------
+# Kept cover outcomes: one run per (polymatroid, b, eps, caps) on a matroid
+
+
+@pytest.mark.parametrize("make", [lambda: gen_gap_instance(4, 2), lambda: _coverage_core(5),
+                                  lambda: _induced_core(3)])
+def test_a_repeated_cover_asks_no_query(make):
+    inst = make()
+    first = solve_cover(inst, EPS)
+    before = stats.snapshot()
+    again = solve_cover(CoreCoverInstance(inst.matroid, inst.polymatroid, inst.b), EPS)
+    assert stats.total(stats.delta(before)) == 0
+    assert again is first and again.oracle_queries > 0
+
+
+@pytest.mark.parametrize("b, eps, caps", [
+    (2, EPS, DEFAULT_CAPS),
+    (1, Fraction(1, 9), DEFAULT_CAPS),
+    (1, EPS, DEFAULT_CAPS.override(sfm_ground=DEFAULT_CAPS.sfm_ground - 1))])
+def test_another_level_eps_or_caps_runs_again(b, eps, caps):
+    inst = _coverage_core(2)
+    first = solve_cover(inst, EPS)
+    inst.b = b
+    before = stats.snapshot()
+    other = solve_cover(inst, eps, caps)
+    assert other is not first
+    assert stats.total(stats.delta(before)) == other.oracle_queries > 0
+    fresh = _coverage_core(2)
+    fresh.b = b
+    assert _comparable(other) == _comparable(solve_cover(fresh, eps, caps))
+    inst.b = 1
+    assert solve_cover(inst, EPS) is first
+
+
+def test_a_run_that_raises_keeps_nothing():
+    n = 4
+    inst = CoreCoverInstance(UniformMatroid(n, 1),
+                             ExplicitPoly(n, [2 * size(s) for s in range(1 << n)]), 1)
+    small = DEFAULT_CAPS.override(sfm_ground=1)
+    with pytest.raises(SizeCapError):
+        solve_cover(inst, EPS, small)
+    assert not inst.matroid._covers
+    with pytest.raises(SizeCapError):
+        solve_cover(inst, EPS, small)
+    assert solve_cover(inst, EPS).feasible
+    with pytest.raises(SizeCapError):
+        solve_cover(inst, EPS, small)
 
 
 # ---------------------------------------------------------------------------

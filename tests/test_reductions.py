@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from matalloc import instances, polymatroids, reductions
 from matalloc.bitsets import full_mask, size, submasks
 from matalloc.instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
-                                entity_totals, gen_random, validate_allocation)
-from matalloc.limits import BaselineRegime, ContractViolation, GuessRejected
+                                entity_totals, gen_random, parse_instance, serialize_instance,
+                                validate_allocation)
+from matalloc.limits import DEFAULT_CAPS, BaselineRegime, ContractViolation, GuessRejected
 from matalloc.localsearch import solve_cover
 from matalloc.matroids import UniformMatroid
 from matalloc.oracle import brute_opt_makespan, brute_opt_santa
@@ -446,6 +447,15 @@ class TestReduceToCore:
         red = reduce_to_core(inst, F(4), F(1), exact_cover_solver)
         assert red.case == "one-each"
 
+    def test_one_each_allocation_is_held_to_its_bound(self, monkeypatch):
+        # the one-each build is checked on read like every other case
+        inst = SantaInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 1]))])
+        red = reduce_to_core(inst, F(4), F(1), exact_cover_solver)
+        assert (red.case, red.achieved) == ("one-each", F(1))
+        monkeypatch.setattr(reductions, "_alloc_from_cover", lambda *args: [(0, 0)])
+        with pytest.raises(ContractViolation, match="translated value 0 below the bound"):
+            red.alloc
+
     def test_one_each_decides_all_ones_on_one_polymatroid(self, monkeypatch):
         # acceptance and distribution decide the all-ones vector on one sum
         asked = []
@@ -479,16 +489,29 @@ class TestReduceToCore:
             except GuessRejected:
                 pass
         assert len(cores) == 2
+        assert cores[0].matroid is cores[1].matroid
         assert cores[0].matroid.poly is cores[1].matroid.poly
         assert cores[0].polymatroid is cores[1].polymatroid
         assert set(inst._sums.values()) >= {cores[0].matroid.poly, cores[0].polymatroid}
 
-    def test_round_case(self):
-        # guess 5, alpha 2: both scaled values (1/5, 2/5) fall below 1/alpha
+    def test_round_case(self, monkeypatch):
+        # guess 5, alpha 2: both scaled values (1/5, 2/5) fall below 1/alpha;
+        # the unit split has scale 5, and the build rounds the highest level
+        # every player reaches in it, lo = 7
+        levels = []
+        unit_rows = reductions._unit_rows
+
+        def spy(copies, ints, y, caps):
+            levels.append(y)
+            return unit_rows(copies, ints, y, caps)
+
+        monkeypatch.setattr(reductions, "_unit_rows", spy)
         inst = gen_random("santa-matroid", 3, m=3, n=3, u=1, w=2)
         red = reduce_to_core(inst, F(2), F(5), exact_cover_solver)
         assert red.case == "round"
+        assert not levels
         validate_allocation(inst, red.alloc, require_basis=True)
+        assert levels == [(7, 7, 7)]
         assert min(entity_totals(inst, red.alloc)) >= F(5, 2)
 
     def test_round_case_with_a_worthless_resource(self):
@@ -500,6 +523,48 @@ class TestReduceToCore:
         assert red.case == "round"
         validate_allocation(inst, red.alloc, require_basis=True)
         assert min(entity_totals(inst, red.alloc)) >= F(2)
+
+    def test_round_case_with_no_players_is_rejected(self):
+        # m = 0: split(E)/m reads 0, below every level
+        inst = SantaInstance(0, [Item(value=F(1), polymatroid=ModularPoly([]))])
+        with pytest.raises(GuessRejected):
+            reduce_to_core(inst, F(8), F(16), solve_cover)
+
+    def test_round_case_level_above_the_total_is_rejected_by_value(self, monkeypatch):
+        # scale 16 > split(E)/m = 1: the value query rejects the guess, with
+        # no membership asked, also past the enumeration cap (m = 3 > 2)
+        asked = []
+        monkeypatch.setattr(reductions, "member", lambda *args: asked.append(args))
+        inst = SantaInstance(3, [Item(value=F(1), polymatroid=ModularPoly([1, 1, 1]))])
+        with pytest.raises(GuessRejected):
+            reduce_to_core(inst, F(8), F(16), solve_cover, DEFAULT_CAPS.override(sfm_ground=2))
+        assert not asked
+
+    @pytest.mark.parametrize("alpha, cases", [
+        (F(8), {None, "one-each", "core-cover"}),
+        (F(2), {None, "one-each", "core-cover", "round"})])
+    def test_a_shared_instance_decides_as_a_fresh_one(self, alpha, cases):
+        # the sums, induced matroids and cover outcomes that earlier guesses
+        # keep on the instance change no decision: every grid guess on one
+        # shared instance against the same guess on a freshly parsed copy
+        def outcome(target, guess):
+            try:
+                red = reduce_to_core(target, alpha, guess, lambda c: solve_cover(c, F(1, 10)))
+            except GuessRejected:
+                return None
+            return red.case, red.achieved
+
+        seen = set()
+        for seed in range(12):
+            rng = random.Random(seed)
+            inst = gen_random("santa-matroid", seed, m=rng.randint(3, 6), n=rng.randint(4, 6),
+                              u=rng.choice([0, 1, 1]), w=3)
+            data = serialize_instance(inst)
+            for guess in santa_guess_grid(inst):
+                got = outcome(inst, guess)
+                assert got == outcome(parse_instance(data), guess), (seed, guess)
+                seen.add(got and got[0])
+        assert seen == cases
 
     def test_round_case_with_only_worthless_resources_is_rejected(self):
         inst = SantaInstance(2, [Item(value=F(0), polymatroid=ModularPoly(c))
