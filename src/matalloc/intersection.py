@@ -9,23 +9,25 @@ gains on both sides; a slot-order fill takes all of them before the first
 search (see `max_common_independent`), and on the sum split and the rounding
 gadget it takes nearly every unit.
 
-Each of its two sides answers two questions about the current x: may slot y
-gain a unit (x + e_y), and may y gain one while s loses one (x + e_y − e_s).
-A side is one of two kinds:
+Each of its two sides answers three questions about the current x: may slot
+y gain a unit (x + e_y), may y gain one while s loses one (x + e_y − e_s),
+and how many units, up to a limit, y can gain (fits), which the fill asks
+once per slot. A side is one of two kinds:
 - `PartitionBound`: slot s counts toward group[s], and a group holds at most
   its cap, which per-group room answers in O(1);
 - `DirectSum`: x is independent iff each block's sub-vector is, so a gain
   asks only the gaining slot's block, and so does a swap across blocks,
   since the losing block stays independent (every side is a matroid on
-  units, hence down-closed).
-A one-block `DirectSum` (every slot in block 0) is a predicate on whole
-count vectors; the tests use it as the reference that the structured
-sides must agree with.
+  units, hence down-closed). A block is a predicate, whose fits takes unit
+  steps, or a `Membership` in a polymatroid, whose fits is one count.
+A one-block `DirectSum` (every slot in block 0) of a plain predicate is a
+predicate on whole count vectors; the tests use it as the reference that
+the structured sides must agree with.
 
 The split of a member or basis of a sum polymatroid into the parts and the
-rounding gadget both go through it. `ExpandedMatroid`, the matroid on unit
-copies of the slots, is the copy-level reference the tests compare the
-search against.
+rounding gadget both go through it, with `Membership` blocks. `ExpandedMatroid`,
+the matroid on unit copies of the slots, is the copy-level reference the
+tests compare the search against.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 from .bitsets import bits, full_mask, size
 from .limits import Caps, DEFAULT_CAPS, ContractViolation, SizeCapError
 from .matroids import MatroidOracle
-from .polymatroids import PolymatroidOracle, SumPoly, is_basis, member
+from .polymatroids import PolymatroidOracle, SumPoly, _check_weights, headroom, is_basis, member
 
 Predicate = Callable[[tuple[int, ...]], bool]
 
@@ -49,8 +51,9 @@ class Side:
     def reset(self, x: Sequence[int]) -> None:
         raise NotImplementedError
 
-    def add(self, y: int) -> None:
-        """Move to x + e_y, for a y that gains."""
+    def add(self, y: int, units: int = 1) -> None:
+        """Move to x + units·e_y, for units that y gains (or, negative, that
+        it gained since the reset)."""
         raise NotImplementedError
 
     def gain(self, y: int) -> bool:
@@ -58,6 +61,17 @@ class Side:
 
     def swap(self, y: int, s: int) -> bool:
         raise NotImplementedError
+
+    def fits(self, y: int, limit: int) -> int:
+        """The most units t <= limit with x + t·e_y independent: by unit
+        steps through gain and add, then back to x. The side is down-closed,
+        so the first unit refused ends the steps."""
+        t = 0
+        while t < limit and self.gain(y):
+            self.add(y)
+            t += 1
+        self.add(y, -t)
+        return t
 
 
 class PartitionBound(Side):
@@ -72,8 +86,8 @@ class PartitionBound(Side):
         for g, c in zip(self.group, x):
             self.room[g] -= c
 
-    def add(self, y: int) -> None:
-        self.room[self.group[y]] -= 1
+    def add(self, y: int, units: int = 1) -> None:
+        self.room[self.group[y]] -= units
 
     def gain(self, y: int) -> bool:
         return self.room[self.group[y]] > 0
@@ -82,12 +96,39 @@ class PartitionBound(Side):
         g = self.group[y]
         return g == self.group[s] or self.room[g] > 0
 
+    def fits(self, y: int, limit: int) -> int:
+        return max(0, min(limit, self.room[self.group[y]]))
+
+
+class Membership:
+    """A DirectSum block: its sub-vector is independent iff the vector on
+    p's ground set that adds entry k of the sub-vector onto element at[k] is
+    a member of p. fits counts how far one entry can rise by one count."""
+
+    def __init__(self, p: PolymatroidOracle, at: Sequence[int], caps: Caps = DEFAULT_CAPS):
+        self.p, self.at, self.caps = p, at, caps
+
+    def vector(self, sub: Sequence[int]) -> list[int]:
+        vec = [0] * self.p.n
+        for e, c in zip(self.at, sub):
+            vec[e] += c
+        return vec
+
+    def __call__(self, sub: tuple[int, ...]) -> bool:
+        return member(self.p, self.vector(sub), self.caps)
+
+    def fits(self, sub: Sequence[int], k: int, limit: int) -> int:
+        """The most units t <= limit that sub's entry k can gain, for an
+        independent sub and limit >= 1 (polymatroids.headroom)."""
+        return headroom(self.p, self.vector(sub), self.at[k], limit, self.caps)
+
 
 class DirectSum(Side):
     """x is independent iff preds[b] accepts each block b's sub-vector (the
-    entries of the slots s with block[s] == b, in slot order)."""
+    entries of the slots s with block[s] == b, in slot order). fits asks a
+    `Membership` block one count, and any other block unit steps."""
 
-    def __init__(self, block: Sequence[int], preds: Sequence[Predicate]):
+    def __init__(self, block: Sequence[int], preds: Sequence[Predicate | Membership]):
         self.block, self.preds = block, preds
         self.slots: list[list[int]] = [[] for _ in preds]
         self.pos = []   # slot -> its index in its block's sub-vector
@@ -98,8 +139,8 @@ class DirectSum(Side):
     def reset(self, x: Sequence[int]) -> None:
         self.sub = [[x[s] for s in slots] for slots in self.slots]
 
-    def add(self, y: int) -> None:
-        self.sub[self.block[y]][self.pos[y]] += 1
+    def add(self, y: int, units: int = 1) -> None:
+        self.sub[self.block[y]][self.pos[y]] += units
 
     def gain(self, y: int) -> bool:
         b = self.block[y]
@@ -116,12 +157,20 @@ class DirectSum(Side):
         v[self.pos[s]] -= 1
         return self.preds[b](tuple(v))
 
+    def fits(self, y: int, limit: int) -> int:
+        b = self.block[y]
+        pred = self.preds[b]
+        if limit and isinstance(pred, Membership):
+            return pred.fits(self.sub[b], self.pos[y], limit)
+        return super().fits(y, limit)
+
 
 def max_common_independent(caps: Sequence[int], side1: Side, side2: Side,
                            limit: int) -> tuple[int, ...]:
     """A maximum-size count vector x <= caps independent for both sides;
     each side must make the multisets of its units a matroid (the unit
-    copies of an integer polymatroid are one). More than limit units in all
+    copies of an integer polymatroid are one). The slot caps must be
+    nonnegative integers (ValueError). More than limit units in all
     (sum(caps), the largest total x may reach) raise SizeCapError before
     either side is asked anything.
 
@@ -131,17 +180,22 @@ def max_common_independent(caps: Sequence[int], side1: Side, side2: Side,
     in slot order: the copies of a slot on one side of x are interchangeable,
     so that search only ever needs the lowest of them.
 
-    Before the first search, slots are filled in index order, each while it
-    is below its cap and gains on both sides. These are exactly the
-    augmentations the search would take first, so x comes out the same:
+    Before the first search, slots are filled in index order, each with as
+    many units as fit on both sides, up to its cap: side 2's fits first, so
+    a slot it refuses costs side 1 nothing, then side 1's within that.
+    These are exactly the augmentations the search would take first, so x
+    comes out the same:
     - while some slot gains on both sides, the search returns the one-slot
       path at the smallest such slot, since sources are queued in slot order
       ahead of every other node and the first one that is also a sink ends
       the search;
     - a slot that does not gain on a side at x gains there at no larger x
       (each side is down-closed), and a slot at its cap stays there, so that
-      smallest slot never moves back.
+      smallest slot never moves back;
+    - one unit at a time, a slot stops at the first unit either side
+      refuses, which is the smaller of the two sides' fits.
     """
+    _check_weights(caps, "slot caps")
     units = sum(caps)
     if units > limit:
         raise SizeCapError(f"count-vector search over {units} units exceeds cap {limit}")
@@ -149,10 +203,11 @@ def max_common_independent(caps: Sequence[int], side1: Side, side2: Side,
     side1.reset(x)
     side2.reset(x)
     for y, cap in enumerate(caps):
-        while x[y] < cap and side1.gain(y) and side2.gain(y):
-            x[y] += 1
-            side1.add(y)
-            side2.add(y)
+        t = side1.fits(y, side2.fits(y, cap))
+        if t:
+            x[y] = t
+            side1.add(y, t)
+            side2.add(y, t)
     while _augment(caps, side1, side2, x):
         pass
     return tuple(x)
@@ -248,6 +303,8 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
     peeled off at a time to keep the search to 2n slots: parts[0] against
     the sum of parts[1:], then the rest of the parts.
     """
+    if not parts:
+        raise ValueError("a split needs at least one part")
     n = parts[0].n
     if any(p.n != n for p in parts):
         raise ValueError("parts must share the ground set")
@@ -264,7 +321,7 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
     got = max_common_independent(
         [min(p.value(1 << e), y[e]) for p in parts for e in range(n)],
         DirectSum([j for j in range(2) for _ in range(n)],
-                  [lambda x, p=p: member(p, x, caps) for p in parts]),
+                  [Membership(p, range(n), caps) for p in parts]),
         PartitionBound(list(range(n)) * 2, y), caps.expand)
     if sum(got) != sum(y):
         raise ContractViolation(
@@ -275,6 +332,8 @@ def decompose_in_sum(parts: Sequence[PolymatroidOracle], y: Sequence[int],
 def decompose_merged_basis(parts: Sequence[PolymatroidOracle], y: Sequence[int],
                            caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
     """Split a basis y of the sum polymatroid into bases y_j of the parts."""
+    if not parts:
+        raise ValueError("a split needs at least one part")
     n = parts[0].n
     total = sum(p.value(full_mask(n)) for p in parts)
     if sum(y) != total:

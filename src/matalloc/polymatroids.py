@@ -5,8 +5,9 @@ submodular integer f with f(empty) = 0. Concrete families: modular,
 weighted coverage, scaled matroid rank, explicit table. Derived forms:
 sums, box caps, marginals above a set or vector, and duals. On top of
 the oracles: brute-force submodular minimization, the count max y(E) over
-y <= x in P (count), which decides membership and saturation slacks, greedy
-basis extension, and the box-capped marginal f(Y | b*X).
+y <= x in P (count), which decides membership, how many units of one
+element a member can gain up to a limit (headroom) and saturation slacks,
+greedy basis extension, and the box-capped marginal f(Y | b*X).
 
 A capped value and a vector-contracted value are each one count of a
 box vector of the inner polymatroid (CappedPoly, VectorContractedPoly),
@@ -688,6 +689,16 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
     and Fraction vectors share one); the length, sign, range and cap checks
     run first, so a memo hit raises what a miss would.
     """
+    _check_member(p, x, caps)
+    key = tuple(x)
+    hit = p._member_memo.get(key)
+    if hit is None:
+        hit = p._member_memo[key] = count(p, x, caps) == sum(x)
+    return hit
+
+
+def _check_member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps) -> None:
+    """member's checks on x: length, sign, range, then the support cap."""
     _check_length(p, x)
     if any(v < 0 for v in x):
         raise ValueError("membership is defined for nonnegative vectors")
@@ -696,11 +707,23 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
     k = size(supp)
     if k > caps.sfm_ground:
         raise SizeCapError(f"SFM ground set of size {k} exceeds cap {caps.sfm_ground}")
-    key = tuple(x)
-    hit = p._member_memo.get(key)
-    if hit is None:
-        hit = p._member_memo[key] = count(p, x, caps) == sum(x)
-    return hit
+
+
+def headroom(p: PolymatroidOracle, x: Sequence[int], e: int, limit: int,
+             caps: Caps = DEFAULT_CAPS) -> int:
+    """min(limit, max t with x + t·1_e in P) for a member x and limit >= 0,
+    by one count: count(x + limit·1_e) − x(E).
+
+    In count(z) = min_S f(S) + z(E \\ S) for z = x + limit·1_e, a set S ∌ e
+    gives f(S) + x(E \\ S) + limit >= x(E) + limit since x(S) <= f(S), and a
+    set S ∋ e gives x(E) + f(S) − x(S). member's checks run first on z,
+    whose support for limit >= 1 is that of x + 1_e, so this raises where
+    member of x + 1_e would.
+    """
+    z = list(x)
+    z[e] += limit
+    _check_member(p, z, caps)
+    return count(p, z, caps) - sum(x)
 
 
 class Placement:
@@ -842,21 +865,16 @@ def _enter(e: int, copies: tuple, masks: list[int], flow: ResidualFlow | None) -
 
 def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
                      caps: Caps = DEFAULT_CAPS) -> int:
-    """max t with x + t·1_e in P for a member x, i.e. min_{S ∋ e} f(S) − x(S).
-
-    That is count(y) − x(E) for y = x with y(e) raised to f({e}): in
-    count(y) = min_S f(S) + y(E \\ S), a set S ∋ e gives x(E) + f(S) − x(S),
-    and a set S ∌ e gives x(E) + f(S) + f({e}) − x(S + e), which is no less
-    than S + e gives, by submodularity.
+    """max t with x + t·1_e in P for a member x, i.e. min_{S ∋ e} f(S) − x(S):
+    the headroom of e up to f({e}) − x(e), since no member holds more than
+    f({e}) units of e.
     """
     _check_length(p, x)
     if not 0 <= e < p.n:
         raise ValueError(f"element {e} outside 0..{p.n - 1}")
     if p.n > caps.sfm_ground:
         raise SizeCapError(f"ground set of size {p.n} exceeds cap {caps.sfm_ground}")
-    y = list(x)
-    y[e] = p.value(1 << e)
-    return count(p, y, caps) - sum(x)
+    return headroom(p, x, e, p.value(1 << e) - x[e], caps)
 
 
 def greedy_basis_above(p: PolymatroidOracle, x: Sequence[int],

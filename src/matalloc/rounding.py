@@ -10,7 +10,9 @@ solution as a maximum common vector of two polymatroids on the edges
 (intersection.max_common_independent): the chain degrees by counting
 (intersection.PartitionBound), the items by counting too when every item
 is classical (one unit each), else as the direct sum of their memberships
-(intersection.DirectSum). Each fractional row is checked before rounding.
+(intersection.DirectSum of intersection.Membership blocks: an item's units
+sum onto its entities, and the fill asks one count per slot for how many
+more fit). Each fractional row is checked before rounding.
 
 The LP's points come from the exact integer-preserving simplex only, so
 every additive guarantee is checked with exact comparisons. When every item
@@ -36,11 +38,11 @@ from typing import Callable, Iterable, Sequence
 from .bitsets import bits, full_mask, mask_of
 from .instances import MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals
 from . import intersection  # the search by module attribute, which tracers rebind
-from .intersection import DirectSum, PartitionBound
+from .intersection import DirectSum, Membership, PartitionBound
 from .limits import (Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
                      InternalInvariantError, SizeCapError)
 from .matching import ArcNumbering, ResidualFlow, perfect_matching
-from .polymatroids import CoveragePoly, PolymatroidOracle, greedy_basis_above, member
+from .polymatroids import CoveragePoly, PolymatroidOracle, greedy_basis_above
 from .simplex import feasible_point
 
 
@@ -356,13 +358,8 @@ def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
         entities: list[list[int]] = [[] for _ in range(n)]
         for k, i, _ in slots:
             entities[k].append(i)
-
-        def in_item(k: int, sub: tuple[int, ...]) -> bool:
-            vec = [0] * m
-            for i, c in zip(entities[k], sub):
-                vec[i] += c
-            return member(vp[order[k]][1], vec, caps)
-        items = DirectSum(item_of, [partial(in_item, k) for k in range(n)])
+        items = DirectSum(item_of, [Membership(vp[order[k]][1], entities[k], caps)
+                                    for k in range(n)])
     vertex = {v: idx for idx, v in enumerate(degree)}
     degrees = PartitionBound([vertex[(i, t)] for _, i, t in slots], list(degree.values()))
     best = intersection.max_common_independent(slot_caps, items, degrees, 4 * caps.expand)

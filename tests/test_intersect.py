@@ -2,17 +2,19 @@
 
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matalloc import intersection, polymatroids
+from matalloc import intersection, polymatroids, reductions
 from matalloc.bitsets import size, vec_support
 from matalloc.instances import gen_random
-from matalloc.intersection import (DirectSum, ExpandedMatroid, PartitionBound, decompose_in_sum,
-                                   decompose_merged_basis, max_common_independent)
-from matalloc.limits import ContractViolation, SizeCapError
+from matalloc.intersection import (DirectSum, ExpandedMatroid, Membership, PartitionBound, Side,
+                                   decompose_in_sum, decompose_merged_basis, max_common_independent)
+from matalloc.limits import DEFAULT_CAPS, ContractViolation, SizeCapError
+from matalloc.localsearch import solve_cover
 from matalloc.matroids import GraphicMatroid, PartitionMatroid, TransversalMatroid, UniformMatroid
 from matalloc.oracle import enumerate_bases
 from matalloc.polymatroids import (CoveragePoly, ModularPoly, ScaledRankPoly, SumPoly, is_basis,
@@ -308,20 +310,81 @@ def test_unit_cap_is_checked_before_the_search():
         max_common_independent([3, 2], whole(2, never), whole(2, never), 4)
 
 
+@pytest.mark.parametrize("slot_caps", [[1, -1], [2, 1.5], [Fraction(1)], [True, 1]])
+def test_slot_caps_must_be_nonnegative_integers(slot_caps):
+    # [1, -1] once returned (1, 0); a negative cap would reach a count as a
+    # negative entry
+    def never(x):
+        raise AssertionError("asked a predicate about a malformed cap")
+
+    num_slots = len(slot_caps)
+    with pytest.raises(ValueError, match="^slot caps must be"):
+        max_common_independent(slot_caps, whole(num_slots, never), whole(num_slots, never), 8)
+
+
+def test_a_split_needs_a_part():
+    with pytest.raises(ValueError, match="^a split needs at least one part$"):
+        decompose_in_sum([], ())
+    for y in [(), (1,)]:
+        with pytest.raises(ValueError, match="^a split needs at least one part$"):
+            decompose_merged_basis([], y)
+
+
+def test_a_membership_count_raises_where_its_unit_gain_would():
+    caps = DEFAULT_CAPS.override(sfm_ground=3)
+    side = DirectSum([0] * 5, [Membership(ModularPoly([2] * 5), range(5), caps)])
+    side.reset((1, 1, 1, 0, 0))
+    assert side.fits(1, 2) == 1
+    assert side.fits(3, 0) == 0   # asks nothing, as no unit step would
+    for ask in (lambda: side.gain(3), lambda: side.fits(3, 1), lambda: side.fits(3, 2)):
+        with pytest.raises(SizeCapError, match="^SFM ground set of size 4 exceeds cap 3$"):
+            ask()
+
+
+def test_the_m10_santa_draw_still_exceeds_the_search_cap(monkeypatch):
+    """The santa-matroid draw at m=10, seed 3, run as the benchmark runs it:
+    the guess loop accepts a guess, and reading its allocation splits a
+    basis of 79 units, which the search refuses against caps.expand = 64
+    before either side is asked. Splitting the sum by one placement (ROADMAP
+    item 1) lifts this cap; this test then becomes a regression test that
+    the allocation validates with require_basis=True."""
+    search = intersection.max_common_independent
+    refused = []
+
+    def spy(caps, side1, side2, limit):
+        if sum(caps) > limit:
+            refused.append((sum(caps), limit))
+            side1 = side2 = Side()   # a bare Side raises on any question
+        return search(caps, side1, side2, limit)
+
+    monkeypatch.setattr(intersection, "max_common_independent", spy)
+    inst = gen_random("santa-matroid", 3, m=10, n=4, u=1, w=3)
+    _, sol = reductions.guess_loop(
+        lambda t: reductions.reduce_to_core(inst, 8, t,
+                                            cover_solver=lambda c: solve_cover(c, Fraction(1, 10))),
+        reductions.santa_guess_grid(inst))
+    with pytest.raises(SizeCapError, match="^count-vector search over 79 units exceeds cap 64$"):
+        sol.alloc
+    assert refused == [(79, 64)]
+
+
 def test_santa_basis_split_work_is_bounded(monkeypatch):
     """A count of the work, not of time, in splitting one fixed basis of a
-    santa-matroid sum: the questions the direct sum of the parts asks its
-    blocks, the member and sfm_min calls behind them,
-    and the exchange searches run. The three splits of the peel take every
-    unit in the slot-order fill, so each search runs once, to find no
-    sink: 100 block questions, 100 member, 70 sfm_min and 3 searches. An
-    exchange search per unit made 418, 295, 146 and 94 here, and
-    whole-vector predicates 836 evaluations and 250 sfm_min calls."""
+    santa-matroid sum: the counts the parts' Membership blocks make for the
+    fill (fits), the questions asked of those blocks as predicates, the
+    sfm_min calls behind both, and the exchange searches run. The three
+    two-part splits of the peel take every unit in the slot-order fill, at
+    most one count per slot, so each search runs once, to find no sink:
+    8, 7 and 5 counts over 2n = 10 slots, no block question, 14 sfm_min and
+    3 searches. A fill of one membership per unit asked 100 block questions
+    and 70 sfm_min; an exchange search per unit made 418 block questions,
+    146 sfm_min and 94 searches here."""
     inst = gen_random("santa-matroid", 2, m=5, n=4, u=1, w=3)
     parts = [it.polymatroid for it in inst.resources]
     y = (7, 17, 4, 9, 2)
     assert is_basis(SumPoly(parts), y)
-    calls = {"block": 0, "member": 0, "sfm": 0, "augment": 0}
+    calls = {"block": 0, "sfm": 0, "augment": 0}
+    fits_per_split = []
 
     def counted(key, fn):
         def wrapped(*args, **kwargs):
@@ -329,20 +392,31 @@ def test_santa_basis_split_work_is_bounded(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    class CountedSum(intersection.DirectSum):
-        def __init__(self, block, preds):
-            super().__init__(block, preds)
-            self.preds = [counted("block", p) for p in self.preds]
+    class CountedMembership(intersection.Membership):
+        def __call__(self, sub):
+            calls["block"] += 1
+            return super().__call__(sub)
 
-    monkeypatch.setattr(intersection, "DirectSum", CountedSum)
-    monkeypatch.setattr(intersection, "member", counted("member", intersection.member))
+        def fits(self, sub, k, limit):
+            fits_per_split[-1] += 1
+            return super().fits(sub, k, limit)
+
+    search = intersection.max_common_independent
+
+    def split(*args):
+        fits_per_split.append(0)
+        return search(*args)
+
+    monkeypatch.setattr(intersection, "Membership", CountedMembership)
+    monkeypatch.setattr(intersection, "max_common_independent", split)
     monkeypatch.setattr(polymatroids, "sfm_min", counted("sfm", polymatroids.sfm_min))
     monkeypatch.setattr(intersection, "_augment", counted("augment", intersection._augment))
     pieces = decompose_merged_basis(parts, y)
     assert pieces == [(0, 2, 1, 2, 2), (3, 3, 3, 3, 0), (4, 9, 0, 0, 0), (0, 3, 0, 4, 0)]
-    assert 0 < calls["block"] <= 120
-    assert 0 < calls["member"] <= 115
-    assert calls["sfm"] <= 80
+    assert len(fits_per_split) == 3
+    assert all(0 < k <= 2 * len(y) for k in fits_per_split), fits_per_split
+    assert calls["block"] <= 10
+    assert calls["sfm"] <= 20
     assert 0 < calls["augment"] <= 4
 
 
@@ -403,7 +477,7 @@ def random_sides(rng, num_slots):
         if mine:
             part = random_part(rng, len(mine))
             kinds.add(type(part).__name__)
-            pred = members(part)
+            pred = Membership(part, range(part.n))
         else:
             def pred(sub):
                 raise AssertionError("asked a block with no slots")
@@ -418,10 +492,17 @@ def random_sides(rng, num_slots):
     return bound_side(group, cap), (DirectSum(block, preds), all_blocks), covers
 
 
+def plain(ds):
+    """ds with each block behind a plain predicate, so that its fits takes
+    unit steps."""
+    return DirectSum(ds.block, [lambda sub, pred=pred: pred(sub) for pred in ds.preds])
+
+
 def test_structured_sides_match_their_predicates():
-    """400 seeded draws: a PartitionBound and a DirectSum, in either order and
-    each against another of its kind, return the vector their whole-vector
-    predicates return."""
+    """400 seeded draws: a PartitionBound and a DirectSum of Membership
+    blocks, in either order and each against another of its kind, and the
+    same DirectSum on plain predicates, return the vector their
+    whole-vector predicates return."""
     seen = dict.fromkeys(["empty group", "zero-cap group", "ModularPoly", "CoveragePoly",
                           "ScaledRankPoly", "inside and outside", "cap 0", "cap 3"], 0)
     for seed in range(400):
@@ -437,12 +518,70 @@ def test_structured_sides_match_their_predicates():
         limit = sum(slot_caps)
         for (s1, p1), (s2, p2) in [((ds, blocks), (pb, within)), ((pb, within), (ds, blocks)),
                                    ((pb, within), (pb2, within2)),
-                                   ((ds, blocks), (ds2, blocks2))]:
+                                   ((ds, blocks), (ds2, blocks2)),
+                                   ((plain(ds), blocks), (pb, within))]:
             want = max_common_independent(slot_caps, whole(num_slots, p1), whole(num_slots, p2),
                                           limit)
             assert max_common_independent(slot_caps, s1, s2, limit) == want, seed
             seen["inside and outside"] += any(0 < v < c for v, c in zip(want, slot_caps))
     assert min(seen.values()) >= 20, seen
+
+
+def grown(rng, side, slot_caps):
+    """A random x <= slot_caps independent for side, grown by unit gains at
+    random slots; side is left reset to it."""
+    x = [0] * len(slot_caps)
+    side.reset(x)
+    for _ in range(rng.randint(0, sum(slot_caps))):
+        y = rng.randrange(len(slot_caps))
+        if x[y] < slot_caps[y] and side.gain(y):
+            side.add(y)
+            x[y] += 1
+    side.reset(x)
+    return x
+
+
+def test_fits_matches_unit_steps():
+    """200 seeded draws of n <= 6 slots: at a random independent x, for
+    every slot and every limit from 0 to its cap, each side's fits equals
+    the unit steps of Side.fits through its gain and add, and neither moves
+    the side. The sides: a PartitionBound, a DirectSum of plain predicates,
+    the sum split's two Membership blocks and the gadget's item blocks, so
+    a Membership's one count is checked against member of x + e_y, x + 2e_y,
+    and so on."""
+    seen = dict.fromkeys(["partition", "plain", "sum split", "gadget", "0 < fits < limit",
+                          "fits == limit > 0"], 0)
+
+    def state(side):
+        return repr(getattr(side, "room", None)), repr(getattr(side, "sub", None))
+
+    def check(kind, side, slot_caps):
+        x = grown(rng, side, slot_caps)
+        before = state(side)
+        for y, cap in enumerate(slot_caps):
+            for limit in range(cap + 1):
+                want = Side.fits(side, y, limit)
+                assert state(side) == before
+                assert side.fits(y, limit) == want, (seed, kind, x, y, limit)
+                assert state(side) == before
+                seen["0 < fits < limit"] += 0 < want < limit
+                seen["fits == limit > 0"] += 0 < want == limit
+        seen[kind] += 1
+
+    for seed in range(200):
+        rng = random.Random(seed)
+        num_slots = rng.randint(1, 6)
+        slot_caps = [rng.randint(0, 4) for _ in range(num_slots)]
+        (pb, _), (ds, _), _ = random_sides(rng, num_slots)
+        check("partition", pb, slot_caps)
+        check("plain", plain(ds), slot_caps)
+        n = rng.randint(1, 3)
+        parts = [random_part(rng, n) for _ in range(2)]
+        split = DirectSum([0] * n + [1] * n, [Membership(p, range(n)) for p in parts])
+        check("sum split", split, [rng.randint(0, 4) for _ in range(2 * n)])
+        num_slots, (items, _), _ = gadget_sides(rng)
+        check("gadget", items, [rng.randint(0, 4) for _ in range(num_slots)])
+    assert min(seen.values()) >= 100, seen
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +591,14 @@ def test_structured_sides_match_their_predicates():
 def sum_side(block, parts):
     """A DirectSum of part memberships with its whole-vector predicate."""
     slots = [[s for s, b in enumerate(block) if b == j] for j in range(len(parts))]
-    return DirectSum(block, [members(p) for p in parts]), lambda x: all(
+    return DirectSum(block, [Membership(p, range(p.n)) for p in parts]), lambda x: all(
         member(p, [x[s] for s in mine]) for p, mine in zip(parts, slots))
 
 
 def gadget_sides(rng):
     """The rounding gadget's shape: each item (a DirectSum block) holds
     several slots per entity, as a chain vertex and a carry slot do, and is
-    a member question on the item's entity sums; the degree side is a
+    a Membership of the item's entity sums; the degree side is a
     PartitionBound over chain vertices."""
     m, n, num_vertices = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
     parts = [random_part(rng, m) for _ in range(n)]
@@ -477,7 +616,7 @@ def gadget_sides(rng):
         return all(in_item(k, tuple(c for (k2, _, _), c in zip(slots, x) if k2 == k))
                    for k in range(n))
 
-    items = DirectSum([k for k, _, _ in slots], [lambda sub, k=k: in_item(k, sub) for k in range(n)])
+    items = DirectSum([k for k, _, _ in slots], [Membership(parts[k], entities[k]) for k in range(n)])
     degrees = bound_side([v for _, _, v in slots], [rng.randint(0, 3) for _ in range(num_vertices)])
     return len(slots), (items, all_items), degrees
 
