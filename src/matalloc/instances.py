@@ -13,10 +13,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .bitsets import bits, mask_of
 from .limits import SchemaError
+from .matching import ArcNumbering
 from .matroids import (ContractedMatroid, ExplicitMatroid, GraphicMatroid, InducedMatroid,
                        MatroidOracle, PartitionMatroid, TransversalMatroid, UniformMatroid,
                        UnionMatroid, ZeroedMatroid)
@@ -42,8 +45,66 @@ class Item:
         return self.values[i] if self.values is not None else self.value
 
 
+@dataclass(frozen=True)
+class IntegerValues:
+    """An instance's values as integers over one scale, the lcm of their
+    denominators. values[j] is item j's value times scale: one int for a
+    matroid item, one per entity for a classical item (None for an infinite
+    size). eligible[j] masks the entities classical item j may go to (it has
+    a positive value, a finite size there; 0 for a matroid item), and
+    restricted[j] says that item j takes one value over them, as a matroid
+    item does. classes lists each distinct value with its items, by
+    increasing value, when every item of a max-min instance is a matroid
+    item; else it is empty."""
+
+    scale: int
+    values: tuple
+    eligible: tuple[int, ...]
+    restricted: tuple[bool, ...]
+    classes: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @cached_property
+    def numbering(self) -> ArcNumbering:
+        """The transportation network's arcs, from each item to its eligible entities."""
+        return ArcNumbering(self.eligible)
+
+
+class _Instance:
+    """What both instance classes share. The kept views (int_values, a
+    max-min instance's resource sums and induced matroids) are built on
+    first use and assume that the items are not changed after it."""
+
+    @property
+    def is_matroid_flavor(self) -> bool:
+        return any(it.polymatroid is not None for it in self.items)
+
+    @cached_property
+    def int_values(self) -> IntegerValues:
+        makespan = isinstance(self, MakespanInstance)
+        matroid = [it.polymatroid is not None for it in self.items]
+        scale = lcm(*(v.denominator for it, mat in zip(self.items, matroid)
+                      for v in ((it.value,) if mat else it.values) if v is not None))
+
+        def scaled(v):
+            return None if v is None else v.numerator * (scale // v.denominator)
+
+        values = [scaled(it.value) if mat else tuple(map(scaled, it.values))
+                  for it, mat in zip(self.items, matroid)]
+        eligible = [0 if mat else
+                    mask_of(i for i, v in enumerate(row) if (v is not None if makespan else v > 0))
+                    for row, mat in zip(values, matroid)]
+        restricted = [mat or len({row[i] for i in bits(mask)}) <= 1
+                      for row, mask, mat in zip(values, eligible, matroid)]
+        classes: dict[int, list[int]] = {}
+        if not makespan and all(matroid) and values:
+            for j, v in enumerate(values):
+                classes.setdefault(v, []).append(j)
+        return IntegerValues(scale, tuple(values), tuple(eligible), tuple(restricted),
+                             tuple((v, tuple(classes[v])) for v in sorted(classes)))
+
+
 @dataclass
-class SantaInstance:
+class SantaInstance(_Instance):
     num_players: int
     resources: list[Item]
     # resource-index tuple -> sum of those resources' polymatroids
@@ -52,8 +113,6 @@ class SantaInstance:
     # resource-index tuple -> the matroid that sum induces
     _induced: dict[tuple[int, ...], InducedMatroid] = field(default_factory=dict, init=False,
                                                             repr=False, compare=False)
-    # the assignment LP's integer view (rounding._integer_view), built on first use
-    _lp_view: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_entities(self) -> int:
@@ -62,10 +121,6 @@ class SantaInstance:
     @property
     def items(self) -> list[Item]:
         return self.resources
-
-    @property
-    def is_matroid_flavor(self) -> bool:
-        return any(it.polymatroid is not None for it in self.resources)
 
     def resource_sum(self, idxs: Sequence[int]) -> PolymatroidOracle:
         """The polymatroid sum of the resources idxs (the zero polymatroid for
@@ -88,33 +143,11 @@ class SantaInstance:
             hit = self._induced[key] = InducedMatroid(self.resource_sum(key))
         return hit
 
-    def distinct_values(self) -> list[Fraction]:
-        vals = set()
-        for it in self.resources:
-            if it.values is not None:
-                vals.update(v for v in it.values if v)
-            elif it.value:
-                vals.add(it.value)
-        return sorted(vals)
-
-    def two_values(self) -> tuple[Fraction, Fraction]:
-        """(u, w) with u <= w; a single-valued instance returns (v, v)."""
-        vals = self.distinct_values()
-        if not vals:
-            return Fraction(0), Fraction(0)
-        if len(vals) == 1:
-            return vals[0], vals[0]
-        if len(vals) > 2:
-            raise ValueError("not a two-value instance")
-        return vals[0], vals[1]
-
 
 @dataclass
-class MakespanInstance:
+class MakespanInstance(_Instance):
     num_machines: int
     jobs: list[Item]
-    # the assignment LP's integer view (rounding._integer_view), built on first use
-    _lp_view: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_entities(self) -> int:
@@ -123,10 +156,6 @@ class MakespanInstance:
     @property
     def items(self) -> list[Item]:
         return self.jobs
-
-    @property
-    def is_matroid_flavor(self) -> bool:
-        return any(it.polymatroid is not None for it in self.jobs)
 
 
 @dataclass

@@ -351,7 +351,13 @@ def twovalue_santa_to_makespan(inst: SantaInstance, alpha: Fraction,
     alpha = Fraction(alpha)
     if alpha < 2:
         raise ValueError("alpha must be at least 2")
-    u, w = inst.two_values()
+    if inst.is_matroid_flavor:
+        raise ValueError("the two-value reduction applies to classical instances")
+    view = inst.int_values
+    vals = sorted({v for row in view.values for v in row if v}) or [0]
+    if len(vals) > 2:
+        raise ValueError("not a two-value instance")
+    u, w = Fraction(vals[0], view.scale), Fraction(vals[-1], view.scale)
     m = inst.num_players
 
     if w < 1 / alpha:
@@ -654,43 +660,44 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
     on the first read of the result's alloc, with the round case's search
     for its highest level and the check of the bound (see CoreReduction).
 
-    Two-value dispatch at thresholds guess/alpha: below u, one resource per
-    player suffices; between u and w, cover by the matroid of w-coverable
+    alpha must be at least 1. The dispatch compares the values in integers
+    over the instance's scale (int_values), cross-multiplied with guess and
+    alpha. Two-value dispatch at thresholds guess/alpha: below u, one
+    resource per player suffices; between u and w, cover by the matroid of w-coverable
     player sets against the u-value polymatroid; above w, every unit counts
     and the box-saturating vector is rounded through the additive gadget.
     """
     alpha = Fraction(alpha)
     guess = Fraction(guess)
-    if not inst.is_matroid_flavor:
+    if alpha < 1:
+        raise ValueError(f"alpha must be at least 1, got {alpha}")
+    view = inst.int_values
+    if not view.classes:
         raise ValueError("reduce_to_core expects a matroid-flavor instance")
     if guess <= 0:
         raise ValueError("guess must be positive")
     m = inst.num_players
-    everyone = full_mask(m)
-    scaled = SantaInstance(m, [Item(value=it.value / guess, polymatroid=it.polymatroid)
-                               for it in inst.resources])
-    values = sorted({it.value for it in scaled.resources})
-    if len(values) > 2:
-        return _reduce_general(inst, scaled, alpha, guess, cover_solver, caps)
-    u = values[0]
-    w = values[-1]
+    # a resource of value v (over view.scale) is worth v·num/den times guess/alpha
+    num = alpha.numerator * guess.denominator
+    den = view.scale * guess.numerator * alpha.denominator
+    if len(view.classes) > 2:
+        return _reduce_general(inst, alpha, guess, num, den, cover_solver, caps)
+    (u, u_idx), (w, w_idx) = view.classes[0], view.classes[-1]
 
-    if u >= 1 / alpha:
+    if u * num >= den:
         # one resource each suffices, unless some player can receive none
         every = range(len(inst.resources))
         if not member(_merged(inst, every), [1] * m, caps):
             raise GuessRejected("cover demand exceeds the merged polymatroid")
         return _checked(inst, lambda: _alloc_from_cover(inst, every, [1] * m, caps),
-                        "one-each", guess * u)
+                        "one-each", Fraction(u, view.scale))
 
-    w_idx = [j for j, it in enumerate(scaled.resources) if it.value == w]
-    u_idx = [j for j, it in enumerate(scaled.resources) if it.value == u]
-    if w >= 1 / alpha:
+    if w * num >= den:
         # matroid of w-coverable player sets vs the u polymatroid; worthless
         # resources cannot help a player reach the bound, and a zero u forces
         # every player onto the matroid side (the instance's kept zero sum)
         u_sum = inst.resource_sum(u_idx if u > 0 else ())
-        b = 1 if u == 0 else math.ceil(1 / (alpha * u))
+        b = 1 if u == 0 else -(-den // (u * num))
         placed, y = _cover_core(inst, w_idx, u_sum, b, cover_solver, caps)
 
         def build() -> list:
@@ -703,13 +710,15 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         return _checked(inst, build, "core-cover", guess / alpha)
 
     # every value is small: saturate the unit-split polymatroid and round
+    scaled = SantaInstance(m, [Item(value=it.value / guess, polymatroid=it.polymatroid)
+                               for it in inst.resources])
     scale, ints, copies = _unit_split(scaled.resources)
     if not copies:
         raise GuessRejected("every resource is worthless: no player can reach the guessed level")
     split = SumPoly(copies)
     # every player at the level is the vector scale·1, which lies in P(split)
     # only if scale·m <= split(E); the highest such level is found on build
-    hi = split.value(everyone) // max(m, 1)
+    hi = split.value(full_mask(m)) // max(m, 1)
     if hi < scale or not member(split, [scale] * m, caps):
         raise GuessRejected("the unit-split polymatroid cannot reach the guessed level")
 
@@ -721,21 +730,22 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
     return _checked(inst, build, "round", guess / alpha)
 
 
-def _reduce_general(inst: SantaInstance, scaled: SantaInstance, alpha: Fraction,
-                    guess: Fraction, cover_solver, caps: Caps) -> CoreReduction:
-    """Heavy/light split at 1/(2*alpha): heavy resources cover through the
-    induced matroid, light ones through the value-weighted polymatroid sum,
-    rounded additively; the combined value is >= guess/(2*alpha)."""
+def _reduce_general(inst: SantaInstance, alpha: Fraction, guess: Fraction, num: int, den: int,
+                    cover_solver, caps: Caps) -> CoreReduction:
+    """Heavy/light split at 1/(2*alpha): heavy resources (value v with
+    2·v·num >= den, num/den as in reduce_to_core) cover through the induced
+    matroid, light ones through the value-weighted polymatroid sum, rounded
+    additively; the combined value is >= guess/(2*alpha)."""
     m = inst.num_players
-    threshold = 1 / (2 * alpha)
-    heavy = [j for j, it in enumerate(scaled.resources) if it.value >= threshold]
-    light = [j for j, it in enumerate(scaled.resources) if it.value < threshold]
+    heavy = sorted(j for v, idxs in inst.int_values.classes if 2 * v * num >= den for j in idxs)
+    light = sorted(j for v, idxs in inst.int_values.classes if 2 * v * num < den for j in idxs)
     if not heavy:
         raise GuessRejected("no heavy resources at the guessed level")
-    light_items = [scaled.resources[j] for j in light]
+    light_items = [Item(value=inst.resources[j].value / guess,
+                        polymatroid=inst.resources[j].polymatroid) for j in light]
     scale, ints, copies = _unit_split(light_items)
     light_sum = SumPoly(copies) if copies else inst.resource_sum(())
-    b = math.ceil(scale / alpha)
+    b = -(-scale * alpha.denominator // alpha.numerator)
     placed, y = _cover_core(inst, heavy, light_sum, b, cover_solver, caps)
 
     def build() -> list:

@@ -14,34 +14,35 @@ is classical (one unit each), else as the direct sum of their memberships
 sum onto its entities, and the fill asks one count per slot for how many
 more fit). Each fractional row is checked before rounding.
 
-The LP's points come from the exact integer-preserving simplex only, so
-every additive guarantee is checked with exact comparisons. When every item
-is classical and restricted (one value on all its eligible entities), the
-LP is a transportation problem: one exact max flow (matching.ResidualFlow,
-on an arc numbering kept with the instance) decides each guess (Lenstra,
-Shmoys and Tardos 1990), and the simplex runs only when the point of a
-feasible guess is read (FractionalAssignment.x), so a guess loop over such
-an instance solves one LP. The objective-guessing primitives live here too:
+Eligibility, restrictedness, the LP's columns, the flow decision and the
+guess grids read the instance's one integer view (instances.IntegerValues:
+its values over one scale). Fractions stay at the boundary and in the
+exact simplex, the only source of LP points, so every additive guarantee
+is checked with exact comparisons. When every item is classical and restricted (one value on all its
+eligible entities), the LP is a transportation problem: one exact max flow
+(matching.ResidualFlow) decides each guess (Lenstra, Shmoys and Tardos
+1990), and the simplex runs only when the point of a feasible guess is
+read (FractionalAssignment.x), so a guess loop over such an instance
+solves one LP. The objective-guessing primitives live here too:
 column_sums builds the guess grids (santa_guess_grid, makespan_guess_grid)
-in integers and guess_loop is the one bisection over them.
+and guess_loop is the one bisection over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from math import ceil, floor, lcm, prod
+from math import ceil, floor, prod
 from typing import Callable, Iterable, Sequence
 
-from .bitsets import bits, full_mask, mask_of
+from .bitsets import bits, full_mask
 from .instances import MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals
 from . import intersection  # the search by module attribute, which tracers rebind
 from .intersection import DirectSum, Membership, PartitionBound
 from .limits import (Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
                      InternalInvariantError, SizeCapError)
-from .matching import ArcNumbering, ResidualFlow, perfect_matching
+from .matching import ResidualFlow, perfect_matching
 from .polymatroids import CoveragePoly, PolymatroidOracle, greedy_basis_above
 from .simplex import feasible_point
 
@@ -67,18 +68,10 @@ class FractionalAssignment:
         return self._build()
 
 
-def _eligible(inst, it) -> list[int]:
-    """The entities classical item it may go to: the players valuing it
-    positively (santa), the machines where its size is finite (makespan)."""
-    if isinstance(inst, MakespanInstance):
-        return [i for i, v in enumerate(it.values) if v is not None]
-    return [i for i, v in enumerate(it.values) if v > 0]
-
-
-def is_restricted(inst, it) -> bool:
-    """Classical item it takes at most one value over its eligible entities."""
-    vals = [it.values[i] for i in _eligible(inst, it)]
-    return all(v == vals[0] for v in vals[1:])
+def is_restricted(inst, j: int) -> bool:
+    """Item j takes at most one value over its eligible entities, as every
+    matroid item does (the instance's int_values)."""
+    return inst.int_values.restricted[j]
 
 
 def item_value_poly(inst, j: int) -> tuple[Fraction, PolymatroidOracle]:
@@ -90,13 +83,13 @@ def item_value_poly(inst, j: int) -> tuple[Fraction, PolymatroidOracle]:
     it = inst.items[j]
     if it.polymatroid is not None:
         return it.value, it.polymatroid
-    eligible = _eligible(inst, it)
-    if not is_restricted(inst, it):
-        vals = sorted({it.values[i] for i in eligible})
+    view = inst.int_values
+    mask = view.eligible[j]
+    if not view.restricted[j]:
+        vals = sorted({it.values[i] for i in bits(mask)})
         raise ContractViolation(f"item {j} is not restricted: distinct values {vals}")
-    v = it.values[eligible[0]] if eligible else Fraction(0)
-    covers = [1 if i in eligible else 0 for i in range(inst.num_entities)]
-    return v, CoveragePoly(covers, [1])
+    v = it.values[(mask & -mask).bit_length() - 1] if mask else Fraction(0)
+    return v, CoveragePoly([(mask >> i) & 1 for i in range(inst.num_entities)], [1])
 
 
 def assignment_lp_columns(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
@@ -108,11 +101,13 @@ def assignment_lp_columns(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
     support and variable caps raise SizeCapError here, before any row."""
     m = inst.num_entities
     is_makespan = isinstance(inst, MakespanInstance)
+    view = inst.int_values
+    level = T.numerator * view.scale  # v/scale <= T iff v·den(T) <= level
     columns: list[list[int]] = []
-    for j, it in enumerate(inst.items):
+    for j, (it, v, mask) in enumerate(zip(inst.items, view.values, view.eligible)):
         p = it.polymatroid
         if p is not None:
-            if is_makespan and it.value > T and p.value(full_mask(m)) > 0:
+            if is_makespan and v * T.denominator > level and p.value(full_mask(m)) > 0:
                 return None
             supp = [i for i in range(m) if p.value(1 << i) > 0]
             if len(supp) > caps.sfm_ground:
@@ -120,12 +115,12 @@ def assignment_lp_columns(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
                                    f"cap {caps.sfm_ground}")
             columns.append(supp)
         elif is_makespan:
-            eligible = [i for i in range(m) if it.values[i] is not None and it.values[i] <= T]
+            eligible = [i for i in bits(mask) if v[i] * T.denominator <= level]
             if not eligible:
                 return None
             columns.append(eligible)
         else:
-            columns.append(_eligible(inst, it))
+            columns.append(list(bits(mask)))
     num_vars = sum(map(len, columns))
     if num_vars > caps.lp_vars:
         raise SizeCapError(f"assignment LP has {num_vars} variables, cap {caps.lp_vars}")
@@ -190,69 +185,22 @@ def _decided_point(inst, T: Fraction, columns: Sequence[Sequence[int]]
     return x
 
 
-@dataclass(frozen=True)
-class _IntegerView:
-    """A restricted classical instance in integers: ints[j] is item j's one
-    value times scale, the common denominator of the values, and numbering
-    the arcs of the transportation network: from each player to the items
-    eligible for it (santa), from each job to the machines eligible for it
-    (makespan)."""
-
-    numbering: ArcNumbering
-    ints: tuple[int, ...]
-    scale: int
-
-
-def _integer_view(inst) -> _IntegerView | None:
-    """inst's integer view when every item is classical and restricted
-    (is_restricted), else None. Built once and kept with the instance, so a
-    guess loop builds it once."""
-    view = inst._lp_view
-    if view is None:
-        view = inst._lp_view = _build_integer_view(inst) or False
-    return view or None
-
-
-def _build_integer_view(inst) -> _IntegerView | None:
-    if inst.is_matroid_flavor or not all(is_restricted(inst, it) for it in inst.items):
-        return None
-    eligible = [_eligible(inst, it) for it in inst.items]
-    vals = [it.values[cols[0]] if cols else Fraction(0)
-            for it, cols in zip(inst.items, eligible)]
-    scale = lcm(*(v.denominator for v in vals))
-    ints = tuple(v.numerator * (scale // v.denominator) for v in vals)
-    if isinstance(inst, MakespanInstance):
-        return _IntegerView(ArcNumbering(map(mask_of, eligible)), ints, scale)
-    covers = [0] * inst.num_entities
-    for j, cols in enumerate(eligible):
-        for i in cols:
-            covers[i] |= 1 << j
-    return _IntegerView(ArcNumbering(covers), ints, scale)
-
-
-def _flow_feasible(inst, view: _IntegerView, T: Fraction) -> bool:
+def _flow_feasible(inst, T: Fraction) -> bool:
     """Whether the assignment LP of a restricted classical instance is
-    feasible at T >= 0, by one exact max flow (a transportation problem).
-
-    With v_j the one value of item j on its eligible entities and L the
-    common denominator of T and the v_j, the variables v_j·x_ji are a flow
-    in integers times L, which must carry its whole supply:
-    - santa: each player supplies T·L to the items eligible for it, item j
-      drains v_j·L (a surplus of any item can always go to one of its
-      eligible players);
-    - makespan: job j supplies p_j·L to its eligible machines, each
-      draining T·L. Every job fits on each of them, or
-      assignment_lp_columns has returned None.
-    """
-    scale = lcm(view.scale, T.denominator)
-    t = T.numerator * (scale // T.denominator)
-    ints = [v * (scale // view.scale) for v in view.ints]
-    m = inst.num_entities
-    if isinstance(inst, MakespanInstance):
-        supply, drain = ints, [t] * m
-    else:
-        supply, drain = [t] * m, ints
-    return ResidualFlow(view.numbering, supply, drain).total == sum(supply)
+    feasible at T >= 0, by one exact max flow (a transportation problem):
+    with v_j item j's one value and L the instance's scale, the amounts
+    v_j·x_ji times L·den(T) are a flow from the items to their eligible
+    entities (int_values.numbering). Item j supplies v_j·L·den(T) and each
+    entity drains num(T)·L. Santa: every player's drain fills (a surplus
+    can always go to an eligible player). Makespan: every job's supply goes
+    out (each job fits on its machines, or assignment_lp_columns has
+    returned None)."""
+    view = inst.int_values
+    supply = [row[(mask & -mask).bit_length() - 1] * T.denominator if mask else 0
+              for row, mask in zip(view.values, view.eligible)]
+    drain = [T.numerator * view.scale] * inst.num_entities
+    total = ResidualFlow(view.numbering, supply, drain).total
+    return total == sum(supply if isinstance(inst, MakespanInstance) else drain)
 
 
 def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
@@ -272,9 +220,8 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
     columns = assignment_lp_columns(inst, T, caps)
     if columns is None:
         return None
-    view = _integer_view(inst)
-    if view is not None and T >= 0:
-        if not _flow_feasible(inst, view, T):
+    if T >= 0 and not inst.is_matroid_flavor and all(inst.int_values.restricted):
+        if not _flow_feasible(inst, T):
             return None
         return FractionalAssignment(T, build=partial(_decided_point, inst, T, columns))
     x = _lp_point(inst, T, columns)
@@ -524,24 +471,21 @@ def lst_round_unrelated(inst: MakespanInstance, frac: FractionalAssignment
 # Objective guessing
 
 
-def column_sums(columns: Iterable[Iterable[Fraction | None]], caps: Caps = DEFAULT_CAPS
-                ) -> set[Fraction]:
-    """Union over the columns of all subset sums of each column's entries
-    (None and zero entries contribute nothing). The sums run in integers,
-    the entries scaled by their common denominator; more than
+def column_sums(columns: Iterable[Iterable[int | None]], caps: Caps = DEFAULT_CAPS
+                ) -> set[int]:
+    """Union over the columns of all subset sums of each column's integer
+    entries (None and zero entries contribute nothing); more than
     caps.guess_grid sums of one column raise SizeCapError."""
-    columns = [[v for v in column if v] for column in columns]
-    scale = lcm(*(v.denominator for column in columns for v in column))
     sums: set[int] = set()
     for column in columns:
         mine = {0}
-        for v in column:
-            k = v.numerator * (scale // v.denominator)
-            mine |= {s + k for s in mine}
-            if len(mine) > caps.guess_grid:
-                raise SizeCapError("guess grid exceeds cap")
+        for k in column:
+            if k:
+                mine |= {s + k for s in mine}
+                if len(mine) > caps.guess_grid:
+                    raise SizeCapError("guess grid exceeds cap")
         sums |= mine
-    return {Fraction(s, scale) for s in sums}
+    return sums
 
 
 def guess_loop(solver: Callable[[Fraction], object], grid: Sequence[Fraction]
@@ -570,17 +514,34 @@ def guess_loop(solver: Callable[[Fraction], object], grid: Sequence[Fraction]
 
 
 def santa_guess_grid(inst: SantaInstance, caps: Caps = DEFAULT_CAPS) -> list[Fraction]:
-    """Achievable per-player values: subset sums of any player's value column."""
-    columns = ((it.value * it.polymatroid.value(1 << i) if it.polymatroid is not None
-                else it.values[i] for it in inst.resources) for i in range(inst.num_players))
-    return sorted(s for s in column_sums(columns, caps) if s > 0)
+    """Achievable per-player values: subset sums of any player's value column
+    (a matroid resource's value times its rank on the player), in integers
+    over the instance's scale."""
+    view = inst.int_values
+    columns = ((v * it.polymatroid.value(1 << i) if it.polymatroid is not None else v[i]
+                for it, v in zip(inst.resources, view.values)) for i in range(inst.num_players))
+    return [Fraction(s, view.scale) for s in sorted(column_sums(columns, caps)) if s]
 
 
 def makespan_guess_grid(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS) -> list[Fraction]:
-    """Achievable-load grid: per machine, all subset sums of its finite sizes."""
-    columns = ((it.value if it.polymatroid is not None else it.values[i] for it in inst.jobs)
-               for i in range(inst.num_machines))
-    return sorted(column_sums(columns, caps))
+    """Achievable-load grid: per machine, all subset sums of its finite sizes,
+    where a matroid job of size p may put p·t on machine i for any t up to
+    its rank f({i}); in integers over the instance's scale."""
+    view = inst.int_values
+
+    def column(i: int):
+        for it, v in zip(inst.jobs, view.values):
+            if it.polymatroid is None:
+                yield v[i]
+                continue
+            # the multiples v·t, t <= f({i}), as the subset sums of v·1, v·2, v·4, ...
+            t, c = it.polymatroid.value(1 << i) if v else 0, 1
+            while t > 0:
+                yield v * min(c, t)
+                t, c = t - c, 2 * c
+
+    sums = column_sums(map(column, range(inst.num_machines)), caps)
+    return [Fraction(s, view.scale) for s in sorted(sums)]
 
 
 def lst_baseline(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS
@@ -591,8 +552,7 @@ def lst_baseline(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS
     t_star, frac = guess_loop(lambda T: solve_assignment_lp(inst, T, caps), grid)
     if t_star is None:
         raise ContractViolation("no feasible guess: some job fits on no machine")
-    restricted = inst.is_matroid_flavor or all(is_restricted(inst, it) for it in inst.jobs)
-    if restricted:
+    if inst.is_matroid_flavor or all(inst.int_values.restricted):
         alloc = round_makespan(inst, frac, caps)
     else:
         alloc = assignment_to_alloc(lst_round_unrelated(inst, frac), inst.num_machines)

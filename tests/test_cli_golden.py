@@ -1,0 +1,120 @@
+"""CLI byte-identity: the sha256 of stdout and the exit code of a fixed set
+of commands on generated instances, replayed against the digests kept in
+tests/corpus/cli_digests.tsv.
+
+A change that means to alter some output rewrites the file with
+`PYTHONPATH=src python tests/test_cli_golden.py` and says which lines moved.
+"""
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from matalloc.cli import main
+from matalloc.instances import _rat_to_json, gen_random, serialize_instance
+from matalloc.reductions import guess_loop, santa_guess_grid
+from matalloc.rounding import solve_assignment_lp
+
+HERE = Path(__file__).parent
+CORPUS = HERE / "corpus"
+DIGESTS = CORPUS / "cli_digests.tsv"
+
+
+def _write(path: Path, inst) -> str:
+    path.write_bytes(serialize_instance(inst) + b"\n")
+    return str(path)
+
+
+def _lp_frac(inst) -> dict:
+    """The assignment LP's point at the largest feasible guess of inst's grid."""
+    best, frac = guess_loop(lambda t: solve_assignment_lp(inst, t), santa_guess_grid(inst))
+    return {"T": _rat_to_json(best),
+            "x": [[_rat_to_json(v) for v in row] for row in frac.x]}
+
+
+# each case: name -> argv built in a directory from the generated files
+def _solve_cover(m: int, seed: int, b: int):
+    def argv(tmp: Path) -> list[str]:
+        path = _write(tmp / "core.json", gen_random("core-cover", seed, m=m))
+        return ["solve-cover", "--in", path, "--b", str(b), "--eps", "1/10"]
+    return argv
+
+
+def _reduce(kind: str, flavor: str, seed: int, **params):
+    def argv(tmp: Path) -> list[str]:
+        path = _write(tmp / "inst.json", gen_random(flavor, seed, **params))
+        return ["reduce", "--in", path, "--kind", kind]
+    return argv
+
+
+def _round(tmp: Path) -> list[str]:
+    inst = gen_random("restricted-santa", 4, m=3, n=5)
+    frac = tmp / "frac.json"
+    frac.write_text(json.dumps(_lp_frac(inst)))
+    return ["round", "--in", _write(tmp / "inst.json", inst), "--frac", str(frac)]
+
+
+def _verify(flavor: str, seed: int, **params):
+    def argv(tmp: Path) -> list[str]:
+        return ["verify", "--in", _write(tmp / "inst.json", gen_random(flavor, seed, **params))]
+    return argv
+
+
+CASES = {
+    **{f"solve-cover-m{m}-s{seed}-b{b}": _solve_cover(m, seed, b)
+       for m in (8, 10, 12, 13) for seed in range(1, 7) for b in (1, 2, 3)},
+    "reduce-config-round": _reduce("config-round", "two-value-santa", 1, m=2, n=3,
+                                   u=Fraction(1, 2), w=Fraction(1)),
+    "reduce-santa-to-makespan": _reduce("santa-to-makespan", "two-value-santa", 0, m=2, n=3,
+                                        u=Fraction(1, 2), w=Fraction(1)),
+    "reduce-twovalue-makespan-to-santa": _reduce("twovalue-makespan-to-santa",
+                                                 "two-value-makespan", 3, m=2, n=3,
+                                                 u=Fraction(1, 4), w=Fraction(2, 3)),
+    "reduce-matroid-makespan-to-santa": _reduce("matroid-makespan-to-santa",
+                                                "makespan-matroid", 1, m=3, n=2,
+                                                u=Fraction(1, 3), w=Fraction(1, 2)),
+    "reduce-matroid-santa-to-makespan": _reduce("matroid-santa-to-makespan",
+                                                "santa-matroid", 0, m=3, n=2,
+                                                u=Fraction(1, 2), w=Fraction(1)),
+    "round-restricted-santa": _round,
+    "verify-gap": _verify("gap", 0, m=3),
+    "verify-santa-matroid": _verify("santa-matroid", 2, m=3, n=3),
+    "bench-corpus": lambda tmp: ["bench", "--dir", str(CORPUS)],
+}
+
+
+def run_case(name: str, tmp: Path) -> tuple[str, int]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(CASES[name](tmp))
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+def _recorded() -> dict[str, tuple[str, int]]:
+    rows = (line.split("\t") for line in DIGESTS.read_text().splitlines())
+    return {name: (digest, int(code)) for name, digest, code in rows}
+
+
+def test_every_case_is_recorded():
+    assert sorted(_recorded()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_byte_identical(name, tmp_path):
+    assert run_case(name, tmp_path) == _recorded()[name]
+
+
+if __name__ == "__main__":
+    lines = []
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            digest, code = run_case(name, Path(tmp))
+        lines.append(f"{name}\t{digest}\t{code}\n")
+    DIGESTS.write_text("".join(lines))
+    print(f"wrote {len(lines)} digests to {DIGESTS}")

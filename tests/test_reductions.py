@@ -2,7 +2,9 @@
 solved exactly by brute force, with every advertised bound re-verified."""
 
 import dataclasses
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from matalloc import instances, polymatroids, reductions
 from matalloc.bitsets import full_mask, size, submasks
-from matalloc.instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
-                                entity_totals, gen_random, parse_instance, serialize_instance,
-                                validate_allocation)
+from matalloc.instances import (CoreCoverInstance, Item, MakespanInstance, SantaInstance,
+                                assignment_to_alloc, entity_totals, gen_random, parse_instance,
+                                serialize_instance, validate_allocation)
 from matalloc.limits import DEFAULT_CAPS, BaselineRegime, ContractViolation, GuessRejected
 from matalloc.localsearch import solve_cover
-from matalloc.matroids import UniformMatroid
+from matalloc.matroids import InducedMatroid, UniformMatroid
 from matalloc.oracle import brute_opt_makespan, brute_opt_santa
-from matalloc.polymatroids import ModularPoly, ScaledRankPoly, member
+from matalloc.polymatroids import ModularPoly, ScaledRankPoly, SumPoly, member
 from matalloc.reductions import (config_round, config_total, guess_loop,
                                  matroid_makespan_to_santa, matroid_santa_from_schedule,
                                  matroid_santa_to_makespan, reduce_to_core, santa_guess_grid,
@@ -736,6 +738,124 @@ class TestLazyAllocation:
             assert sol.alloc == again.alloc
             cases.add(sol.case)
         assert cases == {"one-each", "core-cover", "round", "heavy-light"}
+
+
+def fraction_decision(inst, alpha, guess, cover_solver):
+    """reduce_to_core's decision on a guess as it was made in Fractions,
+    from the values scaled by the guess: (case, cover level b or None,
+    achieved) for an accepted guess, None for a rejected one."""
+    m = inst.num_players
+    scaled = [it.value / guess for it in inst.resources]
+    polys = [it.polymatroid for it in inst.resources]
+    values = sorted(set(scaled))
+
+    def unit_split(idxs):
+        scale = math.lcm(*(scaled[j].denominator for j in idxs))
+        ints = [int(scaled[j] * scale) for j in idxs]
+        return scale, [polys[j] for j, k in zip(idxs, ints) for _ in range(k)]
+
+    def covered(heavy, light_sum, b):
+        core = CoreCoverInstance(InducedMatroid(SumPoly([polys[j] for j in heavy])), light_sum, b)
+        res = cover_solver(core)
+        return res is not None and res.feasible
+
+    zero = ModularPoly([0] * m)
+    if len(values) > 2:
+        heavy = [j for j, v in enumerate(scaled) if v >= 1 / (2 * alpha)]
+        light = [j for j, v in enumerate(scaled) if v < 1 / (2 * alpha)]
+        if not heavy:
+            return None
+        scale, copies = unit_split(light)
+        b = math.ceil(scale / alpha)
+        ok = covered(heavy, SumPoly(copies) if copies else zero, b)
+        return ("heavy-light", b, guess / (2 * alpha)) if ok else None
+    u, w = values[0], values[-1]
+    if u >= 1 / alpha:
+        ok = member(SumPoly(polys), [1] * m)
+        return ("one-each", None, guess * u) if ok else None
+    if w >= 1 / alpha:
+        u_idx = [j for j, v in enumerate(scaled) if v == u and u > 0]
+        b = 1 if u == 0 else math.ceil(1 / (alpha * u))
+        ok = covered([j for j, v in enumerate(scaled) if v == w],
+                     SumPoly([polys[j] for j in u_idx]) if u_idx else zero, b)
+        return ("core-cover", b, guess / alpha) if ok else None
+    scale, copies = unit_split(range(len(scaled)))
+    if not copies:
+        return None
+    split = SumPoly(copies)
+    ok = split.value(full_mask(m)) // max(m, 1) >= scale and member(split, [scale] * m)
+    return ("round", None, guess / alpha) if ok else None
+
+
+def dispatch_draws():
+    """Two-value draws with fractional values, three-value (heavy-light)
+    draws, and draws with worthless resources."""
+    for seed in range(10):
+        yield gen_random("santa-matroid", seed, m=3, n=4, u=F(1, 2), w=F(5, 3))
+        yield gen_random("santa-matroid", seed, m=3, n=4, u=F(0), w=F(7, 5))
+        rng = random.Random(seed)
+        for values in ([F(0), F(1, 3), F(2), F(7, 2)], [F(1), F(2), F(6)]):
+            yield SantaInstance(3, [Item(value=rng.choice(values),
+                                         polymatroid=ModularPoly([rng.randint(0, 2)
+                                                                  for _ in range(3)]))
+                                    for _ in range(5)])
+
+
+class TestIntegerDispatch:
+    def test_dispatch_matches_the_fraction_decision(self):
+        """Accept or reject, case, cover level and achieved bound agree with
+        the Fraction decision at every grid guess and between them."""
+        seen = set()
+        for inst in dispatch_draws():
+            grid = santa_guess_grid(inst)
+            guesses = grid + [(a + b) / 2 for a, b in zip(grid, grid[1:])] + [F(1, 7)]
+            for alpha in (F(1), F(2), F(17, 2)):
+                for guess in guesses:
+                    levels = []
+
+                    def spy(core):
+                        levels.append(core.b)
+                        return exact_cover_solver(core)
+
+                    want = fraction_decision(inst, alpha, guess, exact_cover_solver)
+                    try:
+                        red = reduce_to_core(inst, alpha, guess, spy)
+                        got = (red.case, levels[0] if levels else None, red.achieved)
+                    except GuessRejected:
+                        got = None
+                    assert got == want, (inst, alpha, guess)
+                    seen.add(None if got is None else got[0])
+        assert seen == {None, "one-each", "core-cover", "round", "heavy-light"}
+
+    @pytest.mark.parametrize("alpha", [F(0), F(-1), F(1, 2)], ids=["zero", "negative", "half"])
+    def test_alpha_below_one_is_refused(self, alpha):
+        inst = gen_random("santa-matroid", 1, m=3, n=3, u=1, w=3)
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be at least 1, got {alpha}")):
+            reduce_to_core(inst, alpha, F(2), exact_cover_solver)
+
+    def test_classical_resources_are_refused(self):
+        """reduce_to_core dispatches by the value classes of matroid
+        resources, and the two-value reduction by classical values."""
+        mixed = SantaInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 1])),
+                                  Item(values=(F(1), F(1)))])
+        with pytest.raises(ValueError, match="expects a matroid-flavor instance"):
+            reduce_to_core(mixed, F(2), F(1), exact_cover_solver)
+        matroid = gen_random("santa-matroid", 1, m=3, n=3, u=1, w=3)
+        with pytest.raises(ValueError, match="applies to classical instances"):
+            twovalue_santa_to_makespan(matroid, F(2), brute_makespan_solver)
+
+    def test_alpha_one_still_solves(self):
+        solved = 0
+        for seed in range(6):
+            inst = gen_random("santa-matroid", seed, m=3, n=3, u=1, w=3)
+            best, sol = guess_loop(lambda t: reduce_to_core(inst, F(1), t, exact_cover_solver),
+                                   santa_guess_grid(inst))
+            if sol is None:
+                continue
+            validate_allocation(inst, sol.alloc, require_basis=True)
+            assert min(entity_totals(inst, sol.alloc)) >= sol.achieved >= best / 2
+            solved += 1
+        assert solved >= 4
 
 
 class TestGuessLoop:
