@@ -182,20 +182,33 @@ def assignment_to_alloc(choices: Sequence[int | None], m: int) -> Allocation:
     return [unit_vector(c, m) if c is not None else tuple([0] * m) for c in choices]
 
 
+def scaled_totals(inst, alloc: Allocation) -> list:
+    """entity_totals times the instance's scale (int_values.scale), summed
+    over the integer values: ints for an allocation or for integer rows,
+    Fractions for rows of Fractions. A placement on an infinite size raises
+    ValueError naming the item."""
+    totals = [0] * inst.num_entities
+    for j, (v, vec) in enumerate(zip(inst.int_values.values, alloc)):
+        if not isinstance(v, tuple):  # a matroid item: one value
+            for i, k in enumerate(vec):
+                if k:
+                    totals[i] += v * k
+            continue
+        for i, k in enumerate(vec):
+            if k:
+                if v[i] is None:
+                    raise ValueError(f"item {j}: placed on a machine with infinite size")
+                totals[i] += v[i] * k
+    return totals
+
+
 def entity_totals(inst, alloc: Allocation) -> list[Fraction]:
     """Per-entity sum of value times multiplicity: player values for max-min,
     machine loads for makespan, of an allocation or of the rows of a
-    fractional assignment; a placement on an infinite size raises
-    ValueError naming the item."""
-    totals = [Fraction(0)] * inst.num_entities
-    for j, (it, vec) in enumerate(zip(inst.items, alloc)):
-        for i, k in enumerate(vec):
-            if k:
-                v = it.value_for(i)
-                if v is None:
-                    raise ValueError(f"item {j}: placed on a machine with infinite size")
-                totals[i] += v * k
-    return totals
+    fractional assignment (scaled_totals over the instance's scale); a
+    placement on an infinite size raises ValueError naming the item."""
+    scale = inst.int_values.scale
+    return [Fraction(t, scale) for t in scaled_totals(inst, alloc)]
 
 
 def validate_allocation(inst, alloc: Allocation, require_basis: bool | None = None) -> None:

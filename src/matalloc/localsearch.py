@@ -303,21 +303,28 @@ def _check_blocking_invariants(state: SearchState, addable: AddableSets,
 
 
 def recursion_node_bound(n: int, eps: Fraction) -> int:
-    """2^ceil(log_{1/(1-eps^2)} n): the recursion-tree size bound.
+    """2^ceil(log_{1/(1-eps^2)} n): the recursion-tree size bound, for
+    0 < eps < 1.
 
-    With 1 - eps^2 = p/q, ell is the least ell with q^ell >= n * p^ell,
-    kept as two ints.
+    With 1 - eps^2 = p/q, ell is the least ell >= 1 with q^ell >= n * p^ell.
+    A binary search finds the largest ell below it one bit at a time, from
+    the exact powers q^(2^k) and p^(2^k) squared up until 2^k reaches.
     """
+    if not 0 < eps.numerator < eps.denominator:
+        raise ValueError("eps must lie in (0, 1)")
     if n <= 1:
         return 2
     q = eps.denominator ** 2
-    p = q - eps.numerator ** 2
-    ell, reach, need = 0, 1, n
-    while reach < need:
-        reach *= q
-        need *= p
-        ell += 1
-    return 2 ** ell
+    qs, ps = [q], [q - eps.numerator ** 2]
+    while qs[-1] < n * ps[-1]:
+        qs.append(qs[-1] ** 2)
+        ps.append(ps[-1] ** 2)
+    short, q_short, p_short = 0, 1, 1  # q^short < n * p^short
+    for k in range(len(qs) - 2, -1, -1):
+        q_try, p_try = q_short * qs[k], p_short * ps[k]
+        if q_try < n * p_try:
+            short, q_short, p_short = short + (1 << k), q_try, p_try
+    return 2 ** (short + 1)
 
 
 def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10),

@@ -16,13 +16,16 @@ more fit). Each fractional row is checked before rounding.
 
 Eligibility, restrictedness, the LP's columns, the flow decision and the
 guess grids read the instance's one integer view (instances.IntegerValues:
-its values over one scale). Fractions stay at the boundary and in the
-exact simplex, the only source of LP points, so every additive guarantee
-is checked with exact comparisons. When every item is classical and restricted (one value on all its
+its values over one scale). A fractional point is integers over one
+positive denominator den (FractionalAssignment.point), as the exact
+simplex returns its vertex, so the row checks, the degree chains, the
+per-entity totals and every additive guarantee run in integers over
+scale·den; Fractions stay at the boundary (T, the x view, given rows).
+When every item is classical and restricted (one value on all its
 eligible entities), the LP is a transportation problem: one exact max flow
 (matching.ResidualFlow) decides each guess (Lenstra, Shmoys and Tardos
 1990), and the simplex runs only when the point of a feasible guess is
-read (FractionalAssignment.x), so a guess loop over such an instance
+read (FractionalAssignment.point), so a guess loop over such an instance
 solves one LP. The objective-guessing primitives live here too:
 column_sums builds the guess grids (santa_guess_grid, makespan_guess_grid)
 and guess_loop is the one bisection over them.
@@ -33,11 +36,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from math import ceil, floor, prod
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .bitsets import bits, full_mask
-from .instances import MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals
+from .instances import (MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals,
+                        scaled_totals)
 from . import intersection  # the search by module attribute, which tracers rebind
 from .intersection import DirectSum, Membership, PartitionBound
 from .limits import (Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
@@ -47,25 +51,53 @@ from .polymatroids import CoveragePoly, PolymatroidOracle, greedy_basis_above
 from .simplex import feasible_point
 
 
+Point = tuple[list[tuple[int, ...]], int]  # (rows, den): x[j][i] = rows[j][i]/den, den > 0
+
+
 class FractionalAssignment:
     """x[j][i]: fraction of item j on entity i, feasible for the assignment LP
     with threshold T.
 
-    FractionalAssignment(T, x) holds a given point. solve_assignment_lp
-    passes build instead when a max flow has decided the guess: the simplex
-    then runs on the first read of x, whose point is kept, so a guess loop
-    solves an LP only for the guess whose point it reads."""
+    The one representation is point = (rows, den), integers over one
+    positive denominator; x is its Fraction view, built on first read.
+    FractionalAssignment(T, x) converts the given rows over the lcm of their
+    denominators on the first read of either (an entry that is not an int
+    or a Fraction is a ContractViolation naming its item), and
+    FractionalAssignment(T, point=point) holds an integer point as it is.
+    solve_assignment_lp passes build instead when a max flow has decided
+    the guess: the simplex then runs on the first read, whose point is
+    kept, so a guess loop solves an LP only for the guess whose point it
+    reads."""
 
-    def __init__(self, T: Fraction, x: list[tuple[Fraction, ...]] | None = None, *,
-                 build: Callable[[], list[tuple[Fraction, ...]]] | None = None):
+    def __init__(self, T: Fraction, x: Sequence[Sequence[Fraction]] | None = None, *,
+                 point: Point | None = None, build: Callable[[], Point] | None = None):
         self.T = T
-        self._build = build
-        if build is None:
-            self.x = x
+        if point is not None:
+            self.point = point
+        else:
+            self._build = partial(_over_one_denominator, x) if build is None else build
+
+    @cached_property
+    def point(self) -> Point:
+        return self._build()
 
     @cached_property
     def x(self) -> list[tuple[Fraction, ...]]:
-        return self._build()
+        rows, den = self.point
+        return [tuple(Fraction(v, den) for v in row) for row in rows]
+
+
+def _over_one_denominator(x: Sequence[Sequence[Fraction]]) -> Point:
+    """Rows of ints and Fractions as integer rows over the lcm of their
+    denominators."""
+    x = [tuple(row) for row in x]
+    for j, row in enumerate(x):
+        bad = [v for v in row if not isinstance(v, (int, Fraction))]
+        if bad:
+            raise ContractViolation(
+                f"fractional assignment: item {j} has entry {bad[0]!r}, not an int or a Fraction")
+    den = lcm(*(v.denominator for row in x for v in row))
+    return [tuple(v.numerator * (den // v.denominator) for v in row) for row in x], den
 
 
 def is_restricted(inst, j: int) -> bool:
@@ -163,26 +195,26 @@ def assignment_lp_rows(inst, T: Fraction, columns: Sequence[Sequence[int]]
     return var_of, constraints
 
 
-def _lp_point(inst, T: Fraction, columns: Sequence[Sequence[int]]
-              ) -> list[tuple[Fraction, ...]] | None:
-    """The simplex's vertex of the assignment LP as per-item rows, or None."""
+def _lp_point(inst, T: Fraction, columns: Sequence[Sequence[int]]) -> Point | None:
+    """The simplex's vertex of the assignment LP as per-item integer rows
+    over its denominator, or None."""
     var_of, constraints = assignment_lp_rows(inst, T, columns)
-    point = feasible_point(len(var_of), constraints)
-    if point is None:
+    found = feasible_point(len(var_of), constraints)
+    if found is None:
         return None
+    point, den = found
     m = inst.num_entities
-    return [tuple(point[var_of[(j, i)]] if (j, i) in var_of else Fraction(0) for i in range(m))
-            for j in range(len(inst.items))]
+    return [tuple(point[var_of[(j, i)]] if (j, i) in var_of else 0 for i in range(m))
+            for j in range(len(inst.items))], den
 
 
-def _decided_point(inst, T: Fraction, columns: Sequence[Sequence[int]]
-                   ) -> list[tuple[Fraction, ...]]:
+def _decided_point(inst, T: Fraction, columns: Sequence[Sequence[int]]) -> Point:
     """_lp_point of a guess the max flow found feasible, which must have one."""
-    x = _lp_point(inst, T, columns)
-    if x is None:
+    point = _lp_point(inst, T, columns)
+    if point is None:
         raise InternalInvariantError(
             f"assignment LP at T = {T}: feasible by max flow, infeasible by the simplex")
-    return x
+    return point
 
 
 def _flow_feasible(inst, T: Fraction) -> bool:
@@ -213,7 +245,7 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
     and T >= 0, one max flow decides feasibility (_flow_feasible): an
     infeasible guess builds no LP, and a feasible one returns an assignment
     whose point, the simplex's vertex of the rows of assignment_lp_rows, is
-    solved on the first read of x. Otherwise the simplex decides and the
+    solved on its first read (point or x). Otherwise the simplex decides and the
     point is solved here. Either way the point is the same vertex.
     """
     T = Fraction(T)
@@ -224,41 +256,41 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
         if not _flow_feasible(inst, T):
             return None
         return FractionalAssignment(T, build=partial(_decided_point, inst, T, columns))
-    x = _lp_point(inst, T, columns)
-    return None if x is None else FractionalAssignment(T, x)
+    point = _lp_point(inst, T, columns)
+    return None if point is None else FractionalAssignment(T, point=point)
 
 
 # ---------------------------------------------------------------------------
 # Gadget rounding
 
 
-def _degree_chain(xs: list[Fraction], mode: str) -> tuple[list[int], list[Fraction]]:
-    """Per-entity degree recursion along the positive columns.
+def _degree_chain(xs: list[int], den: int, mode: str) -> tuple[list[int], list[int]]:
+    """Per-entity degree recursion along the positive columns x_k = xs[k]/den,
+    in integers over den: the remainders R_k are returned times den.
 
     mode "floor": d_k = floor(R + x_k), remainder carried to the next vertex.
     mode "ceil":  d_k = ceil(x_k - R), surplus carried from the previous one.
     """
     degrees: list[int] = []
-    remainders: list[Fraction] = []
-    r = Fraction(0)
-    for k, xv in enumerate(xs):
+    remainders: list[int] = []
+    r = 0
+    for xv in xs:
         if mode == "floor":
-            d = floor(r + xv)
-            r = r + xv - d
+            d, r = divmod(r + xv, den)
         else:
-            d = ceil(xv - r) if k else ceil(xv)
-            r = d - (xv - r) if k else d - xv
+            d = -((r - xv) // den)
+            r = d * den - (xv - r)
         degrees.append(d)
         remainders.append(r)
-        if not (0 <= r < 1):
+        if not (0 <= r < den):
             raise ContractViolation("remainder left [0, 1): fractional input is malformed")
     return degrees, remainders
 
 
 def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
-                  frac_x: Sequence[Sequence[Fraction]], m: int, mode: str, classical: bool,
+                  rows: Sequence[Sequence[int]], den: int, m: int, mode: str, classical: bool,
                   caps: Caps) -> list[tuple[int, ...]]:
-    """Round the fractional assignment frac_x of the items with (value,
+    """Round the fractional assignment rows/den of the items with (value,
     polymatroid) views vp to m entities, in decreasing value order: floor
     mode saturates the degree chains, ceil mode the items' bases. When every
     item is classical, each takes at most one unit in all."""
@@ -270,9 +302,8 @@ def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
     slot_caps: list[int] = []
     degree: dict[tuple[int, int], int] = {}
     for i in range(m):
-        pos = [k for k, j in enumerate(order) if frac_x[j][i] > 0]
-        xs = [frac_x[order[k]][i] for k in pos]
-        degs, _ = _degree_chain(xs, mode)
+        pos = [k for k, j in enumerate(order) if rows[j][i] > 0]
+        degs, _ = _degree_chain([rows[order[k]][i] for k in pos], den, mode)
         for t in range(len(pos)):
             degree[(i, t)] = degs[t]
         for t, k in enumerate(pos):
@@ -327,47 +358,74 @@ def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
     return alloc
 
 
-def _check_rows(inst, x: Sequence[Sequence[Fraction]], vp) -> None:
-    """Each fractional row is nonnegative. A classical row puts no mass on an
-    ineligible entity and sums to exactly 1 (0 for a resource that no player
-    values). A polymatroid row sums to f(E) in makespan, and to at most f(E)
-    in max-min, where each rounded vector is raised to a basis afterwards."""
+def _check_shape(rows: Sequence[Sequence[int]], n: int, m: int) -> None:
+    """One row per item, one entry per entity."""
+    if len(rows) < n:
+        raise ContractViolation(f"fractional assignment: item {len(rows)} has no row "
+                                f"({len(rows)} rows for {n} items)")
+    if len(rows) > n:
+        raise ContractViolation(f"fractional assignment: row {n} has no item "
+                                f"({len(rows)} rows for {n} items)")
+    for j, row in enumerate(rows):
+        if len(row) != m:
+            raise ContractViolation(
+                f"fractional assignment: item {j} has {len(row)} entries, expected {m}")
+
+
+def _check_rows(inst, rows: Sequence[Sequence[int]], den: int, vp) -> None:
+    """Each fractional row rows[j]/den is nonnegative. A classical row puts no
+    mass on an ineligible entity and sums to exactly 1 (0 for a resource that
+    no player values). A polymatroid row sums to f(E) in makespan, and to at
+    most f(E) in max-min, where each rounded vector is raised to a basis
+    afterwards."""
     is_makespan = isinstance(inst, MakespanInstance)
-    for j, (it, row, (_, p)) in enumerate(zip(inst.items, x, vp)):
-        mass = {i: v for i, v in enumerate(row) if v}
-        if any(v < 0 for v in mass.values()):
+    for j, (it, row, (_, p), mask) in enumerate(zip(inst.items, rows, vp,
+                                                    inst.int_values.eligible)):
+        if any(v < 0 for v in row):
             raise ContractViolation(f"fractional assignment: item {j} has a negative entry")
-        total = sum(mass.values())
+        total = sum(row)
         up_to = False
         if it.polymatroid is None:
-            off = [i for i in mass if not p.value(1 << i)]
+            off = [i for i, v in enumerate(row) if v and not mask >> i & 1]
             if off:
                 raise ContractViolation(
                     f"fractional assignment: item {j} puts mass on ineligible entity {off[0]}")
-            full = 1 if is_makespan or total else p.value(full_mask(len(row)))
+            full = 1 if is_makespan or total or mask else 0
         else:
             full, up_to = p.value(full_mask(len(row))), not is_makespan
-        if total > full or (total < full and not up_to):
-            raise ContractViolation(f"fractional assignment: item {j} sums to {total}, "
+        if total > full * den or (total < full * den and not up_to):
+            raise ContractViolation(f"fractional assignment: item {j} sums to "
+                                    f"{Fraction(total, den)}, "
                                     f"expected {'at most ' if up_to else ''}{full}")
 
 
 def _check_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
-                     ) -> tuple[list[tuple[int, ...]], list, list[Fraction], list, Fraction]:
-    """Check frac's rows, then gadget-round frac. Returns the allocation,
-    the items' (value, polymatroid) views, the integral and the fractional
-    per-entity totals, and the largest item value."""
+                     ) -> tuple[list[tuple[int, ...]], list, list[int], list[int], int, int]:
+    """Check frac's shape and rows, then gadget-round frac. Returns the
+    allocation, the items' (value, polymatroid) views and, as integers over
+    one unit (the instance's scale times the point's den times T's
+    denominator), the integral and the fractional per-entity totals, the
+    largest item value and T."""
     m, n = inst.num_entities, len(inst.items)
+    T = frac.T
+    if not isinstance(T, (int, Fraction)):
+        raise ContractViolation(f"fractional assignment: T = {T!r} is not an int or a Fraction")
+    rows, den = frac.point
+    _check_shape(rows, n, m)
     try:
-        ftotals = entity_totals(inst, frac.x)
+        ftotals = scaled_totals(inst, rows)
     except ValueError as exc:
         raise ContractViolation(f"fractional assignment: {exc}") from exc
     vp = [item_value_poly(inst, j) for j in range(n)]
-    _check_rows(inst, frac.x, vp)
+    _check_rows(inst, rows, den, vp)
     classical = all(it.polymatroid is None for it in inst.items)
-    alloc = _gadget_round(vp, frac.x, m, mode, classical, caps)
+    alloc = _gadget_round(vp, rows, den, m, mode, classical, caps)
+    scale, t_den = inst.int_values.scale, T.denominator
     vmax = max((v for v, _ in vp), default=Fraction(0))
-    return alloc, vp, entity_totals(inst, alloc), ftotals, vmax
+    unit = den * t_den  # integral totals and values are over scale alone
+    return (alloc, vp, [t * unit for t in scaled_totals(inst, alloc)],
+            [t * t_den for t in ftotals], vmax.numerator * (scale // vmax.denominator) * unit,
+            T.numerator * scale * den)
 
 
 def round_santa(inst: SantaInstance, frac: FractionalAssignment,
@@ -376,13 +434,12 @@ def round_santa(inst: SantaInstance, frac: FractionalAssignment,
 
     The fractional input must satisfy the assignment LP at frac.T. Values
     are processed in decreasing order; each resource ends on a basis of
-    its polymatroid.
+    its polymatroid. Every check and the guarantee run in integers.
     """
-    alloc, vp, vals, fvals, vmax = _check_and_round(inst, frac, "floor", caps)
+    alloc, vp, vals, fvals, vmax, t = _check_and_round(inst, frac, "floor", caps)
     # per-player guarantee: lose at most v_max against one's own fractional
     # value (at least T - v_max when the input satisfies the LP at T)
-    shortfall = [i for i in range(inst.num_players)
-                 if vals[i] < min(frac.T, fvals[i]) - vmax]
+    shortfall = [i for i in range(inst.num_players) if vals[i] < min(t, fvals[i]) - vmax]
     if shortfall:
         raise ContractViolation(f"rounding guarantee violated for players {shortfall}")
     return [tuple(greedy_basis_above(p, vec, caps)) for (_, p), vec in zip(vp, alloc)]
@@ -391,9 +448,8 @@ def round_santa(inst: SantaInstance, frac: FractionalAssignment,
 def round_makespan(inst: MakespanInstance, frac: FractionalAssignment,
                    caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
     """Integral schedule (a basis per job) with every load at most T + max_j p_j."""
-    alloc, _, loads, floads, pmax = _check_and_round(inst, frac, "ceil", caps)
-    over = [i for i in range(inst.num_machines)
-            if loads[i] > max(frac.T, floads[i]) + pmax]
+    alloc, _, loads, floads, pmax, t = _check_and_round(inst, frac, "ceil", caps)
+    over = [i for i in range(inst.num_machines) if loads[i] > max(t, floads[i]) + pmax]
     if over:
         raise ContractViolation(f"rounding guarantee violated for machines {over}")
     return alloc
@@ -411,12 +467,13 @@ def additive_round_santa(inst: SantaInstance, frac: FractionalAssignment,
     The placements of the fractional resources are enumerated; more than
     caps.assignments of them raise SizeCapError before any is evaluated."""
     m, n = inst.num_players, len(inst.resources)
+    rows, den = frac.point
     owner: list[int | None] = [None] * n
     frac_res: list[int] = []
     supports: list[list[int]] = []
     for j in range(n):
-        support = [i for i in range(m) if frac.x[j][i] > 0]
-        whole = [i for i in support if frac.x[j][i] == 1]
+        support = [i for i in range(m) if rows[j][i] > 0]
+        whole = [i for i in support if rows[j][i] == den]
         if whole:
             owner[j] = whole[0]
         elif support:
@@ -449,15 +506,16 @@ def lst_round_unrelated(inst: MakespanInstance, frac: FractionalAssignment
     """Classical unrelated-machines rounding: integral part assigned directly,
     fractional jobs matched to distinct machines along the fractional support."""
     m, n = inst.num_machines, len(inst.jobs)
+    rows, den = frac.point
     owner: list[int | None] = [None] * n
     fractional: list[int] = []
     for j in range(n):
-        whole = [i for i in range(m) if frac.x[j][i] == 1]
+        whole = [i for i in range(m) if rows[j][i] == den]
         if whole:
             owner[j] = whole[0]
         else:
             fractional.append(j)
-    adj = [sum(1 << i for i in range(m) if frac.x[j][i] > 0) for j in fractional]
+    adj = [sum(1 << i for i in range(m) if rows[j][i] > 0) for j in fractional]
     matching = perfect_matching(adj, m)
     if matching is None:
         raise ContractViolation(

@@ -28,8 +28,12 @@ where d_i is the basis determinant at the row's last update.
   pivots are on positive true entries, so every d_i stays positive and the
   phase-1 sign tests read the stored entries directly. The drive-out of
   zero-level artificials may pivot on a negative entry and make det
-  negative, but it only tests entries for zero, and the read-out
-  Fraction(M[i][-1], d_i) normalises the sign.
+  negative, but it only tests entries for zero.
+- *Read-out.* The vertex is returned as integers over one denominator:
+  den is the lcm of the final rows' |d_i|, and a basic variable of row i
+  reads M[i][-1]·(den // d_i), so den is positive even where d_i is not
+  and every value is M[i][-1]/d_i exactly. A redundant row that the
+  drive-out deletes takes its d_i with it.
 """
 
 from __future__ import annotations
@@ -41,15 +45,34 @@ from typing import Sequence
 FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
-def feasible_point(num_vars: int,
-                   constraints: Sequence[tuple[dict[int, Fraction], str, Fraction]]
-                   ) -> list[Fraction] | None:
-    """A basic feasible solution of {x >= 0 : constraints}, or None.
+Constraints = Sequence[tuple[dict[int, Fraction], str, Fraction]]
+
+
+def feasible_point(num_vars: int, constraints: Constraints) -> tuple[list[int], int] | None:
+    """A basic feasible solution of {x >= 0 : constraints} as (nums, den),
+    x_j = nums[j]/den with den > 0, or None.
 
     Each constraint is (coeffs, sense, rhs) with coeffs a sparse dict
     var -> coefficient and sense one of "<=", ">=", "==". Coefficients and
     rhs are Fractions or ints.
     """
+    final = final_tableau(num_vars, constraints)
+    if final is None:
+        return None
+    tableau, basis, dens = final
+    den = lcm(*dens)  # math.lcm is nonnegative, and 1 for no rows
+    point = [0] * num_vars
+    for row, b, d in zip(tableau, basis, dens):
+        if b < num_vars:
+            point[b] = row[-1] * (den // d)
+    return point, den
+
+
+def final_tableau(num_vars: int, constraints: Constraints
+                  ) -> tuple[list[list[int]], list[int], list[int]] | None:
+    """The fraction-free tableau at the end of phase one and the drive-out:
+    its rows M_i, each row's basic column and each row's d_i, so that a
+    basic variable of row i is M[i][-1]/d_i. None when infeasible."""
     rows = []
     for coeffs, sense, rhs in constraints:
         coeffs = {j: c for j, c in coeffs.items() if c}
@@ -161,9 +184,4 @@ def feasible_point(num_vars: int,
                 del dens[i]
             else:
                 pivot(i, col)
-
-    point = [Fraction(0)] * num_vars
-    for i, b in enumerate(basis):
-        if b < num_vars:
-            point[b] = Fraction(tableau[i][-1], dens[i])
-    return point
+    return tableau, basis, dens

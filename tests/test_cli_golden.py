@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 from matalloc.cli import main
-from matalloc.instances import _rat_to_json, gen_random, serialize_instance
-from matalloc.reductions import guess_loop, santa_guess_grid
-from matalloc.rounding import solve_assignment_lp
+from matalloc.instances import (MakespanInstance, _rat_to_json, entity_totals, gen_random,
+                                serialize_instance)
+from matalloc.rounding import guess_loop, makespan_guess_grid, santa_guess_grid, solve_assignment_lp
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
@@ -31,11 +31,33 @@ def _write(path: Path, inst) -> str:
     return str(path)
 
 
-def _lp_frac(inst) -> dict:
-    """The assignment LP's point at the largest feasible guess of inst's grid."""
-    best, frac = guess_loop(lambda t: solve_assignment_lp(inst, t), santa_guess_grid(inst))
-    return {"T": _rat_to_json(best),
-            "x": [[_rat_to_json(v) for v in row] for row in frac.x]}
+def _frac_json(T, rows) -> str:
+    return json.dumps({"T": _rat_to_json(T), "x": [[_rat_to_json(v) for v in row] for row in rows]})
+
+
+def _lp_frac(inst) -> str:
+    """The assignment LP's point at the best feasible guess of inst's grid:
+    the largest for santa, the smallest for makespan."""
+    if isinstance(inst, MakespanInstance):
+        grid = makespan_guess_grid(inst)[::-1]
+    else:
+        grid = santa_guess_grid(inst)
+    best, frac = guess_loop(lambda t: solve_assignment_lp(inst, t), grid)
+    return _frac_json(best, frac.x)
+
+
+def _mixed_frac(inst) -> str:
+    """A point whose rows have different denominators: item j's unit spread
+    over its eligible players in proportion j+1, j+2, ..., at T the least
+    player value."""
+    rows = []
+    for j, it in enumerate(inst.items):
+        weights = [j + 1 + k for k in range(inst.num_entities)]
+        eligible = [i for i, v in enumerate(it.values) if v > 0]
+        total = sum(weights[i] for i in eligible)
+        rows.append([Fraction(weights[i], total) if i in eligible else Fraction(0)
+                     for i in range(inst.num_entities)])
+    return _frac_json(min(entity_totals(inst, rows)), rows)
 
 
 # each case: name -> argv built in a directory from the generated files
@@ -53,11 +75,13 @@ def _reduce(kind: str, flavor: str, seed: int, **params):
     return argv
 
 
-def _round(tmp: Path) -> list[str]:
-    inst = gen_random("restricted-santa", 4, m=3, n=5)
-    frac = tmp / "frac.json"
-    frac.write_text(json.dumps(_lp_frac(inst)))
-    return ["round", "--in", _write(tmp / "inst.json", inst), "--frac", str(frac)]
+def _round(flavor: str, seed: int, point=_lp_frac, **params):
+    def argv(tmp: Path) -> list[str]:
+        inst = gen_random(flavor, seed, **params)
+        frac = tmp / "frac.json"
+        frac.write_text(point(inst))
+        return ["round", "--in", _write(tmp / "inst.json", inst), "--frac", str(frac)]
+    return argv
 
 
 def _verify(flavor: str, seed: int, **params):
@@ -82,7 +106,9 @@ CASES = {
     "reduce-matroid-santa-to-makespan": _reduce("matroid-santa-to-makespan",
                                                 "santa-matroid", 0, m=3, n=2,
                                                 u=Fraction(1, 2), w=Fraction(1)),
-    "round-restricted-santa": _round,
+    "round-restricted-santa": _round("restricted-santa", 4, m=3, n=5),
+    "round-restricted-makespan": _round("restricted-makespan", 1, m=3, n=6),
+    "round-mixed-denominators": _round("restricted-santa", 5, _mixed_frac, m=3, n=6),
     "verify-gap": _verify("gap", 0, m=3),
     "verify-santa-matroid": _verify("santa-matroid", 2, m=3, n=3),
     "bench-corpus": lambda tmp: ["bench", "--dir", str(CORPUS)],

@@ -173,6 +173,28 @@ def test_recursion_bound_matches_its_fraction_definition(eps):
         assert recursion_node_bound(n, eps) == 2 ** max(ell, 1), n
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 8), Fraction(1, 10), Fraction(1, 16),
+                                 Fraction(3, 25)], ids=["1/8", "1/10", "1/16", "3/25"])
+def test_recursion_bound_matches_the_multiplying_loop(eps):
+    """The binary search agrees with the loop it replaced, which multiplied
+    q^ell and n * p^ell up one ell at a time, for every n <= 2000. The
+    least ell grows with n, so the loop's powers carry from one n to the
+    next."""
+    q = eps.denominator ** 2
+    p = q - eps.numerator ** 2
+    ell, q_ell, p_ell = 0, 1, 1
+    for n in range(2001):
+        while q_ell < n * p_ell:
+            ell, q_ell, p_ell = ell + 1, q_ell * q, p_ell * p
+        assert recursion_node_bound(n, eps) == 2 ** max(ell, 1), n
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 10), Fraction(1), Fraction(3, 2)])
+def test_recursion_bound_refuses_eps_outside_the_open_unit_interval(eps):
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+        recursion_node_bound(13, eps)
+
+
 class TestRecursionPath:
     """The nested-coverage family forces operation (4): addable elements are
     blocked by rank-zero elements sharing their covering capacity."""

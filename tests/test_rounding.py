@@ -1,6 +1,7 @@
 """Assignment LP and additive rounding: operation examples plus randomized
 exact-guarantee checks with independently constructed fractional inputs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,11 +19,21 @@ from matalloc.polymatroids import CutNetwork, ModularPoly, ScaledRankPoly, is_ba
 from matalloc.matroids import UniformMatroid
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, assignment_lp_columns,
                                assignment_lp_rows, column_sums, is_restricted, item_value_poly,
-                               lst_baseline, makespan_guess_grid, round_makespan, round_santa,
+                               guess_loop, lst_baseline, makespan_guess_grid, round_makespan,
+                               round_santa,
                                santa_guess_grid, solve_assignment_lp)
-from matalloc.simplex import feasible_point
+from matalloc.simplex import feasible_point, final_tableau
 
 F = Fraction
+
+
+def vertex(num_vars, constraints):
+    """feasible_point's vertex as Fractions, or None."""
+    found = feasible_point(num_vars, constraints)
+    if found is None:
+        return None
+    nums, den = found
+    return [F(v, den) for v in nums]
 
 
 def player_values(inst, alloc):
@@ -61,15 +72,15 @@ def mixture(rng, inst):
 
 class TestSimplex:
     def test_feasible_system(self):
-        pt = feasible_point(2, [({0: F(1), 1: F(1)}, "==", F(1)),
-                                ({0: F(1)}, ">=", F(1, 3))])
+        pt = vertex(2, [({0: F(1), 1: F(1)}, "==", F(1)),
+                        ({0: F(1)}, ">=", F(1, 3))])
         assert pt is not None and pt[0] + pt[1] == 1 and pt[0] >= F(1, 3)
 
     def test_infeasible_system(self):
-        assert feasible_point(1, [({0: F(1)}, ">=", F(2)), ({0: F(1)}, "<=", F(1))]) is None
+        assert vertex(1, [({0: F(1)}, ">=", F(2)), ({0: F(1)}, "<=", F(1))]) is None
 
     def test_negative_rhs_normalization(self):
-        pt = feasible_point(1, [({0: F(-1)}, "<=", F(-2))])
+        pt = vertex(1, [({0: F(-1)}, "<=", F(-2))])
         assert pt is not None and pt[0] >= 2
 
     @given(st.integers(0, 300))
@@ -82,7 +93,7 @@ class TestSimplex:
             coeffs = {j: F(rng.randint(-3, 3)) for j in range(nv)}
             sense = rng.choice(["<=", ">=", "=="])
             cons.append((coeffs, sense, F(rng.randint(-4, 4))))
-        pt = feasible_point(nv, cons)
+        pt = vertex(nv, cons)
         if pt is None:
             return
         assert all(v >= 0 for v in pt)
@@ -305,7 +316,7 @@ def eager_point(inst, t):
     if columns is None:
         return None
     var_of, constraints = assignment_lp_rows(inst, t, columns)
-    point = feasible_point(len(var_of), constraints)
+    point = vertex(len(var_of), constraints)
     if point is None:
         return None
     return [tuple(point[var_of[j, i]] if (j, i) in var_of else F(0)
@@ -466,7 +477,7 @@ class TestDeferredPoint:
         calls = counting_simplex(monkeypatch)
         rows = [(F(1, 2), F(1, 2)), (F(0), F(1))]
         frac = FractionalAssignment(F(3, 2), rows)
-        assert frac.T == F(3, 2) and frac.x is rows
+        assert frac.T == F(3, 2) and frac.point == ([(1, 1), (0, 2)], 2) and frac.x == rows
         assert calls == []
 
 
@@ -711,21 +722,66 @@ class TestFractionalInputChecks:
         with pytest.raises(ContractViolation, match=f"expected at most {top[1]}$"):
             round_santa(santa, FractionalAssignment(F(0), over))
 
+    @pytest.mark.parametrize("bend, message", [
+        (lambda x: x[:-1], r"item 4 has no row \(4 rows for 5 items\)$"),
+        (lambda x: x + [x[0]], r"row 5 has no item \(6 rows for 5 items\)$"),
+        (lambda x: [row + (F(0),) for row in x], r"item 0 has 4 entries, expected 3$"),
+        (lambda x: x[:2] + [x[2][:-1]] + x[3:], r"item 2 has 2 entries, expected 3$"),
+        (lambda x: x[:3] + [tuple(map(float, x[3]))] + x[4:],
+         r"item 3 has entry 1\.0, not an int or a Fraction$"),
+    ])
+    def test_a_malformed_point_names_its_item(self, bend, message):
+        inst = gen_random("restricted-santa", 4, m=3, n=5)
+        frac = solve_assignment_lp(inst, F(1))
+        assert round_santa(inst, frac) == [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 0)]
+        with pytest.raises(ContractViolation, match="^fractional assignment: " + message):
+            round_santa(inst, FractionalAssignment(F(1), bend(frac.x)))
+
+    def test_a_float_never_reaches_a_makespan_decision(self):
+        inst = MakespanInstance(2, [Item(values=(F(1), F(1)))] * 2)
+        rows = [(F(1), F(0)), (F(0), F(1))]
+        assert round_makespan(inst, FractionalAssignment(F(1), rows)) == [(1, 0), (0, 1)]
+        with pytest.raises(ContractViolation, match="item 1 has entry 0.5, not an int"):
+            round_makespan(inst, FractionalAssignment(F(1), [rows[0], (0.5, 0.5)]))
+        with pytest.raises(ContractViolation, match=r"T = 1\.0 is not an int or a Fraction"):
+            round_makespan(inst, FractionalAssignment(1.0, rows))
+
     def test_a_resource_nobody_values_keeps_a_zero_row(self):
         inst = SantaInstance(2, [Item(values=(F(1), F(1))), Item(values=(F(0), F(0)))])
         frac = FractionalAssignment(F(1, 2), [(F(1, 2), F(1, 2)), (F(0), F(0))])
         assert round_santa(inst, frac)[1] == (0, 0)
 
 
-def reference_gadget_round(vp, frac_x, m, mode, classical, caps):
+def fraction_degree_chain(xs, mode):
+    """The degree recursion in Fractions, as rounding ran it before its
+    integer form: (degrees, remainders)."""
+    degrees, remainders = [], []
+    r = F(0)
+    for k, xv in enumerate(xs):
+        if mode == "floor":
+            d = math.floor(r + xv)
+            r = r + xv - d
+        else:
+            d = math.ceil(xv - r) if k else math.ceil(xv)
+            r = d - (xv - r) if k else d - xv
+        degrees.append(d)
+        remainders.append(r)
+        if not (0 <= r < 1):
+            raise ContractViolation("remainder left [0, 1): fractional input is malformed")
+    return degrees, remainders
+
+
+def reference_gadget_round(vp, rows, den, m, mode, classical, caps):
     """The gadget rounding with whole-vector predicates: every item's vector
-    a member of its view, and every chain vertex within its degree."""
+    a member of its view, and every chain vertex within its degree; the
+    degree chains run in Fractions over the point rows/den."""
     n = len(vp)
+    frac_x = [[F(v, den) for v in row] for row in rows]
     order = sorted(range(n), key=lambda j: (-vp[j][0], j))
     slots, slot_caps, degree = [], [], {}
     for i in range(m):
         pos = [k for k, j in enumerate(order) if frac_x[j][i] > 0]
-        degs, _ = rounding._degree_chain([frac_x[order[k]][i] for k in pos], mode)
+        degs, _ = fraction_degree_chain([frac_x[order[k]][i] for k in pos], mode)
         for t in range(len(pos)):
             degree[(i, t)] = degs[t]
         for t, k in enumerate(pos):
@@ -842,3 +898,56 @@ def test_polymatroid_rounding_matches_the_whole_vector_reference(monkeypatch, fl
         assert got == want, seed
         rounded += isinstance(got, list)
     assert rounded >= 30
+
+
+def fraction_point(inst, t):
+    """The assignment LP's vertex at t as per-item rows, read as the simplex
+    did before its integer point: one Fraction(M[i][-1], d_i) per basic
+    variable of the final tableau."""
+    columns = assignment_lp_columns(inst, t)
+    var_of, constraints = assignment_lp_rows(inst, t, columns)
+    tableau, basis, dens = final_tableau(len(var_of), constraints)
+    point = [F(0)] * len(var_of)
+    for row, b, d in zip(tableau, basis, dens):
+        if b < len(var_of):
+            point[b] = F(row[-1], d)
+    return [tuple(point[var_of[j, i]] if (j, i) in var_of else F(0)
+                  for i in range(inst.num_entities)) for j in range(len(inst.items))]
+
+
+def test_the_integer_point_and_its_rounding_match_the_fraction_path(monkeypatch):
+    """The classical-lp shapes (restricted santa and makespan, m <= 4,
+    n <= 7), 200 seeds each, at the guess loop's answer: the integer point,
+    both modes of the degree chain on every entity's column, x and the
+    rounded allocation equal the Fraction path (the Fraction read-out,
+    rounded from given Fraction rows and by the reference gadget, whose
+    degree chains run in Fractions)."""
+    compared = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        m, n = rng.randint(2, 4), rng.randint(3, 7)
+        for makespan in (False, True):
+            inst = gen_random("restricted-makespan" if makespan else "restricted-santa",
+                              seed, m=m, n=n)
+            grid = makespan_guess_grid(inst)[::-1] if makespan else santa_guess_grid(inst)
+            t, frac = guess_loop(lambda T: solve_assignment_lp(inst, T), grid)
+            if t is None:
+                continue
+            want = fraction_point(inst, t)
+            rows, den = frac.point
+            assert den > 0 and all(type(v) is int for row in rows for v in row)
+            assert [tuple(F(v, den) for v in row) for row in rows] == want == frac.x, seed
+            for i in range(m):
+                column = [row[i] for row in rows if row[i] > 0]
+                for mode in ("floor", "ceil"):
+                    degrees, remainders = rounding._degree_chain(column, den, mode)
+                    assert (degrees, [F(r, den) for r in remainders]) == fraction_degree_chain(
+                        [F(v, den) for v in column], mode), (seed, i, mode)
+            rounder = round_makespan if makespan else round_santa
+            got = outcome(lambda: rounder(inst, frac))
+            assert got == outcome(lambda: rounder(inst, FractionalAssignment(t, want))), seed
+            with monkeypatch.context() as patched:
+                patched.setattr(rounding, "_gadget_round", reference_gadget_round)
+                assert got == outcome(lambda: rounder(inst, FractionalAssignment(t, want))), seed
+            compared += isinstance(got, list)
+    assert compared >= 350

@@ -1,17 +1,29 @@
 """Differential test of the integer-preserving simplex against a dense
 rational tableau: the same Bland pivots must reach the same vertex."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 from matalloc import rounding
 from matalloc.instances import gen_random
-from matalloc.simplex import feasible_point
+from matalloc.simplex import feasible_point, final_tableau
 
 F = Fraction
 ZERO = F(0)
 ONE = F(1)
+
+
+def vertex(num_vars, constraints):
+    """feasible_point's vertex as Fractions after checking its form: ints
+    over one positive denominator. None when infeasible."""
+    found = feasible_point(num_vars, constraints)
+    if found is None:
+        return None
+    nums, den = found
+    assert type(den) is int and den > 0 and all(type(v) is int for v in nums)
+    return [F(v, den) for v in nums]
 
 
 def reference_point(num_vars, constraints, events=None):
@@ -143,9 +155,8 @@ def test_matches_dense_rational_tableau():
     for _ in range(2500):
         nv, cons = random_system(rng)
         want = reference_point(nv, cons, events)
-        got = feasible_point(nv, cons)
+        got = vertex(nv, cons)
         assert got == want, (nv, cons)
-        assert got is None or all(type(v) is Fraction for v in got)
         outcomes["none" if want is None else "point"] += 1
         outcomes.update(f"negative {sense}" for _, sense, rhs in cons if rhs < 0)
     assert outcomes["none"] >= 200 and outcomes["point"] >= 200
@@ -161,8 +172,57 @@ def test_drive_out_on_negative_entry():
     cons = [({0: F(-1), 1: F(1)}, "==", F(0)), ({0: F(-1), 1: F(2)}, "==", F(1)),
             ({0: F(-1), 1: F(1)}, ">=", F(0))]
     events = Counter()
-    assert feasible_point(2, cons) == reference_point(2, cons, events) == [F(1), F(1)]
+    assert vertex(2, cons) == reference_point(2, cons, events) == [F(1), F(1)]
     assert events["negative_drive_out"] >= 1
+
+
+def fraction_read_out(num_vars, constraints):
+    """The final tableau read one Fraction(M[i][-1], d_i) per basic variable,
+    as the simplex did before its integer point."""
+    tableau, basis, dens = final_tableau(num_vars, constraints)
+    point = [ZERO] * num_vars
+    for row, b, d in zip(tableau, basis, dens):
+        if b < num_vars:
+            point[b] = F(row[-1], d)
+    return point
+
+
+def test_read_out_over_a_negative_determinant():
+    cons = [({0: F(-1), 1: F(1)}, "==", F(0)), ({0: F(-1), 1: F(2)}, "==", F(1)),
+            ({0: F(-1), 1: F(1)}, ">=", F(0))]
+    _, _, dens = final_tableau(2, cons)
+    assert min(dens) < 0
+    nums, den = feasible_point(2, cons)
+    assert den == math.lcm(*dens) > 0
+    assert [F(v, den) for v in nums] == fraction_read_out(2, cons) == [F(1), F(1)]
+
+
+def test_read_out_after_a_redundant_row_is_dropped():
+    # the second row repeats the first: its artificial stays basic at zero
+    # with no other nonzero entry, so the drive-out deletes the row
+    cons = [({0: F(2), 1: F(3)}, "==", F(5, 2)), ({0: F(2), 1: F(3)}, "==", F(5, 2)),
+            ({0: F(1)}, ">=", F(1, 3))]
+    tableau, _, dens = final_tableau(2, cons)
+    assert len(tableau) == 2 == len(dens)
+    nums, den = feasible_point(2, cons)
+    assert den == math.lcm(*dens) > 0
+    assert [F(v, den) for v in nums] == fraction_read_out(2, cons) == reference_point(2, cons)
+
+
+def test_read_out_matches_the_fraction_read_out():
+    rng = random.Random(4242)
+    seen = Counter()
+    for _ in range(1500):
+        nv, cons = random_system(rng)
+        final = final_tableau(nv, cons)
+        if final is None:
+            assert feasible_point(nv, cons) is None
+            continue
+        tableau, _, dens = final
+        seen["negative d"] += min(dens, default=1) < 0
+        seen["dropped row"] += len(tableau) < len(cons)
+        assert vertex(nv, cons) == fraction_read_out(nv, cons), (nv, cons)
+    assert seen["negative d"] >= 20 and seen["dropped row"] >= 100
 
 
 def test_assignment_lps_match():
@@ -179,6 +239,6 @@ def test_assignment_lps_match():
                 if columns is None:
                     continue
                 var_of, constraints = rounding.assignment_lp_rows(inst, t, columns)
-                got = feasible_point(len(var_of), constraints)
+                got = vertex(len(var_of), constraints)
                 calls.append(got == reference_point(len(var_of), constraints))
     assert len(calls) == 58 and all(calls)
