@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from matalloc.instances import CoreCoverInstance, unit_vector
+from matalloc.instances import CoreCoverInstance, Item, SantaInstance, unit_vector
 from matalloc.matroids import PartitionMatroid, UniformMatroid
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ModularPoly,
                                    ScaledRankPoly, SumPoly)
@@ -241,3 +241,12 @@ def nested_coverage_core(seed):
     blocks = [sum(1 << e for e in a_ids + t_ids), sum(1 << e for e in p_ids)]
     matroid = PartitionMatroid(n, blocks, [na, 0])
     return CoreCoverInstance(matroid, poly, b)
+
+
+def three_value_draw(seed):
+    """A three-valued restricted matroid max-min draw (the heavy-light case
+    of reduce_to_core)."""
+    rng = random.Random(seed)
+    return SantaInstance(3, [Item(value=rng.choice([Fraction(1), Fraction(2), Fraction(6)]),
+                                  polymatroid=ModularPoly([rng.randint(0, 2) for _ in range(3)]))
+                             for _ in range(6)])

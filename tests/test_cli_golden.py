@@ -90,7 +90,17 @@ def _verify(flavor: str, seed: int, **params):
     return argv
 
 
+FLAVORS = ("gap", "core-cover", "unrelated-santa", "restricted-santa", "two-value-santa",
+           "two-value-makespan", "restricted-makespan", "santa-matroid", "makespan-matroid")
+
+
+def _gen(flavor: str, seed: int):
+    return lambda tmp: ["gen", "--flavor", flavor, "--seed", str(seed), "--m", "3", "--n", "4",
+                        "--b", "2", "--u", "1/2", "--w", "5/3"]
+
+
 CASES = {
+    **{f"gen-{flavor}": _gen(flavor, 1) for flavor in FLAVORS},
     **{f"solve-cover-m{m}-s{seed}-b{b}": _solve_cover(m, seed, b)
        for m in (8, 10, 12, 13) for seed in range(1, 7) for b in (1, 2, 3)},
     "reduce-config-round": _reduce("config-round", "two-value-santa", 1, m=2, n=3,

@@ -8,6 +8,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import three_value_draw
 from hypothesis import given, settings, strategies as st
 
 from matalloc import instances, polymatroids, reductions
@@ -625,14 +626,6 @@ class TestReduceToCore:
             assert core.matroid.n == 3
 
 
-def _general_draw(seed):
-    """A three-valued restricted matroid max-min draw (the heavy-light case)."""
-    rng = random.Random(seed)
-    return SantaInstance(3, [Item(value=rng.choice([F(1), F(2), F(6)]),
-                                  polymatroid=ModularPoly([rng.randint(0, 2) for _ in range(3)]))
-                             for _ in range(6)])
-
-
 def _santa_loop(inst, alpha):
     return guess_loop(lambda t: reduce_to_core(inst, alpha, t, lambda c: solve_cover(c, F(1, 10))),
                       santa_guess_grid(inst))
@@ -728,7 +721,7 @@ class TestLazyAllocation:
     def test_the_loops_allocation_is_the_one_a_fresh_instance_builds(self):
         draws = ([(gen_random("santa-matroid", s, m=4, n=4, u=F(1), w=F(3)), F(a))
                   for a, seeds in ((8, range(12)), (2, range(4))) for s in seeds]
-                 + [(_general_draw(s), F(4)) for s in range(4)])
+                 + [(three_value_draw(s), F(4)) for s in range(4)])
         cases = set()
         for inst, alpha in draws:
             best, sol = _santa_loop(inst, alpha)
