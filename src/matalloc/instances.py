@@ -215,8 +215,9 @@ def validate_allocation(inst, alloc: Allocation, require_basis: bool | None = No
     """Structural validity: one vector of num_entities nonnegative entries
     per item; 0/1 vectors with at most one 1 for classical items (makespan
     jobs must be placed; santa resources may stay unassigned), polymatroid
-    membership (bases where required) for matroid items. A violation raises
-    ValueError naming the item."""
+    membership (bases where required) for matroid items. Every entry must be
+    an int (not a bool), so that membership is decided in integers. A
+    violation raises ValueError naming the item."""
     is_makespan = isinstance(inst, MakespanInstance)
     if require_basis is None:
         require_basis = is_makespan
@@ -226,6 +227,9 @@ def validate_allocation(inst, alloc: Allocation, require_basis: bool | None = No
     for j, (it, vec) in enumerate(zip(inst.items, alloc)):
         if len(vec) != m:
             raise ValueError(f"item {j}: vector has {len(vec)} entries, expected {m}")
+        bad = [v for v in vec if not _is_int(v)]
+        if bad:
+            raise ValueError(f"item {j}: multiplicity {bad[0]!r} is not an integer")
         if any(v < 0 for v in vec):
             raise ValueError(f"item {j}: negative multiplicity")
         if it.polymatroid is not None:
@@ -673,44 +677,27 @@ def gen_random(flavor: str, seed: int, **params):
         items = [Item(values=tuple(Fraction(rng.randint(0, den * 2), den) for _ in range(m)))
                  for _ in range(n)]
         return SantaInstance(m, items)
-    if flavor == "restricted-santa":
+    # each santa/makespan pair differs only in the class and the off-entity
+    # entry (0 for a player, None for a machine), with the same draws
+    cls, off = (MakespanInstance, None) if "makespan" in flavor else (SantaInstance, Fraction(0))
+    if flavor in ("restricted-santa", "restricted-makespan"):
         items = []
         for _ in range(n):
             v = Fraction(rng.randint(1, 4), rng.randint(1, 2))
             allowed = [i for i in range(m) if rng.random() < 0.6] or [rng.randrange(m)]
-            items.append(Item(values=tuple(v if i in allowed else Fraction(0) for i in range(m))))
-        return SantaInstance(m, items)
-    if flavor == "two-value-santa":
+            items.append(Item(values=tuple(v if i in allowed else off for i in range(m))))
+        return cls(m, items)
+    if flavor in ("two-value-santa", "two-value-makespan"):
         items = []
         for _ in range(n):
-            row = tuple(rng.choice([Fraction(0), u, w]) for _ in range(m))
-            if all(v == 0 for v in row):
+            row = tuple(rng.choice([off, u, w]) for _ in range(m))
+            if all(v == off for v in row):
                 row = row[:-1] + (rng.choice([u, w]),)
             items.append(Item(values=row))
-        return SantaInstance(m, items)
-    if flavor == "two-value-makespan":
-        items = []
-        for _ in range(n):
-            row = tuple(rng.choice([None, u, w]) for _ in range(m))
-            if all(v is None for v in row):
-                row = row[:-1] + (rng.choice([u, w]),)
-            items.append(Item(values=row))
-        return MakespanInstance(m, items)
-    if flavor == "restricted-makespan":
-        items = []
-        for _ in range(n):
-            p = Fraction(rng.randint(1, 4), rng.randint(1, 2))
-            allowed = [i for i in range(m) if rng.random() < 0.6] or [rng.randrange(m)]
-            items.append(Item(values=tuple(p if i in allowed else None for i in range(m))))
-        return MakespanInstance(m, items)
-    if flavor == "santa-matroid":
-        items = [Item(value=rng.choice([u, w]), polymatroid=_random_poly(rng, m, max_weight))
-                 for _ in range(n)]
-        return SantaInstance(m, items)
-    if flavor == "makespan-matroid":
-        items = [Item(value=rng.choice([u, w]), polymatroid=_random_poly(rng, m, max_weight))
-                 for _ in range(n)]
-        return MakespanInstance(m, items)
+        return cls(m, items)
+    if flavor in ("santa-matroid", "makespan-matroid"):
+        return cls(m, [Item(value=rng.choice([u, w]), polymatroid=_random_poly(rng, m, max_weight))
+                       for _ in range(n)])
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -729,26 +716,19 @@ def merge_equal_value(inst) -> MergeRecord:
     originals. Solutions split back via split_merged_solution."""
     if not inst.is_matroid_flavor:
         raise ValueError("merging applies to matroid-flavor instances")
-    order: list[Fraction] = []
-    groups: dict[Fraction, list[int]] = {}
+    groups: dict[Fraction, list[int]] = {}  # in order of first appearance
     for j, it in enumerate(inst.items):
-        if it.value not in groups:
-            groups[it.value] = []
-            order.append(it.value)
-        groups[it.value].append(j)
+        groups.setdefault(it.value, []).append(j)
     merged_items = []
-    group_list = []
-    for v in order:
-        idxs = groups[v]
+    for v, idxs in groups.items():
         polys = [inst.items[j].polymatroid for j in idxs]
         poly = polys[0] if len(polys) == 1 else SumPoly(polys)
         merged_items.append(Item(value=v, polymatroid=poly))
-        group_list.append(idxs)
     if isinstance(inst, SantaInstance):
         merged = SantaInstance(inst.num_players, merged_items)
     else:
         merged = MakespanInstance(inst.num_machines, merged_items)
-    return MergeRecord(merged, group_list)
+    return MergeRecord(merged, list(groups.values()))
 
 
 def split_merged_solution(inst, record: MergeRecord, merged_alloc: Allocation) -> Allocation:

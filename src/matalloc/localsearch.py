@@ -344,7 +344,7 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
     eps = Fraction(eps)
     if not (0 < eps <= Fraction(1, 8)):
         raise ValueError("eps must lie in (0, 1/8]")
-    if inst.b < 1:
+    if not isinstance(inst.b, int) or isinstance(inst.b, bool) or inst.b < 1:
         raise ValueError("cover level b must be a positive integer")
     matroid, poly, b = inst.matroid, inst.polymatroid, inst.b
     n = matroid.n

@@ -550,42 +550,47 @@ def matroid_santa_from_schedule(bundle: MatroidDualBundle, schedule: Allocation,
 class CoreReduction:
     """Outcome of reduce_to_core for an accepted guess: which path accepted
     it, the value it guarantees, and the allocation (per-resource vectors in
-    the source instance). Every check that rejects a guess ran in
-    reduce_to_core; the allocation is built once, on the first read of
-    alloc, with the round case's level search and, on every path, the check
-    that each player reaches achieved. So a guess loop that keeps only its
+    the source instance inst). Every check that rejects a guess ran in
+    reduce_to_core; the allocation is build(), run once, on the first read
+    of alloc, with the round case's level search and the check that each
+    player of inst reaches achieved. So a guess loop that keeps only its
     last accepted guess back-translates only that one; a ContractViolation
     or SizeCapError of the build surfaces on that read."""
 
+    inst: SantaInstance
     build: Callable[[], Allocation]
     case: str
     achieved: Fraction
 
     @cached_property
     def alloc(self) -> Allocation:
-        return self.build()
+        alloc = self.build()
+        _require_min_value(self.inst, alloc, self.achieved)
+        return alloc
 
 
-def _unit_split(items: Sequence[Item]) -> tuple[int, list[int], list[PolymatroidOracle]]:
-    """The unit split: with scale the common denominator of the values, item
-    k becomes ints[k] = scale·value_k copies of its polymatroid, in order."""
-    scale = math.lcm(*(it.value.denominator for it in items))
-    ints = [int(it.value * scale) for it in items]
-    return scale, ints, [it.polymatroid for it, k in zip(items, ints) for _ in range(k)]
+def _unit_copies(light: SantaInstance) -> list[PolymatroidOracle]:
+    """The unit split of the light instance (values over the guess): resource
+    k becomes int_values.values[k] copies of its polymatroid, in order."""
+    return [it.polymatroid for it, k in zip(light.resources, light.int_values.values)
+            for _ in range(k)]
 
 
-def _unit_rows(copies: Sequence[PolymatroidOracle], ints: Sequence[int], y: Sequence[int],
-               caps: Caps) -> list[tuple[Fraction, ...]]:
-    """Split y over the unit copies and average the ints[k] pieces of each
-    resource k back into its fractional assignment row; a worthless resource
-    (no copies) gets a zero row."""
-    pieces = decompose_in_sum(copies, y, caps.override(expand=4 * caps.expand))
-    rows, start = [], 0
-    for k in ints:
-        mine = pieces[start:start + k]
-        start += k
-        rows.append(tuple(Fraction(sum(p[e] for p in mine), max(k, 1)) for e in range(len(y))))
-    return rows
+def _round_light(light: SantaInstance, copies: Sequence[PolymatroidOracle], level: int,
+                 y: Sequence[int], caps: Caps) -> list[tuple[int, ...]]:
+    """Round the light instance at level over its scale from y, a member of
+    the sum of its unit copies: split y over the copies and sum the pieces of
+    each resource, with k copies, into an integer row over den, the lcm of
+    the nonzero k; a worthless resource gets a zero row."""
+    view = light.int_values
+    pieces = iter(decompose_in_sum(copies, y, caps.override(expand=4 * caps.expand)))
+    den = math.lcm(*(k for k in view.values if k))
+    rows = []
+    for k in view.values:
+        mine = [next(pieces) for _ in range(k)]
+        rows.append(tuple(sum(p[e] for p in mine) * (den // max(k, 1)) for e in range(len(y))))
+    return round_santa(light, FractionalAssignment(Fraction(level, view.scale),
+                                                   point=(rows, den)), caps)
 
 
 def _merged(inst: SantaInstance, idxs: Sequence[int]) -> PolymatroidOracle:
@@ -629,17 +634,6 @@ def _cover_core(inst: SantaInstance, heavy: Sequence[int], light_sum: Polymatroi
         return alloc
 
     return build, res.y
-
-
-def _checked(inst: SantaInstance, build: Callable[[], Allocation], case: str,
-             bound: Fraction) -> CoreReduction:
-    """The accepted outcome whose allocation is build() held to the bound."""
-    def checked() -> Allocation:
-        alloc = build()
-        _require_min_value(inst, alloc, bound)
-        return alloc
-
-    return CoreReduction(checked, case, bound)
 
 
 def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
@@ -689,8 +683,8 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         every = range(len(inst.resources))
         if not member(_merged(inst, every), [1] * m, caps):
             raise GuessRejected("cover demand exceeds the merged polymatroid")
-        return _checked(inst, lambda: _alloc_from_cover(inst, every, [1] * m, caps),
-                        "one-each", Fraction(u, view.scale))
+        return CoreReduction(inst, lambda: _alloc_from_cover(inst, every, [1] * m, caps),
+                             "one-each", Fraction(u, view.scale))
 
     if w * num >= den:
         # matroid of w-coverable player sets vs the u polymatroid; worthless
@@ -707,12 +701,12 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
                     alloc[j] = piece
             return alloc
 
-        return _checked(inst, build, "core-cover", guess / alpha)
+        return CoreReduction(inst, build, "core-cover", guess / alpha)
 
     # every value is small: saturate the unit-split polymatroid and round
-    scaled = SantaInstance(m, [Item(value=it.value / guess, polymatroid=it.polymatroid)
-                               for it in inst.resources])
-    scale, ints, copies = _unit_split(scaled.resources)
+    light = SantaInstance(m, [Item(value=it.value / guess, polymatroid=it.polymatroid)
+                              for it in inst.resources])
+    scale, copies = light.int_values.scale, _unit_copies(light)
     if not copies:
         raise GuessRejected("every resource is worthless: no player can reach the guessed level")
     split = SumPoly(copies)
@@ -724,10 +718,9 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
 
     def build() -> Allocation:
         lo, _ = guess_loop(lambda k: member(split, [k] * m, caps) or None, range(scale, hi + 1))
-        rows = _unit_rows(copies, ints, tuple([lo] * m), caps)
-        return round_santa(scaled, FractionalAssignment(Fraction(lo, scale), rows), caps)
+        return _round_light(light, copies, lo, (lo,) * m, caps)
 
-    return _checked(inst, build, "round", guess / alpha)
+    return CoreReduction(inst, build, "round", guess / alpha)
 
 
 def _reduce_general(inst: SantaInstance, alpha: Fraction, guess: Fraction, num: int, den: int,
@@ -738,24 +731,24 @@ def _reduce_general(inst: SantaInstance, alpha: Fraction, guess: Fraction, num: 
     additively; the combined value is >= guess/(2*alpha)."""
     m = inst.num_players
     heavy = sorted(j for v, idxs in inst.int_values.classes if 2 * v * num >= den for j in idxs)
-    light = sorted(j for v, idxs in inst.int_values.classes if 2 * v * num < den for j in idxs)
+    light_idx = sorted(j for v, idxs in inst.int_values.classes if 2 * v * num < den
+                       for j in idxs)
     if not heavy:
         raise GuessRejected("no heavy resources at the guessed level")
-    light_items = [Item(value=inst.resources[j].value / guess,
-                        polymatroid=inst.resources[j].polymatroid) for j in light]
-    scale, ints, copies = _unit_split(light_items)
+    light = SantaInstance(m, [Item(value=inst.resources[j].value / guess,
+                                   polymatroid=inst.resources[j].polymatroid)
+                              for j in light_idx])
+    copies = _unit_copies(light)
     light_sum = SumPoly(copies) if copies else inst.resource_sum(())
-    b = -(-scale * alpha.denominator // alpha.numerator)
+    b = -(-light.int_values.scale * alpha.denominator // alpha.numerator)
     placed, y = _cover_core(inst, heavy, light_sum, b, cover_solver, caps)
 
     def build() -> list:
         alloc = placed()
-        if copies and any(y):
-            frac = FractionalAssignment(Fraction(b, scale),
-                                        _unit_rows(copies, ints, tuple(y), caps))
-            if any(v >= b for v in y):
-                for j, piece in zip(light, round_santa(SantaInstance(m, light_items), frac, caps)):
-                    alloc[j] = piece
+        # the light side serves only the players whose entry of y reaches b
+        if copies and any(v >= b for v in y):
+            for j, piece in zip(light_idx, _round_light(light, copies, b, y, caps)):
+                alloc[j] = piece
         return alloc
 
-    return _checked(inst, build, "heavy-light", guess / (2 * alpha))
+    return CoreReduction(inst, build, "heavy-light", guess / (2 * alpha))

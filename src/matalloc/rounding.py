@@ -100,12 +100,6 @@ def _over_one_denominator(x: Sequence[Sequence[Fraction]]) -> Point:
     return [tuple(v.numerator * (den // v.denominator) for v in row) for row in x], den
 
 
-def is_restricted(inst, j: int) -> bool:
-    """Item j takes at most one value over its eligible entities, as every
-    matroid item does (the instance's int_values)."""
-    return inst.int_values.restricted[j]
-
-
 def item_value_poly(inst, j: int) -> tuple[Fraction, PolymatroidOracle]:
     """The (value, polymatroid) view of item j.
 
@@ -241,7 +235,7 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
 
     The LP's columns and caps come first (assignment_lp_columns), so a
     SizeCapError, or None for a makespan item that fits nowhere, comes from
-    this call. When every item is classical and restricted (is_restricted)
+    this call. When every item is classical and restricted (int_values.restricted)
     and T >= 0, one max flow decides feasibility (_flow_feasible): an
     infeasible guess builds no LP, and a feasible one returns an assignment
     whose point, the simplex's vertex of the rows of assignment_lp_rows, is

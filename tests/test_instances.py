@@ -193,6 +193,38 @@ class TestAllocations:
         with pytest.raises(ValueError, match="^item 0: "):
             validate_allocation(mk, [vec])
 
+    # one matroid item over U(2, 1): (1, 0) is a basis; each vector below once
+    # passed, its membership decided in float or Fraction arithmetic
+    MATROID = SantaInstance(2, [Item(value=Fraction(1),
+                                     polymatroid=ScaledRankPoly(UniformMatroid(2, 1), 1))])
+    CLASSICAL = SantaInstance(2, [Item(values=(Fraction(1), Fraction(1)))])
+
+    @pytest.mark.parametrize("inst, vec, bad", [
+        (MATROID, (Fraction(1, 2), Fraction(1, 2)), "Fraction(1, 2)"),
+        (MATROID, (0.5, 0.5), "0.5"),
+        (MATROID, (0.7, 0.3), "0.7"),
+        (MATROID, (True, False), "True"),
+        (MATROID, (1, 0.0), "0.0"),
+        (CLASSICAL, (1.0, 0.0), "1.0"),
+        (CLASSICAL, (True, False), "True"),
+    ], ids=["matroid-fraction", "matroid-halves", "matroid-floats", "matroid-bools",
+            "matroid-one-float", "classical-floats", "classical-bools"])
+    @pytest.mark.parametrize("require_basis", [None, True, False])
+    def test_validate_wants_int_multiplicities(self, inst, vec, bad, require_basis):
+        with pytest.raises(ValueError, match=re.escape(f"item 1: multiplicity {bad} is not an "
+                                                       "integer")):
+            validate_allocation(SantaInstance(2, inst.resources * 2), [(1, 0), vec],
+                                require_basis)
+
+    def test_validate_holds_a_matroid_item_to_its_polymatroid(self):
+        validate_allocation(self.MATROID, [(1, 0)], require_basis=True)
+        validate_allocation(self.MATROID, [(0, 0)])
+        with pytest.raises(ValueError, match="^item 0: vector is not a basis of its polymatroid$"):
+            validate_allocation(self.MATROID, [(0, 0)], require_basis=True)
+        for require_basis in (None, False):
+            with pytest.raises(ValueError, match="^item 0: vector outside its polymatroid$"):
+                validate_allocation(self.MATROID, [(1, 1)], require_basis)
+
 
 class TestMerge:
     def test_equal_sizes_sum(self):

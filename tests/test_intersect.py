@@ -178,6 +178,21 @@ class TestDecompose:
         assert tuple(map(sum, zip(*pieces))) == (3, 1)
         assert member(parts[0], pieces[0]) and member(parts[1], pieces[1])
 
+    @pytest.mark.parametrize("parts, y, error, why", [
+        ([ModularPoly([1, 1]), ModularPoly([1, 1, 1])], (1, 1), ValueError,
+         "^parts must share the ground set$"),
+        ([ModularPoly([1, 1]), ModularPoly([1, 1])], (1, 1, 1), ValueError,
+         "^vector length mismatch$"),
+        ([ModularPoly([1, 1])], (2, 0), ContractViolation,
+         "^y is not a member of the single part$"),
+        # y(1) = 2 exceeds the sum's f({1}) = 1
+        ([ModularPoly([1, 0]), ScaledRankPoly(UniformMatroid(2, 1), 1)], (0, 2),
+         ContractViolation, "^decomposition fell short: y does not belong to the sum"),
+    ], ids=["ground-sets", "length", "single-part", "fell-short"])
+    def test_member_split_refuses(self, parts, y, error, why):
+        with pytest.raises(error, match=why):
+            decompose_in_sum(parts, y)
+
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
     def test_random_sum_bases(self, seed):

@@ -106,6 +106,13 @@ class TestDriver:
         with pytest.raises(ValueError):
             solve_cover(gen_gap_instance(2), 0)
 
+    @pytest.mark.parametrize("b", [0, -1, True, 1.5, 2.0, Fraction(2), Fraction(3, 2)])
+    def test_the_cover_level_is_a_positive_int(self, b):
+        # a bool once passed as level 1; a float failed deep in the search
+        inst = CoreCoverInstance(UniformMatroid(2, 1), ModularPoly([2, 2]), b=b)
+        with pytest.raises(ValueError, match="^cover level b must be a positive integer$"):
+            solve_cover(inst, EPS)
+
     def test_initial_infeasibility(self):
         # all elements rank zero but the polymatroid cannot carry them
         inst = CoreCoverInstance(UniformMatroid(2, 0), ModularPoly([1, 0]), b=1)

@@ -302,6 +302,32 @@ class TestTwoValueDirections:
         sched, mu = schedule_from_santa_solution(bundle, salloc)
         assert max(entity_totals(norm, sched)) <= F(3, 2)
 
+    @pytest.mark.parametrize("alpha", [F(2), F(4)])
+    def test_dispatch_wrapper_gadget_route(self, alpha):
+        # OPT normalised to 1 with w > 1/2: the wrapper hands the gadget to the
+        # max-min solver (here exact, so V >= t >= t/alpha) and translates back
+        from conftest import gadget_santa_opt
+
+        routed = 0
+        for seed in range(40):
+            inst = gen_random("two-value-makespan", seed, m=2, n=3, u=F(1, 4), w=F(2, 3))
+            opt = brute_opt_makespan(inst).value
+            if opt in (None, 0):
+                continue
+            norm = MakespanInstance(2, [Item(values=tuple(
+                v / opt if v is not None else None for v in it.values)) for it in inst.jobs])
+            # sizes above 1 fit nowhere at makespan 1; the largest other is w
+            sizes = [v for it in norm.jobs for v in it.values if v is not None and v <= 1]
+            if max(sizes) <= F(1, 2):
+                continue
+            sched, mu, route = solve_twovalue_makespan_via_santa(
+                norm, alpha, lambda santa: gadget_santa_opt(twovalue_makespan_to_santa(norm))[1])
+            assert route == "gadget"
+            validate_allocation(norm, sched)
+            assert mu == max(entity_totals(norm, sched)) <= 2 - 1 / alpha
+            routed += 1
+        assert routed >= 10
+
 
 class TestBackTranslationInputs:
     """Both classical back-translations validate what the solver hands back
@@ -502,13 +528,13 @@ class TestReduceToCore:
         # the unit split has scale 5, and the build rounds the highest level
         # every player reaches in it, lo = 7
         levels = []
-        unit_rows = reductions._unit_rows
+        round_light = reductions._round_light
 
-        def spy(copies, ints, y, caps):
+        def spy(light, copies, level, y, caps):
             levels.append(y)
-            return unit_rows(copies, ints, y, caps)
+            return round_light(light, copies, level, y, caps)
 
-        monkeypatch.setattr(reductions, "_unit_rows", spy)
+        monkeypatch.setattr(reductions, "_round_light", spy)
         inst = gen_random("santa-matroid", 3, m=3, n=3, u=1, w=2)
         red = reduce_to_core(inst, F(2), F(5), exact_cover_solver)
         assert red.case == "round"
@@ -713,7 +739,7 @@ class TestLazyAllocation:
         def never(*args, **kwargs):
             raise AssertionError("a rejected guess built an allocation")
 
-        for name in ("_alloc_from_cover", "_unit_rows", "round_santa"):
+        for name in ("_alloc_from_cover", "_round_light", "round_santa"):
             monkeypatch.setattr(reductions, name, never)
         with pytest.raises(GuessRejected, match=why):
             reduce_to_core(inst, alpha, guess, solver)

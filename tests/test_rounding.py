@@ -18,7 +18,7 @@ from matalloc.oracle import brute_opt_makespan, brute_opt_santa, enumerate_bases
 from matalloc.polymatroids import CutNetwork, ModularPoly, ScaledRankPoly, is_basis, member
 from matalloc.matroids import UniformMatroid
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, assignment_lp_columns,
-                               assignment_lp_rows, column_sums, is_restricted, item_value_poly,
+                               assignment_lp_rows, column_sums, item_value_poly,
                                guess_loop, lst_baseline, makespan_guess_grid, round_makespan,
                                round_santa,
                                santa_guess_grid, solve_assignment_lp)
@@ -356,7 +356,7 @@ class TestFlowDecision:
         outcomes = {True: 0, False: 0}
         for inst in restricted_draws():
             makespan = isinstance(inst, MakespanInstance)
-            assert all(is_restricted(inst, j) for j in range(len(inst.items)))
+            assert all(inst.int_values.restricted)
             grid = makespan_guess_grid(inst) if makespan else santa_guess_grid(inst)
             for t in grid + [F(0), F(1, 3), F(7, 2)]:
                 frac = solve_assignment_lp(inst, t)
@@ -426,8 +426,7 @@ class TestFlowDecision:
         solved = 0
         for seed in range(8):
             inst = gen_random(flavor, seed, m=3, n=4)
-            if not inst.is_matroid_flavor and all(is_restricted(inst, j)
-                                                  for j in range(len(inst.items))):
+            if not inst.is_matroid_flavor and all(inst.int_values.restricted):
                 continue
             for t in (F(0), F(1), F(2), F(7, 2), F(6)):
                 calls.clear()
