@@ -569,11 +569,16 @@ class CoreReduction:
         return alloc
 
 
-def _unit_copies(light: SantaInstance) -> list[PolymatroidOracle]:
-    """The unit split of the light instance (values over the guess): resource
-    k becomes int_values.values[k] copies of its polymatroid, in order."""
-    return [it.polymatroid for it, k in zip(light.resources, light.int_values.values)
-            for _ in range(k)]
+def _light(inst: SantaInstance, idxs: Sequence[int], guess: Fraction
+           ) -> tuple[SantaInstance, list[PolymatroidOracle]]:
+    """The light instance of the resources idxs, their values over the guess,
+    and its unit split: resource k becomes int_values.values[k] copies of
+    its polymatroid, in order."""
+    light = SantaInstance(inst.num_players, [
+        Item(value=inst.resources[j].value / guess, polymatroid=inst.resources[j].polymatroid)
+        for j in idxs])
+    return light, [it.polymatroid for it, k in zip(light.resources, light.int_values.values)
+                   for _ in range(k)]
 
 
 def _round_light(light: SantaInstance, copies: Sequence[PolymatroidOracle], level: int,
@@ -704,9 +709,8 @@ def reduce_to_core(inst: SantaInstance, alpha: Fraction, guess: Fraction,
         return CoreReduction(inst, build, "core-cover", guess / alpha)
 
     # every value is small: saturate the unit-split polymatroid and round
-    light = SantaInstance(m, [Item(value=it.value / guess, polymatroid=it.polymatroid)
-                              for it in inst.resources])
-    scale, copies = light.int_values.scale, _unit_copies(light)
+    light, copies = _light(inst, range(len(inst.resources)), guess)
+    scale = light.int_values.scale
     if not copies:
         raise GuessRejected("every resource is worthless: no player can reach the guessed level")
     split = SumPoly(copies)
@@ -729,16 +733,12 @@ def _reduce_general(inst: SantaInstance, alpha: Fraction, guess: Fraction, num: 
     2·v·num >= den, num/den as in reduce_to_core) cover through the induced
     matroid, light ones through the value-weighted polymatroid sum, rounded
     additively; the combined value is >= guess/(2*alpha)."""
-    m = inst.num_players
-    heavy = sorted(j for v, idxs in inst.int_values.classes if 2 * v * num >= den for j in idxs)
-    light_idx = sorted(j for v, idxs in inst.int_values.classes if 2 * v * num < den
-                       for j in idxs)
+    classes = inst.int_values.classes
+    heavy = sorted(j for v, idxs in classes if 2 * v * num >= den for j in idxs)
+    light_idx = sorted(j for v, idxs in classes if 2 * v * num < den for j in idxs)
     if not heavy:
         raise GuessRejected("no heavy resources at the guessed level")
-    light = SantaInstance(m, [Item(value=inst.resources[j].value / guess,
-                                   polymatroid=inst.resources[j].polymatroid)
-                              for j in light_idx])
-    copies = _unit_copies(light)
+    light, copies = _light(inst, light_idx, guess)
     light_sum = SumPoly(copies) if copies else inst.resource_sum(())
     b = -(-light.int_values.scale * alpha.denominator // alpha.numerator)
     placed, y = _cover_core(inst, heavy, light_sum, b, cover_solver, caps)
