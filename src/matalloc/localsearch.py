@@ -331,9 +331,9 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
                 caps: Caps = DEFAULT_CAPS) -> CoverResult:
     """Cover every element by the matroid or by polymatroid multiplicity b.
 
-    Elements are targeted in ascending index order; when one cannot be
-    covered, its certificate is recorded, its rank is zeroed out, and the
-    whole procedure restarts (at most |E| times). Infeasibility of the
+    Elements are targeted least f({e}) first, ties by index; when one
+    cannot be covered, its certificate is recorded, its rank is zeroed out,
+    and the whole procedure restarts (at most |E| times). Infeasibility of the
     initial rank-zero set is immediate infeasibility.
 
     The outcome is kept with the matroid, keyed by (polymatroid, b, eps,
@@ -357,7 +357,11 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
     before = stats.snapshot()
     result = CoverResult(feasible=False, b=b)
     zeroed = 0
-    for restart in range(n + 1):
+    # Round n + 1 at the latest ends by a break: a zeroed element is a loop,
+    # so it starts in I_P and stays covered, and each restart zeroes a new
+    # element. By then every element is a loop, and the round ends on the
+    # rank-zero membership test or with every element covered.
+    for _ in range(n + 1):
         m: MatroidOracle = ZeroedMatroid(matroid, zeroed) if zeroed else matroid
         i_p = 0
         for i in range(n):
@@ -400,8 +404,6 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
             break
         zeroed |= failed
         result.restarts += 1
-    else:
-        result.diagnostics = "restart budget |E| exhausted"
     result.zeroed = zeroed
     result.oracle_queries = stats.total(stats.delta(before))
     matroid._covers[key] = result

@@ -29,8 +29,16 @@ class MatroidOracle:
         self._covers: dict[tuple, object] = {}
 
     def rank(self, mask: int) -> int:
+        """r(mask), one query. A memo hit on an int mask is one lookup:
+        only masks that passed check_subset are memoised, so a hit raises
+        nothing a miss would. Any other key is checked first."""
+        if type(mask) is int:
+            hit = self._memo.get(mask)
+            if hit is not None:
+                stats.counters["matroid_rank"] += 1
+                return hit
         check_subset(mask, self.n)
-        stats.bump("matroid_rank")
+        stats.counters["matroid_rank"] += 1
         hit = self._memo.get(mask)
         if hit is None:
             hit = self._memo[mask] = self._rank(mask)

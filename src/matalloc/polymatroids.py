@@ -249,8 +249,15 @@ class PolymatroidOracle:
         self._placements: dict[tuple, "Placement"] = {}
 
     def value(self, mask: int) -> int:
+        """f(mask), one query, with MatroidOracle.rank's memo: a hit on an
+        int mask is one lookup, any other key is checked first."""
+        if type(mask) is int:
+            hit = self._memo.get(mask)
+            if hit is not None:
+                stats.counters["poly_value"] += 1
+                return hit
         check_subset(mask, self.n)
-        stats.bump("poly_value")
+        stats.counters["poly_value"] += 1
         hit = self._memo.get(mask)
         if hit is None:
             hit = self._memo[mask] = self._value(mask)
@@ -328,8 +335,7 @@ class PolymatroidOracle:
 
 
 def _check_weights(weights: Sequence[int], what: str) -> None:
-    """Every entry an int (not a bool), then every entry nonnegative. Plain
-    loops: each threshold question checks its h here."""
+    """Every entry an int (not a bool), then every entry nonnegative."""
     for w in weights:
         if not isinstance(w, int) or isinstance(w, bool):
             raise ValueError(f"{what} must be integers")
@@ -605,7 +611,7 @@ def leave_one_out_reaches(p: PolymatroidOracle, among: int, h: int, base: int) -
     if net is None:
         return sum(1 << i for i in bits(among)
                    if marginal_reaches(p, 1 << i, h, base & ~(1 << i)))
-    stats.bump("poly_value", 2 * size(among))
+    stats.counters["poly_value"] += 2 * size(among)
     return net.leave_one_out(among, h, base)
 
 
@@ -613,12 +619,13 @@ def _network_element(p: PolymatroidOracle, add: int, h: int, base: int) -> int:
     """The one element of add \\ base when p has a cut network, after the
     checks and the two value queries a capped-marginal question counts
     there; −1 when the question takes two capped values instead."""
-    _check_weights([h], "caps")
+    if type(h) is not int or h < 0:  # every threshold question passes here
+        _check_weights([h], "caps")
     add &= ~base
     if p.network is None or add <= 0 or add & (add - 1):
         return -1
     check_subset(add | base, p.n)
-    stats.bump("poly_value", 2)
+    stats.counters["poly_value"] += 2
     return add.bit_length() - 1
 
 
@@ -675,7 +682,7 @@ def count(p: PolymatroidOracle, x: Sequence[int | Fraction],
     supp = vec_support(x)
     if (size(supp) >= MEMBER_SUPPORT and p.partition_form is not None
             and all(isinstance(v, int) for v in x)):
-        stats.bump("poly_value")
+        stats.counters["poly_value"] += 1
         copies, g = p.partition_form
         return g.count(x) if g is not None and not copies else p.placement(tuple(x)).placed
     return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1]

@@ -542,12 +542,13 @@ def column_sums(columns: Iterable[Iterable[int | None]], caps: Caps = DEFAULT_CA
 
 def guess_loop(solver: Callable[[Fraction], object], grid: Sequence[Fraction]
                ) -> tuple[Fraction | None, object | None]:
-    """Binary search for the last grid entry the solver accepts.
+    """Binary search over the grid for an entry the solver accepts.
 
-    solver(T) returns a solution or None/raises GuessRejected; the solver
-    contract is monotone (success at grid[k] implies success at grid[k'] for
-    k' < k). Returns (best guess, its solution), or (None, None) if
-    everything fails.
+    solver(T) returns a solution or None/raises GuessRejected. Returns the
+    last accepted probe with its solution, or (None, None) if every probe
+    fails. That is always an accepted grid entry; it is the largest one
+    when the solver is monotone (success at grid[k] implies success at
+    grid[k'] for k' < k), which reduce_to_core is not known to be.
     """
     lo, hi = 0, len(grid) - 1
     best: tuple[Fraction | None, object | None] = (None, None)

@@ -30,16 +30,14 @@ vector asks no query again. Likewise a cover outcome that solve_cover kept
 on the matroid (the same polymatroid, b, eps and caps) asks no query, and
 the result it returns carries the kept run's oracle_queries. Counters are
 process-global; snapshot/delta around a solver run to attribute queries to
-it.
+it. A query adds to its counter in place (counters["poly_value"] += 1,
+no call, so a memo hit costs one lookup and one add), and counters is
+never rebound: code may hold the dict.
 """
 
 from __future__ import annotations
 
 counters: dict[str, int] = {"matroid_rank": 0, "poly_value": 0}
-
-
-def bump(name: str, k: int = 1) -> None:
-    counters[name] = counters.get(name, 0) + k
 
 
 def snapshot() -> dict[str, int]:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matalloc import matching, polymatroids, stats
-from matalloc.bitsets import bits, elements, full_mask, size, submasks, vec_sum, vec_support
+from matalloc.bitsets import (bits, elements, full_mask, indicator, size, submasks, vec_sum,
+                              vec_support)
 from matalloc.instances import CoreCoverInstance, gen_random
 from matalloc.localsearch import solve_cover
 from matalloc.limits import Caps, SizeCapError
@@ -129,6 +130,117 @@ class TestRank:
             assert z.rank(x) == m.rank(x & ~0b0010)
 
 
+def graphic_rank_by_components(num_vertices, edges, mask):
+    """|V touched| − #components of the edges in mask, the components found
+    by a depth-first search: independent of GraphicMatroid's union-find."""
+    adj = {}
+    for e in range(len(edges)):
+        if (mask >> e) & 1:
+            u, v = edges[e]
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    seen, comps = set(), 0
+    for start in adj:
+        if start not in seen:
+            comps += 1
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                if u not in seen:
+                    seen.add(u)
+                    stack.extend(adj[u] - seen)
+    return len(adj) - comps
+
+
+class TestNestedDerivedMatroids:
+    # a 4-cycle with a chord, a parallel edge and a self-loop
+    EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 1), (3, 3)]
+
+    @pytest.mark.parametrize("a, b", [(0b0000011, 0b0010100), (0b0010001, 0b0110001), (0, 0b1000000)])
+    def test_a_contraction_of_a_contraction_is_one_contraction(self, a, b):
+        m = GraphicMatroid(4, self.EDGES)
+        c = ContractedMatroid(ContractedMatroid(m, a), b)
+        assert c.inner is m and c.cmask == a | b
+        brute = lambda x: graphic_rank_by_components(4, self.EDGES, x)
+        for y in range(1 << m.n):
+            assert c.rank(y) == brute(y | a | b) - brute(a | b)
+
+    @pytest.mark.parametrize("a, b", [(0b0000011, 0b0010100), (0b0010001, 0b0110001), (0, 0b1000000)])
+    def test_zeroing_a_zeroed_matroid_is_one_zeroing(self, a, b):
+        m = GraphicMatroid(4, self.EDGES)
+        z = ZeroedMatroid(ZeroedMatroid(m, a), b)
+        assert z.inner is m and z.removed == a | b
+        for y in range(1 << m.n):
+            assert z.rank(y) == graphic_rank_by_components(4, self.EDGES, y & ~(a | b))
+
+
+# ---------------------------------------------------------------------------
+# The kernel every layer shares: bit loops and the rank/value memo
+
+
+def reference_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bit_helpers_match_a_reference_generator():
+    wide = [(1 << 200) | 0b1011, (1 << 64) - 1, (1 << 17) | (1 << 16), 1 << 16, (1 << 16) - 1]
+    for mask in [*range(1 << 17), *wide]:
+        ref = tuple(reference_bits(mask))
+        assert tuple(bits(mask)) == elements(mask) == ref
+        assert size(mask) == len(ref)
+        for n in (5, 17):
+            assert indicator(mask, n, 3) == tuple(3 if e in ref else 0 for e in range(n))
+
+
+def test_bits_of_a_wide_mask_are_read_lazily():
+    # a tuple of this mask's one high bit would need its 10^7-bit scan first
+    assert next(iter(bits((1 << 10**7) | 1))) == 0
+    assert not isinstance(bits(1 << 16), tuple)
+
+
+def test_bits_within_one_byte_are_a_shared_tuple():
+    assert bits(0b101) is bits(0b101) and bits(0b101 << 8) is bits(0b101 << 8)
+    assert bits((1 << 16) - 1) == tuple(range(16))
+
+
+ORACLES = [lambda: (GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)]), "rank", "matroid_rank"),
+           lambda: (CoveragePoly([0b01, 0b11, 0b10], [2, 1]), "value", "poly_value")]
+
+
+@pytest.mark.parametrize("make", ORACLES, ids=["rank", "value"])
+def test_each_oracle_call_counts_one_query_hit_or_miss(make):
+    oracle, name, counter = make()
+    ask = getattr(oracle, name)
+    for mask in (0b011, 0b011, 0, 0, 0b111, 0b011):
+        before = stats.snapshot()
+        ask(mask)
+        assert stats.delta(before) == {"matroid_rank": 0, "poly_value": 0, counter: 1}
+    # a bool is checked, counted and answered from its int's memo entry
+    before = stats.snapshot()
+    assert ask(True) == ask(1)
+    assert stats.delta(before)[counter] == 2
+
+
+@pytest.mark.parametrize("make", ORACLES, ids=["rank", "value"])
+def test_a_memo_hit_raises_what_a_miss_raises(make):
+    oracle, name, _ = make()
+    ask = getattr(oracle, name)
+    for bad in (1 << 3, 0b1001, -1):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^subset .* out of range for ground set of size 3$"):
+                ask(bad)
+    # a key equal to a memoised mask but not an int is still checked
+    ask(1)
+    for key in (1.0, Fraction(1)):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                ask(key)
+    assert set(oracle._memo) == {1}
+
+
 class TestPolyEval:
     def test_modular(self):
         assert ModularPoly([2, 2, 2]).value(0b101) == 4
@@ -177,6 +289,14 @@ class TestCappedMarginal:
         for p in (CoveragePoly([0b01, 0b11], [2, 3]), ScaledRankPoly(UniformMatroid(2, 1), 2)):
             with pytest.raises(ValueError, match="caps must be nonnegative"):
                 query(p, 0b01, -1, base)
+
+
+    @pytest.mark.parametrize("query", [capped_marginal, marginal_reaches])
+    @pytest.mark.parametrize("h", [True, 1.0, Fraction(2), None])
+    def test_a_cap_that_is_not_an_int_is_refused(self, query, h):
+        for p in (CoveragePoly([0b01, 0b11], [2, 3]), ScaledRankPoly(UniformMatroid(2, 1), 2)):
+            with pytest.raises(ValueError, match="^caps must be integers$"):
+                query(p, 0b01, h, 0b10)
 
 
 class TestSfmMember:
