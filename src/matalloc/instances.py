@@ -4,7 +4,9 @@ Flavors: max-min fair allocation ("santa") and makespan minimization, each
 classical (per-entity values/sizes) or matroid (one value per item plus a
 polymatroid over the entities; the item is allocated to a basis). Values
 are exact rationals encoded as {"num", "den"} pairs; an infinite
-processing time encodes as JSON null.
+processing time encodes as JSON null. An instance's items are all classical
+or all matroid items. Every index a document names lies below MAX_INDEX
+(2^20), and a uniform matroid's n is at most MAX_INDEX.
 """
 
 from __future__ import annotations
@@ -73,6 +75,14 @@ class _Instance:
     """What both instance classes share. The kept views (int_values, a
     max-min instance's resource sums and induced matroids) are built on
     first use and assume that the items are not changed after it."""
+
+    def __post_init__(self):
+        matroid = [it.polymatroid is not None for it in self.items]
+        if len(set(matroid)) > 1:
+            j = matroid.index(not matroid[0])
+            kinds = ("classical", "matroid") if matroid[0] else ("matroid", "classical")
+            raise ValueError(f"item {j}: a {kinds[0]} item among {kinds[1]} items; an "
+                             "instance's items are all classical or all matroid items")
 
     @property
     def is_matroid_flavor(self) -> bool:
@@ -260,10 +270,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# The parser's one size bound. Every index a document names lies below it,
+# and a uniform matroid's n, the one ground size that nothing else in a
+# document bounds, is at most it, so no mask the parser builds takes more
+# than MAX_INDEX bits. A transversal matroid numbers the right vertices it
+# names densely, so its num_right sizes nothing and needs no bound.
+MAX_INDEX = 1 << 20
+
+
 def _mask_from_json(obj, bound: int, what: str, path: str) -> int:
     """A list of indices of what (elements, items, ...) as a mask, each
-    checked to be an integer (not a bool) in 0..bound−1 before it is
-    shifted, so that a huge index builds no huge integer."""
+    checked to be an integer (not a bool) in 0..min(bound, MAX_INDEX)−1
+    before it is shifted, so that a huge index builds no huge integer."""
+    bound = min(bound, MAX_INDEX)
     for i, e in enumerate(obj):
         if not _is_int(e) or not 0 <= e < bound:
             raise SchemaError(f"{path}[{i}]: must name one of the {what} 0..{bound - 1}, "
@@ -289,51 +308,18 @@ def _rat_from_json(obj, path: str) -> Fraction | None:
     raise SchemaError(f"{path}: expected a rational")
 
 
-# The outermost field that sizes each kind's ground set, and the field that
-# holds the object a kind is built on (union and sum: their first part).
-_SIZED_BY = {"uniform": "n", "partition": "n", "explicit": "n", "graphic": "edges",
-             "transversal": "adjacency", "modular": "weights", "coverage": "sets"}
-_BUILT_ON = {"contracted": "inner", "zeroed": "inner", "capped": "inner", "dual": "inner",
-             "set-contracted": "inner", "scaled-rank": "matroid", "induced": "polymatroid"}
-
-
-def _declared_ground(obj) -> int | None:
-    """The ground size a matroid or polymatroid document declares, read
-    without building anything along the path its parser takes first. None
-    when it declares none; such a document is malformed, and its parser
-    refuses it on that path."""
-    while isinstance(obj, dict):
-        kind = obj.get("kind")
-        if not isinstance(kind, str):
-            return None
-        if kind in _SIZED_BY:
-            size = obj.get(_SIZED_BY[kind])
-            if isinstance(size, (list, dict, str)):
-                size = len(size)
-            return size if _is_int(size) and size >= 0 else None
-        if kind in ("union", "sum"):
-            parts = obj.get("parts")
-            obj = parts[0] if isinstance(parts, list) and parts else None
-        else:
-            obj = obj.get(_BUILT_ON.get(kind))
-    return None
-
-
-# The parser builds a transversal adjacency mask from an index list only
-# for right vertices below this (and below num_right), so a huge index
-# builds no huge integer. The matroid numbers the right vertices named
-# densely, so nothing else is sized by num_right or by the labels.
-MAX_RIGHT = 1 << 20
-
-
-def _table_from_json(obj, path: str) -> list:
-    """The 2^n entries of an explicit table, in subset order. An n with more
-    subsets than the table has keys is refused before 1 << n is formed."""
+def _table_from_json(obj, path: str, entries: str) -> list:
+    """The 2^n integer entries of an explicit table, in subset order. An n
+    with more subsets than the table has keys is refused before 1 << n is
+    formed; entries names the values in the message refusing a non-integer."""
     n, table = obj["n"], obj["table"]
     if _is_int(n) and n >= len(table).bit_length():
         raise SchemaError(f"{path}.n: an explicit table over {n} elements needs 2^{n} "
                           f"entries, it has {len(table)}")
-    return [table[str(x)] for x in range(1 << n)]
+    values = [table[str(x)] for x in range(1 << n)]
+    if not all(map(_is_int, values)):
+        raise SchemaError(f"{path}.table: {entries} must be integers")
+    return values
 
 
 def matroid_to_json(m: MatroidOracle) -> dict:
@@ -360,27 +346,20 @@ def matroid_to_json(m: MatroidOracle) -> dict:
     raise SchemaError(f"matroid kind {type(m).__name__} has no JSON form")
 
 
-def matroid_from_json(obj, path: str = "matroid", ground: int | None = None) -> MatroidOracle:
-    """The matroid a JSON object describes. With ground, the instance's
-    ground size, a uniform matroid's n, the one size that nothing else in
-    the document bounds, may not exceed it; that is checked before a
-    contraction builds a mask over it."""
+def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
+    """The matroid a JSON object describes. A uniform matroid's n above
+    MAX_INDEX is refused before a contraction builds a mask over it."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{path}: matroid object needs a kind")
     kind = obj["kind"]
     try:
         if kind == "uniform":
             n = obj["n"]
-            if ground is not None and _is_int(n) and n > ground:
-                raise SchemaError(f"{path}.n: {n} elements, more than the instance's {ground}")
+            if _is_int(n) and n > MAX_INDEX:
+                raise SchemaError(f"{path}.n: {n} elements, more than {MAX_INDEX}")
             return UniformMatroid(n, obj["rank"])
         if kind == "partition":
-            n, named = obj["n"], sum(len(b) for b in obj["blocks"] if isinstance(b, list))
-            if _is_int(n) and n > named:
-                # checked before any mask is formed: 1 << n, or a block
-                # naming an element near n, would take n bits
-                raise SchemaError(f"{path}: bad partition matroid: {path}.n is {n}, but "
-                                  f"the blocks name only {named} elements")
+            n = obj["n"]
             blocks = [_mask_from_json(b, n, "elements", f"{path}.blocks[{i}]")
                       for i, b in enumerate(obj["blocks"])]
             return PartitionMatroid(n, blocks, obj["caps"])
@@ -390,30 +369,24 @@ def matroid_from_json(obj, path: str = "matroid", ground: int | None = None) -> 
             if "n" in obj and not (_is_int(obj["n"]) and obj["n"] == len(obj["adjacency"])):
                 raise SchemaError(f"{path}.n: must be the number of adjacency rows")
             right = obj["num_right"]
-            named = min(right, MAX_RIGHT) if _is_int(right) else right
-            return TransversalMatroid([_mask_from_json(a, named, "right vertices",
+            return TransversalMatroid([_mask_from_json(a, right, "right vertices",
                                                        f"{path}.adjacency[{i}]")
                                        for i, a in enumerate(obj["adjacency"])], right)
         if kind == "explicit":
-            n = obj["n"]
-            table = _table_from_json(obj, path)
-            if not all(map(_is_int, table)):
-                raise SchemaError(f"{path}.table: matroid ranks must be integers")
-            return ExplicitMatroid(n, table)
+            return ExplicitMatroid(obj["n"], _table_from_json(obj, path, "matroid ranks"))
         if kind == "contracted":
-            inner = matroid_from_json(obj["inner"], path + ".inner", ground)
+            inner = matroid_from_json(obj["inner"], path + ".inner")
             return ContractedMatroid(inner, _mask_from_json(obj["set"], inner.n, "elements",
                                                             path + ".set"))
         if kind == "zeroed":
-            inner = matroid_from_json(obj["inner"], path + ".inner", ground)
+            inner = matroid_from_json(obj["inner"], path + ".inner")
             return ZeroedMatroid(inner, _mask_from_json(obj["removed"], inner.n, "elements",
                                                         path + ".removed"))
         if kind == "union":
-            return UnionMatroid([matroid_from_json(p, f"{path}.parts[{i}]", ground)
+            return UnionMatroid([matroid_from_json(p, f"{path}.parts[{i}]")
                                  for i, p in enumerate(obj["parts"])])
         if kind == "induced":
-            return InducedMatroid(poly_from_json(obj["polymatroid"], path + ".polymatroid",
-                                                 ground))
+            return InducedMatroid(poly_from_json(obj["polymatroid"], path + ".polymatroid"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad {kind} matroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown matroid kind {kind!r}")
@@ -443,9 +416,8 @@ def poly_to_json(p: PolymatroidOracle) -> dict:
     raise SchemaError(f"polymatroid kind {type(p).__name__} has no JSON form")
 
 
-def poly_from_json(obj, path: str = "polymatroid",
-                   ground: int | None = None) -> PolymatroidOracle:
-    """The polymatroid a JSON object describes; ground as in matroid_from_json."""
+def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
+    """The polymatroid a JSON object describes."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{path}: polymatroid object needs a kind")
     kind = obj["kind"]
@@ -457,31 +429,27 @@ def poly_from_json(obj, path: str = "polymatroid",
             return CoveragePoly([_mask_from_json(s, items, "items", f"{path}.sets[{i}]")
                                  for i, s in enumerate(obj["sets"])], obj["weights"])
         if kind == "scaled-rank":
-            matroid = matroid_from_json(obj["matroid"], path + ".matroid", ground)
+            matroid = matroid_from_json(obj["matroid"], path + ".matroid")
             try:
                 return ScaledRankPoly(matroid, obj["scale"])
             except ValueError as exc:
                 raise SchemaError(f"{path}.scale: {exc}") from exc
         if kind == "explicit":
-            n = obj["n"]
-            table = _table_from_json(obj, path)
-            if not all(map(_is_int, table)):
-                raise SchemaError(f"{path}.table: polymatroid values must be integers")
-            return ExplicitPoly(n, table)
+            return ExplicitPoly(obj["n"], _table_from_json(obj, path, "polymatroid values"))
         if kind == "sum":
-            return SumPoly([poly_from_json(q, f"{path}.parts[{i}]", ground)
+            return SumPoly([poly_from_json(q, f"{path}.parts[{i}]")
                             for i, q in enumerate(obj["parts"])])
         if kind == "capped":
-            return CappedPoly(poly_from_json(obj["inner"], path + ".inner", ground), obj["caps"])
+            return CappedPoly(poly_from_json(obj["inner"], path + ".inner"), obj["caps"])
         if kind == "contracted":
-            return VectorContractedPoly(poly_from_json(obj["inner"], path + ".inner", ground),
+            return VectorContractedPoly(poly_from_json(obj["inner"], path + ".inner"),
                                         obj["base"])
         if kind == "set-contracted":
-            inner = poly_from_json(obj["inner"], path + ".inner", ground)
+            inner = poly_from_json(obj["inner"], path + ".inner")
             return MarginalPoly(inner, _mask_from_json(obj["set"], inner.n, "elements",
                                                        path + ".set"))
         if kind == "dual":
-            return DualPoly(poly_from_json(obj["inner"], path + ".inner", ground), obj["z"])
+            return DualPoly(poly_from_json(obj["inner"], path + ".inner"), obj["z"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad {kind} polymatroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown polymatroid kind {kind!r}")
@@ -537,15 +505,8 @@ def parse_instance(data: bytes | str):
                 raise SchemaError(f"missing field: {fld}")
         if not _is_int(obj["b"]) or obj["b"] < 1:
             raise SchemaError("b: must be a positive integer")
-        # the smaller side's declared size bounds both before any mask is
-        # built (sides of unequal size are refused either way); a
-        # polymatroid that declares none is refused before the matroid
-        sides = [_declared_ground(obj[fld]) for fld in ("matroid", "polymatroid")]
-        ground = min((n for n in sides if n is not None), default=None)
-        if sides[1] is None:
-            poly_from_json(obj["polymatroid"])
-        inst = CoreCoverInstance(matroid_from_json(obj["matroid"], ground=ground),
-                                 poly_from_json(obj["polymatroid"], ground=ground), obj["b"])
+        inst = CoreCoverInstance(matroid_from_json(obj["matroid"]),
+                                 poly_from_json(obj["polymatroid"]), obj["b"])
         if inst.matroid.n != inst.polymatroid.n:
             raise SchemaError("matroid/polymatroid: ground sets differ")
     else:
@@ -577,7 +538,7 @@ def _parse_items(obj, m: int, matroid_flavor: bool, allow_none: bool) -> list[It
             v = _rat_from_json(it["value"], path + ".value")
             if v is None or v < 0:
                 raise SchemaError(f"{path}.value: must be a nonnegative rational")
-            poly = poly_from_json(it["polymatroid"], path + ".polymatroid", m)
+            poly = poly_from_json(it["polymatroid"], path + ".polymatroid")
             if poly.n != m:
                 raise SchemaError(f"{path}.polymatroid: ground set size != entity count")
             items.append(Item(value=v, polymatroid=poly))

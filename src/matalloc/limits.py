@@ -51,8 +51,8 @@ class Caps:
         return replace(self, **kwargs)
 
 
-def caps_from_env(base: "Caps | None" = None) -> Caps:
-    caps = base or Caps()
+def caps_from_env() -> Caps:
+    caps = Caps()
     raw = os.environ.get("MATROID_ALLOC_CAPS")
     if not raw:
         return caps

@@ -412,7 +412,7 @@ def _check_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
         raise ContractViolation(f"fractional assignment: {exc}") from exc
     vp = [item_value_poly(inst, j) for j in range(n)]
     _check_rows(inst, rows, den, vp)
-    classical = all(it.polymatroid is None for it in inst.items)
+    classical = not inst.is_matroid_flavor
     alloc = _gadget_round(vp, rows, den, m, mode, classical, caps)
     scale, t_den = inst.int_values.scale, T.denominator
     vmax = max((v for v, _ in vp), default=Fraction(0))

@@ -14,10 +14,11 @@ import matalloc
 import matalloc.cli as cli
 from matalloc import matroids
 from matalloc.cli import main
-from matalloc.instances import (MAX_RIGHT, gen_random, matroid_from_json, parse_instance,
+from matalloc.instances import (MAX_INDEX, gen_random, matroid_from_json, parse_instance,
                                 poly_from_json, serialize_instance)
 from matalloc.limits import InternalInvariantError, SchemaError
 from matalloc.matroids import PartitionMatroid
+from matalloc.oracle import brute_opt_makespan
 from matalloc.polymatroids import MAX_SCALE, member
 
 
@@ -200,6 +201,15 @@ def test_bench_directory(tmp_path, capsys):
     assert all(r["brute_b"] == 1 and r["algo_b"] == 1 for r in data_rows)
 
 
+def test_bench_reports_a_makespan_optimum(tmp_path, capsys):
+    path = tmp_path / "mk.json"
+    main(["gen", "--flavor", "restricted-makespan", "--m", "2", "--n", "3", "--seed", "1",
+          "--out", str(path)])
+    opt = brute_opt_makespan(parse_instance(path.read_bytes())).value
+    code, out = run(capsys, "bench", "--dir", str(tmp_path))
+    assert code == 0 and json.loads(out) == [{"file": "mk.json", "brute_opt": str(opt)}]
+
+
 def test_bench_empty_directory(tmp_path, capsys):
     code, out = run(capsys, "bench", "--dir", str(tmp_path))
     assert code == 0 and json.loads(out) == []
@@ -380,20 +390,21 @@ _HUGE_PARTITION = {"kind": "partition", "n": 1 << 33, "blocks": [[1, 3], [2, 4, 
 @pytest.mark.parametrize("command", ["solve-cover", "verify"])
 def test_a_huge_partition_size_is_a_schema_error(tmp_path, command):
     """A partition matroid whose n its blocks cannot cover is refused by
-    its field path before 1 << n is formed (which takes 1 GiB at n = 2^33);
+    its field path without forming 1 << n (which takes 1 GiB at n = 2^33);
     the child process has 1 GiB of address space, as above."""
     path = _core_cover(tmp_path, _HUGE_PARTITION,
                        {"kind": "modular", "weights": [0, 3, 0, 3, 3, 0]})
     proc = _run_capped("-m", "matalloc.cli", command, "--in", str(path))
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
-    assert (f"error: matroid: bad partition matroid: matroid.n is {1 << 33}, but the blocks "
-            "name only 6 elements") in proc.stderr
+    assert ("error: matroid: bad partition matroid: partition blocks must cover the "
+            "ground set") in proc.stderr
 
 
 def test_a_partition_whose_blocks_name_n_elements_parses():
     m = matroid_from_json({"kind": "partition", "n": 3, "blocks": [[0, 2], [1]], "caps": [1, 1]})
     assert m.rank(0b111) == 2
-    with pytest.raises(SchemaError, match=r"^matroid: bad partition matroid: matroid\.n is 4"):
+    with pytest.raises(SchemaError, match=r"^matroid: bad partition matroid: partition blocks "
+                       "must cover the ground set"):
         matroid_from_json({"kind": "partition", "n": 4, "blocks": [[0, 2], [1]], "caps": [1, 1]})
     # the cover check itself, which forms no 1 << n either
     for n, blocks in [(3, [0b011]), (2, [0b111]), (1 << 33, [0b111])]:
@@ -417,24 +428,29 @@ def _huge_nested(kind):
 @pytest.mark.parametrize("doc, field", [
     ({"type": "core-cover", "b": 1, "matroid": _huge_nested("transversal"),
       "polymatroid": _MODULAR_3},
-     f"matroid.adjacency[1][0]: must name one of the right vertices 0..{MAX_RIGHT - 1}"),
+     f"matroid.adjacency[1][0]: must name one of the right vertices 0..{MAX_INDEX - 1}"),
     ({"type": "core-cover", "b": 1, "matroid": _huge_nested("contracted"),
       "polymatroid": _MODULAR_3},
-     f"matroid.inner.n: {_BIG} elements, more than the instance's 3"),
+     f"matroid.inner.n: {_BIG} elements, more than {MAX_INDEX}"),
     ({"type": "core-cover", "b": 1, "matroid": {"kind": "uniform", "n": 3, "rank": 1},
       "polymatroid": {"kind": "scaled-rank", "scale": 1, "matroid": _huge_nested("contracted")}},
-     f"polymatroid.matroid.inner.n: {_BIG} elements, more than the instance's 3"),
+     f"polymatroid.matroid.inner.n: {_BIG} elements, more than {MAX_INDEX}"),
     ({"type": "santa-matroid", "players": 3,
       "items": [{"value": 1, "polymatroid": {"kind": "scaled-rank", "scale": 1,
                                              "matroid": _huge_nested("contracted")}}]},
-     f"items[0].polymatroid.matroid.inner.n: {_BIG} elements, more than the instance's 3"),
-], ids=["transversal", "contracted", "contracted-in-polymatroid", "contracted-in-item"])
+     f"items[0].polymatroid.matroid.inner.n: {_BIG} elements, more than {MAX_INDEX}"),
+    ({"type": "core-cover", "b": 1, "matroid": {"kind": "uniform", "n": _BIG, "rank": 1},
+      "polymatroid": {"kind": "scaled-rank", "scale": 1,
+                      "matroid": {"kind": "uniform", "n": _BIG, "rank": 1}}},
+     f"matroid.n: {_BIG} elements, more than {MAX_INDEX}"),
+], ids=["transversal", "contracted", "contracted-in-polymatroid", "contracted-in-item",
+        "two-sided"])
 def test_a_huge_nested_size_is_a_schema_error(tmp_path, doc, field):
-    """A size nested in a matroid is checked against the instance's ground
-    size (the other side's of a core-cover, the players of a santa-matroid
-    instance), and a transversal's right vertices against MAX_RIGHT, before
-    any mask over them is built (a mask over 2^33 elements takes 1 GiB);
-    the child process has 1 GiB of address space, as above."""
+    """A uniform matroid's n above MAX_INDEX, and a transversal's right
+    vertex at or above it, are refused by their field paths before any mask
+    over them is built (a mask over 2^33 elements takes 1 GiB), also when
+    both sides of a core-cover are that large; the child process has 1 GiB
+    of address space, as above."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     command = "solve-cover" if doc["type"] == "core-cover" else "verify"
@@ -445,15 +461,15 @@ def test_a_huge_nested_size_is_a_schema_error(tmp_path, doc, field):
 
 def test_right_vertices_up_to_the_cap_parse():
     m = matroid_from_json({"kind": "transversal", "num_right": _BIG,
-                           "adjacency": [[MAX_RIGHT - 1], [0]]})
+                           "adjacency": [[MAX_INDEX - 1], [0]]})
     assert m.num_right == _BIG and m.rank(0b11) == 2
     with pytest.raises(SchemaError, match=r"^matroid\.adjacency\[0\]\[0\]: "):
         matroid_from_json({"kind": "transversal", "num_right": _BIG,
-                           "adjacency": [[MAX_RIGHT], [0]]})
+                           "adjacency": [[MAX_INDEX], [0]]})
 
 
 def test_right_vertex_labels_do_not_size_the_matchings(tmp_path, monkeypatch):
-    """A transversal matroid naming right vertices 0, 1 and MAX_RIGHT − 1
+    """A transversal matroid naming right vertices 0, 1 and MAX_INDEX − 1
     solves like one naming 0, 1 and 2, and each of its matchings runs over
     the 3 vertices named, not over every label up to the highest."""
     asked = []
@@ -465,9 +481,9 @@ def test_right_vertex_labels_do_not_size_the_matchings(tmp_path, monkeypatch):
 
     monkeypatch.setattr(matroids, "max_bipartite_matching", recording)
     results = []
-    for last in (2, MAX_RIGHT - 1):
+    for last in (2, MAX_INDEX - 1):
         doc = {"type": "core-cover", "b": 1, "polymatroid": _MODULAR_3,
-               "matroid": {"kind": "transversal", "num_right": MAX_RIGHT,
+               "matroid": {"kind": "transversal", "num_right": MAX_INDEX,
                            "adjacency": [[0], [last], [1]]}}
         path, out = tmp_path / f"{last}.json", tmp_path / f"{last}.out.json"
         path.write_text(json.dumps(doc))

@@ -129,7 +129,7 @@ class TestGenerators:
     def test_gap_values(self):
         for m in (2, 3):
             inst = gen_gap_instance(m)
-            assert inst.matroid.rank(full_mask(m)) == m - 1
+            assert inst.n == m and inst.matroid.rank(full_mask(m)) == m - 1
             assert inst.polymatroid.value(full_mask(m)) == m
 
     def test_gap_optimum_is_one(self):

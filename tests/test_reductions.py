@@ -385,6 +385,19 @@ class TestMatroidDuals:
         bundle = matroid_makespan_to_santa(mk)
         assert bundle.caps_per_item == (1, 4) and bundle.t == F(3, 5)
 
+    def test_a_job_above_the_bound(self):
+        """A job larger than the makespan bound 1 fits only if it has nothing
+        to place: with f(E) > 0 the guess is rejected, and with f(E) = 0 its
+        box cap is k = 0 and the build goes on."""
+        def two_jobs(poly):
+            return MakespanInstance(2, [Item(value=F(3, 2), polymatroid=poly),
+                                        Item(value=F(1, 2), polymatroid=ModularPoly([1, 1]))])
+
+        with pytest.raises(GuessRejected, match="larger than the makespan bound"):
+            matroid_makespan_to_santa(two_jobs(ModularPoly([1, 0])))
+        bundle = matroid_makespan_to_santa(two_jobs(ModularPoly([0, 0])))
+        assert bundle.caps_per_item == (0, 2) and bundle.t == 0
+
     def test_unit_sizes(self):
         mk = MakespanInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 1])),
                                   Item(value=F(1), polymatroid=ModularPoly([1, 0]))])
@@ -853,12 +866,19 @@ class TestIntegerDispatch:
             reduce_to_core(inst, alpha, F(2), exact_cover_solver)
 
     def test_classical_resources_are_refused(self):
-        """reduce_to_core dispatches by the value classes of matroid
-        resources, and the two-value reduction by classical values."""
-        mixed = SantaInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 1])),
-                                  Item(values=(F(1), F(1)))])
+        """An instance that mixes classical and matroid items is refused at
+        construction, naming the first item of the other flavor; reduce_to_core
+        dispatches by the value classes of matroid resources, and the two-value
+        reduction by classical values."""
+        with pytest.raises(ValueError, match="^item 1: a classical item among matroid items"):
+            SantaInstance(2, [Item(value=F(1), polymatroid=ModularPoly([1, 1])),
+                              Item(values=(F(1), F(1)))])
+        with pytest.raises(ValueError, match="^item 2: a matroid item among classical items"):
+            MakespanInstance(2, [Item(values=(F(1), None)), Item(values=(F(2), F(1))),
+                                 Item(value=F(1), polymatroid=ModularPoly([1, 1]))])
+        classical = gen_random("two-value-santa", 1, m=3, n=4, u=1, w=3)
         with pytest.raises(ValueError, match="expects a matroid-flavor instance"):
-            reduce_to_core(mixed, F(2), F(1), exact_cover_solver)
+            reduce_to_core(classical, F(2), F(1), exact_cover_solver)
         matroid = gen_random("santa-matroid", 1, m=3, n=3, u=1, w=3)
         with pytest.raises(ValueError, match="applies to classical instances"):
             twovalue_santa_to_makespan(matroid, F(2), brute_makespan_solver)

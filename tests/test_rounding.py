@@ -533,9 +533,9 @@ def brute_sums(column):
 
 
 def grid_draws():
-    """Every santa and makespan generator flavor, plus hand-made mixed
-    instances with values over denominators 1, 2, 3, 5 and 7, zeros and
-    infinite sizes."""
+    """Every santa and makespan generator flavor, plus hand-made instances,
+    each all classical or all matroid, with values over denominators 1, 2,
+    3, 5 and 7, zeros and infinite sizes."""
     for seed in range(6):
         for flavor in ("unrelated-santa", "restricted-santa", "two-value-santa",
                        "two-value-makespan", "restricted-makespan", "santa-matroid",
@@ -549,9 +549,9 @@ def grid_draws():
         def value():
             return F(rng.randint(0, 9), rng.choice([1, 2, 3, 5, 7]))
 
-        items = []
+        items, matroid = [], rng.random() < 0.4
         for _ in range(rng.randint(0, 5)):
-            if rng.random() < 0.4:
+            if matroid:
                 poly = rng.choice([ModularPoly([rng.randint(0, 2) for _ in range(m)]),
                                    ScaledRankPoly(UniformMatroid(m, 1), rng.randint(1, 2))])
                 items.append(Item(value=value(), polymatroid=poly))
@@ -701,6 +701,18 @@ class TestFractionalInputChecks:
         with pytest.raises(ContractViolation, match="^fractional assignment: item 0 puts mass "
                                                     "on ineligible entity 1$"):
             round_santa(inst, frac)
+
+    def test_an_unrestricted_classical_item_is_refused(self):
+        """A classical item is rounded as a rank-one polymatroid, which holds
+        only when it takes one value over its eligible players: an
+        unrelated-santa item with two values is refused by name, even on a
+        point that puts each item whole on an eligible player."""
+        inst = gen_random("unrelated-santa", 0, m=3, n=4)
+        j = inst.int_values.restricted.index(False)
+        rows = [tuple(F(int(i == (mask & -mask).bit_length() - 1)) for i in range(3))
+                for mask in inst.int_values.eligible]
+        with pytest.raises(ContractViolation, match=f"^item {j} is not restricted: "):
+            round_santa(inst, FractionalAssignment(F(0), rows))
 
     def test_negative_entries_are_refused(self):
         inst = SantaInstance(2, [Item(values=(F(1), F(1)))])
