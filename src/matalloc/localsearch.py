@@ -18,6 +18,16 @@ asks only whether a capped marginal reaches its threshold
 set and its invariant check as one batch (leave_one_out_reaches);
 verify_certificate checks a certificate with exact capped marginals, one
 element at a time, as an independent check.
+
+Each scan over candidates (a layer of A, the growth of A_I) is one pass
+in index order. A candidate that fails cannot pass later in the same
+scan: its rank test asks whether it lies in the span of a set that only
+shrinks, and its capped marginal f(i | h·X) is nonincreasing as X grows
+(diminishing returns of the polymatroid's vector rank, Fujishige,
+Submodular Functions and Optimization, ch. 3; they hold on caps and
+contractions too). Within one round of solve_cover covered elements never
+leave the cover, so its next target is found by a pointer that only moves
+forward.
 """
 
 from __future__ import annotations
@@ -27,12 +37,14 @@ from fractions import Fraction
 from math import ceil
 
 from . import stats
-from .bitsets import bits, elements, full_mask, indicator, size
+from .bitsets import bits, elements, indicator, size
 from .instances import CoreCoverInstance
 from .limits import Caps, DEFAULT_CAPS, InternalInvariantError
 from .matroids import ContractedMatroid, MatroidOracle, ZeroedMatroid, matroid_add_greedy
-from .polymatroids import (MarginalPoly, PolymatroidOracle, capped_marginal,
-                           leave_one_out_reaches, marginal_reaches, member)
+# member is not called here since member_set asks it; the name stays bound
+# because perfbench/test_bench.py checks that its tracer rebinds it here
+from .polymatroids import (MarginalPoly, PolymatroidOracle, capped_marginal,  # noqa: F401
+                           leave_one_out_reaches, marginal_reaches, member, member_set)
 from .oracle import exists_strong_cover
 
 
@@ -123,7 +135,7 @@ def _assert_state(state: SearchState, caps: Caps) -> None:
         raise InternalInvariantError("ground must equal I_M ∪ I_P ∪ B0")
     if not state.matroid.is_independent(state.I_M):
         raise InternalInvariantError("I_M must be independent")
-    if not member(state.poly, indicator(state.I_P, state.poly.n, state.b), caps):
+    if not member_set(state.poly, state.I_P, state.b, caps):
         raise InternalInvariantError("b·I_P must belong to the polymatroid")
 
 
@@ -133,8 +145,15 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
     A layer collects elements of I_M that are rank-redundant against
     B0 ∪ I_M minus the growing layer and whose marginal above 2b·(A so far)
     is still at least 2b; construction stops when a layer stays below
-    eps*|B0| (that last partial layer is discarded). Candidates are scanned
-    in ascending index order and rescanned after every addition.
+    eps*|B0| (that last partial layer is discarded).
+
+    A layer is one pass over its candidates in ascending index order. A
+    candidate that fails cannot pass later in the same layer, so a rescan
+    after each addition finds nothing more: its rank test asks whether it
+    lies in the span of rest, which only shrinks as the layer grows, and its
+    capped marginal f(i | 2b·(A ∪ layer)) is nonincreasing as the layer
+    grows (diminishing returns of the polymatroid's vector rank, which also
+    hold on its caps and contractions).
     """
     m, p, b = state.matroid, state.poly, state.b
     num, den = state.eps.numerator, state.eps.denominator
@@ -142,20 +161,11 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
     a = 0
     while True:
         layer = 0
-        while True:
-            progressed = False
-            pool = state.I_M & ~a & ~layer
-            for i in bits(pool):
-                bit = 1 << i
-                rest = (state.B0 | (state.I_M & ~layer)) & ~bit
-                if m.rank_marginal(bit, rest) != 0:
-                    continue
-                if marginal_reaches(p, bit, 2 * b, a | layer):
-                    layer |= bit
-                    progressed = True
-                    break
-            if not progressed:
-                break
+        for i in bits(state.I_M & ~a):
+            bit = 1 << i
+            rest = (state.B0 | (state.I_M & ~layer)) & ~bit
+            if m.rank_marginal(bit, rest) == 0 and marginal_reaches(p, bit, 2 * b, a | layer):
+                layer |= bit
         if size(layer) * den < num * n_b0:
             break
         a |= layer
@@ -164,6 +174,18 @@ def build_addable(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AddableSets:
         if not marginal_reaches(p, 1 << i, 2 * b, a):
             c_rest |= 1 << i
     return AddableSets(a, c_rest)
+
+
+def grow_immediate(state: SearchState, a: int, a_i: int, i_p: int) -> int:
+    """A_I grown by the elements i of A \\ A_I whose marginal above
+    b·(I_P ∪ A_I) reaches b, in one pass in ascending index order: the
+    marginal is nonincreasing as A_I grows, so an element that fails cannot
+    pass later in the same pass."""
+    p, b = state.poly, state.b
+    for i in bits(a & ~a_i):
+        if marginal_reaches(p, 1 << i, b, i_p | a_i):
+            a_i |= 1 << i
+    return a_i
 
 
 def compute_blocking(state: SearchState, a: int, i_p: int) -> int:
@@ -210,12 +232,15 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
     every fundamental circuit of B0 (I_M spans B0 past the first check), and
     B0's elements are loops below this node. The root's B0 is one target and
     a child adds B to it, so this needs 1/eps blocking elements on one path.
+
+    Step (1) grows A_I by one pass (grow_immediate). A success never drops a
+    covered element (succeed checks that I_M ∪ I_P stays covered), so within
+    one round of solve_cover covered elements never leave the cover.
     """
     _assert_state(state, caps)
     m, p, b, eps = state.matroid, state.poly, state.b, state.eps
     num, den = eps.numerator, eps.denominator
     num2, den2 = num * num, den * den
-    n = p.n
     b0 = state.B0
     n_b0 = size(b0)
     # eps = num/den; the thresholds are compared as cross-multiplied ints,
@@ -228,7 +253,7 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
         grown = matroid_add_greedy(m, final_i_m, state.order)
         if size(grown & b0) * den2 < need:
             raise InternalInvariantError("success branch covered too little of B0")
-        if not (grown | final_i_p) >= (state.I_M | state.I_P):
+        if (state.I_M | state.I_P) & ~(grown | final_i_p):
             raise InternalInvariantError("cover lost previously covered elements")
         return AugmentResult(True, grown, final_i_p, nodes=nodes)
 
@@ -242,14 +267,7 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
 
     while True:
         # (1) grow the immediately addable set
-        grew = False
-        for i in bits(a & ~a_i):
-            if marginal_reaches(p, 1 << i, b, i_p | a_i):
-                a_i |= 1 << i
-                grew = True
-                break
-        if grew:
-            continue
+        a_i = grow_immediate(state, a, a_i, i_p)
         # the remaining operations see a stable state: (1) is exhausted
         _check_blocking_invariants(state, addable, a_i, blocked)
         # (2) commit A_I, freeing matroid capacity for B0
@@ -273,7 +291,7 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
         i_p = (blocked & ~result.I_M) | result.I_P
         if not m.is_independent(i_m):
             raise InternalInvariantError("I_M dependent after recursion return")
-        if not member(p, indicator(i_p | a_i, n, b), caps):
+        if not member_set(p, i_p | a_i, b, caps):
             raise InternalInvariantError("b·(I_P ∪ A_I) outside P after recursion return")
         if size(b0 & result.I_M) * den2 >= need:
             return succeed(i_m, i_p)
@@ -336,6 +354,13 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
     and the whole procedure restarts (at most |E| times). Infeasibility of the
     initial rank-zero set is immediate infeasibility.
 
+    What depends only on the oracles is asked once per solve, not once per
+    round: the base matroid's loops (a zeroed element is a loop and no other
+    singleton rank changes, r'(X) = r(X \\ removed)) and the target order.
+    Within a round covered elements never leave the cover (augment's
+    success checks it), so the next target is found by a pointer into the
+    order that only moves forward.
+
     The outcome is kept with the matroid, keyed by (polymatroid, b, eps,
     caps): oracles are immutable and the search is deterministic, so a
     repeated call returns the kept result and asks no query. Only a run
@@ -357,30 +382,35 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
     before = stats.snapshot()
     result = CoverResult(feasible=False, b=b)
     zeroed = 0
+    loops = 0
+    for i in range(n):
+        if matroid.rank(1 << i) == 0:
+            loops |= 1 << i
+    priority: list[int] | None = None
     # Round n + 1 at the latest ends by a break: a zeroed element is a loop,
     # so it starts in I_P and stays covered, and each restart zeroes a new
     # element. By then every element is a loop, and the round ends on the
     # rank-zero membership test or with every element covered.
     for _ in range(n + 1):
         m: MatroidOracle = ZeroedMatroid(matroid, zeroed) if zeroed else matroid
-        i_p = 0
-        for i in range(n):
-            if m.rank(1 << i) == 0:
-                i_p |= 1 << i
-        if not member(poly, indicator(i_p, n, b), caps):
+        i_p = loops | zeroed
+        if not member_set(poly, i_p, b, caps):
             result.diagnostics = ("the rank-zero elements alone exceed the polymatroid "
                                   "at multiplicity b; the optimum is below b")
             break
         i_m = 0
         failed = None
-        # target elements the polymatroid can carry least first: they must
-        # claim matroid capacity while it lasts
-        priority = sorted(range(n), key=lambda i: (poly.value(1 << i), i))
+        if priority is None:
+            # target elements the polymatroid can carry least first: they
+            # must claim matroid capacity while it lasts
+            priority = sorted(range(n), key=lambda i: (poly.value(1 << i), i))
+        pos = 0
         while True:
-            uncovered = full_mask(n) & ~(i_m | i_p)
-            if not uncovered:
+            while pos < n and ((i_m | i_p) >> priority[pos]) & 1:
+                pos += 1
+            if pos == n:
                 break
-            target = 1 << next(i for i in priority if (uncovered >> i) & 1)
+            target = 1 << priority[pos]
             state = SearchState(ground=i_m | i_p | target, matroid=m, poly=poly,
                                 b=b, eps=eps, I_M=i_m, I_P=i_p, B0=target,
                                 order=elements(target))

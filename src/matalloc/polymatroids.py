@@ -60,7 +60,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from . import stats
-from .bitsets import bits, check_subset, elements, full_mask, size, submasks, vec_sum, vec_support
+from .bitsets import (bits, check_subset, elements, full_mask, indicator, size, submasks, vec_sum,
+                      vec_support)
 from .limits import Caps, DEFAULT_CAPS, SizeCapError
 from .matching import ArcNumbering, ResidualFlow
 
@@ -245,6 +246,7 @@ class PolymatroidOracle:
         self.n = n
         self._memo: dict[int, int] = {}
         self._member_memo: dict[tuple, bool] = {}
+        self._member_set_memo: dict[tuple[int, int], bool] = {}
         self._capped_cache: dict[tuple, "CappedPoly"] = {}
         self._placements: dict[tuple, "Placement"] = {}
 
@@ -701,6 +703,25 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
     hit = p._member_memo.get(key)
     if hit is None:
         hit = p._member_memo[key] = count(p, x, caps) == sum(x)
+    return hit
+
+
+def member_set(p: PolymatroidOracle, mask: int, h: int, caps: Caps = DEFAULT_CAPS) -> bool:
+    """h·1_mask in P, memoised per polymatroid and (mask, h).
+
+    member's checks run first, each O(1) on a mask: mask a subset of the
+    ground set, h a nonnegative int, and the support cap when h > 0; so a
+    memo hit raises what a miss would. A miss asks member of the vector.
+    """
+    check_subset(mask, p.n)
+    if type(h) is not int or h < 0:
+        _check_weights([h], "membership multiplicity")
+    if h and size(mask) > caps.sfm_ground:
+        raise SizeCapError(f"SFM ground set of size {size(mask)} exceeds cap {caps.sfm_ground}")
+    key = (mask, h)
+    hit = p._member_set_memo.get(key)
+    if hit is None:
+        hit = p._member_set_memo[key] = member(p, indicator(mask, p.n, h), caps)
     return hit
 
 

@@ -428,7 +428,8 @@ def round_santa(inst: SantaInstance, frac: FractionalAssignment,
 
     The fractional input must satisfy the assignment LP at frac.T. Values
     are processed in decreasing order; each resource ends on a basis of
-    its polymatroid. Every check and the guarantee run in integers.
+    its polymatroid, a classical one by _classical_basis and a matroid one
+    by greedy_basis_above. Every check and the guarantee run in integers.
     """
     alloc, vp, vals, fvals, vmax, t = _check_and_round(inst, frac, "floor", caps)
     # per-player guarantee: lose at most v_max against one's own fractional
@@ -436,7 +437,27 @@ def round_santa(inst: SantaInstance, frac: FractionalAssignment,
     shortfall = [i for i in range(inst.num_players) if vals[i] < min(t, fvals[i]) - vmax]
     if shortfall:
         raise ContractViolation(f"rounding guarantee violated for players {shortfall}")
-    return [tuple(greedy_basis_above(p, vec, caps)) for (_, p), vec in zip(vp, alloc)]
+    eligible = inst.int_values.eligible
+    return [greedy_basis_above(p, vec, caps) if it.polymatroid is not None
+            else _classical_basis(vec, eligible[j])
+            for j, (it, (_, p), vec) in enumerate(zip(inst.items, vp, alloc))]
+
+
+def _classical_basis(row: Sequence[int], eligible: int) -> tuple[int, ...]:
+    """The basis above a classical resource's rounded row, with no
+    enumeration. Its view is the rank-one coverage polymatroid over its
+    eligible players (item_value_poly), whose members hold at most one
+    unit, on an eligible player: a row holding its unit is a basis, an
+    empty row gets its unit on the lowest eligible player (as
+    greedy_basis_above would give) and a worthless resource keeps its zero
+    row. A row that is no member is refused as greedy_basis_above refuses
+    it."""
+    if sum(row) > 1 or any(v < 0 or (v and not eligible >> i & 1) for i, v in enumerate(row)):
+        raise ValueError("greedy extension requires a member of the polymatroid")
+    if sum(row) or not eligible:
+        return tuple(row)
+    low = (eligible & -eligible).bit_length() - 1
+    return tuple(int(i == low) for i in range(len(row)))
 
 
 def round_makespan(inst: MakespanInstance, frac: FractionalAssignment,

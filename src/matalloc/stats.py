@@ -26,9 +26,12 @@ f(i | h·(X − i)) >= h for every i of a set (leave_one_out_reaches) count
 two queries each, the same as asked one by one, also when one residual
 search on the kept flow of X answers them all. Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
-vector asks no query again. Likewise a cover outcome that solve_cover kept
-on the matroid (the same polymatroid, b, eps and caps) asks no query, and
-the result it returns carries the kept run's oracle_queries. Counters are
+vector asks no query again. A solve_cover run asks the singleton values
+of its target order and the base matroid's singleton ranks once, not once
+per restart round, and each of its layer scans asks a candidate once.
+Likewise a cover outcome that solve_cover kept on the matroid (the same
+polymatroid, b, eps and caps) asks no query, and the result it returns
+carries the kept run's oracle_queries. Counters are
 process-global; snapshot/delta around a solver run to attribute queries to
 it. A query adds to its counter in place (counters["poly_value"] += 1,
 no call, so a memo hit costs one lookup and one add), and counters is

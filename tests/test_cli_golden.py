@@ -1,6 +1,11 @@
-"""CLI byte-identity: the sha256 of stdout and the exit code of a fixed set
-of commands on generated instances, replayed against the digests kept in
-tests/corpus/cli_digests.tsv.
+"""CLI byte-identity: the sha256 of stdout, the sha256 of the result and
+the exit code of a fixed set of commands on generated instances, replayed
+against the digests kept in tests/corpus/cli_digests.tsv.
+
+The result is stdout with every "oracle_queries" field removed from a JSON
+document, re-emitted as the CLI emits JSON; stdout that is not JSON is its
+own result. A change that only asks fewer or more queries moves the stdout
+column and no result column.
 
 A change that means to alter some output rewrites the file with
 `PYTHONPATH=src python tests/test_cli_golden.py` and says which lines moved.
@@ -125,16 +130,37 @@ CASES = {
 }
 
 
-def run_case(name: str, tmp: Path) -> tuple[str, int]:
+def _without_queries(obj):
+    if isinstance(obj, dict):
+        return {k: _without_queries(v) for k, v in obj.items() if k != "oracle_queries"}
+    if isinstance(obj, list):
+        return [_without_queries(v) for v in obj]
+    return obj
+
+
+def _result(stdout: str) -> str:
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return stdout
+    return json.dumps(_without_queries(doc), sort_keys=True, indent=1) + "\n"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_case(name: str, tmp: Path) -> tuple[str, str, int]:
+    """(stdout digest, result digest, exit code)."""
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(CASES[name](tmp))
-    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+    return _sha(out.getvalue()), _sha(_result(out.getvalue())), code
 
 
-def _recorded() -> dict[str, tuple[str, int]]:
+def _recorded() -> dict[str, tuple[str, str, int]]:
     rows = (line.split("\t") for line in DIGESTS.read_text().splitlines())
-    return {name: (digest, int(code)) for name, digest, code in rows}
+    return {name: (digest, result, int(code)) for name, digest, result, code in rows}
 
 
 def test_every_case_is_recorded():
@@ -150,7 +176,7 @@ if __name__ == "__main__":
     lines = []
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            digest, code = run_case(name, Path(tmp))
-        lines.append(f"{name}\t{digest}\t{code}\n")
+            digest, result, code = run_case(name, Path(tmp))
+        lines.append(f"{name}\t{digest}\t{result}\t{code}\n")
     DIGESTS.write_text("".join(lines))
     print(f"wrote {len(lines)} digests to {DIGESTS}")

@@ -3,6 +3,7 @@ and cross-checks against exhaustive cover search."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,16 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 import matalloc.localsearch as localsearch
 from matalloc import stats
-from matalloc.bitsets import bits, full_mask, size
+from matalloc.bitsets import bits, full_mask, indicator, size
 from matalloc.instances import CoreCoverInstance, gen_gap_instance, gen_random, parse_instance
-from matalloc.limits import DEFAULT_CAPS, SizeCapError
+from matalloc.limits import DEFAULT_CAPS, InternalInvariantError, SizeCapError
 from matalloc.localsearch import (Certificate, SearchState, augment,
                                   build_addable, compute_blocking, recursion_node_bound,
                                   solve_cover, verify_certificate)
 from matalloc.matching import ResidualFlow
-from matalloc.matroids import InducedMatroid, PartitionMatroid, UniformMatroid
+from matalloc.matroids import InducedMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
 from matalloc.oracle import brute_max_cover_b
-from matalloc.polymatroids import CoveragePoly, ExplicitPoly, ModularPoly, SumPoly, member
+from matalloc.polymatroids import (CoveragePoly, ExplicitPoly, MarginalPoly, ModularPoly,
+                                   PolymatroidOracle, ScaledRankPoly, SumPoly, member, member_set)
 
 EPS = Fraction(1, 10)
 
@@ -469,7 +471,7 @@ def test_threshold_questions_raise_a_supply_by_at_most_h(monkeypatch):
     assert beyond and raises
     assert all(d <= h for d, h in raises)
     # the count of the whole-marginal search, whose queries the threshold keeps
-    assert res.oracle_queries == 623
+    assert res.oracle_queries == 420
 
 
 @pytest.mark.parametrize("seed, n", [*((s, None) for s in range(10)), (10, 12), (11, 13)])
@@ -496,3 +498,203 @@ def test_batched_leave_one_out_solves_as_one_question_at_a_time(seed, n, monkeyp
     assert batched[-1]["certificates"]
     monkeypatch.setattr(localsearch, "leave_one_out_reaches", one_at_a_time)
     assert sweep() == batched
+
+
+# ---------------------------------------------------------------------------
+# The cover never loses an element: succeed's check is a subset test
+
+
+def test_a_success_that_drops_a_covered_element_raises(monkeypatch):
+    """A success that drops covered element 0 and adds element 2 raises,
+    although the new cover {1, 2} (mask 6) is above the old {0, 1} (mask 3)
+    as an integer."""
+    real = localsearch.matroid_add_greedy
+    monkeypatch.setattr(localsearch, "matroid_add_greedy",
+                        lambda m, start, order: real(m, start, order) & ~(start & -start))
+    state = SearchState(ground=0b111, matroid=UniformMatroid(3, 3), poly=ModularPoly([0] * 3),
+                        b=1, eps=EPS, I_M=0b011, I_P=0, B0=0b100, order=(2,))
+    with pytest.raises(InternalInvariantError, match="cover lost previously covered elements"):
+        augment(state)
+
+
+# ---------------------------------------------------------------------------
+# One pass per scan: the rescanning scans, kept here as they were, agree with
+# the library on every augment state of a sweep
+
+
+def _rescanning_build_addable(state, caps=DEFAULT_CAPS):
+    """build_addable rescanning its candidates from the lowest index after
+    every addition to a layer."""
+    m, p, b = state.matroid, state.poly, state.b
+    num, den = state.eps.numerator, state.eps.denominator
+    n_b0 = size(state.B0)
+    a = 0
+    while True:
+        layer = 0
+        while True:
+            progressed = False
+            pool = state.I_M & ~a & ~layer
+            for i in bits(pool):
+                bit = 1 << i
+                rest = (state.B0 | (state.I_M & ~layer)) & ~bit
+                if m.rank_marginal(bit, rest) != 0:
+                    continue
+                if localsearch.marginal_reaches(p, bit, 2 * b, a | layer):
+                    layer |= bit
+                    progressed = True
+                    break
+            if not progressed:
+                break
+        if size(layer) * den < num * n_b0:
+            break
+        a |= layer
+    c_rest = a
+    for i in bits(state.I_M & ~a):
+        if not localsearch.marginal_reaches(p, 1 << i, 2 * b, a):
+            c_rest |= 1 << i
+    return localsearch.AddableSets(a, c_rest)
+
+
+def _rescanning_grow_immediate(state, a, a_i, i_p):
+    """augment's step (1) rescanning A \\ A_I after every addition."""
+    while True:
+        for i in bits(a & ~a_i):
+            if localsearch.marginal_reaches(state.poly, 1 << i, state.b, i_p | a_i):
+                a_i |= 1 << i
+                break
+        else:
+            return a_i
+
+
+def _augment_trail(make, monkeypatch):
+    """Every build_addable's (a, c_rest) and every augment result, in call
+    order, of solve_cover at each b up to the first infeasible one (at most
+    n + 1), with the scans as the library has them at call time."""
+    build, real_augment = localsearch.build_addable, localsearch.augment
+    trail: list = []
+
+    def spy_build(state, caps=DEFAULT_CAPS):
+        addable = build(state, caps)
+        trail.append((addable.a, addable.c_rest))
+        return addable
+
+    def spy_augment(state, caps=DEFAULT_CAPS):
+        result = real_augment(state, caps)
+        trail.append(result)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(localsearch, "build_addable", spy_build)
+        patch.setattr(localsearch, "augment", spy_augment)
+        inst = make()
+        for b in range(1, inst.matroid.n + 2):
+            inst.b = b
+            res = solve_cover(inst, EPS)
+            trail.append(_comparable(res))
+            if not res.feasible:
+                break
+    return trail
+
+
+def test_one_pass_scans_give_what_rescans_give(monkeypatch):
+    """On the core-certify shape (coverage cores, n 8-13), the core-induced
+    shape (induced cores) and nested coverage cores, whose blocking forces
+    recursion. The trails are not vacuous: layers of two or more elements
+    and recursion both occur."""
+    from conftest import nested_coverage_core
+
+    makes = [*(lambda s=s: _coverage_core(s) for s in range(10)),
+             lambda: _coverage_core(10, 12), lambda: _coverage_core(11, 13),
+             *(lambda s=s: _induced_core(s) for s in range(10)),
+             *(lambda s=s: nested_coverage_core(s) for s in range(10))]
+    one_pass = [_augment_trail(make, monkeypatch) for make in makes]
+    steps = [t for trail in one_pass for t in trail]
+    assert sum(isinstance(t, tuple) and size(t[0]) >= 2 for t in steps) >= 10
+    assert any(isinstance(t, localsearch.AugmentResult) and t.nodes > 1 for t in steps)
+    monkeypatch.setattr(localsearch, "build_addable", _rescanning_build_addable)
+    monkeypatch.setattr(localsearch, "grow_immediate", _rescanning_grow_immediate)
+    assert [_augment_trail(make, monkeypatch) for make in makes] == one_pass
+
+
+# ---------------------------------------------------------------------------
+# Asked once per solve: the base matroid's singleton ranks and the values of
+# the target order
+
+
+def test_loops_and_order_are_asked_once_per_solve(monkeypatch):
+    """solve_cover itself asks each singleton rank and each singleton value
+    once, however many rounds it restarts."""
+    inst = _coverage_core(5)
+    inst.b = 3
+    code = localsearch.solve_cover.__code__
+    asked: list = []
+    rank, value = MatroidOracle.rank, PolymatroidOracle.value
+
+    def by_solve_cover():
+        # the caller of the spied method, or of the sort key that called it
+        caller = sys._getframe(2)
+        return caller.f_code is code or (caller.f_code.co_name == "<lambda>"
+                                         and caller.f_back.f_code is code)
+
+    def spy_rank(self, mask):
+        if by_solve_cover():
+            asked.append(("rank", mask))
+        return rank(self, mask)
+
+    def spy_value(self, mask):
+        if by_solve_cover():
+            asked.append(("value", mask))
+        return value(self, mask)
+
+    monkeypatch.setattr(MatroidOracle, "rank", spy_rank)
+    monkeypatch.setattr(PolymatroidOracle, "value", spy_value)
+    res = solve_cover(inst, EPS)
+    n = inst.matroid.n
+    assert res.restarts == 7
+    assert sorted(asked) == [(kind, 1 << i) for kind in ("rank", "value") for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Membership of h·1_S keyed by the mask
+
+
+def _member_set_forms(rng):
+    n = 6
+    covers = [rng.randrange(1 << 5) for _ in range(n)]
+    cov = CoveragePoly(covers, [rng.randint(1, 3) for _ in range(5)])
+    mod = ModularPoly([rng.randint(0, 3) for _ in range(n)])
+    scaled = ScaledRankPoly(UniformMatroid(n, 2), 2)
+    base = rng.randrange(1 << n)
+    return [mod, cov, scaled, SumPoly([mod, cov, scaled]),
+            MarginalPoly(cov.capped(uniform=2, on=base), base)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_member_set_agrees_with_member(seed):
+    rng = random.Random(seed)
+    for p in _member_set_forms(rng):
+        for _ in range(40):
+            mask, h = rng.randrange(1 << p.n), rng.randint(0, 4)
+            want = member(p, indicator(mask, p.n, h))
+            assert member_set(p, mask, h) == want
+            assert member_set(p, mask, h) == want  # the memo hit
+
+
+@pytest.mark.parametrize("mask, h, caps, error", [
+    (1 << 6, 1, DEFAULT_CAPS, ValueError),
+    (-1, 1, DEFAULT_CAPS, ValueError),
+    (0b11, -1, DEFAULT_CAPS, ValueError),
+    (0b11, Fraction(1), DEFAULT_CAPS, ValueError),
+    (0b11, True, DEFAULT_CAPS, ValueError),
+    (0b111, 1, DEFAULT_CAPS.override(sfm_ground=2), SizeCapError),
+])
+def test_a_member_set_hit_raises_what_a_miss_raises(mask, h, caps, error):
+    missed, kept = ModularPoly([1] * 6), ModularPoly([1] * 6)
+    with pytest.raises(error) as miss:
+        member_set(missed, mask, h, caps)
+    kept._member_set_memo[(mask, h)] = True
+    if error is SizeCapError:
+        assert member_set(kept, mask, h)
+    with pytest.raises(error) as hit:
+        member_set(kept, mask, h, caps)
+    assert str(hit.value) == str(miss.value)

@@ -4,6 +4,7 @@ exact-guarantee checks with independently constructed fractional inputs."""
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,12 @@ from matalloc import rounding
 from matalloc.bitsets import bits, submasks
 from matalloc.instances import Item, MakespanInstance, SantaInstance, entity_totals, gen_random
 from matalloc.intersection import DirectSum, max_common_independent
-from matalloc.limits import Caps, ContractViolation, InternalInvariantError, SizeCapError
+from matalloc.limits import (Caps, DEFAULT_CAPS, ContractViolation, InternalInvariantError,
+                             SizeCapError)
 from matalloc.matching import ResidualFlow
 from matalloc.oracle import brute_opt_makespan, brute_opt_santa, enumerate_bases
-from matalloc.polymatroids import CutNetwork, ModularPoly, ScaledRankPoly, is_basis, member
+from matalloc.polymatroids import (CoveragePoly, CutNetwork, ModularPoly, ScaledRankPoly,
+                                   greedy_basis_above, is_basis, member)
 from matalloc.matroids import UniformMatroid
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, assignment_lp_columns,
                                assignment_lp_rows, column_sums, item_value_poly,
@@ -761,6 +764,39 @@ class TestFractionalInputChecks:
         inst = SantaInstance(2, [Item(values=(F(1), F(1))), Item(values=(F(0), F(0)))])
         frac = FractionalAssignment(F(1, 2), [(F(1, 2), F(1, 2)), (F(0), F(0))])
         assert round_santa(inst, frac)[1] == (0, 0)
+
+
+class TestClassicalBasis:
+    """round_santa builds a classical resource's basis directly from its
+    rounded row: one unit on an eligible player."""
+
+    @pytest.mark.parametrize("eligible", range(8))
+    def test_the_basis_is_what_the_greedy_gives(self, eligible):
+        """On every row with entries -1..2 over three players, the direct
+        basis equals greedy_basis_above on the rank-one view, and a row that
+        is no member is refused by both with ValueError."""
+        poly = CoveragePoly([(eligible >> i) & 1 for i in range(3)], [1])
+
+        def basis(build, row):
+            try:
+                return build(row)
+            except ValueError:
+                return ValueError
+
+        for row in product(range(-1, 3), repeat=3):
+            assert (basis(lambda r: rounding._classical_basis(r, eligible), row)
+                    == basis(lambda r: greedy_basis_above(poly, r), row))
+
+    def test_a_zero_ground_cap_does_not_bind_an_empty_row(self):
+        """No enumeration builds a classical basis, so the ground cap does not
+        bind it: item 3's rounded row is empty, and under sfm_ground = 0 it
+        still gets its unit on the lowest eligible player."""
+        inst = gen_random("restricted-santa", 1, m=3, n=5)
+        _, frac = guess_loop(lambda t: solve_assignment_lp(inst, t), santa_guess_grid(inst))
+        assert not any(rounding._check_and_round(inst, frac, "floor", DEFAULT_CAPS)[0][3])
+        want = [(1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)]
+        assert round_santa(inst, frac) == want
+        assert round_santa(inst, frac, DEFAULT_CAPS.override(sfm_ground=0)) == want
 
 
 def fraction_degree_chain(xs, mode):
