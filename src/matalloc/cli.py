@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         if infile:
             p.add_argument("--in", dest="infile", required=True, help="instance JSON path")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--cap-ground", type=int, help="override enumeration ground-size cap")
+        p.add_argument("--cap-ground", type=int, help="override the subset-enumeration support cap")
         p.add_argument("--cap-enum", type=int, help="override enumeration count caps")
         if fmt:
             p.add_argument("--format", choices=["json", "tsv"], default="json")

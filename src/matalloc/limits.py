@@ -39,7 +39,7 @@ class BaselineRegime(ValueError):
 
 @dataclass(frozen=True)
 class Caps:
-    sfm_ground: int = 24          # brute-force SFM / membership ground size
+    sfm_ground: int = 24          # support of a subset enumeration (sfm_min, LP rows, brute force)
     expand: int = 64              # units (sum of slot caps) of one count-vector search
     basis_enum: int = 10**6       # per-instance product of basis counts
     assignments: int = 10**7      # classical brute-force assignment count

@@ -16,7 +16,7 @@ from typing import Sequence
 from .bitsets import bits, elements, full_mask, size, submasks
 from .limits import Caps, DEFAULT_CAPS, SizeCapError
 from .matroids import MatroidOracle
-from .polymatroids import PolymatroidOracle, member, saturation_slack
+from .polymatroids import PolymatroidOracle, headroom, member
 
 
 @dataclass
@@ -262,7 +262,7 @@ def _plus_one(x: Sequence[int], e: int) -> list[int]:
 def _random_member(p: PolymatroidOracle, rng, caps: Caps) -> list[int]:
     x = [0] * p.n
     for e in rng.sample(range(p.n), p.n):
-        slack = saturation_slack(p, x, e, caps)
+        slack = headroom(p, x, e, p.value(1 << e) - x[e], caps)
         if slack > 0:
             x[e] += rng.randint(0, slack)
     return x

@@ -5,14 +5,17 @@ submodular integer f with f(empty) = 0. Concrete families: modular,
 weighted coverage, scaled matroid rank, explicit table. Derived forms:
 sums, box caps, marginals above a set or vector, and duals. On top of
 the oracles: brute-force submodular minimization, the count max y(E) over
-y <= x in P (count), which decides membership, how many units of one
-element a member can gain up to a limit (headroom) and saturation slacks,
-greedy basis extension, and the box-capped marginal f(Y | b*X).
+y <= x in P (count), which decides membership and how many units of one
+element a member can gain up to a limit (headroom; at the limit
+f({e}) − x(e), the saturation slack), greedy basis extension, and the
+box-capped marginal f(Y | b*X).
 
 A capped value and a vector-contracted value are each one count of a
 box vector of the inner polymatroid (CappedPoly, VectorContractedPoly),
 and an induced rank is the count of a 0/1 vector (matroids.InducedMatroid).
-count alone chooses between matroid partition and subset enumeration.
+count alone chooses between matroid partition and subset enumeration
+(_by_partition), and only the enumeration (sfm_min) obeys caps.sfm_ground;
+member, member_set and headroom ask that choice before their memos.
 
 Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
 and set contractions) are cut networks (CutNetwork): the count of an
@@ -46,11 +49,10 @@ nowhere), solved from scratch by place. It is the package's one partition
 routine: its placed units are the count of integer vectors with larger
 supports, and on 0/1 vectors the ranks of matroid unions and of the
 matroids such forms induce (matroids.UnionMatroid,
-matroids.InducedMatroid). A polymatroid keeps the
-placements it counts per vector (PolymatroidOracle.placement), and a
-missing one is derived from a kept placement one unit below by one more
-exchange search, since a unit enters a maximum placement exactly when it
-is independent in the union.
+matroids.InducedMatroid). A polymatroid keeps the placements it counts per
+vector (PolymatroidOracle.placement), and a missing one is derived from a
+kept placement one unit below by one more exchange search, since a unit
+enters a maximum placement exactly when it is independent in the union.
 """
 
 from __future__ import annotations
@@ -517,8 +519,8 @@ class VectorContractedPoly(PolymatroidOracle):
     That is count(z) − y(E) for z = y with each z(e), e in S, raised to
     f({e}): in count(z) = min_U f(U) + z(E \\ U), a set U that misses some
     e in S does at least as well with e added, since f(U + e) <= f(U) +
-    f({e}), and a set U ⊇ S gives y(E) + f(U) − y(U) (saturation_slack is
-    the one-element case).
+    f({e}), and a set U ⊇ S gives y(E) + f(U) − y(U) (headroom up to
+    f({e}) − y(e) is the one-element case).
     """
 
     def __init__(self, inner: PolymatroidOracle, base: Sequence[int]):
@@ -669,25 +671,35 @@ def _check_length(p: PolymatroidOracle, x: Sequence) -> None:
         raise ValueError(f"vector of length {len(x)} for a ground set of size {p.n}")
 
 
+def _by_partition(p: PolymatroidOracle, x: Sequence, k: int) -> bool:
+    """Whether count takes matroid partition (no subsets enumerated) on x, k = |supp x|."""
+    return (k >= MEMBER_SUPPORT and p.partition_form is not None
+            and all(isinstance(v, int) for v in x))
+
+
 def count(p: PolymatroidOracle, x: Sequence[int | Fraction],
           caps: Caps = DEFAULT_CAPS) -> int | Fraction:
     """max y(E) over y <= x in P(f) = min_S f(S) + x(E \\ S) (Edmonds 1970),
     for an integer or rational x >= 0 of length p.n.
 
-    By matroid partition (one value query) for an integer x with
-    MEMBER_SUPPORT or more nonzero entries when p has a partition form: the
-    network's count when the form has no copies, else the placed total of
-    p's kept placement of x (PolymatroidOracle.placement). Any other x is
-    counted as x(E) + min f(S) − x(S) by sfm_min over S ⊆ supp x, which is
-    exact because f is monotone and x is zero off its support.
+    By matroid partition (one value query) where _by_partition says so:
+    the network's count when the form has no copies, else the placed total
+    of p's kept placement of x (PolymatroidOracle.placement). Any other x is
+    counted as x(E) + min f(S) − x(S) by sfm_min over S ⊆ supp x (capped
+    there), exact because f is monotone and x is zero off its support.
     """
     supp = vec_support(x)
-    if (size(supp) >= MEMBER_SUPPORT and p.partition_form is not None
-            and all(isinstance(v, int) for v in x)):
+    if _by_partition(p, x, size(supp)):
         stats.counters["poly_value"] += 1
         copies, g = p.partition_form
         return g.count(x) if g is not None and not copies else p.placement(tuple(x)).placed
     return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1]
+
+
+def _check_enumeration(p: PolymatroidOracle, x: Sequence, k: int, caps: Caps) -> None:
+    """The cap sfm_min raises on count(p, x), k = |supp x|, asked before a memo."""
+    if k > caps.sfm_ground and not _by_partition(p, x, k):
+        raise SizeCapError(f"SFM ground set of size {k} exceeds cap {caps.sfm_ground}")
 
 
 def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAULT_CAPS) -> bool:
@@ -695,8 +707,8 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
 
     Accepts integer or rational vectors (rational for scaled box tests) of
     length p.n. Answers are memoised per polymatroid and vector (equal int
-    and Fraction vectors share one); the length, sign, range and cap checks
-    run first, so a memo hit raises what a miss would.
+    and Fraction vectors share one); the length, sign, range and enumeration
+    cap checks run first, so a memo hit raises what a miss would.
     """
     _check_member(p, x, caps)
     key = tuple(x)
@@ -710,14 +722,14 @@ def member_set(p: PolymatroidOracle, mask: int, h: int, caps: Caps = DEFAULT_CAP
     """h·1_mask in P, memoised per polymatroid and (mask, h).
 
     member's checks run first, each O(1) on a mask: mask a subset of the
-    ground set, h a nonnegative int, and the support cap when h > 0; so a
-    memo hit raises what a miss would. A miss asks member of the vector.
+    ground set, h a nonnegative int, and the enumeration cap when h > 0; so
+    a memo hit raises what a miss would. A miss asks member of the vector.
     """
     check_subset(mask, p.n)
     if type(h) is not int or h < 0:
         _check_weights([h], "membership multiplicity")
-    if h and size(mask) > caps.sfm_ground:
-        raise SizeCapError(f"SFM ground set of size {size(mask)} exceeds cap {caps.sfm_ground}")
+    if h:
+        _check_enumeration(p, (h,), size(mask), caps)   # h·1_mask's entries are h and 0
     key = (mask, h)
     hit = p._member_set_memo.get(key)
     if hit is None:
@@ -726,28 +738,31 @@ def member_set(p: PolymatroidOracle, mask: int, h: int, caps: Caps = DEFAULT_CAP
 
 
 def _check_member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps) -> None:
-    """member's checks on x: length, sign, range, then the support cap."""
+    """member's checks on x: length, sign, range, then the enumeration cap."""
     _check_length(p, x)
     if any(v < 0 for v in x):
         raise ValueError("membership is defined for nonnegative vectors")
     supp = vec_support(x)
     check_subset(supp, p.n)
-    k = size(supp)
-    if k > caps.sfm_ground:
-        raise SizeCapError(f"SFM ground set of size {k} exceeds cap {caps.sfm_ground}")
+    _check_enumeration(p, x, size(supp), caps)
 
 
 def headroom(p: PolymatroidOracle, x: Sequence[int], e: int, limit: int,
              caps: Caps = DEFAULT_CAPS) -> int:
-    """min(limit, max t with x + t·1_e in P) for a member x and limit >= 0,
-    by one count: count(x + limit·1_e) − x(E).
+    """min(limit, max t with x + t·1_e in P) for a member x, an element e
+    and an int limit >= 0, by one count: count(x + limit·1_e) − x(E); at
+    limit = f({e}) − x(e), e's saturation slack min_{S ∋ e} f(S) − x(S).
 
     In count(z) = min_S f(S) + z(E \\ S) for z = x + limit·1_e, a set S ∌ e
     gives f(S) + x(E \\ S) + limit >= x(E) + limit since x(S) <= f(S), and a
-    set S ∋ e gives x(E) + f(S) − x(S). member's checks run first on z,
-    whose support for limit >= 1 is that of x + 1_e, so this raises where
-    member of x + 1_e would.
+    set S ∋ e gives x(E) + f(S) − x(S). After e and limit, member's checks
+    run on z, whose support for limit >= 1 is that of x + 1_e.
     """
+    _check_length(p, x)
+    if type(e) is not int or not 0 <= e < p.n:
+        raise ValueError(f"element {e} outside 0..{p.n - 1}")
+    if type(limit) is not int or limit < 0:
+        _check_weights([limit], "headroom limit")
     z = list(x)
     z[e] += limit
     _check_member(p, z, caps)
@@ -891,24 +906,10 @@ def _enter(e: int, copies: tuple, masks: list[int], flow: ResidualFlow | None) -
     return False
 
 
-def saturation_slack(p: PolymatroidOracle, x: Sequence[int], e: int,
-                     caps: Caps = DEFAULT_CAPS) -> int:
-    """max t with x + t·1_e in P for a member x, i.e. min_{S ∋ e} f(S) − x(S):
-    the headroom of e up to f({e}) − x(e), since no member holds more than
-    f({e}) units of e.
-    """
-    _check_length(p, x)
-    if not 0 <= e < p.n:
-        raise ValueError(f"element {e} outside 0..{p.n - 1}")
-    if p.n > caps.sfm_ground:
-        raise SizeCapError(f"ground set of size {p.n} exceeds cap {caps.sfm_ground}")
-    return headroom(p, x, e, p.value(1 << e) - x[e], caps)
-
-
 def greedy_basis_above(p: PolymatroidOracle, x: Sequence[int],
                        caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """Raise x to a basis (y >= x, y in P, y(E) = f(E)), elements in index
-    order; once y(E) = f(E) every later slack is 0, so the loop stops."""
+    """Raise x to a basis (y >= x, y in P, y(E) = f(E)), each element in
+    index order by its headroom up to f({e}), until y(E) = f(E)."""
     if not member(p, x, caps):
         raise ValueError("greedy extension requires a member of the polymatroid")
     y = list(x)
@@ -916,7 +917,7 @@ def greedy_basis_above(p: PolymatroidOracle, x: Sequence[int],
     for e in range(p.n):
         if sum(y) == top:
             break
-        y[e] += saturation_slack(p, y, e, caps)
+        y[e] += headroom(p, y, e, p.value(1 << e) - y[e], caps)
     return tuple(y)
 
 

@@ -65,6 +65,24 @@ def test_byte_identical_outputs(tmp_path, capsys):
     assert inst.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("m, seed", [(40, 3), (64, 1)])
+def test_solve_cover_past_the_ground_cap(tmp_path, capsys, m, seed):
+    """These covers' polymatroids have partition forms, so a count of a
+    large support enumerates no subsets and the ground cap (24) does not
+    bind, however many elements the support holds."""
+    inst = tmp_path / "big.json"
+    assert main(["gen", "--flavor", "core-cover", "--m", str(m), "--seed", str(seed),
+                 "--out", str(inst)]) == 0
+    code, out = run(capsys, "solve-cover", "--in", str(inst), "--b", "1")
+    assert code == 0
+    doc, core = json.loads(out), parse_instance(inst.read_bytes())
+    assert doc["outcome"] == "cover"
+    im = sum(1 << e for e in doc["I_M"])
+    assert core.matroid.is_independent(im)
+    assert member(core.polymatroid, doc["y"])
+    assert all((im >> e) & 1 or doc["y"][e] >= 1 for e in range(m))
+
+
 def test_reduce_subcommand(tmp_path, capsys):
     inst = tmp_path / "tv.json"
     main(["gen", "--flavor", "two-value-makespan", "--m", "2", "--n", "3",

@@ -19,7 +19,7 @@ from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, GraphicMatroi
                                InducedMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid, UnionMatroid, ZeroedMatroid)
 from matalloc.oracle import brute_max_cover_b, check_axioms, enumerate_bases
-from matalloc.polymatroids import CoveragePoly, ScaledRankPoly, SumPoly, is_basis
+from matalloc.polymatroids import CoveragePoly, ModularPoly, ScaledRankPoly, SumPoly, is_basis
 
 
 class TestJson:
@@ -224,6 +224,14 @@ class TestAllocations:
         for require_basis in (None, False):
             with pytest.raises(ValueError, match="^item 0: vector outside its polymatroid$"):
                 validate_allocation(self.MATROID, [(1, 1)], require_basis)
+
+    def test_validate_accepts_a_basis_past_the_ground_cap(self):
+        """The basis check of 30 players is one flow, which the ground cap
+        (24) does not bound."""
+        inst = SantaInstance(30, [Item(value=Fraction(1), polymatroid=ModularPoly([1] * 30))])
+        validate_allocation(inst, [(1,) * 30], require_basis=True)
+        with pytest.raises(ValueError, match="^item 0: vector is not a basis of its polymatroid$"):
+            validate_allocation(inst, [(1,) * 29 + (0,)], require_basis=True)
 
 
 class TestMerge:

@@ -17,8 +17,8 @@ from matalloc.limits import DEFAULT_CAPS, ContractViolation, SizeCapError
 from matalloc.localsearch import solve_cover
 from matalloc.matroids import GraphicMatroid, PartitionMatroid, TransversalMatroid, UniformMatroid
 from matalloc.oracle import enumerate_bases
-from matalloc.polymatroids import (CoveragePoly, ModularPoly, ScaledRankPoly, SumPoly, is_basis,
-                                   member)
+from matalloc.polymatroids import (CappedPoly, CoveragePoly, ModularPoly, ScaledRankPoly, SumPoly,
+                                   is_basis, member)
 
 
 def whole(num_slots, indep):
@@ -346,14 +346,22 @@ def test_a_split_needs_a_part():
 
 
 def test_a_membership_count_raises_where_its_unit_gain_would():
+    """f(S) = 2|S| as a box cap over a scaled-rank part, which has no
+    partition form, so each count enumerates its support's subsets and
+    obeys the cap. As a modular polymatroid, the same counts are one flow
+    each, which the cap does not bound."""
     caps = DEFAULT_CAPS.override(sfm_ground=3)
-    side = DirectSum([0] * 5, [Membership(ModularPoly([2] * 5), range(5), caps)])
+    boxed = CappedPoly(ScaledRankPoly(UniformMatroid(5, 5), 2), [2] * 5)
+    side = DirectSum([0] * 5, [Membership(boxed, range(5), caps)])
     side.reset((1, 1, 1, 0, 0))
     assert side.fits(1, 2) == 1
     assert side.fits(3, 0) == 0   # asks nothing, as no unit step would
     for ask in (lambda: side.gain(3), lambda: side.fits(3, 1), lambda: side.fits(3, 2)):
         with pytest.raises(SizeCapError, match="^SFM ground set of size 4 exceeds cap 3$"):
             ask()
+    flows = DirectSum([0] * 5, [Membership(ModularPoly([2] * 5), range(5), caps)])
+    flows.reset((1, 1, 1, 0, 0))
+    assert (flows.gain(3), flows.fits(3, 1), flows.fits(3, 2)) == (True, 1, 2)
 
 
 def test_the_m10_santa_draw_still_exceeds_the_search_cap(monkeypatch):

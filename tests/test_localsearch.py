@@ -21,8 +21,9 @@ from matalloc.localsearch import (Certificate, SearchState, augment,
 from matalloc.matching import ResidualFlow
 from matalloc.matroids import InducedMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
 from matalloc.oracle import brute_max_cover_b
-from matalloc.polymatroids import (CoveragePoly, ExplicitPoly, MarginalPoly, ModularPoly,
-                                   PolymatroidOracle, ScaledRankPoly, SumPoly, member, member_set)
+from matalloc.polymatroids import (CappedPoly, CoveragePoly, ExplicitPoly, MarginalPoly,
+                                   ModularPoly, PolymatroidOracle, ScaledRankPoly, SumPoly, member,
+                                   member_set)
 
 EPS = Fraction(1, 10)
 
@@ -689,7 +690,12 @@ def test_member_set_agrees_with_member(seed):
     (0b111, 1, DEFAULT_CAPS.override(sfm_ground=2), SizeCapError),
 ])
 def test_a_member_set_hit_raises_what_a_miss_raises(mask, h, caps, error):
-    missed, kept = ModularPoly([1] * 6), ModularPoly([1] * 6)
+    """f(S) = |S| as a box cap over a scaled-rank part: no partition form,
+    so a count enumerates the subsets of its support and obeys the cap."""
+    def poly():
+        return CappedPoly(ScaledRankPoly(UniformMatroid(6, 6), 1), [1] * 6)
+
+    missed, kept = poly(), poly()
     with pytest.raises(error) as miss:
         member_set(missed, mask, h, caps)
     kept._member_set_memo[(mask, h)] = True

@@ -23,8 +23,9 @@ from matalloc.oracle import brute_transversal_rank, check_axioms, enumerate_base
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly,
                                    MarginalPoly, ModularPoly, ScaledRankPoly, SumPoly,
                                    VectorContractedPoly, capped_marginal, count,
-                                   greedy_basis_above, is_basis, leave_one_out_reaches,
-                                   marginal_reaches, member, place, saturation_slack, sfm_min)
+                                   greedy_basis_above, headroom, is_basis,
+                                   leave_one_out_reaches, marginal_reaches, member,
+                                   member_set, place, sfm_min)
 
 
 def brute_capped(p, caps, mask):
@@ -708,6 +709,11 @@ def brute_slack(p, x, e):
     return min(p.value(s) - vec_sum(x, s) for s in range(1 << p.n) if (s >> e) & 1)
 
 
+def slack(p, x, e):
+    """e's saturation slack: its headroom up to f({e}) − x(e)."""
+    return headroom(p, x, e, p.value(1 << e) - x[e])
+
+
 def partition_says(p, x):
     """Membership by p's partition form alone: the network's count reaches
     x(E) on a bare network, and every unit of x is placed on one with
@@ -762,7 +768,7 @@ def test_flow_membership_matches_sfm(seed):
         assert p.network.count(x) == brute_capped(ref, x, full_mask(p.n))
         if expect:
             for e in range(p.n):
-                assert saturation_slack(p, x, e) == brute_slack(ref, x, e)
+                assert slack(p, x, e) == brute_slack(ref, x, e)
 
 
 def spy_partition_solves(monkeypatch, record):
@@ -805,10 +811,14 @@ def test_fraction_vectors_take_the_subset_path(seed, monkeypatch):
 
 class TestMemberMemo:
     def test_a_hit_still_obeys_the_cap(self):
+        """The int vector is counted by one flow, which the cap does not
+        bound; the equal Fraction vector shares its memo entry but would be
+        counted by enumerating 16 subsets, so its hit raises."""
         p = ModularPoly([1] * 4)
         assert member(p, (1, 1, 1, 1))
-        with pytest.raises(SizeCapError):
-            member(p, (1, 1, 1, 1), Caps(sfm_ground=3))
+        assert member(p, (1, 1, 1, 1), Caps(sfm_ground=3))
+        with pytest.raises(SizeCapError, match="^SFM ground set of size 4 exceeds cap 3$"):
+            member(p, (Fraction(1),) * 4, Caps(sfm_ground=3))
 
     def test_sign_and_range_are_checked_before_the_lookup(self):
         p = ModularPoly([1, 1])
@@ -825,7 +835,7 @@ class TestMemberMemo:
                 member(p, x)
         assert not p._member_memo
         with pytest.raises(ValueError, match="ground set of size 4"):
-            saturation_slack(p, (1, 0), 0)
+            headroom(p, (1, 0), 0, 0)
         with pytest.raises(ValueError, match="ground set of size 4"):
             greedy_basis_above(p, (1, 0))
 
@@ -833,7 +843,24 @@ class TestMemberMemo:
         for p in (ModularPoly([1, 1]), ScaledRankPoly(UniformMatroid(2, 1), 1)):
             for e in (-1, 2):
                 with pytest.raises(ValueError, match=r"element -?\d outside 0\.\.1"):
-                    saturation_slack(p, (0, 0), e)
+                    headroom(p, (0, 0), e, 1)
+
+    @pytest.mark.parametrize("x, e, limit, message", [
+        ((0, 0, 0), -1, 1, r"^element -1 outside 0\.\.2$"),
+        ((0, 0, 0), 3, 1, r"^element 3 outside 0\.\.2$"),
+        ((0, 0, 0), True, 1, r"^element True outside 0\.\.2$"),
+        ((0, 0, 0), 1.0, 1, r"^element 1\.0 outside 0\.\.2$"),
+        ((1, 0, 0), 0, -1, "^headroom limit must be nonnegative$"),
+        ((1, 0, 0), 0, True, "^headroom limit must be integers$"),
+        ((1, 0, 0), 0, Fraction(1), "^headroom limit must be integers$"),
+    ], ids=["e-negative", "e-past-n", "e-bool", "e-float", "limit-negative", "limit-bool",
+            "limit-fraction"])
+    def test_headroom_checks_its_element_and_limit(self, x, e, limit, message):
+        """Refused before any count: read as an index, e = −1 would answer
+        for element 2 and e = True for element 1."""
+        p = ModularPoly([1, 2, 3])
+        with pytest.raises(ValueError, match=message):
+            headroom(p, x, e, limit)
 
     @pytest.mark.parametrize("first", [int, Fraction])
     def test_int_and_fraction_vectors_share_one_answer(self, first):
@@ -1354,11 +1381,71 @@ def test_fraction_vectors_stay_on_the_subset_path(monkeypatch):
 
 
 def test_a_partition_memo_hit_still_obeys_the_cap():
+    """The cap binds the path, not the memo: the int vector is counted by
+    matroid partition under any cap, and the equal Fraction vector, which
+    shares its memo entry, would enumerate 256 subsets."""
     p = partition_sum()
     x = (1,) * 8
     assert member(p, x) == sfm_member(p, x)
-    with pytest.raises(SizeCapError):
-        member(p, x, Caps(sfm_ground=7))
+    assert member(p, x, Caps(sfm_ground=0)) == sfm_member(p, x)
+    with pytest.raises(SizeCapError, match="^SFM ground set of size 8 exceeds cap 7$"):
+        member(p, tuple(map(Fraction, x)), Caps(sfm_ground=7))
+
+
+def test_a_count_that_enumerates_raises_on_a_miss_and_on_a_hit():
+    """A box cap over a scaled-rank part has no partition form, so its
+    count enumerates the subsets of the support, and 25 > 24 is refused
+    whether or not the answer is kept."""
+    p = CappedPoly(ScaledRankPoly(UniformMatroid(25, 5), 2), [1] * 25)
+    assert p.partition_form is None
+    message = "^SFM ground set of size 25 exceeds cap 24$"
+    with pytest.raises(SizeCapError, match=message):
+        member(p, [1] * 25)
+    p._member_memo[(1,) * 25] = False
+    with pytest.raises(SizeCapError, match=message):
+        member(p, [1] * 25)
+
+
+def test_a_basis_of_thirty_players_is_counted_without_the_cap():
+    """Each step of the greedy extension is one flow on a support of up to
+    30 elements, which the ground cap (24) does not bound."""
+    p = ModularPoly([1] * 30)
+    assert greedy_basis_above(p, (0,) * 30) == (1,) * 30
+    assert is_basis(p, (1,) * 30)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_counts_by_partition_ignore_the_ground_cap(seed):
+    """Under sfm_ground = 0, member, member_set and headroom answer as
+    under the default caps wherever the count takes matroid partition
+    (integer vectors with MEMBER_SUPPORT or more nonzero entries), and
+    raise SizeCapError wherever it would enumerate a nonempty support."""
+    zero, k = Caps(sfm_ground=0), polymatroids.MEMBER_SUPPORT
+    rng = random.Random(seed)
+    for p in (network_chain(seed)[1], scaled_rank_sum(seed)):
+        if p.n > 7:
+            continue
+        assert p.partition_form is not None
+        for x in partition_probes(rng, p):
+            want = sfm_member(p, x)
+            supp = vec_support(x)
+            if size(supp) >= k:
+                assert member(p, x, zero) == want
+            elif supp:
+                with pytest.raises(SizeCapError):
+                    member(p, x, zero)
+            if len(set(x) - {0}) == 1 and size(supp) >= k:
+                assert member_set(p, supp, max(x), zero) == want
+            if not want:
+                continue
+            for e in range(p.n):
+                limit = p.value(1 << e) - x[e]
+                raised = supp | (1 << e if limit else 0)
+                if size(raised) >= k:
+                    assert headroom(p, x, e, limit, zero) == brute_slack(p, x, e)
+                elif raised:
+                    with pytest.raises(SizeCapError):
+                        headroom(p, x, e, limit, zero)
 
 
 def test_all_rank_zero_core_membership_work_is_bounded(monkeypatch):
@@ -1415,7 +1502,7 @@ def test_slack_on_sums_with_scaled_rank_parts(seed):
     p = scaled_rank_sum(seed)
     for x in filter(lambda x: sfm_member(p, x), partition_probes(random.Random(seed), p)):
         for e in range(p.n):
-            assert saturation_slack(p, x, e) == brute_slack(p, x, e)
+            assert slack(p, x, e) == brute_slack(p, x, e)
 
 
 def test_slack_is_zero_where_the_singleton_value_is():
@@ -1431,7 +1518,7 @@ def test_slack_is_zero_where_the_singleton_value_is():
     assert len(members) > 10
     for x in members:
         for e in range(5):
-            assert saturation_slack(p, x, e) == brute_slack(p, x, e)
+            assert slack(p, x, e) == brute_slack(p, x, e)
 
 
 def test_greedy_basis_on_a_partition_form_is_query_bounded():
