@@ -28,8 +28,11 @@ class OptReport:
 
 
 def enumerate_bases(p: PolymatroidOracle, caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
-    """All bases of an integer polymatroid (vectors x in P with x(E) = f(E))."""
+    """All bases of an integer polymatroid (vectors x in P with x(E) = f(E)),
+    by a depth-first search over every element, so n is capped."""
     n = p.n
+    if n > caps.sfm_ground:
+        raise SizeCapError(f"basis enumeration over {n} elements exceeds cap {caps.sfm_ground}")
     target = p.value(full_mask(n))
     out: list[tuple[int, ...]] = []
     vec = [0] * n
@@ -247,16 +250,10 @@ def check_axioms(oracle, caps: Caps = DEFAULT_CAPS, seed: int = 0,
                 x, y = y, x
             if sum(x) == sum(y):
                 continue
-            ok = any(member(oracle, _plus_one(x, e), caps) for e in range(n))
+            ok = any(headroom(oracle, x, e, 1, caps) for e in range(n))
             if not ok:
                 violations.append(f"augmentation fails between {x} and {y}")
     return {"ok": not violations, "violations": violations}
-
-
-def _plus_one(x: Sequence[int], e: int) -> list[int]:
-    out = list(x)
-    out[e] += 1
-    return out
 
 
 def _random_member(p: PolymatroidOracle, rng, caps: Caps) -> list[int]:

@@ -6,16 +6,15 @@ weighted coverage, scaled matroid rank, explicit table. Derived forms:
 sums, box caps, marginals above a set or vector, and duals. On top of
 the oracles: brute-force submodular minimization, the count max y(E) over
 y <= x in P (count), which decides membership and how many units of one
-element a member can gain up to a limit (headroom; at the limit
-f({e}) − x(e), the saturation slack), greedy basis extension, and the
-box-capped marginal f(Y | b*X).
+element a member can gain up to a limit (headroom), greedy basis
+extension, and the box-capped marginal f(Y | b*X).
 
 A capped value and a vector-contracted value are each one count of a
 box vector of the inner polymatroid (CappedPoly, VectorContractedPoly),
 and an induced rank is the count of a 0/1 vector (matroids.InducedMatroid).
 count alone chooses between matroid partition and subset enumeration
-(_by_partition), and only the enumeration (sfm_min) obeys caps.sfm_ground;
-member, member_set and headroom ask that choice before their memos.
+(_by_partition, which member, member_set and headroom ask before their
+memos), and only the enumeration obeys caps.sfm_ground.
 
 Coverage-shaped polymatroids (modular and coverage parts, their sums, caps
 and set contractions) are cut networks (CutNetwork): the count of an
@@ -49,10 +48,11 @@ nowhere), solved from scratch by place. It is the package's one partition
 routine: its placed units are the count of integer vectors with larger
 supports, and on 0/1 vectors the ranks of matroid unions and of the
 matroids such forms induce (matroids.UnionMatroid,
-matroids.InducedMatroid). A polymatroid keeps the placements it counts per
-vector (PolymatroidOracle.placement), and a missing one is derived from a
-kept placement one unit below by one more exchange search, since a unit
-enters a maximum placement exactly when it is independent in the union.
+matroids.InducedMatroid). A polymatroid keeps the
+placements it counts per vector (PolymatroidOracle.placement), and a
+missing one is derived from a kept placement one unit below by one more
+exchange search, since a unit enters a maximum placement exactly when it
+is independent in the union.
 """
 
 from __future__ import annotations
@@ -671,10 +671,17 @@ def _check_length(p: PolymatroidOracle, x: Sequence) -> None:
         raise ValueError(f"vector of length {len(x)} for a ground set of size {p.n}")
 
 
-def _by_partition(p: PolymatroidOracle, x: Sequence, k: int) -> bool:
-    """Whether count takes matroid partition (no subsets enumerated) on x, k = |supp x|."""
-    return (k >= MEMBER_SUPPORT and p.partition_form is not None
-            and all(isinstance(v, int) for v in x))
+def _by_partition(p: PolymatroidOracle, integral: bool, k: int, caps: Caps) -> bool:
+    """Whether count takes matroid partition (no subsets enumerated) on a
+    vector with k nonzero entries, all ints if integral; where it would
+    instead enumerate more than caps.sfm_ground of them, the SizeCapError
+    that sfm_min raises. member, member_set and headroom ask it before
+    their memos, so a memo hit raises what a miss would."""
+    if k >= MEMBER_SUPPORT and integral and p.partition_form is not None:
+        return True
+    if k > caps.sfm_ground:
+        raise SizeCapError(f"SFM ground set of size {k} exceeds cap {caps.sfm_ground}")
+    return False
 
 
 def count(p: PolymatroidOracle, x: Sequence[int | Fraction],
@@ -682,24 +689,18 @@ def count(p: PolymatroidOracle, x: Sequence[int | Fraction],
     """max y(E) over y <= x in P(f) = min_S f(S) + x(E \\ S) (Edmonds 1970),
     for an integer or rational x >= 0 of length p.n.
 
-    By matroid partition (one value query) where _by_partition says so:
-    the network's count when the form has no copies, else the placed total
-    of p's kept placement of x (PolymatroidOracle.placement). Any other x is
-    counted as x(E) + min f(S) − x(S) by sfm_min over S ⊆ supp x (capped
-    there), exact because f is monotone and x is zero off its support.
+    By matroid partition (one value query) where _by_partition says so: the
+    network's count when the form has no copies, else the placed total of
+    p's kept placement of x (PolymatroidOracle.placement). Any other x is
+    counted as x(E) + min f(S) − x(S) by sfm_min over S ⊆ supp x, which is
+    exact because f is monotone and x is zero off its support.
     """
     supp = vec_support(x)
-    if _by_partition(p, x, size(supp)):
+    if _by_partition(p, all(isinstance(v, int) for v in x), size(supp), caps):
         stats.counters["poly_value"] += 1
         copies, g = p.partition_form
         return g.count(x) if g is not None and not copies else p.placement(tuple(x)).placed
     return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1]
-
-
-def _check_enumeration(p: PolymatroidOracle, x: Sequence, k: int, caps: Caps) -> None:
-    """The cap sfm_min raises on count(p, x), k = |supp x|, asked before a memo."""
-    if k > caps.sfm_ground and not _by_partition(p, x, k):
-        raise SizeCapError(f"SFM ground set of size {k} exceeds cap {caps.sfm_ground}")
 
 
 def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAULT_CAPS) -> bool:
@@ -707,8 +708,8 @@ def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAU
 
     Accepts integer or rational vectors (rational for scaled box tests) of
     length p.n. Answers are memoised per polymatroid and vector (equal int
-    and Fraction vectors share one); the length, sign, range and enumeration
-    cap checks run first, so a memo hit raises what a miss would.
+    and Fraction vectors share one); the length, sign and cap checks
+    run first, so a memo hit raises what a miss would.
     """
     _check_member(p, x, caps)
     key = tuple(x)
@@ -729,7 +730,7 @@ def member_set(p: PolymatroidOracle, mask: int, h: int, caps: Caps = DEFAULT_CAP
     if type(h) is not int or h < 0:
         _check_weights([h], "membership multiplicity")
     if h:
-        _check_enumeration(p, (h,), size(mask), caps)   # h·1_mask's entries are h and 0
+        _by_partition(p, True, size(mask), caps)
     key = (mask, h)
     hit = p._member_set_memo.get(key)
     if hit is None:
@@ -738,13 +739,11 @@ def member_set(p: PolymatroidOracle, mask: int, h: int, caps: Caps = DEFAULT_CAP
 
 
 def _check_member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps) -> None:
-    """member's checks on x: length, sign, range, then the enumeration cap."""
+    """member's checks on x: length, sign, then the enumeration cap."""
     _check_length(p, x)
     if any(v < 0 for v in x):
         raise ValueError("membership is defined for nonnegative vectors")
-    supp = vec_support(x)
-    check_subset(supp, p.n)
-    _check_enumeration(p, x, size(supp), caps)
+    _by_partition(p, all(isinstance(v, int) for v in x), size(vec_support(x)), caps)
 
 
 def headroom(p: PolymatroidOracle, x: Sequence[int], e: int, limit: int,

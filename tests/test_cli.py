@@ -242,6 +242,17 @@ def test_bench_skips_oversized(tmp_path, capsys, monkeypatch):
     assert "skipped" in rows[0]
 
 
+def test_bench_skips_a_basis_enumeration_over_the_ground_cap(tmp_path, capsys):
+    doc = {"type": "santa-matroid", "players": 25,
+           "items": [{"polymatroid": {"kind": "modular", "weights": [1] * 25},
+                      "value": {"num": 1, "den": 1}}]}
+    (tmp_path / "wide.json").write_text(json.dumps(doc))
+    code, out = run(capsys, "bench", "--dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out) == [{"file": "wide.json",
+                                "skipped": "cap: basis enumeration over 25 elements exceeds cap 24"}]
+
+
 def test_usage_error_exit_one(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code = main(["solve-cover", "--in", str(missing), "--b", "1"])

@@ -152,6 +152,14 @@ class TestEnumerateBases:
     def test_modular_unique(self):
         assert enumerate_bases(ModularPoly([2, 1])) == [(2, 1)]
 
+    def test_obeys_ground_cap(self):
+        # one basis, but the search would still walk 2^25 prefixes, each a
+        # member counted by one flow and so not bounded by member's checks
+        with pytest.raises(SizeCapError, match="basis enumeration over 25 elements exceeds cap 24"):
+            enumerate_bases(ModularPoly([1] * 25))
+        with pytest.raises(SizeCapError, match="over 2 elements exceeds cap 1"):
+            enumerate_bases(ModularPoly([2, 1]), Caps().override(sfm_ground=1))
+
     @given(st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
     def test_all_and_only_bases(self, seed):
