@@ -324,6 +324,9 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -609,8 +609,9 @@ def gen_random(flavor: str, seed: int, **params):
     m (entities; at least 2 for gap, else at least 1), n (items, >= 0),
     u/w (the two values, >= 0), b (cover level of gap and core-cover,
     >= 1), and the library-only max_weight (core-cover and the matroid
-    flavors) and den (unrelated-santa), both >= 1. A value out of range
-    raises SchemaError naming its `matalloc gen` flag or its parameter."""
+    flavors) and den (unrelated-santa), both >= 1; m is at most MAX_INDEX,
+    the parser's size bound. A value out of range raises SchemaError naming
+    its `matalloc gen` flag or its parameter, before anything is built."""
     rng = random.Random(seed)
     m = params.get("m", 4)
     n = params.get("n", 6)
@@ -621,6 +622,7 @@ def gen_random(flavor: str, seed: int, **params):
     den = params.get("den", 4)
     least_m = 2 if flavor == "gap" else 1
     for flag, bad, need in (("--m", m < least_m, f"at least {least_m} for {flavor}"),
+                            ("--m", m > MAX_INDEX, f"at most {MAX_INDEX}"),
                             ("--n", n < 0, "nonnegative"),
                             ("--u", u < 0, "nonnegative"),
                             ("--w", w < 0, "nonnegative"),

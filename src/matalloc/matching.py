@@ -3,15 +3,16 @@
 Left vertices are list indices, right vertices are bit positions of the
 adjacency masks. The flow uses breadth-first augmenting paths in exact
 integers and is kept in residual form (ResidualFlow), so changing one left
-vertex's supply costs searches from that vertex instead of a new flow; a
-matching is the flow with unit capacities. The searches run over
-per-left-vertex neighbour tuples and an arc numbering (ArcNumbering),
-built once per adjacency and shared by every flow over it and by their
-copies, and the arc flows are one flat list, so a copy is a few list
-copies. Deterministic: left vertices processed in index order, right
-candidates in ascending order. One residual search serves both exchanges
-(what one more unit of a left vertex could take over) and source_side
-(the minimal minimum cut).
+vertex's supply costs a few searches instead of a new flow; a matching is
+the flow with unit capacities. The searches run over per-left-vertex
+neighbour tuples and an arc numbering (ArcNumbering), built once per
+adjacency and shared by every flow over it and by their copies, and the
+arc flows are one flat list, so a copy is a few list copies.
+Deterministic: left vertices processed in index order, right candidates in
+ascending order. One residual search serves every job: it returns a
+shortest augmenting path, or else the left vertices it reached, which are
+what one more unit of a left vertex could take over (exchanges) and the
+source side of the minimal minimum cut (source_side).
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class ResidualFlow:
     min over left subsets T of supply(T) + right_caps(N(rest)).
     The constructor saturates greedy direct paths first, then shortest
     augmenting paths by BFS. raise_supply and lower_supply change one left
-    vertex's supply and restore a maximum flow by searching from that vertex
-    only; copy() keeps the original for the next question.
+    vertex's supply and restore a maximum flow by augmenting paths (a raise
+    searches from that vertex only); copy() keeps the original for the next
+    question.
 
     nbrs and arcs are the numbering's (ArcNumbering), which the flow
     shares with its copies and with every other flow built on it;
@@ -116,25 +118,19 @@ class ResidualFlow:
         """Take d (at most u's supply) off u's supply and restore a maximum
         flow; returns the loss.
 
-        Unused supply goes first. Flow u can no longer cover is moved onto
-        other roots along residual paths that end by cancelling one of u's
-        arcs; what no root can take over is cancelled on u's arcs, straight
-        back from the sink. Once no root reaches u, none reaches the right
-        vertices u sends into, so freeing their sink capacity opens no path.
+        Unused supply goes first. The excess is cancelled on u's arcs,
+        straight back from the sink, which leaves a feasible flow; augmenting
+        from every left vertex with supply left then makes it maximum again
+        (Ford and Fulkerson 1956), as the constructor does. When no other
+        vertex has supply left, nothing augments and the flow is the one the
+        cancelling left.
         """
         left_res, flow, holders, arcs = self.left_res, self.flow, self.holders, self.arcs
         spare = min(d, left_res[u])
         left_res[u] -= spare
         excess = d - spare
-        while excess:
-            found = self._search(self._roots(range(len(left_res))), u)
-            if found is None:
-                break
-            path, root, step = found
-            step = min(step, excess)
-            self._apply(path, step)
-            left_res[root] -= step
-            excess -= step
+        if not excess:
+            return 0
         before = self.total
         for v in self.nbrs[u]:
             if not excess:
@@ -149,6 +145,7 @@ class ResidualFlow:
             self.right_res[v] += step
             self.total -= step
             excess -= step
+        self._augment(range(len(left_res)))
         return before - self.total
 
     def exchanges(self, u: int) -> int | None:
@@ -156,16 +153,16 @@ class ResidualFlow:
         supply at u reaches the sink, else the mask of the other left
         vertices whose flow that unit can take over.
 
-        Those are the left vertices L the residual search from u reaches,
-        against one of their arcs: moving one unit along the path from u to
-        such a w frees one unit of w's supply. The right vertices the search
-        reaches are full and fed only from L, which sends nowhere else, so
-        they carry exactly L's supply; lowering the supply of a vertex
-        outside L instead leaves the cut at L one unit short. One search;
-        the flow is not changed.
+        Those are the left vertices L the residual search from u reaches
+        when it finds no path, against one of their arcs: moving one unit
+        along the path from u to such a w frees one unit of w's supply. The
+        right vertices the search reaches are full and fed only from L,
+        which sends nowhere else, so they carry exactly L's supply; lowering
+        the supply of a vertex outside L instead leaves the cut at L one
+        unit short. One search; the flow is not changed.
         """
-        reached = self._reach(1 << u)
-        return None if reached is None else reached & ~(1 << u)
+        found = self._search(1 << u)
+        return None if isinstance(found, tuple) else found & ~(1 << u)
 
     def source_side(self) -> int:
         """The left vertices on the source side of the minimal minimum cut
@@ -175,34 +172,10 @@ class ResidualFlow:
         That set lies on the source side of every minimum cut, and is the
         same for every maximum flow (Ford and Fulkerson 1956), so a left
         vertex's source arc lies in some minimum cut exactly when the vertex
-        is outside it. One search; the flow is not changed, and being
-        maximum, it leaves no spare sink capacity for the search to reach.
+        is outside it. One search, which finds no path since the flow is
+        maximum; the flow is not changed.
         """
-        return self._reach(self._roots(range(len(self.nbrs))))  # type: ignore[return-value]
-
-    def _reach(self, start: int) -> int | None:
-        """The left vertices the residual search from the left vertices of
-        start reaches (start included), along any arc to a right vertex and
-        back against flow to its holders; None as soon as it reaches a right
-        vertex with sink capacity left."""
-        nbrs, right_res, holders = self.nbrs, self.right_res, self.holders
-        seen_left, seen_right, frontier = start, 0, start
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                for v in nbrs[low.bit_length() - 1]:
-                    if (seen_right >> v) & 1:
-                        continue
-                    seen_right |= 1 << v
-                    if right_res[v]:
-                        return None
-                    nxt |= holders[v]
-            nxt &= ~seen_left
-            seen_left |= nxt
-            frontier = nxt
-        return seen_left
+        return self._search(self._roots(range(len(self.nbrs))))  # type: ignore[return-value]
 
     def _apply(self, path: list[tuple[int, int, int]], d: int) -> None:
         """Push d along each arc (u, v, +1) of path and cancel d on each
@@ -247,8 +220,8 @@ class ResidualFlow:
                         break
             left_res[u] = r
         while True:
-            found = self._search(self._roots(candidates), -1)
-            if found is None:
+            found = self._search(self._roots(candidates))
+            if not isinstance(found, tuple):
                 return
             path, root, d = found
             self._apply(path, d)
@@ -256,15 +229,14 @@ class ResidualFlow:
             right_res[path[0][1]] -= d
             self.total += d
 
-    def _search(self, roots: int, target: int
-                ) -> tuple[list[tuple[int, int, int]], int, int] | None:
-        """Shortest residual path from a root to the sink (target < 0) or to
-        the left vertex target, entered against one of its arcs.
+    def _search(self, roots: int) -> tuple[list[tuple[int, int, int]], int, int] | int:
+        """Shortest residual path from a root to the sink, or else the mask
+        of the left vertices reached (roots included).
 
         Left vertices are searched layer by layer in ascending order, and
-        each one's right vertices in ascending order. Returns (arcs, root,
-        bottleneck) with arcs (u, v, +1 forward / -1 cancelled) listed from
-        the far end back to the root, or None.
+        each one's right vertices in ascending order. A path is returned as
+        (arcs, root, bottleneck) with arcs (u, v, +1 forward / -1 cancelled)
+        listed from the sink end back to the root.
         """
         nbrs, right_res, holders = self.nbrs, self.right_res, self.holders
         # BFS in the residual graph: u -> v on any arc, v -> u' against flow u' -> v
@@ -282,7 +254,7 @@ class ResidualFlow:
                         continue
                     seen_right |= 1 << v
                     reached_from[v] = u
-                    if target < 0 and right_res[v]:
+                    if right_res[v]:
                         end = v
                         break
                     back = holders[v] & ~seen_left
@@ -290,23 +262,16 @@ class ResidualFlow:
                         continue
                     seen_left |= back
                     nxt |= back
-                    if target >= 0 and (back >> target) & 1:
-                        end = v
-                        break
                     while back:
                         low = back & -back
                         back ^= low
                         cancels[low.bit_length() - 1] = v
             frontier = nxt
         if end < 0:
-            return None
-        # walk back from the far end to a root, keeping the bottleneck
+            return seen_left
+        # walk back from the sink end to a root, keeping the bottleneck
         flow, arcs = self.flow, self.arcs
-        if target < 0:
-            path, d = [], right_res[end]
-        else:
-            path, d = [(target, end, -1)], flow[arcs[target, end]]
-        v = end
+        path, d, v = [], right_res[end], end
         while True:
             u = reached_from[v]
             path.append((u, v, 1))
@@ -316,4 +281,3 @@ class ResidualFlow:
             path.append((u, prev, -1))
             d = min(d, flow[arcs[u, prev]])
             v = prev
-

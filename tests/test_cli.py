@@ -722,6 +722,19 @@ def test_internal_invariant_error_exit_three(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_out_of_memory_exit_one(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    gap = tmp_path / "gap2.json"
+    main(["gen", "--flavor", "gap", "--m", "2", "--out", str(gap)])
+    monkeypatch.setattr(cli, "solve_cover", exhausted)
+    assert main(["solve-cover", "--in", str(gap), "--b", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+
+
 def test_union_matroid_core_solves(tmp_path, capsys):
     """A 14-element core whose matroid is a JSON union of three parts of rank 13."""
 
@@ -821,6 +834,21 @@ def test_gen_refuses_out_of_range_flags(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: must be") and "randrange" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m", [MAX_INDEX + 1, 10 ** 9])
+def test_gen_refuses_more_entities_than_the_parser_reads(tmp_path, capsys, m):
+    """Refused before anything is built: the document would be one the
+    parser refuses, or would not fit in memory."""
+    out = tmp_path / "huge.json"
+    assert main(["gen", "--flavor", "gap", "--m", str(m), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --m: must be at most {MAX_INDEX}\n"
+    assert not out.exists()
+
+
+def test_gen_takes_as_many_entities_as_the_parser_reads(monkeypatch):
+    monkeypatch.setattr("matalloc.instances.gen_gap_instance", lambda m, b: m)
+    assert gen_random("gap", 0, m=MAX_INDEX) == MAX_INDEX
 
 
 @pytest.mark.parametrize("flavor", ["gap", "core-cover", "unrelated-santa", "restricted-santa",

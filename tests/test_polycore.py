@@ -966,13 +966,24 @@ def test_matching_is_a_maximum_matching(seed):
     assert (matching.perfect_matching(adj, len(right)) is None) == (total < len(adj))
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
-    """On a flow that carries all of its supply c: None iff c + 1_u is
-    carried in full, else exactly the z != u for which c − 1_z + 1_u is."""
-    rng = random.Random(seed)
-    adj, _, right = random_network(rng)
-    res = ResidualFlow(ArcNumbering(adj), [rng.randint(0, 4) for _ in adj], right)
+def step_supply(rng, res, supply):
+    """Raise or lower one random left vertex's supply of res, in step with
+    the list supply."""
+    u = rng.randrange(len(supply))
+    if rng.random() < 0.5:
+        d = rng.randint(0, 4)
+        supply[u] += d
+        res.raise_supply(u, d)
+    else:
+        d = rng.randint(0, supply[u])
+        supply[u] -= d
+        res.lower_supply(u, d)
+
+
+def assert_exchanges_match_carried(res, adj, right):
+    """Drop res's unused supply, which leaves a flow that carries all of its
+    supply c; then exchanges(u) is None iff c + 1_u is carried in full, else
+    exactly the z != u for which c − 1_z + 1_u is."""
     c = [sum(f for (w, _), f in arc_flows(res).items() if w == u) for u in range(len(adj))]
     res.left_res = [0] * len(adj)
 
@@ -984,6 +995,25 @@ def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
         swaps = [z for z in range(len(adj)) if z != u and c[z]
                  and carried([v - (w == z) for w, v in enumerate(up)])]
         assert res.exchanges(u) == (None if carried(up) else sum(1 << z for z in swaps))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_exchanges_name_the_units_one_more_unit_can_replace(seed):
+    rng = random.Random(seed)
+    adj, _, right = random_network(rng)
+    res = ResidualFlow(ArcNumbering(adj), [rng.randint(0, 4) for _ in adj], right)
+    assert_exchanges_match_carried(res, adj, right)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_exchanges_after_raises_and_lowers(seed):
+    """The same on a kept flow whose arcs six raises and lowers have moved."""
+    rng = random.Random(seed)
+    adj, left, right = random_network(rng)
+    res = ResidualFlow(ArcNumbering(adj), left, right)
+    for _ in range(6):
+        step_supply(rng, res, left)
+    assert_exchanges_match_carried(res, adj, right)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -1001,15 +1031,7 @@ def test_a_copy_shares_the_neighbour_lists_and_not_the_flow(seed):
     assert twin.nbrs is res.nbrs and twin.arcs is res.arcs
     supply = list(left)
     for _ in range(6):
-        u = rng.randrange(len(adj))
-        if rng.random() < 0.5:
-            d = rng.randint(0, 4)
-            supply[u] += d
-            twin.raise_supply(u, d)
-        else:
-            d = rng.randint(0, supply[u])
-            supply[u] -= d
-            twin.lower_supply(u, d)
+        step_supply(rng, twin, supply)
         assert_is_flow(twin, adj, supply, right)
     assert (arc_flows(res), res.left_res, res.right_res, res.holders, res.total) == kept
     assert_is_flow(res, adj, left, right)
@@ -1029,15 +1051,7 @@ def test_source_side_is_what_every_minimum_cut_keeps(seed):
             if v == least:
                 sink_side |= t
         assert res.source_side() == full_mask(len(adj)) & ~sink_side
-        u = rng.randrange(len(adj))
-        if rng.random() < 0.5:
-            d = rng.randint(0, 4)
-            left[u] += d
-            res.raise_supply(u, d)
-        else:
-            d = rng.randint(0, left[u])
-            left[u] -= d
-            res.lower_supply(u, d)
+        step_supply(rng, res, left)
 
 
 def marginal_queries(seed):
