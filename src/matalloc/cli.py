@@ -209,6 +209,8 @@ def cmd_bench(args) -> int:
     caps = _caps(args)
     rows = []
     worst: Fraction | None = None
+    if not Path(args.dir).is_dir():
+        raise SchemaError(f"--dir: {args.dir} is not a directory")
     for path in sorted(Path(args.dir).glob("*.json")):
         row: dict = {"file": path.name}
         try:
@@ -242,6 +244,8 @@ def cmd_bench(args) -> int:
                 row.update({"brute_opt": str(brute_opt_makespan(inst, caps).value)})
         except SizeCapError as exc:
             row.update({"skipped": f"cap: {exc}"})
+        except SchemaError as exc:
+            raise SchemaError(f"{path.name}: {exc}") from None
         rows.append(row)
     if worst is not None:
         rows.append({"file": "WORST", "ratio": str(worst)})

@@ -2,9 +2,10 @@
 
 Left vertices are list indices, right vertices are bit positions of the
 adjacency masks. The flow uses breadth-first augmenting paths in exact
-integers and is kept in residual form (ResidualFlow), so changing one left
-vertex's supply costs a few searches instead of a new flow; a matching is
-the flow with unit capacities. The searches run over per-left-vertex
+integers and is kept in residual form (ResidualFlow), so raising one left
+vertex's supply costs a few searches instead of a new flow, and lowering
+the supply of a flow that uses all of it costs none; a matching is the
+flow with unit capacities. The searches run over per-left-vertex
 neighbour tuples and an arc numbering (ArcNumbering), built once per
 adjacency and shared by every flow over it and by their copies, and the
 arc flows are one flat list, so a copy is a few list copies.
@@ -66,10 +67,11 @@ class ResidualFlow:
     sink up to right_caps[v]. By max-flow/min-cut the value is
     min over left subsets T of supply(T) + right_caps(N(rest)).
     The constructor saturates greedy direct paths first, then shortest
-    augmenting paths by BFS. raise_supply and lower_supply change one left
-    vertex's supply and restore a maximum flow by augmenting paths (a raise
-    searches from that vertex only); copy() keeps the original for the next
-    question.
+    augmenting paths by BFS. raise_supply adds to one left vertex's supply
+    and restores a maximum flow by augmenting paths from that vertex only;
+    lower_supply takes units a flow that uses all of its supply carries off
+    one vertex, which leaves it maximum; copy() keeps the original for the
+    next question.
 
     nbrs and arcs are the numbering's (ArcNumbering), which the flow
     shares with its copies and with every other flow built on it;
@@ -114,39 +116,19 @@ class ResidualFlow:
         self._augment((u,))
         return self.total - before
 
-    def lower_supply(self, u: int, d: int) -> int:
-        """Take d (at most u's supply) off u's supply and restore a maximum
-        flow; returns the loss.
-
-        Unused supply goes first. The excess is cancelled on u's arcs,
-        straight back from the sink, which leaves a feasible flow; augmenting
-        from every left vertex with supply left then makes it maximum again
-        (Ford and Fulkerson 1956), as the constructor does. When no other
-        vertex has supply left, nothing augments and the flow is the one the
-        cancelling left.
-        """
-        left_res, flow, holders, arcs = self.left_res, self.flow, self.holders, self.arcs
-        spare = min(d, left_res[u])
-        left_res[u] -= spare
-        excess = d - spare
-        if not excess:
-            return 0
-        before = self.total
+    def lower_supply(self, u: int, d: int) -> None:
+        """For a flow that uses all of its supply: take d (at most u's
+        supply) off u's supply by cancelling d units on u's arcs, straight
+        back from the sink. The flow still uses all of its supply, so it
+        stays maximum."""
+        self.total -= d
         for v in self.nbrs[u]:
-            if not excess:
-                break
-            if not (holders[v] >> u) & 1:
-                continue
-            a = arcs[u, v]
-            step = min(excess, flow[a])
-            flow[a] -= step
-            if not flow[a]:
-                holders[v] &= ~(1 << u)
+            if not d:
+                return
+            step = min(d, self.flow[self.arcs[u, v]])
+            self._apply([(u, v, -1)], step)
             self.right_res[v] += step
-            self.total -= step
-            excess -= step
-        self._augment(range(len(left_res)))
-        return before - self.total
+            d -= step
 
     def exchanges(self, u: int) -> int | None:
         """For a flow that uses all of its supply: None when one more unit of

@@ -36,7 +36,8 @@ search on the kept flow of X (leave_one_out_reaches,
 CutNetwork.leave_one_out): i's marginal reaches h exactly when i's supply
 is h and some minimum cut holds i's source arc, that is, when the search
 from the source does not reach i (max-flow min-cut, Ford and Fulkerson
-1956). A missing kept flow is derived from one a single element away.
+1956). A missing kept flow is derived by raising one element's supply on
+a copy of the kept flow of the set without it.
 
 A cut network, a scaled-rank part, or a sum of scaled-rank and plain
 cut-network parts has a partition form: matroid copies (none for a cut
@@ -214,30 +215,22 @@ class CutNetwork:
 
     def _residual(self, h: int, off: int) -> ResidualFlow:
         """The max flow of the h-capped off ∪ base, kept per (h, off). A
-        missing one is derived from a kept flow one element j away: off − j
-        by raising j's supply, else off + j by lowering it; with neither it
-        is solved."""
+        missing one is derived by raising: a copy of the kept flow of
+        off − j for some j, with j's supply raised to min(h, _left[j]); with
+        none kept it is solved."""
         key = (h, off)
         res = self._residuals.get(key)
         if res is None:
-            res = self._residuals[key] = self._derive(h, off)
+            for j in bits(off):
+                near = self._residuals.get((h, off ^ 1 << j))
+                if near is not None:
+                    res = near.copy()
+                    res.raise_supply(j, min(h, self._left[j]))
+                    break
+            else:
+                res = self._flow([h if (off >> e) & 1 else 0 for e in range(len(self.covers))])
+            self._residuals[key] = res
         return res
-
-    def _derive(self, h: int, off: int) -> ResidualFlow:
-        residuals, left = self._residuals, self._left
-        for j in bits(off):
-            near = residuals.get((h, off ^ 1 << j))
-            if near is not None:
-                res = near.copy()
-                res.raise_supply(j, min(h, left[j]))
-                return res
-        for j in bits(full_mask(len(self.covers)) & ~off & ~self.base):
-            near = residuals.get((h, off | 1 << j))
-            if near is not None:
-                res = near.copy()
-                res.lower_supply(j, min(h, left[j]))
-                return res
-        return self._flow([h if (off >> e) & 1 else 0 for e in range(len(self.covers))])
 
 
 class PolymatroidOracle:

@@ -12,7 +12,7 @@ import pytest
 
 import matalloc
 import matalloc.cli as cli
-from matalloc import matroids
+from matalloc import instances, matroids
 from matalloc.cli import main
 from matalloc.instances import (MAX_INDEX, gen_random, matroid_from_json, parse_instance,
                                 poly_from_json, serialize_instance)
@@ -231,6 +231,25 @@ def test_bench_reports_a_makespan_optimum(tmp_path, capsys):
 def test_bench_empty_directory(tmp_path, capsys):
     code, out = run(capsys, "bench", "--dir", str(tmp_path))
     assert code == 0 and json.loads(out) == []
+
+
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_bench_refuses_a_dir_that_is_not_a_directory(tmp_path, capsys, where):
+    path = tmp_path / "corpus"
+    if where == "file":
+        path.write_text("{}")
+    code = main(["bench", "--dir", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: --dir: {path} is not a directory\n"
+
+
+def test_bench_names_the_malformed_file(tmp_path, capsys):
+    main(["gen", "--flavor", "gap", "--m", "2", "--out", str(tmp_path / "a.json")])
+    (tmp_path / "b.json").write_text('{"type": "nope"}')
+    code = main(["bench", "--dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: b.json: type: unknown instance type 'nope'\n"
 
 
 def test_bench_skips_oversized(tmp_path, capsys, monkeypatch):
@@ -847,7 +866,7 @@ def test_gen_refuses_more_entities_than_the_parser_reads(tmp_path, capsys, m):
 
 
 def test_gen_takes_as_many_entities_as_the_parser_reads(monkeypatch):
-    monkeypatch.setattr("matalloc.instances.gen_gap_instance", lambda m, b: m)
+    monkeypatch.setattr(instances, "gen_gap_instance", lambda m, b: m)
     assert gen_random("gap", 0, m=MAX_INDEX) == MAX_INDEX
 
 

@@ -944,9 +944,11 @@ def test_residual_flow_is_a_max_flow_through_raises_and_lowers(seed):
             left[u] += d
             assert res.raise_supply(u, d) == res.total - before
         else:
+            # a lowering is asked of a flow that carries all of its supply
+            left[:] = drop_unused_supply(res)
             d = rng.randint(0, left[u])
             left[u] -= d
-            assert res.lower_supply(u, d) == before - res.total
+            assert res.lower_supply(u, d) is None and res.total == before - d
         assert res.total == min_cut(adj, left, right)
         assert_is_flow(res, adj, left, right)
         # the copy still holds the flow it was taken from
@@ -966,8 +968,16 @@ def test_matching_is_a_maximum_matching(seed):
     assert (matching.perfect_matching(adj, len(right)) is None) == (total < len(adj))
 
 
+def drop_unused_supply(res):
+    """Set res's unused supply to 0, which leaves a flow that carries all of
+    its supply, and return that supply."""
+    res.left_res = [0] * len(res.nbrs)
+    return [sum(f for (w, _), f in arc_flows(res).items() if w == u) for u in range(len(res.nbrs))]
+
+
 def step_supply(rng, res, supply):
-    """Raise or lower one random left vertex's supply of res, in step with
+    """Raise one random left vertex's supply of res, or drop the unused
+    supply and lower one vertex's by at most what it carries, in step with
     the list supply."""
     u = rng.randrange(len(supply))
     if rng.random() < 0.5:
@@ -975,6 +985,7 @@ def step_supply(rng, res, supply):
         supply[u] += d
         res.raise_supply(u, d)
     else:
+        supply[:] = drop_unused_supply(res)
         d = rng.randint(0, supply[u])
         supply[u] -= d
         res.lower_supply(u, d)
@@ -984,8 +995,7 @@ def assert_exchanges_match_carried(res, adj, right):
     """Drop res's unused supply, which leaves a flow that carries all of its
     supply c; then exchanges(u) is None iff c + 1_u is carried in full, else
     exactly the z != u for which c − 1_z + 1_u is."""
-    c = [sum(f for (w, _), f in arc_flows(res).items() if w == u) for u in range(len(adj))]
-    res.left_res = [0] * len(adj)
+    c = drop_unused_supply(res)
 
     def carried(supply):
         return max_capacitated_flow(adj, supply, right) == sum(supply)
@@ -1341,6 +1351,45 @@ def test_induced_rank_paths_pass_through_the_plain_part(monkeypatch):
     p, lowered = plain_part_twice(monkeypatch)
     assert InducedMatroid(p).rank(0b1111) == brute_capped(p, [1] * 4, 0b1111) == 4
     assert lowered == [Z3, Z1]
+
+
+def scaled_rank_and_coverage(seed):
+    """One or two scaled-rank parts (scale 1..3) and a coverage part on
+    4..7 elements: a partition form with copies and a plain network part."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    u = rng.randint(1, n + 2)
+    parts = [ScaledRankPoly(random_matroid(rng, n), rng.randint(1, 3))
+             for _ in range(rng.randint(1, 2))]
+    return SumPoly(parts + [CoveragePoly([rng.getrandbits(u) for _ in range(n)],
+                                         [rng.randint(1, 3) for _ in range(u)])])
+
+
+def test_exchange_paths_lower_only_flows_that_carry_all_of_their_supply(monkeypatch):
+    """lower_supply's precondition holds where exchange paths take units
+    out of the plain part: every flow it lowers has no unused supply. Over
+    membership and the induced ranks on seeded sums of scaled-rank and
+    coverage parts, and on plain_part_twice, all answered right."""
+    lowered = []
+    lower = ResidualFlow.lower_supply
+
+    def checked(self, u, d):
+        assert not any(self.left_res)
+        lowered.append(u)
+        lower(self, u, d)
+
+    monkeypatch.setattr(ResidualFlow, "lower_supply", checked)
+    for seed in range(30):
+        p = scaled_rank_and_coverage(seed)
+        for x in partition_probes(random.Random(seed), p):
+            assert member(p, x) == sfm_member(p, x), (seed, x)
+        ind = InducedMatroid(p)
+        for mask in range(1 << p.n):
+            assert ind.rank(mask) == brute_capped(p, [1] * p.n, mask), (seed, mask)
+    assert lowered
+    p, twice = plain_part_twice(monkeypatch)
+    assert member(p, (1, 1, 1, 1)) and InducedMatroid(p).rank(0b1111) == 4
+    assert twice == [Z3, Z1]   # the rank reads the placement member kept
 
 
 def partition_sum(n=8):
