@@ -4,9 +4,9 @@
 The LP is solved with an exact simplex, so the additive guarantees are
 checked with exact comparisons: the max-min rounding loses at most the
 largest value against each player's own fractional total, and the makespan
-rounding gains at most the largest size. Guess the smallest feasible load
-bound on the achievable-load grid and the classical two-approximation for
-restricted instances falls out.
+rounding gains at most the largest size. Bisect for the smallest feasible
+load level (an integer over the instance's scale) and the classical
+two-approximation for restricted instances falls out.
 """
 
 import random

@@ -160,7 +160,11 @@ def cmd_round(args) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
     if not isinstance(inst, (SantaInstance, MakespanInstance)):
         raise SchemaError("round expects a santa or makespan instance")
-    frac = _frac_from_json(json.loads(Path(args.frac).read_text()), inst)
+    try:
+        raw = json.loads(Path(args.frac).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"--frac: not valid JSON: {exc}") from exc
+    frac = _frac_from_json(raw, inst)
     rounder = round_santa if isinstance(inst, SantaInstance) else round_makespan
     _emit({"assign": [list(v) for v in rounder(inst, frac, _caps(args))]}, args.out, "json")
     return 0

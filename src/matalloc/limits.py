@@ -45,7 +45,7 @@ class Caps:
     assignments: int = 10**7      # classical brute-force assignment count
     lp_vars: int = 200            # assignment-LP variable count
     configs_per_player: int = 10**5
-    guess_grid: int = 2**16
+    guess_grid: int = 2**16       # subset sums of one player's santa grid column
 
     def override(self, **kwargs) -> "Caps":
         return replace(self, **kwargs)

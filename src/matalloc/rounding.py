@@ -14,21 +14,21 @@ is classical (one unit each), else as the direct sum of their memberships
 sum onto its entities, and the fill asks one count per slot for how many
 more fit). Each fractional row is checked before rounding.
 
-Eligibility, restrictedness, the LP's columns, the flow decision and the
-guess grids read the instance's one integer view (instances.IntegerValues:
-its values over one scale). A fractional point is integers over one
-positive denominator den (FractionalAssignment.point), as the exact
-simplex returns its vertex, so the row checks, the degree chains, the
-per-entity totals and every additive guarantee run in integers over
-scale·den; Fractions stay at the boundary (T, the x view, given rows).
+Eligibility, restrictedness, the LP's columns, the flow decision, the
+santa grid and the load levels read the instance's one integer view
+(instances.IntegerValues: its values over one scale). A fractional point
+is integers over one positive denominator den (FractionalAssignment.point),
+as the exact simplex returns its vertex, so the row checks, the degree
+chains, the per-entity totals and every additive guarantee run in integers
+over scale·den; Fractions stay at the boundary (T, the x view, given rows).
 When every item is classical and restricted (one value on all its
 eligible entities), the LP is a transportation problem: one exact max flow
 (matching.ResidualFlow) decides each guess (Lenstra, Shmoys and Tardos
 1990), and the simplex runs only when the point of a feasible guess is
 read (FractionalAssignment.point), so a guess loop over such an instance
 solves one LP. The objective-guessing primitives live here too:
-column_sums builds the guess grids (santa_guess_grid, makespan_guess_grid)
-and guess_loop is the one bisection over them.
+guess_loop is the one bisection, over santa_guess_grid (column_sums) or
+over integer load levels (lst_baseline).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
 from math import lcm, prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .bitsets import bits, full_mask
 from .instances import (MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals,
@@ -52,6 +52,7 @@ from .simplex import feasible_point
 
 
 Point = tuple[list[tuple[int, ...]], int]  # (rows, den): x[j][i] = rows[j][i]/den, den > 0
+G = TypeVar("G", Fraction, int)  # a guess: a grid entry or an integer level
 
 
 class FractionalAssignment:
@@ -561,18 +562,19 @@ def column_sums(columns: Iterable[Iterable[int | None]], caps: Caps = DEFAULT_CA
     return sums
 
 
-def guess_loop(solver: Callable[[Fraction], object], grid: Sequence[Fraction]
-               ) -> tuple[Fraction | None, object | None]:
-    """Binary search over the grid for an entry the solver accepts.
+def guess_loop(solver: Callable[[G], object], grid: Sequence[G]
+               ) -> tuple[G | None, object | None]:
+    """Binary search over a sequence of guesses (a grid, or a range of
+    integer levels) for one the solver accepts.
 
     solver(T) returns a solution or None/raises GuessRejected. Returns the
     last accepted probe with its solution, or (None, None) if every probe
-    fails. That is always an accepted grid entry; it is the largest one
-    when the solver is monotone (success at grid[k] implies success at
+    fails. That is always an accepted guess; it is the accepted one of largest
+    index when the solver is monotone (success at grid[k] implies success at
     grid[k'] for k' < k), which reduce_to_core is not known to be.
     """
     lo, hi = 0, len(grid) - 1
-    best: tuple[Fraction | None, object | None] = (None, None)
+    best: tuple[G | None, object | None] = (None, None)
     while lo <= hi:
         mid = (lo + hi) // 2
         try:
@@ -597,36 +599,23 @@ def santa_guess_grid(inst: SantaInstance, caps: Caps = DEFAULT_CAPS) -> list[Fra
     return [Fraction(s, view.scale) for s in sorted(column_sums(columns, caps)) if s]
 
 
-def makespan_guess_grid(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS) -> list[Fraction]:
-    """Achievable-load grid: per machine, all subset sums of its finite sizes,
-    where a matroid job of size p may put p·t on machine i for any t up to
-    its rank f({i}); in integers over the instance's scale."""
-    view = inst.int_values
-
-    def column(i: int):
-        for it, v in zip(inst.jobs, view.values):
-            if it.polymatroid is None:
-                yield v[i]
-                continue
-            # the multiples v·t, t <= f({i}), as the subset sums of v·1, v·2, v·4, ...
-            t, c = it.polymatroid.value(1 << i) if v else 0, 1
-            while t > 0:
-                yield v * min(c, t)
-                t, c = t - c, 2 * c
-
-    sums = column_sums(map(column, range(inst.num_machines)), caps)
-    return [Fraction(s, view.scale) for s in sorted(sums)]
-
-
 def lst_baseline(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS
                  ) -> tuple[list[tuple[int, ...]], Fraction]:
     """Assignment-LP guessing plus additive rounding: makespan <= T* + p_max
-    where T* is the smallest LP-feasible guess on the achievable-load grid."""
-    grid = makespan_guess_grid(inst, caps)[::-1]
-    t_star, frac = guess_loop(lambda T: solve_assignment_lp(inst, T, caps), grid)
-    if t_star is None:
+    where T* = k/L is the smallest LP-feasible load level (L the instance's
+    scale). Loads are integers over L and LP feasibility is monotone in T, so
+    T* <= OPT. Level top is feasible: a classical job fits whole where it is
+    smallest, and any basis of a matroid job puts at most v·f({i}) on i."""
+    view, m = inst.int_values, inst.num_machines
+    top = sum(v * max((it.polymatroid.value(1 << i) for i in range(m)), default=0)
+              if it.polymatroid is not None else min(filter(None, v), default=0)
+              for it, v in zip(inst.jobs, view.values))
+    k, frac = guess_loop(lambda k: solve_assignment_lp(inst, Fraction(k, view.scale), caps),
+                         range(top, -1, -1))
+    if k is None:
         raise ContractViolation("no feasible guess: some job fits on no machine")
-    if inst.is_matroid_flavor or all(inst.int_values.restricted):
+    t_star = Fraction(k, view.scale)
+    if inst.is_matroid_flavor or all(view.restricted):
         alloc = round_makespan(inst, frac, caps)
     else:
         alloc = assignment_to_alloc(lst_round_unrelated(inst, frac), inst.num_machines)

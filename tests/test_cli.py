@@ -155,6 +155,16 @@ def test_round_frac_without_threshold_exit_one(tmp_path, capsys):
     assert "frac.T" in capsys.readouterr().err
 
 
+def test_round_frac_that_is_not_json_exit_one(tmp_path, capsys):
+    inst = tmp_path / "santa.json"
+    main(["gen", "--flavor", "unrelated-santa", "--m", "2", "--n", "2", "--out", str(inst)])
+    frac = tmp_path / "frac.json"
+    frac.write_text("T = 1\n")
+    assert main(["round", "--in", str(inst), "--frac", str(frac)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --frac: not valid JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+
 def test_round_rational_without_den_exit_one(tmp_path, capsys):
     doc = {"T": 1, "x": [[{"num": 1}, 0], [0, 1]]}
     assert _round_with_frac(tmp_path, doc) == 1

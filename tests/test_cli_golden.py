@@ -24,7 +24,7 @@ import pytest
 from matalloc.cli import main
 from matalloc.instances import (MakespanInstance, _rat_to_json, entity_totals, gen_random,
                                 serialize_instance)
-from matalloc.rounding import guess_loop, makespan_guess_grid, santa_guess_grid, solve_assignment_lp
+from matalloc.rounding import guess_loop, lst_baseline, santa_guess_grid, solve_assignment_lp
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
@@ -41,13 +41,13 @@ def _frac_json(T, rows) -> str:
 
 
 def _lp_frac(inst) -> str:
-    """The assignment LP's point at the best feasible guess of inst's grid:
-    the largest for santa, the smallest for makespan."""
+    """The assignment LP's point at the best feasible guess: the largest of
+    inst's grid for santa, lst_baseline's smallest level for makespan."""
     if isinstance(inst, MakespanInstance):
-        grid = makespan_guess_grid(inst)[::-1]
+        best = lst_baseline(inst)[1]
+        frac = solve_assignment_lp(inst, best)
     else:
-        grid = santa_guess_grid(inst)
-    best, frac = guess_loop(lambda t: solve_assignment_lp(inst, t), grid)
+        best, frac = guess_loop(lambda t: solve_assignment_lp(inst, t), santa_guess_grid(inst))
     return _frac_json(best, frac.x)
 
 

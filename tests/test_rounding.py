@@ -4,7 +4,7 @@ exact-guarantee checks with independently constructed fractional inputs."""
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +22,7 @@ from matalloc.polymatroids import (CoveragePoly, CutNetwork, ModularPoly, Scaled
 from matalloc.matroids import UniformMatroid
 from matalloc.rounding import (FractionalAssignment, additive_round_santa, assignment_lp_columns,
                                assignment_lp_rows, column_sums, item_value_poly,
-                               guess_loop, lst_baseline, makespan_guess_grid, round_makespan,
-                               round_santa,
+                               guess_loop, lst_baseline, round_makespan, round_santa,
                                santa_guess_grid, solve_assignment_lp)
 from matalloc.simplex import feasible_point, final_tableau
 
@@ -298,18 +297,36 @@ class TestLstBaseline:
             assert max(sum(inst.jobs[j].values[i] * vec[i] for j, vec in enumerate(alloc)
                            if vec[i]) for i in range(2)) <= t_star + pmax
 
-    def test_t_star_is_smallest_feasible_grid_point(self):
-        for flavor in ("restricted-makespan", "two-value-makespan"):
-            for seed in range(3):
-                inst = gen_random(flavor, seed, m=2, n=4)
-                first = next(T for T in makespan_guess_grid(inst)
-                             if solve_assignment_lp(inst, T) is not None)
-                assert lst_baseline(inst)[1] == first
+    def test_t_star_is_the_smallest_feasible_level(self):
+        """A scan k = 0, 1, ... for the first LP-feasible level k/L (L the
+        instance's scale) finds lst_baseline's T*."""
+        for flavor in ("restricted-makespan", "two-value-makespan", "makespan-matroid"):
+            for seed in range(6):
+                inst = gen_random(flavor, seed, m=3, n=3 if "matroid" in flavor else 5,
+                                  u=F(1, 3), w=F(5, 2))
+                scale = inst.int_values.scale
+                k = next(k for k in count() if solve_assignment_lp(inst, F(k, scale)) is not None)
+                assert lst_baseline(inst)[1] == F(k, scale), (flavor, seed)
 
-    def test_grid_contains_opt(self):
-        mk = MakespanInstance(2, [Item(values=(F(1), F(2))), Item(values=(F(3), None))])
-        grid = makespan_guess_grid(mk)
-        assert F(3) in grid and F(4) in grid
+    def test_no_job_needs_no_level(self):
+        for m in (0, 2):
+            assert lst_baseline(MakespanInstance(m, [])) == ([], F(0))
+
+    @pytest.mark.parametrize("inst", [MakespanInstance(2, [Item(values=(None, None))]),
+                                      MakespanInstance(0, [Item(values=())])])
+    def test_a_job_that_fits_nowhere_is_refused(self, inst):
+        with pytest.raises(ContractViolation, match="no feasible guess"):
+            lst_baseline(inst)
+
+    def test_many_sizes_need_no_grid(self):
+        """Two machines and jobs of sizes 1/1 .. 1/20, whose subset sums
+        overflow the default grid cap: T* is the first level at or above the
+        LP optimum H_20/2, and the schedule keeps its additive bound."""
+        inst = MakespanInstance(2, [Item(values=(F(1, j), F(1, j))) for j in range(1, 21)])
+        scale = inst.int_values.scale
+        alloc, t_star = lst_baseline(inst)
+        assert t_star == F(math.ceil(scale * sum(F(1, j) for j in range(1, 21)) / 2), scale)
+        assert max(loads(inst, alloc)) <= t_star + 1
 
 
 def eager_point(inst, t):
@@ -339,6 +356,17 @@ def counting_simplex(monkeypatch, answer=None):
     return calls
 
 
+def load_levels(inst, most=None):
+    """The load levels k/L that lst_baseline bisects on a classical
+    instance, k = 0 .. top, where L is the instance's scale and top/L the
+    load of every job put whole where it is smallest; with most, at most
+    about that many of them, evenly spaced."""
+    scale = inst.int_values.scale
+    top = int(scale * sum(min((v for v in it.values if v), default=F(0)) for it in inst.jobs))
+    step = 1 if most is None else max(1, top // most)
+    return [F(k, scale) for k in range(0, top + 1, step)]
+
+
 def restricted_draws():
     """Restricted santa and makespan draws at m = 2..5, each also with a
     resource no player values, or with a job of size 0 on some machines."""
@@ -360,7 +388,7 @@ class TestFlowDecision:
         for inst in restricted_draws():
             makespan = isinstance(inst, MakespanInstance)
             assert all(inst.int_values.restricted)
-            grid = makespan_guess_grid(inst) if makespan else santa_guess_grid(inst)
+            grid = load_levels(inst) if makespan else santa_guess_grid(inst)
             for t in grid + [F(0), F(1, 3), F(7, 2)]:
                 frac = solve_assignment_lp(inst, t)
                 assert calls == []
@@ -371,8 +399,8 @@ class TestFlowDecision:
 
     def test_flow_decides_as_the_simplex_over_several_denominators(self, monkeypatch):
         """Restricted draws whose values have denominators 1, 2, 3, 5 and 7,
-        with worthless resources and zero-size jobs, at every grid point and
-        at thresholds between them."""
+        with worthless resources and zero-size jobs, at every santa grid point,
+        at most 40 evenly spaced load levels, and thresholds between them."""
         calls = counting_simplex(monkeypatch)
         rng = random.Random(23)
         outcomes = {True: 0, False: 0}
@@ -385,7 +413,7 @@ class TestFlowDecision:
                 off = None if makespan else F(0)
                 items.append(Item(values=tuple(v if i in allowed else off for i in range(m))))
             inst = (MakespanInstance if makespan else SantaInstance)(m, items)
-            grid = makespan_guess_grid(inst) if makespan else santa_guess_grid(inst)
+            grid = load_levels(inst, 40) if makespan else santa_guess_grid(inst)
             for t in grid + [(a + b) / 2 for a, b in zip(grid, grid[1:])] + [F(0), F(1, 7)]:
                 frac = solve_assignment_lp(inst, t)
                 assert calls == []
@@ -413,7 +441,7 @@ class TestFlowDecision:
         guesses = 0
         for inst in restricted_draws():
             makespan = isinstance(inst, MakespanInstance)
-            for t in makespan_guess_grid(inst) if makespan else santa_guess_grid(inst):
+            for t in load_levels(inst) if makespan else santa_guess_grid(inst):
                 if assignment_lp_columns(inst, t) is None:
                     continue
                 before = built["flows"]
@@ -452,7 +480,7 @@ class TestDeferredPoint:
     def test_point_is_solved_once_on_the_first_read(self, monkeypatch):
         for inst in restricted_draws():
             makespan = isinstance(inst, MakespanInstance)
-            grid = makespan_guess_grid(inst) if makespan else santa_guess_grid(inst)
+            grid = load_levels(inst) if makespan else santa_guess_grid(inst)
             t = grid[len(grid) // 3]
             want = eager_point(inst, t)
             if want is None:
@@ -512,18 +540,15 @@ class TestColumnSums:
 
 
 def brute_columns(inst):
-    """Each entity's column of the guess grid in Fractions: a classical
-    item's value there; a matroid item's value times its rank on the entity
-    (santa), or its value once per unit of that rank (makespan)."""
-    makespan = isinstance(inst, MakespanInstance)
+    """Each player's column of the santa grid in Fractions: a classical
+    resource's value there, a matroid resource's value times its rank on
+    the player."""
     columns = []
-    for i in range(inst.num_entities):
+    for i in range(inst.num_players):
         column = []
-        for it in inst.items:
+        for it in inst.resources:
             if it.polymatroid is None:
                 column.append(it.values[i])
-            elif makespan:
-                column += [it.value] * it.polymatroid.value(1 << i)
             else:
                 column.append(it.value * it.polymatroid.value(1 << i))
         columns.append([v for v in column if v])
@@ -536,17 +561,17 @@ def brute_sums(column):
 
 
 def grid_draws():
-    """Every santa and makespan generator flavor, plus hand-made instances,
-    each all classical or all matroid, with values over denominators 1, 2,
-    3, 5 and 7, zeros and infinite sizes."""
+    """Every santa generator flavor, plus hand-made instances, each all
+    classical or all matroid, with values over denominators 1, 2, 3, 5 and 7
+    and zeros. The hand-made stream still draws makespan instances and drops
+    them, so its santa draws stay the same."""
     for seed in range(6):
         for flavor in ("unrelated-santa", "restricted-santa", "two-value-santa",
-                       "two-value-makespan", "restricted-makespan", "santa-matroid",
-                       "makespan-matroid"):
+                       "santa-matroid"):
             yield gen_random(flavor, seed, m=3, n=3 if "matroid" in flavor else 5,
                              u=F(1, 3), w=F(5, 2))
     rng = random.Random(11)
-    for _ in range(80):
+    for _ in range(160):
         m, makespan = rng.randint(1, 3), rng.random() < 0.5
 
         def value():
@@ -561,14 +586,15 @@ def grid_draws():
             else:
                 items.append(Item(values=tuple(None if makespan and rng.random() < 0.3
                                                 else value() for _ in range(m))))
-        yield (MakespanInstance if makespan else SantaInstance)(m, items)
+        if not makespan:
+            yield SantaInstance(m, items)
 
 
 class TestGridsFromTheView:
     def test_grids_match_brute_force_subset_sums(self, monkeypatch):
-        """Each grid is the union of the brute-force subset sums of its
-        columns (positive ones for santa), and a cap raises SizeCapError at
-        the first column with more sums than it allows."""
+        """The santa grid is the union of the positive brute-force subset
+        sums of its columns, and a cap raises SizeCapError at the first
+        column with more sums than it allows."""
         real = rounding.column_sums
         raised_at = []
 
@@ -593,19 +619,16 @@ class TestGridsFromTheView:
             if max(map(len, columns), default=0) > 8:
                 continue
             sums = [brute_sums(column) for column in columns]
-            makespan = isinstance(inst, MakespanInstance)
             for cap in (4, 9, Caps().guess_grid):
                 over = next((c for c, mine in enumerate(sums) if len(mine) > cap), None)
-                grid = makespan_guess_grid if makespan else santa_guess_grid
                 if over is None:
-                    want = set().union(*sums)
-                    assert grid(inst, Caps(guess_grid=cap)) == sorted(
-                        want if makespan else want - {0}), inst
+                    want = set().union(*sums) - {0}
+                    assert santa_guess_grid(inst, Caps(guess_grid=cap)) == sorted(want), inst
                     checked += 1
                 else:
                     raised_at.clear()
                     with pytest.raises(SizeCapError):
-                        grid(inst, Caps(guess_grid=cap))
+                        santa_guess_grid(inst, Caps(guess_grid=cap))
                     assert raised_at == [over], inst
                     raised += 1
         assert checked >= 150 and raised >= 50, (checked, raised)
@@ -619,13 +642,12 @@ class TestGridsFromTheView:
 
 class TestMatroidJobMultiples:
     def test_lst_baseline_reaches_the_optimum_on_matroid_jobs(self):
-        """A matroid job can put p·t on machine i for every t <= f({i}), so
-        the makespan grid holds those loads and lst_baseline finds a guess
-        T* <= OPT on each draw, within its additive bound."""
+        """A matroid job can put p·t on machine i for every t <= f({i}), and
+        lst_baseline finds a level T* <= OPT on each draw, within its
+        additive bound."""
         for seed in range(60):
             inst = gen_random("makespan-matroid", seed, m=3, n=3)
             opt = brute_opt_makespan(inst).value
-            assert opt in makespan_guess_grid(inst), seed
             alloc, t_star = lst_baseline(inst)
             assert t_star <= opt, seed
             for it, vec in zip(inst.jobs, alloc):
@@ -633,11 +655,12 @@ class TestMatroidJobMultiples:
             pmax = max(it.value for it in inst.jobs)
             assert max(entity_totals(inst, alloc)) <= t_star + pmax, seed
 
-    def test_multiples_of_a_large_rank_stay_within_the_cap(self):
-        job = Item(value=F(1, 3), polymatroid=ScaledRankPoly(UniformMatroid(1, 1), 1000))
-        assert makespan_guess_grid(MakespanInstance(1, [job])) == [F(t, 3) for t in range(1001)]
-        with pytest.raises(SizeCapError):
-            makespan_guess_grid(MakespanInstance(1, [job]), Caps(guess_grid=1000))
+    def test_the_grid_cap_does_not_bind_a_large_rank(self):
+        """200 multiples of 1/3 on one machine: more loads than the grid cap
+        allows, and lst_baseline bisects the levels without a grid."""
+        job = Item(value=F(1, 3), polymatroid=ScaledRankPoly(UniformMatroid(1, 1), 200))
+        assert lst_baseline(MakespanInstance(1, [job]), Caps(guess_grid=100)) == (
+            [(200,)], F(200, 3))
 
 
 @pytest.mark.xfail(strict=True, reason="a matroid resource's santa column holds only "
@@ -976,7 +999,7 @@ def test_the_integer_point_and_its_rounding_match_the_fraction_path(monkeypatch)
         for makespan in (False, True):
             inst = gen_random("restricted-makespan" if makespan else "restricted-santa",
                               seed, m=m, n=n)
-            grid = makespan_guess_grid(inst)[::-1] if makespan else santa_guess_grid(inst)
+            grid = load_levels(inst)[::-1] if makespan else santa_guess_grid(inst)
             t, frac = guess_loop(lambda T: solve_assignment_lp(inst, T), grid)
             if t is None:
                 continue
