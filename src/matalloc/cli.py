@@ -179,7 +179,9 @@ def _frac_from_json(raw, inst) -> FractionalAssignment:
             raise SchemaError(f"{path}: expected a rational")
         return v
 
-    if not isinstance(raw, dict) or "T" not in raw:
+    if not isinstance(raw, dict):
+        raise SchemaError("frac: expected an object")
+    if "T" not in raw:
         raise SchemaError("frac.T: missing")
     rows = raw.get("x")
     if not isinstance(rows, list) or len(rows) != len(inst.items):

@@ -24,16 +24,15 @@ where d_i is the basis determinant at the row's last update.
   (p·M[i][j] − M[i][c]·M[r][j]) // d_i. The division is exact: the result
   is p times the new true entry, a minor of the scaled constraint matrix.
   The objective row is kept the same way.
-- *Sign of det.* det is the determinant of the current basis. Phase-1
-  pivots are on positive true entries, so every d_i stays positive and the
-  phase-1 sign tests read the stored entries directly. The drive-out of
-  zero-level artificials may pivot on a negative entry and make det
-  negative, but it only tests entries for zero.
-- *Read-out.* The vertex is returned as integers over one denominator:
-  den is the lcm of the final rows' |d_i|, and a basic variable of row i
-  reads M[i][-1]·(den // d_i), so den is positive even where d_i is not
-  and every value is M[i][-1]/d_i exactly. A redundant row that the
-  drive-out deletes takes its d_i with it.
+- *Sign of det.* det is the determinant of the current basis. Every pivot
+  is on a positive true entry, so det and every d_i stay positive and the
+  sign tests read the stored entries directly.
+- *Read-out.* The run stops when phase one does. An artificial still basic
+  then sits at level 0, and the nonzero variables are basic, so their
+  columns are independent: the x-part is a vertex of the system. It is
+  returned as integers over one denominator: den is the lcm of the rows'
+  d_i, and a basic variable of row i reads M[i][-1]·(den // d_i), which is
+  M[i][-1]/d_i exactly.
 """
 
 from __future__ import annotations
@@ -56,23 +55,6 @@ def feasible_point(num_vars: int, constraints: Constraints) -> tuple[list[int], 
     var -> coefficient and sense one of "<=", ">=", "==". Coefficients and
     rhs are Fractions or ints.
     """
-    final = final_tableau(num_vars, constraints)
-    if final is None:
-        return None
-    tableau, basis, dens = final
-    den = lcm(*dens)  # math.lcm is nonnegative, and 1 for no rows
-    point = [0] * num_vars
-    for row, b, d in zip(tableau, basis, dens):
-        if b < num_vars:
-            point[b] = row[-1] * (den // d)
-    return point, den
-
-
-def final_tableau(num_vars: int, constraints: Constraints
-                  ) -> tuple[list[list[int]], list[int], list[int]] | None:
-    """The fraction-free tableau at the end of phase one and the drive-out:
-    its rows M_i, each row's basic column and each row's d_i, so that a
-    basic variable of row i is M[i][-1]/d_i. None when infeasible."""
     rows = []
     for coeffs, sense, rhs in constraints:
         coeffs = {j: c for j, c in coeffs.items() if c}
@@ -133,25 +115,6 @@ def final_tableau(num_vars: int, constraints: Constraints
             return row
         return [(p * a - f * b) // den for a, b in zip(row, prow)]
 
-    def pivot(row_i: int, col_j: int) -> None:
-        nonlocal det, obj, obj_den
-        prow = tableau[row_i]
-        if dens[row_i] != det:
-            prow = [v * det // dens[row_i] for v in prow]
-        p = prow[col_j]
-        nz = [(j, b) for j, b in enumerate(prow) if b]
-        for r, row in enumerate(tableau):
-            if r != row_i and row[col_j]:
-                tableau[r] = update(row, dens[r], prow, p, nz, col_j)
-                dens[r] = p
-        if obj[col_j]:
-            obj = update(obj, obj_den, prow, p, nz, col_j)
-            obj_den = p
-        tableau[row_i] = prow
-        dens[row_i] = p
-        basis[row_i] = col_j
-        det = p
-
     while True:
         enter = next((j for j in range(width - 1) if obj[j] < 0), None)
         if enter is None:
@@ -169,19 +132,24 @@ def final_tableau(num_vars: int, constraints: Constraints
                     leave = i
         if leave is None:
             return None  # unbounded phase-1 objective cannot happen; defensive
-        pivot(leave, enter)
+        prow = tableau[leave]
+        if dens[leave] != det:
+            prow = [v * det // dens[leave] for v in prow]
+        p = prow[enter]
+        nz = [(j, b) for j, b in enumerate(prow) if b]
+        for r, row in enumerate(tableau):
+            if r != leave and row[enter]:
+                tableau[r] = update(row, dens[r], prow, p, nz, enter)
+                dens[r] = p
+        obj = update(obj, obj_den, prow, p, nz, enter)  # obj[enter] < 0
+        tableau[leave], dens[leave], basis[leave] = prow, p, enter
+        obj_den = det = p
 
     if obj[-1] < 0:
         return None  # artificial sum cannot reach zero: infeasible
-
-    # drive zero-level artificials out of the basis (or drop redundant rows)
-    for i in range(len(tableau) - 1, -1, -1):
-        if basis[i] >= art_start:
-            col = next((j for j in range(art_start) if tableau[i][j]), None)
-            if col is None:
-                del tableau[i]
-                del basis[i]
-                del dens[i]
-            else:
-                pivot(i, col)
-    return tableau, basis, dens
+    den = lcm(*dens)  # 1 for no rows
+    point = [0] * num_vars
+    for row, b, d in zip(tableau, basis, dens):
+        if b < num_vars:
+            point[b] = row[-1] * (den // d)
+    return point, den

@@ -1,4 +1,5 @@
-"""Shared helpers: structure-aware exact solvers for reduction gadgets.
+"""Shared helpers: structure-aware exact solvers for reduction gadgets,
+seeded draws, and the dense Fraction tableau the simplex is checked against.
 
 The two-value gadget's max-min optimum is reached by canonical solutions in
 which every job-player holds exactly one resource (worth w to it) and every
@@ -7,6 +8,7 @@ each job-player's (machine, big-or-small) choice.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -250,3 +252,105 @@ def three_value_draw(seed):
     return SantaInstance(3, [Item(value=rng.choice([Fraction(1), Fraction(2), Fraction(6)]),
                                   polymatroid=ModularPoly([rng.randint(0, 2) for _ in range(3)]))
                              for _ in range(6)])
+
+
+def reference_point(num_vars, constraints, events=None):
+    """The textbook reference for matalloc.simplex: a dense phase-one tableau
+    over Fraction with Bland's rule, every entry divided through on each
+    pivot, then the drive-out of zero-level artificials (deleting the rows
+    where none can leave) before the read-out. events, if given, counts
+    ratio-test ties, deleted rows and drive-out pivots on negative entries."""
+    events = Counter() if events is None else events
+    rows = []
+    for coeffs, sense, rhs in constraints:
+        rhs = Fraction(rhs)
+        coeffs = {j: Fraction(c) for j, c in coeffs.items() if c}
+        if rhs < 0:
+            coeffs = {j: -c for j, c in coeffs.items()}
+            rhs = -rhs
+            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
+        rows.append((coeffs, sense, rhs))
+
+    num_slack = sum(1 for _, sense, _ in rows if sense != "==")
+    num_art = sum(1 for _, sense, _ in rows if sense != "<=")
+    width = num_vars + num_slack + num_art + 1
+    tableau, basis, art_cols = [], [], []
+    slack_at = num_vars
+    art_at = num_vars + num_slack
+    for coeffs, sense, rhs in rows:
+        row = [Fraction(0)] * width
+        for j, c in coeffs.items():
+            row[j] = c
+        if sense == "<=":
+            row[slack_at] = Fraction(1)
+            basis.append(slack_at)
+            slack_at += 1
+        else:
+            if sense == ">=":
+                row[slack_at] = Fraction(-1)
+                slack_at += 1
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_cols.append(art_at)
+            art_at += 1
+        row[-1] = rhs
+        tableau.append(row)
+
+    art_set = set(art_cols)
+    obj = [Fraction(0)] * width
+    for i, b in enumerate(basis):
+        if b in art_set:
+            for j in range(width):
+                obj[j] -= tableau[i][j]
+    for j in art_cols:
+        obj[j] = Fraction(0)
+
+    def pivot(row_i, col_j):
+        piv = tableau[row_i][col_j]
+        tableau[row_i] = [v / piv for v in tableau[row_i]]
+        for r in range(len(tableau)):
+            if r != row_i and tableau[r][col_j]:
+                f = tableau[r][col_j]
+                tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[row_i])]
+        if obj[col_j]:
+            f = obj[col_j]
+            for j in range(width):
+                obj[j] -= f * tableau[row_i][j]
+        basis[row_i] = col_j
+
+    while True:
+        enter = next((j for j in range(width - 1) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i, row in enumerate(tableau):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if ratio == best:
+                    events["tie"] += 1
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return None
+        pivot(leave, enter)
+
+    if -obj[-1] > 0:
+        return None
+
+    for i in range(len(tableau) - 1, -1, -1):
+        if basis[i] in art_set:
+            col = next((j for j in range(num_vars + num_slack) if tableau[i][j]), None)
+            if col is None:
+                events["deleted_row"] += 1
+                del tableau[i]
+                del basis[i]
+            else:
+                if tableau[i][col] < 0:
+                    events["negative_drive_out"] += 1
+                pivot(i, col)
+
+    point = [Fraction(0)] * num_vars
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            point[b] = tableau[i][-1]
+    return point

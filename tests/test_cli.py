@@ -171,6 +171,37 @@ def test_round_rational_without_den_exit_one(tmp_path, capsys):
     assert "frac.x[0][0]" in capsys.readouterr().err
 
 
+_SANTA_FRAC = {"T": 1, "x": [[1, 0], [0, 1]]}
+_REFUSALS = [
+    ("solve-cover", "unrelated-santa", None, "solve-cover expects a core-cover instance"),
+    ("round", "core-cover", _SANTA_FRAC, "round expects a santa or makespan instance"),
+    ("round", "unrelated-santa", [1], "frac: expected an object"),
+    ("round", "unrelated-santa", 5, "frac: expected an object"),
+    ("round", "unrelated-santa", {"T": 1, "x": [[1, 0]]}, "frac.x: expected one row per item"),
+    ("round", "unrelated-santa", {"T": 1, "x": [[1, 0], [0]]},
+     "frac.x[1]: expected one entry per entity"),
+    ("round", "unrelated-santa", {"T": 1, "x": [[1, None], [0, 1]]},
+     "frac.x[0][1]: expected a rational"),
+    ("round", "unrelated-santa", {"T": None, "x": [[1, 0], [0, 1]]},
+     "frac.T: expected a rational"),
+]
+
+
+@pytest.mark.parametrize("command, flavor, frac_doc, message", _REFUSALS,
+                         ids=[message for *_, message in _REFUSALS])
+def test_refusals_name_the_field_and_exit_one(tmp_path, capsys, command, flavor, frac_doc,
+                                              message):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--flavor", flavor, "--m", "2", "--n", "2", "--out", str(inst)])
+    argv = [command, "--in", str(inst)]
+    if frac_doc is not None:
+        frac = tmp_path / "frac.json"
+        frac.write_text(json.dumps(frac_doc))
+        argv += ["--frac", str(frac)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("raw", ['{"sfm_ground": "x"}', "5"])
 def test_malformed_caps_env_exit_one(tmp_path, capsys, monkeypatch, raw):
     g = tmp_path / "g.json"

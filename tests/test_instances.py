@@ -12,14 +12,16 @@ from matalloc.bitsets import full_mask
 from matalloc.instances import (Item, MakespanInstance, SantaInstance,
                                 assignment_to_alloc, entity_totals, gen_gap_instance,
                                 gen_random, matroid_from_json, matroid_to_json,
-                                merge_equal_value, parse_instance, poly_from_json,
+                                merge_equal_value, parse_instance, poly_from_json, poly_to_json,
                                 serialize_instance, split_merged_solution, validate_allocation)
 from matalloc.limits import SchemaError
 from matalloc.matroids import (ContractedMatroid, ExplicitMatroid, GraphicMatroid,
                                InducedMatroid, PartitionMatroid, TransversalMatroid,
                                UniformMatroid, UnionMatroid, ZeroedMatroid)
 from matalloc.oracle import brute_max_cover_b, check_axioms, enumerate_bases
-from matalloc.polymatroids import CoveragePoly, ModularPoly, ScaledRankPoly, SumPoly, is_basis
+from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ExplicitPoly, MarginalPoly,
+                                   ModularPoly, ScaledRankPoly, SumPoly, VectorContractedPoly,
+                                   is_basis)
 
 
 class TestJson:
@@ -91,6 +93,30 @@ class TestJson:
             assert matroid_to_json(again) == obj
             assert [again.rank(x) for x in range(1 << m.n)] == [m.rank(x) for x in range(1 << m.n)]
 
+
+    def test_every_polymatroid_kind_roundtrips_with_its_values(self):
+        modular = ModularPoly([2, 1, 3])
+        coverage = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
+        capped = CappedPoly(SumPoly([modular, coverage]), [1, None, 2])
+        polys = [
+            ("modular", modular),
+            ("coverage", coverage),
+            ("scaled-rank", ScaledRankPoly(GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)]), 2)),
+            ("explicit", ExplicitPoly(3, [coverage.value(x) for x in range(8)])),
+            ("sum", SumPoly([modular, coverage])),
+            ("capped", capped),
+            ("contracted", VectorContractedPoly(coverage, [1, 1, 0])),
+            ("set-contracted", MarginalPoly(coverage, 0b001)),
+            ("dual", DualPoly(modular, [2, 1, 3])),
+            ("set-contracted", MarginalPoly(capped, 0b010)),
+        ]
+        for kind, p in polys:
+            obj = json.loads(json.dumps(poly_to_json(p)))
+            assert obj["kind"] == kind
+            again = poly_from_json(obj)
+            assert poly_to_json(again) == obj
+            assert [again.value(x) for x in range(8)] == [p.value(x) for x in range(8)]
+        assert poly_to_json(polys[-1][1])["inner"]["kind"] == "capped"
 
 UNIFORM2 = {"kind": "uniform", "n": 2, "rank": 1}
 

@@ -350,6 +350,16 @@ class TestBackTranslationInputs:
         bundle = twovalue_makespan_to_santa(self.JOB)
         assert schedule_from_santa_solution(bundle, self.ALLOC) == ([(1,)], 1)
 
+    def test_a_job_player_holding_two_resources_keeps_the_lower_index(self):
+        # job 0 holds the big resource of machine 0 (index 0) and a small one
+        # of machine 1 (index 4), both worth w to it: it keeps index 0
+        bundle = twovalue_makespan_to_santa(
+            MakespanInstance(2, [Item(values=(F(1), F(1, 2))), Item(values=(F(1, 2), F(1, 2)))]))
+        alloc = assignment_to_alloc([2, 0, 0, 1, 2, 3], bundle.santa.num_players)
+        resources = bundle.santa.resources
+        assert resources[0].values[2] == resources[4].values[2] == bundle.w
+        assert schedule_from_santa_solution(bundle, alloc) == ([(1, 0), (0, 1)], 1)
+
     @pytest.mark.parametrize("schedule", [
         [tuple(2 * k for k in vec) for vec in SCHEDULE],
         [(1, 0, 0), (0, 0, -1), (0, 1, 0), (0, 1, 0)],

@@ -9,6 +9,7 @@ from itertools import count, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_point
 from matalloc import rounding
 from matalloc.bitsets import bits, submasks
 from matalloc.instances import Item, MakespanInstance, SantaInstance, entity_totals, gen_random
@@ -24,7 +25,7 @@ from matalloc.rounding import (FractionalAssignment, additive_round_santa, assig
                                assignment_lp_rows, column_sums, item_value_poly,
                                guess_loop, lst_baseline, round_makespan, round_santa,
                                santa_guess_grid, solve_assignment_lp)
-from matalloc.simplex import feasible_point, final_tableau
+from matalloc.simplex import feasible_point
 
 F = Fraction
 
@@ -307,6 +308,14 @@ class TestLstBaseline:
                 scale = inst.int_values.scale
                 k = next(k for k in count() if solve_assignment_lp(inst, F(k, scale)) is not None)
                 assert lst_baseline(inst)[1] == F(k, scale), (flavor, seed)
+
+    def test_a_support_without_a_matching_is_not_a_basic_point(self):
+        # three jobs split evenly over two machines: three fractional jobs
+        # cannot match to two distinct machines
+        inst = MakespanInstance(2, [Item(values=(F(1), F(1))) for _ in range(3)])
+        frac = FractionalAssignment(F(3, 2), [(F(1, 2), F(1, 2))] * 3)
+        with pytest.raises(ContractViolation, match="not a basic LP point"):
+            rounding.lst_round_unrelated(inst, frac)
 
     def test_no_job_needs_no_level(self):
         for m in (0, 2):
@@ -971,16 +980,11 @@ def test_polymatroid_rounding_matches_the_whole_vector_reference(monkeypatch, fl
 
 
 def fraction_point(inst, t):
-    """The assignment LP's vertex at t as per-item rows, read as the simplex
-    did before its integer point: one Fraction(M[i][-1], d_i) per basic
-    variable of the final tableau."""
+    """The assignment LP's vertex at t as per-item rows, from the dense
+    Fraction tableau the simplex is checked against."""
     columns = assignment_lp_columns(inst, t)
     var_of, constraints = assignment_lp_rows(inst, t, columns)
-    tableau, basis, dens = final_tableau(len(var_of), constraints)
-    point = [F(0)] * len(var_of)
-    for row, b, d in zip(tableau, basis, dens):
-        if b < len(var_of):
-            point[b] = F(row[-1], d)
+    point = reference_point(len(var_of), constraints)
     return [tuple(point[var_of[j, i]] if (j, i) in var_of else F(0)
                   for i in range(inst.num_entities)) for j in range(len(inst.items))]
 
