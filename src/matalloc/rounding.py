@@ -3,24 +3,26 @@
 round_santa turns a fractional assignment of value T into an integral one
 losing at most the largest resource value; round_makespan turns one of
 load T into an integral schedule gaining at most the largest job size.
-Both build a bipartite gadget (left vertex per item, right vertex per
-entity/item pair, consecutive-item carry edges) whose degree constraints
-come from a floor/ceiling remainder recursion, and extract the integral
-solution as a maximum common vector of two polymatroids on the edges
-(intersection.max_common_independent): the chain degrees by counting
+Both run the slot construction of Shmoys and Tardos (1993) over the items'
+polymatroids: each entity's fractional mass, in decreasing value order,
+fills unit slots, an item has an edge to each slot its mass overlaps, and
+the integral solution is a maximum common vector of two polymatroids on
+the edges (intersection.max_common_independent): the slots by counting
 (intersection.PartitionBound), the items by counting too when every item
 is classical (one unit each), else as the direct sum of their memberships
 (intersection.DirectSum of intersection.Membership blocks: an item's units
-sum onto its entities, and the fill asks one count per slot for how many
-more fit). Each fractional row is checked before rounding.
+sum onto its entities, and the fill asks one count per edge for how many
+more fit). Each fractional row is checked before rounding, and every point
+that passes the checks with rows in the items' polymatroids rounds, LP
+vertex or not.
 
 Eligibility, restrictedness, the LP's columns, the flow decision, the
 santa grid and the load levels read the instance's one integer view
 (instances.IntegerValues: its values over one scale). A fractional point
 is integers over one positive denominator den (FractionalAssignment.point),
-as the exact simplex returns its vertex, so the row checks, the degree
-chains, the per-entity totals and every additive guarantee run in integers
-over scale·den; Fractions stay at the boundary (T, the x view, given rows).
+as the exact simplex returns its vertex, so the row checks, the slots,
+the per-entity totals and every additive guarantee run in integers over
+scale·den; Fractions stay at the boundary (T, the x view, given rows).
 When every item is classical and restricted (one value on all its
 eligible entities), the LP is a transportation problem: one exact max flow
 (matching.ResidualFlow) decides each guess (Lenstra, Shmoys and Tardos
@@ -259,98 +261,64 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
 # Gadget rounding
 
 
-def _degree_chain(xs: list[int], den: int, mode: str) -> tuple[list[int], list[int]]:
-    """Per-entity degree recursion along the positive columns x_k = xs[k]/den,
-    in integers over den: the remainders R_k are returned times den.
-
-    mode "floor": d_k = floor(R + x_k), remainder carried to the next vertex.
-    mode "ceil":  d_k = ceil(x_k - R), surplus carried from the previous one.
-    """
-    degrees: list[int] = []
-    remainders: list[int] = []
-    r = 0
-    for xv in xs:
-        if mode == "floor":
-            d, r = divmod(r + xv, den)
-        else:
-            d = -((r - xv) // den)
-            r = d * den - (xv - r)
-        degrees.append(d)
-        remainders.append(r)
-        if not (0 <= r < den):
-            raise ContractViolation("remainder left [0, 1): fractional input is malformed")
-    return degrees, remainders
-
-
 def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
                   rows: Sequence[Sequence[int]], den: int, m: int, mode: str, classical: bool,
                   caps: Caps) -> list[tuple[int, ...]]:
     """Round the fractional assignment rows/den of the items with (value,
-    polymatroid) views vp to m entities, in decreasing value order: floor
-    mode saturates the degree chains, ceil mode the items' bases. When every
-    item is classical, each takes at most one unit in all."""
-    n = len(vp)
-    order = sorted(range(n), key=lambda j: (-vp[j][0], j))
+    polymatroid) views vp to m entities on the slot graph (Shmoys and Tardos
+    1993; Bezakova and Dani 2005 for max-min). Per entity, the items' mass
+    lies in decreasing value order on [0, total), and slot s is [s, s + 1):
+    floor mode keeps the full slots, ceil mode every slot the mass touches.
+    An item has an edge of cap 1 to each kept slot its mass overlaps (none
+    where f({i}) = 0), and each slot holds one unit. Floor mode saturates
+    the slots, ceil mode the items' bases.
 
-    # per entity: positive columns of the sorted sequence and their degrees
-    slots: list[tuple[int, int, int]] = []  # (sorted position, entity, chain index)
-    slot_caps: list[int] = []
-    degree: dict[tuple[int, int], int] = {}
+    The fractional point, spread over the slots, lies in both polymatroids
+    and reaches that target, and integer polymatroid intersection is
+    integral, so every point whose rows lie in the items' polymatroids
+    saturates. Floor mode: the unit of slot s is worth at least every value
+    in slot s + 1, so each entity gets at least its fractional value minus
+    v_max. Ceil mode: slot s >= 1 holds a size no larger than the mass of
+    the full slot s - 1, so each load is at most its fractional load plus
+    p_max."""
+    order = sorted(range(len(vp)), key=lambda j: (-vp[j][0], j))
+    edges: list[tuple[int, int]] = []  # (item, entity) per edge
+    slot_of: list[int] = []
+    slots = 0
     for i in range(m):
-        pos = [k for k, j in enumerate(order) if rows[j][i] > 0]
-        degs, _ = _degree_chain([rows[order[k]][i] for k in pos], den, mode)
-        for t in range(len(pos)):
-            degree[(i, t)] = degs[t]
-        for t, k in enumerate(pos):
-            j = order[k]
-            fii = vp[j][1].value(1 << i)
-            diag_cap = min(degs[t], fii)
-            if diag_cap > 0:
-                slots.append((k, i, t))
-                slot_caps.append(diag_cap)
-            # carry edge: leftovers flow to the next chain vertex (floor mode)
-            # or surplus is borrowed from the previous one (ceil mode)
-            adj = t + 1 if mode == "floor" else t - 1
-            if 0 <= adj < len(pos):
-                carry_cap = min(degs[adj], fii)
-                if carry_cap > 0:
-                    slots.append((k, i, adj))
-                    slot_caps.append(carry_cap)
+        total = sum(row[i] for row in rows)
+        kept = total // den if mode == "floor" else -(-total // den)
+        start = 0
+        for j in order:
+            x = rows[j][i]
+            if x > 0 and vp[j][1].value(1 << i) > 0:
+                for s in range(start // den, min((start + x - 1) // den + 1, kept)):
+                    edges.append((j, i))
+                    slot_of.append(slots + s)
+            start += x
+        slots += kept
 
-    def per_item(x: tuple[int, ...]) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for (k, i, _), c in zip(slots, x):
-            if c:
-                out.setdefault(k, [0] * m)[i] += c
-        return out
-
-    item_of = [k for k, _, _ in slots]
+    item_of = [j for j, _ in edges]
     if classical:
-        items = PartitionBound(item_of, [1] * n)
+        items = PartitionBound(item_of, [1] * len(vp))
     else:
-        entities: list[list[int]] = [[] for _ in range(n)]
-        for k, i, _ in slots:
-            entities[k].append(i)
-        items = DirectSum(item_of, [Membership(vp[order[k]][1], entities[k], caps)
-                                    for k in range(n)])
-    vertex = {v: idx for idx, v in enumerate(degree)}
-    degrees = PartitionBound([vertex[(i, t)] for _, i, t in slots], list(degree.values()))
-    best = intersection.max_common_independent(slot_caps, items, degrees, 4 * caps.expand)
+        items = DirectSum(item_of, [Membership(p, [i for k, i in edges if k == j], caps)
+                                    for j, (_, p) in enumerate(vp)])
+    best = intersection.max_common_independent([1] * len(edges), items,
+                                                PartitionBound(slot_of, [1] * slots),
+                                                4 * caps.expand)
     if mode == "floor":
-        target = sum(degree.values())
-        what = "degree constraints"
+        target, what = slots, "slots"
     else:
-        target = sum(vp[j][1].value(full_mask(m)) for j in range(n))
-        what = "left bases"
+        target, what = sum(p.value(full_mask(m)) for _, p in vp), "items' bases"
     if sum(best) != target:
         raise ContractViolation(
             f"gadget rounding fell short of saturating its {what} "
             f"({sum(best)} of {target}); the fractional input is not LP-feasible")
-
-    alloc = [tuple([0] * m) for _ in range(n)]
-    for k, vec in per_item(best).items():
-        alloc[order[k]] = tuple(vec)
-    return alloc
+    alloc = [[0] * m for _ in vp]
+    for (j, i), c in zip(edges, best):
+        alloc[j][i] += c
+    return [tuple(vec) for vec in alloc]
 
 
 def _check_shape(rows: Sequence[Sequence[int]], n: int, m: int) -> None:

@@ -130,6 +130,18 @@ def test_round_subcommand(tmp_path, capsys):
     assert sorted(map(sum, doc["assign"])) == [1, 1]
 
 
+def test_round_a_point_that_is_no_lp_vertex(capsys):
+    """tests/corpus/round/ keeps a restricted santa draw (seed 454, m = 4,
+    n = 10) and random rows summing to 1 over positive-value players, at T
+    the least player value: every LP-feasible point rounds, vertex or not."""
+    corpus = Path(__file__).parent / "corpus" / "round"
+    code, out = run(capsys, "round", "--in", str(corpus / "restricted-santa-s454.json"),
+                    "--frac", str(corpus / "restricted-santa-s454-frac.json"))
+    assert code == 0
+    inst = parse_instance((corpus / "restricted-santa-s454.json").read_bytes())
+    instances.validate_allocation(inst, [tuple(v) for v in json.loads(out)["assign"]])
+
+
 def _round_with_frac(tmp_path, frac_doc) -> int:
     inst = tmp_path / "santa.json"
     main(["gen", "--flavor", "unrelated-santa", "--m", "2", "--n", "2", "--out", str(inst)])

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import reference_point
 from matalloc import rounding
 from matalloc.bitsets import bits, submasks
-from matalloc.instances import Item, MakespanInstance, SantaInstance, entity_totals, gen_random
+from matalloc.instances import (Item, MakespanInstance, SantaInstance, entity_totals, gen_random,
+                                validate_allocation)
 from matalloc.intersection import DirectSum, max_common_independent
 from matalloc.limits import (Caps, DEFAULT_CAPS, ContractViolation, InternalInvariantError,
                              SizeCapError)
@@ -831,69 +832,50 @@ class TestClassicalBasis:
         assert round_santa(inst, frac, DEFAULT_CAPS.override(sfm_ground=0)) == want
 
 
-def fraction_degree_chain(xs, mode):
-    """The degree recursion in Fractions, as rounding ran it before its
-    integer form: (degrees, remainders)."""
-    degrees, remainders = [], []
-    r = F(0)
-    for k, xv in enumerate(xs):
-        if mode == "floor":
-            d = math.floor(r + xv)
-            r = r + xv - d
-        else:
-            d = math.ceil(xv - r) if k else math.ceil(xv)
-            r = d - (xv - r) if k else d - xv
-        degrees.append(d)
-        remainders.append(r)
-        if not (0 <= r < 1):
-            raise ContractViolation("remainder left [0, 1): fractional input is malformed")
-    return degrees, remainders
-
-
 def reference_gadget_round(vp, rows, den, m, mode, classical, caps):
     """The gadget rounding with whole-vector predicates: every item's vector
-    a member of its view, and every chain vertex within its degree; the
-    degree chains run in Fractions over the point rows/den."""
+    a member of its view, and every slot within one unit; the slots run in
+    Fractions over the point rows/den, each item overlapping the slots from
+    the floor of its cumulative start to the ceiling of its end."""
     n = len(vp)
     frac_x = [[F(v, den) for v in row] for row in rows]
     order = sorted(range(n), key=lambda j: (-vp[j][0], j))
-    slots, slot_caps, degree = [], [], {}
+    edges, slots = [], 0
     for i in range(m):
-        pos = [k for k, j in enumerate(order) if frac_x[j][i] > 0]
-        degs, _ = fraction_degree_chain([frac_x[order[k]][i] for k in pos], mode)
-        for t in range(len(pos)):
-            degree[(i, t)] = degs[t]
-        for t, k in enumerate(pos):
-            fii = vp[order[k]][1].value(1 << i)
-            adj = t + 1 if mode == "floor" else t - 1
-            for v in (t, adj) if 0 <= adj < len(pos) else (t,):
-                if min(degs[v], fii) > 0:
-                    slots.append((k, i, v))
-                    slot_caps.append(min(degs[v], fii))
+        total = sum(row[i] for row in frac_x)
+        kept = math.floor(total) if mode == "floor" else math.ceil(total)
+        start = F(0)
+        for k, j in enumerate(order):
+            end = start + frac_x[j][i]
+            if end > start and vp[j][1].value(1 << i) > 0:
+                edges.extend((k, i, slots + s)
+                             for s in range(math.floor(start), min(math.ceil(end), kept)))
+            start = end
+        slots += kept
 
     def per_item(x):
         out = {}
-        for (k, i, _), c in zip(slots, x):
+        for (k, i, _), c in zip(edges, x):
             if c:
                 out.setdefault(k, [0] * m)[i] += c
         return out
 
-    def within_degrees(x):
-        per_vertex = {}
-        for (_, i, t), c in zip(slots, x):
-            per_vertex[(i, t)] = per_vertex.get((i, t), 0) + c
-        return all(c <= degree[v] for v, c in per_vertex.items())
+    def within_slots(x):
+        per_slot = [0] * slots
+        for (_, _, s), c in zip(edges, x):
+            per_slot[s] += c
+        return max(per_slot, default=0) <= 1
 
     def items_members(x):
         return all(member(vp[order[k]][1], vec, caps) for k, vec in per_item(x).items())
 
-    one_block = [0] * len(slots)
-    best = max_common_independent(slot_caps, DirectSum(one_block, [items_members]),
-                                  DirectSum(one_block, [within_degrees]), 4 * caps.expand)
+    one_block = [0] * len(edges)
+    best = max_common_independent([1] * len(edges), DirectSum(one_block, [items_members]),
+                                  DirectSum(one_block, [within_slots]), 4 * caps.expand)
     if mode == "floor":
-        target, what = sum(degree.values()), "degree constraints"
+        target, what = slots, "slots"
     else:
-        target, what = sum(vp[j][1].value((1 << m) - 1) for j in range(n)), "left bases"
+        target, what = sum(vp[j][1].value((1 << m) - 1) for j in range(n)), "items' bases"
     if sum(best) != target:
         raise ContractViolation(
             f"gadget rounding fell short of saturating its {what} "
@@ -921,6 +903,19 @@ def random_rows(rng, inst):
     return rows
 
 
+def classical_draw(seed):
+    """Seed's restricted draw (santa on even seeds, makespan on odd ones,
+    m 2-8, n 5-12) with random_rows at T the least player value or the
+    largest load."""
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 8), rng.randint(5, 12)
+    makespan = seed % 2
+    inst = gen_random("restricted-makespan" if makespan else "restricted-santa", seed, m=m, n=n)
+    rows = random_rows(rng, inst)
+    totals = entity_totals(inst, rows)
+    return inst, FractionalAssignment(max(totals) if makespan else min(totals), rows)
+
+
 def outcome(fn):
     try:
         return fn()
@@ -938,23 +933,13 @@ def rounded_both_ways(monkeypatch, rounder, inst, frac):
 
 def test_classical_rounding_matches_the_whole_vector_reference(monkeypatch):
     """600 classical draws (m 2-8, n 5-12), each rounded with the counting
-    sides and with the whole-vector predicates; the few draws the gadget
-    cannot saturate must fail alike."""
-    rounded = 0
+    sides and with the whole-vector predicates: every one rounds, alike."""
     for seed in range(600):
-        rng = random.Random(seed)
-        m, n = rng.randint(2, 8), rng.randint(5, 12)
-        makespan = seed % 2
-        inst = gen_random("restricted-makespan" if makespan else "restricted-santa",
-                          seed, m=m, n=n)
-        rows = random_rows(rng, inst)
-        totals = entity_totals(inst, rows)
-        frac = FractionalAssignment(max(totals) if makespan else min(totals), rows)
-        got, want = rounded_both_ways(monkeypatch, round_makespan if makespan else round_santa,
-                                      inst, frac)
+        inst, frac = classical_draw(seed)
+        rounder = round_makespan if isinstance(inst, MakespanInstance) else round_santa
+        got, want = rounded_both_ways(monkeypatch, rounder, inst, frac)
         assert got == want, seed
-        rounded += isinstance(got, list)
-    assert rounded >= 500
+        assert isinstance(got, list), (seed, got)
 
 
 @pytest.mark.parametrize("flavor, rounder", [("santa-matroid", round_santa),
@@ -979,6 +964,73 @@ def test_polymatroid_rounding_matches_the_whole_vector_reference(monkeypatch, fl
     assert rounded >= 30
 
 
+def fraction_totals(inst, rows):
+    """Per-entity value or load of an allocation or of fractional rows, in
+    Fractions from the items' own values."""
+    return [sum((it.value_for(i) * row[i] for it, row in zip(inst.items, rows) if row[i]), F(0))
+            for i in range(inst.num_entities)]
+
+
+def assert_rounding_guarantee(inst, frac, alloc):
+    """alloc is valid, each item on a basis, and every player's value is at
+    least min(T, its fractional value) - v_max, or every load at most
+    max(T, its fractional load) + p_max."""
+    validate_allocation(inst, alloc, require_basis=True)
+    m = inst.num_entities
+    largest = max((v for it in inst.items for i in range(m)
+                   if (v := it.value_for(i)) is not None), default=F(0))
+    got, fractional = fraction_totals(inst, alloc), fraction_totals(inst, frac.x)
+    if isinstance(inst, MakespanInstance):
+        assert all(g <= max(frac.T, f) + largest for g, f in zip(got, fractional))
+    else:
+        assert all(g >= min(frac.T, f) - largest for g, f in zip(got, fractional))
+
+
+def test_every_random_lp_feasible_classical_point_rounds():
+    """3,000 classical draws of random rows, none of them an LP vertex in
+    general: each rounds, with its guarantee recomputed in Fractions."""
+    for seed in range(3000):
+        inst, frac = classical_draw(seed)
+        rounder = round_makespan if isinstance(inst, MakespanInstance) else round_santa
+        assert_rounding_guarantee(inst, frac, rounder(inst, frac))
+
+
+@pytest.mark.parametrize("seed, flavor, m, n", [(454, SantaInstance, 4, 10),
+                                                (79, MakespanInstance, 3, 12)],
+                         ids=["restricted-santa-s454", "restricted-makespan-s79"])
+def test_the_draws_the_degree_chains_left_short_round(seed, flavor, m, n):
+    """Draws that the earlier gadget (one vertex per positive column, with
+    degrees from a remainder recursion and carry edges to the next vertex)
+    could not saturate: seed 454 ended 7 of 8 degree units short in floor
+    mode, and seed 79 one unit short of the items' bases in ceil mode."""
+    inst, frac = classical_draw(seed)
+    assert (type(inst), inst.num_entities, len(inst.items)) == (flavor, m, n)
+    rounder = round_makespan if flavor is MakespanInstance else round_santa
+    assert_rounding_guarantee(inst, frac, rounder(inst, frac))
+
+
+@pytest.mark.parametrize("flavor, rounder", [("santa-matroid", round_santa),
+                                             ("makespan-matroid", round_makespan)])
+def test_basis_mixtures_round_with_their_guarantee(flavor, rounder):
+    """Convex combinations of two bases per item, which are not LP vertices
+    in general, on more players and items than the mixtures above: each
+    rounds, with its guarantee recomputed in Fractions."""
+    rounded = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        inst = gen_random(flavor, seed, m=rng.randint(2, 4), n=rng.randint(3, 6),
+                          u=F(1), w=F(2))
+        xs = mixture(rng, inst)
+        if xs is None:
+            continue
+        totals = fraction_totals(inst, xs)
+        frac = FractionalAssignment(max(totals) if rounder is round_makespan else min(totals),
+                                    xs)
+        assert_rounding_guarantee(inst, frac, rounder(inst, frac))
+        rounded += 1
+    assert rounded >= 150
+
+
 def fraction_point(inst, t):
     """The assignment LP's vertex at t as per-item rows, from the dense
     Fraction tableau the simplex is checked against."""
@@ -992,10 +1044,9 @@ def fraction_point(inst, t):
 def test_the_integer_point_and_its_rounding_match_the_fraction_path(monkeypatch):
     """The classical-lp shapes (restricted santa and makespan, m <= 4,
     n <= 7), 200 seeds each, at the guess loop's answer: the integer point,
-    both modes of the degree chain on every entity's column, x and the
-    rounded allocation equal the Fraction path (the Fraction read-out,
-    rounded from given Fraction rows and by the reference gadget, whose
-    degree chains run in Fractions)."""
+    x and the rounded allocation equal the Fraction path (the Fraction
+    read-out, rounded from given Fraction rows and by the reference gadget,
+    whose slots run in Fractions)."""
     compared = 0
     for seed in range(200):
         rng = random.Random(seed)
@@ -1011,12 +1062,6 @@ def test_the_integer_point_and_its_rounding_match_the_fraction_path(monkeypatch)
             rows, den = frac.point
             assert den > 0 and all(type(v) is int for row in rows for v in row)
             assert [tuple(F(v, den) for v in row) for row in rows] == want == frac.x, seed
-            for i in range(m):
-                column = [row[i] for row in rows if row[i] > 0]
-                for mode in ("floor", "ceil"):
-                    degrees, remainders = rounding._degree_chain(column, den, mode)
-                    assert (degrees, [F(r, den) for r in remainders]) == fraction_degree_chain(
-                        [F(v, den) for v in column], mode), (seed, i, mode)
             rounder = round_makespan if makespan else round_santa
             got = outcome(lambda: rounder(inst, frac))
             assert got == outcome(lambda: rounder(inst, FractionalAssignment(t, want))), seed
