@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Exact-rational assignment LP and the additive rounding gadgets.
+"""Exact-rational assignment LP and the additive rounding on the slot graph.
 
 The LP is solved with an exact simplex, so the additive guarantees are
 checked with exact comparisons: the max-min rounding loses at most the
@@ -20,7 +20,7 @@ from matalloc.rounding import (FractionalAssignment, lst_baseline, round_santa,
 
 F = Fraction
 
-print("=== max-min: LP point, then the floor/remainder gadget ===")
+print("=== max-min: LP point, then the slot-graph rounding ===")
 inst = SantaInstance(2, [Item(values=(F(1), F(1))) for _ in range(3)])
 frac = solve_assignment_lp(inst, F(3, 2))
 print("fractional point at T = 3/2:", [[str(v) for v in row] for row in frac.x])

@@ -35,8 +35,8 @@ from .limits import (BaselineRegime, Caps, DEFAULT_CAPS, ContractViolation, Gues
 from .matching import perfect_matching
 from .polymatroids import (DualPoly, PolymatroidOracle, SumPoly, greedy_basis_above, is_basis,
                            member)
-from .rounding import (FractionalAssignment, additive_round_santa, guess_loop, lst_baseline,
-                       round_santa, santa_guess_grid, solve_assignment_lp)
+from .rounding import (FractionalAssignment, guess_loop, lst_baseline, round_santa,
+                       santa_guess_grid, solve_assignment_lp)
 
 Configuration = dict  # value type -> count; nonzero counts only
 
@@ -364,7 +364,7 @@ def twovalue_santa_to_makespan(inst: SantaInstance, alpha: Fraction,
         frac = solve_assignment_lp(inst, Fraction(1), caps)
         if frac is None:
             raise GuessRejected("assignment LP infeasible at the guessed optimum")
-        alloc = assignment_to_alloc(additive_round_santa(inst, frac, caps), m)
+        alloc = round_santa(inst, frac, caps)  # every player at least 1 - w > 1/alpha
         _require_min_value(inst, alloc, 1 / alpha)
         return alloc, "additive"
 

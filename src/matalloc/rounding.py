@@ -4,51 +4,50 @@ round_santa turns a fractional assignment of value T into an integral one
 losing at most the largest resource value; round_makespan turns one of
 load T into an integral schedule gaining at most the largest job size.
 Both run the slot construction of Shmoys and Tardos (1993) over the items'
-polymatroids: each entity's fractional mass, in decreasing value order,
-fills unit slots, an item has an edge to each slot its mass overlaps, and
-the integral solution is a maximum common vector of two polymatroids on
-the edges (intersection.max_common_independent): the slots by counting
-(intersection.PartitionBound), the items by counting too when every item
-is classical (one unit each), else as the direct sum of their memberships
-(intersection.DirectSum of intersection.Membership blocks: an item's units
-sum onto its entities, and the fill asks one count per edge for how many
-more fit). Each fractional row is checked before rounding, and every point
-that passes the checks with rows in the items' polymatroids rounds, LP
-vertex or not.
+polymatroids, for restricted, unrelated and matroid items alike: each
+entity's fractional mass, in decreasing order of the items' values on that
+entity, fills unit slots, an item has an edge to each slot its mass
+overlaps, and the integral solution is a maximum common vector of two
+polymatroids on the edges (intersection.max_common_independent): the slots
+by counting (intersection.PartitionBound), the items by counting too when
+every item is classical (one unit each), else as the direct sum of their
+memberships (intersection.DirectSum of intersection.Membership blocks: an
+item's units sum onto its entities, and the fill asks one count per edge
+for how many more fit). Each fractional row is checked before rounding,
+and every point that passes the checks with rows in the items'
+polymatroids rounds, LP vertex or not.
 
-Eligibility, restrictedness, the LP's columns, the flow decision, the
-santa grid and the load levels read the instance's one integer view
-(instances.IntegerValues: its values over one scale). A fractional point
-is integers over one positive denominator den (FractionalAssignment.point),
-as the exact simplex returns its vertex, so the row checks, the slots,
-the per-entity totals and every additive guarantee run in integers over
-scale·den; Fractions stay at the boundary (T, the x view, given rows).
-When every item is classical and restricted (one value on all its
-eligible entities), the LP is a transportation problem: one exact max flow
-(matching.ResidualFlow) decides each guess (Lenstra, Shmoys and Tardos
-1990), and the simplex runs only when the point of a feasible guess is
-read (FractionalAssignment.point), so a guess loop over such an instance
-solves one LP. The objective-guessing primitives live here too:
-guess_loop is the one bisection, over santa_guess_grid (column_sums) or
-over integer load levels (lst_baseline).
+Eligibility, restrictedness, the slot order, the LP's columns, the flow
+decision, the santa grid and the load levels read the instance's one
+integer view (instances.IntegerValues: its values over one scale). A
+fractional point is integers over one positive denominator den
+(FractionalAssignment.point), as the exact simplex returns its vertex, so
+the row checks, the slots, the per-entity totals and every additive
+guarantee run in integers over scale·den; Fractions stay at the boundary
+(T, the x view, given rows). When every item is classical and restricted
+(one value on all its eligible entities), the LP is a transportation
+problem: one exact max flow (matching.ResidualFlow) decides each guess
+(Lenstra, Shmoys and Tardos 1990), and the simplex runs only when the
+point of a feasible guess is read (FractionalAssignment.point), so a guess
+loop over such an instance solves one LP. The objective-guessing
+primitives live here too: guess_loop is the one bisection, over
+santa_guess_grid (column_sums) or over integer load levels (lst_baseline).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
-from math import lcm, prod
+from math import lcm
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .bitsets import bits, full_mask
-from .instances import (MakespanInstance, SantaInstance, assignment_to_alloc, entity_totals,
-                        scaled_totals)
+from .instances import MakespanInstance, SantaInstance, scaled_totals
 from . import intersection  # the search by module attribute, which tracers rebind
 from .intersection import DirectSum, Membership, PartitionBound
 from .limits import (Caps, DEFAULT_CAPS, ContractViolation, GuessRejected,
                      InternalInvariantError, SizeCapError)
-from .matching import ResidualFlow, perfect_matching
+from .matching import ResidualFlow
 from .polymatroids import CoveragePoly, PolymatroidOracle, greedy_basis_above
 from .simplex import feasible_point
 
@@ -103,22 +102,15 @@ def _over_one_denominator(x: Sequence[Sequence[Fraction]]) -> Point:
     return [tuple(v.numerator * (den // v.denominator) for v in row) for row in x], den
 
 
-def item_value_poly(inst, j: int) -> tuple[Fraction, PolymatroidOracle]:
-    """The (value, polymatroid) view of item j.
-
-    Matroid items carry their polymatroid; classical restricted items embed
-    as a rank-one coverage polymatroid over the eligible entities.
-    """
+def item_polymatroid(inst, j: int) -> PolymatroidOracle:
+    """Item j's polymatroid: a matroid item carries its own, and a classical
+    item is the rank-one coverage polymatroid over its eligible entities
+    (one unit, on any one of them)."""
     it = inst.items[j]
     if it.polymatroid is not None:
-        return it.value, it.polymatroid
-    view = inst.int_values
-    mask = view.eligible[j]
-    if not view.restricted[j]:
-        vals = sorted({it.values[i] for i in bits(mask)})
-        raise ContractViolation(f"item {j} is not restricted: distinct values {vals}")
-    v = it.values[(mask & -mask).bit_length() - 1] if mask else Fraction(0)
-    return v, CoveragePoly([(mask >> i) & 1 for i in range(inst.num_entities)], [1])
+        return it.polymatroid
+    mask = inst.int_values.eligible[j]
+    return CoveragePoly([(mask >> i) & 1 for i in range(inst.num_entities)], [1])
 
 
 def assignment_lp_columns(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
@@ -261,37 +253,41 @@ def solve_assignment_lp(inst, T: Fraction, caps: Caps = DEFAULT_CAPS
 # Gadget rounding
 
 
-def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
-                  rows: Sequence[Sequence[int]], den: int, m: int, mode: str, classical: bool,
-                  caps: Caps) -> list[tuple[int, ...]]:
-    """Round the fractional assignment rows/den of the items with (value,
-    polymatroid) views vp to m entities on the slot graph (Shmoys and Tardos
-    1993; Bezakova and Dani 2005 for max-min). Per entity, the items' mass
-    lies in decreasing value order on [0, total), and slot s is [s, s + 1):
-    floor mode keeps the full slots, ceil mode every slot the mass touches.
-    An item has an edge of cap 1 to each kept slot its mass overlaps (none
-    where f({i}) = 0), and each slot holds one unit. Floor mode saturates
-    the slots, ceil mode the items' bases.
+def _gadget_round(inst, rows: Sequence[Sequence[int]], den: int, mode: str, caps: Caps
+                  ) -> list[tuple[int, ...]]:
+    """Round the fractional assignment rows/den of inst's items, over their
+    polymatroids (item_polymatroid), on the slot graph (Shmoys and Tardos
+    1993, for unrelated machines; Bezakova and Dani 2005 for max-min). Each
+    entity lays the items' mass in decreasing order of their scaled value on
+    that entity (int_values.values; a matroid item has one value, ties go by
+    index) on [0, total), and slot s is [s, s + 1): floor mode keeps the full
+    slots, ceil mode every slot the mass touches. An item has an edge of cap 1
+    to each kept slot its mass overlaps (none where f({i}) = 0), and each slot
+    holds one unit. Floor mode saturates the slots, ceil mode the items'
+    bases.
 
     The fractional point, spread over the slots, lies in both polymatroids
     and reaches that target, and integer polymatroid intersection is
     integral, so every point whose rows lie in the items' polymatroids
     saturates. Floor mode: the unit of slot s is worth at least every value
-    in slot s + 1, so each entity gets at least its fractional value minus
-    v_max. Ceil mode: slot s >= 1 holds a size no larger than the mass of
-    the full slot s - 1, so each load is at most its fractional load plus
-    p_max."""
-    order = sorted(range(len(vp)), key=lambda j: (-vp[j][0], j))
+    in slot s + 1 on that entity, so each entity gets at least its
+    fractional value minus the largest value on it. Ceil mode: slot s >= 1
+    holds a size no larger than the mass of the full slot s - 1, so each
+    load is at most its fractional load plus the largest size on it."""
+    m, values = inst.num_entities, inst.int_values.values
+    polys = [item_polymatroid(inst, j) for j in range(len(rows))]
     edges: list[tuple[int, int]] = []  # (item, entity) per edge
     slot_of: list[int] = []
     slots = 0
     for i in range(m):
         total = sum(row[i] for row in rows)
         kept = total // den if mode == "floor" else -(-total // den)
+        # only positive mass is placed, and an infinite size holds none
+        held = [j for j, row in enumerate(rows) if row[i] > 0]
         start = 0
-        for j in order:
+        for j in sorted(held, key=lambda j: (-_value_on(values[j], i), j)):
             x = rows[j][i]
-            if x > 0 and vp[j][1].value(1 << i) > 0:
+            if polys[j].value(1 << i) > 0:
                 for s in range(start // den, min((start + x - 1) // den + 1, kept)):
                     edges.append((j, i))
                     slot_of.append(slots + s)
@@ -299,26 +295,33 @@ def _gadget_round(vp: Sequence[tuple[Fraction, PolymatroidOracle]],
         slots += kept
 
     item_of = [j for j, _ in edges]
-    if classical:
-        items = PartitionBound(item_of, [1] * len(vp))
+    if not inst.is_matroid_flavor:
+        items = PartitionBound(item_of, [1] * len(polys))
     else:
         items = DirectSum(item_of, [Membership(p, [i for k, i in edges if k == j], caps)
-                                    for j, (_, p) in enumerate(vp)])
+                                    for j, p in enumerate(polys)])
     best = intersection.max_common_independent([1] * len(edges), items,
                                                 PartitionBound(slot_of, [1] * slots),
                                                 4 * caps.expand)
     if mode == "floor":
         target, what = slots, "slots"
     else:
-        target, what = sum(p.value(full_mask(m)) for _, p in vp), "items' bases"
+        target, what = sum(p.value(full_mask(m)) for p in polys), "items' bases"
     if sum(best) != target:
         raise ContractViolation(
             f"gadget rounding fell short of saturating its {what} "
             f"({sum(best)} of {target}); the fractional input is not LP-feasible")
-    alloc = [[0] * m for _ in vp]
+    alloc = [[0] * m for _ in polys]
     for (j, i), c in zip(edges, best):
         alloc[j][i] += c
     return [tuple(vec) for vec in alloc]
+
+
+def _value_on(v: int | tuple, i: int) -> int | None:
+    """An item's scaled value on entity i, from its int_values entry: a
+    matroid item's one value, a classical item's own entry (None for an
+    infinite size)."""
+    return v[i] if isinstance(v, tuple) else v
 
 
 def _check_shape(rows: Sequence[Sequence[int]], n: int, m: int) -> None:
@@ -335,15 +338,14 @@ def _check_shape(rows: Sequence[Sequence[int]], n: int, m: int) -> None:
                 f"fractional assignment: item {j} has {len(row)} entries, expected {m}")
 
 
-def _check_rows(inst, rows: Sequence[Sequence[int]], den: int, vp) -> None:
+def _check_rows(inst, rows: Sequence[Sequence[int]], den: int) -> None:
     """Each fractional row rows[j]/den is nonnegative. A classical row puts no
     mass on an ineligible entity and sums to exactly 1 (0 for a resource that
     no player values). A polymatroid row sums to f(E) in makespan, and to at
     most f(E) in max-min, where each rounded vector is raised to a basis
     afterwards."""
     is_makespan = isinstance(inst, MakespanInstance)
-    for j, (it, row, (_, p), mask) in enumerate(zip(inst.items, rows, vp,
-                                                    inst.int_values.eligible)):
+    for j, (it, row, mask) in enumerate(zip(inst.items, rows, inst.int_values.eligible)):
         if any(v < 0 for v in row):
             raise ContractViolation(f"fractional assignment: item {j} has a negative entry")
         total = sum(row)
@@ -355,7 +357,7 @@ def _check_rows(inst, rows: Sequence[Sequence[int]], den: int, vp) -> None:
                     f"fractional assignment: item {j} puts mass on ineligible entity {off[0]}")
             full = 1 if is_makespan or total or mask else 0
         else:
-            full, up_to = p.value(full_mask(len(row))), not is_makespan
+            full, up_to = it.polymatroid.value(full_mask(len(row))), not is_makespan
         if total > full * den or (total < full * den and not up_to):
             raise ContractViolation(f"fractional assignment: item {j} sums to "
                                     f"{Fraction(total, den)}, "
@@ -363,12 +365,12 @@ def _check_rows(inst, rows: Sequence[Sequence[int]], den: int, vp) -> None:
 
 
 def _check_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
-                     ) -> tuple[list[tuple[int, ...]], list, list[int], list[int], int, int]:
+                     ) -> tuple[list[tuple[int, ...]], list[int], list[int], int, int]:
     """Check frac's shape and rows, then gadget-round frac. Returns the
-    allocation, the items' (value, polymatroid) views and, as integers over
-    one unit (the instance's scale times the point's den times T's
-    denominator), the integral and the fractional per-entity totals, the
-    largest item value and T."""
+    allocation and, as integers over one unit (the instance's scale times
+    the point's den times T's denominator), the integral and the fractional
+    per-entity totals, the largest finite value of any item on any entity
+    (v_max, or p_max in makespan) and T."""
     m, n = inst.num_entities, len(inst.items)
     T = frac.T
     if not isinstance(T, (int, Fraction)):
@@ -379,43 +381,42 @@ def _check_and_round(inst, frac: FractionalAssignment, mode: str, caps: Caps
         ftotals = scaled_totals(inst, rows)
     except ValueError as exc:
         raise ContractViolation(f"fractional assignment: {exc}") from exc
-    vp = [item_value_poly(inst, j) for j in range(n)]
-    _check_rows(inst, rows, den, vp)
-    classical = not inst.is_matroid_flavor
-    alloc = _gadget_round(vp, rows, den, m, mode, classical, caps)
-    scale, t_den = inst.int_values.scale, T.denominator
-    vmax = max((v for v, _ in vp), default=Fraction(0))
+    _check_rows(inst, rows, den)
+    alloc = _gadget_round(inst, rows, den, mode, caps)
+    view, t_den = inst.int_values, T.denominator
+    vmax = max((v for row in view.values for i in range(m)
+                if (v := _value_on(row, i)) is not None), default=0)
     unit = den * t_den  # integral totals and values are over scale alone
-    return (alloc, vp, [t * unit for t in scaled_totals(inst, alloc)],
-            [t * t_den for t in ftotals], vmax.numerator * (scale // vmax.denominator) * unit,
-            T.numerator * scale * den)
+    return (alloc, [t * unit for t in scaled_totals(inst, alloc)],
+            [t * t_den for t in ftotals], vmax * unit, T.numerator * view.scale * den)
 
 
 def round_santa(inst: SantaInstance, frac: FractionalAssignment,
                 caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
-    """Integral allocation with every player value at least T - max_j v_j.
+    """Integral allocation with every player value at least T - v_max, v_max
+    the largest value of any resource to any player.
 
-    The fractional input must satisfy the assignment LP at frac.T. Values
-    are processed in decreasing order; each resource ends on a basis of
-    its polymatroid, a classical one by _classical_basis and a matroid one
-    by greedy_basis_above. Every check and the guarantee run in integers.
+    The fractional input must satisfy the assignment LP at frac.T. Each
+    resource ends on a basis of its polymatroid, a classical one by
+    _classical_basis and a matroid one by greedy_basis_above. Every check
+    and the guarantee run in integers.
     """
-    alloc, vp, vals, fvals, vmax, t = _check_and_round(inst, frac, "floor", caps)
+    alloc, vals, fvals, vmax, t = _check_and_round(inst, frac, "floor", caps)
     # per-player guarantee: lose at most v_max against one's own fractional
     # value (at least T - v_max when the input satisfies the LP at T)
     shortfall = [i for i in range(inst.num_players) if vals[i] < min(t, fvals[i]) - vmax]
     if shortfall:
         raise ContractViolation(f"rounding guarantee violated for players {shortfall}")
     eligible = inst.int_values.eligible
-    return [greedy_basis_above(p, vec, caps) if it.polymatroid is not None
+    return [greedy_basis_above(it.polymatroid, vec, caps) if it.polymatroid is not None
             else _classical_basis(vec, eligible[j])
-            for j, (it, (_, p), vec) in enumerate(zip(inst.items, vp, alloc))]
+            for j, (it, vec) in enumerate(zip(inst.items, alloc))]
 
 
 def _classical_basis(row: Sequence[int], eligible: int) -> tuple[int, ...]:
     """The basis above a classical resource's rounded row, with no
     enumeration. Its view is the rank-one coverage polymatroid over its
-    eligible players (item_value_poly), whose members hold at most one
+    eligible players (item_polymatroid), whose members hold at most one
     unit, on an eligible player: a row holding its unit is a basis, an
     empty row gets its unit on the lowest eligible player (as
     greedy_basis_above would give) and a worthless resource keeps its zero
@@ -431,82 +432,13 @@ def _classical_basis(row: Sequence[int], eligible: int) -> tuple[int, ...]:
 
 def round_makespan(inst: MakespanInstance, frac: FractionalAssignment,
                    caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
-    """Integral schedule (a basis per job) with every load at most T + max_j p_j."""
-    alloc, _, loads, floads, pmax, t = _check_and_round(inst, frac, "ceil", caps)
+    """Integral schedule (a basis per job) with every load at most T + p_max,
+    p_max the largest finite size of any job on any machine."""
+    alloc, loads, floads, pmax, t = _check_and_round(inst, frac, "ceil", caps)
     over = [i for i in range(inst.num_machines) if loads[i] > max(t, floads[i]) + pmax]
     if over:
         raise ContractViolation(f"rounding guarantee violated for machines {over}")
     return alloc
-
-
-# ---------------------------------------------------------------------------
-# Classical additive roundings on top of the LP
-
-
-def additive_round_santa(inst: SantaInstance, frac: FractionalAssignment,
-                         caps: Caps = DEFAULT_CAPS) -> list[int | None]:
-    """Unrelated classical max-min rounding: every player loses at most one
-    fractionally assigned resource, so the value stays above T - v_max.
-
-    The placements of the fractional resources are enumerated; more than
-    caps.assignments of them raise SizeCapError before any is evaluated."""
-    m, n = inst.num_players, len(inst.resources)
-    rows, den = frac.point
-    owner: list[int | None] = [None] * n
-    frac_res: list[int] = []
-    supports: list[list[int]] = []
-    for j in range(n):
-        support = [i for i in range(m) if rows[j][i] > 0]
-        whole = [i for i in support if rows[j][i] == den]
-        if whole:
-            owner[j] = whole[0]
-        elif support:
-            frac_res.append(j)
-            supports.append(support)
-    space = prod(map(len, supports))
-    if space > caps.assignments:
-        raise SizeCapError(f"placement space {space} exceeds cap {caps.assignments}")
-    vmax = max((v for it in inst.resources for v in it.values), default=Fraction(0))
-
-    base = entity_totals(inst, assignment_to_alloc(owner, m))
-
-    def worst(pick: tuple[int, ...]) -> Fraction:
-        vals = list(base)
-        for j, i in zip(frac_res, pick):
-            vals[i] += inst.resources[j].values[i]
-        return min(vals)
-
-    # max keeps the first best placement in index order
-    best = max(product(*supports), key=worst)
-    if worst(best) < frac.T - vmax:
-        raise ContractViolation("additive rounding guarantee violated")
-    for j, i in zip(frac_res, best):
-        owner[j] = i
-    return owner
-
-
-def lst_round_unrelated(inst: MakespanInstance, frac: FractionalAssignment
-                        ) -> list[int]:
-    """Classical unrelated-machines rounding: integral part assigned directly,
-    fractional jobs matched to distinct machines along the fractional support."""
-    m, n = inst.num_machines, len(inst.jobs)
-    rows, den = frac.point
-    owner: list[int | None] = [None] * n
-    fractional: list[int] = []
-    for j in range(n):
-        whole = [i for i in range(m) if rows[j][i] == den]
-        if whole:
-            owner[j] = whole[0]
-        else:
-            fractional.append(j)
-    adj = [sum(1 << i for i in range(m) if rows[j][i] > 0) for j in fractional]
-    matching = perfect_matching(adj, m)
-    if matching is None:
-        raise ContractViolation(
-            "fractional support admits no perfect matching; not a basic LP point")
-    for j, i in zip(fractional, matching):
-        owner[j] = i
-    return owner  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +501,13 @@ def santa_guess_grid(inst: SantaInstance, caps: Caps = DEFAULT_CAPS) -> list[Fra
 
 def lst_baseline(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS
                  ) -> tuple[list[tuple[int, ...]], Fraction]:
-    """Assignment-LP guessing plus additive rounding: makespan <= T* + p_max
-    where T* = k/L is the smallest LP-feasible load level (L the instance's
-    scale). Loads are integers over L and LP feasibility is monotone in T, so
-    T* <= OPT. Level top is feasible: a classical job fits whole where it is
-    smallest, and any basis of a matroid job puts at most v·f({i}) on i."""
+    """Assignment-LP guessing plus round_makespan, for restricted, unrelated
+    and matroid jobs alike: makespan <= T* + p_max (p_max the largest finite
+    size on any machine), where T* = k/L is the smallest LP-feasible load
+    level (L the instance's scale). Loads are integers over L and LP
+    feasibility is monotone in T, so T* <= OPT. Level top is feasible: a
+    classical job fits whole where it is smallest, and any basis of a
+    matroid job puts at most v·f({i}) on i."""
     view, m = inst.int_values, inst.num_machines
     top = sum(v * max((it.polymatroid.value(1 << i) for i in range(m)), default=0)
               if it.polymatroid is not None else min(filter(None, v), default=0)
@@ -582,13 +516,4 @@ def lst_baseline(inst: MakespanInstance, caps: Caps = DEFAULT_CAPS
                          range(top, -1, -1))
     if k is None:
         raise ContractViolation("no feasible guess: some job fits on no machine")
-    t_star = Fraction(k, view.scale)
-    if inst.is_matroid_flavor or all(view.restricted):
-        alloc = round_makespan(inst, frac, caps)
-    else:
-        alloc = assignment_to_alloc(lst_round_unrelated(inst, frac), inst.num_machines)
-        pmax = max((v for it in inst.jobs for v in it.values if v is not None),
-                   default=Fraction(0))
-        if max(entity_totals(inst, alloc)) > t_star + pmax:
-            raise ContractViolation("unrelated rounding guarantee violated")
-    return alloc, t_star
+    return round_makespan(inst, frac, caps), Fraction(k, view.scale)

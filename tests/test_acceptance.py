@@ -23,7 +23,7 @@ from matalloc.reductions import (config_round, santa_to_makespan, santa_solution
                                  matroid_makespan_to_santa, matroid_santa_from_schedule,
                                  matroid_santa_to_makespan, twovalue_makespan_to_santa,
                                  twovalue_santa_to_makespan)
-from matalloc.rounding import (FractionalAssignment, item_value_poly, lst_baseline,
+from matalloc.rounding import (FractionalAssignment, item_polymatroid, lst_baseline,
                                round_makespan, round_santa)
 
 F = Fraction
@@ -415,7 +415,7 @@ def test_criterion_6_rounding_guarantees():
             xs = []
             feasible = True
             for j in range(len(inst.items)):
-                bases = enumerate_bases(item_value_poly(inst, j)[1])
+                bases = enumerate_bases(item_polymatroid(inst, j))
                 if not bases:
                     feasible = False
                     break

@@ -132,14 +132,18 @@ def test_round_subcommand(tmp_path, capsys):
 
 def test_round_a_point_that_is_no_lp_vertex(capsys):
     """tests/corpus/round/ keeps a restricted santa draw (seed 454, m = 4,
-    n = 10) and random rows summing to 1 over positive-value players, at T
-    the least player value: every LP-feasible point rounds, vertex or not."""
+    n = 10) and an unrelated one (seed 16, m = 4, n = 12), each with random
+    rows summing to 1 over positive-value players, at T the least player
+    value: every LP-feasible point rounds, vertex or not. The unrelated
+    point has 21 positive entries, more than its 16 LP rows, so it is no
+    vertex."""
     corpus = Path(__file__).parent / "corpus" / "round"
-    code, out = run(capsys, "round", "--in", str(corpus / "restricted-santa-s454.json"),
-                    "--frac", str(corpus / "restricted-santa-s454-frac.json"))
-    assert code == 0
-    inst = parse_instance((corpus / "restricted-santa-s454.json").read_bytes())
-    instances.validate_allocation(inst, [tuple(v) for v in json.loads(out)["assign"]])
+    for name in ("restricted-santa-s454", "unrelated-santa-s16"):
+        code, out = run(capsys, "round", "--in", str(corpus / f"{name}.json"),
+                        "--frac", str(corpus / f"{name}-frac.json"))
+        assert code == 0, name
+        inst = parse_instance((corpus / f"{name}.json").read_bytes())
+        instances.validate_allocation(inst, [tuple(v) for v in json.loads(out)["assign"]])
 
 
 def _round_with_frac(tmp_path, frac_doc) -> int:

@@ -124,6 +124,8 @@ CASES = {
     "round-restricted-santa": _round("restricted-santa", 4, m=3, n=5),
     "round-restricted-makespan": _round("restricted-makespan", 1, m=3, n=6),
     "round-mixed-denominators": _round("restricted-santa", 5, _mixed_frac, m=3, n=6),
+    "round-unrelated-santa": _round("unrelated-santa", 2, m=3, n=5),
+    "round-two-value-makespan": _round("two-value-makespan", 5, m=3, n=6),
     "verify-gap": _verify("gap", 0, m=3),
     "verify-santa-matroid": _verify("santa-matroid", 2, m=3, n=3),
     "bench-corpus": lambda tmp: ["bench", "--dir", str(CORPUS)],

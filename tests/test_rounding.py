@@ -22,10 +22,10 @@ from matalloc.oracle import brute_opt_makespan, brute_opt_santa, enumerate_bases
 from matalloc.polymatroids import (CoveragePoly, CutNetwork, ModularPoly, ScaledRankPoly,
                                    greedy_basis_above, is_basis, member)
 from matalloc.matroids import UniformMatroid
-from matalloc.rounding import (FractionalAssignment, additive_round_santa, assignment_lp_columns,
-                               assignment_lp_rows, column_sums, item_value_poly,
-                               guess_loop, lst_baseline, round_makespan, round_santa,
-                               santa_guess_grid, solve_assignment_lp)
+from matalloc.rounding import (FractionalAssignment, assignment_lp_columns, assignment_lp_rows,
+                               column_sums, guess_loop, item_polymatroid, lst_baseline,
+                               round_makespan, round_santa, santa_guess_grid,
+                               solve_assignment_lp)
 from matalloc.simplex import feasible_point
 
 F = Fraction
@@ -40,29 +40,11 @@ def vertex(num_vars, constraints):
     return [F(v, den) for v in nums]
 
 
-def player_values(inst, alloc):
-    vals = [F(0)] * inst.num_players
-    for j, vec in enumerate(alloc):
-        v = item_value_poly(inst, j)[0]
-        for i in range(inst.num_players):
-            vals[i] += v * vec[i]
-    return vals
-
-
-def loads(inst, alloc):
-    out = [F(0)] * inst.num_machines
-    for j, vec in enumerate(alloc):
-        v = item_value_poly(inst, j)[0]
-        for i in range(inst.num_machines):
-            out[i] += v * vec[i]
-    return out
-
-
 def mixture(rng, inst):
     """A fractional assignment as a random convex combination of bases."""
     xs = []
     for j in range(len(inst.items)):
-        bases = enumerate_bases(item_value_poly(inst, j)[1])
+        bases = enumerate_bases(item_polymatroid(inst, j))
         if not bases:
             return None
         picks = rng.sample(bases, min(len(bases), 2))
@@ -153,8 +135,9 @@ class TestAssignmentLp:
         outcomes = {True: 0, False: 0}
         for seed in range(8):
             inst = gen_random("restricted-santa", seed, m=3, n=5)
-            twin = SantaInstance(3, [Item(value=v, polymatroid=poly) for v, poly in
-                                     (item_value_poly(inst, j) for j in range(5))])
+            twin = SantaInstance(3, [Item(value=max(it.values),
+                                          polymatroid=item_polymatroid(inst, j))
+                                     for j, it in enumerate(inst.items)])
             for t in santa_guess_grid(inst):
                 frac = solve_assignment_lp(inst, t)
                 assert (frac is None) == (solve_assignment_lp(twin, t) is None)
@@ -219,7 +202,7 @@ class TestRoundSanta:
         inst = SantaInstance(2, [Item(values=(F(1), F(1))), Item(values=(F(1), F(1)))])
         frac = FractionalAssignment(F(1), [(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))])
         alloc = round_santa(inst, frac)
-        assert min(player_values(inst, alloc)) >= F(0)  # T - v_max = 0
+        assert min(entity_totals(inst, alloc)) >= F(0)  # T - v_max = 0
 
     @given(st.integers(0, 1000))
     @settings(max_examples=80, deadline=None)
@@ -235,7 +218,7 @@ class TestRoundSanta:
         frac = FractionalAssignment(min(vals), xs)
         alloc = round_santa(inst, frac)
         vmax = max(it.value for it in inst.resources)
-        got = player_values(inst, alloc)
+        got = entity_totals(inst, alloc)
         assert all(got[i] >= frac.T - vmax for i in range(inst.num_players))
         for j, vec in enumerate(alloc):
             assert is_basis(inst.resources[j].polymatroid, vec)
@@ -267,7 +250,7 @@ class TestRoundMakespan:
         frac = FractionalAssignment(max(flds), xs)
         alloc = round_makespan(inst, frac)
         pmax = max(it.value for it in inst.jobs)
-        got = loads(inst, alloc)
+        got = entity_totals(inst, alloc)
         assert all(got[i] <= frac.T + pmax for i in range(inst.num_machines))
         for j, vec in enumerate(alloc):
             assert is_basis(inst.jobs[j].polymatroid, vec)
@@ -277,12 +260,12 @@ class TestLstBaseline:
     def test_single_machine_exact(self):
         mk = MakespanInstance(1, [Item(values=(F(3),)), Item(values=(F(2),))])
         alloc, t_star = lst_baseline(mk)
-        assert loads(mk, alloc) == [F(5)] and t_star == F(5)
+        assert entity_totals(mk, alloc) == [F(5)] and t_star == F(5)
 
     def test_unit_jobs_balanced(self):
         mk = MakespanInstance(2, [Item(values=(F(1), F(1))) for _ in range(5)])
         alloc, t_star = lst_baseline(mk)
-        assert max(loads(mk, alloc)) <= t_star + 1
+        assert max(entity_totals(mk, alloc)) <= t_star + 1
 
     def test_two_value_additive(self):
         for seed in range(12):
@@ -310,13 +293,15 @@ class TestLstBaseline:
                 k = next(k for k in count() if solve_assignment_lp(inst, F(k, scale)) is not None)
                 assert lst_baseline(inst)[1] == F(k, scale), (flavor, seed)
 
-    def test_a_support_without_a_matching_is_not_a_basic_point(self):
-        # three jobs split evenly over two machines: three fractional jobs
-        # cannot match to two distinct machines
-        inst = MakespanInstance(2, [Item(values=(F(1), F(1))) for _ in range(3)])
-        frac = FractionalAssignment(F(3, 2), [(F(1, 2), F(1, 2))] * 3)
-        with pytest.raises(ContractViolation, match="not a basic LP point"):
-            rounding.lst_round_unrelated(inst, frac)
+    def test_a_support_without_a_matching_rounds(self):
+        """Three jobs of sizes 1 and 3 split evenly over two machines: no
+        LP vertex, since three fractional jobs cannot match to two distinct
+        machines, and still every load is at most max(T, its fractional
+        load) + p_max."""
+        inst = MakespanInstance(2, [Item(values=(F(1), F(3))), Item(values=(F(3), F(1))),
+                                    Item(values=(F(1), F(3)))])
+        frac = FractionalAssignment(F(7, 2), [(F(1, 2), F(1, 2))] * 3)
+        assert_rounding_guarantee(inst, frac, round_makespan(inst, frac))
 
     def test_no_job_needs_no_level(self):
         for m in (0, 2):
@@ -336,7 +321,7 @@ class TestLstBaseline:
         scale = inst.int_values.scale
         alloc, t_star = lst_baseline(inst)
         assert t_star == F(math.ceil(scale * sum(F(1, j) for j in range(1, 21)) / 2), scale)
-        assert max(loads(inst, alloc)) <= t_star + 1
+        assert max(entity_totals(inst, alloc)) <= t_star + 1
 
 
 def eager_point(inst, t):
@@ -686,41 +671,31 @@ class TestAdditiveSanta:
     def test_owner_assignment_guarantee(self):
         for seed in range(12):
             inst = gen_random("unrelated-santa", seed, m=3, n=4, den=2)
-            from matalloc.reductions import santa_guess_grid
-            from matalloc.reductions import guess_loop
-
-            grid = santa_guess_grid(inst)
-            if not grid:
-                continue
-            best, frac = guess_loop(lambda T: solve_assignment_lp(inst, T), grid)
+            best, frac = guess_loop(lambda T: solve_assignment_lp(inst, T),
+                                    santa_guess_grid(inst))
             if best is None:
                 continue
-            owner = additive_round_santa(inst, frac)
-            vals = [F(0)] * 3
-            for j, o in enumerate(owner):
-                if o is not None:
-                    vals[o] += inst.resources[j].values[o]
+            alloc = round_santa(inst, frac)
             vmax = max(v for it in inst.resources for v in it.values)
-            assert min(vals) >= best - vmax
+            assert min(entity_totals(inst, alloc)) >= best - vmax, seed
 
-    def test_placements_obey_the_assignment_cap(self, monkeypatch):
-        # three resources split over two players each: 8 placements
-        inst = SantaInstance(2, [Item(values=(F(1), F(1))) for _ in range(3)])
-        frac = FractionalAssignment(F(1), [(F(1, 2), F(1, 2))] * 3)
-        evaluated = []
-        enumerate_placements = rounding.product
-
-        def spy(*supports):
-            for pick in enumerate_placements(*supports):
-                evaluated.append(pick)
-                yield pick
-
-        monkeypatch.setattr(rounding, "product", spy)
-        with pytest.raises(SizeCapError, match="placement space 8 exceeds cap 7"):
-            additive_round_santa(inst, frac, Caps(assignments=7))
-        assert evaluated == []
-        assert additive_round_santa(inst, frac, Caps(assignments=8)) == [0, 0, 1]
-        assert len(evaluated) == 8
+    def test_thirty_fractional_resources_round(self):
+        """30 unrelated resources, each split over two or three players: a
+        point that is no LP vertex, with more placements of its fractional
+        resources than any enumeration could try, rounds within its
+        guarantee."""
+        rng = random.Random(3)
+        inst = gen_random("unrelated-santa", 3, m=4, n=30)
+        rows = []
+        for it in inst.resources:
+            eligible = [i for i, v in enumerate(it.values) if v > 0]
+            support = rng.sample(eligible, min(len(eligible), rng.randint(2, 3)))
+            weights = [rng.randint(1, 4) for _ in support]
+            rows.append(tuple(F(weights[support.index(i)], sum(weights)) if i in support
+                              else F(0) for i in range(4)))
+        assert math.prod(sum(1 for v in row if v) for row in rows) > 10 ** 10
+        frac = FractionalAssignment(min(entity_totals(inst, rows)), rows)
+        assert_rounding_guarantee(inst, frac, round_santa(inst, frac))
 
 
 class TestFractionalInputChecks:
@@ -738,17 +713,19 @@ class TestFractionalInputChecks:
                                                     "on ineligible entity 1$"):
             round_santa(inst, frac)
 
-    def test_an_unrestricted_classical_item_is_refused(self):
-        """A classical item is rounded as a rank-one polymatroid, which holds
-        only when it takes one value over its eligible players: an
-        unrelated-santa item with two values is refused by name, even on a
-        point that puts each item whole on an eligible player."""
+    def test_an_unrestricted_classical_item_rounds(self):
+        """A classical item is rounded as a rank-one polymatroid over its
+        eligible players, whatever its values there: an unrelated-santa draw
+        with an item of two values rounds a point that puts each item whole
+        on an eligible player."""
         inst = gen_random("unrelated-santa", 0, m=3, n=4)
-        j = inst.int_values.restricted.index(False)
+        assert not all(inst.int_values.restricted)
         rows = [tuple(F(int(i == (mask & -mask).bit_length() - 1)) for i in range(3))
                 for mask in inst.int_values.eligible]
-        with pytest.raises(ContractViolation, match=f"^item {j} is not restricted: "):
-            round_santa(inst, FractionalAssignment(F(0), rows))
+        frac = FractionalAssignment(F(0), rows)
+        alloc = round_santa(inst, frac)
+        assert_rounding_guarantee(inst, frac, alloc)
+        assert alloc == [tuple(map(int, row)) for row in rows]
 
     def test_negative_entries_are_refused(self):
         inst = SantaInstance(2, [Item(values=(F(1), F(1)))])
@@ -832,32 +809,35 @@ class TestClassicalBasis:
         assert round_santa(inst, frac, DEFAULT_CAPS.override(sfm_ground=0)) == want
 
 
-def reference_gadget_round(vp, rows, den, m, mode, classical, caps):
+def reference_gadget_round(inst, rows, den, mode, caps):
     """The gadget rounding with whole-vector predicates: every item's vector
-    a member of its view, and every slot within one unit; the slots run in
-    Fractions over the point rows/den, each item overlapping the slots from
-    the floor of its cumulative start to the ceiling of its end."""
-    n = len(vp)
+    a member of its polymatroid, and every slot within one unit; the slots
+    run in Fractions over the point rows/den, each entity ordering the items
+    by their own Fraction values there (ties by index), and each item
+    overlaps the slots from the floor of its cumulative start to the
+    ceiling of its end."""
+    n, m = len(rows), inst.num_entities
+    polys = [item_polymatroid(inst, j) for j in range(n)]
     frac_x = [[F(v, den) for v in row] for row in rows]
-    order = sorted(range(n), key=lambda j: (-vp[j][0], j))
     edges, slots = [], 0
     for i in range(m):
         total = sum(row[i] for row in frac_x)
         kept = math.floor(total) if mode == "floor" else math.ceil(total)
+        held = [j for j in range(n) if frac_x[j][i] > 0]
         start = F(0)
-        for k, j in enumerate(order):
+        for j in sorted(held, key=lambda j: (-inst.items[j].value_for(i), j)):
             end = start + frac_x[j][i]
-            if end > start and vp[j][1].value(1 << i) > 0:
-                edges.extend((k, i, slots + s)
+            if polys[j].value(1 << i) > 0:
+                edges.extend((j, i, slots + s)
                              for s in range(math.floor(start), min(math.ceil(end), kept)))
             start = end
         slots += kept
 
     def per_item(x):
         out = {}
-        for (k, i, _), c in zip(edges, x):
+        for (j, i, _), c in zip(edges, x):
             if c:
-                out.setdefault(k, [0] * m)[i] += c
+                out.setdefault(j, [0] * m)[i] += c
         return out
 
     def within_slots(x):
@@ -867,7 +847,7 @@ def reference_gadget_round(vp, rows, den, m, mode, classical, caps):
         return max(per_slot, default=0) <= 1
 
     def items_members(x):
-        return all(member(vp[order[k]][1], vec, caps) for k, vec in per_item(x).items())
+        return all(member(polys[j], vec, caps) for j, vec in per_item(x).items())
 
     one_block = [0] * len(edges)
     best = max_common_independent([1] * len(edges), DirectSum(one_block, [items_members]),
@@ -875,14 +855,14 @@ def reference_gadget_round(vp, rows, den, m, mode, classical, caps):
     if mode == "floor":
         target, what = slots, "slots"
     else:
-        target, what = sum(vp[j][1].value((1 << m) - 1) for j in range(n)), "items' bases"
+        target, what = sum(p.value((1 << m) - 1) for p in polys), "items' bases"
     if sum(best) != target:
         raise ContractViolation(
             f"gadget rounding fell short of saturating its {what} "
             f"({sum(best)} of {target}); the fractional input is not LP-feasible")
     alloc = [tuple([0] * m) for _ in range(n)]
-    for k, vec in per_item(best).items():
-        alloc[order[k]] = tuple(vec)
+    for j, vec in per_item(best).items():
+        alloc[j] = tuple(vec)
     return alloc
 
 
@@ -903,14 +883,18 @@ def random_rows(rng, inst):
     return rows
 
 
-def classical_draw(seed):
-    """Seed's restricted draw (santa on even seeds, makespan on odd ones,
-    m 2-8, n 5-12) with random_rows at T the least player value or the
-    largest load."""
+RESTRICTED = ("restricted-santa", "restricted-makespan")
+UNRELATED = ("unrelated-santa", "two-value-makespan")
+
+
+def classical_draw(seed, flavors=RESTRICTED):
+    """Seed's draw of flavors (the santa one on even seeds, the makespan
+    one on odd ones, m 2-8, n 5-12) with random_rows at T the least player
+    value or the largest load."""
     rng = random.Random(seed)
     m, n = rng.randint(2, 8), rng.randint(5, 12)
     makespan = seed % 2
-    inst = gen_random("restricted-makespan" if makespan else "restricted-santa", seed, m=m, n=n)
+    inst = gen_random(flavors[makespan], seed, m=m, n=n)
     rows = random_rows(rng, inst)
     totals = entity_totals(inst, rows)
     return inst, FractionalAssignment(max(totals) if makespan else min(totals), rows)
@@ -932,14 +916,16 @@ def rounded_both_ways(monkeypatch, rounder, inst, frac):
 
 
 def test_classical_rounding_matches_the_whole_vector_reference(monkeypatch):
-    """600 classical draws (m 2-8, n 5-12), each rounded with the counting
-    sides and with the whole-vector predicates: every one rounds, alike."""
-    for seed in range(600):
-        inst, frac = classical_draw(seed)
+    """600 restricted and 300 unrelated classical draws (m 2-8, n 5-12),
+    each rounded with the counting sides and with the whole-vector
+    predicates: every one rounds, alike."""
+    draws = [(RESTRICTED, seed) for seed in range(600)] + [(UNRELATED, seed) for seed in range(300)]
+    for flavors, seed in draws:
+        inst, frac = classical_draw(seed, flavors)
         rounder = round_makespan if isinstance(inst, MakespanInstance) else round_santa
         got, want = rounded_both_ways(monkeypatch, rounder, inst, frac)
-        assert got == want, seed
-        assert isinstance(got, list), (seed, got)
+        assert got == want, (flavors, seed)
+        assert isinstance(got, list), (flavors, seed, got)
 
 
 @pytest.mark.parametrize("flavor, rounder", [("santa-matroid", round_santa),
@@ -987,10 +973,13 @@ def assert_rounding_guarantee(inst, frac, alloc):
 
 
 def test_every_random_lp_feasible_classical_point_rounds():
-    """3,000 classical draws of random rows, none of them an LP vertex in
-    general: each rounds, with its guarantee recomputed in Fractions."""
-    for seed in range(3000):
-        inst, frac = classical_draw(seed)
+    """3,000 restricted and 1,000 unrelated classical draws of random rows,
+    none of them an LP vertex in general: each rounds, with its guarantee
+    recomputed in Fractions."""
+    draws = [(RESTRICTED, seed) for seed in range(3000)] + [(UNRELATED, seed)
+                                                            for seed in range(1000)]
+    for flavors, seed in draws:
+        inst, frac = classical_draw(seed, flavors)
         rounder = round_makespan if isinstance(inst, MakespanInstance) else round_santa
         assert_rounding_guarantee(inst, frac, rounder(inst, frac))
 
