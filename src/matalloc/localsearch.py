@@ -12,12 +12,14 @@ side: a set A of addable elements (droppable from I_M, absorbable by P at
 multiplicity 2b) is built layer by layer, the blocking elements B of I_P
 that obstruct the swap are identified, and the routine either commits
 enough immediately-addable elements, fails with a certificate, or
-recurses on B. All threshold comparisons are exact rationals. The search
-asks only whether a capped marginal reaches its threshold
+recurses on B. All threshold comparisons are exact: with eps = num/den in
+(0, 1/8], each eps-threshold is compared as cross-multiplied ints. The
+search asks only whether a capped marginal reaches its threshold
 (marginal_reaches), and asks the leave-one-out thresholds of the blocking
 set and its invariant check as one batch (leave_one_out_reaches);
 verify_certificate checks a certificate with exact capped marginals, one
-element at a time, as an independent check.
+element at a time, as an independent check, decides its thresholds in
+ints too, and refuses an eps or b that solve_cover would refuse.
 
 Each scan over candidates (a layer of A, the growth of A_I) is one pass
 in index order. A candidate that fails cannot pass later in the same
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
 
 from . import stats
 from .bitsets import bits, elements, indicator, size
@@ -345,6 +346,21 @@ def recursion_node_bound(n: int, eps: Fraction) -> int:
     return 2 ** (short + 1)
 
 
+def _checked_eps(eps: Fraction | float) -> Fraction:
+    """eps as a Fraction, a float read exactly by its binary value; refused
+    outside (0, 1/8], decided on its numerator and denominator."""
+    if not isinstance(eps, Fraction):
+        eps = Fraction(eps)
+    if not 0 < 8 * eps.numerator <= eps.denominator:
+        raise ValueError("eps must lie in (0, 1/8]")
+    return eps
+
+
+def _check_level(b: int) -> None:
+    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
+        raise ValueError("cover level b must be a positive integer")
+
+
 def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10),
                 caps: Caps = DEFAULT_CAPS) -> CoverResult:
     """Cover every element by the matroid or by polymatroid multiplicity b.
@@ -366,11 +382,8 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
     repeated call returns the kept result and asks no query. Only a run
     that returns is kept; one that raises is run again next time.
     """
-    eps = Fraction(eps)
-    if not (0 < eps <= Fraction(1, 8)):
-        raise ValueError("eps must lie in (0, 1/8]")
-    if not isinstance(inst.b, int) or isinstance(inst.b, bool) or inst.b < 1:
-        raise ValueError("cover level b must be a positive integer")
+    eps = _checked_eps(eps)
+    _check_level(inst.b)
     matroid, poly, b = inst.matroid, inst.polymatroid, inst.b
     n = matroid.n
     if matroid.n != poly.n:
@@ -447,29 +460,39 @@ def verify_certificate(cert: Certificate, matroid: MatroidOracle,
 
     Returns a report with one boolean per property, the overall verdict,
     and the smallest integer multiple of b the certificate provably
-    excludes. With exhaustive=True (ground size at most caps.sfm_ground,
-    else SizeCapError) it additionally confirms by enumeration that no
-    cover at (4+40*eps)*b exists that puts a 3*eps fraction of B0 on the
-    matroid side.
+    excludes. The certificate's eps must lie in (0, 1/8] (a float is read
+    exactly) and its b must be a positive int, as solve_cover requires;
+    else ValueError. With eps = num/den each threshold is decided in ints,
+    cross-multiplied by den (by 2·den for p2). With exhaustive=True (ground
+    size at most caps.sfm_ground, else SizeCapError) it additionally
+    confirms by enumeration, in Fractions, that no cover at (4+40*eps)*b
+    exists that puts a 3*eps fraction of B0 on the matroid side.
     """
-    z1, z2, b, eps, b0 = cert.z1, cert.z2, cert.b, cert.eps, cert.b0
-    n_b0 = size(b0)
+    eps = _checked_eps(cert.eps)
+    _check_level(cert.b)
+    z1, z2, b, b0 = cert.z1, cert.z2, cert.b, cert.b0
+    num, den = eps.numerator, eps.denominator
+    n_b0, n_z1, n_z2 = size(b0), size(z1), size(z2)
     report: dict = {"contained": bool(z2 & ~z1 == 0 and z1 & ~(cert.ground & ~b0) == 0)}
-    report["p1_rank_shields_b0"] = Fraction(matroid.rank_marginal(b0, z1)) < 2 * eps * n_b0
+    # r(B0 | Z1) < 2eps·|B0|
+    report["p1_rank_shields_b0"] = matroid.rank_marginal(b0, z1) * den < 2 * num * n_b0
+    # r(Z1) <= |Z1| - (1/2 - 2eps)·|Z2| + eps·|B0|
     report["p2_rank_deficiency"] = (
-        Fraction(matroid.rank(z1))
-        <= size(z1) - (Fraction(1, 2) - 2 * eps) * size(z2) + eps * n_b0)
+        2 * den * matroid.rank(z1)
+        <= 2 * den * n_z1 - (den - 4 * num) * n_z2 + 2 * num * n_b0)
     good = sum(1 for i in bits(z2)
                if capped_marginal(poly, 1 << i, b, z2 & ~(1 << i)) < b)
-    report["p3_small_marginals_in_z2"] = Fraction(good) >= (1 - eps) * size(z2)
+    # good >= (1 - eps)·|Z2|
+    report["p3_small_marginals_in_z2"] = good * den >= (den - num) * n_z2
     report["p4_small_marginals_above_z2"] = all(
         capped_marginal(poly, 1 << i, 2 * b, z2) < 2 * b for i in bits(z1 & ~z2))
     report["ok"] = all(report[k] for k in
                        ("contained", "p1_rank_shields_b0", "p2_rank_deficiency",
                         "p3_small_marginals_in_z2", "p4_small_marginals_above_z2"))
     # smallest integer multiple of b provably excluded by the property chain:
-    # alpha must satisfy (1+2eps)/(alpha-2) + eps <= 1/2 - 2eps
-    report["excluded_multiple"] = ceil(2 + 2 * (1 + 2 * eps) / (1 - 6 * eps))
+    # alpha must satisfy (1+2eps)/(alpha-2) + eps <= 1/2 - 2eps, so
+    # alpha = 2 + ceil(2(1+2eps)/(1-6eps)), whose divisor den - 6num > 0
+    report["excluded_multiple"] = 2 - (-2 * (den + 2 * num) // (den - 6 * num))
     if exhaustive:
         level = (4 + 40 * eps) * b
         report["exhaustive_sound"] = not exists_strong_cover(

@@ -1,5 +1,6 @@
 """Shared helpers: structure-aware exact solvers for reduction gadgets,
-seeded draws, and the dense Fraction tableau the simplex is checked against.
+seeded draws, the dense Fraction tableau the simplex is checked against,
+and the Fraction formulas the certificate check is checked against.
 
 The two-value gadget's max-min optimum is reached by canonical solutions in
 which every job-player holds exactly one resource (worth w to it) and every
@@ -11,11 +12,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
+from matalloc.bitsets import bits, size
 from matalloc.instances import CoreCoverInstance, Item, SantaInstance, unit_vector
 from matalloc.matroids import PartitionMatroid, UniformMatroid
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, DualPoly, ModularPoly,
-                                   ScaledRankPoly, SumPoly)
+                                   ScaledRankPoly, SumPoly, capped_marginal)
 
 
 def gadget_santa_opt(bundle):
@@ -354,3 +357,27 @@ def reference_point(num_vars, constraints, events=None):
         if b < num_vars:
             point[b] = tableau[i][-1]
     return point
+
+
+def reference_certificate_report(cert, matroid, poly):
+    """The reference for matalloc.localsearch.verify_certificate's
+    non-exhaustive report: the four certificate properties and the excluded
+    multiple, each threshold evaluated in Fraction arithmetic."""
+    z1, z2, b, eps, b0 = cert.z1, cert.z2, cert.b, Fraction(cert.eps), cert.b0
+    n_b0 = size(b0)
+    report = {"contained": bool(z2 & ~z1 == 0 and z1 & ~(cert.ground & ~b0) == 0)}
+    report["p1_rank_shields_b0"] = Fraction(matroid.rank_marginal(b0, z1)) < 2 * eps * n_b0
+    report["p2_rank_deficiency"] = (
+        Fraction(matroid.rank(z1))
+        <= size(z1) - (Fraction(1, 2) - 2 * eps) * size(z2) + eps * n_b0)
+    good = sum(1 for i in bits(z2)
+               if capped_marginal(poly, 1 << i, b, z2 & ~(1 << i)) < b)
+    report["p3_small_marginals_in_z2"] = Fraction(good) >= (1 - eps) * size(z2)
+    report["p4_small_marginals_above_z2"] = all(
+        capped_marginal(poly, 1 << i, 2 * b, z2) < 2 * b for i in bits(z1 & ~z2))
+    report["ok"] = all(report[k] for k in
+                       ("contained", "p1_rank_shields_b0", "p2_rank_deficiency",
+                        "p3_small_marginals_in_z2", "p4_small_marginals_above_z2"))
+    report["excluded_multiple"] = ceil(2 + 2 * (1 + 2 * eps) / (1 - 6 * eps))
+    report["exhaustive_sound"] = None
+    return report

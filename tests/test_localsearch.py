@@ -1,6 +1,7 @@
 """Local-search cover solver: gap-instance traces, certificates, invariants,
 and cross-checks against exhaustive cover search."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import nested_coverage_core, reference_certificate_report
 
 import matalloc.localsearch as localsearch
 from matalloc import stats
@@ -95,11 +98,40 @@ class TestCertificates:
             assert brute_max_cover_b(inst.matroid, inst.polymatroid) == 1  # < 3b exactly
 
     def test_excluded_multiple_formula(self):
-        cert = Certificate(z1=0b01, z2=0, b=1, eps=EPS, ground=0b11, b0=0b10)
-        rep = verify_certificate(cert, UniformMatroid(2, 1), ModularPoly([1, 1]))
-        # ceil(2 + 2(1 + 2eps)/(1 - 6eps)) at eps = 1/10 is ceil(2 + 3) = 8? no:
-        # 2(1.2)/(0.4) = 6, so 8
-        assert rep["excluded_multiple"] == 8
+        # alpha = 2 + ceil(2(1 + 2eps)/(1 - 6eps)): at eps = 1/10 that is
+        # 2 + ceil(2.4/0.4) = 2 + 6, at eps = 1/9 it is 2 + ceil(22/3) = 2 + 8
+        for eps, alpha in ((Fraction(1, 8), 12), (Fraction(1, 9), 10),
+                           (Fraction(1, 10), 8), (Fraction(1, 16), 6)):
+            cert = Certificate(z1=0b01, z2=0, b=1, eps=eps, ground=0b11, b0=0b10)
+            rep = verify_certificate(cert, UniformMatroid(2, 1), ModularPoly([1, 1]))
+            assert rep["excluded_multiple"] == alpha
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 6), Fraction(1, 5), Fraction(0),
+                                     Fraction(-1, 10), 0.2])
+    def test_an_eps_outside_the_range_is_refused(self, eps):
+        # 1/6 once divided by zero and 1/5 once excluded the multiple -12
+        cert = Certificate(z1=0b01, z2=0, b=1, eps=eps, ground=0b11, b0=0b10)
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1/8\]$"):
+            verify_certificate(cert, UniformMatroid(2, 1), ModularPoly([1, 1]))
+
+    @pytest.mark.parametrize("b", [0, -1, True, 1.5, Fraction(2)])
+    def test_a_level_that_is_no_positive_int_is_refused(self, b):
+        # b = 0 once returned a report
+        cert = Certificate(z1=0b01, z2=0, b=b, eps=EPS, ground=0b11, b0=0b10)
+        with pytest.raises(ValueError, match="^cover level b must be a positive integer$"):
+            verify_certificate(cert, UniformMatroid(2, 1), ModularPoly([1, 1]))
+
+    def test_a_float_eps_is_read_exactly(self):
+        # 2eps·|B0| is 1 at eps = 1/10 and |B0| = 5; the float 0.1 lies just
+        # above 1/10, so exactly it shields B0, and in float arithmetic it would not
+        cert = Certificate(z1=0, z2=0, b=1, eps=0.1, ground=full_mask(6), b0=0b11111)
+        matroid, poly = UniformMatroid(6, 1), ModularPoly([1] * 6)
+        assert not 1 < 2 * 0.1 * 5
+        rep = verify_certificate(cert, matroid, poly)
+        assert rep["p1_rank_shields_b0"]
+        assert rep == reference_certificate_report(cert, matroid, poly)
+        exact = dataclasses.replace(cert, eps=Fraction(1, 10))
+        assert not verify_certificate(exact, matroid, poly)["p1_rank_shields_b0"]
 
 
 class TestDriver:
@@ -704,3 +736,129 @@ def test_a_member_set_hit_raises_what_a_miss_raises(mask, h, caps, error):
     with pytest.raises(error) as hit:
         member_set(kept, mask, h, caps)
     assert str(hit.value) == str(miss.value)
+
+
+# ---------------------------------------------------------------------------
+# verify_certificate decides in ints what the Fraction formulas decide
+
+
+CERT_EPS = (Fraction(1, 8), Fraction(1, 9), Fraction(1, 10), Fraction(3, 32), Fraction(1, 16))
+
+
+def _solver_certificates():
+    """(certificate, matroid, polymatroid) of seeded solve_cover runs at
+    every eps of CERT_EPS: core-certify shapes at levels 1-5, random core
+    covers at levels 1-3, and the recursion family at its own level."""
+    found = []
+    for seed in range(10):
+        eps = CERT_EPS[seed % len(CERT_EPS)]
+        runs = [(_coverage_core(seed, 12), (1, 2, 3, 4, 5)),
+                (gen_random("core-cover", seed, m=6), (1, 2, 3))]
+        nested = nested_coverage_core(seed)
+        runs.append((nested, (nested.b,)))
+        for inst, levels in runs:
+            for b in levels:
+                inst.b = b
+                res = solve_cover(inst, eps)
+                found += [(rec.certificate, rec.matroid, rec.poly) for rec in res.certificates]
+    return found
+
+
+def _perturbed(cert, n, rng):
+    """cert with a few elements of Z1, Z2 and B0 flipped and another eps."""
+    flip = lambda mask: mask ^ sum(1 << i for i in rng.sample(range(n), rng.randint(0, 2)))
+    return dataclasses.replace(cert, z1=flip(cert.z1), z2=flip(cert.z2), b0=flip(cert.b0),
+                               eps=rng.choice(CERT_EPS))
+
+
+def _sides(prop, cert, matroid, poly):
+    """The two sides of a property's threshold, in Fractions."""
+    eps, z1, z2, b0 = cert.eps, cert.z1, cert.z2, cert.b0
+    if prop == "p1_rank_shields_b0":
+        return Fraction(matroid.rank_marginal(b0, z1)), 2 * eps * size(b0)
+    if prop == "p2_rank_deficiency":
+        return (Fraction(matroid.rank(z1)),
+                size(z1) - (Fraction(1, 2) - 2 * eps) * size(z2) + eps * size(b0))
+    good = sum(1 for i in bits(z2)
+               if localsearch.capped_marginal(poly, 1 << i, cert.b, z2 & ~(1 << i)) < cert.b)
+    return Fraction(good), (1 - eps) * size(z2)
+
+
+def _boundary_cases():
+    """(property, certificate, matroid, polymatroid) whose property holds
+    with equality: p1 is strict, so it fails there; p2 and p3 hold."""
+    low = lambda k: (1 << k) - 1
+    cases = []
+    for eps, k in ((Fraction(1, 8), 4), (Fraction(1, 16), 8)):
+        # r(B0 | {}) = 1 = 2eps·|B0|
+        cases.append(("p1_rank_shields_b0",
+                      Certificate(z1=0, z2=0, b=1, eps=eps, ground=low(k + 2), b0=low(k)),
+                      UniformMatroid(k + 2, 1), ModularPoly([1] * (k + 2))))
+    for eps, n_b0, n_z, rank in ((Fraction(1, 8), 8, 4, 4), (Fraction(1, 10), 10, 10, 8)):
+        # r(Z1) = |Z1| - (1/2 - 2eps)·|Z2| + eps·|B0| with Z1 = Z2
+        n = n_b0 + n_z
+        cases.append(("p2_rank_deficiency",
+                      Certificate(z1=low(n) & ~low(n_b0), z2=low(n) & ~low(n_b0), b=1,
+                                  eps=eps, ground=low(n), b0=low(n_b0)),
+                      UniformMatroid(n, rank), ModularPoly([1] * n)))
+    for eps, n_z in ((Fraction(1, 8), 8), (Fraction(1, 16), 16)):
+        # all but one element of Z2 add 1 < b = 2 above the rest: good = (1 - eps)·|Z2|
+        cases.append(("p3_small_marginals_in_z2",
+                      Certificate(z1=low(n_z), z2=low(n_z), b=2, eps=eps,
+                                  ground=low(n_z + 1), b0=1 << n_z),
+                      UniformMatroid(n_z + 1, n_z + 1), ModularPoly([1] * (n_z - 1) + [2, 1])))
+    return cases
+
+
+@pytest.mark.parametrize("prop, cert, matroid, poly", _boundary_cases())
+def test_a_threshold_met_with_equality(prop, cert, matroid, poly):
+    lhs, rhs = _sides(prop, cert, matroid, poly)
+    assert lhs == rhs
+    rep = verify_certificate(cert, matroid, poly)
+    assert rep == reference_certificate_report(cert, matroid, poly)
+    assert rep[prop] is (prop != "p1_rank_shields_b0")
+
+
+def test_integer_report_matches_the_fraction_formulas():
+    found = _solver_certificates()
+    assert len(found) >= 100 and sum(1 for cert, _, _ in found if cert.z2) >= 20
+    rng = random.Random(49)
+    cases = list(found)
+    for cert, matroid, poly in found:
+        cases += [(_perturbed(cert, matroid.n, rng), matroid, poly) for _ in range(3)]
+    cases += [case[1:] for case in _boundary_cases()]
+    assert {cert.eps for cert, _, _ in cases} == set(CERT_EPS)
+    outcomes = set()
+    for cert, matroid, poly in cases:
+        rep = verify_certificate(cert, matroid, poly)
+        ref = reference_certificate_report(cert, matroid, poly)
+        assert list(rep) == list(ref)
+        for key in ref:
+            assert rep[key] == ref[key] and type(rep[key]) is type(ref[key]), (key, cert)
+        outcomes |= {(key, rep[key]) for key in ref if key.startswith("p")}
+    # every property both holds and fails somewhere among the cases
+    assert len(outcomes) == 8
+
+
+def test_the_integer_check_builds_no_fraction(monkeypatch):
+    cases = _solver_certificates() + [case[1:] for case in _boundary_cases()]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if "_from_coprime_ints" in vars(Fraction):
+        # arithmetic results are built here, not by __new__, from Python 3.12
+        from_ints = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(lambda cls, n, d: built.append((n, d)) or from_ints(n, d)))
+    for cert, matroid, poly in cases:
+        verify_certificate(cert, matroid, poly)
+    assert built == []
+    # the spy does see what the Fraction formulas build
+    reference_certificate_report(*cases[0])
+    assert built
+
