@@ -572,16 +572,17 @@ def gen_gap_instance(m: int, b: int = 1) -> CoreCoverInstance:
     return CoreCoverInstance(UniformMatroid(m, m - 1), ModularPoly([1] * m), b)
 
 
-def _random_poly(rng: random.Random, n: int, max_weight: int = 3) -> PolymatroidOracle:
+def _random_poly(rng: random.Random, n: int) -> PolymatroidOracle:
+    """Modular weights 0..3, coverage weights 1..3, or a rank scaled by 1..3."""
     kind = rng.choice(["modular", "coverage", "scaled-rank"])
     if kind == "modular":
-        return ModularPoly([rng.randint(0, max_weight) for _ in range(n)])
+        return ModularPoly([rng.randint(0, 3) for _ in range(n)])
     if kind == "coverage":
         universe = rng.randint(1, n + 2)
         covers = [mask_of(i for i in range(universe) if rng.random() < 0.5) for _ in range(n)]
-        weights = [rng.randint(1, max_weight) for _ in range(universe)]
+        weights = [rng.randint(1, 3) for _ in range(universe)]
         return CoveragePoly(covers, weights)
-    return ScaledRankPoly(_random_matroid(rng, n), rng.randint(1, max_weight))
+    return ScaledRankPoly(_random_matroid(rng, n), rng.randint(1, 3))
 
 
 def _random_matroid(rng: random.Random, n: int) -> MatroidOracle:
@@ -604,22 +605,17 @@ def _random_matroid(rng: random.Random, n: int) -> MatroidOracle:
     return TransversalMatroid(adjacency, num_right)
 
 
-def gen_random(flavor: str, seed: int, **params):
+def gen_random(flavor: str, seed: int, *, m: int = 4, n: int = 6, u=Fraction(1),
+               w=Fraction(3), b: int = 1, den: int = 4):
     """Deterministic random instance; size parameters by flavor:
     m (entities; at least 2 for gap, else at least 1), n (items, >= 0),
     u/w (the two values, >= 0), b (cover level of gap and core-cover,
-    >= 1), and the library-only max_weight (core-cover and the matroid
-    flavors) and den (unrelated-santa), both >= 1; m is at most MAX_INDEX,
-    the parser's size bound. A value out of range raises SchemaError naming
-    its `matalloc gen` flag or its parameter, before anything is built."""
+    >= 1), and the library-only den (unrelated-santa, >= 1); m is at most
+    MAX_INDEX, the parser's size bound. A value out of range raises
+    SchemaError naming its `matalloc gen` flag or its parameter, before
+    anything is built; an unknown keyword raises TypeError."""
     rng = random.Random(seed)
-    m = params.get("m", 4)
-    n = params.get("n", 6)
-    u = Fraction(params.get("u", Fraction(1)))
-    w = Fraction(params.get("w", Fraction(3)))
-    b = params.get("b", 1)
-    max_weight = params.get("max_weight", 3)
-    den = params.get("den", 4)
+    u, w = Fraction(u), Fraction(w)
     least_m = 2 if flavor == "gap" else 1
     for flag, bad, need in (("--m", m < least_m, f"at least {least_m} for {flavor}"),
                             ("--m", m > MAX_INDEX, f"at most {MAX_INDEX}"),
@@ -627,7 +623,6 @@ def gen_random(flavor: str, seed: int, **params):
                             ("--u", u < 0, "nonnegative"),
                             ("--w", w < 0, "nonnegative"),
                             ("--b", b < 1, "a positive integer"),
-                            ("max_weight", max_weight < 1, "a positive integer"),
                             ("den", den < 1, "a positive integer")):
         if bad:
             raise SchemaError(f"{flag}: must be {need}")
@@ -635,7 +630,7 @@ def gen_random(flavor: str, seed: int, **params):
     if flavor == "gap":
         return gen_gap_instance(m, b)
     if flavor == "core-cover":
-        return CoreCoverInstance(_random_matroid(rng, m), _random_poly(rng, m, max_weight), b)
+        return CoreCoverInstance(_random_matroid(rng, m), _random_poly(rng, m), b)
     if flavor == "unrelated-santa":
         items = [Item(values=tuple(Fraction(rng.randint(0, den * 2), den) for _ in range(m)))
                  for _ in range(n)]
@@ -659,7 +654,7 @@ def gen_random(flavor: str, seed: int, **params):
             items.append(Item(values=row))
         return cls(m, items)
     if flavor in ("santa-matroid", "makespan-matroid"):
-        return cls(m, [Item(value=rng.choice([u, w]), polymatroid=_random_poly(rng, m, max_weight))
+        return cls(m, [Item(value=rng.choice([u, w]), polymatroid=_random_poly(rng, m))
                        for _ in range(n)])
     raise ValueError(f"unknown flavor {flavor!r}")
 

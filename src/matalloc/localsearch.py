@@ -232,7 +232,9 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
     build_addable ends only on an empty layer, so c_rest holds I_M's part of
     every fundamental circuit of B0 (I_M spans B0 past the first check), and
     B0's elements are loops below this node. The root's B0 is one target and
-    a child adds B to it, so this needs 1/eps blocking elements on one path.
+    a child adds B to it, so this needs 1/eps blocking elements on one path;
+    tests/corpus/augment/ keeps an 18-element cover whose solve_cover run at
+    eps = 1/8 gathers 8 and takes this branch one level down.
 
     Step (1) grows A_I by one pass (grow_immediate). A success never drops a
     covered element (succeed checks that I_M ∪ I_P stays covered), so within

@@ -171,14 +171,18 @@ def exists_strong_cover(matroid: MatroidOracle, poly: PolymatroidOracle, ground:
                         b0: int, level: Fraction, min_b0_hits: Fraction,
                         caps: Caps = DEFAULT_CAPS) -> bool:
     """Exhaustive check used against certificates: is there I*_M ∪ I*_P ⊇ E \\ B0
-    with I*_M independent, level·1_{I*_P} in P, and |B0 ∩ I*_M| >= min_b0_hits?"""
+    with I*_M independent, level·1_{I*_P} in P, and |B0 ∩ I*_M| >= min_b0_hits?
+
+    level·1_S in P is decided by the subsets of S, level·|T| <= f(T) for
+    every nonempty T ⊆ S, in cross-multiplied ints, so this check shares no
+    membership code with the solver it checks."""
     if size(ground) > caps.sfm_ground:
         raise SizeCapError(f"exhaustive soundness check over {size(ground)} elements "
                            f"exceeds cap {caps.sfm_ground}")
+    num, den = level.numerator, level.denominator
     others = ground & ~b0
     for ip in submasks(ground):
-        vec = [level if (ip >> e) & 1 else Fraction(0) for e in range(poly.n)]
-        if not member(poly, vec, caps):
+        if any(num * size(t) > den * poly.value(t) for t in submasks(ip)):
             continue
         base = others & ~ip
         if not matroid.is_independent(base):

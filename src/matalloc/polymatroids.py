@@ -4,10 +4,10 @@ A polymatroid is {x in Z>=0^E : x(S) <= f(S) for all S} for a monotone
 submodular integer f with f(empty) = 0. Concrete families: modular,
 weighted coverage, scaled matroid rank, explicit table. Derived forms:
 sums, box caps, marginals above a set or vector, and duals. On top of
-the oracles: brute-force submodular minimization, the count max y(E) over
-y <= x in P (count), which decides membership and how many units of one
-element a member can gain up to a limit (headroom), greedy basis
-extension, and the box-capped marginal f(Y | b*X).
+the oracles: brute-force submodular minimization, the count of an integer
+vector x, max y(E) over y <= x in P (count), which decides membership and
+how many units of one element a member can gain up to a limit (headroom),
+greedy basis extension, and the box-capped marginal f(Y | b*X).
 
 A capped value and a vector-contracted value are each one count of a
 box vector of the inner polymatroid (CappedPoly, VectorContractedPoly),
@@ -58,7 +58,6 @@ is independent in the union.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -664,23 +663,22 @@ def _check_length(p: PolymatroidOracle, x: Sequence) -> None:
         raise ValueError(f"vector of length {len(x)} for a ground set of size {p.n}")
 
 
-def _by_partition(p: PolymatroidOracle, integral: bool, k: int, caps: Caps) -> bool:
-    """Whether count takes matroid partition (no subsets enumerated) on a
-    vector with k nonzero entries, all ints if integral; where it would
-    instead enumerate more than caps.sfm_ground of them, the SizeCapError
-    that sfm_min raises. member, member_set and headroom ask it before
-    their memos, so a memo hit raises what a miss would."""
-    if k >= MEMBER_SUPPORT and integral and p.partition_form is not None:
+def _by_partition(p: PolymatroidOracle, k: int, caps: Caps) -> bool:
+    """Whether count takes matroid partition (no subsets enumerated) on an
+    integer vector with k nonzero entries; where it would instead enumerate
+    more than caps.sfm_ground of them, the SizeCapError that sfm_min
+    raises. member, member_set and headroom ask it before their memos, so
+    a memo hit raises what a miss would."""
+    if k >= MEMBER_SUPPORT and p.partition_form is not None:
         return True
     if k > caps.sfm_ground:
         raise SizeCapError(f"SFM ground set of size {k} exceeds cap {caps.sfm_ground}")
     return False
 
 
-def count(p: PolymatroidOracle, x: Sequence[int | Fraction],
-          caps: Caps = DEFAULT_CAPS) -> int | Fraction:
+def count(p: PolymatroidOracle, x: Sequence[int], caps: Caps = DEFAULT_CAPS) -> int:
     """max y(E) over y <= x in P(f) = min_S f(S) + x(E \\ S) (Edmonds 1970),
-    for an integer or rational x >= 0 of length p.n.
+    for an integer x >= 0 of length p.n, checked or built from ints.
 
     By matroid partition (one value query) where _by_partition says so: the
     network's count when the form has no copies, else the placed total of
@@ -689,20 +687,19 @@ def count(p: PolymatroidOracle, x: Sequence[int | Fraction],
     exact because f is monotone and x is zero off its support.
     """
     supp = vec_support(x)
-    if _by_partition(p, all(isinstance(v, int) for v in x), size(supp), caps):
+    if _by_partition(p, size(supp), caps):
         stats.counters["poly_value"] += 1
         copies, g = p.partition_form
         return g.count(x) if g is not None and not copies else p.placement(tuple(x)).placed
     return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n, caps, restrict=supp)[1]
 
 
-def member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps = DEFAULT_CAPS) -> bool:
+def member(p: PolymatroidOracle, x: Sequence[int], caps: Caps = DEFAULT_CAPS) -> bool:
     """x in P iff its count reaches x(E), i.e. min_S f(S) − x(S) >= 0.
 
-    Accepts integer or rational vectors (rational for scaled box tests) of
-    length p.n. Answers are memoised per polymatroid and vector (equal int
-    and Fraction vectors share one); the length, sign and cap checks
-    run first, so a memo hit raises what a miss would.
+    Takes integer vectors of length p.n. Answers are memoised per
+    polymatroid and vector; the length, entry and cap checks run first, so
+    a memo hit raises what a miss would.
     """
     _check_member(p, x, caps)
     key = tuple(x)
@@ -723,7 +720,7 @@ def member_set(p: PolymatroidOracle, mask: int, h: int, caps: Caps = DEFAULT_CAP
     if type(h) is not int or h < 0:
         _check_weights([h], "membership multiplicity")
     if h:
-        _by_partition(p, True, size(mask), caps)
+        _by_partition(p, size(mask), caps)
     key = (mask, h)
     hit = p._member_set_memo.get(key)
     if hit is None:
@@ -731,12 +728,14 @@ def member_set(p: PolymatroidOracle, mask: int, h: int, caps: Caps = DEFAULT_CAP
     return hit
 
 
-def _check_member(p: PolymatroidOracle, x: Sequence[int | Fraction], caps: Caps) -> None:
-    """member's checks on x: length, sign, then the enumeration cap."""
+def _check_member(p: PolymatroidOracle, x: Sequence[int], caps: Caps) -> None:
+    """member's checks on x: length, each entry a nonnegative int (not a
+    bool), then the enumeration cap."""
     _check_length(p, x)
-    if any(v < 0 for v in x):
-        raise ValueError("membership is defined for nonnegative vectors")
-    _by_partition(p, all(isinstance(v, int) for v in x), size(vec_support(x)), caps)
+    for e, v in enumerate(x):
+        if type(v) is not int or v < 0:
+            raise ValueError(f"membership entry {e} is {v!r}, not a nonnegative int")
+    _by_partition(p, size(vec_support(x)), caps)
 
 
 def headroom(p: PolymatroidOracle, x: Sequence[int], e: int, limit: int,

@@ -51,5 +51,5 @@ def delta(before: dict[str, int]) -> dict[str, int]:
     return {k: counters.get(k, 0) - before.get(k, 0) for k in counters}
 
 
-def total(d: dict[str, int] | None = None) -> int:
-    return sum((d or counters).values())
+def total(d: dict[str, int]) -> int:
+    return sum(d.values())

@@ -178,12 +178,16 @@ class TestGenerators:
             assert check_axioms(it.polymatroid, seed=3, augmentation_samples=3)["ok"]
 
     @pytest.mark.parametrize("flavor, param, bad", [
-        ("core-cover", "max_weight", 0), ("santa-matroid", "max_weight", 0),
-        ("makespan-matroid", "max_weight", 0),
         ("unrelated-santa", "den", 0), ("unrelated-santa", "den", -1)])
     def test_library_only_parameters_are_checked(self, flavor, param, bad):
         with pytest.raises(SchemaError, match=f"^{param}: must be a positive integer$"):
             gen_random(flavor, 1, m=3, n=2, **{param: bad})
+
+    @pytest.mark.parametrize("param", ["nn", "max_weight"])
+    def test_an_unknown_keyword_is_refused(self, param):
+        """A mistyped size would otherwise be dropped and its default drawn."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{param}'"):
+            gen_random("santa-matroid", 1, m=3, **{param: 5})
 
 
 class TestAllocations:

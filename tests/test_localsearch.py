@@ -15,7 +15,7 @@ from conftest import nested_coverage_core, reference_certificate_report
 
 import matalloc.localsearch as localsearch
 from matalloc import stats
-from matalloc.bitsets import bits, full_mask, indicator, size
+from matalloc.bitsets import bits, elements, full_mask, indicator, mask_of, size, submasks
 from matalloc.instances import CoreCoverInstance, gen_gap_instance, gen_random, parse_instance
 from matalloc.limits import DEFAULT_CAPS, InternalInvariantError, SizeCapError
 from matalloc.localsearch import (Certificate, SearchState, augment,
@@ -356,6 +356,69 @@ def test_a_child_success_returns_to_its_parent(name, opt, feasible, eps, monkeyp
     for rec in res.certificates:
         rep = verify_certificate(rec.certificate, rec.matroid, rec.poly, exhaustive=n <= 8)
         assert rep["ok"] and rep["exhaustive_sound"] is not False
+
+
+def _cover_exists(matroid, poly, b):
+    """Some independent I_M with b·|S| <= f(S) for every nonempty S off it,
+    by exhaustive search over the sets of non-loops; a candidate is dropped
+    at its first violated subset."""
+    n = matroid.n
+    free = mask_of(e for e in range(n) if matroid.rank(1 << e))
+    return any(matroid.is_independent(im)
+               and all(poly.value(s) >= b * size(s) for s in submasks(full_mask(n) & ~im) if s)
+               for im in submasks(free))
+
+
+def test_a_child_success_can_cover_its_parents_target(monkeypatch):
+    """augment's success right after a child's: the child's I_M covers
+    eps²·|B0| of its parent's B0 at once, which needs |B0| > 1/eps (below
+    that, B0's elements are loops in the child). The kept instance reaches
+    it from solve_cover at eps = 1/8; its elements are
+    0 r1, 1 q**, 2 p2, 3 q'2, 4 p1, 5 q'1, 6 q*, 7 a, 8 t, 9-14 p3..p8 and
+    15-17 r2..r4 (the last 9 loops), on a graphic matroid with t ∥ a,
+    triangle {p1, q'1, q*}, p2 ∥ q'2 and r1 ∥ q**, against a coverage
+    polymatroid with b = 1: a covers X (weight 2) and X2 (6), p1 and p2
+    cover X, p3..p8 X2, r1, r2 and q'1 Y (2), r3, r4 and q'2 Z (2), q* W
+    (2), q** V (2) and t T (9), so t is targeted last.
+
+    Targeted last, t finds a ∈ I_M and p1, p2, r1 in I_P (earlier commits).
+    The root's addable set {a} blocks all eight p's, so its child N has
+    B0 = {t, p1..p8} (t a loop there); N's first layer {q'2, q'1} is kept,
+    its second, {q*}, is discarded (1 < 9/8), and its four r's are blocked;
+    N's child G commits q* and q** (A_I = A), which frees p1, so G's
+    success covers 1 >= 9/64 of N's B0. The brute-force optimum is 1."""
+    inst = parse_instance((Path(__file__).parent / "corpus" / "augment"
+                           / "child-covers-parent-target.json").read_bytes())
+    eps = Fraction(1, 8)
+    assert _cover_exists(inst.matroid, inst.polymatroid, 1)
+    assert not _cover_exists(inst.matroid, inst.polymatroid, 2)
+    real, stack, taken = localsearch.augment, [[]], []
+
+    def spy(state, caps=DEFAULT_CAPS):
+        stack.append([])
+        try:
+            result = real(state, caps)
+        finally:
+            children = stack.pop()
+        stack[-1].append(result)
+        last = children[-1] if children else None
+        # a successful child whose I_M covers eps²·|B0| = |B0|/64 of this B0
+        if result.success and last and last.success:
+            if 64 * size(state.B0 & last.I_M) >= size(state.B0):
+                taken.append((elements(state.B0), elements(last.I_M), result.nodes,
+                              elements(result.I_M)))
+        return result
+
+    monkeypatch.setattr(localsearch, "augment", spy)
+    res = solve_cover(inst, eps)
+    # N returns its shield {q'2, q'1} and G's I_M, with no second child
+    assert taken == [((2, 4, 8, 9, 10, 11, 12, 13, 14), (0, 4), 2, (0, 3, 4, 5))]
+    n = inst.matroid.n
+    assert res.feasible and inst.matroid.is_independent(res.I_M)
+    assert all((res.I_M >> e) & 1 or res.y[e] >= inst.b for e in range(n))
+    support = mask_of(e for e in range(n) if res.y[e])
+    assert all(sum(res.y[e] for e in bits(s)) <= inst.polymatroid.value(s)
+               for s in submasks(support))
 
 
 # ---------------------------------------------------------------------------

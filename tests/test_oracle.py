@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matalloc import polymatroids
 from matalloc.bitsets import full_mask
 from matalloc.instances import (Item, MakespanInstance, SantaInstance, assignment_to_alloc,
                                 entity_totals, gen_gap_instance, gen_random,
@@ -16,7 +17,7 @@ from matalloc.limits import Caps, SizeCapError
 from matalloc.matroids import UniformMatroid
 from matalloc.oracle import (brute_max_cover_b, brute_opt_makespan, brute_opt_santa,
                              check_axioms, enumerate_bases, exists_strong_cover)
-from matalloc.polymatroids import ModularPoly, is_basis
+from matalloc.polymatroids import CoveragePoly, ModularPoly, is_basis
 
 F = Fraction
 
@@ -140,6 +141,16 @@ class TestStrongCover:
     def test_positive_case(self):
         assert exists_strong_cover(UniformMatroid(2, 2), ModularPoly([0, 0]), 0b11, 0b01,
                                    F(1), F(3, 10))
+
+    @pytest.mark.parametrize("level, exists", [(F(3, 2), True), (F(2), False)])
+    def test_decides_membership_by_its_own_subsets(self, level, exists, monkeypatch):
+        """With no independent set but the empty one, elements 0 and 1 need
+        level·1_{0,1} in P, whose subsets ask 2·level <= f({0, 1}) = 3. The
+        check reaches no kernel count."""
+        monkeypatch.setattr(polymatroids, "count", lambda *args: pytest.fail("count reached"))
+        poly = CoveragePoly([0b01, 0b01, 0b10], [3, 1])
+        assert exists_strong_cover(UniformMatroid(3, 0), poly, 0b111, 0b100,
+                                   level, F(0)) == exists
 
     def test_obeys_ground_cap(self):
         caps = Caps().override(sfm_ground=4)

@@ -2,6 +2,7 @@
 capped-marginal laws, each checked against independent brute force."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -790,35 +791,15 @@ def spy_partition_solves(monkeypatch, record):
     monkeypatch.setattr(polymatroids.CutNetwork, "count", counting)
 
 
-def refuse_rationals(monkeypatch):
-    """Let only integer vectors reach the partition path: a capped value is
-    an integer count, which may take it."""
-    def refuse(form, x):
-        assert all(isinstance(v, int) for v in x), "a rational vector reached the partition path"
-
-    spy_partition_solves(monkeypatch, refuse)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_fraction_vectors_take_the_subset_path(seed, monkeypatch):
-    refuse_rationals(monkeypatch)
-    rng, p = network_chain(seed)
-    ref = chain_reference(p)
-    for x in probe_vectors(rng, p)[:15]:
-        half = tuple(Fraction(2 * v + rng.randint(0, 1), 2) for v in x)
-        assert member(p, half) == all(vec_sum(half, s) <= ref.value(s) for s in range(1 << p.n))
-
-
 class TestMemberMemo:
     def test_a_hit_still_obeys_the_cap(self):
-        """The int vector is counted by one flow, which the cap does not
-        bound; the equal Fraction vector shares its memo entry but would be
-        counted by enumerating 16 subsets, so its hit raises."""
+        """The vector is counted by one flow, which the cap does not bound,
+        so its hit under a smaller cap answers as its miss did; a count
+        that enumerates raises on a hit as on a miss
+        (test_a_count_that_enumerates_raises_on_a_miss_and_on_a_hit)."""
         p = ModularPoly([1] * 4)
         assert member(p, (1, 1, 1, 1))
         assert member(p, (1, 1, 1, 1), Caps(sfm_ground=3))
-        with pytest.raises(SizeCapError, match="^SFM ground set of size 4 exceeds cap 3$"):
-            member(p, (Fraction(1),) * 4, Caps(sfm_ground=3))
 
     def test_sign_and_range_are_checked_before_the_lookup(self):
         p = ModularPoly([1, 1])
@@ -862,18 +843,27 @@ class TestMemberMemo:
         with pytest.raises(ValueError, match=message):
             headroom(p, x, e, limit)
 
-    @pytest.mark.parametrize("first", [int, Fraction])
-    def test_int_and_fraction_vectors_share_one_answer(self, first):
+    @pytest.mark.parametrize("entry", [Fraction(2), Fraction(3, 2), 2.0, True],
+                             ids=["fraction", "half", "float", "bool"])
+    def test_an_entry_that_is_not_an_int_is_refused(self, entry, monkeypatch):
+        """Refused before the memo lookup and before any count: an equal
+        vector of ints is memoised first, and would answer a lookup."""
         p = CoveragePoly([0b011, 0b110, 0b100], [1, 2, 1])
-        second = Fraction if first is int else int
-        answers = []
-        for kind in (first, second):
-            before = stats.snapshot()
-            answers.append(member(p, tuple(kind(v) for v in (1, 2, 1))))
-            queries = stats.total(stats.delta(before))
-        assert queries == 0  # the second call was a memo hit
-        assert answers == [sfm_member(p, (1, 2, 1))] * 2
-        assert len(p._member_memo) == 1
+        assert member(p, (1, 2, 1)) == sfm_member(p, (1, 2, 1))
+        monkeypatch.setattr(polymatroids, "count", lambda *args: pytest.fail("count reached"))
+        message = f"^membership entry 1 is {re.escape(repr(entry))}, not a nonnegative int$"
+        with pytest.raises(ValueError, match=message):
+            member(p, (1, entry, 1))
+        with pytest.raises(ValueError, match=message):
+            headroom(p, (1, entry, 0), 2, 1)
+        assert list(p._member_memo) == [(1, 2, 1)]
+
+
+def test_total_sums_the_delta_it_is_given():
+    """Not the process's counters, which a value query has just raised."""
+    ModularPoly([1]).value(1)
+    assert stats.total({}) == 0
+    assert stats.total({"poly_value": 2, "matroid_rank": 3}) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -1436,23 +1426,14 @@ def test_member_takes_the_partition_path_from_its_support_threshold(make, monkey
     assert (queries["matroid_rank"] > 0) == bool(p.partition_form[0])
 
 
-def test_fraction_vectors_stay_on_the_subset_path(monkeypatch):
-    refuse_rationals(monkeypatch)
-    p = partition_sum()
-    for x in [(Fraction(1, 2),) * 8, (Fraction(3, 2),) * 8, (Fraction(1),) * 8]:
-        assert member(p, x) == all(vec_sum(x, s) <= p.value(s) for s in range(1 << 8))
-
-
 def test_a_partition_memo_hit_still_obeys_the_cap():
-    """The cap binds the path, not the memo: the int vector is counted by
-    matroid partition under any cap, and the equal Fraction vector, which
-    shares its memo entry, would enumerate 256 subsets."""
+    """The cap binds the path, not the memo: the vector is counted by
+    matroid partition under any cap, so its hit under cap 0 answers as its
+    miss did."""
     p = partition_sum()
     x = (1,) * 8
     assert member(p, x) == sfm_member(p, x)
     assert member(p, x, Caps(sfm_ground=0)) == sfm_member(p, x)
-    with pytest.raises(SizeCapError, match="^SFM ground set of size 8 exceeds cap 7$"):
-        member(p, tuple(map(Fraction, x)), Caps(sfm_ground=7))
 
 
 def test_a_count_that_enumerates_raises_on_a_miss_and_on_a_hit():
@@ -1542,7 +1523,7 @@ def test_count_is_the_capped_value_of_the_ground_set(seed):
     """count(p, x) = max y(E) over y <= x in P = min_S f(S) + x(E \\ S), on
     cut networks and on sums with matroid copies: one vector of each
     support size (so on both sides of MEMBER_SUPPORT), each with an entry
-    above its singleton value, as integers and as halves."""
+    above its singleton value."""
     rng = random.Random(seed)
     net = network_chain(seed)[1]
     for p, ref in ((net, chain_reference(net)), (scaled_rank_sum(seed), None)):
@@ -1555,9 +1536,7 @@ def test_count_is_the_capped_value_of_the_ground_set(seed):
                 x[e] = rng.randint(1, top[e] + 2)
             if supp:
                 x[supp[0]] = top[supp[0]] + 1
-            half = [Fraction(2 * v - (v > 0) * rng.randint(0, 1), 2) for v in x]
-            for vec in (x, half):
-                assert count(p, vec) == brute_capped(ref, vec, full_mask(p.n))
+            assert count(p, x) == brute_capped(ref, x, full_mask(p.n))
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -16,7 +16,8 @@ from matalloc.bitsets import full_mask, size, submasks
 from matalloc.instances import (CoreCoverInstance, Item, MakespanInstance, SantaInstance,
                                 assignment_to_alloc, entity_totals, gen_random, parse_instance,
                                 serialize_instance, validate_allocation)
-from matalloc.limits import DEFAULT_CAPS, BaselineRegime, ContractViolation, GuessRejected
+from matalloc.limits import (DEFAULT_CAPS, BaselineRegime, ContractViolation, GuessRejected,
+                             SizeCapError)
 from matalloc.localsearch import solve_cover
 from matalloc.matroids import InducedMatroid, UniformMatroid
 from matalloc.oracle import brute_opt_makespan, brute_opt_santa
@@ -575,6 +576,19 @@ class TestReduceToCore:
         assert red.case == "round"
         validate_allocation(inst, red.alloc, require_basis=True)
         assert min(entity_totals(inst, red.alloc)) >= F(2)
+
+    @pytest.mark.xfail(raises=SizeCapError, strict=True,
+                       reason="ROADMAP items 1 and 14: an accepted round guess whose build "
+                              "exceeds the count-vector search cap")
+    def test_an_accepted_round_guess_builds_its_allocation(self):
+        # u 2/3, w 5/2, guess 19/3, alpha 2: the guess is accepted in the
+        # round case, and reading its allocation raises "count-vector search
+        # over 271 units exceeds cap 256" (decompose_in_sum in _round_light)
+        inst = gen_random("santa-matroid", 0, m=5, n=4, u=F(2, 3), w=F(5, 2))
+        red = reduce_to_core(inst, F(2), F(19, 3), exact_cover_solver)
+        assert red.case == "round"
+        validate_allocation(inst, red.alloc, require_basis=True)
+        assert min(entity_totals(inst, red.alloc)) >= F(19, 6)
 
     def test_round_case_with_no_players_is_rejected(self):
         # m = 0: split(E)/m reads 0, below every level
