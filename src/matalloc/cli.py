@@ -25,7 +25,7 @@ from .bitsets import bits
 from .instances import (CoreCoverInstance, MakespanInstance, SantaInstance, _rat_from_json,
                         _rat_to_json, gen_random, parse_instance, serialize_instance)
 from .limits import (Caps, ContractViolation, GuessRejected, InternalInvariantError,
-                     SchemaError, SizeCapError, caps_from_env)
+                     SchemaError, SizeCapError, caps_from_env, read_json)
 from .localsearch import recursion_node_bound, solve_cover, verify_certificate
 from .oracle import brute_max_cover_b, brute_opt_makespan, brute_opt_santa, check_axioms
 from .reductions import (config_round, matroid_makespan_to_santa, matroid_santa_to_makespan,
@@ -86,6 +86,8 @@ def cmd_solve_cover(args) -> int:
         raise SchemaError("solve-cover expects a core-cover instance")
     if args.b is not None:
         inst.b = args.b
+    # asked first: an eps whose bound cannot be printed is refused unsolved
+    bound = recursion_node_bound(inst.matroid.n, Fraction(args.eps))
     res = solve_cover(inst, args.eps, _caps(args))
     out = {
         "outcome": "cover" if res.feasible else "infeasible",
@@ -96,7 +98,7 @@ def cmd_solve_cover(args) -> int:
         "restarts": res.restarts,
         "zeroed": sorted(bits(res.zeroed)),
         "recursion_nodes": res.total_recursion_nodes,
-        "recursion_node_bound": recursion_node_bound(inst.matroid.n, Fraction(args.eps)),
+        "recursion_node_bound": bound,
         "oracle_queries": res.oracle_queries,
     }
     if not res.feasible:
@@ -160,10 +162,7 @@ def cmd_round(args) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
     if not isinstance(inst, (SantaInstance, MakespanInstance)):
         raise SchemaError("round expects a santa or makespan instance")
-    try:
-        raw = json.loads(Path(args.frac).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"--frac: not valid JSON: {exc}") from exc
+    raw = read_json(Path(args.frac).read_text(), "--frac: not valid JSON")
     frac = _frac_from_json(raw, inst)
     rounder = round_santa if isinstance(inst, SantaInstance) else round_makespan
     _emit({"assign": [list(v) for v in rounder(inst, frac, _caps(args))]}, args.out, "json")
@@ -222,6 +221,7 @@ def cmd_bench(args) -> int:
         try:
             inst = parse_instance(path.read_bytes())
             if isinstance(inst, CoreCoverInstance):
+                bound = recursion_node_bound(inst.matroid.n, Fraction(args.eps))
                 opt = brute_max_cover_b(inst.matroid, inst.polymatroid, caps)
                 bstar, nodes, queries = 0, 0, 0
                 b = 1
@@ -235,7 +235,6 @@ def cmd_bench(args) -> int:
                         break
                     bstar = b
                     b += 1
-                bound = recursion_node_bound(inst.matroid.n, Fraction(args.eps))
                 ratio = (Fraction(1) if opt is math.inf or opt == 0
                          else Fraction(int(opt), max(bstar, 1)))
                 row.update({"brute_b": "inf" if opt is math.inf else int(opt),

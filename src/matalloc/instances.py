@@ -6,7 +6,9 @@ polymatroid over the entities; the item is allocated to a basis). Values
 are exact rationals encoded as {"num", "den"} pairs; an infinite
 processing time encodes as JSON null. An instance's items are all classical
 or all matroid items. Every index a document names lies below MAX_INDEX
-(2^20), and a uniform matroid's n is at most MAX_INDEX.
+(2^20), a uniform matroid's n is at most MAX_INDEX, and matroids and
+polymatroids nest at most MAX_NESTING (64) deep. Documents are read by
+limits.read_json, so JSON nested too deeply to decode is a SchemaError too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import lcm
 from typing import Sequence
 
 from .bitsets import bits, mask_of
-from .limits import SchemaError
+from .limits import SchemaError, read_json
 from .matching import ArcNumbering
 from .matroids import (ContractedMatroid, ExplicitMatroid, GraphicMatroid, InducedMatroid,
                        MatroidOracle, PartitionMatroid, TransversalMatroid, UniformMatroid,
@@ -277,6 +279,13 @@ def _is_int(v) -> bool:
 # names densely, so its num_right sizes nothing and needs no bound.
 MAX_INDEX = 1 << 20
 
+# How deep matroids and polymatroids may nest in a document (an oracle in
+# an inner, parts, matroid or polymatroid field is one level deeper). Each
+# level of a chain adds Python frames to every query that walks it, so a
+# deep chain is refused here rather than overflowing the stack in a solve;
+# the committed corpus nests at most 2 deep.
+MAX_NESTING = 64
+
 
 def _mask_from_json(obj, bound: int, what: str, path: str) -> int:
     """A list of indices of what (elements, items, ...) as a mask, each
@@ -346,12 +355,20 @@ def matroid_to_json(m: MatroidOracle) -> dict:
     raise SchemaError(f"matroid kind {type(m).__name__} has no JSON form")
 
 
-def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
-    """The matroid a JSON object describes. A uniform matroid's n above
-    MAX_INDEX is refused before a contraction builds a mask over it."""
+def _check_depth(path: str, depth: int) -> None:
+    if depth >= MAX_NESTING:
+        raise SchemaError(f"{path}: matroids and polymatroids nest more than "
+                          f"{MAX_NESTING} deep")
+
+
+def matroid_from_json(obj, path: str = "matroid", depth: int = 0) -> MatroidOracle:
+    """The matroid a JSON object describes, depth oracles deep in its
+    document. A uniform matroid's n above MAX_INDEX is refused before a
+    contraction builds a mask over it."""
+    _check_depth(path, depth)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{path}: matroid object needs a kind")
-    kind = obj["kind"]
+    kind, depth = obj["kind"], depth + 1
     try:
         if kind == "uniform":
             n = obj["n"]
@@ -375,18 +392,19 @@ def matroid_from_json(obj, path: str = "matroid") -> MatroidOracle:
         if kind == "explicit":
             return ExplicitMatroid(obj["n"], _table_from_json(obj, path, "matroid ranks"))
         if kind == "contracted":
-            inner = matroid_from_json(obj["inner"], path + ".inner")
+            inner = matroid_from_json(obj["inner"], path + ".inner", depth)
             return ContractedMatroid(inner, _mask_from_json(obj["set"], inner.n, "elements",
                                                             path + ".set"))
         if kind == "zeroed":
-            inner = matroid_from_json(obj["inner"], path + ".inner")
+            inner = matroid_from_json(obj["inner"], path + ".inner", depth)
             return ZeroedMatroid(inner, _mask_from_json(obj["removed"], inner.n, "elements",
                                                         path + ".removed"))
         if kind == "union":
-            return UnionMatroid([matroid_from_json(p, f"{path}.parts[{i}]")
+            return UnionMatroid([matroid_from_json(p, f"{path}.parts[{i}]", depth)
                                  for i, p in enumerate(obj["parts"])])
         if kind == "induced":
-            return InducedMatroid(poly_from_json(obj["polymatroid"], path + ".polymatroid"))
+            return InducedMatroid(poly_from_json(obj["polymatroid"], path + ".polymatroid",
+                                                 depth))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad {kind} matroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown matroid kind {kind!r}")
@@ -416,11 +434,13 @@ def poly_to_json(p: PolymatroidOracle) -> dict:
     raise SchemaError(f"polymatroid kind {type(p).__name__} has no JSON form")
 
 
-def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
-    """The polymatroid a JSON object describes."""
+def poly_from_json(obj, path: str = "polymatroid", depth: int = 0) -> PolymatroidOracle:
+    """The polymatroid a JSON object describes, depth oracles deep in its
+    document."""
+    _check_depth(path, depth)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"{path}: polymatroid object needs a kind")
-    kind = obj["kind"]
+    kind, depth = obj["kind"], depth + 1
     try:
         if kind == "modular":
             return ModularPoly(obj["weights"])
@@ -429,7 +449,7 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
             return CoveragePoly([_mask_from_json(s, items, "items", f"{path}.sets[{i}]")
                                  for i, s in enumerate(obj["sets"])], obj["weights"])
         if kind == "scaled-rank":
-            matroid = matroid_from_json(obj["matroid"], path + ".matroid")
+            matroid = matroid_from_json(obj["matroid"], path + ".matroid", depth)
             try:
                 return ScaledRankPoly(matroid, obj["scale"])
             except ValueError as exc:
@@ -437,19 +457,19 @@ def poly_from_json(obj, path: str = "polymatroid") -> PolymatroidOracle:
         if kind == "explicit":
             return ExplicitPoly(obj["n"], _table_from_json(obj, path, "polymatroid values"))
         if kind == "sum":
-            return SumPoly([poly_from_json(q, f"{path}.parts[{i}]")
+            return SumPoly([poly_from_json(q, f"{path}.parts[{i}]", depth)
                             for i, q in enumerate(obj["parts"])])
         if kind == "capped":
-            return CappedPoly(poly_from_json(obj["inner"], path + ".inner"), obj["caps"])
+            return CappedPoly(poly_from_json(obj["inner"], path + ".inner", depth), obj["caps"])
         if kind == "contracted":
-            return VectorContractedPoly(poly_from_json(obj["inner"], path + ".inner"),
+            return VectorContractedPoly(poly_from_json(obj["inner"], path + ".inner", depth),
                                         obj["base"])
         if kind == "set-contracted":
-            inner = poly_from_json(obj["inner"], path + ".inner")
+            inner = poly_from_json(obj["inner"], path + ".inner", depth)
             return MarginalPoly(inner, _mask_from_json(obj["set"], inner.n, "elements",
                                                        path + ".set"))
         if kind == "dual":
-            return DualPoly(poly_from_json(obj["inner"], path + ".inner"), obj["z"])
+            return DualPoly(poly_from_json(obj["inner"], path + ".inner", depth), obj["z"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad {kind} polymatroid: {exc}") from exc
     raise SchemaError(f"{path}: unknown polymatroid kind {kind!r}")
@@ -484,10 +504,7 @@ def _item_to_json(it: Item) -> dict:
 
 
 def parse_instance(data: bytes | str):
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+    obj = read_json(data, "not valid JSON")
     if not isinstance(obj, dict):
         raise SchemaError("top level: expected an object")
     kind = obj.get("type")

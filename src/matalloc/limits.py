@@ -1,8 +1,10 @@
-"""Enumeration caps.
+"""Enumeration caps, the package's exceptions, and its one JSON reader.
 
 Caps are configuration, not constants: exceeding one raises SizeCapError,
 never silent sampling. The MATROID_ALLOC_CAPS environment variable may
-hold a JSON object overriding fields, e.g. {"sfm_ground": 20}.
+hold a JSON object overriding fields, e.g. {"sfm_ground": 20}. Every JSON
+document the package reads (instances, fractional points, that variable)
+passes read_json, which turns what the decoder refuses into a SchemaError.
 """
 
 from __future__ import annotations
@@ -51,15 +53,24 @@ class Caps:
         return replace(self, **kwargs)
 
 
+def read_json(text: str | bytes, invalid: str):
+    """The JSON value text holds. Text that is not JSON, and arrays or
+    objects nested deeper than the decoder's recursion allows, are a
+    SchemaError whose message starts with invalid."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{invalid}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{invalid}: arrays or objects nest too deeply") from None
+
+
 def caps_from_env() -> Caps:
     caps = Caps()
     raw = os.environ.get("MATROID_ALLOC_CAPS")
     if not raw:
         return caps
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"MATROID_ALLOC_CAPS is not valid JSON: {exc}") from exc
+    data = read_json(raw, "MATROID_ALLOC_CAPS is not valid JSON")
     if not isinstance(data, dict):
         raise SchemaError("MATROID_ALLOC_CAPS must be a JSON object")
     unknown = set(data) - set(Caps.__dataclass_fields__)

@@ -34,6 +34,8 @@ forward.
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -325,19 +327,33 @@ def _check_blocking_invariants(state: SearchState, addable: AddableSets,
 
 def recursion_node_bound(n: int, eps: Fraction) -> int:
     """2^ceil(log_{1/(1-eps^2)} n): the recursion-tree size bound, for
-    0 < eps < 1.
+    0 < eps < 1, refused (ValueError) where it has more decimal digits than
+    the interpreter converts to a string (sys.get_int_max_str_digits, else
+    its default), as at eps = 1/100 with a few elements.
 
     With 1 - eps^2 = p/q, ell is the least ell >= 1 with q^ell >= n * p^ell.
     A binary search finds the largest ell below it one bit at a time, from
     the exact powers q^(2^k) and p^(2^k) squared up until 2^k reaches.
+    With top the largest ell whose 2^ell fits the limit, no power passes
+    q^(2^k) for the first 2^k >= top: eps is refused at once when
+    (q/p)^top <= exp(top·(q − p)/p) < exp(2/3) < 2 <= n, else when 2^k
+    reaches top with q^(2^k) still short, or when the ell found passes top.
     """
     if not 0 < eps.numerator < eps.denominator:
         raise ValueError("eps must lie in (0, 1)")
     if n <= 1:
         return 2
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    top = _largest_exponent_below(digits)
+    refused = ValueError(f"eps {eps}: the recursion node bound over {n} elements has "
+                         f"more than {digits} digits")
     q = eps.denominator ** 2
     qs, ps = [q], [q - eps.numerator ** 2]
+    if 3 * top * (q - ps[0]) < 2 * ps[0]:
+        raise refused
     while qs[-1] < n * ps[-1]:
+        if 1 << (len(qs) - 1) >= top:
+            raise refused
         qs.append(qs[-1] ** 2)
         ps.append(ps[-1] ** 2)
     short, q_short, p_short = 0, 1, 1  # q^short < n * p^short
@@ -345,7 +361,15 @@ def recursion_node_bound(n: int, eps: Fraction) -> int:
         q_try, p_try = q_short * qs[k], p_short * ps[k]
         if q_try < n * p_try:
             short, q_short, p_short = short + (1 << k), q_try, p_try
+    if short >= top:
+        raise refused
     return 2 ** (short + 1)
+
+
+@functools.cache
+def _largest_exponent_below(digits: int) -> int:
+    """The largest ell with 2^ell < 10^digits: 2^ell has at most digits digits."""
+    return (10 ** digits).bit_length() - 1
 
 
 def _checked_eps(eps: Fraction | float) -> Fraction:

@@ -4,7 +4,8 @@ Concrete families (uniform, partition, graphic, transversal, explicit
 table) plus derived forms (contraction, element zeroing, union, and the
 matroid induced by an integer polymatroid). All oracles are immutable
 after construction and memoize rank queries per instance; each also keeps
-the cover outcomes solve_cover reached on it.
+the cover outcomes solve_cover reached on it. A transversal rank is one flow
+on an arc numbering built once; union and induced ranks are polymatroid counts.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from typing import Sequence
 
 from . import stats
 from .bitsets import bits, check_subset, indicator, size
-from .matching import max_bipartite_matching
-from .polymatroids import _check_weights, count, place
+# unused max_bipartite_matching stays bound: perfbench/test_bench.py checks its tracer rebinds it
+from .matching import ArcNumbering, ResidualFlow, max_bipartite_matching  # noqa: F401
+from .polymatroids import ScaledRankPoly, SumPoly, _check_weights, count
 
 
 class MatroidOracle:
@@ -134,9 +136,9 @@ class GraphicMatroid(MatroidOracle):
 
 class TransversalMatroid(MatroidOracle):
     """adjacency[e] is a bitmask of right-side vertices e may be matched to.
-    Matchings run over the right vertices named, numbered densely in
-    ascending order, so their size follows neither num_right nor the
-    labels; adjacency and num_right keep the labels as given."""
+    A rank is one unit-capacity flow on one arc numbering over the right
+    vertices named, numbered densely in ascending order, so its size follows
+    neither num_right nor the labels, which adjacency and num_right keep."""
 
     def __init__(self, adjacency: Sequence[int], num_right: int):
         super().__init__(len(adjacency))
@@ -149,13 +151,12 @@ class TransversalMatroid(MatroidOracle):
         for a in self.adjacency:
             named |= a
         dense = {v: k for k, v in enumerate(bits(named))}
-        self._dense = tuple(sum(1 << dense[v] for v in bits(a)) for a in self.adjacency)
         self._named = len(dense)
+        self._numbering = ArcNumbering([sum(1 << dense[v] for v in bits(a))
+                                        for a in self.adjacency])
 
     def _rank(self, mask: int) -> int:
-        adj = [self._dense[e] for e in bits(mask)]
-        matched, _ = max_bipartite_matching(adj, self._named)
-        return matched
+        return ResidualFlow(self._numbering, indicator(mask, self.n), [1] * self._named).total
 
 
 class ExplicitMatroid(MatroidOracle):
@@ -209,10 +210,8 @@ class ZeroedMatroid(MatroidOracle):
 class UnionMatroid(MatroidOracle):
     """Matroid union: X is independent iff it splits into independent sets of the parts.
 
-    The rank r(X) = min_{Y ⊆ X} |X \\ Y| + Σ_i r_i(Y) is Edmonds' matroid
-    partition of X (polymatroids.place): the elements of X enter
-    along shortest exchange paths over (element, part) pairs, asking only
-    the parts' is_independent.
+    It is the matroid the sum of the parts' ranks induces, so r(X) is the
+    units placed by that sum's kept placement of 1_X (InducedMatroid).
     """
 
     def __init__(self, parts: Sequence[MatroidOracle]):
@@ -224,9 +223,10 @@ class UnionMatroid(MatroidOracle):
             raise ValueError("union parts must share the ground set")
         super().__init__(n)
         self.parts = parts
+        self._sum = SumPoly([ScaledRankPoly(p, 1) for p in parts])
 
     def _rank(self, mask: int) -> int:
-        return place(self.parts, None, indicator(mask, self.n)).placed
+        return self._sum.placement(indicator(mask, self.n)).placed
 
 
 class InducedMatroid(MatroidOracle):
@@ -237,9 +237,9 @@ class InducedMatroid(MatroidOracle):
     largest y(E) over integer y <= 1_X in P(f): the count of 1_X
     (polymatroids.count). s·r_M induces the union of s copies of M, and
     f₁ + f₂ the union of the matroids f₁ and f₂ induce, so on a partition
-    form that count is the matroid partition of 1_X. With copies it comes
-    from the polymatroid's kept placements: a set's placement is derived
-    from that of the set one element smaller when that one is kept.
+    form that count is the matroid partition of 1_X, the units placed by its
+    kept placement (PolymatroidOracle.placement), derived from that of the
+    set one element smaller when that one is kept.
     """
 
     def __init__(self, poly):

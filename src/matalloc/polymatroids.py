@@ -45,15 +45,20 @@ network) plus one network part (partition_form). Edmonds' matroid
 partition splits an integer vector's units into one independent set per
 copy and a member of the network part; on a form with copies the split is
 a Placement (copy masks, the network part's kept flow, the units placed
-nowhere), solved from scratch by place. It is the package's one partition
-routine: its placed units are the count of integer vectors with larger
-supports, and on 0/1 vectors the ranks of matroid unions and of the
-matroids such forms induce (matroids.UnionMatroid,
-matroids.InducedMatroid). A polymatroid keeps the
-placements it counts per vector (PolymatroidOracle.placement), and a
-missing one is derived from a kept placement one unit below by one more
-exchange search, since a unit enters a maximum placement exactly when it
-is independent in the union.
+nowhere). A polymatroid keeps the placements it counts per vector
+(PolymatroidOracle.placement), and a missing one is derived from a kept
+placement one unit below by one more exchange search, since a unit enters
+a maximum placement exactly when it is independent in the union; with
+none kept it is solved from scratch by place. That is the package's one
+partition routine: its placed units are the count of integer vectors with
+larger supports, and on 0/1 vectors the ranks of matroid unions (as the
+matroids that sums of unit-scaled ranks induce) and of the matroids such
+forms induce (matroids.UnionMatroid, matroids.InducedMatroid).
+
+Kept flows and placements are dropped all at once when a store would pass
+KEEP_ENTRIES list entries (_keep), so a large solve's memory stays bounded;
+what is dropped is derived or solved again, as another maximum flow or
+placement, so every answer is exact either way.
 """
 
 from __future__ import annotations
@@ -80,9 +85,11 @@ class CutNetwork:
     (_residual), in residual form. The threshold questions (reaches), the
     exact marginals (marginal), the leave-one-out batches (leave_one_out)
     and the counts of vectors uniform off base (count) share those flows;
-    the other counts solve theirs. Every flow is built by _flow from a
-    vector, on one ArcNumbering of the covers, which capped and contracted
-    copies of the network share with it, as they share the reaches.
+    the other counts solve theirs; the kept flows start over when they
+    would pass KEEP_ENTRIES list entries (_keep). Every flow is built by
+    _flow from a vector, on one ArcNumbering of the covers, which capped and
+    contracted copies of the network share with it, as they share the
+    reaches.
     """
 
     def __init__(self, covers: Sequence[int], weights: Sequence[int],
@@ -228,7 +235,7 @@ class CutNetwork:
                     break
             else:
                 res = self._flow([h if (off >> e) & 1 else 0 for e in range(len(self.covers))])
-            self._residuals[key] = res
+            _keep(self._residuals, key, res)
         return res
 
 
@@ -307,7 +314,7 @@ class PolymatroidOracle:
         adding j's unit; with none it is solved (place)."""
         kept = self._placements.get(x)
         if kept is None:
-            kept = self._placements[x] = self._derive_placement(x)
+            kept = _keep(self._placements, x, self._derive_placement(x))
         return kept
 
     def _derive_placement(self, x: tuple[int, ...]) -> "Placement":
@@ -328,6 +335,31 @@ class PolymatroidOracle:
         if cached is None:
             cached = self._capped_cache[caps] = CappedPoly(self, caps)
         return cached
+
+
+# The list entries one kept store (a network's flows, a polymatroid's
+# placements) may hold: a flow's arc flows, supplies and sink room, a
+# placement's copy masks and units left plus its flow's. Every value of one
+# store has the same size, so the store holds its length times one value's.
+# Keeping one more past this starts the store over; a flow or placement
+# that is derived or solved again is another maximum one, so no answer moves.
+KEEP_ENTRIES = 1 << 22
+
+
+def _keep(store: dict, key, value):
+    """store[key] = value, after emptying the store if it would then pass
+    KEEP_ENTRIES list entries; returns value."""
+    if (len(store) + 1) * _entries(value) > KEEP_ENTRIES:
+        store.clear()
+    store[key] = value
+    return value
+
+
+def _entries(value) -> int:
+    if isinstance(value, Placement):
+        flow = value.flow
+        return len(value.masks) + len(value.left) + (0 if flow is None else _entries(flow))
+    return len(value.flow) + len(value.left_res) + len(value.right_res)
 
 
 def _check_weights(weights: Sequence[int], what: str) -> None:

@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -575,16 +576,17 @@ def test_right_vertices_up_to_the_cap_parse():
 
 def test_right_vertex_labels_do_not_size_the_matchings(tmp_path, monkeypatch):
     """A transversal matroid naming right vertices 0, 1 and MAX_INDEX − 1
-    solves like one naming 0, 1 and 2, and each of its matchings runs over
-    the 3 vertices named, not over every label up to the highest."""
+    solves like one naming 0, 1 and 2, and each flow its ranks build has
+    the 3 vertices named as its right side, not every label up to the
+    highest."""
     asked = []
-    real = matroids.max_bipartite_matching
+    real = matroids.ResidualFlow
 
-    def recording(adj, num_right):
-        asked.append(num_right)
-        return real(adj, num_right)
+    def recording(numbering, left_caps, right_caps):
+        asked.append(len(right_caps))
+        return real(numbering, left_caps, right_caps)
 
-    monkeypatch.setattr(matroids, "max_bipartite_matching", recording)
+    monkeypatch.setattr(matroids, "ResidualFlow", recording)
     results = []
     for last in (2, MAX_INDEX - 1):
         doc = {"type": "core-cover", "b": 1, "polymatroid": _MODULAR_3,
@@ -596,6 +598,104 @@ def test_right_vertex_labels_do_not_size_the_matchings(tmp_path, monkeypatch):
         results.append(out.read_text())
     assert results[0] == results[1]
     assert asked and set(asked) == {3}
+
+
+def _nested(depth, leaf, wrap):
+    for _ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+def _dual_chain(depth):
+    return _nested(depth - 1, _MODULAR_3, lambda p: {"kind": "dual", "inner": p, "z": [1, 1, 2]})
+
+
+_UNIFORM_3 = {"kind": "uniform", "n": 3, "rank": 1}
+_DEEP_ARRAYS = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, doc, frac, env, message", [
+    ("solve-cover", '{"type": "core-cover", "b": 1, "polymatroid": {}, "matroid": %s}'
+     % _DEEP_ARRAYS, None, None, "not valid JSON: arrays or objects nest too deeply"),
+    ("verify", '{"type": "core-cover", "b": 1, "polymatroid": {}, "matroid": %s}'
+     % _DEEP_ARRAYS, None, None, "not valid JSON: arrays or objects nest too deeply"),
+    ("solve-cover", '{"type": "core-cover", "b": 1, "matroid": %s, "polymatroid": %s}'
+     % (json.dumps(_UNIFORM_3), '{"kind": "sum", "parts": [' * 899 + json.dumps(_MODULAR_3)
+        + "]}" * 899), None, None, "nest"),
+    ("solve-cover", {"type": "core-cover", "b": 1, "matroid": _UNIFORM_3,
+                     "polymatroid": _dual_chain(495)}, None, None,
+     "polymatroid" + ".inner" * 64 + ": matroids and polymatroids nest more than 64 deep"),
+    ("round", {"type": "santa", "players": 1, "items": [{"values": [1]}]}, _DEEP_ARRAYS, None,
+     "--frac: not valid JSON: arrays or objects nest too deeply"),
+    ("verify", {"type": "core-cover", "b": 1, "matroid": _UNIFORM_3, "polymatroid": _MODULAR_3},
+     None, "[" * 5000 + "]" * 5000,
+     "MATROID_ALLOC_CAPS is not valid JSON: arrays or objects nest too deeply"),
+], ids=["matroid-arrays-solve", "matroid-arrays-verify", "sum-899", "dual-495", "frac-arrays",
+        "caps-env-arrays"])
+def test_deep_nesting_is_a_schema_error(tmp_path, capsys, monkeypatch, command, doc, frac, env,
+                                       message):
+    """Documents, fractional points and caps nested past what the decoder or
+    the oracles' recursion takes exit 1 with an error line, within a second;
+    an oracle chain is refused by the path of its level past MAX_NESTING,
+    unless the decoder refuses it first."""
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = [command, "--in", str(path)]
+    if frac is not None:
+        (tmp_path / "frac.json").write_text(frac)
+        argv += ["--frac", str(tmp_path / "frac.json")]
+    if env is not None:
+        monkeypatch.setenv("MATROID_ALLOC_CAPS", env)
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
+def test_oracles_nest_up_to_max_nesting(tmp_path, capsys):
+    """A dual chain MAX_NESTING deep parses and solves; one level more is
+    refused by its path."""
+    path = _core_cover(tmp_path, _UNIFORM_3, _dual_chain(64))
+    assert main(["solve-cover", "--in", str(path)]) in (0, 2)
+    capsys.readouterr()
+    with pytest.raises(SchemaError, match=r"^polymatroid(\.inner){64}: .* more than 64 deep$"):
+        poly_from_json(_dual_chain(65))
+    with pytest.raises(SchemaError, match=r"^matroid(\.parts\[0\]){64}: "):
+        matroid_from_json(_nested(64, _UNIFORM_3, lambda m: {"kind": "union", "parts": [m]}))
+
+
+@pytest.mark.parametrize("eps", ["1/100", "1/1000"])
+@pytest.mark.parametrize("command", ["solve-cover", "bench"])
+def test_an_eps_whose_node_bound_cannot_print_is_refused_unsolved(tmp_path, capsys, monkeypatch,
+                                                                   eps, command):
+    """At these eps the recursion node bound of an 8-element cover has more
+    digits than int-to-str converts: refused within a second, naming eps,
+    before any solve."""
+    path = tmp_path / "c.json"
+    main(["gen", "--flavor", "core-cover", "--m", "8", "--seed", "1", "--out", str(path)])
+    solved = []
+    monkeypatch.setattr(cli, "solve_cover", lambda *args: solved.append(args))
+    argv = ["--in", str(path)] if command == "solve-cover" else ["--dir", str(tmp_path)]
+    start = time.perf_counter()
+    assert main([command, *argv, "--eps", eps]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: eps {eps}: ")
+    assert not solved
+
+
+def test_the_largest_printable_node_bound_is_printed(tmp_path, capsys):
+    """At eps = 1/60 the bound of an 8-element cover, 2^ell with ell the
+    least where (1/(1 − eps^2))^ell reaches 8, is printed in full."""
+    path = tmp_path / "c.json"
+    main(["gen", "--flavor", "core-cover", "--m", "8", "--seed", "1", "--out", str(path)])
+    code, out = run(capsys, "solve-cover", "--in", str(path), "--eps", "1/60")
+    assert code in (0, 2)
+    q, p = 3600, 3599
+    ell = next(ell for ell in range(1, 10**4) if q ** ell >= 8 * p ** ell)
+    assert json.loads(out)["recursion_node_bound"] == 2 ** ell
+    assert len(str(2 ** ell)) == 2254
 
 
 # Mutation fuzz: seed documents of every instance type, each under the

@@ -1096,6 +1096,48 @@ def test_kept_residuals_answer_alike_in_any_order(seed):
         assert forward == backward[::-1] == again
 
 
+def kept_store_outcomes(seed):
+    """What seed's kept flows and placements answer: solve_cover on a
+    generated core and on an induced core, a count walk that adds one unit
+    at a time on a sum with copies and a network part, uniform counts on a
+    cut network, and every rank of a union; with the stores' owners."""
+    rng = random.Random(seed)
+    n = 8
+    covers = [rng.getrandbits(6) for _ in range(n)]
+    summed = SumPoly([ScaledRankPoly(UniformMatroid(n, 2), 2), CoveragePoly(covers, [1, 2] * 3)])
+    cores = [gen_random("core-cover", seed, m=10, b=rng.randint(1, 2)),
+             CoreCoverInstance(InducedMatroid(summed), CoveragePoly(covers, [1] * 6), 2)]
+    covered = [(res.feasible, res.I_M, res.y, res.restarts, res.zeroed,
+                res.total_recursion_nodes,
+                [(rec.failed_element, rec.certificate) for rec in res.certificates])
+               for res in map(solve_cover, cores)]
+    walked, x = [], [0] * n
+    for _ in range(24):
+        x[rng.randrange(n)] += 1
+        walked.append(count(summed, x))
+    net = CoveragePoly([rng.getrandbits(5) for _ in range(n)], [1, 3, 1, 2, 2])
+    walked += [count(net, indicator(mask, n, h)) for h in (1, 2)
+               for mask in (rng.getrandbits(n) | 0b111 for _ in range(12))]
+    union = UnionMatroid([UniformMatroid(n, 1), PartitionMatroid(n, [0b1111, 0b11110000], [1, 2]),
+                          TransversalMatroid([rng.getrandbits(3) for _ in range(n)], 3)])
+    ranks = [union.rank(mask) for mask in range(1 << n)]
+    return (covered, walked, ranks), (summed, net.network, union._sum)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_starting_kept_stores_over_moves_no_answer(seed, monkeypatch):
+    """With KEEP_ENTRIES at 1 every insert empties its store first, so each
+    flow and placement is derived from nothing kept, or solved again: covers,
+    certificates, counts and union ranks are those of the default budget.
+    (Query counts may differ: a placement solved again asks the rank
+    queries of its partition again.)"""
+    default, _ = kept_store_outcomes(seed)
+    monkeypatch.setattr(polymatroids, "KEEP_ENTRIES", 1)
+    tight, (summed, net, union_sum) = kept_store_outcomes(seed)
+    assert tight == default
+    assert len(summed._placements) == len(union_sum._placements) == len(net._residuals) == 1
+
+
 def per_element(p, among, h, base):
     """The leave-one-out questions one marginal_reaches at a time."""
     return sum(1 << i for i in bits(among) if marginal_reaches(p, 1 << i, h, base & ~(1 << i)))
