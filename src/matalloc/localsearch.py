@@ -238,6 +238,13 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
     tests/corpus/augment/ keeps an 18-element cover whose solve_cover run at
     eps = 1/8 gathers 8 and takes this branch one level down.
 
+    The first branch succeeds at once when the matroid holds eps²·|B0| of
+    B0 beside I_M. solve_cover takes a one-element target the matroid holds
+    without calling augment, so the branch serves direct calls and child
+    nodes, whose B0 also holds the blocked elements. A child one level down
+    takes it when a blocked element lies outside the span of its parent's
+    I_M, as in the 9-element cover kept in tests/corpus/augment/.
+
     Step (1) grows A_I by one pass (grow_immediate). A success never drops a
     covered element (succeed checks that I_M ∪ I_P stays covered), so within
     one round of solve_cover covered elements never leave the cover.
@@ -262,7 +269,8 @@ def augment(state: SearchState, caps: Caps = DEFAULT_CAPS) -> AugmentResult:
             raise InternalInvariantError("cover lost previously covered elements")
         return AugmentResult(True, grown, final_i_p, nodes=nodes)
 
-    if m.rank_marginal(b0, i_m) * den2 >= need:
+    # r(I_M) = |I_M|: _assert_state has just asked it
+    if (m.rank(b0 | i_m) - size(i_m)) * den2 >= need:
         return succeed(i_m, i_p)
 
     addable = build_addable(state, caps)
@@ -323,6 +331,16 @@ def _check_blocking_invariants(state: SearchState, addable: AddableSets,
     if a and size(a_i) * den < num * size(a):
         if size(blocked) * den <= (den - 2 * num) * size(a):
             raise InternalInvariantError("blocking set smaller than (1-2eps)|A|")
+
+
+def _takes_directly(m: MatroidOracle, i_m: int, target: int) -> bool:
+    """Whether the matroid holds the one-element target t as it is:
+    r(I_M + t) = |I_M| + 1 (no rank exceeds it), so I_M + t is independent.
+    augment would return I_M + t then, by its first branch, as one node;
+    taken here, it asks one rank query and builds no search state. That
+    query is the independence check of the I_M it returns; a target it
+    declines goes to augment, whose _assert_state checks I_M."""
+    return m.rank(i_m | target) > size(i_m)
 
 
 def recursion_node_bound(n: int, eps: Fraction) -> int:
@@ -403,6 +421,15 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
     success checks it), so the next target is found by a pointer into the
     order that only moves forward.
 
+    A target t the matroid holds as it is, r(I_M + t) = |I_M| + 1, is taken
+    directly (_takes_directly): I_M grows by t, counted as one augmentation
+    of one node, which is what augment's first branch would return, with
+    one rank query and no search state. Only the other targets go to
+    augment, whose _assert_state checks each state it is given. What the
+    direct step skips is checked here: b·I_P ∈ P once for each I_P an
+    augmentation returns, before the next target (the round-start test
+    covers the first), and disjointness as the augmentation returns.
+
     The outcome is kept with the matroid, keyed by (polymatroid, b, eps,
     caps): oracles are immutable and the search is deterministic, so a
     repeated call returns the kept result and asks no query. Only a run
@@ -438,6 +465,7 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
                                   "at multiplicity b; the optimum is below b")
             break
         i_m = 0
+        asked_p = i_p
         failed = None
         if priority is None:
             # target elements the polymatroid can carry least first: they
@@ -450,21 +478,34 @@ def solve_cover(inst: CoreCoverInstance, eps: Fraction | float = Fraction(1, 10)
             if pos == n:
                 break
             target = 1 << priority[pos]
-            state = SearchState(ground=i_m | i_p | target, matroid=m, poly=poly,
-                                b=b, eps=eps, I_M=i_m, I_P=i_p, B0=target,
-                                order=elements(target))
-            res = augment(state, caps)
-            result.augment_calls += 1
-            result.total_recursion_nodes += res.nodes
-            result.max_recursion_nodes = max(result.max_recursion_nodes, res.nodes)
-            if res.success:
-                i_m, i_p = res.I_M, res.I_P
-                if not target & (i_m | i_p):
-                    raise InternalInvariantError("augmentation did not cover its target")
+            if i_p != asked_p:
+                # an augmentation's I_P, asked once before the next target
+                if not member_set(poly, i_p, b, caps):
+                    raise InternalInvariantError("b·I_P must belong to the polymatroid")
+                asked_p = i_p
+            if _takes_directly(m, i_m, target):
+                i_m |= target
+                nodes = 1
             else:
-                result.certificates.append(
-                    CertificateRecord(res.certificate, m, poly, target.bit_length() - 1))
-                failed = target
+                state = SearchState(ground=i_m | i_p | target, matroid=m, poly=poly,
+                                    b=b, eps=eps, I_M=i_m, I_P=i_p, B0=target,
+                                    order=elements(target))
+                res = augment(state, caps)
+                nodes = res.nodes
+                if res.success:
+                    i_m, i_p = res.I_M, res.I_P
+                    if not target & (i_m | i_p):
+                        raise InternalInvariantError("augmentation did not cover its target")
+                    if i_m & i_p:
+                        raise InternalInvariantError("I_M, I_P must be disjoint")
+                else:
+                    result.certificates.append(
+                        CertificateRecord(res.certificate, m, poly, target.bit_length() - 1))
+                    failed = target
+            result.augment_calls += 1
+            result.total_recursion_nodes += nodes
+            result.max_recursion_nodes = max(result.max_recursion_nodes, nodes)
+            if failed is not None:
                 break
         if failed is None:
             result.feasible = True

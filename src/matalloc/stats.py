@@ -28,7 +28,8 @@ search on the kept flow of X answers them all. Membership is memoised per
 polymatroid and vector, so a membership already decided for the same
 vector asks no query again. A solve_cover run asks the singleton values
 of its target order and the base matroid's singleton ranks once, not once
-per restart round, and each of its layer scans asks a candidate once.
+per restart round, and each of its layer scans asks a candidate once; a
+target it takes directly, without an augmentation, asks one rank query.
 Likewise a cover outcome that solve_cover kept on the matroid (the same
 polymatroid, b, eps and caps) asks no query, and the result it returns
 carries the kept run's oracle_queries. Counters are

@@ -22,7 +22,8 @@ from matalloc.localsearch import (Certificate, SearchState, augment,
                                   build_addable, compute_blocking, recursion_node_bound,
                                   solve_cover, verify_certificate)
 from matalloc.matching import ResidualFlow
-from matalloc.matroids import InducedMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
+from matalloc.matroids import (GraphicMatroid, InducedMatroid, MatroidOracle, PartitionMatroid,
+                               TransversalMatroid, UniformMatroid, UnionMatroid)
 from matalloc.oracle import brute_max_cover_b
 from matalloc.polymatroids import (CappedPoly, CoveragePoly, ExplicitPoly, MarginalPoly,
                                    ModularPoly, PolymatroidOracle, ScaledRankPoly, SumPoly, member,
@@ -421,6 +422,185 @@ def test_a_child_success_can_cover_its_parents_target(monkeypatch):
                for s in submasks(support))
 
 
+def test_a_child_can_succeed_by_augments_first_branch(monkeypatch):
+    """A child node (depth 1) succeeds at once, before build_addable, when a
+    blocked element lies outside the span of I_M. The kept cover is
+    `matalloc gen --flavor core-cover --m 9 --seed 3630 --b 3`: a
+    transversal matroid over right vertices 0-3 against a coverage
+    polymatroid, brute-force optimum 3.
+
+    Element 1 (right vertex 0 only) enters I_M as a target and leaves it for
+    I_P in the commit that covers target 5. The last target, 6 (vertex 3
+    only), finds I_M = {0, 4, 7} spanning it, so solve_cover augments; the
+    root's addable set {4} blocks all of I_P, {1, 2, 3, 5, 8}, and c_rest =
+    {0, 4}. In the child, over the matroid contracted by {0, 4}, element 1 is
+    free beside I_M = {7} (0 to vertex 1 or 2, 1 to 0, 4 to 3, 7 to 2), so
+    the first branch returns I_M = {1, 7}; the root then commits A_I = {4}
+    and covers 6."""
+    inst = parse_instance((Path(__file__).parent / "corpus" / "augment"
+                           / "child-takes-a-blocked-element.json").read_bytes())
+    assert brute_max_cover_b(inst.matroid, inst.polymatroid) == inst.b == 3
+    real_augment, real_build = localsearch.augment, localsearch.build_addable
+    built, taken = [], []   # per active augment: whether it built an addable set
+
+    def spy_augment(state, caps=DEFAULT_CAPS):
+        built.append(False)
+        try:
+            result = real_augment(state, caps)
+        finally:
+            depth, searched = len(built) - 1, built.pop()
+        if result.success and not searched:
+            taken.append((depth, elements(state.B0), elements(state.I_M), elements(result.I_M)))
+        return result
+
+    def spy_build(state, caps=DEFAULT_CAPS):
+        built[-1] = True
+        return real_build(state, caps)
+
+    monkeypatch.setattr(localsearch, "augment", spy_augment)
+    monkeypatch.setattr(localsearch, "build_addable", spy_build)
+    res = solve_cover(inst, EPS)
+    assert taken == [(1, (1, 2, 3, 5, 6, 8), (7,), (1, 7))]
+    assert res.feasible and elements(res.I_M) == (0, 1, 6, 7)
+    assert res.augment_calls == 9 and res.total_recursion_nodes == 10
+    assert inst.matroid.is_independent(res.I_M) and member(inst.polymatroid, res.y)
+    assert all((res.I_M >> e) & 1 or res.y[e] >= inst.b for e in range(inst.matroid.n))
+
+
+# ---------------------------------------------------------------------------
+# solve_cover takes a target the matroid holds directly: the same result as
+# augmenting it, and no search state
+
+
+def _kind_core(kind, seed):
+    """A seeded 6-8 element cover: a matroid of the given kind against
+    coverage of density 0.4, weights 1-3."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 8)
+
+    def partition():
+        labels = [rng.randrange(max(1, n // 2)) for _ in range(n)]
+        blocks = [mask_of(e for e in range(n) if labels[e] == lab) for lab in sorted(set(labels))]
+        return PartitionMatroid(n, blocks, [rng.randint(0, 2) for _ in blocks])
+
+    if kind == "uniform":
+        matroid = UniformMatroid(n, rng.randint(1, n))
+    elif kind == "partition":
+        matroid = partition()
+    elif kind == "graphic":
+        verts = rng.randint(2, n)
+        matroid = GraphicMatroid(verts, [(rng.randrange(verts), rng.randrange(verts))
+                                         for _ in range(n)])
+    elif kind == "transversal":
+        right = rng.randint(1, n)
+        matroid = TransversalMatroid([rng.getrandbits(right) for _ in range(n)], right)
+    elif kind == "union":
+        matroid = UnionMatroid([UniformMatroid(n, rng.randint(0, 2)), partition()])
+    else:
+        u = rng.randint(1, n)
+        matroid = InducedMatroid(CoveragePoly([rng.getrandbits(u) for _ in range(n)],
+                                              [rng.randint(1, 2) for _ in range(u)]))
+    u = rng.randint(1, n + 2)
+    poly = CoveragePoly([mask_of(t for t in range(u) if rng.random() < 0.4) for _ in range(n)],
+                        [rng.randint(1, 3) for _ in range(u)])
+    return CoreCoverInstance(matroid, poly, 1)
+
+
+KINDS = ("uniform", "partition", "graphic", "transversal", "union", "induced")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(8))
+def test_taking_a_target_directly_solves_as_augmenting_it(kind, seed, monkeypatch):
+    """With the direct step patched to decline, every target goes through
+    augment; at every b up to the first infeasible one (past every singleton
+    value only a matroid that holds the whole ground covers) the CoverResult
+    and its certificates are the same. The declining step still asks its rank
+    query, so each root augmentation asks the three ranks that augment alone
+    asked before its first branch: each target taken directly then saves at
+    least the five rank queries of that branch and succeed's greedy
+    extension, and the step never raises oracle_queries."""
+    real = localsearch._takes_directly
+    taken = [0]
+
+    def counting(m, i_m, target):
+        answer = real(m, i_m, target)
+        taken[0] += answer
+        return answer
+
+    def declining(m, i_m, target):
+        real(m, i_m, target)
+        return False
+
+    poly = _kind_core(kind, seed).polymatroid
+    top = max(poly.value(1 << e) for e in range(poly.n)) + 1
+    for b in range(1, top + 1):
+        inst = _kind_core(kind, seed)
+        inst.b = b
+        taken[0] = 0
+        monkeypatch.setattr(localsearch, "_takes_directly", counting)
+        direct = solve_cover(inst, EPS)
+        inst = _kind_core(kind, seed)
+        inst.b = b
+        monkeypatch.setattr(localsearch, "_takes_directly", declining)
+        augmented = solve_cover(inst, EPS)
+        assert _comparable(direct) == _comparable(augmented)
+        assert direct.oracle_queries <= augmented.oracle_queries - 5 * taken[0]
+        if not direct.feasible:
+            break
+    n = inst.matroid.n
+    assert not direct.feasible or inst.matroid.is_independent(full_mask(n))
+
+
+def test_a_target_the_matroid_holds_builds_no_search_state(monkeypatch):
+    """solve_cover builds a root SearchState for exactly the targets the
+    direct step declines, in order; a target it takes builds none, and the
+    matroid holds it: I_M + t is independent."""
+    real_takes, real_state = localsearch._takes_directly, localsearch.SearchState
+    code = localsearch.solve_cover.__code__
+    taken, declined, roots = [], [], []
+
+    def spy_takes(m, i_m, target):
+        answer = real_takes(m, i_m, target)
+        assert answer == m.is_independent(i_m | target)
+        (taken if answer else declined).append(target)
+        return answer
+
+    def spy_state(**fields):
+        if sys._getframe(1).f_code is code:
+            roots.append(fields["B0"])
+        return real_state(**fields)
+
+    monkeypatch.setattr(localsearch, "_takes_directly", spy_takes)
+    monkeypatch.setattr(localsearch, "SearchState", spy_state)
+    inst = _coverage_core(5)
+    inst.b = 3
+    res = solve_cover(inst, EPS)
+    assert taken and declined and roots == declined
+    assert res.augment_calls == len(taken) + len(declined)
+
+
+def test_an_augmentations_state_is_checked_before_the_next_target(monkeypatch):
+    """What augment's _assert_state checked of the state an augmentation
+    returns, solve_cover checks before the next target, also when that
+    target is taken directly: b·I_P in P, and I_M and I_P disjoint."""
+    def returning(i_m, i_p):
+        def fake(state, caps=DEFAULT_CAPS):
+            return localsearch.AugmentResult(True, i_m, i_p)
+        return fake
+
+    # U(3, 1) against f = |X|, b = 2: target 0 is taken, target 1 augmented
+    def inst():
+        return CoreCoverInstance(UniformMatroid(3, 1), ModularPoly([1, 1, 1]), 2)
+
+    monkeypatch.setattr(localsearch, "augment", returning(0b010, 0b001))
+    with pytest.raises(InternalInvariantError, match="b·I_P"):
+        solve_cover(inst(), EPS)
+    monkeypatch.setattr(localsearch, "augment", returning(0b011, 0b001))
+    with pytest.raises(InternalInvariantError, match="disjoint"):
+        solve_cover(inst(), EPS)
+
+
 # ---------------------------------------------------------------------------
 # The invariant checks only observe: with the state and blocking-set checks
 # stubbed out, a run gives the same result, field by field
@@ -567,7 +747,7 @@ def test_threshold_questions_raise_a_supply_by_at_most_h(monkeypatch):
     assert beyond and raises
     assert all(d <= h for d, h in raises)
     # the count of the whole-marginal search, whose queries the threshold keeps
-    assert res.oracle_queries == 420
+    assert res.oracle_queries == 293
 
 
 @pytest.mark.parametrize("seed, n", [*((s, None) for s in range(10)), (10, 12), (11, 13)])
