@@ -211,7 +211,9 @@ class UnionMatroid(MatroidOracle):
     """Matroid union: X is independent iff it splits into independent sets of the parts.
 
     It is the matroid the sum of the parts' ranks induces, so r(X) is the
-    units placed by that sum's kept placement of 1_X (InducedMatroid).
+    units placed by that sum's placement of 1_X (InducedMatroid); the sum
+    keeps the last one, so a rank of X plus one element extends the rank of
+    X asked just before it.
     """
 
     def __init__(self, parts: Sequence[MatroidOracle]):
@@ -238,8 +240,8 @@ class InducedMatroid(MatroidOracle):
     (polymatroids.count). s·r_M induces the union of s copies of M, and
     f₁ + f₂ the union of the matroids f₁ and f₂ induce, so on a partition
     form that count is the matroid partition of 1_X, the units placed by its
-    kept placement (PolymatroidOracle.placement), derived from that of the
-    set one element smaller when that one is kept.
+    placement (PolymatroidOracle.placement), which extends the polymatroid's
+    last placement when that is of X minus one element.
     """
 
     def __init__(self, poly):

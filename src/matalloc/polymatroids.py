@@ -45,20 +45,21 @@ network) plus one network part (partition_form). Edmonds' matroid
 partition splits an integer vector's units into one independent set per
 copy and a member of the network part; on a form with copies the split is
 a Placement (copy masks, the network part's kept flow, the units placed
-nowhere). A polymatroid keeps the placements it counts per vector
-(PolymatroidOracle.placement), and a missing one is derived from a kept
-placement one unit below by one more exchange search, since a unit enters
-a maximum placement exactly when it is independent in the union; with
-none kept it is solved from scratch by place. That is the package's one
-partition routine: its placed units are the count of integer vectors with
-larger supports, and on 0/1 vectors the ranks of matroid unions (as the
-matroids that sums of unit-scaled ranks induce) and of the matroids such
-forms induce (matroids.UnionMatroid, matroids.InducedMatroid).
+nowhere). A polymatroid keeps only the last placement it counted
+(PolymatroidOracle.placement): the same vector reads it again, a vector
+one unit of one element above it adds that unit in place by one more
+exchange search, since a unit enters a maximum placement exactly when it
+is independent in the union, and any other vector is solved from scratch
+by place. That is the package's one partition routine: its placed units
+are the count of integer vectors with larger supports, and on 0/1 vectors
+the ranks of matroid unions (as the matroids that sums of unit-scaled
+ranks induce) and of the matroids such forms induce (matroids.UnionMatroid,
+matroids.InducedMatroid).
 
-Kept flows and placements are dropped all at once when a store would pass
-KEEP_ENTRIES list entries (_keep), so a large solve's memory stays bounded;
-what is dropped is derived or solved again, as another maximum flow or
-placement, so every answer is exact either way.
+A network's kept flows are dropped all at once when they would pass
+KEEP_ENTRIES list entries (CutNetwork._residual), so a large solve's memory
+stays bounded; a dropped flow is derived or solved again as another
+maximum flow, so every answer is exact either way.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class CutNetwork:
     exact marginals (marginal), the leave-one-out batches (leave_one_out)
     and the counts of vectors uniform off base (count) share those flows;
     the other counts solve theirs; the kept flows start over when they
-    would pass KEEP_ENTRIES list entries (_keep). Every flow is built by
+    would pass KEEP_ENTRIES list entries. Every flow is built by
     _flow from a vector, on one ArcNumbering of the covers, which capped and
     contracted copies of the network share with it, as they share the
     reaches.
@@ -223,7 +224,8 @@ class CutNetwork:
         """The max flow of the h-capped off ∪ base, kept per (h, off). A
         missing one is derived by raising: a copy of the kept flow of
         off − j for some j, with j's supply raised to min(h, _left[j]); with
-        none kept it is solved."""
+        none kept it is solved. The kept flows start over when one more
+        would take them past KEEP_ENTRIES list entries."""
         key = (h, off)
         res = self._residuals.get(key)
         if res is None:
@@ -235,7 +237,10 @@ class CutNetwork:
                     break
             else:
                 res = self._flow([h if (off >> e) & 1 else 0 for e in range(len(self.covers))])
-            _keep(self._residuals, key, res)
+            entries = len(res.flow) + len(res.left_res) + len(res.right_res)
+            if (len(self._residuals) + 1) * entries > KEEP_ENTRIES:
+                self._residuals.clear()
+            self._residuals[key] = res
         return res
 
 
@@ -249,7 +254,7 @@ class PolymatroidOracle:
         self._member_memo: dict[tuple, bool] = {}
         self._member_set_memo: dict[tuple[int, int], bool] = {}
         self._capped_cache: dict[tuple, "CappedPoly"] = {}
-        self._placements: dict[tuple, "Placement"] = {}
+        self._last: tuple[tuple[int, ...], "Placement"] | None = None
 
     def value(self, mask: int) -> int:
         """f(mask), one query, with MatroidOracle.rank's memo: a hit on an
@@ -309,23 +314,21 @@ class PolymatroidOracle:
 
     def placement(self, x: tuple[int, ...]) -> "Placement":
         """The maximum placement of x's units on partition_form (one that
-        is not a bare cut network), kept per vector. A missing one is
-        derived from a kept placement of x − 1_j for some element j by
-        adding j's unit; with none it is solved (place)."""
-        kept = self._placements.get(x)
-        if kept is None:
-            kept = _keep(self._placements, x, self._derive_placement(x))
+        is not a bare cut network). Only the last one is kept: it answers
+        x again, and an x one unit of some element j above its vector takes
+        j's unit in place (Placement.add); any other x is solved (place)."""
+        last = self._last
+        if last is not None and last[0] == x:
+            return last[1]
+        self._last = None   # a placement an exception leaves half added is not kept
+        j = -1 if last is None else _unit_above(x, last[0])
+        if j < 0:
+            kept = place(*self.partition_form, x)
+        else:
+            kept = last[1]
+            kept.add(j)
+        self._last = (x, kept)
         return kept
-
-    def _derive_placement(self, x: tuple[int, ...]) -> "Placement":
-        placements = self._placements
-        for j in bits(vec_support(x)):
-            near = placements.get(x[:j] + (x[j] - 1,) + x[j + 1:])
-            if near is not None:
-                derived = near.copy()
-                derived.add(j)
-                return derived
-        return place(*self.partition_form, x)
 
     def capped(self, *, uniform: int, on: int) -> "CappedPoly":
         """This polymatroid with the elements of the mask on capped at
@@ -337,29 +340,20 @@ class PolymatroidOracle:
         return cached
 
 
-# The list entries one kept store (a network's flows, a polymatroid's
-# placements) may hold: a flow's arc flows, supplies and sink room, a
-# placement's copy masks and units left plus its flow's. Every value of one
-# store has the same size, so the store holds its length times one value's.
-# Keeping one more past this starts the store over; a flow or placement
-# that is derived or solved again is another maximum one, so no answer moves.
+# The list entries a network's kept flows may hold together: each flow's arc
+# flows, supplies and sink room. The flows of one network have the same size,
+# so they hold their number times one flow's. Keeping one more past this
+# starts them over; a flow that is derived or solved again is another
+# maximum one, so no answer moves.
 KEEP_ENTRIES = 1 << 22
 
 
-def _keep(store: dict, key, value):
-    """store[key] = value, after emptying the store if it would then pass
-    KEEP_ENTRIES list entries; returns value."""
-    if (len(store) + 1) * _entries(value) > KEEP_ENTRIES:
-        store.clear()
-    store[key] = value
-    return value
-
-
-def _entries(value) -> int:
-    if isinstance(value, Placement):
-        flow = value.flow
-        return len(value.masks) + len(value.left) + (0 if flow is None else _entries(flow))
-    return len(value.flow) + len(value.left_res) + len(value.right_res)
+def _unit_above(x: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """The element j with x = v + 1_j, or −1 when there is none."""
+    for j, (a, b) in enumerate(zip(x, v)):
+        if a != b:
+            return j if a == b + 1 and x[j + 1:] == v[j + 1:] else -1
+    return -1
 
 
 def _check_weights(weights: Sequence[int], what: str) -> None:
@@ -714,7 +708,7 @@ def count(p: PolymatroidOracle, x: Sequence[int], caps: Caps = DEFAULT_CAPS) -> 
 
     By matroid partition (one value query) where _by_partition says so: the
     network's count when the form has no copies, else the placed total of
-    p's kept placement of x (PolymatroidOracle.placement). Any other x is
+    p's placement of x (PolymatroidOracle.placement). Any other x is
     counted as x(E) + min f(S) − x(S) by sfm_min over S ⊆ supp x, which is
     exact because f is monotone and x is zero off its support.
     """
@@ -818,10 +812,6 @@ class Placement:
         self.masks = masks
         self.left = left
         self.placed = placed
-
-    def copy(self) -> "Placement":
-        flow = None if self.flow is None else self.flow.copy()
-        return Placement(self.copies, flow, self.masks[:], self.left[:], self.placed)
 
     def add(self, e: int, units: int = 1) -> None:
         """units more units of e: each enters along a shortest exchange path

@@ -11,11 +11,11 @@ a greedy basis step ask the singleton values f({e}) that they raise
 entries to. A count by matroid partition asks one value query plus the
 rank queries the partition asks of the matroid copies (its plain part is
 one kept flow and asks none), and no separate checks of singletons or of
-the support. Those rank queries do depend on what is kept: the count
-asks them when its placement is derived and none when the placement is
-kept, so a count on a sum whose placement an earlier step already made
-reports fewer queries. Every other count asks the value of each subset
-of the vector's support. A capped marginal
+the support. Those rank queries depend on the vector the polymatroid
+placed last: a count of that vector again asks none, one of a vector one
+unit of one element above it asks those of one exchange search, and any
+other asks those of a placement from scratch. Every other count asks the
+value of each subset of the vector's support. A capped marginal
 f(Y | h·X) counts two queries, the two capped values it is the
 difference of (plus what their counts ask until they are memoised),
 however it is answered: by those two values or, on a cut network, by

@@ -1100,7 +1100,8 @@ def kept_store_outcomes(seed):
     """What seed's kept flows and placements answer: solve_cover on a
     generated core and on an induced core, a count walk that adds one unit
     at a time on a sum with copies and a network part, uniform counts on a
-    cut network, and every rank of a union; with the stores' owners."""
+    cut network, and every rank of a union; with the owners of the
+    placements and of the flows (the sum, the network, the union's sum)."""
     rng = random.Random(seed)
     n = 8
     covers = [rng.getrandbits(6) for _ in range(n)]
@@ -1126,16 +1127,37 @@ def kept_store_outcomes(seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_starting_kept_stores_over_moves_no_answer(seed, monkeypatch):
-    """With KEEP_ENTRIES at 1 every insert empties its store first, so each
-    flow and placement is derived from nothing kept, or solved again: covers,
-    certificates, counts and union ranks are those of the default budget.
-    (Query counts may differ: a placement solved again asks the rank
-    queries of its partition again.)"""
+    """With KEEP_ENTRIES at 1 every insert empties a network's kept flows
+    first, so each flow is derived from nothing kept, or solved again:
+    covers, certificates, counts and union ranks are those of the default
+    budget. (Query counts may differ.)"""
     default, _ = kept_store_outcomes(seed)
     monkeypatch.setattr(polymatroids, "KEEP_ENTRIES", 1)
-    tight, (summed, net, union_sum) = kept_store_outcomes(seed)
+    tight, (_, net, _) = kept_store_outcomes(seed)
     assert tight == default
-    assert len(summed._placements) == len(union_sum._placements) == len(net._residuals) == 1
+    assert len(net._residuals) == 1
+
+
+def placements_held(p):
+    """The Placements among p's attributes, directly or inside a tuple, a
+    list or a dict's values."""
+    held = []
+    for v in vars(p).values():
+        inner = v.values() if isinstance(v, dict) else v if isinstance(v, (tuple, list)) else [v]
+        held += [w for w in inner if isinstance(w, polymatroids.Placement)]
+    return held
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_sum_and_a_union_hold_one_placement_after_a_walk(seed):
+    """After kept_store_outcomes' count walk (24 units) and its ranks of
+    every set, the sum and the union's sum each hold one placement: that of
+    the last vector counted, the walk's end and the whole ground set."""
+    _, (summed, _, union_sum) = kept_store_outcomes(seed)
+    for p, units in ((summed, 24), (union_sum, union_sum.n)):
+        (held,) = placements_held(p)
+        assert p._last[1] is held and sum(p._last[0]) == units
+        assert held.placed == count(p, p._last[0]) == sfm_count(p, p._last[0])
 
 
 def per_element(p, among, h, base):
@@ -1274,25 +1296,36 @@ def sfm_count(p, x):
     return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n)[1]
 
 
+def one_unit_above(x, v):
+    """Whether x = v + 1_j for some element j."""
+    diff = [a - b for a, b in zip(x, v) if a != b]
+    return diff == [1]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_counts_along_unit_walks_match_sfm(seed, monkeypatch):
     """A walk of ±1-unit steps, each entry between 0 and one above its
-    singleton value, counted at every step: most counts extend a kept
-    placement one unit below by one exchange search."""
+    singleton value, counted at every step. The polymatroid keeps only the
+    last placement: a count by partition is placed from scratch exactly
+    when its vector neither repeats the last one placed nor adds one unit
+    to it, so a step back down solves again."""
     p = scaled_rank_sum(seed, min_n=4, min_scale=1)
     assert p.partition_form[0]
     rng = random.Random(seed)
-    solved = []
-    spy_partition_solves(monkeypatch, lambda form, x: solved.append(x))
+    solved, expected, last = [], [], None
+    spy_partition_solves(monkeypatch, lambda form, x: solved.append(tuple(x)))
     top = [p.value(1 << e) for e in range(p.n)]
     x = [min(t, 1) for t in top]
-    partition_counts = 0
     for _ in range(120):
         e = rng.randrange(p.n)
         x[e] += -1 if x[e] > top[e] or (x[e] and rng.random() < 0.4) else 1
         assert count(p, x) == sfm_count(p, x), x
-        partition_counts += size(vec_support(x)) >= polymatroids.MEMBER_SUPPORT
-    assert len(solved) < partition_counts
+        if size(vec_support(x)) >= polymatroids.MEMBER_SUPPORT:
+            if last is None or (tuple(x) != last and not one_unit_above(x, last)):
+                expected.append(tuple(x))
+            last = tuple(x)
+    assert solved == expected
+    assert p._last[0] == last
 
 
 @pytest.mark.parametrize("seed", range(10))
