@@ -5,7 +5,8 @@ table) plus derived forms (contraction, element zeroing, union, and the
 matroid induced by an integer polymatroid). All oracles are immutable
 after construction and memoize rank queries per instance; each also keeps
 the cover outcomes solve_cover reached on it. A transversal rank is one flow
-on an arc numbering built once; union and induced ranks are polymatroid counts.
+on an arc numbering built once; an induced rank is a polymatroid count, and a
+union is the matroid induced by the sum of its parts' ranks.
 """
 
 from __future__ import annotations
@@ -207,30 +208,6 @@ class ZeroedMatroid(MatroidOracle):
         return self.inner.rank(mask & ~self.removed)
 
 
-class UnionMatroid(MatroidOracle):
-    """Matroid union: X is independent iff it splits into independent sets of the parts.
-
-    It is the matroid the sum of the parts' ranks induces, so r(X) is the
-    units placed by that sum's placement of 1_X (InducedMatroid); the sum
-    keeps the last one, so a rank of X plus one element extends the rank of
-    X asked just before it.
-    """
-
-    def __init__(self, parts: Sequence[MatroidOracle]):
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("union of no matroids")
-        n = parts[0].n
-        if any(p.n != n for p in parts):
-            raise ValueError("union parts must share the ground set")
-        super().__init__(n)
-        self.parts = parts
-        self._sum = SumPoly([ScaledRankPoly(p, 1) for p in parts])
-
-    def _rank(self, mask: int) -> int:
-        return self._sum.placement(indicator(mask, self.n)).placed
-
-
 class InducedMatroid(MatroidOracle):
     """Matroid induced by an integer polymatroid f.
 
@@ -241,7 +218,7 @@ class InducedMatroid(MatroidOracle):
     f₁ + f₂ the union of the matroids f₁ and f₂ induce, so on a partition
     form that count is the matroid partition of 1_X, the units placed by its
     placement (PolymatroidOracle.placement), which extends the polymatroid's
-    last placement when that is of X minus one element.
+    last placement when X holds that placement's placed units.
     """
 
     def __init__(self, poly):
@@ -250,6 +227,22 @@ class InducedMatroid(MatroidOracle):
 
     def _rank(self, mask: int) -> int:
         return count(self.poly, indicator(mask, self.n))
+
+
+class UnionMatroid(InducedMatroid):
+    """Matroid union: X is independent iff it splits into independent sets of
+    the parts. It is the matroid that the sum of the parts' unit-scaled ranks
+    induces, and it ranks as that induced matroid."""
+
+    def __init__(self, parts: Sequence[MatroidOracle]):
+        parts = tuple(parts)
+        if not parts:
+            raise ValueError("union of no matroids")
+        n = parts[0].n
+        if any(p.n != n for p in parts):
+            raise ValueError("union parts must share the ground set")
+        super().__init__(SumPoly([ScaledRankPoly(p, 1) for p in parts]))
+        self.parts = parts
 
 
 def matroid_add_greedy(m: MatroidOracle, start: int, candidates: Sequence[int]) -> int:

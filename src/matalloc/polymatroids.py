@@ -46,15 +46,16 @@ partition splits an integer vector's units into one independent set per
 copy and a member of the network part; on a form with copies the split is
 a Placement (copy masks, the network part's kept flow, the units placed
 nowhere). A polymatroid keeps only the last placement it counted
-(PolymatroidOracle.placement): the same vector reads it again, a vector
-one unit of one element above it adds that unit in place by one more
-exchange search, since a unit enters a maximum placement exactly when it
-is independent in the union, and any other vector is solved from scratch
+(PolymatroidOracle.placement), and it serves, in place, every vector that
+holds its placed units: those units are independent in the union, so
+extending them greedily by the vector's other units gives a maximum
+placement, and an element with a unit left is spanned by them, so its
+units stay left with no search. Any other vector is solved from scratch
 by place. That is the package's one partition routine: its placed units
 are the count of integer vectors with larger supports, and on 0/1 vectors
-the ranks of matroid unions (as the matroids that sums of unit-scaled
-ranks induce) and of the matroids such forms induce (matroids.UnionMatroid,
-matroids.InducedMatroid).
+the rank of the matroid such a form induces (matroids.InducedMatroid),
+matroid unions among them (matroids.UnionMatroid ranks as the matroid
+that the sum of its parts' unit-scaled ranks induces).
 
 A network's kept flows are dropped all at once when they would pass
 KEEP_ENTRIES list entries (CutNetwork._residual), so a large solve's memory
@@ -314,19 +315,24 @@ class PolymatroidOracle:
 
     def placement(self, x: tuple[int, ...]) -> "Placement":
         """The maximum placement of x's units on partition_form (one that
-        is not a bare cut network). Only the last one is kept: it answers
-        x again, and an x one unit of some element j above its vector takes
-        j's unit in place (Placement.add); any other x is solved (place)."""
+        is not a bare cut network). Only the last one is kept, of a vector
+        v, and it serves every x that holds its placed units, x(e) >=
+        v(e) − left(e) for each e, in place: a spanned element (some unit
+        left) takes left(e) = x(e) − v(e) + left(e) with no search, and
+        another element above v adds its units (Placement.add). Any other x
+        is solved (place)."""
         last = self._last
-        if last is not None and last[0] == x:
-            return last[1]
         self._last = None   # a placement an exception leaves half added is not kept
-        j = -1 if last is None else _unit_above(x, last[0])
-        if j < 0:
+        if last is None or any(a < b - u for a, b, u in zip(x, last[0], last[1].left)):
             kept = place(*self.partition_form, x)
         else:
-            kept = last[1]
-            kept.add(j)
+            v, kept = last
+            left = kept.left
+            for e, (a, b) in enumerate(zip(x, v)):
+                if left[e]:
+                    left[e] += a - b
+                elif a > b:
+                    kept.add(e, a - b)
         self._last = (x, kept)
         return kept
 
@@ -346,14 +352,6 @@ class PolymatroidOracle:
 # starts them over; a flow that is derived or solved again is another
 # maximum one, so no answer moves.
 KEEP_ENTRIES = 1 << 22
-
-
-def _unit_above(x: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """The element j with x = v + 1_j, or −1 when there is none."""
-    for j, (a, b) in enumerate(zip(x, v)):
-        if a != b:
-            return j if a == b + 1 and x[j + 1:] == v[j + 1:] else -1
-    return -1
 
 
 def _check_weights(weights: Sequence[int], what: str) -> None:
@@ -793,14 +791,15 @@ class Placement:
     exactly what it carries, left[e] the units of e placed nowhere, and
     placed = x(E) − Σ left, the count of x.
 
-    A unit that finds no exchange path proves the units placed so far plus
-    it dependent in the union, and so does every later unit of its element:
-    the units are clones, and placing more units only shrinks what fits.
-    So a unit of e enters (add) only while no unit of e is left, and a
-    placement of x + 1_e is one of x plus at most one exchange path:
-    a maximum placement plus a unit that enters is maximum, and one plus a
-    unit that does not enter stays maximum (matroid-partition augmentation,
-    Edmonds 1968).
+    The placed units are independent in the union, and an exchange path
+    moves them between parts without unplacing any, so they only grow. A
+    unit that finds no exchange path proves the units placed so far plus it
+    dependent in the union, and so does every unit of its element, then or
+    later: the units are clones, and what spans them only grows. So a unit
+    of e enters (add) only while no unit of e is left, and adding units to
+    a placement, element by element, extends an independent set of the
+    union greedily, which ends at a maximum placement of the larger vector
+    (matroid-partition augmentation, Edmonds 1968).
     """
 
     __slots__ = ("copies", "flow", "masks", "left", "placed")

@@ -3,19 +3,20 @@
 Counts logical top-level queries (each value/rank call, memo hits
 included), so a value or rank memo does not change a figure. Work inside
 one max-flow of a cut network is not a query. A membership, a headroom,
-an induced rank, a capped value and a vector-contracted value are
-each one count (polymatroids.count) and count what it asks. The last
-three also count the rank or value query that asks for them, and a
-capped value (on its uncapped elements), a vector-contracted value and
-a greedy basis step ask the singleton values f({e}) that they raise
-entries to. A count by matroid partition asks one value query plus the
+an induced rank (a union's rank among them), a capped value and a
+vector-contracted value are each one count (polymatroids.count) and
+count what it asks. The last three also count the rank or value query
+that asks for them, and a capped value (on its uncapped elements), a
+vector-contracted value and a greedy basis step ask the singleton values
+f({e}) that they raise entries to. A count by matroid partition asks one value query plus the
 rank queries the partition asks of the matroid copies (its plain part is
 one kept flow and asks none), and no separate checks of singletons or of
-the support. Those rank queries depend on the vector the polymatroid
-placed last: a count of that vector again asks none, one of a vector one
-unit of one element above it asks those of one exchange search, and any
-other asks those of a placement from scratch. Every other count asks the
-value of each subset of the vector's support. A capped marginal
+the support. Those rank queries depend on the placement the polymatroid
+kept last: a count of a vector that holds its placed units asks those of
+the exchange searches that add its units above that placement's vector
+(none on an element with a unit left), and any other count asks those of
+a placement from scratch. Every other count asks the value of each
+subset of the vector's support. A capped marginal
 f(Y | h·X) counts two queries, the two capped values it is the
 difference of (plus what their counts ask until they are memoised),
 however it is answered: by those two values or, on a cut network, by

@@ -14,6 +14,7 @@ A change that means to alter some output rewrites the file with
 import hashlib
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -22,13 +23,16 @@ from pathlib import Path
 import pytest
 
 from matalloc.cli import main
-from matalloc.instances import (MakespanInstance, _rat_to_json, entity_totals, gen_random,
-                                serialize_instance)
+from matalloc.instances import (CoreCoverInstance, MakespanInstance, _rat_to_json, entity_totals,
+                                gen_random, serialize_instance)
+from matalloc.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid, UnionMatroid
+from matalloc.polymatroids import CoveragePoly
 from matalloc.rounding import guess_loop, lst_baseline, santa_guess_grid, solve_assignment_lp
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
 DIGESTS = CORPUS / "cli_digests.tsv"
+UNION = CORPUS / "union" / "union-cover-m64-s1.json"
 
 
 def _write(path: Path, inst) -> str:
@@ -95,6 +99,21 @@ def _verify(flavor: str, seed: int, **params):
     return argv
 
 
+def union_cover(seed: int, m: int = 64) -> CoreCoverInstance:
+    """A union of UniformMatroid(m, 16), a graphic matroid on 21 vertices
+    and a two-block partition matroid (caps 8, 8) against a coverage
+    polymatroid over 24 items (each in a set with probability 1/5, weights
+    1-3), at b = 1. UNION keeps the draw of seed 1."""
+    rng = random.Random(seed)
+    graphic = GraphicMatroid(21, [(rng.randrange(21), rng.randrange(21)) for _ in range(m)])
+    low = (1 << m // 2) - 1
+    halves = PartitionMatroid(m, [low, ((1 << m) - 1) ^ low], [8, 8])
+    covers = [sum(1 << i for i in range(24) if rng.random() < 0.2) for _ in range(m)]
+    weights = [rng.randint(1, 3) for _ in range(24)]
+    return CoreCoverInstance(UnionMatroid([UniformMatroid(m, 16), graphic, halves]),
+                             CoveragePoly(covers, weights), 1)
+
+
 FLAVORS = ("gap", "core-cover", "unrelated-santa", "restricted-santa", "two-value-santa",
            "two-value-makespan", "restricted-makespan", "santa-matroid", "makespan-matroid")
 
@@ -129,6 +148,7 @@ CASES = {
     "verify-gap": _verify("gap", 0, m=3),
     "verify-santa-matroid": _verify("santa-matroid", 2, m=3, n=3),
     "bench-corpus": lambda tmp: ["bench", "--dir", str(CORPUS)],
+    "solve-cover-union-m64-s1": lambda tmp: ["solve-cover", "--in", str(UNION), "--b", "1"],
 }
 
 
@@ -167,6 +187,10 @@ def _recorded() -> dict[str, tuple[str, str, int]]:
 
 def test_every_case_is_recorded():
     assert sorted(_recorded()) == sorted(CASES)
+
+
+def test_the_union_cover_is_its_seeded_draw():
+    assert UNION.read_bytes() == serialize_instance(union_cover(1)) + b"\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

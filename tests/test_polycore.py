@@ -1122,7 +1122,7 @@ def kept_store_outcomes(seed):
     union = UnionMatroid([UniformMatroid(n, 1), PartitionMatroid(n, [0b1111, 0b11110000], [1, 2]),
                           TransversalMatroid([rng.getrandbits(3) for _ in range(n)], 3)])
     ranks = [union.rank(mask) for mask in range(1 << n)]
-    return (covered, walked, ranks), (summed, net.network, union._sum)
+    return (covered, walked, ranks), (summed, net.network, union.poly)
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -1296,10 +1296,11 @@ def sfm_count(p, x):
     return sum(x) + sfm_min(lambda s: p.value(s) - vec_sum(x, s), p.n)[1]
 
 
-def one_unit_above(x, v):
-    """Whether x = v + 1_j for some element j."""
-    diff = [a - b for a, b in zip(x, v) if a != b]
-    return diff == [1]
+def holds_placed_units(x, kept):
+    """Whether x holds the placed units of a placement kept as (v, left):
+    x(e) >= v(e) − left(e) for every element e."""
+    v, left = kept
+    return all(a >= b - u for a, b, u in zip(x, v, left))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -1307,25 +1308,64 @@ def test_counts_along_unit_walks_match_sfm(seed, monkeypatch):
     """A walk of ±1-unit steps, each entry between 0 and one above its
     singleton value, counted at every step. The polymatroid keeps only the
     last placement: a count by partition is placed from scratch exactly
-    when its vector neither repeats the last one placed nor adds one unit
-    to it, so a step back down solves again."""
+    when its vector does not hold that placement's placed units, so a step
+    down solves again only when it takes a placed unit. The placement is
+    changed in place, so its vector and its units left are copied after
+    each count."""
     p = scaled_rank_sum(seed, min_n=4, min_scale=1)
     assert p.partition_form[0]
     rng = random.Random(seed)
-    solved, expected, last = [], [], None
+    solved, expected, kept = [], [], None
     spy_partition_solves(monkeypatch, lambda form, x: solved.append(tuple(x)))
     top = [p.value(1 << e) for e in range(p.n)]
     x = [min(t, 1) for t in top]
     for _ in range(120):
         e = rng.randrange(p.n)
         x[e] += -1 if x[e] > top[e] or (x[e] and rng.random() < 0.4) else 1
+        by_partition = size(vec_support(x)) >= polymatroids.MEMBER_SUPPORT
+        if by_partition and (kept is None or not holds_placed_units(x, kept)):
+            expected.append(tuple(x))
         assert count(p, x) == sfm_count(p, x), x
-        if size(vec_support(x)) >= polymatroids.MEMBER_SUPPORT:
-            if last is None or (tuple(x) != last and not one_unit_above(x, last)):
-                expected.append(tuple(x))
-            last = tuple(x)
+        if by_partition:
+            kept = p._last[0], tuple(p._last[1].left)
+            assert kept[0] == tuple(x)
     assert solved == expected
-    assert p._last[0] == last
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_counts_below_a_placement_that_hold_its_units_solve_none(seed, monkeypatch):
+    """A chain of counts, each taking any of the units left off the vector
+    placed last, on many elements at once, and adding one unit anywhere:
+    every vector holds the kept placement's placed units, so after the
+    first count none is placed from scratch."""
+    p = scaled_rank_sum(seed, min_n=4, min_scale=1)
+    rng = random.Random(seed)
+    x = [rng.randint(1, 2) + p.value(1 << e) // 2 for e in range(p.n)]
+    assert count(p, x) == sfm_count(p, x)
+    left = list(p._last[1].left)
+    solved = []
+    spy_partition_solves(monkeypatch, lambda form, z: solved.append(tuple(z)))
+    for _ in range(30):
+        z = [a - rng.randint(0, u) for a, u in zip(x, left)]
+        z[rng.randrange(p.n)] += 1
+        if size(vec_support(z)) >= polymatroids.MEMBER_SUPPORT:
+            assert count(p, z) == sfm_count(p, z), z
+            x, left = z, list(p._last[1].left)
+    assert solved == []
+
+
+def test_a_greedy_basis_solves_one_placement(monkeypatch):
+    """greedy_basis_above counts its start, then the start raised by each
+    element's headroom in turn: every count holds the units placed by the
+    one before it, so the whole extension solves one placement from
+    scratch, the first whose support is large enough to count by
+    partition."""
+    p = gen_random("santa-matroid", 1, m=8, n=4, u=1, w=3).resources[2].polymatroid
+    assert p.partition_form[0]
+    solved = []
+    spy_partition_solves(monkeypatch, lambda form, x: solved.append(tuple(x)))
+    y = greedy_basis_above(p, (0,) * 8)
+    assert len(solved) == 1 and is_basis(p, y)
 
 
 @pytest.mark.parametrize("seed", range(10))
