@@ -10,10 +10,12 @@ entity, fills unit slots, an item has an edge to each slot its mass
 overlaps, and the integral solution is a maximum common vector of two
 polymatroids on the edges (intersection.max_common_independent): the slots
 by counting (intersection.PartitionBound), the items by counting too when
-every item is classical (one unit each), else as the direct sum of their
-memberships (intersection.DirectSum of intersection.Membership blocks: an
-item's units sum onto its entities, and the fill asks one count per edge
-for how many more fit). Each fractional row is checked before rounding,
+every item is classical (one unit each, on an eligible entity: the rank-one
+polymatroid of item_polymatroid is read off the instance's eligibility
+masks, and none is built), else as the direct sum of their memberships
+(intersection.DirectSum of intersection.Membership blocks: an item's units
+sum onto its entities, and the fill asks one count per edge for how many
+more fit). Each fractional row is checked before rounding,
 and every point that passes the checks with rows in the items'
 polymatroids rounds, LP vertex or not.
 
@@ -264,7 +266,9 @@ def _gadget_round(inst, rows: Sequence[Sequence[int]], den: int, mode: str, caps
     slots, ceil mode every slot the mass touches. An item has an edge of cap 1
     to each kept slot its mass overlaps (none where f({i}) = 0), and each slot
     holds one unit. Floor mode saturates the slots, ceil mode the items'
-    bases.
+    bases. When every item is classical no polymatroid is built: f({i}) > 0
+    is bit i of the item's eligibility mask (int_values.eligible), and f(E)
+    is 1 exactly when that mask is nonzero.
 
     The fractional point, spread over the slots, lies in both polymatroids
     and reaches that target, and integer polymatroid intersection is
@@ -274,8 +278,9 @@ def _gadget_round(inst, rows: Sequence[Sequence[int]], den: int, mode: str, caps
     fractional value minus the largest value on it. Ceil mode: slot s >= 1
     holds a size no larger than the mass of the full slot s - 1, so each
     load is at most its fractional load plus the largest size on it."""
-    m, values = inst.num_entities, inst.int_values.values
-    polys = [item_polymatroid(inst, j) for j in range(len(rows))]
+    m, view = inst.num_entities, inst.int_values
+    classical = not inst.is_matroid_flavor
+    polys = None if classical else [item_polymatroid(inst, j) for j in range(len(rows))]
     edges: list[tuple[int, int]] = []  # (item, entity) per edge
     slot_of: list[int] = []
     slots = 0
@@ -285,9 +290,9 @@ def _gadget_round(inst, rows: Sequence[Sequence[int]], den: int, mode: str, caps
         # only positive mass is placed, and an infinite size holds none
         held = [j for j, row in enumerate(rows) if row[i] > 0]
         start = 0
-        for j in sorted(held, key=lambda j: (-_value_on(values[j], i), j)):
+        for j in sorted(held, key=lambda j: (-_value_on(view.values[j], i), j)):
             x = rows[j][i]
-            if polys[j].value(1 << i) > 0:
+            if view.eligible[j] >> i & 1 if classical else polys[j].value(1 << i) > 0:
                 for s in range(start // den, min((start + x - 1) // den + 1, kept)):
                     edges.append((j, i))
                     slot_of.append(slots + s)
@@ -295,8 +300,8 @@ def _gadget_round(inst, rows: Sequence[Sequence[int]], den: int, mode: str, caps
         slots += kept
 
     item_of = [j for j, _ in edges]
-    if not inst.is_matroid_flavor:
-        items = PartitionBound(item_of, [1] * len(polys))
+    if classical:
+        items = PartitionBound(item_of, [1] * len(rows))
     else:
         items = DirectSum(item_of, [Membership(p, [i for k, i in edges if k == j], caps)
                                     for j, p in enumerate(polys)])
@@ -306,12 +311,14 @@ def _gadget_round(inst, rows: Sequence[Sequence[int]], den: int, mode: str, caps
     if mode == "floor":
         target, what = slots, "slots"
     else:
-        target, what = sum(p.value(full_mask(m)) for p in polys), "items' bases"
+        target = (sum(1 for mask in view.eligible if mask) if classical
+                  else sum(p.value(full_mask(m)) for p in polys))
+        what = "items' bases"
     if sum(best) != target:
         raise ContractViolation(
             f"gadget rounding fell short of saturating its {what} "
             f"({sum(best)} of {target}); the fractional input is not LP-feasible")
-    alloc = [[0] * m for _ in polys]
+    alloc = [[0] * m for _ in rows]
     for (j, i), c in zip(edges, best):
         alloc[j][i] += c
     return [tuple(vec) for vec in alloc]

@@ -284,7 +284,9 @@ def reference_point(num_vars, constraints, events=None):
     over Fraction with Bland's rule, every entry divided through on each
     pivot, then the drive-out of zero-level artificials (deleting the rows
     where none can leave) before the read-out. events, if given, counts
-    ratio-test ties, deleted rows and drive-out pivots on negative entries."""
+    ratio-test ties, Bland pivots taken once the artificial sum is 0, Bland
+    pivots on an artificial column, deleted rows and drive-out pivots on
+    negative entries."""
     events = Counter() if events is None else events
     rows = []
     for coeffs, sense, rhs in constraints:
@@ -357,6 +359,10 @@ def reference_point(num_vars, constraints, events=None):
                     best, leave = ratio, i
         if leave is None:
             return None
+        if obj[-1] == 0:
+            events["zero_sum_pivot"] += 1
+        if enter in art_set:
+            events["artificial_enters"] += 1
         pivot(leave, enter)
 
     if -obj[-1] > 0:

@@ -928,6 +928,39 @@ def test_classical_rounding_matches_the_whole_vector_reference(monkeypatch):
         assert isinstance(got, list), (flavors, seed, got)
 
 
+def test_classical_rounding_builds_no_polymatroid(monkeypatch):
+    """Rounding the LP points of restricted draws reads each item's
+    eligibility from the instance: no item_polymatroid call and no
+    CoveragePoly, where item_polymatroid would build one per item."""
+    built = []
+    real_coverage = CoveragePoly.__init__
+
+    def coverage(self, *args, **kwargs):
+        built.append("CoveragePoly")
+        real_coverage(self, *args, **kwargs)
+
+    def counted_item_polymatroid(inst, j):
+        built.append("item_polymatroid")
+        return item_polymatroid(inst, j)
+
+    for seed in range(8):
+        flavor = ("restricted-santa", "restricted-makespan")[seed % 2]
+        inst = gen_random(flavor, seed, m=3, n=6)
+        if isinstance(inst, MakespanInstance):
+            # every job on a machine where it is smallest fits under the sum
+            top = sum(min(v for v in it.values if v is not None) for it in inst.items)
+            frac, rounder = solve_assignment_lp(inst, top), round_makespan
+        else:
+            _, frac = guess_loop(lambda t: solve_assignment_lp(inst, t), santa_guess_grid(inst))
+            rounder = round_santa
+        frac.point  # solved before the spies go in
+        with monkeypatch.context() as patched:
+            patched.setattr(CoveragePoly, "__init__", coverage)
+            patched.setattr(rounding, "item_polymatroid", counted_item_polymatroid)
+            validate_allocation(inst, rounder(inst, frac))
+    assert built == []
+
+
 @pytest.mark.parametrize("flavor, rounder", [("santa-matroid", round_santa),
                                              ("makespan-matroid", round_makespan)])
 def test_polymatroid_rounding_matches_the_whole_vector_reference(monkeypatch, flavor, rounder):

@@ -61,6 +61,10 @@ def test_matches_dense_rational_tableau():
     assert outcomes["none"] >= 200 and outcomes["point"] >= 200
     assert all(outcomes[f"negative {sense}"] >= 200 for sense in ("<=", ">=", "=="))
     assert events["tie"] >= 50
+    # the simplex stops at a zero artificial sum and keeps no artificial
+    # columns: the reference pivots on past both, and reaches the same point
+    assert events["zero_sum_pivot"] >= 50
+    assert events["artificial_enters"] >= 15
     assert events["deleted_row"] >= 50
     assert events["negative_drive_out"] >= 20
 
@@ -95,12 +99,13 @@ def test_read_out_after_a_redundant_row_is_dropped():
 
 
 def test_assignment_lps_match():
-    # exactly-once rows with >= and <= entity rows, and submask rows; the
-    # rows are the ones solve_assignment_lp solves, including those of the
-    # restricted guesses its max flow finds infeasible
+    # exactly-once rows with >= and <= entity rows, and submask rows, from
+    # every LP flavor; the rows are the ones solve_assignment_lp solves,
+    # including those of the restricted guesses its max flow finds infeasible
     calls = []
-    for flavor in ("restricted-santa", "unrelated-santa", "restricted-makespan",
-                   "santa-matroid"):
+    for flavor in ("restricted-santa", "unrelated-santa", "two-value-santa",
+                   "restricted-makespan", "two-value-makespan", "santa-matroid",
+                   "makespan-matroid"):
         for seed in range(4):
             inst = gen_random(flavor, seed, m=3, n=5)
             for t in (F(1), F(2), F(5, 2), F(4)):
@@ -110,4 +115,4 @@ def test_assignment_lps_match():
                 var_of, constraints = rounding.assignment_lp_rows(inst, t, columns)
                 got = vertex(len(var_of), constraints)
                 calls.append(got == reference_point(len(var_of), constraints))
-    assert len(calls) == 58 and all(calls)
+    assert len(calls) == 85 and all(calls)
